@@ -1,18 +1,26 @@
 // Thread-scaling microbenchmark of the parallel per-component water-fill
 // (DESIGN.md §10, EXPERIMENTS.md EXT-P).
 //
-// Workload: `components` link-disjoint jobs (one src->dst host pair each,
-// 32 capped flows per job -- the staggered-caps progressive-filling worst
-// case from bench_allocator) under AllocMode::kFullRecompute, so EVERY
-// pass water-fills EVERY component. The threads axis sweeps the same
-// allocator + population through widths 1/2/4/8 of the shared ThreadPool;
-// because the results are bit-identical by construction, the only thing
-// that can move is time. `threads:1` with the pool attached-but-bypassed
-// measures the dispatch-free serial path, i.e. the single-thread overhead
-// of the validate->fill->merge restructure itself (budget: <= 1.05x the
-// pre-restructure allocator; tracked as overhead_parallel_serial in
-// BENCH_hotpath.json, with throughput_vs_threads carrying the scaling
-// curve).
+// Three families, all on link-disjoint jobs (one src->dst host pair each)
+// under AllocMode::kFullRecompute, so EVERY pass water-fills EVERY
+// component. Results are bit-identical by construction at every width, so
+// the only thing that can move is time.
+//
+//   * BM_ParallelAllocFill: 32 capped flows per job -- the staggered-caps
+//     progressive-filling worst case from bench_allocator -- at 64 and 256
+//     components (2,048 / 8,192 flows), widths 1/2/4/8 of the shared
+//     ThreadPool. Far above the work cutoff: the scaling curve
+//     (throughput_vs_threads in BENCH_hotpath.json).
+//   * BM_ServeShapedFill: what `serve` passes fill -- 4 flows per
+//     component, one equivalence class per flow -- at 32..1,024 flows in
+//     total, threads 1 and 2. Below RateAllocator::kMinParallelFillFlows the
+//     threads:2 point must cost what threads:1 costs (the pass stays on the
+//     calling thread; the `dispatched` counter reads 0); above it the pass
+//     dispatches. overhead_parallel_serial in BENCH_hotpath.json tracks the
+//     below-cutoff ratio.
+//   * BM_PoolDispatch: one empty two-participant ThreadPool::run -- the
+//     fixed cost a dispatched pass pays before any fill work, which together
+//     with the threads:1 per-flow fill cost above sets the cutoff.
 //
 // Numbers are only meaningful relative to the machine shape: the JSON
 // context records echelon_hardware_concurrency / echelon_pool_participants,
@@ -43,24 +51,22 @@ struct Population {
   std::vector<netsim::Flow*> active;
 };
 
-// `n_jobs` independent components: job j's 32 flows all cross the dedicated
-// host pair (2j, 2j+1), so the union-find partition yields exactly n_jobs
-// singleton-pair components with zero shared links.
-Population make_components(int n_jobs) {
-  constexpr int kFlowsPerJob = 32;
+// `n_jobs` independent components: job j's `flows_per_job` flows all cross
+// the dedicated host pair (2j, 2j+1), so the union-find partition yields
+// exactly n_jobs components with zero shared links. Caps are staggered
+// within a job, so every flow is its own equivalence class and each
+// water-fill round freezes one flow.
+Population make_components(int n_jobs, int flows_per_job) {
   Population p{topology::make_big_switch(2 * n_jobs, gbps(100)), {}, {}};
   std::uint64_t id = 0;
-  p.flows.reserve(static_cast<std::size_t>(n_jobs) * kFlowsPerJob);
+  p.flows.reserve(static_cast<std::size_t>(n_jobs) * flows_per_job);
   for (int j = 0; j < n_jobs; ++j) {
-    for (int k = 0; k < kFlowsPerJob; ++k) {
+    for (int k = 0; k < flows_per_job; ++k) {
       netsim::Flow f;
       f.id = FlowId{id};
       f.spec.size = 1e9;
       f.remaining = 1e9;
       f.weight = 1.0;
-      // Staggered binding caps: each water-fill round freezes one flow, the
-      // multi-round worst case, so per-component fill cost is substantial
-      // enough for parallelism to matter.
       f.rate_cap = gbps(0.1 * (k + 1));
       f.path = *p.fabric.topo.route(p.fabric.hosts[2 * j],
                                     p.fabric.hosts[2 * j + 1], id);
@@ -72,11 +78,10 @@ Population make_components(int n_jobs) {
   return p;
 }
 
-// args: {components, threads}. threads == 1 exercises the serial path with
-// the parallel restructure in place (the overhead measurement); >= 2
-// dispatches fills onto the shared pool.
+// args: {components, threads}. threads == 1 exercises the serial path;
+// >= 2 dispatches fills onto the shared pool.
 void BM_ParallelAllocFill(benchmark::State& state) {
-  Population p = make_components(static_cast<int>(state.range(0)));
+  Population p = make_components(static_cast<int>(state.range(0)), 32);
   const auto threads = static_cast<unsigned>(state.range(1));
   netsim::RateAllocator alloc(&p.fabric.topo,
                               netsim::AllocMode::kFullRecompute);
@@ -103,6 +108,42 @@ BENCHMARK(BM_ParallelAllocFill)
     ->Args({256, 2})
     ->Args({256, 4})
     ->Args({256, 8});
+
+// args: {flows, threads}. `dispatched` is the fraction of passes the
+// allocator handed to the pool (0 below the cutoff, 1 above it).
+void BM_ServeShapedFill(benchmark::State& state) {
+  constexpr int kFlowsPerComponent = 4;
+  Population p = make_components(
+      static_cast<int>(state.range(0)) / kFlowsPerComponent,
+      kFlowsPerComponent);
+  const auto threads = static_cast<unsigned>(state.range(1));
+  netsim::RateAllocator alloc(&p.fabric.topo,
+                              netsim::AllocMode::kFullRecompute);
+  alloc.set_parallelism(&ThreadPool::shared(), threads);
+  alloc.allocate(p.active);  // warm the arenas
+  const std::uint64_t before = ThreadPool::shared().dispatches();
+  for (auto _ : state) {
+    alloc.allocate(p.active);
+    benchmark::DoNotOptimize(p.active);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(p.flows.size()));
+  state.counters["dispatched"] =
+      static_cast<double>(ThreadPool::shared().dispatches() - before) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_ServeShapedFill)
+    ->ArgNames({"flows", "threads"})
+    ->ArgsProduct({{32, 64, 128, 256, 512, 1024}, {1, 2}});
+
+void BM_PoolDispatch(benchmark::State& state) {
+  const auto threads = static_cast<unsigned>(state.range(0));
+  ThreadPool& pool = ThreadPool::shared();
+  for (auto _ : state) {
+    pool.run(threads, threads, [](unsigned, std::size_t) {});
+  }
+}
+BENCHMARK(BM_PoolDispatch)->ArgName("threads")->Arg(2);
 
 }  // namespace
 

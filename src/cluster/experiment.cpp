@@ -215,16 +215,11 @@ ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
   sim.set_scheduler(scheduler);
 
   // Intra-run parallelism wiring (DESIGN.md §10): hand the process-wide
-  // shared pool to the simulator (allocator water-fill, flow stamping, heap
-  // prep) and, when the standalone EchelonFlow-MADD policy is in play, to
-  // its group-cache validation. threads == 1 leaves everything serial and
-  // never touches the pool. Safe under run_sweep: nested dispatches from
-  // pool workers run inline-serially.
+  // shared pool to the simulator's allocator water-fill. threads == 1 leaves
+  // everything serial and never touches the pool. Safe under run_sweep:
+  // nested dispatches from pool workers run inline-serially.
   if (config.threads != 1) {
     sim.set_parallelism(&ThreadPool::shared(), config.threads);
-    if (auto* madd = dynamic_cast<ef::EchelonMaddScheduler*>(policy.get())) {
-      madd->set_parallelism(&ThreadPool::shared(), config.threads);
-    }
   }
 
   // Observability wiring (DESIGN.md §9): read-only emitters, null-guarded at

@@ -106,14 +106,13 @@ struct ExperimentConfig {
   const faultsim::FaultPlan* fault_plan = nullptr;
 
   // --- intra-run parallelism (DESIGN.md §10) ---
-  // Worker count for the simulator's data-parallel sections (per-component
-  // water-fill, active-flow stamping, completion-heap preparation, group-
-  // cache validation). 1 = fully serial (default; no pool touched); 0 = all
-  // participants of the process-wide shared pool; N = at most N
-  // participants. Results are bit-identical at every setting -- parallel
-  // sections execute the same FP expressions on the same operands and merge
-  // in a deterministic order (tests/test_parallel_equivalence.cpp pins
-  // this). Nested-safe under run_sweep: inner dispatches from sweep workers
+  // Worker count for the allocator's per-component water-fill, which goes to
+  // the pool only on passes above RateAllocator::kMinParallelFillFlows.
+  // 1 = fully serial (default; no pool touched); 0 = all participants of
+  // the process-wide shared pool; N = at most N participants. Results are
+  // bit-identical at every setting -- the parallel fill executes the same FP
+  // expressions on the same operands and merges in a deterministic order
+  // (tests/test_parallel_equivalence.cpp pins this). Nested-safe under run_sweep: inner dispatches from sweep workers
   // run inline-serially on the shared pool.
   unsigned threads = 1;
 

@@ -13,6 +13,11 @@ thread_local bool tl_in_pool_task = false;
 
 bool ThreadPool::in_parallel_region() noexcept { return tl_in_pool_task; }
 
+std::uint64_t ThreadPool::dispatches() const {
+  std::lock_guard<std::mutex> lk(m_);
+  return job_gen_;
+}
+
 ThreadPool::ThreadPool(unsigned participants) {
   if (participants == 0) {
     participants = std::max(1u, std::thread::hardware_concurrency());

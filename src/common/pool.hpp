@@ -82,6 +82,11 @@ class ThreadPool {
   // executes inline-serially -- see the nested-parallelism note above.
   [[nodiscard]] static bool in_parallel_region() noexcept;
 
+  // Jobs handed to the spawned workers since construction. The inline
+  // serial and nested paths do not count, so tests use it to tell a run
+  // that really went wide from one that stayed on the calling thread.
+  [[nodiscard]] std::uint64_t dispatches() const;
+
   // Invokes fn(worker, i) for every i in [0, n) exactly once across up to
   // min(max_workers, concurrency(), n) participants (max_workers == 0 means
   // "all"). `worker` is a dense participant index in [0, participants);
@@ -123,10 +128,10 @@ class ThreadPool {
   std::unique_ptr<Range[]> ranges_;
   std::vector<WorkerError> errors_;  // one per participant, pre-sized
 
-  std::mutex m_;
+  mutable std::mutex m_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
-  std::uint64_t job_gen_ = 0;  // bumped per dispatched job
+  std::uint64_t job_gen_ = 0;  // bumped per dispatched job (dispatches())
   unsigned unfinished_ = 0;    // spawned participants still in the job
   bool stop_ = false;
   // Current job; stable while any participant is inside work().

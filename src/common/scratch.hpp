@@ -176,14 +176,11 @@ class KeySlotMap {
 // capacity), so steady-state parallel fills allocate nothing. Slots are
 // cache-line aligned -- neighbouring workers' arenas never share a line.
 //
-// Thread confinement contract: within one pass (begin_pass .. the caller's
-// post-join reads) slot w may be touched by exactly one thread. Debug
-// builds enforce it: the first at(w) in a pass binds the slot to the
-// calling thread, and any later at(w) from a different thread asserts --
-// cross-thread arena reuse would otherwise corrupt both workers' state
-// silently in release builds. After the parallel section has joined, the
-// orchestrating thread reads results through read(w), which skips the
-// owner binding (the join is the synchronization point).
+// Thread confinement contract: within one pass (begin_pass .. the join)
+// slot w may be touched by exactly one thread. Debug builds enforce it: the
+// first at(w) in a pass binds the slot to the calling thread, and any later
+// at(w) from a different thread asserts -- cross-thread arena reuse would
+// otherwise corrupt both workers' state silently in release builds.
 template <typename T>
 class WorkerScratch {
  public:
@@ -194,17 +191,6 @@ class WorkerScratch {
     if (slots_.size() < workers) slots_.resize(workers);
     ++epoch_;
   }
-
-  // begin_pass plus value-assignment of every usable slot (for accumulator
-  // scratch -- per-worker flags/sums -- where stale values would leak into
-  // the merge). Assigning here, before any worker runs, does not bind
-  // owners: binding happens on first at().
-  void begin_pass(unsigned workers, const T& init) {
-    begin_pass(workers);
-    for (unsigned w = 0; w < workers; ++w) slots_[w].value = init;
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
 
   // Slot `worker`, callable only from the one thread that owns it this pass
   // (debug-checked; see the confinement contract above).
@@ -220,14 +206,6 @@ class WorkerScratch {
            "WorkerScratch slot touched from two threads in one pass");
 #endif
     return s.value;
-  }
-
-  // Post-join read access for the orchestrating thread's merge. Does not
-  // bind or check ownership -- only safe once the parallel section that
-  // wrote the slot has been joined.
-  [[nodiscard]] const T& read(unsigned worker) const {
-    assert(worker < slots_.size());
-    return slots_[worker].value;
   }
 
  private:

@@ -255,10 +255,6 @@ void EchelonMaddScheduler::full_pass(std::span<netsim::Flow*> active,
   flow_ptr_.begin_pass();
   bool consistent = true;
   std::size_t routed = 0;
-  // Cache mutation and routing bookkeeping stay on the calling thread; only
-  // the pure per-flow validity predicate may go wide below.
-  const bool par_validate =
-      pool_ != nullptr && active.size() >= kParallelValidateBatch;
   for (netsim::Flow* f : active) {
     if (f->path.empty()) {
       f->set_weight(1.0);
@@ -269,25 +265,7 @@ void EchelonMaddScheduler::full_pass(std::span<netsim::Flow*> active,
     const std::size_t idx = f->id.value();
     flow_ptr_.ensure_size(idx + 1);
     flow_ptr_.touch(idx) = f;
-    if (!par_validate && consistent) consistent = cache_valid(*f);
-  }
-  if (par_validate) {
-    // Component-local validation: each flow's check reads only that flow,
-    // its meta_ row, and the (immutable-within-a-pass) registry. Per-worker
-    // flags AND-merge to the same verdict the serial short-circuit walk
-    // reaches, regardless of thread count or interleaving.
-    const unsigned workers =
-        std::min(par_threads_ == 0 ? pool_->concurrency() : par_threads_,
-                 pool_->concurrency());
-    valid_scratch_.begin_pass(workers, std::uint8_t{1});
-    pool_->run(active.size(), par_threads_, [&](unsigned w, std::size_t i) {
-      const netsim::Flow* f = active[i];
-      if (f->path.empty()) return;
-      if (!cache_valid(*f)) valid_scratch_.at(w) = 0;
-    });
-    for (unsigned w = 0; w < workers; ++w) {
-      if (valid_scratch_.read(w) == 0) consistent = false;
-    }
+    if (consistent) consistent = cache_valid(*f);
   }
   // Equal counts + (active ⊆ cache) ⇒ cache == active.
   if (!consistent || routed != cached_members_) rebuild_cache(active);

@@ -85,7 +85,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/pool.hpp"
 #include "common/scratch.hpp"
 #include "echelon/linkcaps.hpp"
 #include "echelon/registry.hpp"
@@ -143,20 +142,6 @@ class EchelonMaddScheduler final : public netsim::NetworkScheduler {
     return groups_by_key_.size();
   }
 
-  // Intra-pass parallelism (DESIGN.md §10): run the per-flow group-cache
-  // validation -- a pure read-only predicate (resolve() vs the cached
-  // (key, deadline)) -- across pool participants, each component of the
-  // check confined to one flow. Per-worker flags are AND-merged after the
-  // join: a conjunction is order-independent, so the consistency verdict
-  // (and thus whether a rebuild runs) is identical to the serial
-  // short-circuit walk. All cache mutation stays on the calling thread.
-  // threads == 1 or pool == nullptr restores the serial path (the
-  // default); threads == 0 uses every pool participant.
-  void set_parallelism(ThreadPool* pool, unsigned threads) noexcept {
-    pool_ = threads == 1 ? nullptr : pool;
-    par_threads_ = threads;
-  }
-
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
@@ -208,9 +193,7 @@ class EchelonMaddScheduler final : public netsim::NetworkScheduler {
 
   [[nodiscard]] Resolved resolve(const netsim::Flow& f) const;
   // Pure read-only check that flow `f`'s cache entry still matches what
-  // resolve() yields today. Safe to evaluate concurrently for distinct
-  // flows: resolve() only reads the registry and immutable arrangement
-  // offsets.
+  // resolve() yields today.
   [[nodiscard]] bool cache_valid(const netsim::Flow& f) const;
   void add_to_cache(const netsim::Flow& f);
   void remove_from_cache(const netsim::Flow& f);
@@ -281,16 +264,6 @@ class EchelonMaddScheduler final : public netsim::NetworkScheduler {
   topology::LinkScratch<PerLink> tard_scratch_;
   topology::LinkScratch<double> load_scratch_;
   std::vector<std::uint32_t> order_;          // per-pass group rank order
-
-  // --- intra-pass parallelism (DESIGN.md §10) --------------------------------
-  // Validation only goes wide when the active span is large enough that the
-  // dispatch overhead pays for itself; below the batch floor the serial walk
-  // runs. The cutoff cannot affect results: both paths compute the same
-  // conjunction over the same pure predicate.
-  static constexpr std::size_t kParallelValidateBatch = 512;
-  ThreadPool* pool_ = nullptr;
-  unsigned par_threads_ = 1;
-  WorkerScratch<std::uint8_t> valid_scratch_;  // per-worker "all valid" flags
 };
 
 }  // namespace echelon::ef

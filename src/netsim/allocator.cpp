@@ -163,7 +163,7 @@ void RateAllocator::allocate(std::span<Flow*> flows, SimTime now) {
         .value = static_cast<double>(rank_class_start_[rank + 1] -
                                      rank_class_start_[rank])};
   };
-  if (pool_ != nullptr && fill_comps_.size() > 1) {
+  if (pool_ != nullptr && dirty_slots_.size() >= kMinParallelFillFlows) {
     const unsigned workers =
         std::min<unsigned>(threads_ == 0 ? pool_->concurrency() : threads_,
                            pool_->concurrency());

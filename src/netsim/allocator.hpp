@@ -141,11 +141,18 @@ class RateAllocator {
   // ascending-component order after the join -- so results, stats and
   // traces are bit-identical to the serial pass at any thread count.
   // threads == 1 or pool == nullptr restores the serial path (the
-  // default); threads == 0 uses every pool participant.
+  // default); threads == 0 uses every pool participant. A pass dispatches
+  // only when its to-be-filled components hold at least
+  // kMinParallelFillFlows member flows in total; smaller passes fill
+  // serially, since one dispatch costs more than the whole fill there.
   void set_parallelism(ThreadPool* pool, unsigned threads) noexcept {
     pool_ = threads == 1 ? nullptr : pool;
     threads_ = threads;
   }
+  // Work cutoff for the parallel fill (DESIGN.md §10): member flows summed
+  // over the components a pass fills. The cutoff cannot affect results --
+  // both paths are bit-identical -- only where the time goes.
+  static constexpr std::size_t kMinParallelFillFlows = 1024;
 
   [[nodiscard]] AllocMode mode() const noexcept { return mode_; }
   [[nodiscard]] FillMode fill_mode() const noexcept { return fill_; }

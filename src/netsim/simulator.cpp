@@ -413,30 +413,18 @@ void Simulator::restore_active_order() {
 void Simulator::stamp_active_flows(SimTime to) {
   const Duration dt = to - epoch_time_;
   if (dt > 0.0) {
-    // Per-flow stamping is embarrassingly parallel: each iteration reads
-    // and writes exactly one flow, and `remaining -= rate * dt` is the same
-    // expression either way -- the parallel stamp is bit-identical to the
-    // serial one. Dispatch only above the batch cutoff; the loop body is a
-    // handful of cycles per flow.
-    const auto stamp_one = [this, dt](Flow& f) {
+    for (FlowId id : active_flows_) {
+      Flow& f = flows_.at(id.value());
       // Rate-0 flows (just-submitted, or starved by the allocator) make no
       // progress; skipping them keeps the stamp proportional to *flowing*
       // flows and avoids perturbing their byte counts.
-      if (f.rate == 0.0) return;
+      if (f.rate == 0.0) continue;
       f.remaining -= f.rate * dt;
       // Accounting-drift canary: materialization may undershoot zero by
       // rounding, never by more than the drain slack plus relative error on
       // the flow size (large flows accumulate absolute ulp error).
       assert(f.remaining >= -(kBytesEpsilon + 1e-9 * f.spec.size) &&
              "lazy byte accounting drifted below zero");
-    };
-    if (pool_ != nullptr && active_flows_.size() >= kParallelBatch) {
-      pool_->run(active_flows_.size(), par_threads_,
-                 [&](unsigned, std::size_t i) {
-                   stamp_one(flows_.at(active_flows_[i].value()));
-                 });
-    } else {
-      for (FlowId id : active_flows_) stamp_one(flows_.at(id.value()));
     }
     // Completion times are a function of (epoch, remaining, rate): moving
     // the epoch re-derives them all (same values mathematically, different
@@ -457,35 +445,12 @@ void Simulator::stamp_active_flows(SimTime to) {
 void Simulator::rebuild_completion_heap() {
   completion_heap_.clear();
   ++heap_gen_;
-  if (pool_ != nullptr && active_flows_.size() >= kParallelBatch) {
-    // Parallel entry preparation: completion_time per flow into an index
-    // slot (disjoint writes; the completion_gen stamp touches only that
-    // flow). The serial compaction below walks the slots in active order,
-    // so the heap array -- and therefore make_heap's result -- is the exact
-    // sequence the serial loop builds.
-    const std::size_t n = active_flows_.size();
-    heap_prep_scratch_.resize(n);
-    pool_->run(n, par_threads_, [&](unsigned, std::size_t i) {
-      Flow& f = flows_.at(active_flows_[i].value());
-      CompletionEntry& e = heap_prep_scratch_[i];
-      if (f.rate <= 0.0) {
-        e.gen = 0;  // never completes at its current rate; no entry
-        return;
-      }
-      f.completion_gen = heap_gen_;
-      e = CompletionEntry{completion_time(epoch_time_, f), f.id, heap_gen_};
-    });
-    for (const CompletionEntry& e : heap_prep_scratch_) {
-      if (e.gen != 0) completion_heap_.push_back(e);
-    }
-  } else {
-    for (FlowId id : active_flows_) {
-      Flow& f = flows_.at(id.value());
-      if (f.rate <= 0.0) continue;  // never completes at its current rate
-      f.completion_gen = heap_gen_;
-      completion_heap_.push_back(
-          CompletionEntry{completion_time(epoch_time_, f), id, heap_gen_});
-    }
+  for (FlowId id : active_flows_) {
+    Flow& f = flows_.at(id.value());
+    if (f.rate <= 0.0) continue;  // never completes at its current rate
+    f.completion_gen = heap_gen_;
+    completion_heap_.push_back(
+        CompletionEntry{completion_time(epoch_time_, f), id, heap_gen_});
   }
   std::make_heap(completion_heap_.begin(), completion_heap_.end(),
                  LaterCompletion{});

@@ -113,20 +113,15 @@ class Simulator {
   [[nodiscard]] NetworkScheduler& scheduler() noexcept { return *scheduler_; }
 
   // --- intra-run parallelism (DESIGN.md §10) ---
-  // Dispatches the O(active)/O(components) control-plane passes -- the
-  // allocator's per-component water-fills, the accounting-epoch byte stamp
-  // and the completion-heap entry preparation -- onto up to `threads`
-  // participants of `pool`. Every parallel section performs the identical
-  // floating-point work on disjoint state and merges order-sensitively
-  // after the join, so simulation results are bit-identical at any thread
-  // count (the threaded golden-equivalence suite pins this). threads == 1
-  // or pool == nullptr restores the fully serial simulator (the default);
-  // threads == 0 uses every pool participant. Nested use -- a parallel
-  // simulator inside a run_sweep worker -- is safe: inner sections execute
-  // inline-serially (ThreadPool nested-dispatch rule).
+  // Forwards to the allocator, whose per-component water-fill is the only
+  // section a run dispatches onto the pool (and only above
+  // RateAllocator::kMinParallelFillFlows). Results are bit-identical at any
+  // thread count (the threaded golden-equivalence suite pins this).
+  // threads == 1 or pool == nullptr restores the fully serial simulator
+  // (the default); threads == 0 uses every pool participant. Nested use --
+  // a parallel simulator inside a run_sweep worker -- is safe: the fill
+  // executes inline-serially (ThreadPool nested-dispatch rule).
   void set_parallelism(ThreadPool* pool, unsigned threads) noexcept {
-    pool_ = threads == 1 ? nullptr : pool;
-    par_threads_ = threads;
     allocator_.set_parallelism(pool, threads);
   }
 
@@ -438,17 +433,6 @@ class Simulator {
   FairSharingScheduler default_scheduler_;
   NetworkScheduler* scheduler_;
   SimLoopMode mode_;
-
-  // Intra-run parallelism (set_parallelism). Sections dispatch only above
-  // kParallelBatch active flows -- below it the sync cost dwarfs the work;
-  // the cutoff cannot affect results because both paths are bit-identical.
-  ThreadPool* pool_ = nullptr;
-  unsigned par_threads_ = 1;
-  static constexpr std::size_t kParallelBatch = 512;
-  // Parallel heap preparation: per-active-flow entries computed into index
-  // slots, compacted serially in active order (gen == 0 marks "no entry";
-  // heap_gen_ is always >= 1 by then).
-  std::vector<CompletionEntry> heap_prep_scratch_;
 
   SimTime now_ = 0.0;
   // Accounting epoch: the instant at which every active flow's `remaining`

@@ -42,6 +42,14 @@ topology::BuiltFabric make_fabric(const ServiceConfig& config) {
 
 }  // namespace
 
+template <typename F>
+void ServiceLoop::profiled(std::string_view phase, F&& fn) {
+  if (!config_.telemetry.profile) return fn();
+  const ScopedTimer t;
+  fn();
+  record_phase_ms(phase, t.elapsed_ms());
+}
+
 ServiceLoop::ServiceLoop(const ServiceConfig& config)
     : ServiceLoop(config, std::nullopt) {}
 
@@ -127,9 +135,6 @@ void ServiceLoop::build_stack() {
 
   if (config_.threads != 1) {
     sim_.set_parallelism(&ThreadPool::shared(), config_.threads);
-    if (auto* madd = dynamic_cast<ef::EchelonMaddScheduler*>(policy_.get())) {
-      madd->set_parallelism(&ThreadPool::shared(), config_.threads);
-    }
   }
 
   attach_observability(config_.trace_sink, config_.trace_detail,
@@ -257,13 +262,7 @@ void ServiceLoop::telemetry_boundary() {
         static_cast<std::uint64_t>(std::floor(now / tc.metrics_every));
     if (target > flush_index_) {
       flush_index_ = target;
-      if (tc.profile) {
-        const ScopedTimer t;
-        flush_telemetry(now);
-        record_phase_ms("flush", t.elapsed_ms());
-      } else {
-        flush_telemetry(now);
-      }
+      profiled("flush", [&] { flush_telemetry(now); });
     }
   }
 }
@@ -355,16 +354,11 @@ void ServiceLoop::handle_arrivals_at(SimTime at) {
 }
 
 void ServiceLoop::admit(Arrival arrival) {
-  AdmissionOutcome outcome;
-  if (config_.telemetry.profile) {
-    const ScopedTimer t;
+  AdmissionOutcome outcome{};
+  profiled("admission", [&] {
     outcome = decide(config_.admission, running_, wait_queue_.size(),
                      registry_->total_tardiness());
-    record_phase_ms("admission", t.elapsed_ms());
-  } else {
-    outcome = decide(config_.admission, running_, wait_queue_.size(),
-                     registry_->total_tardiness());
-  }
+  });
   if (replay_expected_ != nullptr) {
     const std::size_t i = journal_.size();
     if (i >= replay_expected_->size() ||

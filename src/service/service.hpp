@@ -331,6 +331,10 @@ class ServiceLoop {
     std::size_t group_begin = 0;
     std::size_t group_end = 0;
   };
+  // Runs fn(); with telemetry.profile on, also records its wall time as
+  // profile phase `phase`. Unprofiled runs never read the clock.
+  template <typename F>
+  void profiled(std::string_view phase, F&& fn);
 
   void build_stack();
   void refill_pending();

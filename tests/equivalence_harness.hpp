@@ -516,10 +516,16 @@ struct ScenarioOptions {
   // capacity-epoch invalidation path of the incremental allocator.
   bool capacity_churn = false;
   netsim::NetworkScheduler* sched = nullptr;  // nullptr = fair sharing
-  // Intra-run parallelism width (see RunSpec::threads). Crank `flows` past
-  // the simulator's kParallelBatch (512 active) to exercise the wide
-  // stamping / heap-prep paths, not just the allocator fill.
+  // Intra-run parallelism width (see RunSpec::threads). The allocator fill
+  // only dispatches above RateAllocator::kMinParallelFillFlows member
+  // flows, so pair this with `wide` and enough `flows` to reach the pool.
   unsigned threads = 1;
+  // Wide fixture: flows cycle over the four link-disjoint host pairs
+  // (2k -> 2k+1) and all arrive within the first 20 ms, so most of them
+  // stay concurrently active in four contention components -- enough
+  // fill work per pass for the allocator to dispatch onto the pool.
+  bool wide = false;
+  obs::TraceSink* trace_sink = nullptr;  // kFlow detail when set
 };
 
 struct ScenarioOutcome {
@@ -542,6 +548,9 @@ inline ScenarioOutcome run_sim_scenario(std::uint64_t seed,
   if (opt.threads != 1) {
     sim.set_parallelism(&ThreadPool::shared(), opt.threads);
   }
+  if (opt.trace_sink != nullptr) {
+    sim.set_trace(opt.trace_sink, obs::TraceDetail::kFlow);
+  }
 
   ScenarioOutcome out;
   sim.add_flow_listener(
@@ -550,10 +559,21 @@ inline ScenarioOutcome run_sim_scenario(std::uint64_t seed,
       });
 
   Rng rng(seed);
+  double group_at = 0.0;  // wide fixture: the current group's arrival
   for (int i = 0; i < opt.flows; ++i) {
-    const double at = rng.uniform() * 0.5;
-    const auto src = fabric.hosts[rng.uniform_int(fabric.hosts.size())];
-    const auto dst = fabric.hosts[rng.uniform_int(fabric.hosts.size())];
+    double at = rng.uniform() * 0.5;
+    auto src = fabric.hosts[rng.uniform_int(fabric.hosts.size())];
+    auto dst = fabric.hosts[rng.uniform_int(fabric.hosts.size())];
+    if (opt.wide) {
+      // Groups of four flows, one per pair, share an arrival instant in the
+      // first 20 ms: that instant's one reallocation refills all four
+      // components, even in incremental mode.
+      const std::size_t pair = static_cast<std::size_t>(i) % 4;
+      if (pair == 0) group_at = at * 0.04;
+      at = group_at;
+      src = fabric.hosts[2 * pair];
+      dst = fabric.hosts[2 * pair + 1];
+    }
     const double size = 1e6 * std::exp(2.0 * rng.normal());
     sim.schedule_at(at, [src, dst, size, i](netsim::Simulator& s) {
       netsim::FlowSpec spec;

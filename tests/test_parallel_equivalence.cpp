@@ -1,25 +1,25 @@
 // Golden-equivalence suite for intra-run parallelism (DESIGN.md §10).
 //
-// The contract under test: every data-parallel section the shared
-// ThreadPool powers -- per-component water-fill in the RateAllocator,
-// active-flow stamping and completion-heap preparation in the Simulator,
-// group-cache validation in the EchelonFlow-MADD scheduler, per-worker
-// trace shards in obs -- produces results *bit-identical* to the serial
-// path at ANY thread count. Parallelism here is a pure speed knob: the
-// parallel sections execute the same floating-point expressions on the
-// same operands as the serial loops and merge in a deterministic
-// (ascending-component / active-order) sequence, so nothing observable may
-// move. The suites sweep the threads axis {1, 2, 8, 0 = all participants}
-// across:
+// The contract under test: the one data-parallel section a run puts on the
+// shared ThreadPool -- per-component water-fill in the RateAllocator, with
+// its per-worker trace shards -- produces results *bit-identical* to the
+// serial path at ANY thread count. Parallelism here is a pure speed knob:
+// the parallel fill executes the same floating-point expressions on the
+// same operands as the serial loop and merges in ascending-component order,
+// so nothing observable may move. The fill dispatches only above
+// RateAllocator::kMinParallelFillFlows member flows, so the sections that
+// must exercise the pool use a wide fixture and assert that it dispatched.
+// The suites sweep the threads axis {1, 2, 8, 0 = all participants} across:
 //
 //   1. ThreadPool / WorkerScratch unit semantics (coverage, lowest-index
 //      exception, nested-dispatch inlining, pass epochs),
 //   2. the full scheduler x fabric cluster matrix, fault-free and under a
-//      chaos fault plan, in both allocator modes,
-//   3. flow-detail trace streams (per-worker kCompFill shards must merge
-//      into the exact serial emission order),
-//   4. a simulator-level ~800-flow scenario that pushes the active set past
-//      kParallelBatch so the wide stamping / heap-prep paths actually run.
+//      chaos fault plan, in both allocator modes (below the cutoff: the
+//      threads knob must be inert end to end),
+//   3. flow-detail trace streams of the wide fixture (per-worker kCompFill
+//      shards must merge into the exact serial emission order),
+//   4. the wide fixture's completion trace in both allocator modes, plus a
+//      serve-shaped threads=2 run that must make no dispatch at all.
 
 #include <algorithm>
 #include <atomic>
@@ -29,6 +29,7 @@
 #include "common/scratch.hpp"
 #include "equivalence_harness.hpp"
 #include "obs/trace.hpp"
+#include "service/service.hpp"
 
 namespace echelon {
 namespace {
@@ -117,17 +118,14 @@ TEST(ThreadPoolTest, WidthOneRunsOnCallingThread) {
   });
 }
 
-TEST(WorkerScratchTest, ValuesPersistAcrossPassesAndInitOverloadResets) {
+TEST(WorkerScratchTest, ValuesPersistAcrossPasses) {
+  // Arena semantics: a new pass keeps every slot's value (warm vectors stay
+  // warm); only the debug owner bindings reset.
   WorkerScratch<int> ws;
   ws.begin_pass(4);
   for (unsigned w = 0; w < 4; ++w) ws.at(w) = static_cast<int>(w) + 10;
-  for (unsigned w = 0; w < 4; ++w) EXPECT_EQ(ws.read(w), static_cast<int>(w) + 10);
-  // Plain begin_pass keeps values (arena semantics) ...
   ws.begin_pass(4);
-  for (unsigned w = 0; w < 4; ++w) EXPECT_EQ(ws.read(w), static_cast<int>(w) + 10);
-  // ... while the init overload resets every slot without binding owners.
-  ws.begin_pass(4, -1);
-  for (unsigned w = 0; w < 4; ++w) EXPECT_EQ(ws.read(w), -1);
+  for (unsigned w = 0; w < 4; ++w) EXPECT_EQ(ws.at(w), static_cast<int>(w) + 10);
 }
 
 // ============================================================================
@@ -191,62 +189,72 @@ ECHELON_INSTANTIATE_SCHED_FABRIC(ParallelEquivalence);
 // 3. Trace streams: per-worker shards merge into the serial emission order
 // ============================================================================
 
-// Traced runs route through eqh::run_cluster (RunSpec::trace_sink) and the
-// shared eqh::expect_same_trace comparator -- no local copies.
-using TracedParallelEquivalence = eqh::SchedFabricTest;
+// The wide simulator fixture (eqh::ScenarioOptions::wide): kWideFlows
+// flows over the four link-disjoint host pairs of the 8-host switch, i.e.
+// four contention components whose fills together hold more than
+// RateAllocator::kMinParallelFillFlows members. kFullRecompute fills every
+// component every pass; kIncremental refills all four whenever a group of
+// four same-instant arrivals lands on them. Twice the cutoff plus headroom:
+// passes keep filling above the cutoff until more than half the flows have
+// finished.
+constexpr int kWideFlows = 2400;
+static_assert(kWideFlows >= 2 * netsim::RateAllocator::kMinParallelFillFlows);
 
-TEST_P(TracedParallelEquivalence, FlowDetailTraceStreamIdenticalAcrossThreads) {
-  const auto [scheduler, fabric] = GetParam();
-  const auto jobs = eqh::small_trace(/*seed=*/73, /*jitter=*/0.05);
-  eqh::RunSpec spec;
-  spec.scheduler = scheduler;
-  spec.fabric = fabric;
-  // kFullRecompute maximizes per-pass fill components, i.e. kCompFill
-  // traffic through the per-worker shards.
-  spec.alloc = netsim::AllocMode::kFullRecompute;
+eqh::ScenarioOptions wide_options(netsim::AllocMode alloc) {
+  eqh::ScenarioOptions opt;
+  opt.alloc = alloc;
+  opt.flows = kWideFlows;
+  opt.wide = true;
+  opt.stepped = true;
+  opt.capacity_churn = true;
+  return opt;
+}
 
-  spec.threads = 1;
-  obs::TraceRecorder serial_rec;
-  spec.trace_sink = &serial_rec;
-  const auto serial = eqh::run_cluster(jobs, spec);
+TEST(TracedParallelEquivalence, WideFixtureTraceStreamIdenticalAcrossThreads) {
+  // Flow-detail tracing emits one kCompFill/kClassFill pair per filled
+  // component; dispatched fills record them into per-worker shards, which
+  // must merge into exactly the serial emission order.
+  eqh::ScenarioOptions opt = wide_options(netsim::AllocMode::kFullRecompute);
+  obs::TraceRecorder serial_rec(1u << 18);
+  opt.trace_sink = &serial_rec;
+  const auto serial = eqh::run_sim_scenario(/*seed=*/73, opt);
   EXPECT_GT(serial_rec.count(obs::TraceKind::kCompFill), 0u);
 
   for (const unsigned threads : kThreadAxis) {
-    spec.threads = threads;
-    obs::TraceRecorder wide_rec;
-    spec.trace_sink = &wide_rec;
-    const auto wide = eqh::run_cluster(jobs, spec);
-    eqh::expect_same_result(serial, wide);
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    opt.threads = threads;
+    obs::TraceRecorder wide_rec(1u << 18);
+    opt.trace_sink = &wide_rec;
+    const std::uint64_t before = ThreadPool::shared().dispatches();
+    const auto wide = eqh::run_sim_scenario(/*seed=*/73, opt);
+    EXPECT_GT(ThreadPool::shared().dispatches(), before);
+    EXPECT_EQ(serial.trace, wide.trace);
     eqh::expect_same_trace(serial_rec, wide_rec);
   }
 }
 
-ECHELON_INSTANTIATE_SCHED_FABRIC(TracedParallelEquivalence);
-
 // ============================================================================
-// 4. Simulator-level wide paths (active set past kParallelBatch)
+// 4. The allocator fill on the pool: wide fixture vs serve-shaped work
 // ============================================================================
 
-TEST(SimLevelParallelTest, LargeActiveSetBitIdenticalAcrossThreads) {
-  // ~800 concurrently-active flows on an 8-host big switch: comfortably
-  // past the simulator's 512-active parallel-stamping cutoff, so the wide
-  // remaining-bytes stamp and completion-heap preparation paths execute
-  // (not just the allocator fill). Stepped run + capacity churn drag in the
-  // deadline-stamp and cache-invalidation machinery under parallelism too.
+TEST(SimLevelParallelTest, WideFixtureDispatchesAndStaysBitIdentical) {
   for (const auto alloc :
        {netsim::AllocMode::kIncremental, netsim::AllocMode::kFullRecompute}) {
-    eqh::ScenarioOptions opt;
-    opt.alloc = alloc;
-    opt.flows = 800;
-    opt.stepped = true;
-    opt.capacity_churn = true;
+    eqh::ScenarioOptions opt = wide_options(alloc);
     opt.threads = 1;
+    const std::uint64_t serial_before = ThreadPool::shared().dispatches();
     const auto serial = eqh::run_sim_scenario(/*seed=*/2024, opt);
-    ASSERT_EQ(serial.trace.size(), 800u);
+    ASSERT_EQ(serial.trace.size(), static_cast<std::size_t>(kWideFlows));
+    EXPECT_EQ(ThreadPool::shared().dispatches(), serial_before)
+        << "threads=1 must never touch the pool";
 
     for (const unsigned threads : kThreadAxis) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
       opt.threads = threads;
+      const std::uint64_t before = ThreadPool::shared().dispatches();
       const auto wide = eqh::run_sim_scenario(/*seed=*/2024, opt);
+      EXPECT_GT(ThreadPool::shared().dispatches(), before)
+          << "the wide fixture no longer reaches the pool";
       ASSERT_EQ(wide.trace.size(), serial.trace.size());
       for (std::size_t i = 0; i < serial.trace.size(); ++i) {
         EXPECT_EQ(serial.trace[i].flow, wide.trace[i].flow) << "event " << i;
@@ -258,8 +266,33 @@ TEST(SimLevelParallelTest, LargeActiveSetBitIdenticalAcrossThreads) {
                 wide.alloc_stats.components_reused);
       EXPECT_EQ(serial.alloc_stats.components_filled,
                 wide.alloc_stats.components_filled);
+      EXPECT_EQ(serial.alloc_stats.classes, wide.alloc_stats.classes);
     }
   }
+}
+
+TEST(SimLevelParallelTest, ServeShapedRunNeverDispatches) {
+  // The `serve` shape at reduced scale: EchelonFlow-MADD, Poisson arrivals on
+  // a 64-host 2:1 leaf-spine, two threads. Its passes fill a few dozen flows
+  // at most, below the work cutoff, so the run must stay on the calling
+  // thread -- a dispatch here costs more than the fill it would split.
+  service::ServiceConfig cfg;
+  cfg.fabric = cluster::FabricKind::kLeafSpine;
+  cfg.hosts = 64;
+  cfg.oversubscription = 2.0;
+  cfg.threads = 2;
+  cluster::TraceConfig trace;
+  trace.num_jobs = 30;
+  trace.arrival_rate = 8.0;
+  service::ServiceLoop loop(cfg);
+  loop.set_generator(std::make_unique<service::PoissonArrivalGenerator>(trace));
+  const std::uint64_t before = ThreadPool::shared().dispatches();
+  while (loop.step()) {
+  }
+  loop.drain();
+  EXPECT_EQ(loop.result().completed, 30u);
+  EXPECT_GT(loop.sim().alloc_stats().components_filled, 0u);
+  EXPECT_EQ(ThreadPool::shared().dispatches(), before);
 }
 
 }  // namespace

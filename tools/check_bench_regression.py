@@ -81,6 +81,9 @@ Usage:
   tools/check_bench_regression.py --baseline BENCH_hotpath.json \
       --tolerance 2.0 alloc.json coord.json simloop.json par.json churn.json
 
+A benchmark recorded with --benchmark_repetitions contributes the median of
+its repetitions, on the baseline side and on the fresh side alike.
+
 Exit status: 0 = all within tolerance, 1 = regression, 2 = usage/IO error.
 """
 
@@ -161,7 +164,7 @@ def check_telemetry_overhead(overhead_ratios, tolerance_pct):
 
 
 def load_baseline(path):
-    """(name -> baseline real_time ns, name -> run hardware concurrency,
+    """(name -> baseline median real_time ns, name -> run hardware concurrency,
     set of names recorded on a single_core_host-marked run) from
     BENCH_hotpath.json's runs blob."""
     with open(path) as f:
@@ -176,18 +179,18 @@ def load_baseline(path):
         for b in run.get("benchmarks", []):
             if b.get("run_type", "iteration") != "iteration":
                 continue
-            times[b["name"]] = float(b["real_time"])
+            times.setdefault(b["name"], []).append(float(b["real_time"]))
             if run_hw is not None:
                 hw[b["name"]] = str(run_hw)
             if run_single_core:
                 single_core.add(b["name"])
     if not times:
         raise ValueError(f"{path}: no benchmark baselines found under 'runs'")
-    return times, hw, single_core
+    return median_times(times), hw, single_core
 
 
 def load_fresh(paths, require_metrics_context):
-    """(name -> fresh real_time ns, name -> run hardware concurrency,
+    """(name -> fresh median real_time ns, name -> run hardware concurrency,
     name -> per-repetition telemetry_overhead_ratio counters) across all
     given benchmark JSON files."""
     times = {}
@@ -206,13 +209,18 @@ def load_fresh(paths, require_metrics_context):
         for b in doc.get("benchmarks", []):
             if b.get("run_type", "iteration") != "iteration":
                 continue
-            times[b["name"]] = float(b["real_time"])
+            times.setdefault(b["name"], []).append(float(b["real_time"]))
             if run_hw is not None:
                 hw[b["name"]] = str(run_hw)
             if TEL_OVERHEAD_COUNTER in b:
                 overhead.setdefault(b["name"], []).append(
                     float(b[TEL_OVERHEAD_COUNTER]))
-    return times, hw, overhead
+    return median_times(times), hw, overhead
+
+
+def median_times(times):
+    """name -> median real_time over that name's repetitions."""
+    return {name: statistics.median(ts) for name, ts in times.items()}
 
 
 def main():

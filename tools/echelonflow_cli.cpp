@@ -33,8 +33,8 @@
 //     scheduler comparisons run through cluster::run_sweep; output is
 //     identical for any thread count.
 //   --intra-threads N (default 1 = serial; 0 = all shared-pool workers)
-//     intra-run data parallelism inside each experiment (per-component
-//     water-fill, flow stamping, heap prep; DESIGN.md §10). Also
+//     intra-run data parallelism inside each experiment (the allocator's
+//     per-component water-fill on large passes; DESIGN.md §10). Also
 //     bit-identical at any setting, and safe to combine with --threads:
 //     nested dispatches run inline-serially on the shared pool.
 //   --fault-plan PATH   replay a scripted fault plan (src/faultsim format;
