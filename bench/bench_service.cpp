@@ -2,7 +2,7 @@
 //
 // Three families, all carrying the `svc:` argument tag so
 // tools/check_bench_regression.py excludes them from the machine-speed
-// calibration median (like `threads:` / `routes:` / `churn:`) while still
+// calibration median (like `threads:` / `routes:`) while still
 // gating them against the baseline:
 //
 //   1. BM_ServiceSteadyState/svc:J -- the whole online pipeline end to end:

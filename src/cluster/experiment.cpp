@@ -79,63 +79,6 @@ struct LiveJob {
   std::unique_ptr<netsim::WorkflowEngine> engine;
 };
 
-// Seeded external-churn driver (EXPERIMENTS.md EXT-R): every `period` of
-// simulated time, perturb one active routed flow's weight through the
-// notification setters. The next scheduler pass overwrites the perturbation,
-// so the workload outcome is untouched; what this exercises is the
-// pre-control control_dirty scan -> per-job mark -> scoped-recompute path
-// that no simulator-internal event would otherwise trigger. Fully
-// deterministic (SplitMix64 over flow indices) and SchedMode-independent.
-class ChurnDriver {
- public:
-  ChurnDriver(std::uint64_t seed, Duration period,
-              const std::vector<LiveJob>* live)
-      : state_(seed), period_(period), live_(live) {}
-
-  void arm(netsim::Simulator& sim, SimTime at) {
-    sim.schedule_at(at, [this](netsim::Simulator& s) { tick(s); });
-  }
-
- private:
-  [[nodiscard]] std::uint64_t next() noexcept {  // SplitMix64
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
-
-  void tick(netsim::Simulator& s) {
-    const std::size_t n = s.flow_count();
-    if (n > 0) {
-      // A few probes from a random start find an active flow whenever the
-      // network is busy; quiet ticks (compute gaps) perturb nothing.
-      const std::uint64_t start = next();
-      for (std::uint64_t probe = 0; probe < 8; ++probe) {
-        netsim::Flow& f = s.flow_mutable(FlowId{(start + probe) % n});
-        if (f.state == netsim::FlowState::kActive && !f.path.empty()) {
-          const double w =
-              0.5 + static_cast<double>(next() % 1024) / 1024.0;
-          f.set_weight(w);
-          s.invalidate_allocation();
-          break;
-        }
-      }
-    }
-    // Keep ticking while any job still runs; stop afterwards so the event
-    // loop can reach quiescence.
-    for (const LiveJob& lj : *live_) {
-      if (lj.engine != nullptr && !lj.engine->finished()) {
-        arm(s, s.now() + period_);
-        return;
-      }
-    }
-  }
-
-  std::uint64_t state_;
-  Duration period_;
-  const std::vector<LiveJob>* live_;
-};
-
 }  // namespace
 
 ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
@@ -207,11 +150,6 @@ ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
         runtime::PriorityQueueConfig{.num_queues = config.priority_queues});
     scheduler = pq.get();
   }
-  // Control-plane mode (DESIGN.md §12). Decorators route it: the
-  // coordinator forwards to its inner heuristic, the priority-queue
-  // enforcer absorbs it (enforcement invalidates the incremental
-  // induction, so its inner stack stays pinned to full recomputation).
-  scheduler->set_sched_mode(config.sched_mode);
   sim.set_scheduler(scheduler);
 
   // Intra-run parallelism wiring (DESIGN.md §10): hand the process-wide
@@ -290,16 +228,6 @@ ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
     lj.engine =
         std::make_unique<netsim::WorkflowEngine>(&sim, &lj.generated.workflow);
     lj.engine->launch(lj.spec.arrival);
-  }
-
-  // Optional external-churn driver (EXPERIMENTS.md EXT-R): armed after the
-  // launches so its first tick lands once flows can be active.
-  std::unique_ptr<ChurnDriver> churn;
-  if (config.churn_seed != 0) {
-    constexpr Duration kChurnPeriod = 1e-3;
-    churn = std::make_unique<ChurnDriver>(config.churn_seed, kChurnPeriod,
-                                          &live);
-    churn->arm(sim, kChurnPeriod);
   }
 
   const ScopedTimer wall_timer;
@@ -388,17 +316,13 @@ ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
                  : static_cast<double>(as.components_reused) /
                        static_cast<double>(as.components));
 
-    // Control-plane cache telemetry (DESIGN.md §12). Observational only --
-    // the counters differ between SchedModes while decisions stay
-    // bit-identical, so they are deliberately absent from ExperimentResult.
+    // Control-plane pass counts. Observational only, so deliberately absent
+    // from ExperimentResult.
     const netsim::SchedStats& ss = scheduler->sched_stats();
     m.counter("sched.passes").set(ss.passes);
     m.counter("sched.full_passes").set(ss.full_passes);
     m.counter("sched.scoped_passes").set(ss.scoped_passes);
     m.counter("sched.pass_skips").set(ss.pass_skips);
-    m.counter("sched.groups_seen").set(ss.groups_seen);
-    m.counter("sched.groups_scheduled").set(ss.groups_scheduled);
-    m.counter("sched.groups_reused").set(ss.groups_reused);
 
     const topology::RouteTable::Stats& rs = sim.routes().stats();
     m.counter("routes.lookups").set(rs.lookups);

@@ -51,51 +51,11 @@ double CoflowMaddScheduler::residual_gamma(const Grp& g) {
   return gamma;
 }
 
-void CoflowMaddScheduler::on_flow_departure(netsim::Simulator&,
-                                            const netsim::Flow& flow) {
-  if (flow.path.empty()) return;
-  // Freed capacity re-dirties whichever component owns these links at the
-  // next scoped pass; the surviving members' coflow is re-ranked through
-  // departed_keys_ (its gamma shrank even if none of their jobs is marked).
-  for (LinkId lid : flow.path) released_links_.push_back(lid);
-  const std::uint64_t key = group_key(flow);
-  departed_keys_.push_back(key);
-  gamma_cache_.erase(key);
-}
-
-std::uint32_t CoflowMaddScheduler::uf_find(std::uint32_t x) noexcept {
-  while (uf_parent_[x] != x) {  // path halving
-    uf_parent_[x] = uf_parent_[uf_parent_[x]];
-    x = uf_parent_[x];
-  }
-  return x;
-}
-
 void CoflowMaddScheduler::control(netsim::Simulator& sim,
                                   std::span<netsim::Flow*> active) {
   const topology::Topology& topo = sim.topology();
   ++stats_.passes;
-
-  // Era classification (see DESIGN.md §12): within one
-  // (accounting_generation, capacity_epoch) pair every remaining-byte and
-  // capacity operand is bitwise unchanged, so cached standalone gammas stay
-  // exact and an empty dirty set makes the whole pass a no-op.
-  const std::uint64_t acc = sim.accounting_generation();
-  const std::uint64_t cap = topo.capacity_epoch();
-  const bool same_era = acc == last_acc_gen_ && cap == last_cap_epoch_;
-  if (!same_era) {
-    ++era_seq_;
-    last_acc_gen_ = acc;
-    last_cap_epoch_ = cap;
-  }
-  const bool incremental = sched_mode_ == netsim::SchedMode::kIncremental;
-  if (incremental && same_era && dirty_.empty() && released_links_.empty() &&
-      departed_keys_.empty()) {
-    ++stats_.pass_skips;
-    return;
-  }
-  const bool scoped = incremental && same_era && !dirty_.all();
-  if (scoped) dirty_.prepare();
+  ++stats_.full_passes;
 
   // --- group by coflow id ----------------------------------------------------
   // Two-pass counting into a flat member arena: pass 1 counts members per
@@ -134,88 +94,14 @@ void CoflowMaddScheduler::control(netsim::Simulator& sim,
     members_[groups_[slot].end++] = f;
   }
 
-  // Standalone gammas: recompute changed coflows, serve clean ones from the
-  // era-stamped cache (their members' remaining bytes and paths are
-  // untouched this era, so the cached fold is bitwise identical).
-  const std::uint32_t ngroups = static_cast<std::uint32_t>(groups_.size());
-  for (std::uint32_t i = 0; i < ngroups; ++i) {
-    Grp& g = groups_[i];
-    if (scoped) {
-      g.pass_dirty = std::find(departed_keys_.begin(), departed_keys_.end(),
-                               g.key) != departed_keys_.end();
-      if (!g.pass_dirty) {
-        for (std::uint32_t j = g.begin; j < g.end; ++j) {
-          if (dirty_.contains(members_[j]->spec.job.value())) {
-            g.pass_dirty = true;
-            break;
-          }
-        }
-      }
-      if (!g.pass_dirty) {
-        const auto it = gamma_cache_.find(g.key);
-        if (it != gamma_cache_.end() && it->second.era == era_seq_) {
-          g.gamma_standalone = it->second.gamma;
-          ++stats_.groups_reused;
-          continue;
-        }
-      }
-    }
-    g.gamma_standalone = standalone_gamma(topo, g);
-    if (incremental) {
-      gamma_cache_[g.key] = GammaEntry{g.gamma_standalone, era_seq_};
-    }
-  }
-
-  // Scheduled set: all coflows on a full pass; on a scoped pass, the whole
-  // of every link-disjoint component that contains a changed coflow or owns
-  // a released link (freed capacity changes its backfill).
-  order_.clear();
-  if (scoped) {
-    owner_scratch_.begin_pass(topo);
-    if (uf_parent_.size() < ngroups) uf_parent_.resize(ngroups);
-    if (root_dirty_.size() < ngroups) root_dirty_.resize(ngroups);
-    for (std::uint32_t i = 0; i < ngroups; ++i) uf_parent_[i] = i;
-    for (std::uint32_t i = 0; i < ngroups; ++i) {
-      const Grp& g = groups_[i];
-      for (std::uint32_t j = g.begin; j < g.end; ++j) {
-        for (LinkId lid : members_[j]->path) {
-          const std::uint32_t owner = owner_scratch_.touch(lid, i);
-          if (owner != i) {
-            const std::uint32_t ra = uf_find(i);
-            const std::uint32_t rb = uf_find(owner);
-            if (ra != rb) uf_parent_[ra] = rb;
-          }
-        }
-      }
-    }
-    std::fill(root_dirty_.begin(), root_dirty_.begin() + ngroups,
-              std::uint8_t{0});
-    for (std::uint32_t i = 0; i < ngroups; ++i) {
-      if (groups_[i].pass_dirty) root_dirty_[uf_find(i)] = 1;
-    }
-    for (LinkId lid : released_links_) {
-      if (owner_scratch_.active(lid)) {
-        root_dirty_[uf_find(owner_scratch_.at(lid))] = 1;
-      }
-    }
-    for (std::uint32_t i = 0; i < ngroups; ++i) {
-      if (root_dirty_[uf_find(i)] != 0) order_.push_back(i);
-    }
-    stats_.groups_seen += ngroups;
-    stats_.groups_scheduled += order_.size();
-    ++stats_.scoped_passes;
-  } else {
-    for (std::uint32_t i = 0; i < ngroups; ++i) order_.push_back(i);
-    ++stats_.full_passes;
-  }
-  dirty_.clear();
-  released_links_.clear();
-  departed_keys_.clear();
-
   // SEBF order: ascending standalone Gamma, key as deterministic tie-break
   // (reproducing the seed's stable_sort over a key-ascending std::map, via
-  // allocation-free std::sort). On a scoped pass this is the restriction of
-  // the full pass's total order to the scheduled subset.
+  // allocation-free std::sort).
+  order_.clear();
+  for (std::uint32_t i = 0; i < groups_.size(); ++i) {
+    groups_[i].gamma_standalone = standalone_gamma(topo, groups_[i]);
+    order_.push_back(i);
+  }
   std::sort(order_.begin(), order_.end(),
             [this](std::uint32_t a, std::uint32_t b) {
               if (groups_[a].gamma_standalone != groups_[b].gamma_standalone) {

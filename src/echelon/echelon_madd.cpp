@@ -74,16 +74,7 @@ void EchelonMaddScheduler::add_to_cache(const netsim::Flow& f) {
   const auto pos = std::upper_bound(
       g.members.begin(), g.members.end(), r.deadline,
       [](SimTime d, const CachedMember& m) { return d < m.deadline; });
-  // The hook-time pointer is kept as the binding *hint* for foreign flows
-  // (ids the simulator does not own); simulator-owned ids re-bind from
-  // flows_ every pass, so the const_cast never outlives the flow.
-  g.members.insert(pos,
-                   CachedMember{f.id, r.deadline, f.spec.job.value(),
-                                const_cast<netsim::Flow*>(&f)});
-  if (!g.force_dirty) {
-    g.force_dirty = true;
-    ++forced_slots_;
-  }
+  g.members.insert(pos, CachedMember{f.id, r.deadline, nullptr});
   const std::size_t idx = f.id.value();
   if (meta_.size() <= idx) meta_.resize(idx + 1);
   meta_[idx] = FlowMeta{slot, r.key, r.deadline, f.route};
@@ -107,30 +98,14 @@ void EchelonMaddScheduler::remove_from_cache(const netsim::Flow& f) {
     const auto kit =
         std::find(groups_by_key_.begin(), groups_by_key_.end(), slot);
     if (kit != groups_by_key_.end()) groups_by_key_.erase(kit);
-    if (g.force_dirty) {
-      g.force_dirty = false;
-      --forced_slots_;
-    }
     free_slots_.push_back(slot);
-  } else if (!g.force_dirty) {
-    // A shrunken group must be re-ranked even if no surviving member's job
-    // is marked (multi-job EchelonFlows: the departed member's job alone
-    // carried the mark).
-    g.force_dirty = true;
-    ++forced_slots_;
   }
   meta_[idx].slot = kNoSlot;
 }
 
 void EchelonMaddScheduler::on_flow_arrival(netsim::Simulator&,
                                            const netsim::Flow& flow) {
-  if (flow.path.empty()) {
-    // Loopbacks are never grouped, but the scoped pass still needs to find
-    // (and rewrite) the dirty ones without walking the whole active span.
-    loopback_.push_back(LoopbackEntry{flow.id, flow.spec.job.value(),
-                                      const_cast<netsim::Flow*>(&flow)});
-    return;
-  }
+  if (flow.path.empty()) return;  // loopback: never scheduled
   const std::size_t idx = flow.id.value();
   if (idx < meta_.size() && meta_[idx].slot != kNoSlot) return;  // stale id
   add_to_cache(flow);
@@ -138,20 +113,6 @@ void EchelonMaddScheduler::on_flow_arrival(netsim::Simulator&,
 
 void EchelonMaddScheduler::on_flow_departure(netsim::Simulator&,
                                              const netsim::Flow& flow) {
-  if (flow.path.empty()) {
-    for (std::size_t i = 0; i < loopback_.size(); ++i) {
-      if (loopback_[i].id == flow.id) {
-        loopback_[i] = loopback_.back();
-        loopback_.pop_back();
-        break;
-      }
-    }
-    return;
-  }
-  // The departing flow's capacity is freed: whichever component owns these
-  // links at the next scoped pass gains backfill headroom and must be
-  // re-filled, even if none of its own jobs are marked.
-  for (LinkId lid : flow.path) released_links_.push_back(lid);
   remove_from_cache(flow);
 }
 
@@ -160,11 +121,8 @@ void EchelonMaddScheduler::rebuild_cache(std::span<netsim::Flow*> active) {
   slot_of_key_.clear();
   groups_by_key_.clear();
   free_slots_.clear();
-  forced_slots_ = 0;
   for (std::size_t i = slots_.size(); i-- > 0;) {
     slots_[i].members.clear();
-    slots_[i].force_dirty = false;
-    slots_[i].pass_dirty = false;
     free_slots_.push_back(static_cast<std::uint32_t>(i));
   }
   meta_.assign(meta_.size(), FlowMeta{});
@@ -209,44 +167,8 @@ void EchelonMaddScheduler::control(netsim::Simulator& sim,
   const topology::Topology& topo = sim.topology();
   const SimTime now = sim.now();
   ++stats_.passes;
-
-  // Era classification: within one (accounting_generation, capacity_epoch)
-  // pair every remaining-byte and capacity operand is bitwise unchanged, so
-  // cached standalone tardiness / rank keys stay exact. Eras are only ever
-  // *entered* through a full pass, which re-stamps every group.
-  const std::uint64_t acc = sim.accounting_generation();
-  const std::uint64_t cap = topo.capacity_epoch();
-  const bool same_era = acc == last_acc_gen_ && cap == last_cap_epoch_;
-  if (!same_era) {
-    ++era_seq_;
-    last_acc_gen_ = acc;
-    last_cap_epoch_ = cap;
-  }
-
-  if (sched_mode_ == netsim::SchedMode::kIncremental && same_era) {
-    if (dirty_.empty() && released_links_.empty() && forced_slots_ == 0) {
-      // Exact skip: a full pass would push bitwise-identical values through
-      // the compare-and-set setters on every flow.
-      ++stats_.pass_skips;
-      return;
-    }
-    if (!dirty_.all() && scoped_pass(sim, now, topo)) {
-      ++stats_.scoped_passes;
-      dirty_.clear();
-      released_links_.clear();
-      return;
-    }
-  }
-
-  full_pass(active, now, topo);
   ++stats_.full_passes;
-  dirty_.clear();
-  released_links_.clear();
-}
 
-void EchelonMaddScheduler::full_pass(std::span<netsim::Flow*> active,
-                                     SimTime now,
-                                     const topology::Topology& topo) {
   // --- sync the persistent group cache with the active set -------------------
   // O(active) validation: stamp every active flow into the per-pass id->ptr
   // table and check its resolved (key, deadline) against the cache. Any
@@ -291,13 +213,7 @@ void EchelonMaddScheduler::full_pass(std::span<netsim::Flow*> active,
     g.rank_key = config_.use_weights && g.weight > 0.0
                      ? g.tardiness_standalone / g.weight
                      : g.tardiness_standalone;
-    // A full pass recomputes everything, so every rank cache is current and
-    // every pending membership change has been absorbed.
-    g.rank_era = era_seq_;
-    g.force_dirty = false;
-    g.pass_dirty = false;
   }
-  forced_slots_ = 0;
   const bool smallest_first =
       config_.ranking == InterRanking::kSmallestTardinessFirst;
   // Deterministic total order (rank key, then group key ascending) -- exactly
@@ -313,28 +229,19 @@ void EchelonMaddScheduler::full_pass(std::span<netsim::Flow*> active,
               }
               return ga.key < gb.key;
             });
-  run_fill(now, topo);
-}
 
-// MADD fill over the groups in order_, in order, against freshly reset
-// residuals. Shared by full_pass (order_ = all groups) and scoped_pass
-// (order_ = the dirty link-disjoint components -- whose restriction keeps
-// every per-link consume sequence identical to the full pass's).
-//
-// Pace member j to deadline d_j + t*:
-// Groups are served in rank order against residual capacity. Within a
-// group, members are processed one *deadline level* at a time (a level =
-// maximal run of equal deadlines, i.e. one Coflow stage):
-//   1. every member of the level gets its pacing rate remaining/horizon,
-//   2. (work conservation) leftover capacity is immediately granted to the
-//      level, scaled proportionally to remaining bytes so tied flows keep
-//      finishing together.
-// Backfilling level-by-level preserves EDF priority: the earliest deadline
-// absorbs slack before any later deadline sees it, which on a single
-// bottleneck reproduces full-rate EDF exactly. With a single level (Eq. 5
-// arrangement) the pass degenerates to Coflow-MADD (Property 2).
-void EchelonMaddScheduler::run_fill(SimTime now,
-                                    const topology::Topology& topo) {
+  // --- MADD pass: pace member j to deadline d_j + t* -------------------------
+  // Groups are served in rank order against residual capacity. Within a
+  // group, members are processed one *deadline level* at a time (a level =
+  // maximal run of equal deadlines, i.e. one Coflow stage):
+  //   1. every member of the level gets its pacing rate remaining/horizon,
+  //   2. (work conservation) leftover capacity is immediately granted to the
+  //      level, scaled proportionally to remaining bytes so tied flows keep
+  //      finishing together.
+  // Backfilling level-by-level preserves EDF priority: the earliest deadline
+  // absorbs slack before any later deadline sees it, which on a single
+  // bottleneck reproduces full-rate EDF exactly. With a single level (Eq. 5
+  // arrangement) the pass degenerates to Coflow-MADD (Property 2).
   caps_.reset(&topo);
   for (const std::uint32_t si : order_) {
     GroupSlot& g = slots_[si];
@@ -406,160 +313,6 @@ void EchelonMaddScheduler::run_fill(SimTime now,
       }
     }
   }
-}
-
-std::uint32_t EchelonMaddScheduler::uf_find(std::uint32_t x) noexcept {
-  while (uf_parent_[x] != x) {  // path halving
-    uf_parent_[x] = uf_parent_[uf_parent_[x]];
-    x = uf_parent_[x];
-  }
-  return x;
-}
-
-// Same-era dirty-component pass (DESIGN.md §12). Preconditions (checked by
-// control()): kIncremental, hooks delivered, same era, not all-dirty.
-// Returns false to fall back to the full validated pass on the two
-// conditions it cannot handle exactly: a member whose resolved identity
-// drifted (late registration -- the Registry escalates those to
-// mark_all_jobs_dirty, so this is a defensive check) and a rerouted member
-// whose *old* path was never interned.
-bool EchelonMaddScheduler::scoped_pass(netsim::Simulator& sim, SimTime now,
-                                       const topology::Topology& topo) {
-  dirty_.prepare();
-
-  // Bind every cached member. Simulator-owned ids re-bind from the flows_
-  // vector (it may have reallocated since the last pass); foreign ids keep
-  // the hook-time hint (the caller keeps those flows address-stable --
-  // mixing foreign flows whose ids collide with simulator-owned ones is
-  // unsupported in kIncremental).
-  const std::size_t sim_flows = sim.flow_count();
-  for (const std::uint32_t si : groups_by_key_) {
-    for (CachedMember& m : slots_[si].members) {
-      if (m.id.value() < sim_flows) m.flow = &sim.flow_mutable(m.id);
-    }
-  }
-
-  // Identify dirty slots and absorb route churn: a rerouted member (its job
-  // is always marked) releases its old interned path and adopts the new
-  // route identity.
-  dirty_slot_list_.clear();
-  for (const std::uint32_t si : groups_by_key_) {
-    GroupSlot& g = slots_[si];
-    g.pass_dirty = g.force_dirty;
-    if (!g.pass_dirty) {
-      for (const CachedMember& m : g.members) {
-        if (dirty_.contains(m.job)) {
-          g.pass_dirty = true;
-          break;
-        }
-      }
-    }
-    if (!g.pass_dirty) continue;
-    for (const CachedMember& m : g.members) {
-      FlowMeta& fm = meta_[m.id.value()];
-      if (fm.route == m.flow->route) continue;
-      if (!fm.route.valid()) return false;  // old path unrecoverable
-      for (LinkId lid : sim.routes().path(fm.route)) {
-        released_links_.push_back(lid);
-      }
-      fm.route = m.flow->route;
-    }
-    dirty_slot_list_.push_back(si);
-  }
-
-  // Union-find over the *current* member paths: two groups share a
-  // component iff they (transitively) contend for a link, so groups in
-  // distinct components cannot affect each other's rates.
-  owner_scratch_.begin_pass(topo);
-  if (uf_parent_.size() < slots_.size()) uf_parent_.resize(slots_.size());
-  for (const std::uint32_t si : groups_by_key_) uf_parent_[si] = si;
-  for (const std::uint32_t si : groups_by_key_) {
-    for (const CachedMember& m : slots_[si].members) {
-      for (LinkId lid : m.flow->path) {
-        const std::uint32_t owner = owner_scratch_.touch(lid, si);
-        if (owner != si) {
-          const std::uint32_t ra = uf_find(si);
-          const std::uint32_t rb = uf_find(owner);
-          if (ra != rb) uf_parent_[ra] = rb;
-        }
-      }
-    }
-  }
-
-  // Dirty components: those containing a marked/changed group, plus those
-  // that currently own a released link (freed capacity changes their
-  // backfill). A released link nobody crosses anymore affects no decision.
-  if (root_dirty_.size() < slots_.size()) root_dirty_.resize(slots_.size());
-  std::fill(root_dirty_.begin(), root_dirty_.end(), std::uint8_t{0});
-  for (const std::uint32_t si : dirty_slot_list_) root_dirty_[uf_find(si)] = 1;
-  for (LinkId lid : released_links_) {
-    if (owner_scratch_.active(lid)) {
-      root_dirty_[uf_find(owner_scratch_.at(lid))] = 1;
-    }
-  }
-
-  // Scheduled set: every group of every dirty component, in key order (the
-  // order groups_by_key_ maintains).
-  order_.clear();
-  for (const std::uint32_t si : groups_by_key_) {
-    if (root_dirty_[uf_find(si)] != 0) order_.push_back(si);
-  }
-  stats_.groups_seen += groups_by_key_.size();
-  stats_.groups_scheduled += order_.size();
-
-  // Ranks: recompute changed groups, reuse era-valid caches for the clean
-  // co-component ones (their members' remaining/deadlines/paths are
-  // untouched this era, so the standalone tardiness is bitwise identical).
-  for (const std::uint32_t si : order_) {
-    GroupSlot& g = slots_[si];
-    if (!g.pass_dirty && g.rank_era == era_seq_) {
-      ++stats_.groups_reused;
-      continue;
-    }
-    g.tardiness_standalone = min_uniform_tardiness(g, now, nullptr, topo);
-    g.rank_key = config_.use_weights && g.weight > 0.0
-                     ? g.tardiness_standalone / g.weight
-                     : g.tardiness_standalone;
-    g.rank_era = era_seq_;
-  }
-  const bool smallest_first =
-      config_.ranking == InterRanking::kSmallestTardinessFirst;
-  // Restriction of the full pass's total order to the scheduled subset:
-  // the comparator is total, so relative order matches the full sort.
-  std::sort(order_.begin(), order_.end(),
-            [this, smallest_first](std::uint32_t a, std::uint32_t b) {
-              const GroupSlot& ga = slots_[a];
-              const GroupSlot& gb = slots_[b];
-              if (ga.rank_key != gb.rank_key) {
-                return smallest_first ? ga.rank_key < gb.rank_key
-                                      : ga.rank_key > gb.rank_key;
-              }
-              return ga.key < gb.key;
-            });
-
-  run_fill(now, topo);
-
-  // Loopback writes, restricted to dirty jobs (the full pass rewrites every
-  // loopback flow with the same constants -- idempotent under the
-  // compare-and-set setters for the clean ones).
-  for (const LoopbackEntry& e : loopback_) {
-    if (!dirty_.contains(e.job)) continue;
-    netsim::Flow* f =
-        e.id.value() < sim_flows ? &sim.flow_mutable(e.id) : e.hint;
-    f->set_weight(1.0);
-    f->clear_rate_cap();
-  }
-
-  // Scheduled groups are clean now.
-  for (const std::uint32_t si : order_) {
-    GroupSlot& g = slots_[si];
-    if (g.force_dirty) {
-      g.force_dirty = false;
-      --forced_slots_;
-    }
-    g.pass_dirty = false;
-  }
-  return true;
 }
 
 }  // namespace echelon::ef

@@ -50,34 +50,8 @@
 //      work-conservation level loads. Lazy reset via a generation counter --
 //      no hash maps, no O(L) clears, no per-pass allocations after warm-up.
 //
-// --- Incremental control plane (DESIGN.md §12) -----------------------------
-// In SchedMode::kIncremental the group cache above generalizes into a full
-// dirty-job-scoped control plane. Each pass is classified by the *era* --
-// the pair (Simulator::accounting_generation, Topology::capacity_epoch).
-// Within one era every remaining-byte and capacity operand is bitwise
-// unchanged, so a group's standalone tardiness and rank key stay valid.
-//
-//   * era change or all-jobs-dirty  -> the full validated pass (identical to
-//     kFullRecompute), which also re-stamps every group's rank cache.
-//   * same era, no dirty jobs       -> exact skip: a full pass would rewrite
-//     bitwise-identical weights/caps through the compare-and-set setters.
-//   * same era, some dirty jobs     -> scoped pass: a union-find over the
-//     current member paths partitions groups into link-disjoint components;
-//     only components containing a dirty group -- or a link *released* since
-//     the last pass by a departure or reroute -- are re-ranked, re-sorted
-//     and re-filled against fresh residuals. Link-disjointness makes the
-//     per-link fill sequence of a scheduled component identical to its
-//     restriction out of a full pass, and untouched components keep their
-//     (provably identical) previous caps.
-//
-// Exactness leans on three invariants: (a) every resolve()-changing event
-// marks jobs (the Simulator marks arrivals/completions/fault outcomes and
-// setter churn; the Registry escalates create() and reference-time fixes to
-// mark_all_jobs_dirty), (b) rank caches are era-stamped and eras are only
-// entered through a full pass, and (c) the rank comparator is a total
-// order, so sorting a scheduled subset reproduces the full sort's relative
-// order. tests/test_churn_equivalence.cpp enforces bit-identical results
-// against kFullRecompute across the sched x fabric x chaos matrix.
+// Every control() pass validates the group cache, re-ranks every group and
+// re-fills every member.
 
 #pragma once
 
@@ -126,8 +100,6 @@ class EchelonMaddScheduler final : public netsim::NetworkScheduler {
                        const netsim::Flow& flow) override;
   void on_flow_departure(netsim::Simulator& sim,
                          const netsim::Flow& flow) override;
-  void mark_job_dirty(JobId job) override { dirty_.mark(job); }
-  void mark_all_jobs_dirty() override { dirty_.mark_all(); }
 
   [[nodiscard]] std::string name() const override { return "echelonflow-madd"; }
 
@@ -147,30 +119,17 @@ class EchelonMaddScheduler final : public netsim::NetworkScheduler {
 
   struct CachedMember {
     FlowId id;
-    SimTime deadline = 0.0;         // d_j, fixed while the flow is active
-    std::uint64_t job = 0;          // owning JobId value (dirty-set matching)
-    // Re-bound every pass. Doubles as the *hint* pointer for flows the
-    // simulator does not own (bench / harness-driven spans): when
-    // id >= sim.flow_count() the hook-time pointer is reused, so such
-    // callers must keep their Flow objects address-stable while cached.
-    netsim::Flow* flow = nullptr;
+    SimTime deadline = 0.0;        // d_j, fixed while the flow is active
+    netsim::Flow* flow = nullptr;  // re-bound every control() pass
   };
   struct GroupSlot {
     std::uint64_t key = 0;
     double weight = 1.0;
     std::vector<CachedMember> members;  // deadline-sorted, arrival order
                                         // within equal deadlines
-    // Rank cache, valid while rank_era matches the scheduler's era counter
-    // (standalone tardiness depends only on member remaining/deadlines and
-    // full link capacities -- all era-constant):
+    // Per-pass scratch:
     double tardiness_standalone = 0.0;
     double rank_key = 0.0;
-    std::uint64_t rank_era = 0;  // era_seq_ value at last compute (0 = never)
-    // Membership changed since the slot was last scheduled: set by the
-    // arrival/departure hooks, cleared when the slot is (re)computed.
-    bool force_dirty = false;
-    // Per-pass transient: this slot matched the dirty set this pass.
-    bool pass_dirty = false;
   };
   struct FlowMeta {  // indexed by FlowId; validates the cache each pass
     std::uint32_t slot = kNoSlot;
@@ -201,20 +160,6 @@ class EchelonMaddScheduler final : public netsim::NetworkScheduler {
   double min_uniform_tardiness(const GroupSlot& g, SimTime now,
                                const detail::ResidualCaps* residual,
                                const topology::Topology& topo);
-  // MADD fill + work conservation + final backfill over the groups in
-  // order_, in order, against freshly reset caps_. Shared by the full and
-  // the scoped pass (the scoped pass restricts order_ to one-or-more whole
-  // link-disjoint components, which leaves every per-link consume sequence
-  // identical to its full-pass counterpart).
-  void run_fill(SimTime now, const topology::Topology& topo);
-  void full_pass(std::span<netsim::Flow*> active, SimTime now,
-                 const topology::Topology& topo);
-  // Scoped dirty-component pass; returns false when it detected a condition
-  // it cannot handle exactly (resolve drift, un-interned old route) and the
-  // caller must fall back to full_pass.
-  [[nodiscard]] bool scoped_pass(netsim::Simulator& sim, SimTime now,
-                                 const topology::Topology& topo);
-  [[nodiscard]] std::uint32_t uf_find(std::uint32_t x) noexcept;
 
   const Registry* registry_;
   EchelonMaddConfig config_;
@@ -227,36 +172,6 @@ class EchelonMaddScheduler final : public netsim::NetworkScheduler {
   std::vector<FlowMeta> meta_;                // indexed by FlowId
   std::size_t cached_members_ = 0;
   std::uint64_t cache_rebuilds_ = 0;
-
-  // --- incremental control plane (DESIGN.md §12) -----------------------------
-  netsim::DirtyJobSet dirty_;
-  // Loopback (empty-path) flows are never grouped but still receive the
-  // weight-1/no-cap write each full pass; the scoped pass rewrites exactly
-  // the dirty ones through this hook-maintained side list.
-  struct LoopbackEntry {
-    FlowId id;
-    std::uint64_t job = 0;
-    netsim::Flow* hint = nullptr;
-  };
-  std::vector<LoopbackEntry> loopback_;
-  // Links whose capacity was freed since the last pass: departures append
-  // the departing flow's path here, and the scoped pass appends rerouted
-  // members' *old* interned paths. Each one re-dirties the component that
-  // currently owns it (freed capacity changes that component's backfill).
-  std::vector<LinkId> released_links_;
-  std::uint32_t forced_slots_ = 0;  // slots with force_dirty set
-  // Era tracking: era_seq_ bumps whenever the observed
-  // (accounting_generation, capacity_epoch) pair moves; rank caches stamp
-  // against it. The sentinel makes the first pass an era change.
-  std::uint64_t era_seq_ = 0;
-  std::uint64_t last_acc_gen_ = ~0ull;
-  std::uint64_t last_cap_epoch_ = ~0ull;
-  // Per-pass union-find over slot ids, threaded through a link-owner
-  // scratch (first slot seen on a link owns it; later slots union in).
-  topology::LinkScratch<std::uint32_t> owner_scratch_;
-  std::vector<std::uint32_t> uf_parent_;
-  std::vector<std::uint8_t> root_dirty_;
-  std::vector<std::uint32_t> dirty_slot_list_;
 
   // --- per-pass arenas (allocation-free after warm-up) -----------------------
   detail::ResidualCaps caps_;

@@ -10,21 +10,6 @@ namespace echelon::ef {
 void SincroniaScheduler::control(netsim::Simulator& sim,
                                  std::span<netsim::Flow*> active) {
   ++stats_.passes;
-  // Skip-only incremental tier (see header): within one era with no dirty
-  // jobs a full pass rewrites bitwise-identical values, so returning here
-  // is exact. Any mark -- or any era movement -- falls through to the full
-  // BSSI recomputation.
-  const std::uint64_t acc = sim.accounting_generation();
-  const std::uint64_t cap = sim.topology().capacity_epoch();
-  const bool same_era = acc == last_acc_gen_ && cap == last_cap_epoch_;
-  last_acc_gen_ = acc;
-  last_cap_epoch_ = cap;
-  if (sched_mode_ == netsim::SchedMode::kIncremental && same_era &&
-      dirty_.empty()) {
-    ++stats_.pass_skips;
-    return;
-  }
-  dirty_.clear();
   ++stats_.full_passes;
 
   struct Group {

@@ -6,26 +6,15 @@
 // work-conserving water-fill below it. Application-agnostic -- it ignores
 // groups and arrangements entirely -- so it is the natural "per-flow
 // optimal, application-blind" baseline against the EchelonFlow family.
-
-// Incremental mode (DESIGN.md §12): a flow's water-fill rate depends only
-// on the flows it (transitively) shares links with, so a same-era pass
-// partitions the routed flows into link-disjoint components via a per-pass
-// union-find and re-fills exactly the components containing a dirty job or
-// a link released by a departure. (remaining, id) is a total order, so
-// sorting the scheduled subset reproduces the full sort's relative order,
-// and untouched components keep their (provably identical) previous caps.
-// Era changes (byte accounting or capacity movement) invalidate every
-// remaining-ranked decision and fall back to the full pass.
+// Every control() pass re-sorts and re-fills the whole active set.
 
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "echelon/linkcaps.hpp"
 #include "netsim/scheduler.hpp"
 #include "netsim/simulator.hpp"
-#include "topology/dense.hpp"
 
 namespace echelon::ef {
 
@@ -33,30 +22,13 @@ class SrptScheduler final : public netsim::NetworkScheduler {
  public:
   void control(netsim::Simulator& sim,
                std::span<netsim::Flow*> active) override;
-  void on_flow_departure(netsim::Simulator& sim,
-                         const netsim::Flow& flow) override;
-  void mark_job_dirty(JobId job) override { dirty_.mark(job); }
-  void mark_all_jobs_dirty() override { dirty_.mark_all(); }
 
   [[nodiscard]] std::string name() const override { return "srpt"; }
 
  private:
-  [[nodiscard]] std::uint32_t uf_find(std::uint32_t x) noexcept;
-
   // Reusable per-pass arenas (allocation-free after warm-up).
   std::vector<netsim::Flow*> order_;
   detail::ResidualCaps caps_;
-
-  // --- incremental control plane (DESIGN.md §12) -----------------------------
-  netsim::DirtyJobSet dirty_;
-  std::vector<LinkId> released_links_;
-  std::uint64_t last_acc_gen_ = ~0ull;
-  std::uint64_t last_cap_epoch_ = ~0ull;
-  // Per-pass flow-component union-find (indices into routed_).
-  std::vector<netsim::Flow*> routed_;
-  topology::LinkScratch<std::uint32_t> owner_scratch_;
-  std::vector<std::uint32_t> uf_parent_;
-  std::vector<std::uint8_t> root_dirty_;
 };
 
 }  // namespace echelon::ef

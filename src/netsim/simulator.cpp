@@ -53,8 +53,8 @@ Simulator::Simulator(const topology::Topology* topo, SimLoopMode mode,
 
 void Simulator::set_scheduler(NetworkScheduler* scheduler) noexcept {
   scheduler_ = scheduler != nullptr ? scheduler : &default_scheduler_;
-  // A fresh scheduler has seen none of the standing flows: its first pass
-  // must be a full one.
+  // A fresh scheduler has seen none of the standing flows: announce its
+  // first pass as all-dirty.
   mark_all_jobs_dirty();
   allocation_dirty_ = true;
 }
@@ -349,9 +349,8 @@ void Simulator::reallocate() {
                                    .t = now_,
                                    .id = control_invocations_,
                                    .ctx = active_scratch_.size()});
-    // Mode-independent by construction: the mark set is maintained whether
-    // or not the scheduler runs incrementally, so traced streams are
-    // bit-identical across SchedModes. value 1.0 flags an all-dirty pass.
+    // Dirty-mark summary of the upcoming pass: ctx = marked jobs (or the
+    // active count on an all-dirty pass), value 1.0 flags all-dirty.
     trace_->record(obs::TraceEvent{.kind = obs::TraceKind::kSchedPass,
                                    .t = now_,
                                    .id = control_invocations_,
@@ -433,10 +432,8 @@ void Simulator::stamp_active_flows(SimTime to) {
     // existing entries stay valid and reallocate() patches in only the
     // flows whose rate actually changed.
     completion_heap_dirty_ = true;
-    // The control-plane era advances with the byte accounting: every
-    // remaining-dependent scheduler quantity (tardiness, gamma, SRPT rank)
-    // must be recomputed after this point. Zero-dt stamps leave every
-    // operand bitwise unchanged and the generation with them.
+    // Counts byte-advancing stamps; zero-dt stamps leave every operand
+    // bitwise unchanged and the generation with them.
     ++accounting_gen_;
   }
   epoch_time_ = to;

@@ -259,16 +259,16 @@ class Simulator {
     allocation_dirty_ = true;
   }
 
-  // --- incremental control plane (DESIGN.md §12) ---
+  // --- dirty marks (DESIGN.md §12) ---
   // Per-job dirty marks, accumulated between control passes and forwarded to
   // the NetworkScheduler at the top of every reallocate(). The simulator
   // marks on every scheduler-visible membership change (arrival, completion,
   // park/resume, reroute) and on externally-observed weight/cap churn (the
   // Flow notification setters leave control_dirty, which the pre-control
   // scan picks up); Registry-style external control-state changes call these
-  // directly. Tracking is mode-independent -- the marks are forwarded as
-  // hints whether or not the scheduler runs incrementally, so traces and
-  // results never depend on SchedMode.
+  // directly. The marks feed two readers only: the interval-mode
+  // Coordinator, which counts them as churn, and the kSchedPass trace event.
+  // Scheduling policies ignore them, so results never depend on them.
   void mark_job_dirty(JobId job) {
     if (all_jobs_dirty_) return;
     const std::uint64_t v = job.value();
@@ -287,10 +287,7 @@ class Simulator {
   }
 
   // Accounting generation: bumped exactly when an epoch stamp advances byte
-  // counts (dt > 0). Together with the topology's capacity_epoch this forms
-  // the control-plane *era*: while both are unchanged, every scheduler input
-  // except explicitly-marked job state is bitwise identical, which is what
-  // lets incremental schedulers reuse cached per-job rank keys.
+  // counts (dt > 0). Part of the snapshot verification image.
   [[nodiscard]] std::uint64_t accounting_generation() const noexcept {
     return accounting_gen_;
   }
@@ -480,12 +477,12 @@ class Simulator {
   bool active_order_dirty_ = false;
   std::uint64_t control_invocations_ = 0;
 
-  // --- incremental control plane (DESIGN.md §12) ---
+  // --- dirty marks (DESIGN.md §12) ---
   // Dirty-job marks accumulated since the last control pass. Deduplicated
   // linearly (the set is capped at kMaxDirtyJobs before escalating to the
   // all-dirty flag, so the scan is a handful of comparisons); starts
-  // all-dirty so the first pass after construction or set_scheduler is a
-  // full one.
+  // all-dirty so the first pass after construction or set_scheduler is
+  // announced as all-dirty.
   static constexpr std::size_t kMaxDirtyJobs = 64;
   std::vector<std::uint64_t> dirty_jobs_;
   bool all_jobs_dirty_ = true;

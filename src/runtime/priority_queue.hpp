@@ -27,13 +27,7 @@ class PriorityQueueEnforcer final : public netsim::NetworkScheduler {
  public:
   PriorityQueueEnforcer(netsim::NetworkScheduler* inner,
                         PriorityQueueConfig config = {})
-      : inner_(inner), config_(config) {
-    // Enforcement destroys the inner policy's outputs every pass (caps are
-    // cleared, weights rewritten), so the "clean components keep their
-    // previous decisions" induction behind kIncremental never holds below
-    // this decorator. Pin the inner policy to the reference mode.
-    inner_->set_sched_mode(netsim::SchedMode::kFullRecompute);
-  }
+      : inner_(inner), config_(config) {}
 
   void control(netsim::Simulator& sim,
                std::span<netsim::Flow*> active) override;
@@ -44,9 +38,8 @@ class PriorityQueueEnforcer final : public netsim::NetworkScheduler {
   void on_topology_change(netsim::Simulator& sim) override {
     inner_->on_topology_change(sim);
   }
-  // Membership and dirty-mark hooks pass through so inner caches (the
-  // coordinator's group cache, dirty sets) stay coherent even while the
-  // inner mode is pinned to full recomputation.
+  // Membership and dirty-mark hooks pass through so inner state (the group
+  // cache, the interval coordinator's churn count) stays coherent.
   void on_flow_arrival(netsim::Simulator& sim,
                        const netsim::Flow& flow) override {
     inner_->on_flow_arrival(sim, flow);
@@ -63,10 +56,6 @@ class PriorityQueueEnforcer final : public netsim::NetworkScheduler {
   }
 
  private:
-  // Mode requests are absorbed: the enforcer always runs its (full) rewrite
-  // and the inner policy stays pinned to kFullRecompute (see constructor).
-  void on_sched_mode(netsim::SchedMode) override {}
-
   netsim::NetworkScheduler* inner_;
   PriorityQueueConfig config_;
 };

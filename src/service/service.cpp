@@ -130,7 +130,6 @@ void ServiceLoop::build_stack() {
                         .num_queues = config_.priority_queues});
     scheduler_ = pq_.get();
   }
-  scheduler_->set_sched_mode(config_.sched_mode);
   sim_.set_scheduler(scheduler_);
 
   if (config_.threads != 1) {

@@ -90,7 +90,6 @@ struct ServiceConfig {
   netsim::SimLoopMode loop_mode = netsim::SimLoopMode::kLazy;
   netsim::AllocMode alloc_mode = netsim::AllocMode::kIncremental;
   netsim::FillMode fill_mode = netsim::FillMode::kClass;
-  netsim::SchedMode sched_mode = netsim::SchedMode::kIncremental;
   unsigned threads = 1;
 
   // Interval between forced control passes while work is outstanding.

@@ -338,9 +338,6 @@ void build_verify_image(const ServiceLoop& loop, ImageBuilder& img) {
   img.add("sched.full_passes", ss.full_passes);
   img.add("sched.scoped_passes", ss.scoped_passes);
   img.add("sched.pass_skips", ss.pass_skips);
-  img.add("sched.groups_seen", ss.groups_seen);
-  img.add("sched.groups_scheduled", ss.groups_scheduled);
-  img.add("sched.groups_reused", ss.groups_reused);
 
   const topology::RouteTable::Stats& rs = sim.routes().stats();
   img.add("routes.size", sim.routes().size());
@@ -689,7 +686,6 @@ std::string save_snapshot(const ServiceLoop& loop) {
     w.u32(static_cast<std::uint32_t>(c.loop_mode));
     w.u32(static_cast<std::uint32_t>(c.alloc_mode));
     w.u32(static_cast<std::uint32_t>(c.fill_mode));
-    w.u32(static_cast<std::uint32_t>(c.sched_mode));
     w.u32(c.threads);
     w.f64(c.control_period);
     w.u32(static_cast<std::uint32_t>(c.admission.policy));
@@ -867,12 +863,6 @@ std::unique_ptr<ServiceLoop> restore_snapshot(const std::string& bytes,
       throw SnapshotError("snapshot: config.fill_mode is out of range");
     }
     config.fill_mode = static_cast<netsim::FillMode>(fill);
-    const std::uint32_t smode = c.u32("config.sched_mode");
-    if (smode >
-        static_cast<std::uint32_t>(netsim::SchedMode::kIncremental)) {
-      throw SnapshotError("snapshot: config.sched_mode is out of range");
-    }
-    config.sched_mode = static_cast<netsim::SchedMode>(smode);
     config.threads = c.u32("config.threads");
     config.control_period = c.f64("config.control_period");
     const std::uint32_t policy = c.u32("config.admission.policy");

@@ -57,7 +57,8 @@ namespace echelon::service {
 inline constexpr char kSnapshotMagic[8] = {'E', 'C', 'H', 'S', 'N', 'A', 'P',
                                            '1'};
 // v2: TelemetryConfig in kConfig + the kTelemetry verification section.
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+// v3: kConfig drops the scheduler-mode word; kVerify drops sched.groups_*.
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 // Thrown on any malformed, truncated, corrupt, or divergent snapshot. The
 // message always names what failed and where.

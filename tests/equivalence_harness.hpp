@@ -139,15 +139,6 @@ struct RunSpec {
   // bit-identical at every setting -- that IS the axis
   // tests/test_parallel_equivalence.cpp sweeps.
   unsigned threads = 1;
-  // Control-plane recomputation mode -- the axis
-  // tests/test_churn_equivalence.cpp sweeps: kIncremental (dirty-job-scoped
-  // scheduler passes) and kFullRecompute must produce bit-identical results
-  // and trace streams.
-  netsim::SchedMode sched_mode = netsim::SchedMode::kIncremental;
-  // Non-zero: seeded external weight churn through the Flow notification
-  // setters during the run (ExperimentConfig::churn_seed); exercises the
-  // pre-control control_dirty scan -> job-mark path.
-  std::uint64_t churn_seed = 0;
   // Optional structured-event capture (differential suites compare whole
   // streams, not just end-of-run aggregates).
   obs::TraceSink* trace_sink = nullptr;
@@ -168,8 +159,6 @@ inline cluster::ExperimentResult run_cluster(
   cfg.fill_mode = spec.fill;
   cfg.fault_plan = spec.plan;
   cfg.threads = spec.threads;
-  cfg.sched_mode = spec.sched_mode;
-  cfg.churn_seed = spec.churn_seed;
   if (spec.trace_sink != nullptr) {
     cfg.trace_sink = spec.trace_sink;
     cfg.trace_detail = spec.trace_detail;
@@ -272,26 +261,8 @@ inline std::vector<cluster::JobSpec> small_trace(std::uint64_t seed,
   return jobs;
 }
 
-// Streaming-churn trace (EXPERIMENTS.md EXT-R): more, smaller jobs with
-// tightly overlapping Poisson arrivals, so the control plane sees a steady
-// stream of per-job dirty marks (arrivals, completions) rather than the
-// mostly-steady membership of small_trace. The churn-equivalence suite runs
-// these with RunSpec::churn_seed set as well, layering external setter
-// churn on top of the membership churn.
-inline std::vector<cluster::JobSpec> churn_trace(std::uint64_t seed) {
-  cluster::TraceConfig tcfg;
-  tcfg.num_jobs = 10;
-  tcfg.seed = seed;
-  tcfg.arrival_rate = 8.0;  // dense overlap: several jobs in flight at once
-  tcfg.iterations = 2;
-  tcfg.min_width = 512;
-  tcfg.max_width = 1024;
-  tcfg.rank_choices = {2, 3, 4};
-  return cluster::generate_trace(tcfg);
-}
-
 // Seed budget for the randomized differential sweeps: CI sets the env var
-// (e.g. ECHELON_CHURN_SEEDS) low on sanitizer legs and leaves the larger
+// (e.g. ECHELON_SERVICE_SEEDS) low on sanitizer legs and leaves the larger
 // default for the plain legs.
 [[nodiscard]] inline int env_seed_budget(const char* name, int def) {
   if (const char* s = std::getenv(name)) {
@@ -362,135 +333,6 @@ inline void expect_same_result(const SimResult& a, const SimResult& b,
   ASSERT_EQ(a.finish.size(), b.finish.size());
   for (std::size_t i = 0; i < a.finish.size(); ++i) {
     EXPECT_BITEQ(a.finish[i], b.finish[i]) << tag << " flow " << i;
-  }
-}
-
-// ============================================================================
-// Direct-drive twin differential driver
-// ============================================================================
-// The same address-stable flow population driven through two scheduler
-// instances (typically one kIncremental, one kFullRecompute) with per-round
-// dirty marks, membership churn and capacity churn -- every flow's
-// weight/rate_cap compared bitwise after every pass. Owned here so the
-// churn-equivalence suite and the service suite exercise the identical
-// driver (tests/test_churn_equivalence.cpp section 3 documents the rounds).
-
-// Foreign-flow population: `jobs` link-disjoint kTwinMembers-member pipeline
-// EchelonFlows, each with its own JobId and host range. Foreign flows (ids
-// outside the simulator's table) exercise the hint-pointer binding path of
-// the incremental caches.
-inline constexpr int kTwinMembers = 8;
-
-struct TwinPopulation {
-  topology::BuiltFabric fabric;
-  std::unique_ptr<netsim::Simulator> sim;
-  ef::Registry reg;
-  std::vector<netsim::Flow> flows;
-
-  explicit TwinPopulation(int jobs)
-      : fabric(
-            topology::make_big_switch(jobs * (kTwinMembers + 1), gbps(100))),
-        sim(std::make_unique<netsim::Simulator>(&fabric.topo)) {
-    flows.reserve(static_cast<std::size_t>(jobs) * kTwinMembers);
-    for (int j = 0; j < jobs; ++j) {
-      const EchelonFlowId efid = reg.create(
-          JobId{static_cast<std::uint64_t>(j)},
-          ef::Arrangement::pipeline(kTwinMembers, 0.01));
-      for (int m = 0; m < kTwinMembers; ++m) {
-        netsim::Flow f;
-        f.id = FlowId{static_cast<std::uint64_t>(flows.size())};
-        f.spec.job = JobId{static_cast<std::uint64_t>(j)};
-        f.spec.group = efid;
-        f.spec.index_in_group = m;
-        f.spec.size = 1e8 + 1e6 * static_cast<double>(j * kTwinMembers + m);
-        f.remaining = f.spec.size;
-        const auto src = fabric.hosts[static_cast<std::size_t>(
-            j * (kTwinMembers + 1) + m)];
-        const auto dst = fabric.hosts[static_cast<std::size_t>(
-            j * (kTwinMembers + 1) + m + 1)];
-        f.path = *fabric.topo.route(src, dst, flows.size());
-        reg.get(efid).note_start(m, f.id, f.spec.size,
-                                 0.001 * static_cast<double>(m));
-        flows.push_back(std::move(f));
-      }
-    }
-  }
-};
-
-enum class TwinPolicy { kEchelonMadd, kSrpt, kCoflowMadd, kSincronia };
-
-inline const char* to_string(TwinPolicy k) {
-  switch (k) {
-    case TwinPolicy::kEchelonMadd: return "echelonflow-madd";
-    case TwinPolicy::kSrpt: return "srpt";
-    case TwinPolicy::kCoflowMadd: return "coflow-madd";
-    case TwinPolicy::kSincronia: return "sincronia";
-  }
-  return "?";
-}
-
-// One population + one scheduler instance, driven directly (no event loop):
-// the harness delivers arrival/departure hooks and dirty marks exactly as
-// the Simulator would.
-struct Twin {
-  TwinPopulation pop;
-  std::unique_ptr<netsim::NetworkScheduler> sched;
-  std::vector<netsim::Flow*> active;
-
-  Twin(int jobs, TwinPolicy kind, netsim::SchedMode mode) : pop(jobs) {
-    switch (kind) {
-      case TwinPolicy::kEchelonMadd:
-        sched = std::make_unique<ef::EchelonMaddScheduler>(&pop.reg);
-        break;
-      case TwinPolicy::kSrpt:
-        sched = std::make_unique<ef::SrptScheduler>();
-        break;
-      case TwinPolicy::kCoflowMadd:
-        sched = std::make_unique<ef::CoflowMaddScheduler>();
-        break;
-      case TwinPolicy::kSincronia:
-        sched = std::make_unique<ef::SincroniaScheduler>();
-        break;
-    }
-    sched->set_sched_mode(mode);
-    for (netsim::Flow& f : pop.flows) {
-      active.push_back(&f);
-      sched->on_flow_arrival(*pop.sim, f);
-      sched->mark_job_dirty(f.spec.job);
-    }
-  }
-
-  void depart(std::size_t idx) {
-    netsim::Flow* f = active[idx];
-    active.erase(active.begin() + static_cast<std::ptrdiff_t>(idx));
-    sched->on_flow_departure(*pop.sim, *f);
-    sched->mark_job_dirty(f->spec.job);
-  }
-
-  void arrive(netsim::Flow* f) {
-    // Span order is ascending FlowId in the simulator; keep it sorted.
-    auto it = active.begin();
-    while (it != active.end() && (*it)->id < f->id) ++it;
-    active.insert(it, f);
-    sched->on_flow_arrival(*pop.sim, *f);
-    sched->mark_job_dirty(f->spec.job);
-  }
-
-  void control() { sched->control(*pop.sim, active); }
-};
-
-inline void expect_same_decisions(const Twin& a, const Twin& b, int round) {
-  ASSERT_EQ(a.pop.flows.size(), b.pop.flows.size());
-  for (std::size_t i = 0; i < a.pop.flows.size(); ++i) {
-    const netsim::Flow& fa = a.pop.flows[i];
-    const netsim::Flow& fb = b.pop.flows[i];
-    EXPECT_BITEQ(fa.weight, fb.weight) << "flow " << i << " round " << round;
-    ASSERT_EQ(fa.rate_cap.has_value(), fb.rate_cap.has_value())
-        << "flow " << i << " round " << round;
-    if (fa.rate_cap.has_value()) {
-      EXPECT_BITEQ(*fa.rate_cap, *fb.rate_cap)
-          << "flow " << i << " round " << round;
-    }
   }
 }
 

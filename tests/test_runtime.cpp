@@ -96,6 +96,36 @@ TEST_F(RuntimeFixture, IntervalModeDefersMidIntervalArrivals) {
   EXPECT_NEAR(sim.flow(FlowId{1}).finish_time, 3.0, 1e-9);
 }
 
+// The interval coordinator is the one reader of the Simulator's dirty
+// marks: a boundary with no arrival, departure or mark since the last
+// heuristic run keeps the standing allocation, while external setter churn
+// on an active flow -- seen by the pre-control control_dirty scan and
+// forwarded as a job mark -- makes the next boundary re-run.
+TEST_F(RuntimeFixture, IntervalBoundaryRerunsOnlyAfterChurn) {
+  Coordinator coord(&sim, {.mode = SchedulingMode::kInterval,
+                           .interval = 1.0});
+  sim.set_scheduler(&coord);
+  const FlowId f = sim.submit_flow(FlowSpec{.src = fabric.hosts[0],
+                                            .dst = fabric.hosts[1],
+                                            .size = 100.0,
+                                            .job = JobId{0}});
+  sim.run(2.5);  // the t=0 run, then quiet boundaries at t=1 and t=2
+  EXPECT_EQ(coord.heuristic_runs(), 1u);
+
+  sim.flow_mutable(f).set_weight(0.5);
+  sim.invalidate_allocation();
+  sim.run(2.9);  // the mid-interval pass sees the churn but defers to t=3
+  EXPECT_EQ(coord.heuristic_runs(), 1u);
+  sim.run(3.5);
+  EXPECT_EQ(coord.heuristic_runs(), 2u);
+  EXPECT_EQ(sim.flow(f).weight, 1.0);  // the re-run overwrote the churn
+
+  sim.run(4.5);  // quiet again
+  EXPECT_EQ(coord.heuristic_runs(), 2u);
+  sim.run();
+  EXPECT_NEAR(sim.flow(f).finish_time, 10.0, 1e-9);
+}
+
 TEST_F(RuntimeFixture, IterativeReuseGrantsCachedRates) {
   Coordinator coord(&sim, {.mode = SchedulingMode::kInterval,
                            .interval = 5.0,

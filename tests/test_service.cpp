@@ -499,6 +499,15 @@ TEST_F(CorruptSnapshotTest, HeaderAndVersionMutationsFailTheirOwnChecks) {
               std::string::npos);
   }
   {
+    // v2 files carried a scheduler-mode word in kConfig and sched.groups_*
+    // in kVerify; v3 readers reject them up front, naming the version.
+    static_assert(service::kSnapshotVersion == 3);
+    std::string m = bytes_;
+    m[8] = 2;
+    EXPECT_NE(expect_snapshot_error(restamp(m)).find("unsupported version 2"),
+              std::string::npos);
+  }
+  {
     std::string m = bytes_;
     m[12] = 9;  // first section tag (kConfig = 1)
     EXPECT_NE(expect_snapshot_error(restamp(m)).find("tag"),

@@ -3,7 +3,7 @@
 
 Compares fresh google-benchmark JSON output (bench_allocator,
 bench_coordinator_scale, bench_simloop, bench_parallel_alloc,
-bench_route_class, bench_churn) against the
+bench_route_class, bench_service, bench_telemetry) against the
 checked-in baselines in BENCH_hotpath.json and fails if any benchmark
 regressed by more than the tolerance. Run from CI after the perf-smoke leg;
 deliberately NOT a ctest -- it needs the baseline file and a calibrated
@@ -45,19 +45,11 @@ excluded from the machine-speed calibration median (the class-vs-per-flow
 ratios span nearly two orders of magnitude and would swamp it); unlike the
 thread family they do not depend on machine shape and are gated normally.
 
-Control-churn family (bench_churn, EXPERIMENTS.md EXT-R): benchmarks whose
-name carries a "churn:" argument sweep the dirty fraction of the scheduler
-population across the incremental-vs-full SchedMode split. The
-incremental-vs-full ratios legitimately span integer factors and shift
-whenever the incremental tiers improve, so -- exactly like the route
-family -- they are excluded from the machine-speed calibration median but
-gated normally.
-
 Online-service family (bench_service, EXPERIMENTS.md EXT-S): benchmarks
 whose name carries a "svc:" argument run the streaming service loop end to
 end (admission + incremental launch + control ticks) or its snapshot
 save/restore paths. Their cost tracks the service-mode control-plane
-tiers, not raw machine speed, so they follow the route/churn rule:
+tiers, not raw machine speed, so they follow the route rule:
 calibration-excluded, gated normally.
 
 Telemetry family (bench_telemetry, EXPERIMENTS.md EXT-T): benchmarks whose
@@ -77,9 +69,8 @@ Usage:
   bench_coordinator_scale --benchmark_out=coord.json --benchmark_out_format=json
   bench_simloop           --benchmark_out=simloop.json --benchmark_out_format=json
   bench_parallel_alloc    --benchmark_out=par.json --benchmark_out_format=json
-  bench_churn             --benchmark_out=churn.json --benchmark_out_format=json
   tools/check_bench_regression.py --baseline BENCH_hotpath.json \
-      --tolerance 2.0 alloc.json coord.json simloop.json par.json churn.json
+      --tolerance 2.0 alloc.json coord.json simloop.json par.json
 
 A benchmark recorded with --benchmark_repetitions contributes the median of
 its repetitions, on the baseline side and on the fresh side alike.
@@ -99,10 +90,6 @@ THREAD_FAMILY_TAG = "threads:"
 # Benchmark names carrying this argument tag belong to the route-structure
 # family: calibration-excluded but gated normally (see module docstring).
 ROUTE_FAMILY_TAG = "routes:"
-
-# Benchmark names carrying this argument tag belong to the control-churn
-# family: calibration-excluded but gated normally (see module docstring).
-CHURN_FAMILY_TAG = "churn:"
 
 # Benchmark names carrying this argument tag belong to the online-service
 # family: calibration-excluded but gated normally (see module docstring).
@@ -126,10 +113,6 @@ def is_thread_family(name):
 
 def is_route_family(name):
     return ROUTE_FAMILY_TAG in name
-
-
-def is_churn_family(name):
-    return CHURN_FAMILY_TAG in name
 
 
 def is_service_family(name):
@@ -272,7 +255,7 @@ def main():
     # benchmarks only (falling back to everything if nothing else ran).
     calib_pool = [r for n, r in ratios.items()
                   if not is_thread_family(n) and not is_route_family(n)
-                  and not is_churn_family(n) and not is_service_family(n)
+                  and not is_service_family(n)
                   and not is_tel_family(n)]
     if not calib_pool:
         calib_pool = list(ratios.values())
@@ -281,7 +264,7 @@ def main():
 
     print(f"baseline: {args.baseline} ({len(common)} comparable benchmarks)")
     calib_kind = ("raw" if args.no_normalize
-                  else "median fresh/baseline, thread/route/churn/service/"
+                  else "median fresh/baseline, thread/route/service/"
                   "telemetry families excluded")
     print(f"machine-speed calibration: x{calibration:.3f} ({calib_kind})")
     failures = []

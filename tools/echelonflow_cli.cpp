@@ -15,20 +15,12 @@
 //   --gbps G           (default 25)     --microbatches N (default 6)
 //   --layers N         (default 8)      --hidden N       (default 2048)
 //   --jitter X         (default 0)      --timeline       (render Gantt)
-//   --sched-mode full|incremental      (default incremental; DESIGN.md §12:
-//                       incremental = dirty-job-scoped control passes, full =
-//                       reference recompute-everything mode. Bit-identical.)
 //
 // `cluster` options:
 //   --jobs N (default 12)  --hosts N (default 16)  --seed S (default 42)
 //   --gbps G (default 25)  --iterations N (default 2)
 //   --scheduler <name>|all (default all)  --csv PATH (write results CSV)
 //     names: fair|srpt|coflow|sincronia|echelonflow|all
-//   --sched-mode full|incremental (default incremental; same as `single`)
-//   --churn-seed S (default 0 = off): seeded external weight churn through
-//     the Flow notification setters, one active flow per simulated
-//     millisecond -- exercises the control_dirty -> job-mark path
-//     (EXPERIMENTS.md EXT-R). Deterministic and SchedMode-independent.
 //   --threads N (default 0 = one per hardware thread; 1 = serial)
 //     scheduler comparisons run through cluster::run_sweep; output is
 //     identical for any thread count.
@@ -60,7 +52,7 @@
 //   --max-running N (default 0 = unlimited)  --queue-cap N (default 16)
 //   --tardiness-limit X seconds (default 1; tardiness-aware load shedding)
 //   --control-period T seconds (default 0.01) forced control-pass interval
-//   --sched-mode full|incremental  --threads N   (same as `cluster`)
+//   --threads N         intra-run pool width (default 1 = serial)
 //   --chaos N --chaos-seed S --chaos-horizon T   seeded link faults +
 //                       brownouts (stragglers stay 0: service workers are
 //                       created at launch time, after the plan is armed)
@@ -112,8 +104,14 @@
 //                       print a summary table to stdout.
 //     Observability is read-only: results are byte-identical with these
 //     flags on or off (tests/test_obs.cpp pins this).
+//
+// Every flag is checked against its subcommand's list: an unknown flag, a
+// stray positional argument, a flag missing its value, or a numeric value
+// with trailing junk ("--jobs 4x", "--rate abc") exits with status 2.
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -122,6 +120,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "cluster/sweep.hpp"
 #include "faultsim/fault_plan.hpp"
@@ -156,40 +156,131 @@ namespace {
 
 using namespace echelon;
 
-struct Args {
-  std::map<std::string, std::string> kv;
-  bool flag_timeline = false;
+// What a flag takes: nothing (a switch), free text, or a number that must
+// parse in full.
+enum class Value { kNone, kText, kInt, kReal };
+using Flags = std::map<std::string, Value, std::less<>>;
 
-  [[nodiscard]] std::string get(const std::string& key,
+template <typename T>
+[[nodiscard]] std::optional<T> to_number(std::string_view s) {
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (s.empty() || ec != std::errc{} || ptr != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(v)) return std::nullopt;
+  }
+  return v;
+}
+
+// Parsed flags of one subcommand. Values were validated against the
+// subcommand's Flags by parse(), so the numeric getters cannot fail.
+struct Args {
+  std::map<std::string, std::string, std::less<>> kv;
+
+  [[nodiscard]] bool has(std::string_view key) const {
+    return kv.find(key) != kv.end();
+  }
+  [[nodiscard]] std::string get(std::string_view key,
                                 const std::string& def) const {
     const auto it = kv.find(key);
     return it != kv.end() ? it->second : def;
   }
-  [[nodiscard]] int geti(const std::string& key, int def) const {
+  [[nodiscard]] int geti(std::string_view key, int def) const {
     const auto it = kv.find(key);
-    return it != kv.end() ? std::atoi(it->second.c_str()) : def;
+    return it != kv.end() ? *to_number<int>(it->second) : def;
   }
-  [[nodiscard]] double getd(const std::string& key, double def) const {
+  [[nodiscard]] double getd(std::string_view key, double def) const {
     const auto it = kv.find(key);
-    return it != kv.end() ? std::atof(it->second.c_str()) : def;
+    return it != kv.end() ? *to_number<double>(it->second) : def;
   }
 };
 
-Args parse(int argc, char** argv, int from) {
-  Args a;
+// The flags each subcommand accepts; nullptr for an unknown subcommand.
+[[nodiscard]] const Flags* flags_for(std::string_view cmd) {
+  using enum Value;
+  // Observability flags, shared by `single`, `cluster` and `serve`.
+  const auto with_obs = [](Flags flags) {
+    flags.insert({{"trace-out", kText},
+                  {"trace-detail", kText},
+                  {"metrics-out", kText}});
+    return flags;
+  };
+  static const Flags kFig2;
+  static const Flags kSingle = with_obs({
+      {"paradigm", kText},   {"scheduler", kText},
+      {"ranks", kInt},       {"iterations", kInt},
+      {"gbps", kReal},       {"microbatches", kInt},
+      {"layers", kInt},      {"hidden", kInt},
+      {"jitter", kReal},     {"timeline", kNone}});
+  static const Flags kCluster = with_obs({
+      {"jobs", kInt},           {"hosts", kInt},
+      {"seed", kInt},           {"gbps", kReal},
+      {"iterations", kInt},     {"scheduler", kText},
+      {"csv", kText},           {"threads", kInt},
+      {"intra-threads", kInt},  {"fault-plan", kText},
+      {"chaos", kInt},          {"chaos-seed", kInt},
+      {"chaos-horizon", kReal}});
+  static const Flags kServe = with_obs({
+      {"scheduler", kText},       {"fabric", kText},
+      {"hosts", kInt},            {"gbps", kReal},
+      {"oversub", kReal},         {"arrivals", kText},
+      {"jobs", kInt},             {"rate", kReal},
+      {"seed", kInt},             {"iterations", kInt},
+      {"burst-every", kInt},      {"arrivals-out", kText},
+      {"admission", kText},       {"max-running", kInt},
+      {"queue-cap", kInt},        {"tardiness-limit", kReal},
+      {"control-period", kReal},  {"threads", kInt},
+      {"chaos", kInt},            {"chaos-seed", kInt},
+      {"chaos-horizon", kReal},   {"snapshot-out", kText},
+      {"snapshot-every", kInt},   {"snapshot-in", kText},
+      {"prom-out", kText},        {"prom-rotate", kInt},
+      {"metrics-every", kReal},   {"slo", kText},
+      {"slo-window", kReal},      {"flightrec", kInt},
+      {"flightrec-out", kText},   {"series-budget", kInt},
+      {"trace-chunk-out", kText}, {"profile", kNone}});
+  if (cmd == "fig2") return &kFig2;
+  if (cmd == "single") return &kSingle;
+  if (cmd == "cluster") return &kCluster;
+  if (cmd == "serve") return &kServe;
+  return nullptr;
+}
+
+// Parses argv[from..] against `known`. Reports the first bad argument on
+// stderr and returns false.
+[[nodiscard]] bool parse(int argc, char** argv, int from, const Flags& known,
+                         Args* out) {
   for (int i = from; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) continue;
-    key = key.substr(2);
-    if (key == "timeline") {
-      a.flag_timeline = true;
-    } else if (key == "profile") {
-      a.kv["profile"] = "1";
-    } else if (i + 1 < argc) {
-      a.kv[key] = argv[++i];
+    const std::string_view arg = argv[i];
+    if (arg.substr(0, 2) != "--") {
+      std::cerr << "unexpected argument '" << arg << "'\n";
+      return false;
     }
+    const std::string key(arg.substr(2));
+    const auto it = known.find(key);
+    if (it == known.end()) {
+      std::cerr << "unknown flag --" << key << "\n";
+      return false;
+    }
+    if (it->second == Value::kNone) {
+      out->kv[key] = "1";
+      continue;
+    }
+    if (i + 1 >= argc) {
+      std::cerr << "flag --" << key << " needs a value\n";
+      return false;
+    }
+    const std::string value = argv[++i];
+    if ((it->second == Value::kInt && !to_number<int>(value)) ||
+        (it->second == Value::kReal && !to_number<double>(value))) {
+      std::cerr << "flag --" << key << " expects "
+                << (it->second == Value::kInt ? "an integer" : "a number")
+                << ", got '" << value << "'\n";
+      return false;
+    }
+    out->kv[key] = value;
   }
-  return a;
+  return true;
 }
 
 // Observability flags shared by `single` and `cluster`. --trace-detail
@@ -214,22 +305,6 @@ struct ObsArgs {
   if (!obs::trace_detail_from_string(detail, &out->detail)) {
     std::cerr << "unknown --trace-detail '" << detail
               << "' (expected off|coarse|flow)\n";
-    return false;
-  }
-  return true;
-}
-
-// --sched-mode (DESIGN.md §12): both values produce bit-identical results;
-// `full` is the reference mode the churn-equivalence suite compares against.
-[[nodiscard]] bool parse_sched_mode(const Args& args, netsim::SchedMode* out) {
-  const std::string mode = args.get("sched-mode", "incremental");
-  if (mode == "incremental") {
-    *out = netsim::SchedMode::kIncremental;
-  } else if (mode == "full") {
-    *out = netsim::SchedMode::kFullRecompute;
-  } else {
-    std::cerr << "unknown --sched-mode '" << mode
-              << "' (expected full|incremental)\n";
     return false;
   }
   return true;
@@ -347,12 +422,7 @@ int cmd_single(const Args& args) {
   ef::Registry reg;
   reg.attach(sim);
   auto sched = make_scheduler(sched_name, &reg);
-  netsim::SchedMode sched_mode;
-  if (!parse_sched_mode(args, &sched_mode)) return 2;
-  if (sched) {
-    sched->set_sched_mode(sched_mode);
-    sim.set_scheduler(sched.get());
-  }
+  if (sched) sim.set_scheduler(sched.get());
   netsim::TimelineRecorder timeline(sim);
 
   // Observability: attach only when requested -- the default run carries a
@@ -422,7 +492,7 @@ int cmd_single(const Args& args) {
   t.print(std::cout);
   std::cout << "makespan " << Table::num(makespan, 4) << " s, sum tardiness "
             << Table::num(reg.total_tardiness(), 4) << " s\n";
-  if (args.flag_timeline) {
+  if (args.has("timeline")) {
     std::cout << "\n"
               << timeline.render(makespan / 100.0, 100);
   }
@@ -482,9 +552,6 @@ int cmd_cluster(const Args& args) {
     return 2;
   }
 
-  netsim::SchedMode sched_mode;
-  if (!parse_sched_mode(args, &sched_mode)) return 2;
-
   // Optional fault injection: a scripted plan file, or a seeded chaos
   // profile drawn against the same fabric shape run_experiment will build.
   const int hosts = args.geti("hosts", 16);
@@ -533,8 +600,6 @@ int cmd_cluster(const Args& args) {
     cfg.scheduler = kind;
     cfg.hosts = hosts;
     cfg.port_capacity = gbps(cap_gbps);
-    cfg.sched_mode = sched_mode;
-    cfg.churn_seed = static_cast<std::uint64_t>(args.geti("churn-seed", 0));
     // Intra-run data parallelism (per-component water-fill etc.); results
     // are bit-identical at any setting, so this is purely a speed knob.
     cfg.threads =
@@ -663,7 +728,6 @@ int cmd_serve(const Args& args) {
   cfg.oversubscription = args.getd("oversub", 2.0);
   cfg.threads = static_cast<unsigned>(args.geti("threads", 1));
   cfg.control_period = args.getd("control-period", 0.01);
-  if (!parse_sched_mode(args, &cfg.sched_mode)) return 2;
   try {
     cfg.admission.policy = service::admission_policy_from_string(
         args.get("admission", "accept-all"));
@@ -699,7 +763,7 @@ int cmd_serve(const Args& args) {
       static_cast<std::size_t>(std::max(0, args.geti("series-budget", 0)));
   cfg.telemetry.flightrec_capacity =
       static_cast<std::size_t>(std::max(0, args.geti("flightrec", 0)));
-  cfg.telemetry.profile = args.geti("profile", 0) != 0;
+  cfg.telemetry.profile = args.has("profile");
   cfg.telemetry.slo.window = args.getd("slo-window", 10.0);
   if (const std::string spec = args.get("slo", ""); !spec.empty()) {
     std::string err;
@@ -946,7 +1010,7 @@ int cmd_serve(const Args& args) {
 
 void usage() {
   std::cout << "usage: echelonflow_cli <fig2|single|cluster|serve> "
-               "[--key value]... [--timeline]\n"
+               "[--key value]...\n"
                "see the header of tools/echelonflow_cli.cpp for options.\n";
 }
 
@@ -958,11 +1022,19 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
-  const Args args = parse(argc, argv, 2);
+  const Flags* known = flags_for(cmd);
+  if (known == nullptr) {
+    usage();
+    return 2;
+  }
+  Args args;
+  if (!parse(argc, argv, 2, *known, &args)) {
+    std::cerr << "see the header of tools/echelonflow_cli.cpp for the "
+              << cmd << " options\n";
+    return 2;
+  }
   if (cmd == "fig2") return cmd_fig2();
   if (cmd == "single") return cmd_single(args);
   if (cmd == "cluster") return cmd_cluster(args);
-  if (cmd == "serve") return cmd_serve(args);
-  usage();
-  return 2;
+  return cmd_serve(args);
 }
