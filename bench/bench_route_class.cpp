@@ -21,6 +21,9 @@
 //     65536 sentinel singleton classes and the class fill pays its
 //     bookkeeping with zero compression. Overhead budget vs the per-flow
 //     fill is <= 1.05x ("overhead_class_fill_all_distinct").
+//   * RouteLookup -- the routing half: serve-shaped RouteTable::route()
+//     lookups, each with its own ECMP seed, through a cold table on the
+//     64-host 2:1 leaf-spine the service runs on.
 //
 // Benchmark names carry a "routes:" argument; tools/check_bench_regression.py
 // treats that as a structural family (excluded from the machine-speed
@@ -29,9 +32,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/rng.hpp"
 #include "common/units.hpp"
 #include "netsim/allocator.hpp"
 #include "netsim/flow.hpp"
@@ -165,6 +170,47 @@ void BM_RouteClassFillAllDistinctPerFlow(benchmark::State& state) {
 BENCHMARK(BM_RouteClassFillAllDistinctPerFlow)
     ->ArgNames({"flows"})
     ->Args({65536});
+
+// --- route lookups: serve-shaped, cold table ---------------------------------
+//
+// The service routes every flow on submission, seeded by its flow id, so
+// nearly every (src, dst, seed) lookup is new. Each iteration routes
+// `routes` such lookups over seeded random host pairs through a fresh
+// RouteTable on the service's 64-host 2:1 leaf-spine (8 leaves, 2 spines):
+// per-destination hop distances are computed at most once per destination,
+// and every lookup pays a forward walk plus an intern.
+
+void BM_RouteLookup(benchmark::State& state) {
+  constexpr BytesPerSec kPort = gbps(25);
+  const topology::BuiltFabric fabric = topology::make_leaf_spine(
+      {.leaves = kHosts / 8,
+       .spines = 2,
+       .hosts_per_leaf = 8,
+       .host_link = kPort,
+       .uplink = 8 * kPort / (2 * 2.0)});
+  struct Lookup {
+    NodeId src;
+    NodeId dst;
+    std::uint64_t seed;
+  };
+  std::vector<Lookup> lookups;
+  Rng rng(42);
+  const std::size_t hosts = fabric.hosts.size();
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    const std::size_t src = rng.uniform_int(hosts);
+    const std::size_t dst = (src + 1 + rng.uniform_int(hosts - 1)) % hosts;
+    lookups.push_back({fabric.hosts[src], fabric.hosts[dst],
+                       static_cast<std::uint64_t>(i + 1)});
+  }
+  for (auto _ : state) {
+    topology::RouteTable table(&fabric.topo);
+    for (const Lookup& l : lookups) {
+      benchmark::DoNotOptimize(table.route(l.src, l.dst, l.seed));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_RouteLookup)->ArgNames({"routes"})->Arg(4096);
 
 }  // namespace
 

@@ -5,7 +5,9 @@
 // the same stream of arrivals always produces the same stream of decisions.
 // That determinism is load-bearing: snapshot restore *replays* the arrival
 // journal through this function and cross-checks every recomputed outcome
-// against the journaled one (src/service/snapshot.cpp).
+// against the journaled one (src/service/snapshot.cpp). Total tardiness is a
+// scan over every EchelonFlow, so decide() takes it as a callable and reads
+// it only where a policy needs it.
 
 #pragma once
 
@@ -72,10 +74,14 @@ struct AdmissionConfig {
   Duration tardiness_limit = 1.0;
 };
 
-[[nodiscard]] inline AdmissionOutcome decide(const AdmissionConfig& cfg,
-                                             std::uint64_t running,
-                                             std::uint64_t queued,
-                                             Duration total_tardiness) {
+// `total_tardiness` is a callable returning the registry's total tardiness;
+// it is called only by kTardinessAware, and only for an arrival over the
+// running cap.
+template <typename TotalTardiness>
+[[nodiscard]] AdmissionOutcome decide(const AdmissionConfig& cfg,
+                                      std::uint64_t running,
+                                      std::uint64_t queued,
+                                      TotalTardiness&& total_tardiness) {
   switch (cfg.policy) {
     case AdmissionPolicy::kAcceptAll:
       return AdmissionOutcome::kAdmitted;
@@ -89,7 +95,7 @@ struct AdmissionConfig {
       if (cfg.max_running == 0 || running < cfg.max_running) {
         return AdmissionOutcome::kAdmitted;
       }
-      if (total_tardiness > cfg.tardiness_limit) {
+      if (total_tardiness() > cfg.tardiness_limit) {
         return AdmissionOutcome::kRejected;
       }
       return queued < cfg.queue_cap ? AdmissionOutcome::kQueued

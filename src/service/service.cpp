@@ -356,7 +356,7 @@ void ServiceLoop::admit(Arrival arrival) {
   AdmissionOutcome outcome{};
   profiled("admission", [&] {
     outcome = decide(config_.admission, running_, wait_queue_.size(),
-                     registry_->total_tardiness());
+                     [this] { return registry_->total_tardiness(); });
   });
   if (replay_expected_ != nullptr) {
     const std::size_t i = journal_.size();

@@ -58,7 +58,9 @@ inline constexpr char kSnapshotMagic[8] = {'E', 'C', 'H', 'S', 'N', 'A', 'P',
                                            '1'};
 // v2: TelemetryConfig in kConfig + the kTelemetry verification section.
 // v3: kConfig drops the scheduler-mode word; kVerify drops sched.groups_*.
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+// v4: kVerify's routes.hits/computations/unreachable count per-destination
+//     hop-distance reuse instead of (src, dst, seed) cache verdicts.
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 // Thrown on any malformed, truncated, corrupt, or divergent snapshot. The
 // message always names what failed and where.

@@ -1,15 +1,12 @@
 #include "topology/graph.hpp"
 
-#include <algorithm>
-#include <deque>
-#include <limits>
-
 namespace echelon::topology {
 
 NodeId Topology::add_node(NodeKind kind, std::string name, int tier) {
   const NodeId id{nodes_.size()};
   nodes_.push_back(Node{id, kind, std::move(name), tier});
   adjacency_.emplace_back();
+  in_adjacency_.emplace_back();
   return id;
 }
 
@@ -25,6 +22,7 @@ LinkId Topology::add_link(NodeId src, NodeId dst, BytesPerSec capacity) {
   const LinkId id{links_.size()};
   links_.push_back(Link{id, src, dst, capacity});
   adjacency_.at(src.value()).push_back(id);
+  in_adjacency_.at(dst.value()).push_back(id);
   link_up_.push_back(1);
   return id;
 }
@@ -62,38 +60,35 @@ std::uint64_t ecmp_mix(std::uint64_t seed, std::uint64_t v) noexcept {
 }
 }  // namespace
 
-std::optional<Path> Topology::route(NodeId src, NodeId dst,
-                                    std::uint64_t ecmp_seed) const {
-  if (src == dst) return Path{};
-  constexpr auto kUnreached = std::numeric_limits<std::uint32_t>::max();
-
-  // BFS from dst over reversed edges to get hop distance to dst from every
-  // node; then walk forward from src always decreasing the distance, picking
-  // among ties by ECMP hash.
-  std::vector<std::uint32_t> dist(nodes_.size(), kUnreached);
-  std::vector<std::vector<LinkId>> in_links(nodes_.size());
-  for (const auto& l : links_) {
-    if (!link_up_[l.id.value()]) continue;  // down links carry no traffic
-    in_links[l.dst.value()].push_back(l.id);
-  }
-
-  std::deque<NodeId> queue;
+void Topology::hop_distances(NodeId dst,
+                             std::vector<std::uint32_t>& dist) const {
+  dist.assign(nodes_.size(), kUnreachable);
+  // BFS from dst over reversed up links. `dist` doubles as the visited set;
+  // the queue is a flat array consumed by a head index.
+  std::vector<std::uint32_t> queue;
+  queue.reserve(nodes_.size());
   dist[dst.value()] = 0;
-  queue.push_back(dst);
-  while (!queue.empty()) {
-    const NodeId cur = queue.front();
-    queue.pop_front();
-    for (LinkId lid : in_links[cur.value()]) {
-      const NodeId prev = links_[lid.value()].src;
-      if (dist[prev.value()] == kUnreached) {
-        dist[prev.value()] = dist[cur.value()] + 1;
+  queue.push_back(static_cast<std::uint32_t>(dst.value()));
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const std::uint32_t cur = queue[head];
+    for (const LinkId lid : in_adjacency_[cur]) {
+      if (!link_up_[lid.value()]) continue;  // down links carry no traffic
+      const auto prev =
+          static_cast<std::uint32_t>(links_[lid.value()].src.value());
+      if (dist[prev] == kUnreachable) {
+        dist[prev] = dist[cur] + 1;
         queue.push_back(prev);
       }
     }
   }
-  if (dist[src.value()] == kUnreached) return std::nullopt;
+}
 
-  Path path;
+bool Topology::walk(NodeId src, NodeId dst, std::uint64_t ecmp_seed,
+                    std::span<const std::uint32_t> dist, Path& path) const {
+  path.clear();
+  if (dist[src.value()] == kUnreachable) return false;
+  // Walk forward from src, always decreasing the distance, picking among
+  // ties by ECMP hash.
   NodeId cur = src;
   while (cur != dst) {
     const std::uint32_t want = dist[cur.value()] - 1;
@@ -109,10 +104,20 @@ std::optional<Path> Topology::route(NodeId src, NodeId dst,
         best_hash = h;
       }
     }
-    // dist[src] was reachable, so a next hop always exists.
+    // dist is this link state's hop_distances(dst) and dist[src] is finite,
+    // so a next hop always exists.
     path.push_back(best);
     cur = links_[best.value()].dst;
   }
+  return true;
+}
+
+std::optional<Path> Topology::route(NodeId src, NodeId dst,
+                                    std::uint64_t ecmp_seed) const {
+  std::vector<std::uint32_t> dist;
+  hop_distances(dst, dist);
+  Path path;
+  if (!walk(src, dst, ecmp_seed, dist, path)) return std::nullopt;
   return path;
 }
 

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -85,9 +86,28 @@ class Topology {
   // flow always takes the same path while different flows spread across
   // parallel links. With every link up the result is identical to the
   // fault-free routing decision. Returns std::nullopt when dst is
-  // unreachable (possibly because of down links).
+  // unreachable (possibly because of down links). Exactly
+  // hop_distances(dst) followed by walk(); RouteTable caches the first step.
   [[nodiscard]] std::optional<Path> route(NodeId src, NodeId dst,
                                           std::uint64_t ecmp_seed = 0) const;
+
+  // hop_distances() value of a node with no up path to the destination.
+  static constexpr std::uint32_t kUnreachable = 0xffffffffu;
+
+  // Hop count from every node to `dst` over up links (a BFS over reversed
+  // links), written into `dist`, which is resized to node_count(). The
+  // result depends only on the link set and the up/down state, so it stays
+  // valid while capacity_epoch() is unchanged.
+  void hop_distances(NodeId dst, std::vector<std::uint32_t>& dist) const;
+
+  // The forward step of route(): from src, repeatedly takes the up link
+  // whose head is one hop closer to dst by `dist` (= hop_distances(dst)),
+  // breaking ties by the ECMP hash of `ecmp_seed`. Overwrites `path` and
+  // returns true, or returns false with `path` empty when dist marks src
+  // unreachable.
+  [[nodiscard]] bool walk(NodeId src, NodeId dst, std::uint64_t ecmp_seed,
+                          std::span<const std::uint32_t> dist,
+                          Path& path) const;
 
   // Out-edges of a node (link ids).
   [[nodiscard]] const std::vector<LinkId>& out_links(NodeId n) const {
@@ -108,8 +128,9 @@ class Topology {
 
   std::vector<Node> nodes_;
   std::vector<Link> links_;
-  std::vector<std::vector<LinkId>> adjacency_;  // indexed by node id
-  std::vector<std::uint8_t> link_up_;           // indexed by link id; 1 = up
+  std::vector<std::vector<LinkId>> adjacency_;     // out-links, by node id
+  std::vector<std::vector<LinkId>> in_adjacency_;  // in-links, by node id
+  std::vector<std::uint8_t> link_up_;              // by link id; 1 = up
   std::uint64_t capacity_epoch_ = 0;
 };
 

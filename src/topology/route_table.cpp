@@ -17,14 +17,6 @@ namespace {
 
 }  // namespace
 
-std::size_t RouteTable::CacheKeyHash::operator()(
-    const CacheKey& k) const noexcept {
-  std::uint64_t h = mix(k.src);
-  h = mix(h ^ k.dst);
-  h = mix(h ^ k.seed);
-  return static_cast<std::size_t>(h);
-}
-
 std::uint64_t RouteTable::hash_path(const Path& path) noexcept {
   // Order-sensitive chained mix; the empty path (src == dst) hashes to a
   // fixed non-zero constant and interns like any other path.
@@ -51,24 +43,22 @@ RouteId RouteTable::intern(const Path& path) {
 std::optional<RouteId> RouteTable::route(NodeId src, NodeId dst,
                                          std::uint64_t ecmp_seed) {
   ++stats_.lookups;
+  const std::size_t nodes = topo_->node_count();
+  if (to_dst_.size() < nodes) to_dst_.resize(nodes);
+  Distances& d = to_dst_.at(dst.value());
   const std::uint64_t epoch = topo_->capacity_epoch();
-  const CacheKey key{src.value(), dst.value(), ecmp_seed};
-  auto [it, inserted] = cache_.try_emplace(key);
-  if (!inserted && it->second.epoch == epoch) {
+  if (d.dist.size() == nodes && d.epoch == epoch) {
     ++stats_.hits;
-    if (it->second.route_index == kUnreachableRoute) return std::nullopt;
-    return RouteId{it->second.route_index};
+  } else {
+    ++stats_.computations;
+    topo_->hop_distances(dst, d.dist);
+    d.epoch = epoch;
   }
-  ++stats_.computations;
-  auto path = topo_->route(src, dst, ecmp_seed);
-  if (!path.has_value()) {
+  if (!topo_->walk(src, dst, ecmp_seed, d.dist, walked_)) {
     ++stats_.unreachable;
-    it->second = CacheEntry{epoch, kUnreachableRoute};
     return std::nullopt;
   }
-  const RouteId id = intern(*path);
-  it->second = CacheEntry{epoch, static_cast<std::uint32_t>(id.value())};
-  return id;
+  return intern(walked_);
 }
 
 }  // namespace echelon::topology

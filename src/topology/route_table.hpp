@@ -1,5 +1,5 @@
-// Route interning: canonical Path -> RouteId table with an epoch-gated
-// (src, dst, ecmp_seed) route cache (DESIGN.md §11).
+// Route interning: canonical Path -> RouteId table, routed from cached
+// per-destination hop distances (DESIGN.md §11).
 //
 // Collectives emit thousands of concurrent flows over a handful of distinct
 // routed paths, and Topology::route() -- a BFS plus a forward walk -- used
@@ -12,17 +12,18 @@
 //     equivalence-class fill groups on. A RouteId, once issued, resolves to
 //     the same path forever (path() is epoch-independent); ids are dense
 //     indices suitable for counting-sort buckets.
-//   * A (src, dst, ecmp_seed) -> RouteId cache in front of the BFS,
-//     validated against Topology::capacity_epoch(). Every runtime
-//     link-capacity or up/down change bumps the epoch (that is the existing
-//     invalidation contract of the incremental allocator), so a cached
-//     route is served only while the topology that produced it is
-//     unchanged -- fault-driven reroutes recompute exactly when they must.
-//     Unreachable verdicts are cached too: a flap-heavy retry loop probing
-//     a severed pair costs one BFS per epoch, not one per retry.
+//   * One hop-distance array per destination node (Topology::hop_distances,
+//     the BFS half of route()), tagged with the Topology::capacity_epoch()
+//     it was computed at. Every runtime link-capacity or up/down change
+//     bumps the epoch (the existing invalidation contract of the incremental
+//     allocator), so a lookup reuses the array while the topology is
+//     unchanged and recomputes it after any mutation. Only the seed-hashed
+//     forward walk (Topology::walk) runs per lookup, so a run pays one BFS
+//     per destination per epoch however many ECMP seeds its flows carry,
+//     and the cache holds at most one array per node.
 //
 // Route computation happens at submission / fault time, outside the
-// simulator's zero-allocation steady-state region, so the cache may use
+// simulator's zero-allocation steady-state region, so the table may use
 // ordinary node-based containers.
 
 #pragma once
@@ -43,8 +44,9 @@ class RouteTable {
 
   // Cached Topology::route(): returns the interned id of the (deterministic)
   // path from src to dst under `ecmp_seed`, or nullopt when dst is
-  // unreachable right now. Serves from the cache while the capacity epoch
-  // is unchanged; recomputes (and re-interns) after any topology mutation.
+  // unreachable right now. Walks dst's cached hop distances while the
+  // capacity epoch is unchanged; recomputes them after any topology
+  // mutation. The path is link-for-link the one Topology::route() returns.
   [[nodiscard]] std::optional<RouteId> route(NodeId src, NodeId dst,
                                              std::uint64_t ecmp_seed);
 
@@ -61,10 +63,11 @@ class RouteTable {
   // Distinct paths interned so far (== the smallest unissued RouteId).
   [[nodiscard]] std::size_t size() const noexcept { return paths_.size(); }
 
-  // Telemetry pinned by the route-computation regression test: `hits`
-  // counts route() calls served from the epoch-valid cache, `computations`
-  // counts actual Topology::route() BFS runs (hits + computations ==
-  // lookups), `unreachable` the subset of computations with no path.
+  // Telemetry pinned by the route-computation regression test:
+  // `computations` counts hop-distance BFS runs (at most one per destination
+  // per capacity epoch), `hits` counts route() calls served by an
+  // epoch-valid distance array (hits + computations == lookups), and
+  // `unreachable` counts route() calls that found no path.
   struct Stats {
     std::uint64_t lookups = 0;
     std::uint64_t hits = 0;
@@ -74,21 +77,13 @@ class RouteTable {
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
-  struct CacheKey {
-    std::uint64_t src;
-    std::uint64_t dst;
-    std::uint64_t seed;
-    friend bool operator==(const CacheKey&, const CacheKey&) = default;
-  };
-  struct CacheKeyHash {
-    [[nodiscard]] std::size_t operator()(const CacheKey& k) const noexcept;
-  };
-  // kUnreachableRoute in `route_index` caches a negative verdict.
-  struct CacheEntry {
+  // Hop distances to one destination, valid while the topology's capacity
+  // epoch equals `epoch`; an array not sized to the topology was never
+  // computed.
+  struct Distances {
     std::uint64_t epoch = 0;
-    std::uint32_t route_index = 0;
+    std::vector<std::uint32_t> dist;
   };
-  static constexpr std::uint32_t kUnreachableRoute = 0xffffffffu;
 
   [[nodiscard]] static std::uint64_t hash_path(const Path& path) noexcept;
 
@@ -97,7 +92,8 @@ class RouteTable {
   std::vector<Path> paths_;  // append-only; indexed by RouteId
   // Exact-match intern index: path hash -> ids of all paths with that hash.
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> by_hash_;
-  std::unordered_map<CacheKey, CacheEntry, CacheKeyHash> cache_;
+  std::vector<Distances> to_dst_;  // indexed by destination node id
+  Path walked_;                    // route()'s reused walk output
 };
 
 }  // namespace echelon::topology

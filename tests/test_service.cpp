@@ -499,12 +499,13 @@ TEST_F(CorruptSnapshotTest, HeaderAndVersionMutationsFailTheirOwnChecks) {
               std::string::npos);
   }
   {
-    // v2 files carried a scheduler-mode word in kConfig and sched.groups_*
-    // in kVerify; v3 readers reject them up front, naming the version.
-    static_assert(service::kSnapshotVersion == 3);
+    // v3 files recorded routes.hits/computations/unreachable as
+    // (src, dst, seed) cache verdicts; v4 readers reject them up front,
+    // naming the version, instead of failing the verification image.
+    static_assert(service::kSnapshotVersion == 4);
     std::string m = bytes_;
-    m[8] = 2;
-    EXPECT_NE(expect_snapshot_error(restamp(m)).find("unsupported version 2"),
+    m[8] = 3;
+    EXPECT_NE(expect_snapshot_error(restamp(m)).find("unsupported version 3"),
               std::string::npos);
   }
   {
@@ -722,35 +723,98 @@ TEST(ArrivalGen, EdgeCasesFailLoudOrEmpty) {
 // 5. Admission control
 // ---------------------------------------------------------------------------
 
+// decide() with a fixed total tardiness.
+AdmissionOutcome decide_at(const AdmissionConfig& cfg, std::uint64_t running,
+                           std::uint64_t queued, Duration total_tardiness) {
+  return service::decide(cfg, running, queued,
+                         [total_tardiness] { return total_tardiness; });
+}
+
 TEST(Admission, DecideTruthTable) {
   AdmissionConfig accept;  // kAcceptAll
-  EXPECT_EQ(decide(accept, 0, 0, 0.0), AdmissionOutcome::kAdmitted);
-  EXPECT_EQ(decide(accept, 1000, 1000, 1e9), AdmissionOutcome::kAdmitted);
+  EXPECT_EQ(decide_at(accept, 0, 0, 0.0), AdmissionOutcome::kAdmitted);
+  EXPECT_EQ(decide_at(accept, 1000, 1000, 1e9), AdmissionOutcome::kAdmitted);
 
   AdmissionConfig capped;
   capped.policy = AdmissionPolicy::kQueueWithCap;
   capped.max_running = 2;
   capped.queue_cap = 1;
-  EXPECT_EQ(decide(capped, 0, 0, 0.0), AdmissionOutcome::kAdmitted);
-  EXPECT_EQ(decide(capped, 1, 0, 0.0), AdmissionOutcome::kAdmitted);
-  EXPECT_EQ(decide(capped, 2, 0, 0.0), AdmissionOutcome::kQueued);
-  EXPECT_EQ(decide(capped, 2, 1, 0.0), AdmissionOutcome::kRejected);
+  EXPECT_EQ(decide_at(capped, 0, 0, 0.0), AdmissionOutcome::kAdmitted);
+  EXPECT_EQ(decide_at(capped, 1, 0, 0.0), AdmissionOutcome::kAdmitted);
+  EXPECT_EQ(decide_at(capped, 2, 0, 0.0), AdmissionOutcome::kQueued);
+  EXPECT_EQ(decide_at(capped, 2, 1, 0.0), AdmissionOutcome::kRejected);
   capped.max_running = 0;  // unlimited
-  EXPECT_EQ(decide(capped, 5000, 0, 0.0), AdmissionOutcome::kAdmitted);
+  EXPECT_EQ(decide_at(capped, 5000, 0, 0.0), AdmissionOutcome::kAdmitted);
 
   AdmissionConfig tardy;
   tardy.policy = AdmissionPolicy::kTardinessAware;
   tardy.max_running = 1;
   tardy.queue_cap = 2;
   tardy.tardiness_limit = 0.5;
-  EXPECT_EQ(decide(tardy, 0, 0, 0.0), AdmissionOutcome::kAdmitted);
-  EXPECT_EQ(decide(tardy, 1, 0, 0.4), AdmissionOutcome::kQueued);
-  EXPECT_EQ(decide(tardy, 1, 0, 0.6), AdmissionOutcome::kRejected);
+  EXPECT_EQ(decide_at(tardy, 0, 0, 0.0), AdmissionOutcome::kAdmitted);
+  EXPECT_EQ(decide_at(tardy, 1, 0, 0.4), AdmissionOutcome::kQueued);
+  EXPECT_EQ(decide_at(tardy, 1, 0, 0.6), AdmissionOutcome::kRejected);
   // Tardiness only sheds the *overflow*: total tardiness is cumulative and
   // never decreases, so rejecting while a running slot is free would starve
   // the cluster forever once the limit is ever crossed.
-  EXPECT_EQ(decide(tardy, 0, 0, 0.6), AdmissionOutcome::kAdmitted);
-  EXPECT_EQ(decide(tardy, 1, 2, 0.4), AdmissionOutcome::kRejected);  // cap
+  EXPECT_EQ(decide_at(tardy, 0, 0, 0.6), AdmissionOutcome::kAdmitted);
+  EXPECT_EQ(decide_at(tardy, 1, 2, 0.4), AdmissionOutcome::kRejected);  // cap
+}
+
+// The registry scan behind total tardiness runs only where a policy reads
+// it: tardiness-aware admission of an arrival over the running cap.
+TEST(Admission, TotalTardinessIsReadOnlyByTardinessAwareOverflow) {
+  int reads = 0;
+  const auto counted = [&reads] {
+    ++reads;
+    return 0.0;
+  };
+  AdmissionConfig cfg;
+  cfg.max_running = 1;
+  for (const AdmissionPolicy p :
+       {AdmissionPolicy::kAcceptAll, AdmissionPolicy::kQueueWithCap}) {
+    cfg.policy = p;
+    (void)service::decide(cfg, 0, 0, counted);
+    (void)service::decide(cfg, 5, 0, counted);
+    (void)service::decide(cfg, 5, 100, counted);
+  }
+  cfg.policy = AdmissionPolicy::kTardinessAware;
+  (void)service::decide(cfg, 0, 0, counted);  // a free slot: no read
+  EXPECT_EQ(reads, 0);
+  (void)service::decide(cfg, 1, 0, counted);  // over the cap: one read
+  EXPECT_EQ(reads, 1);
+}
+
+// Admission outcomes of a bursty stream under accept-all and queue-with-cap,
+// pinned to the values the service produced when every arrival still read
+// total tardiness eagerly: not reading it changes no decision.
+TEST(Admission, OutcomesMatchEagerTardinessReads) {
+  struct Case {
+    AdmissionPolicy policy;
+    std::uint64_t max_running;
+    std::uint64_t queue_cap;
+    const char* outcomes;  // one letter per journal entry: A/Q/R
+  };
+  const Case cases[] = {
+      {AdmissionPolicy::kAcceptAll, 0, 16, "AAAAAAAAAAAA"},
+      {AdmissionPolicy::kQueueWithCap, 1, 1, "AQRAQAQAQAQQ"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(service::to_string(c.policy));
+    ServiceSpec spec;
+    spec.admission.policy = c.policy;
+    spec.admission.max_running = c.max_running;
+    spec.admission.queue_cap = c.queue_cap;
+    auto loop = make_loop(spec, small_arrivals(113, /*jobs=*/12),
+                          /*burst_every=*/2);
+    loop->drain();
+    std::string outcomes;
+    for (const service::JournalEntry& e : loop->journal()) {
+      outcomes += "AQR"[static_cast<int>(e.outcome)];
+    }
+    EXPECT_EQ(outcomes, c.outcomes);
+    EXPECT_EQ(loop->result().completed, loop->result().launched);
+  }
 }
 
 TEST(Admission, NamesRoundTrip) {
