@@ -84,130 +84,6 @@ void BM_RateAllocatorCapped(benchmark::State& state) {
 }
 BENCHMARK(BM_RateAllocatorCapped)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
-// --- incremental vs full recompute under per-pass churn ---------------------
-//
-// The regime AllocMode::kIncremental targets: a multi-tenant fabric where
-// each control pass touches *one* job's caps (MADD repacing after an
-// iteration boundary) while every other job's allocation inputs are
-// unchanged. `range(0)` link-disjoint "jobs" (one src->dst host pair each)
-// with 32 capped flows per job; every benchmark iteration rewrites one cap
-// in job (iter % jobs) to a genuinely new value, then reallocates.
-// Incremental validates jobs-1 clean components against the cache and
-// water-fills only the dirty one; full recompute refills all of them. The
-// pair of benchmarks quantifies the speedup (BENCH_hotpath.json,
-// "speedup_incremental_one_dirty").
-//
-// OverlapWorstCase is the cache's adversarial input: every flow shares the
-// single bottleneck pair, so each churned cap dirties the one-and-only
-// component and the incremental allocator pays validation-miss plus record
-// re-store on every pass with zero reuse. Its overhead budget vs full
-// recompute is <= 1.15x.
-
-struct JobbedPopulation {
-  topology::BuiltFabric fabric;
-  std::vector<netsim::Flow> flows;
-  std::vector<netsim::Flow*> active;
-  int n_jobs = 0;
-  int flows_per_job = 0;
-};
-
-JobbedPopulation make_jobbed(int n_jobs, int flows_per_job) {
-  JobbedPopulation p{topology::make_big_switch(2 * n_jobs, gbps(100)),
-                     {},
-                     {},
-                     n_jobs,
-                     flows_per_job};
-  std::uint64_t id = 0;
-  p.flows.reserve(static_cast<std::size_t>(n_jobs) * flows_per_job);
-  for (int j = 0; j < n_jobs; ++j) {
-    for (int k = 0; k < flows_per_job; ++k) {
-      netsim::Flow f;
-      f.id = FlowId{id};
-      f.spec.size = 1e9;
-      f.remaining = 1e9;
-      f.weight = 1.0;
-      // Staggered caps, every one binding (sum of caps < port capacity):
-      // exactly what MADD pacing emits -- deliberate slowdown to the
-      // bottleneck echelon. Each fill freezes one flow per round, the
-      // progressive-filling worst case.
-      f.rate_cap = gbps(0.1 * (k + 1));
-      f.path = *p.fabric.topo.route(p.fabric.hosts[2 * j],
-                                    p.fabric.hosts[2 * j + 1], id);
-      ++id;
-      p.flows.push_back(std::move(f));
-    }
-  }
-  for (auto& f : p.flows) p.active.push_back(&f);
-  return p;
-}
-
-// Rewrites one cap in job (iter % n_jobs) through the notification setter.
-// The value cycle (0.26/0.52/0.78 Gbps) never collides with the staggered
-// initial caps and never repeats between consecutive visits to the same job
-// (n_jobs % 3 == 1 for all benchmarked sizes), so every pass has exactly
-// one genuinely dirty component.
-void churn_one_job(JobbedPopulation& p, std::uint64_t iter) {
-  const auto job = static_cast<std::size_t>(
-      iter % static_cast<std::uint64_t>(p.n_jobs));
-  p.flows[job * static_cast<std::size_t>(p.flows_per_job)].set_rate_cap(
-      gbps(0.26 * (1.0 + static_cast<double>(iter % 3))));
-}
-
-void one_dirty_loop(benchmark::State& state, netsim::AllocMode mode) {
-  JobbedPopulation p =
-      make_jobbed(static_cast<int>(state.range(0)), /*flows_per_job=*/32);
-  netsim::RateAllocator alloc(&p.fabric.topo, mode);
-  alloc.allocate(p.active);  // warm the arenas (and, in incremental, the cache)
-  std::uint64_t iter = 0;
-  for (auto _ : state) {
-    churn_one_job(p, iter++);
-    alloc.allocate(p.active);
-    benchmark::DoNotOptimize(p.active);
-  }
-  state.SetItemsProcessed(state.iterations() * p.flows.size());
-  const auto& s = alloc.stats();
-  state.counters["reuse_frac"] = benchmark::Counter(
-      s.components == 0
-          ? 0.0
-          : static_cast<double>(s.components_reused) /
-                static_cast<double>(s.components));
-}
-
-void BM_RateAllocatorOneDirtyIncremental(benchmark::State& state) {
-  one_dirty_loop(state, netsim::AllocMode::kIncremental);
-}
-BENCHMARK(BM_RateAllocatorOneDirtyIncremental)->Arg(4)->Arg(16)->Arg(64);
-
-void BM_RateAllocatorOneDirtyFull(benchmark::State& state) {
-  one_dirty_loop(state, netsim::AllocMode::kFullRecompute);
-}
-BENCHMARK(BM_RateAllocatorOneDirtyFull)->Arg(4)->Arg(16)->Arg(64);
-
-void overlap_loop(benchmark::State& state, netsim::AllocMode mode) {
-  // One job spanning a single host pair: every flow in one component.
-  JobbedPopulation p =
-      make_jobbed(/*n_jobs=*/1, static_cast<int>(state.range(0)));
-  netsim::RateAllocator alloc(&p.fabric.topo, mode);
-  alloc.allocate(p.active);
-  std::uint64_t iter = 0;
-  for (auto _ : state) {
-    churn_one_job(p, iter++);
-    alloc.allocate(p.active);
-    benchmark::DoNotOptimize(p.active);
-  }
-  state.SetItemsProcessed(state.iterations() * p.flows.size());
-}
-
-void BM_RateAllocatorOverlapIncremental(benchmark::State& state) {
-  overlap_loop(state, netsim::AllocMode::kIncremental);
-}
-BENCHMARK(BM_RateAllocatorOverlapIncremental)->Arg(256);
-
-void BM_RateAllocatorOverlapFull(benchmark::State& state) {
-  overlap_loop(state, netsim::AllocMode::kFullRecompute);
-}
-BENCHMARK(BM_RateAllocatorOverlapFull)->Arg(256);
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -228,7 +104,7 @@ int main(int argc, char** argv) {
       echelon::benchutil::hardware_concurrency_context());
   benchmark::AddCustomContext("echelon_pool_participants",
                               echelon::benchutil::pool_participants_context());
-  // Behavioural fingerprint of the hot path (allocator cache hit rate,
+  // Behavioural fingerprint of the hot path (allocator pass counts,
   // reallocation counts, ...) so BENCH_hotpath.json timing shifts can be
   // cross-read against scheduler behaviour (bench_util.hpp).
   benchmark::AddCustomContext("echelon_metrics",

@@ -1,9 +1,8 @@
 // Thread-scaling microbenchmark of the parallel per-component water-fill
 // (DESIGN.md §10, EXPERIMENTS.md EXT-P).
 //
-// Three families, all on link-disjoint jobs (one src->dst host pair each)
-// under AllocMode::kFullRecompute, so EVERY pass water-fills EVERY
-// component. Results are bit-identical by construction at every width, so
+// Three families, all on link-disjoint jobs (one src->dst host pair each);
+// every pass water-fills every component. Results are bit-identical by construction at every width, so
 // the only thing that can move is time.
 //
 //   * BM_ParallelAllocFill: 32 capped flows per job -- the staggered-caps
@@ -83,8 +82,7 @@ Population make_components(int n_jobs, int flows_per_job) {
 void BM_ParallelAllocFill(benchmark::State& state) {
   Population p = make_components(static_cast<int>(state.range(0)), 32);
   const auto threads = static_cast<unsigned>(state.range(1));
-  netsim::RateAllocator alloc(&p.fabric.topo,
-                              netsim::AllocMode::kFullRecompute);
+  netsim::RateAllocator alloc(&p.fabric.topo);
   alloc.set_parallelism(&ThreadPool::shared(), threads);
   alloc.allocate(p.active);  // warm the arenas
   for (auto _ : state) {
@@ -117,8 +115,7 @@ void BM_ServeShapedFill(benchmark::State& state) {
       static_cast<int>(state.range(0)) / kFlowsPerComponent,
       kFlowsPerComponent);
   const auto threads = static_cast<unsigned>(state.range(1));
-  netsim::RateAllocator alloc(&p.fabric.topo,
-                              netsim::AllocMode::kFullRecompute);
+  netsim::RateAllocator alloc(&p.fabric.topo);
   alloc.set_parallelism(&ThreadPool::shared(), threads);
   alloc.allocate(p.active);  // warm the arenas
   const std::uint64_t before = ThreadPool::shared().dispatches();

@@ -103,8 +103,7 @@ Population make_population(int n_flows, int n_routes, bool interned) {
 }
 
 void fill_loop(benchmark::State& state, Population& p, netsim::FillMode fill) {
-  netsim::RateAllocator alloc(&p.fabric.topo, netsim::AllocMode::kFullRecompute,
-                              fill);
+  netsim::RateAllocator alloc(&p.fabric.topo, fill);
   alloc.allocate(p.active);  // warm the arenas: steady state allocates nothing
   for (auto _ : state) {
     alloc.allocate(p.active);

@@ -95,7 +95,7 @@ inline bool warn_if_not_release() {
 // scalar instruments (counters + gauges) of a canonical small cluster run,
 // serialized as one JSON object. Timing trajectories can then be cross-read
 // against *behaviour* -- a perf win that coincides with a collapsed
-// allocator cache hit rate is a different story from one with identical
+// flows-per-class ratio is a different story from one with identical
 // counters. Histograms and series are deliberately omitted (too bulky for a
 // context string; export them through --metrics-out instead).
 

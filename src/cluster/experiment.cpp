@@ -99,8 +99,7 @@ ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
          .uplink = hosts_per_leaf * config.port_capacity /
                    (spines * config.oversubscription)});
   }
-  netsim::Simulator sim(&fabric.topo, config.loop_mode, config.alloc_mode,
-                        config.fill_mode);
+  netsim::Simulator sim(&fabric.topo, config.loop_mode, config.fill_mode);
 
   // Scheduler stack. The coordinator owns its registry; other schedulers
   // share a standalone one (attached for tardiness measurement either way).
@@ -299,7 +298,6 @@ ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
     const netsim::RateAllocator::Stats& as = sim.alloc_stats();
     m.counter("alloc.passes").set(as.passes);
     m.counter("alloc.components").set(as.components);
-    m.counter("alloc.components_reused").set(as.components_reused);
     m.counter("alloc.components_filled").set(as.components_filled);
     m.counter("alloc.classes").set(as.classes);
     m.counter("alloc.class_members").set(as.class_members);
@@ -310,11 +308,6 @@ ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
         .set(as.classes == 0 ? 1.0
                              : static_cast<double>(as.class_members) /
                                    static_cast<double>(as.classes));
-    m.gauge("alloc.cache_hit_rate")
-        .set(as.components == 0
-                 ? 0.0
-                 : static_cast<double>(as.components_reused) /
-                       static_cast<double>(as.components));
 
     // Control-plane pass counts. Observational only, so deliberately absent
     // from ExperimentResult.

@@ -70,12 +70,6 @@ struct ExperimentConfig {
   // suite compares against (results are bit-identical by construction).
   netsim::SimLoopMode loop_mode = netsim::SimLoopMode::kLazy;
 
-  // Reallocation strategy. kIncremental is the production fast path
-  // (per-component water-fill with a converged-rate cache); kFullRecompute
-  // water-fills every component on every pass and is the reference mode of
-  // tests/test_alloc_equivalence.cpp (results are bit-identical).
-  netsim::AllocMode alloc_mode = netsim::AllocMode::kIncremental;
-
   // Water-fill granularity. kClass (the production default) fills one unit
   // per (route, weight, cap) equivalence class and fans rates back out;
   // kPerFlow fills every flow individually. Results are bit-identical

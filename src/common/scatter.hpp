@@ -1,6 +1,6 @@
 // Dense-index counting-sort scatter, shared by the allocator's bucketing
-// passes (component members, dirty-slot route buckets, class-by-component
-// and member-by-class partitions).
+// passes (component members, route buckets, class-by-component and
+// member-by-class partitions).
 //
 // The idiom appears wherever a pass needs "group these items by a small
 // dense key, preserving input order within each group" without allocating:

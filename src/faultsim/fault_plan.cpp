@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 
 namespace echelon::faultsim {
@@ -115,66 +116,82 @@ std::string serialize(const FaultPlan& plan) {
   return out.str();
 }
 
+namespace {
+
+[[noreturn]] void fail(int lineno, const std::string& why) {
+  throw std::invalid_argument("fault plan line " + std::to_string(lineno) +
+                              ": " + why);
+}
+
+}  // namespace
+
 FaultPlan parse_fault_plan(std::istream& in) {
   FaultPlan plan;
   std::string line;
   int lineno = 0;
-  const auto fail = [&lineno](const std::string& why) {
-    throw std::invalid_argument("fault plan line " + std::to_string(lineno) +
-                                ": " + why);
-  };
   while (std::getline(in, line)) {
     ++lineno;
     if (const auto hash = line.find('#'); hash != std::string::npos) {
       line.erase(hash);
     }
+    // Every field is one whitespace-separated token that must parse in full
+    // (common/parse.hpp); a missing field reads as the empty token.
     std::istringstream tok(line);
-    std::string first;
-    if (!(tok >> first)) continue;  // blank / comment-only line
+    const auto next = [&tok] {
+      std::string t;
+      tok >> t;
+      return t;
+    };
+    const std::string first = next();
+    if (first.empty()) continue;  // blank / comment-only line
     if (first == "retries") {
-      if (!(tok >> plan.max_retries) || plan.max_retries < 0) {
-        fail("expected non-negative integer after 'retries'");
+      const auto v = parse_number<int>(next());
+      if (!v || *v < 0) {
+        fail(lineno, "expected non-negative integer after 'retries'");
       }
-      continue;
-    }
-    if (first == "backoff") {
-      if (!(tok >> plan.retry_backoff) || plan.retry_backoff <= 0.0) {
-        fail("expected positive duration after 'backoff'");
+      plan.max_retries = *v;
+    } else if (first == "backoff") {
+      const auto v = parse_number<double>(next());
+      if (!v || *v <= 0.0) {
+        fail(lineno, "expected positive duration after 'backoff'");
       }
-      continue;
-    }
-    FaultEvent ev;
-    try {
-      ev.at = std::stod(first);
-    } catch (const std::exception&) {
-      fail("expected event time, 'retries' or 'backoff', got '" + first + "'");
-    }
-    std::string kind_name;
-    if (!(tok >> kind_name)) fail("missing fault kind");
-    const auto kind = kind_from_string(kind_name);
-    if (!kind) fail("unknown fault kind '" + kind_name + "'");
-    ev.kind = *kind;
-    std::string target;
-    if (!(tok >> target)) fail("missing fault target");
-    if (target == "*") {
-      if (ev.kind != FaultKind::kBrownout &&
-          ev.kind != FaultKind::kBrownoutEnd) {
-        fail("'*' target is only valid for brownout events");
-      }
-      ev.target = kAllLinks;
+      plan.retry_backoff = *v;
     } else {
-      try {
-        ev.target = std::stoull(target);
-      } catch (const std::exception&) {
-        fail("bad fault target '" + target + "'");
+      FaultEvent ev;
+      const auto at = parse_number<double>(first);
+      if (!at) {
+        fail(lineno, "expected event time, 'retries' or 'backoff', got '" +
+                         first + "'");
       }
-    }
-    if (ev.kind == FaultKind::kBrownout || ev.kind == FaultKind::kStraggler) {
-      if (!(tok >> ev.factor) || ev.factor <= 0.0) {
-        fail("expected positive factor");
+      ev.at = *at;
+      const std::string kind_name = next();
+      if (kind_name.empty()) fail(lineno, "missing fault kind");
+      const auto kind = kind_from_string(kind_name);
+      if (!kind) fail(lineno, "unknown fault kind '" + kind_name + "'");
+      ev.kind = *kind;
+      const std::string target = next();
+      if (target.empty()) fail(lineno, "missing fault target");
+      if (target == "*") {
+        if (ev.kind != FaultKind::kBrownout &&
+            ev.kind != FaultKind::kBrownoutEnd) {
+          fail(lineno, "'*' target is only valid for brownout events");
+        }
+        ev.target = kAllLinks;
+      } else {
+        const auto id = parse_number<std::uint64_t>(target);
+        if (!id) fail(lineno, "bad fault target '" + target + "'");
+        ev.target = *id;
       }
+      if (ev.kind == FaultKind::kBrownout || ev.kind == FaultKind::kStraggler) {
+        const auto factor = parse_number<double>(next());
+        if (!factor || *factor <= 0.0) fail(lineno, "expected positive factor");
+        ev.factor = *factor;
+      }
+      plan.events.push_back(ev);
     }
-    plan.events.push_back(ev);
+    if (const std::string extra = next(); !extra.empty()) {
+      fail(lineno, "unexpected trailing token '" + extra + "'");
+    }
   }
   return plan;
 }

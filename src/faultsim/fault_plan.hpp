@@ -101,7 +101,9 @@ struct ChaosProfile {
 //   retries <n>
 //   backoff <seconds>
 //   <time> <kind> <target|*> [factor]
-// '#' starts a comment. parse throws std::invalid_argument on bad input.
+// '#' starts a comment. parse throws std::invalid_argument, naming the line,
+// on any malformed line: a number with trailing characters, a negative
+// target, a non-finite time or factor, or a token after the last field.
 [[nodiscard]] std::string serialize(const FaultPlan& plan);
 [[nodiscard]] FaultPlan parse_fault_plan(std::istream& in);
 [[nodiscard]] FaultPlan parse_fault_plan(const std::string& text);

@@ -9,8 +9,8 @@
 // recorded as FaultOutcome rows and aggregated into a FaultSummary.
 //
 // Determinism contract: every injector decision is a function of simulation
-// state that is itself bit-identical across {kLazy, kEagerScan} x
-// {kIncremental, kFullRecompute} -- the topology, flow specs/paths,
+// state that is itself bit-identical across {kLazy, kEagerScan} and
+// {kClass, kPerFlow} -- the topology, flow specs/paths,
 // now(), and *ascending-FlowId* sweeps (never the internal active-set
 // order, which is mode-dependent mid-instant). An empty plan schedules
 // nothing and perturbs nothing: runs with a zero-fault injector are

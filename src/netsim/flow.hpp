@@ -93,16 +93,16 @@ struct Flow {
   // Explicit rate demand set by a scheduler. The allocator never exceeds it.
   // nullopt = uncapped (pure max-min share).
   std::optional<BytesPerSec> rate_cap;
-  // Cap/weight-change notification consumed by the RateAllocator: true when
-  // a scheduler changed this flow's control inputs since the last
-  // reallocation. Set by the compare-and-set mutators below; direct writes
-  // to `weight` / `rate_cap` remain legal (the incremental allocator also
-  // validates the recorded *values*), but forgo the cheap short-circuit.
+  // Cap/weight-change notification: true when someone changed this flow's
+  // control inputs since the last reallocation, which clears it. Set by the
+  // compare-and-set mutators below; the Simulator's pre-control scan reads
+  // it as externally-caused churn (DESIGN.md §12). Direct writes to
+  // `weight` / `rate_cap` remain legal but go unannounced.
   bool control_dirty = false;
 
   // Compare-and-set control mutators: no-ops (and no dirty mark) when the
   // new value equals the current one, so steady-state schedulers that
-  // re-emit identical decisions keep clean components clean.
+  // re-emit identical decisions announce no churn.
   void set_weight(double w) noexcept {
     if (w != weight) {
       weight = w;

@@ -42,10 +42,10 @@ namespace {
 }  // namespace
 
 Simulator::Simulator(const topology::Topology* topo, SimLoopMode mode,
-                     AllocMode alloc_mode, FillMode fill_mode)
+                     FillMode fill_mode)
     : topo_(topo),
       routes_(topo),
-      allocator_(topo, alloc_mode, fill_mode),
+      allocator_(topo, fill_mode),
       scheduler_(&default_scheduler_),
       mode_(mode) {
   assert(topo != nullptr);
@@ -590,9 +590,6 @@ void Simulator::resume_flow(FlowId id, topology::Path path) {
   f.path = std::move(path);
   f.state = FlowState::kActive;
   f.rate = 0.0;
-  // The allocator's converged-rate cache does not fingerprint paths; the
-  // dirty mark forces the flow's component to refill against the new path.
-  f.control_dirty = true;
 
   if (tracing(obs::TraceDetail::kCoarse)) {
     trace_flow(obs::TraceKind::kFlowResume, f, f.remaining);
@@ -633,9 +630,6 @@ void Simulator::reroute_flow(FlowId id, topology::Path path) {
          "reroute_flow on inactive flow");
   f.route = routes_.intern(path);  // keep route identity in sync (see resume)
   f.path = std::move(path);
-  // See resume_flow: the component cache validates members/weights/caps and
-  // the capacity epoch but not paths, so the reroute must announce itself.
-  f.control_dirty = true;
   allocation_dirty_ = true;
   mark_job_dirty(f.spec.job);
   if (tracing(obs::TraceDetail::kCoarse)) {

@@ -67,18 +67,12 @@ class Simulator {
   using TaskCallback = std::function<void(Simulator&, const ComputeTask&)>;
   using TimerCallback = std::function<void(Simulator&)>;
 
-  // The simulator's allocator defaults to incremental reallocation
-  // (AllocMode::kIncremental): its passes see genuine arrival / departure /
-  // cap churn, which is exactly what the component cache exploits.
-  // kFullRecompute is retained as the reference mode for the
-  // golden-equivalence suite (tests/test_alloc_equivalence.cpp).
   // `fill_mode` selects the per-component water-fill granularity
   // (equivalence classes by default; see FillMode) -- the two produce
   // bit-identical allocations, which the route-class differential suite
   // pins.
   explicit Simulator(const topology::Topology* topo,
                      SimLoopMode mode = SimLoopMode::kLazy,
-                     AllocMode alloc_mode = AllocMode::kIncremental,
                      FillMode fill_mode = FillMode::kClass);
 
   // Non-copyable: owns callbacks holding references to itself.
@@ -86,11 +80,7 @@ class Simulator {
   Simulator& operator=(const Simulator&) = delete;
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
-  [[nodiscard]] SimLoopMode loop_mode() const noexcept { return mode_; }
-  [[nodiscard]] AllocMode alloc_mode() const noexcept {
-    return allocator_.mode();
-  }
-  // Component-cache telemetry of the underlying allocator.
+  // Pass and fill counts of the underlying allocator.
   [[nodiscard]] const RateAllocator::Stats& alloc_stats() const noexcept {
     return allocator_.stats();
   }
@@ -217,9 +207,7 @@ class Simulator {
   // arrival listeners. The scheduler sees a (re-)arrival.
   void resume_flow(FlowId id, topology::Path path);
 
-  // Replaces an active flow's path in place (fault rerouting). Marks the
-  // flow control-dirty so the incremental allocator refills its component
-  // (the converged-rate cache does not fingerprint paths) and forces a
+  // Replaces an active flow's path in place (fault rerouting) and forces a
   // reallocation.
   void reroute_flow(FlowId id, topology::Path path);
 

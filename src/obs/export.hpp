@@ -4,7 +4,7 @@
 // CSV layout (one row per scalar, plot-friendly):
 //   metric,kind,key,value
 //   sim.flows_finished,counter,,1234
-//   alloc.cache_hit_rate,gauge,,0.82
+//   alloc.flows_per_class,gauge,,1.88
 //   flow.completion_s,hist,p99,0.0125
 //   link.3.util,series,12.5,0.74        (key = sim time for series samples)
 //

@@ -46,7 +46,7 @@ enum class TraceKind : std::uint8_t {
   kTaskFinish,
   // --- control plane (detail >= kCoarse) ---
   kControlPass,   // scheduler control() invocation (Simulator::reallocate)
-  kAllocPass,     // RateAllocator pass (component cache behaviour)
+  kAllocPass,     // RateAllocator pass (component count)
   kFaultFired,    // FaultPlan event applied (FaultInjector)
   kHeuristicRun,  // Coordinator re-ran the scheduling heuristic
   kReuseHit,      // Coordinator granted a cached (signature-keyed) decision

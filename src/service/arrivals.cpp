@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/parse.hpp"
 #include "workload/model.hpp"
 
 namespace echelon::service {
@@ -50,12 +51,23 @@ void expect_key(std::istringstream& ls, const char* key, int lineno) {
   }
 }
 
+// Reads `key` and its value, one whole token (common/parse.hpp): "4x",
+// "-1" for an unsigned field, "nan" and "inf" all fail.
 template <typename T>
 T read_value(std::istringstream& ls, const char* key, int lineno) {
   expect_key(ls, key, lineno);
-  T v{};
-  if (!(ls >> v)) fail(lineno, std::string("malformed value for ") + key);
-  return v;
+  std::string tok;
+  ls >> tok;
+  const auto v = parse_number<T>(tok);
+  if (!v) fail(lineno, std::string("malformed value for ") + key);
+  return *v;
+}
+
+// The line must end after its last field.
+void expect_end(std::istringstream& ls, int lineno) {
+  if (std::string tok; ls >> tok) {
+    fail(lineno, "unexpected trailing token '" + tok + "'");
+  }
 }
 
 // Name fields sit last on their line and run to end-of-line (names may
@@ -219,9 +231,10 @@ std::vector<Arrival> parse_arrival_trace(std::istream& in) {
   line = next_line(in, lineno);
   std::istringstream count_ls(line);
   const auto count = read_value<std::uint64_t>(count_ls, "arrivals", lineno);
+  expect_end(count_ls, lineno);
 
+  // Counts come from the file, so nothing is reserved from them.
   std::vector<Arrival> arrivals;
-  arrivals.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     Arrival a;
     cluster::JobSpec& j = a.job;
@@ -243,6 +256,7 @@ std::vector<Arrival> parse_arrival_trace(std::istream& in) {
       j.compute_jitter = read_value<double>(ls, "jitter", lineno);
       j.jitter_seed = read_value<std::uint64_t>(ls, "jseed", lineno);
       j.arrival = read_value<double>(ls, "submit", lineno);
+      expect_end(ls, lineno);
     }
     {
       std::istringstream ls(next_line(in, lineno));
@@ -259,7 +273,6 @@ std::vector<Arrival> parse_arrival_trace(std::istream& in) {
       layer_count = read_value<std::uint64_t>(ls, "layers", lineno);
       j.model.name = read_name_tail(ls, lineno);
     }
-    j.model.layers.reserve(layer_count);
     for (std::uint64_t l = 0; l < layer_count; ++l) {
       std::istringstream ls(next_line(in, lineno));
       expect_key(ls, "layer", lineno);
@@ -272,6 +285,13 @@ std::vector<Arrival> parse_arrival_trace(std::istream& in) {
       j.model.layers.push_back(std::move(spec));
     }
     arrivals.push_back(std::move(a));
+  }
+  for (std::string rest; std::getline(in, rest);) {
+    ++lineno;
+    if (rest.find_first_not_of(" \t\r") != std::string::npos) {
+      fail(lineno, "content after the " + std::to_string(count) +
+                       " declared arrivals");
+    }
   }
   return arrivals;
 }

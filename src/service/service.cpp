@@ -58,8 +58,7 @@ ServiceLoop::ServiceLoop(const ServiceConfig& config,
     : config_(config),
       owned_plan_(std::move(owned_plan)),
       fabric_(make_fabric(config_)),
-      sim_(&fabric_.topo, config_.loop_mode, config_.alloc_mode,
-           config_.fill_mode) {
+      sim_(&fabric_.topo) {
   if (config_.control_period <= 0.0) {
     throw std::invalid_argument("ServiceLoop: control_period must be > 0");
   }

@@ -87,9 +87,6 @@ struct ServiceConfig {
   double oversubscription = 1.0;  // leaf-spine only
   bool coflow_work_conserving = true;
   int priority_queues = 0;
-  netsim::SimLoopMode loop_mode = netsim::SimLoopMode::kLazy;
-  netsim::AllocMode alloc_mode = netsim::AllocMode::kIncremental;
-  netsim::FillMode fill_mode = netsim::FillMode::kClass;
   unsigned threads = 1;
 
   // Interval between forced control passes while work is outstanding.

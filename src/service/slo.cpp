@@ -1,8 +1,8 @@
 #include "service/slo.hpp"
 
-#include <charconv>
 #include <cstring>
 
+#include "common/parse.hpp"
 #include "obs/metrics.hpp"
 
 namespace echelon::service {
@@ -20,13 +20,6 @@ bool kind_from_name(std::string_view name, SloKind& out) {
     return false;
   }
   return true;
-}
-
-bool parse_double(std::string_view s, double& out) {
-  const char* begin = s.data();
-  const char* end = begin + s.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  return ec == std::errc() && ptr == end;
 }
 
 void fnv1a_u64(std::uint64_t& h, std::uint64_t v) {
@@ -84,15 +77,19 @@ std::optional<std::vector<SloObjective>> parse_slo_spec(std::string_view spec,
         return fail("unknown SLO kind '" + std::string(item.substr(0, le)) +
                     "' (expected jct | queue_wait | tardiness)");
       }
-      if (!parse_double(item.substr(le + 2, at - le - 2), obj.threshold)) {
+      const auto threshold =
+          parse_number<double>(item.substr(le + 2, at - le - 2));
+      if (!threshold) {
         return fail("bad threshold in SLO objective '" + std::string(item) +
                     "'");
       }
-      if (!parse_double(item.substr(at + 1), obj.budget) || obj.budget < 0.0 ||
-          obj.budget > 1.0) {
+      obj.threshold = *threshold;
+      const auto budget = parse_number<double>(item.substr(at + 1));
+      if (!budget || *budget < 0.0 || *budget > 1.0) {
         return fail("bad budget in SLO objective '" + std::string(item) +
                     "' (expected a fraction in [0, 1])");
       }
+      obj.budget = *budget;
       out.push_back(obj);
     }
     if (comma == std::string_view::npos) break;

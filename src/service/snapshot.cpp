@@ -328,7 +328,6 @@ void build_verify_image(const ServiceLoop& loop, ImageBuilder& img) {
   const netsim::RateAllocator::Stats& as = sim.alloc_stats();
   img.add("alloc.passes", as.passes);
   img.add("alloc.components", as.components);
-  img.add("alloc.components_reused", as.components_reused);
   img.add("alloc.components_filled", as.components_filled);
   img.add("alloc.classes", as.classes);
   img.add("alloc.class_members", as.class_members);
@@ -683,9 +682,6 @@ std::string save_snapshot(const ServiceLoop& loop) {
     w.f64(c.oversubscription);
     w.u8(c.coflow_work_conserving ? 1 : 0);
     w.u32(static_cast<std::uint32_t>(c.priority_queues));
-    w.u32(static_cast<std::uint32_t>(c.loop_mode));
-    w.u32(static_cast<std::uint32_t>(c.alloc_mode));
-    w.u32(static_cast<std::uint32_t>(c.fill_mode));
     w.u32(c.threads);
     w.f64(c.control_period);
     w.u32(static_cast<std::uint32_t>(c.admission.policy));
@@ -846,23 +842,6 @@ std::unique_ptr<ServiceLoop> restore_snapshot(const std::string& bytes,
     config.oversubscription = c.f64("config.oversubscription");
     config.coflow_work_conserving = c.u8("config.coflow_work_conserving") != 0;
     config.priority_queues = static_cast<int>(c.u32("config.priority_queues"));
-    const std::uint32_t loop_mode = c.u32("config.loop_mode");
-    if (loop_mode > static_cast<std::uint32_t>(
-                        netsim::SimLoopMode::kEagerScan)) {
-      throw SnapshotError("snapshot: config.loop_mode is out of range");
-    }
-    config.loop_mode = static_cast<netsim::SimLoopMode>(loop_mode);
-    const std::uint32_t alloc = c.u32("config.alloc_mode");
-    if (alloc >
-        static_cast<std::uint32_t>(netsim::AllocMode::kIncremental)) {
-      throw SnapshotError("snapshot: config.alloc_mode is out of range");
-    }
-    config.alloc_mode = static_cast<netsim::AllocMode>(alloc);
-    const std::uint32_t fill = c.u32("config.fill_mode");
-    if (fill > static_cast<std::uint32_t>(netsim::FillMode::kClass)) {
-      throw SnapshotError("snapshot: config.fill_mode is out of range");
-    }
-    config.fill_mode = static_cast<netsim::FillMode>(fill);
     config.threads = c.u32("config.threads");
     config.control_period = c.f64("config.control_period");
     const std::uint32_t policy = c.u32("config.admission.policy");

@@ -60,7 +60,9 @@ inline constexpr char kSnapshotMagic[8] = {'E', 'C', 'H', 'S', 'N', 'A', 'P',
 // v3: kConfig drops the scheduler-mode word; kVerify drops sched.groups_*.
 // v4: kVerify's routes.hits/computations/unreachable count per-destination
 //     hop-distance reuse instead of (src, dst, seed) cache verdicts.
-inline constexpr std::uint32_t kSnapshotVersion = 4;
+// v5: kConfig drops the loop/alloc/fill mode words; kVerify drops
+//     alloc.components_reused.
+inline constexpr std::uint32_t kSnapshotVersion = 5;
 
 // Thrown on any malformed, truncated, corrupt, or divergent snapshot. The
 // message always names what failed and where.

@@ -33,17 +33,15 @@ class Topology {
   // (flaky optics, congestion from external tenants) and recovery. Callers
   // driving a live simulation must invalidate its allocation afterwards so
   // rates are recomputed against the new capacity. Bumps the capacity
-  // epoch, which the incremental RateAllocator folds into its component
-  // fingerprints: any capacity change conservatively invalidates every
-  // cached converged-rate record.
+  // epoch, which invalidates every RouteTable hop-distance array.
   void set_link_capacity(LinkId id, BytesPerSec capacity) {
     links_.at(id.value()).capacity = capacity;
     ++capacity_epoch_;
   }
 
   // Monotonic counter incremented by every runtime capacity change. Cached
-  // allocation state derived from link capacities is valid only while this
-  // value is unchanged.
+  // state derived from links (RouteTable hop distances) is valid only while
+  // this value is unchanged.
   [[nodiscard]] std::uint64_t capacity_epoch() const noexcept {
     return capacity_epoch_;
   }
@@ -51,8 +49,8 @@ class Topology {
   // Administratively takes a link down (or back up). A down link carries no
   // traffic and is skipped by route(); capacity is preserved so recovery
   // restores the exact nominal value. Bumps the capacity epoch for the same
-  // reason set_link_capacity does: cached allocation state must not survive
-  // a reachability change.
+  // reason set_link_capacity does: cached hop distances must not survive a
+  // reachability change.
   void set_link_up(LinkId id, bool up) {
     std::uint8_t& state = link_up_.at(id.value());
     if (static_cast<bool>(state) == up) return;

@@ -15,8 +15,7 @@
 //   * One hop-distance array per destination node (Topology::hop_distances,
 //     the BFS half of route()), tagged with the Topology::capacity_epoch()
 //     it was computed at. Every runtime link-capacity or up/down change
-//     bumps the epoch (the existing invalidation contract of the incremental
-//     allocator), so a lookup reuses the array while the topology is
+//     bumps the epoch, so a lookup reuses the array while the topology is
 //     unchanged and recomputes it after any mutation. Only the seed-hashed
 //     forward walk (Topology::walk) runs per lookup, so a run pays one BFS
 //     per destination per epoch however many ECMP seeds its flows carry,

@@ -1,10 +1,10 @@
 // Shared harness for the golden-equivalence suites.
 //
-// Three production fast paths promise *bit identity* with their reference
+// Production fast paths promise *bit identity* with their reference
 // implementations: the dense-state schedulers/allocator
 // (tests/test_dense_equivalence.cpp), the lazy event loop
-// (tests/test_simloop_equivalence.cpp) and the incremental allocator
-// (tests/test_alloc_equivalence.cpp) -- and since the fault-injection
+// (tests/test_simloop_equivalence.cpp) and the class-granularity fill
+// (tests/test_route_class_equivalence.cpp) -- and since the fault-injection
 // subsystem, all of the above must stay bit-identical *under fire*
 // (tests/test_faults.cpp). Every suite needs the same scaffolding:
 //
@@ -12,7 +12,7 @@
 //   - a bitwise ExperimentResult comparator,
 //   - the small randomized cluster trace + a run_cluster(jobs, RunSpec)
 //     entry point spanning the full scheduler x fabric x SimLoopMode x
-//     AllocMode (x FaultPlan) matrix,
+//     FillMode (x FaultPlan) matrix,
 //   - the scheduler x fabric gtest param fixture with its name generator,
 //   - the simulator-level randomized completion-trace scenario.
 //
@@ -128,7 +128,6 @@ struct RunSpec {
   cluster::SchedulerKind scheduler = cluster::SchedulerKind::kEchelonMadd;
   cluster::FabricKind fabric = cluster::FabricKind::kBigSwitch;
   netsim::SimLoopMode loop = netsim::SimLoopMode::kLazy;
-  netsim::AllocMode alloc = netsim::AllocMode::kIncremental;
   // Water-fill granularity -- the axis the route-class differential suite
   // (tests/test_route_class_equivalence.cpp) sweeps: kClass and kPerFlow
   // must produce bit-identical results and trace streams.
@@ -155,7 +154,6 @@ inline cluster::ExperimentResult run_cluster(
   cfg.oversubscription =
       spec.fabric == cluster::FabricKind::kLeafSpine ? 2.0 : 1.0;
   cfg.loop_mode = spec.loop;
-  cfg.alloc_mode = spec.alloc;
   cfg.fill_mode = spec.fill;
   cfg.fault_plan = spec.plan;
   cfg.threads = spec.threads;
@@ -348,14 +346,12 @@ struct TraceEvent {
 
 struct ScenarioOptions {
   netsim::SimLoopMode loop = netsim::SimLoopMode::kLazy;
-  netsim::AllocMode alloc = netsim::AllocMode::kIncremental;
   int flows = 60;
   // Uneven run(deadline) stepping: exercises the deadline-stamp path
   // (progress must be materialized exactly so the resumed run continues
   // bit-for-bit).
   bool stepped = false;
-  // Timers that degrade and restore random link capacities mid-run: the
-  // capacity-epoch invalidation path of the incremental allocator.
+  // Timers that degrade and restore random link capacities mid-run.
   bool capacity_churn = false;
   netsim::NetworkScheduler* sched = nullptr;  // nullptr = fair sharing
   // Intra-run parallelism width (see RunSpec::threads). The allocator fill
@@ -381,11 +377,11 @@ struct ScenarioOutcome {
 // and log-normal sizes, plus no-op timers sprinkled in between (they force
 // event iterations that must not perturb byte accounting). Returns the
 // exact completion trace -- the sequence of (flow id, finish time) pairs --
-// plus the allocator's cache telemetry.
+// plus the allocator's pass and fill counts.
 inline ScenarioOutcome run_sim_scenario(std::uint64_t seed,
                                         const ScenarioOptions& opt) {
   auto fabric = topology::make_big_switch(8, gbps(10));
-  netsim::Simulator sim(&fabric.topo, opt.loop, opt.alloc);
+  netsim::Simulator sim(&fabric.topo, opt.loop);
   if (opt.sched != nullptr) sim.set_scheduler(opt.sched);
   if (opt.threads != 1) {
     sim.set_parallelism(&ThreadPool::shared(), opt.threads);
@@ -408,8 +404,7 @@ inline ScenarioOutcome run_sim_scenario(std::uint64_t seed,
     auto dst = fabric.hosts[rng.uniform_int(fabric.hosts.size())];
     if (opt.wide) {
       // Groups of four flows, one per pair, share an arrival instant in the
-      // first 20 ms: that instant's one reallocation refills all four
-      // components, even in incremental mode.
+      // first 20 ms.
       const std::size_t pair = static_cast<std::size_t>(i) % 4;
       if (pair == 0) group_at = at * 0.04;
       at = group_at;
@@ -433,9 +428,7 @@ inline ScenarioOutcome run_sim_scenario(std::uint64_t seed,
   if (opt.capacity_churn) {
     // Degrade a random host port at a random instant, restore it later.
     // Mutating the topology from a timer models mid-run failures; the
-    // simulator is told via invalidate_allocation(), and the incremental
-    // allocator must additionally notice through its capacity-epoch
-    // fingerprint that every cached record is stale.
+    // simulator is told via invalidate_allocation().
     topology::Topology* topo = &fabric.topo;
     for (int k = 0; k < 6; ++k) {
       const auto lid = LinkId{rng.uniform_int(fabric.topo.link_count())};

@@ -72,10 +72,9 @@ namespace ref {
 // floating-point trajectory is independent of how flows are grouped into
 // fill units, which is what lets the class fill be bit-identical to the
 // per-flow fill. This reference implements exactly that with hash maps and
-// a plain DSU; the production allocator uses epoch-stamped dense scratch, a
-// union-find threaded through the per-link state, and (in kIncremental
-// mode) a converged-rate cache -- see netsim/allocator.cpp and
-// tests/test_alloc_equivalence.cpp for the incremental-vs-full suite.
+// a plain DSU; the production allocator uses epoch-stamped dense scratch and
+// a union-find threaded through the per-link state -- see
+// netsim/allocator.cpp.
 // Degenerate (<= 0) weights are clamped to kMinFlowWeight, mirroring the
 // production fix for the old divide-by-zero.
 void allocate(const topology::Topology& topo, std::span<Flow*> flows) {

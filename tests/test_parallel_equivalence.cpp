@@ -14,12 +14,12 @@
 //   1. ThreadPool / WorkerScratch unit semantics (coverage, lowest-index
 //      exception, nested-dispatch inlining, pass epochs),
 //   2. the full scheduler x fabric cluster matrix, fault-free and under a
-//      chaos fault plan, in both allocator modes (below the cutoff: the
-//      threads knob must be inert end to end),
+//      chaos fault plan (below the cutoff: the threads knob must be inert
+//      end to end),
 //   3. flow-detail trace streams of the wide fixture (per-worker kCompFill
 //      shards must merge into the exact serial emission order),
-//   4. the wide fixture's completion trace in both allocator modes, plus a
-//      serve-shaped threads=2 run that must make no dispatch at all.
+//   4. the wide fixture's completion trace, plus a serve-shaped threads=2
+//      run that must make no dispatch at all.
 
 #include <algorithm>
 #include <atomic>
@@ -134,23 +134,19 @@ TEST(WorkerScratchTest, ValuesPersistAcrossPasses) {
 
 using ParallelEquivalence = eqh::SchedFabricTest;
 
-TEST_P(ParallelEquivalence, ThreadsAxisBitIdenticalBothAllocModes) {
+TEST_P(ParallelEquivalence, ThreadsAxisBitIdentical) {
   const auto [scheduler, fabric] = GetParam();
   const auto jobs = eqh::small_trace(/*seed=*/91, /*jitter=*/0.1);
 
-  for (const auto alloc :
-       {netsim::AllocMode::kIncremental, netsim::AllocMode::kFullRecompute}) {
-    eqh::RunSpec spec;
-    spec.scheduler = scheduler;
-    spec.fabric = fabric;
-    spec.alloc = alloc;
-    spec.threads = 1;
-    const auto serial = eqh::run_cluster(jobs, spec);
-    for (const unsigned threads : kThreadAxis) {
-      spec.threads = threads;
-      const auto wide = eqh::run_cluster(jobs, spec);
-      eqh::expect_same_result(serial, wide);
-    }
+  eqh::RunSpec spec;
+  spec.scheduler = scheduler;
+  spec.fabric = fabric;
+  spec.threads = 1;
+  const auto serial = eqh::run_cluster(jobs, spec);
+  for (const unsigned threads : kThreadAxis) {
+    spec.threads = threads;
+    const auto wide = eqh::run_cluster(jobs, spec);
+    eqh::expect_same_result(serial, wide);
   }
 }
 
@@ -192,17 +188,14 @@ ECHELON_INSTANTIATE_SCHED_FABRIC(ParallelEquivalence);
 // The wide simulator fixture (eqh::ScenarioOptions::wide): kWideFlows
 // flows over the four link-disjoint host pairs of the 8-host switch, i.e.
 // four contention components whose fills together hold more than
-// RateAllocator::kMinParallelFillFlows members. kFullRecompute fills every
-// component every pass; kIncremental refills all four whenever a group of
-// four same-instant arrivals lands on them. Twice the cutoff plus headroom:
-// passes keep filling above the cutoff until more than half the flows have
-// finished.
+// RateAllocator::kMinParallelFillFlows members. Twice the cutoff plus
+// headroom: passes keep filling above the cutoff until more than half the
+// flows have finished.
 constexpr int kWideFlows = 2400;
 static_assert(kWideFlows >= 2 * netsim::RateAllocator::kMinParallelFillFlows);
 
-eqh::ScenarioOptions wide_options(netsim::AllocMode alloc) {
+eqh::ScenarioOptions wide_options() {
   eqh::ScenarioOptions opt;
-  opt.alloc = alloc;
   opt.flows = kWideFlows;
   opt.wide = true;
   opt.stepped = true;
@@ -214,7 +207,7 @@ TEST(TracedParallelEquivalence, WideFixtureTraceStreamIdenticalAcrossThreads) {
   // Flow-detail tracing emits one kCompFill/kClassFill pair per filled
   // component; dispatched fills record them into per-worker shards, which
   // must merge into exactly the serial emission order.
-  eqh::ScenarioOptions opt = wide_options(netsim::AllocMode::kFullRecompute);
+  eqh::ScenarioOptions opt = wide_options();
   obs::TraceRecorder serial_rec(1u << 18);
   opt.trace_sink = &serial_rec;
   const auto serial = eqh::run_sim_scenario(/*seed=*/73, opt);
@@ -238,36 +231,31 @@ TEST(TracedParallelEquivalence, WideFixtureTraceStreamIdenticalAcrossThreads) {
 // ============================================================================
 
 TEST(SimLevelParallelTest, WideFixtureDispatchesAndStaysBitIdentical) {
-  for (const auto alloc :
-       {netsim::AllocMode::kIncremental, netsim::AllocMode::kFullRecompute}) {
-    eqh::ScenarioOptions opt = wide_options(alloc);
-    opt.threads = 1;
-    const std::uint64_t serial_before = ThreadPool::shared().dispatches();
-    const auto serial = eqh::run_sim_scenario(/*seed=*/2024, opt);
-    ASSERT_EQ(serial.trace.size(), static_cast<std::size_t>(kWideFlows));
-    EXPECT_EQ(ThreadPool::shared().dispatches(), serial_before)
-        << "threads=1 must never touch the pool";
+  eqh::ScenarioOptions opt = wide_options();
+  opt.threads = 1;
+  const std::uint64_t serial_before = ThreadPool::shared().dispatches();
+  const auto serial = eqh::run_sim_scenario(/*seed=*/2024, opt);
+  ASSERT_EQ(serial.trace.size(), static_cast<std::size_t>(kWideFlows));
+  EXPECT_EQ(ThreadPool::shared().dispatches(), serial_before)
+      << "threads=1 must never touch the pool";
 
-    for (const unsigned threads : kThreadAxis) {
-      SCOPED_TRACE("threads " + std::to_string(threads));
-      opt.threads = threads;
-      const std::uint64_t before = ThreadPool::shared().dispatches();
-      const auto wide = eqh::run_sim_scenario(/*seed=*/2024, opt);
-      EXPECT_GT(ThreadPool::shared().dispatches(), before)
-          << "the wide fixture no longer reaches the pool";
-      ASSERT_EQ(wide.trace.size(), serial.trace.size());
-      for (std::size_t i = 0; i < serial.trace.size(); ++i) {
-        EXPECT_EQ(serial.trace[i].flow, wide.trace[i].flow) << "event " << i;
-        EXPECT_BITEQ(serial.trace[i].finish, wide.trace[i].finish);
-      }
-      EXPECT_EQ(serial.alloc_stats.passes, wide.alloc_stats.passes);
-      EXPECT_EQ(serial.alloc_stats.components, wide.alloc_stats.components);
-      EXPECT_EQ(serial.alloc_stats.components_reused,
-                wide.alloc_stats.components_reused);
-      EXPECT_EQ(serial.alloc_stats.components_filled,
-                wide.alloc_stats.components_filled);
-      EXPECT_EQ(serial.alloc_stats.classes, wide.alloc_stats.classes);
+  for (const unsigned threads : kThreadAxis) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    opt.threads = threads;
+    const std::uint64_t before = ThreadPool::shared().dispatches();
+    const auto wide = eqh::run_sim_scenario(/*seed=*/2024, opt);
+    EXPECT_GT(ThreadPool::shared().dispatches(), before)
+        << "the wide fixture no longer reaches the pool";
+    ASSERT_EQ(wide.trace.size(), serial.trace.size());
+    for (std::size_t i = 0; i < serial.trace.size(); ++i) {
+      EXPECT_EQ(serial.trace[i].flow, wide.trace[i].flow) << "event " << i;
+      EXPECT_BITEQ(serial.trace[i].finish, wide.trace[i].finish);
     }
+    EXPECT_EQ(serial.alloc_stats.passes, wide.alloc_stats.passes);
+    EXPECT_EQ(serial.alloc_stats.components, wide.alloc_stats.components);
+    EXPECT_EQ(serial.alloc_stats.components_filled,
+              wide.alloc_stats.components_filled);
+    EXPECT_EQ(serial.alloc_stats.classes, wide.alloc_stats.classes);
   }
 }
 

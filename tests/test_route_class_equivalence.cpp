@@ -19,7 +19,7 @@
 //      (multi-member classes) plus uninterned direct-path flows (sentinel
 //      singleton classes).
 //   4. Cluster-level differential: 5 schedulers x 2 fabrics x
-//      {incremental, full} x threads {1, 2, 8}, comparing bit-identical
+//      threads {1, 2, 8}, comparing bit-identical
 //      ExperimentResults *and* whole trace streams (including the new
 //      kClassFill events, which both granularities must emit identically).
 //   5. Chaos differential: >= 100 distinct flap-heavy fault plans (seed x
@@ -49,7 +49,6 @@ using faultsim::ChaosProfile;
 using faultsim::FaultInjector;
 using faultsim::FaultKind;
 using faultsim::FaultPlan;
-using netsim::AllocMode;
 using netsim::FillMode;
 using netsim::Flow;
 using netsim::FlowSpec;
@@ -365,10 +364,8 @@ TEST(RouteClassDense, ClassVsPerFlowBitIdenticalOnSharedRoutes) {
     for (Flow& f : a) pa.push_back(&f);
     for (Flow& f : b) pb.push_back(&f);
 
-    netsim::RateAllocator per_flow(&fabric.topo, AllocMode::kFullRecompute,
-                                   FillMode::kPerFlow);
-    netsim::RateAllocator by_class(&fabric.topo, AllocMode::kFullRecompute,
-                                   FillMode::kClass);
+    netsim::RateAllocator per_flow(&fabric.topo, FillMode::kPerFlow);
+    netsim::RateAllocator by_class(&fabric.topo, FillMode::kClass);
     per_flow.allocate(pa);
     by_class.allocate(pb);
     for (int i = 0; i < n; ++i) {
@@ -383,44 +380,37 @@ TEST(RouteClassDense, ClassVsPerFlowBitIdenticalOnSharedRoutes) {
 }
 
 // ============================================================================
-// 4. Cluster-level differential: the full mode matrix, results + traces
+// 4. Cluster-level differential: fills x threads, results + traces
 // ============================================================================
 
 using RouteClassEquivalence = eqh::SchedFabricTest;
 
-TEST_P(RouteClassEquivalence, ClassFillBitIdenticalAcrossAllocAndThreads) {
+TEST_P(RouteClassEquivalence, ClassFillBitIdenticalAcrossThreads) {
   const auto [sched, fabric] = GetParam();
   const auto jobs = small_trace(11);
-  for (const AllocMode alloc :
-       {AllocMode::kIncremental, AllocMode::kFullRecompute}) {
-    for (const unsigned threads : {1u, 2u, 8u}) {
-      SCOPED_TRACE(std::string(alloc == AllocMode::kIncremental
-                                   ? "incremental"
-                                   : "full-recompute") +
-                   " threads=" + std::to_string(threads));
-      obs::TraceRecorder per_flow_trace(1u << 20);
-      obs::TraceRecorder class_trace(1u << 20);
-      RunSpec per_flow{.scheduler = sched,
-                       .fabric = fabric,
-                       .alloc = alloc,
-                       .fill = FillMode::kPerFlow,
-                       .threads = threads,
-                       .trace_sink = &per_flow_trace};
-      RunSpec by_class = per_flow;
-      by_class.fill = FillMode::kClass;
-      by_class.trace_sink = &class_trace;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    obs::TraceRecorder per_flow_trace(1u << 20);
+    obs::TraceRecorder class_trace(1u << 20);
+    RunSpec per_flow{.scheduler = sched,
+                     .fabric = fabric,
+                     .fill = FillMode::kPerFlow,
+                     .threads = threads,
+                     .trace_sink = &per_flow_trace};
+    RunSpec by_class = per_flow;
+    by_class.fill = FillMode::kClass;
+    by_class.trace_sink = &class_trace;
 
-      const auto ra = run_cluster(jobs, per_flow);
-      const auto rb = run_cluster(jobs, by_class);
-      expect_same_result(ra, rb);
-      expect_same_trace(per_flow_trace, class_trace);
-      // Both granularities emit the class-census event, one per component
-      // fill -- the per-flow fill computes the partition too, precisely so
-      // the streams stay comparable.
-      EXPECT_GT(class_trace.count(obs::TraceKind::kClassFill), 0u);
-      EXPECT_EQ(class_trace.count(obs::TraceKind::kClassFill),
-                class_trace.count(obs::TraceKind::kCompFill));
-    }
+    const auto ra = run_cluster(jobs, per_flow);
+    const auto rb = run_cluster(jobs, by_class);
+    expect_same_result(ra, rb);
+    expect_same_trace(per_flow_trace, class_trace);
+    // Both granularities emit the class-census event, one per component
+    // fill -- the per-flow fill computes the partition too, precisely so
+    // the streams stay comparable.
+    EXPECT_GT(class_trace.count(obs::TraceKind::kClassFill), 0u);
+    EXPECT_EQ(class_trace.count(obs::TraceKind::kClassFill),
+              class_trace.count(obs::TraceKind::kCompFill));
   }
 }
 
@@ -546,8 +536,7 @@ TEST(RouteClassSteadyState, ClassFillIsAllocationFreeAndCensusIsExact) {
   std::vector<Flow*> ptrs;
   for (Flow& f : flows) ptrs.push_back(&f);
 
-  netsim::RateAllocator alloc(&fabric.topo, AllocMode::kFullRecompute,
-                              FillMode::kClass);
+  netsim::RateAllocator alloc(&fabric.topo, FillMode::kClass);
   alloc.allocate(ptrs);  // sizes the arenas
   alloc.allocate(ptrs);  // confirms the high-water mark
   const netsim::RateAllocator::Stats warm = alloc.stats();

@@ -30,6 +30,7 @@
 
 #include "equivalence_harness.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -499,13 +500,13 @@ TEST_F(CorruptSnapshotTest, HeaderAndVersionMutationsFailTheirOwnChecks) {
               std::string::npos);
   }
   {
-    // v3 files recorded routes.hits/computations/unreachable as
-    // (src, dst, seed) cache verdicts; v4 readers reject them up front,
-    // naming the version, instead of failing the verification image.
-    static_assert(service::kSnapshotVersion == 4);
+    // v4 files carry three mode words in kConfig and
+    // alloc.components_reused in kVerify; v5 readers reject them up front,
+    // naming the version, instead of misreading the config section.
+    static_assert(service::kSnapshotVersion == 5);
     std::string m = bytes_;
-    m[8] = 3;
-    EXPECT_NE(expect_snapshot_error(restamp(m)).find("unsupported version 3"),
+    m[8] = 4;
+    EXPECT_NE(expect_snapshot_error(restamp(m)).find("unsupported version 4"),
               std::string::npos);
   }
   {
@@ -717,6 +718,92 @@ TEST(ArrivalGen, EdgeCasesFailLoudOrEmpty) {
 
   EXPECT_THROW(TraceFileArrivalReader{temp_path("no_such.trace")},
                std::runtime_error);
+}
+
+// Negative fuzz over the arrival-trace text format, in the
+// CorruptSnapshotTest pattern: every truncation length and 256 seeded bit
+// flips of a written trace. Each input must either throw
+// std::invalid_argument or parse to arrivals that re-serialize and re-parse
+// to themselves. Returns whether the input parsed.
+bool expect_trace_parses_or_throws(const std::string& text) {
+  std::vector<Arrival> parsed;
+  try {
+    parsed = service::parse_arrival_trace(text);
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
+  const std::string again = service::serialize_arrivals(parsed);
+  const std::vector<Arrival> reparsed = service::parse_arrival_trace(again);
+  EXPECT_EQ(reparsed.size(), parsed.size());
+  for (std::size_t i = 0; i < std::min(parsed.size(), reparsed.size()); ++i) {
+    EXPECT_BITEQ(reparsed[i].at, parsed[i].at) << "job " << i;
+    EXPECT_BITEQ(reparsed[i].job.arrival, parsed[i].job.arrival) << "job " << i;
+    expect_same_job(reparsed[i].job, parsed[i].job, i);
+  }
+  EXPECT_EQ(service::serialize_arrivals(reparsed), again);
+  return true;
+}
+
+std::string fuzz_trace_text() {
+  PoissonArrivalGenerator gen(small_arrivals(83, /*jobs=*/3));
+  return service::serialize_arrivals(service::drain(gen));
+}
+
+// Both outcomes must occur in each sweep, or it exercised only one side of
+// the contract.
+TEST(ArrivalTraceFuzz, EveryTruncationParsesOrThrows) {
+  const std::string text = fuzz_trace_text();
+  std::size_t parsed = 0;
+  for (std::size_t len = 0; len <= text.size(); ++len) {
+    SCOPED_TRACE("length " + std::to_string(len));
+    if (expect_trace_parses_or_throws(text.substr(0, len))) ++parsed;
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(parsed, 0u);
+  EXPECT_LT(parsed, text.size() + 1);
+}
+
+TEST(ArrivalTraceFuzz, SeededBitFlipsParseOrThrow) {
+  const std::string text = fuzz_trace_text();
+  Rng rng(13);
+  constexpr std::size_t kFlips = 256;
+  std::size_t parsed = 0;
+  for (std::size_t k = 0; k < kFlips; ++k) {
+    std::string mutated = text;
+    const std::size_t off = rng.uniform_int(mutated.size());
+    const int bit = static_cast<int>(rng.uniform_int(8));
+    mutated[off] = static_cast<char>(
+        static_cast<unsigned char>(mutated[off]) ^ (1u << bit));
+    SCOPED_TRACE("offset " + std::to_string(off) + " bit " +
+                 std::to_string(bit));
+    if (expect_trace_parses_or_throws(mutated)) ++parsed;
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(parsed, 0u);
+  EXPECT_LT(parsed, kFlips);
+}
+
+TEST(ArrivalTraceFuzz, PartialTokensAndTrailingContentThrow) {
+  const std::string text = fuzz_trace_text();
+  const auto expect_rejected = [](const std::string& bad) {
+    EXPECT_THROW((void)service::parse_arrival_trace(bad),
+                 std::invalid_argument);
+  };
+  const auto replaced = [&text](const std::string& from,
+                                const std::string& to) {
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    std::string out = text;
+    out.replace(at, from.size(), to);
+    return out;
+  };
+  expect_rejected(replaced(" ranks ", " ranks 4x"));     // "4x4" reads as 4
+  expect_rejected(replaced(" jseed ", " jseed -"));     // wraps unsigned
+  expect_rejected(replaced("arrival 0 ", "arrival nan "));
+  expect_rejected(replaced("\ngpu ", " extra\ngpu "));  // after submit
+  expect_rejected(text + "arrival 1\n");                 // past the count
+  // Blank lines after the declared arrivals are fine.
+  EXPECT_EQ(service::parse_arrival_trace(text + "\n \n").size(), 3u);
 }
 
 // ---------------------------------------------------------------------------

@@ -467,7 +467,8 @@ TEST(Slo, SpecParsing) {
   EXPECT_EQ(trailing->size(), 1u);
 
   for (const char* bad :
-       {"", "jct<=x@0.1", "bogus<=1@0.1", "jct<=1@1.5", "jct<=1", ",,"}) {
+       {"", "jct<=x@0.1", "bogus<=1@0.1", "jct<=1@1.5", "jct<=1", ",,",
+        "jct<=nan@0.1", "jct<=inf@0.1", "jct<=1@nan"}) {
     SCOPED_TRACE(bad);
     err.clear();
     EXPECT_FALSE(parse_slo_spec(bad, &err).has_value());

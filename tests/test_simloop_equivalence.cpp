@@ -16,7 +16,8 @@
 //      submissions) assert bit-identical completion *traces*: the exact
 //      sequence of (flow id, finish time) pairs, including through
 //      run(deadline) stepping, which exercises the deadline stamp + heap
-//      rebuild path.
+//      rebuild path, and through runtime link-capacity degradation and
+//      recovery.
 //   3. run_sweep determinism: N-threaded sweeps produce results identical to
 //      the serial ordering, including with per-job compute jitter (per-job
 //      seeded RNG, so thread assignment cannot leak into results), and
@@ -119,6 +120,20 @@ TEST(SimLoopTrace, DeadlineSteppedBitIdentical) {
     const auto eager = eqh::run_sim_scenario(
         seed, {.loop = SimLoopMode::kEagerScan, .flows = 40, .stepped = true});
     EXPECT_EQ(lazy.trace, eager.trace);
+  }
+}
+
+TEST(SimLoopTrace, RuntimeCapacityChurnBitIdentical) {
+  for (const std::uint64_t seed : {29u, 404u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const auto lazy = eqh::run_sim_scenario(
+        seed,
+        {.loop = SimLoopMode::kLazy, .flows = 40, .capacity_churn = true});
+    const auto eager = eqh::run_sim_scenario(
+        seed,
+        {.loop = SimLoopMode::kEagerScan, .flows = 40, .capacity_churn = true});
+    EXPECT_EQ(lazy.trace, eager.trace);
+    EXPECT_EQ(lazy.trace.size(), 40u);
   }
 }
 

@@ -110,8 +110,6 @@
 // with trailing junk ("--jobs 4x", "--rate abc") exits with status 2.
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -121,12 +119,12 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <type_traits>
 
 #include "cluster/sweep.hpp"
 #include "faultsim/fault_plan.hpp"
 #include "cluster/trace.hpp"
 #include "common/csv.hpp"
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "echelon/aalo.hpp"
@@ -161,18 +159,6 @@ using namespace echelon;
 enum class Value { kNone, kText, kInt, kReal };
 using Flags = std::map<std::string, Value, std::less<>>;
 
-template <typename T>
-[[nodiscard]] std::optional<T> to_number(std::string_view s) {
-  T v{};
-  const char* end = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
-  if (s.empty() || ec != std::errc{} || ptr != end) return std::nullopt;
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(v)) return std::nullopt;
-  }
-  return v;
-}
-
 // Parsed flags of one subcommand. Values were validated against the
 // subcommand's Flags by parse(), so the numeric getters cannot fail.
 struct Args {
@@ -188,11 +174,11 @@ struct Args {
   }
   [[nodiscard]] int geti(std::string_view key, int def) const {
     const auto it = kv.find(key);
-    return it != kv.end() ? *to_number<int>(it->second) : def;
+    return it != kv.end() ? *parse_number<int>(it->second) : def;
   }
   [[nodiscard]] double getd(std::string_view key, double def) const {
     const auto it = kv.find(key);
-    return it != kv.end() ? *to_number<double>(it->second) : def;
+    return it != kv.end() ? *parse_number<double>(it->second) : def;
   }
 };
 
@@ -271,8 +257,8 @@ struct Args {
       return false;
     }
     const std::string value = argv[++i];
-    if ((it->second == Value::kInt && !to_number<int>(value)) ||
-        (it->second == Value::kReal && !to_number<double>(value))) {
+    if ((it->second == Value::kInt && !parse_number<int>(value)) ||
+        (it->second == Value::kReal && !parse_number<double>(value))) {
       std::cerr << "flag --" << key << " expects "
                 << (it->second == Value::kInt ? "an integer" : "a number")
                 << ", got '" << value << "'\n";
