@@ -330,14 +330,6 @@ ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
       m.counter("coordinator.deferred_flows")
           .set(coordinator->deferred_flows());
     }
-    // Group-cache telemetry of the standalone EchelonFlow-MADD policy (the
-    // coordinator's inner policy is not exposed; its stats are above).
-    if (const auto* em = dynamic_cast<ef::EchelonMaddScheduler*>(policy.get());
-        em != nullptr) {
-      m.counter("group_cache.rebuilds").set(em->cache_rebuilds());
-      m.gauge("group_cache.groups")
-          .set(static_cast<double>(em->cached_group_count()));
-    }
     if (injector) {
       const faultsim::FaultSummary& fs = injector->summary();
       m.counter("fault.events_fired").set(fs.events_fired);

@@ -38,9 +38,10 @@ double CoflowMaddScheduler::standalone_gamma(const topology::Topology& topo,
   return gamma;
 }
 
-// Completion bound against the residual fabric left by higher-priority
-// coflows. Infinite when some needed link is exhausted.
-double CoflowMaddScheduler::residual_gamma(const Grp& g) {
+// Completion bound of the per-link load last accumulated in load_, against
+// the residual fabric left by higher-priority coflows. Infinite when some
+// needed link is exhausted.
+double CoflowMaddScheduler::residual_gamma() {
   double gamma = 0.0;
   for (const std::uint32_t li : load_.touched()) {
     const double bytes = load_.at(LinkId{li});
@@ -122,7 +123,7 @@ void CoflowMaddScheduler::control(netsim::Simulator& sim,
       const netsim::Flow* f = members_[i];
       for (LinkId lid : f->path) load_.touch(lid) += f->remaining;
     }
-    const double gamma = residual_gamma(g);
+    const double gamma = residual_gamma();
     for (std::uint32_t i = g.begin; i < g.end; ++i) {
       netsim::Flow* f = members_[i];
       double rate = std::isinf(gamma) || gamma <= 0.0 ? 0.0

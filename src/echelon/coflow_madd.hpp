@@ -62,7 +62,7 @@ class CoflowMaddScheduler final : public netsim::NetworkScheduler {
 
   [[nodiscard]] double standalone_gamma(const topology::Topology& topo,
                                         const Grp& g);
-  [[nodiscard]] double residual_gamma(const Grp& g);
+  [[nodiscard]] double residual_gamma();
 
   CoflowMaddConfig config_;
 

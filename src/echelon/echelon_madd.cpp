@@ -14,9 +14,9 @@ constexpr std::uint64_t kSingletonBase = 1ULL << 63;
 }  // namespace
 
 // (key, deadline, weight) a flow schedules under *right now*. Cheap: a
-// couple of dense vector lookups into the registry. The cache stores the
-// resolved triple per flow; control() re-resolves each pass to detect
-// late registrations or re-calibrations and rebuilds when anything drifted.
+// couple of dense vector lookups into the registry. Resolved afresh every
+// pass, so late registrations and newly known reference times take effect
+// on the next pass.
 EchelonMaddScheduler::Resolved EchelonMaddScheduler::resolve(
     const netsim::Flow& f) const {
   std::uint64_t key = kSingletonBase | f.id.value();
@@ -34,104 +34,58 @@ EchelonMaddScheduler::Resolved EchelonMaddScheduler::resolve(
   return Resolved{key, deadline, weight};
 }
 
-bool EchelonMaddScheduler::cache_valid(const netsim::Flow& f) const {
-  const std::size_t idx = f.id.value();
-  if (idx >= meta_.size() || meta_[idx].slot == kNoSlot) return false;
-  const Resolved r = resolve(f);
-  const FlowMeta& m = meta_[idx];
-  return m.key == r.key && m.deadline == r.deadline && m.route == f.route;
-}
-
-void EchelonMaddScheduler::add_to_cache(const netsim::Flow& f) {
-  const Resolved r = resolve(f);
-  std::uint32_t slot;
-  if (const auto it = slot_of_key_.find(r.key); it != slot_of_key_.end()) {
-    slot = it->second;
-  } else {
-    if (free_slots_.empty()) {
-      slot = static_cast<std::uint32_t>(slots_.size());
-      slots_.emplace_back();
-    } else {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-    }
-    GroupSlot& g = slots_[slot];
-    g.key = r.key;
-    g.members.clear();
-    slot_of_key_.emplace(r.key, slot);
-    groups_by_key_.insert(
-        std::lower_bound(groups_by_key_.begin(), groups_by_key_.end(), r.key,
-                         [this](std::uint32_t s, std::uint64_t k) {
-                           return slots_[s].key < k;
-                         }),
-        slot);
-  }
-  GroupSlot& g = slots_[slot];
-  g.weight = r.weight;
-  // Sorted insertion keeps EDF order without a per-pass sort. upper_bound
-  // with exact `<` places equal deadlines after existing ones, i.e. in
-  // arrival order -- the same tie order the seed's stable_sort produced.
-  const auto pos = std::upper_bound(
-      g.members.begin(), g.members.end(), r.deadline,
-      [](SimTime d, const CachedMember& m) { return d < m.deadline; });
-  g.members.insert(pos, CachedMember{f.id, r.deadline, nullptr});
-  const std::size_t idx = f.id.value();
-  if (meta_.size() <= idx) meta_.resize(idx + 1);
-  meta_[idx] = FlowMeta{slot, r.key, r.deadline, f.route};
-  ++cached_members_;
-}
-
-void EchelonMaddScheduler::remove_from_cache(const netsim::Flow& f) {
-  const std::size_t idx = f.id.value();
-  if (idx >= meta_.size() || meta_[idx].slot == kNoSlot) return;
-  const std::uint32_t slot = meta_[idx].slot;
-  GroupSlot& g = slots_[slot];
-  const auto it =
-      std::find_if(g.members.begin(), g.members.end(),
-                   [&](const CachedMember& m) { return m.id == f.id; });
-  if (it != g.members.end()) {
-    g.members.erase(it);  // preserves deadline order of the remainder
-    --cached_members_;
-  }
-  if (g.members.empty()) {
-    slot_of_key_.erase(g.key);
-    const auto kit =
-        std::find(groups_by_key_.begin(), groups_by_key_.end(), slot);
-    if (kit != groups_by_key_.end()) groups_by_key_.erase(kit);
-    free_slots_.push_back(slot);
-  }
-  meta_[idx].slot = kNoSlot;
-}
-
-void EchelonMaddScheduler::on_flow_arrival(netsim::Simulator&,
-                                           const netsim::Flow& flow) {
-  if (flow.path.empty()) return;  // loopback: never scheduled
-  const std::size_t idx = flow.id.value();
-  if (idx < meta_.size() && meta_[idx].slot != kNoSlot) return;  // stale id
-  add_to_cache(flow);
-}
-
-void EchelonMaddScheduler::on_flow_departure(netsim::Simulator&,
-                                             const netsim::Flow& flow) {
-  remove_from_cache(flow);
-}
-
-void EchelonMaddScheduler::rebuild_cache(std::span<netsim::Flow*> active) {
-  ++cache_rebuilds_;
-  slot_of_key_.clear();
-  groups_by_key_.clear();
-  free_slots_.clear();
-  for (std::size_t i = slots_.size(); i-- > 0;) {
-    slots_[i].members.clear();
-    free_slots_.push_back(static_cast<std::uint32_t>(i));
-  }
-  meta_.assign(meta_.size(), FlowMeta{});
-  cached_members_ = 0;
-  // Insertion in span order reproduces the seed's stable_sort tie order for
-  // equal deadlines (the simulator hands flows in ascending-FlowId order).
+// Groups the routed flows of `active` into members_, one contiguous
+// deadline-sorted range per group. Pass 1 resolves every flow once and
+// records its group; counts become offsets; pass 2 places members in span
+// order. Span order is ascending FlowId, so the stable sort below leaves
+// equal deadlines in FlowId order -- the seed's stable_sort tie order.
+void EchelonMaddScheduler::build_groups(std::span<netsim::Flow*> active) {
+  groups_.clear();
+  routed_.clear();
+  routed_group_.clear();
+  group_of_ef_.begin_pass();
+  if (registry_ != nullptr) group_of_ef_.ensure_size(registry_->size());
   for (netsim::Flow* f : active) {
-    if (f->path.empty()) continue;
-    add_to_cache(*f);
+    if (f->path.empty()) {  // loopback: never network-limited
+      f->set_weight(1.0);
+      f->clear_rate_cap();
+      continue;
+    }
+    const Resolved r = resolve(*f);
+    // A singleton key always opens a new group; an EchelonFlow key opens one
+    // on its first member this pass.
+    std::uint32_t gi = static_cast<std::uint32_t>(groups_.size());
+    if ((r.key & kSingletonBase) == 0) gi = group_of_ef_.touch(r.key, gi);
+    if (gi == groups_.size()) {
+      groups_.push_back(Grp{r.key, r.weight, 0, 0, 0.0});
+    }
+    ++groups_[gi].end;  // member count; converted to offsets below
+    routed_.push_back(Member{f, r.deadline});
+    routed_group_.push_back(gi);
+  }
+  std::uint32_t running = 0;
+  for (Grp& g : groups_) {
+    const std::uint32_t count = g.end;
+    g.begin = running;
+    g.end = running;  // fill cursor; advances to begin + count below
+    running += count;
+  }
+  members_.resize(routed_.size());
+  for (std::size_t i = 0; i < routed_.size(); ++i) {
+    members_[groups_[routed_group_[i]].end++] = routed_[i];
+  }
+  // Stable insertion sort on deadline (exact `<`) within each group. Members
+  // arrive nearly in deadline order, so this is close to linear.
+  for (const Grp& g : groups_) {
+    for (std::uint32_t i = g.begin + 1; i < g.end; ++i) {
+      const Member m = members_[i];
+      std::uint32_t j = i;
+      while (j > g.begin && m.deadline < members_[j - 1].deadline) {
+        members_[j] = members_[j - 1];
+        --j;
+      }
+      members_[j] = m;
+    }
   }
 }
 
@@ -142,11 +96,12 @@ void EchelonMaddScheduler::rebuild_cache(std::span<netsim::Flow*> active) {
 // Returns +inf when a needed link has no capacity. Per-link prefix state
 // lives in the epoch-stamped tard_scratch_ arena (one sub-epoch per call).
 double EchelonMaddScheduler::min_uniform_tardiness(
-    const GroupSlot& g, SimTime now, const detail::ResidualCaps* residual,
+    const Grp& g, SimTime now, const detail::ResidualCaps* residual,
     const topology::Topology& topo) {
   tard_scratch_.begin_pass(topo);
   double t = 0.0;
-  for (const CachedMember& m : g.members) {  // already deadline-sorted
+  for (std::uint32_t i = g.begin; i < g.end; ++i) {  // deadline-sorted
+    const Member& m = members_[i];
     for (LinkId lid : m.flow->path) {
       const bool first = !tard_scratch_.active(lid);
       PerLink& pl = tard_scratch_.touch(lid);
@@ -169,60 +124,31 @@ void EchelonMaddScheduler::control(netsim::Simulator& sim,
   ++stats_.passes;
   ++stats_.full_passes;
 
-  // --- sync the persistent group cache with the active set -------------------
-  // O(active) validation: stamp every active flow into the per-pass id->ptr
-  // table and check its resolved (key, deadline) against the cache. Any
-  // drift (hook-less caller, late registration, foreign flow ids) triggers
-  // one full rebuild; steady-state passes validate and move on.
-  flow_ptr_.begin_pass();
-  bool consistent = true;
-  std::size_t routed = 0;
-  for (netsim::Flow* f : active) {
-    if (f->path.empty()) {
-      f->set_weight(1.0);
-      f->clear_rate_cap();
-      continue;
-    }
-    ++routed;
-    const std::size_t idx = f->id.value();
-    flow_ptr_.ensure_size(idx + 1);
-    flow_ptr_.touch(idx) = f;
-    if (consistent) consistent = cache_valid(*f);
-  }
-  // Equal counts + (active ⊆ cache) ⇒ cache == active.
-  if (!consistent || routed != cached_members_) rebuild_cache(active);
-
-  // Re-bind simulator flow pointers: the owning flows_ vector may have been
-  // reallocated since the previous pass, so the cache stores FlowIds and
-  // refreshes pointers from the per-pass table.
-  for (const std::uint32_t si : groups_by_key_) {
-    for (CachedMember& m : slots_[si].members) {
-      m.flow = flow_ptr_.at(m.id.value());
-    }
-  }
+  build_groups(active);
 
   // --- rank groups by standalone achievable tardiness ------------------------
   // (the Eq. 2 metric, Property 4's SEBF analog)
-  order_.assign(groups_by_key_.begin(), groups_by_key_.end());
-  for (const std::uint32_t si : order_) {
-    GroupSlot& g = slots_[si];
-    g.tardiness_standalone = min_uniform_tardiness(g, now, nullptr, topo);
+  order_.clear();
+  for (std::uint32_t gi = 0; gi < groups_.size(); ++gi) {
+    Grp& g = groups_[gi];
+    const double tardiness = min_uniform_tardiness(g, now, nullptr, topo);
     // Weighted ranking: tardiness scaled by 1/weight, so heavier
     // EchelonFlows sort as if they were further ahead (smallest-first) or
     // further behind (largest-first).
-    g.rank_key = config_.use_weights && g.weight > 0.0
-                     ? g.tardiness_standalone / g.weight
-                     : g.tardiness_standalone;
+    g.rank_key = config_.use_weights && g.weight > 0.0 ? tardiness / g.weight
+                                                       : tardiness;
+    order_.push_back(gi);
   }
   const bool smallest_first =
       config_.ranking == InterRanking::kSmallestTardinessFirst;
-  // Deterministic total order (rank key, then group key ascending) -- exactly
-  // what the seed's stable_sort over the key-ascending std::map produced,
-  // but via std::sort, which unlike stable_sort allocates no merge buffer.
+  // Deterministic total order (rank key, then group key ascending; keys are
+  // unique) -- exactly what the seed's stable_sort over the key-ascending
+  // std::map produced, but via std::sort, which unlike stable_sort allocates
+  // no merge buffer.
   std::sort(order_.begin(), order_.end(),
             [this, smallest_first](std::uint32_t a, std::uint32_t b) {
-              const GroupSlot& ga = slots_[a];
-              const GroupSlot& gb = slots_[b];
+              const Grp& ga = groups_[a];
+              const Grp& gb = groups_[b];
               if (ga.rank_key != gb.rank_key) {
                 return smallest_first ? ga.rank_key < gb.rank_key
                                       : ga.rank_key > gb.rank_key;
@@ -243,23 +169,23 @@ void EchelonMaddScheduler::control(netsim::Simulator& sim,
   // bottleneck reproduces full-rate EDF exactly. With a single level (Eq. 5
   // arrangement) the pass degenerates to Coflow-MADD (Property 2).
   caps_.reset(&topo);
-  for (const std::uint32_t si : order_) {
-    GroupSlot& g = slots_[si];
+  for (const std::uint32_t gi : order_) {
+    const Grp& g = groups_[gi];
     const double tstar = min_uniform_tardiness(g, now, &caps_, topo);
-    std::size_t i = 0;
-    while (i < g.members.size()) {
-      std::size_t j = i + 1;
-      while (j < g.members.size() &&
-             time_eq(g.members[j].deadline, g.members[i].deadline)) {
+    std::uint32_t i = g.begin;
+    while (i < g.end) {
+      std::uint32_t j = i + 1;
+      while (j < g.end &&
+             time_eq(members_[j].deadline, members_[i].deadline)) {
         ++j;
       }
 
       // 1. Pacing rates for level [i, j).
-      for (std::size_t k = i; k < j; ++k) {
-        netsim::Flow* f = g.members[k].flow;
+      for (std::uint32_t k = i; k < j; ++k) {
+        netsim::Flow* f = members_[k].flow;
         double rate = 0.0;
         if (std::isfinite(tstar)) {
-          const double horizon = g.members[k].deadline + tstar - now;
+          const double horizon = members_[k].deadline + tstar - now;
           // horizon > 0 by construction (every member bounds t* through the
           // prefix ending at itself); guard against degenerate input anyway.
           rate = horizon > 0.0 ? f->remaining / horizon : kInf;
@@ -275,8 +201,8 @@ void EchelonMaddScheduler::control(netsim::Simulator& sim,
       // touched links, so touch order does not affect the result).
       if (config_.work_conserving) {
         load_scratch_.begin_pass(topo);
-        for (std::size_t k = i; k < j; ++k) {
-          const netsim::Flow* f = g.members[k].flow;
+        for (std::uint32_t k = i; k < j; ++k) {
+          const netsim::Flow* f = members_[k].flow;
           for (LinkId lid : f->path) load_scratch_.touch(lid) += f->remaining;
         }
         double lambda = kInf;
@@ -286,8 +212,8 @@ void EchelonMaddScheduler::control(netsim::Simulator& sim,
           lambda = std::min(lambda, caps_.residual(LinkId{li}) / bytes);
         }
         if (std::isfinite(lambda) && lambda > 0.0) {
-          for (std::size_t k = i; k < j; ++k) {
-            netsim::Flow* f = g.members[k].flow;
+          for (std::uint32_t k = i; k < j; ++k) {
+            netsim::Flow* f = members_[k].flow;
             const double extra = f->remaining * lambda;
             if (extra <= 0.0) continue;
             f->set_rate_cap(*f->rate_cap + extra);
@@ -304,12 +230,14 @@ void EchelonMaddScheduler::control(netsim::Simulator& sim,
   // member of a level is blocked by a higher-ranked EchelonFlow while the
   // others have idle ports.
   if (config_.work_conserving) {
-    for (const std::uint32_t si : order_) {
-      for (CachedMember& m : slots_[si].members) {
-        const double extra = caps_.path_residual(*m.flow);
+    for (const std::uint32_t gi : order_) {
+      const Grp& g = groups_[gi];
+      for (std::uint32_t i = g.begin; i < g.end; ++i) {
+        netsim::Flow* f = members_[i].flow;
+        const double extra = caps_.path_residual(*f);
         if (extra <= 0.0 || !std::isfinite(extra)) continue;
-        m.flow->set_rate_cap(*m.flow->rate_cap + extra);
-        caps_.consume(*m.flow, extra);
+        f->set_rate_cap(*f->rate_cap + extra);
+        caps_.consume(*f, extra);
       }
     }
   }

@@ -33,30 +33,26 @@
 // --- Hot-path data layout (see DESIGN.md, "Hot-path data layout") ---------
 // control() runs on every flow arrival/departure, so this scheduler is the
 // coordinator's scalability ceiling. Two mechanisms keep a steady-state pass
-// allocation-free and sort-free:
+// allocation-free:
 //
-//   1. A *persistent group cache*: groups keyed by EchelonFlowId (or a
-//      singleton key for unregistered flows) with members kept
-//      deadline-sorted by insertion, updated incrementally in
-//      on_flow_arrival / on_flow_departure instead of re-bucketing and
-//      re-sorting the whole active set each pass. Every control() pass
-//      cheaply validates the cache against the active span (O(active):
-//      recompute each flow's (key, deadline) and compare) and falls back to
-//      a full rebuild on any mismatch -- so callers that never invoke the
-//      hooks (benchmarks, interval coordinators with churn) still get
-//      correct results, just with a rebuild on membership-changing passes.
+//   1. *Per-pass grouping into a flat member arena*, the two-pass layout
+//      Coflow-MADD and Aalo use: pass 1 resolves each routed flow's
+//      (EchelonFlow, deadline) once and finds its group through an
+//      epoch-stamped EchelonFlowId-indexed table (a singleton key always
+//      opens a new group); pass 2 places members into contiguous per-group
+//      ranges, which a stable insertion sort puts in deadline order (members
+//      arrive nearly sorted, so this is close to linear). No state survives
+//      a pass, so the scheduler needs no membership hooks.
 //   2. *Epoch-stamped dense scratch* (common/scratch.hpp, topology/dense.hpp)
 //      for all per-link state: residual capacities, EDF prefix loads, and
 //      work-conservation level loads. Lazy reset via a generation counter --
 //      no hash maps, no O(L) clears, no per-pass allocations after warm-up.
 //
-// Every control() pass validates the group cache, re-ranks every group and
-// re-fills every member.
+// Every control() pass regroups, re-ranks and re-fills the whole active set.
 
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/scratch.hpp"
@@ -96,49 +92,21 @@ class EchelonMaddScheduler final : public netsim::NetworkScheduler {
 
   void control(netsim::Simulator& sim,
                std::span<netsim::Flow*> active) override;
-  void on_flow_arrival(netsim::Simulator& sim,
-                       const netsim::Flow& flow) override;
-  void on_flow_departure(netsim::Simulator& sim,
-                         const netsim::Flow& flow) override;
 
   [[nodiscard]] std::string name() const override { return "echelonflow-madd"; }
 
-  // --- cache telemetry (tests / perf tracking) -------------------------------
-  // Number of full group-cache rebuilds control() had to perform because the
-  // cache disagreed with the active set (0 when the arrival/departure hooks
-  // are wired up, 1 for hook-less callers' first pass).
-  [[nodiscard]] std::uint64_t cache_rebuilds() const noexcept {
-    return cache_rebuilds_;
-  }
-  [[nodiscard]] std::size_t cached_group_count() const noexcept {
-    return groups_by_key_.size();
-  }
-
  private:
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
-
-  struct CachedMember {
-    FlowId id;
-    SimTime deadline = 0.0;        // d_j, fixed while the flow is active
-    netsim::Flow* flow = nullptr;  // re-bound every control() pass
-  };
-  struct GroupSlot {
+  // An EchelonFlow (or singleton) as a [begin, end) range into members_.
+  struct Grp {
     std::uint64_t key = 0;
     double weight = 1.0;
-    std::vector<CachedMember> members;  // deadline-sorted, arrival order
-                                        // within equal deadlines
-    // Per-pass scratch:
-    double tardiness_standalone = 0.0;
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
     double rank_key = 0.0;
   };
-  struct FlowMeta {  // indexed by FlowId; validates the cache each pass
-    std::uint32_t slot = kNoSlot;
-    std::uint64_t key = 0;
-    SimTime deadline = 0.0;
-    // Interned route identity at caching time: a fault-driven reroute gives
-    // the flow a different RouteId, which cache_valid detects so exactly the
-    // rerouted flows re-enter the cache (path bytes are never compared).
-    RouteId route;
+  struct Member {
+    netsim::Flow* flow = nullptr;
+    SimTime deadline = 0.0;  // d_j
   };
   struct Resolved {
     std::uint64_t key;
@@ -151,34 +119,24 @@ class EchelonMaddScheduler final : public netsim::NetworkScheduler {
   };
 
   [[nodiscard]] Resolved resolve(const netsim::Flow& f) const;
-  // Pure read-only check that flow `f`'s cache entry still matches what
-  // resolve() yields today.
-  [[nodiscard]] bool cache_valid(const netsim::Flow& f) const;
-  void add_to_cache(const netsim::Flow& f);
-  void remove_from_cache(const netsim::Flow& f);
-  void rebuild_cache(std::span<netsim::Flow*> active);
-  double min_uniform_tardiness(const GroupSlot& g, SimTime now,
+  void build_groups(std::span<netsim::Flow*> active);
+  double min_uniform_tardiness(const Grp& g, SimTime now,
                                const detail::ResidualCaps* residual,
                                const topology::Topology& topo);
 
   const Registry* registry_;
   EchelonMaddConfig config_;
 
-  // --- persistent group cache (mutates only on membership changes) ----------
-  std::vector<GroupSlot> slots_;
-  std::vector<std::uint32_t> free_slots_;
-  std::unordered_map<std::uint64_t, std::uint32_t> slot_of_key_;
-  std::vector<std::uint32_t> groups_by_key_;  // in-use slots, ascending key
-  std::vector<FlowMeta> meta_;                // indexed by FlowId
-  std::size_t cached_members_ = 0;
-  std::uint64_t cache_rebuilds_ = 0;
-
-  // --- per-pass arenas (allocation-free after warm-up) -----------------------
+  // --- reusable per-pass arenas (allocation-free after warm-up) -------------
+  EpochScratch<std::uint32_t> group_of_ef_;  // EchelonFlowId -> groups_ index
+  std::vector<Grp> groups_;
+  std::vector<Member> routed_;               // routed flows in span order
+  std::vector<std::uint32_t> routed_group_;  // groups_ index per routed_ entry
+  std::vector<Member> members_;              // flat, grouped, deadline-sorted
+  std::vector<std::uint32_t> order_;         // per-pass group rank order
   detail::ResidualCaps caps_;
-  EpochScratch<netsim::Flow*> flow_ptr_;      // FlowId -> active Flow*
   topology::LinkScratch<PerLink> tard_scratch_;
   topology::LinkScratch<double> load_scratch_;
-  std::vector<std::uint32_t> order_;          // per-pass group rank order
 };
 
 }  // namespace echelon::ef

@@ -7,8 +7,9 @@ EchelonFlowId Registry::create(JobId job, Arrangement arrangement,
   const EchelonFlowId id{echelonflows_.size()};
   echelonflows_.push_back(std::make_unique<EchelonFlow>(
       id, job, std::move(arrangement), std::move(label), weight));
-  // Late registration can turn an already-cached member's resolve() from
-  // PENDING into a real deadline without that member's job being re-marked.
+  // Late registration can turn an active member's deadline from unknown into
+  // a real one without that member's job being re-marked; the mark reports
+  // it as churn so an interval coordinator re-runs at its next boundary.
   if (sim_ != nullptr) sim_->mark_all_jobs_dirty();
   return id;
 }
@@ -21,7 +22,8 @@ void Registry::note_arrival(const netsim::Flow& flow, SimTime now) {
   ef.note_start(flow.spec.index_in_group, flow.id, flow.spec.size, now);
   // The first started member fixes r, turning every sibling's ideal finish
   // d_j = r + offset_j from unknown to known -- siblings may belong to
-  // other jobs (or already sit in a scheduler cache), so escalate.
+  // other jobs, so escalate: an interval coordinator reads the mark as
+  // churn and re-runs at its next boundary.
   if (!had_reference && ef.reference_known() && sim_ != nullptr) {
     sim_->mark_all_jobs_dirty();
   }

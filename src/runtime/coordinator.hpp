@@ -63,17 +63,14 @@ class Coordinator final : public netsim::NetworkScheduler {
   // --- NetworkScheduler -------------------------------------------------------
   void control(netsim::Simulator& sim,
                std::span<netsim::Flow*> active) override;
-  // Forward membership hooks to the inner heuristic so its persistent group
-  // cache stays incremental (it would otherwise fall back to full rebuilds).
-  void on_flow_arrival(netsim::Simulator& sim,
-                       const netsim::Flow& flow) override {
+  // Membership hooks only count churn for the interval policy: the inner
+  // heuristic regroups the active set on every pass and keeps no membership
+  // state of its own.
+  void on_flow_arrival(netsim::Simulator&, const netsim::Flow&) override {
     ++dirty_events_;
-    policy_.on_flow_arrival(sim, flow);
   }
-  void on_flow_departure(netsim::Simulator& sim,
-                         const netsim::Flow& flow) override {
+  void on_flow_departure(netsim::Simulator&, const netsim::Flow&) override {
     ++dirty_events_;
-    policy_.on_flow_departure(sim, flow);
   }
   // Dirty marks (DESIGN.md §12) are interval-mode churn detection: a mark
   // with no accompanying arrival/departure (park/resume, reroute, external
@@ -86,10 +83,9 @@ class Coordinator final : public netsim::NetworkScheduler {
   // no longer hold, and replaying it after a link loss could over-subscribe
   // the degraded fabric (the allocator would clamp, but the *decision* is
   // stale). Drop the cache and force a heuristic re-run.
-  void on_topology_change(netsim::Simulator& sim) override {
+  void on_topology_change(netsim::Simulator&) override {
     decision_cache_.clear();
     ++dirty_events_;
-    policy_.on_topology_change(sim);
   }
   [[nodiscard]] std::string name() const override;
 

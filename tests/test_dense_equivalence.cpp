@@ -16,7 +16,8 @@
 //      fabrics) run both implementations on identical flow sets and assert
 //      bit-identical per-flow weights, rate caps and rates.
 //   3. Full-simulation runs compare per-flow finish times, makespan and
-//      total EchelonFlow tardiness end to end.
+//      total EchelonFlow tardiness end to end, EchelonFlow-MADD also under a
+//      park/resume schedule.
 //   4. An allocation-counting operator-new hook proves the steady-state
 //      control() + allocate() path performs zero heap allocations.
 //   5. The Simulator satellite changes are covered: submit_flow now throws
@@ -32,6 +33,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -911,9 +913,10 @@ TEST(DenseEquivalence, SchedulersMatchSeedControlPasses) {
   }
 }
 
-// The incremental cache must agree with seed decisions across *repeated*
-// passes with churn in between (members finishing between passes).
-TEST(DenseEquivalence, EchelonCacheSurvivesChurn) {
+// One scheduler instance must agree with seed decisions across *repeated*
+// passes with churn in between (members finishing between passes, no
+// membership hooks): its reused per-pass arenas carry no stale state.
+TEST(DenseEquivalence, EchelonRepeatedPassesMatchSeed) {
   const topology::BuiltFabric fabric = make_fabric(0);
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     PassScenario sc = make_pass_scenario(fabric, seed * 31 + 7);
@@ -1023,9 +1026,20 @@ Workload make_workload(std::uint64_t seed, int hosts) {
 using eqh::expect_same_result;
 using eqh::SimResult;
 
+// Optional churn for run_full_sim: at each of `ticks` instants `every`
+// apart (from `every` on), park the lowest-FlowId active group member and
+// resume it `every` later on its canonical route. `parks` counts the parks
+// performed.
+struct ParkSchedule {
+  Duration every = 1e-3;
+  int ticks = 59;
+  std::size_t parks = 0;
+};
+
 template <typename MakeScheduler>
 SimResult run_full_sim(int topo_kind, const Workload& w,
-                       MakeScheduler make_scheduler) {
+                       MakeScheduler make_scheduler,
+                       ParkSchedule* park = nullptr) {
   const topology::BuiltFabric fabric = make_fabric(topo_kind);
   Simulator sim(&fabric.topo);
   Registry reg;
@@ -1049,6 +1063,22 @@ SimResult run_full_sim(int topo_kind, const Workload& w,
         spec.index_in_group = e.index;
       }
       s.submit_flow(std::move(spec));
+    });
+  }
+  for (int k = 1; park != nullptr && k <= park->ticks; ++k) {
+    sim.schedule_at(k * park->every, [park](Simulator& s) {
+      std::optional<FlowId> victim;
+      for (const FlowId id : s.active_flows()) {
+        if (s.flow(id).spec.group.valid() && (!victim || id < *victim)) {
+          victim = id;
+        }
+      }
+      if (!victim) return;
+      s.park_flow(*victim);
+      ++park->parks;
+      s.schedule_after(park->every, [id = *victim](Simulator& s2) {
+        s2.resume_flow(id, *s2.route_flow(id));
+      });
     });
   }
   SimResult out;
@@ -1127,6 +1157,38 @@ TEST(DenseEquivalence, FullSimulationsMatchSeedSchedulers) {
   }
 }
 
+// Park/resume churn: a parked member leaves the active set and re-enters it
+// on resume, so every pass around it regroups a changed membership.
+TEST(DenseEquivalence, ParkResumeMatchesSeedEchelon) {
+  using SchedPtr = std::unique_ptr<netsim::NetworkScheduler>;
+  std::size_t parks = 0;
+  for (int topo_kind = 0; topo_kind < 2; ++topo_kind) {
+    for (std::uint64_t seed = 0; seed < 10; ++seed) {
+      const Workload w = make_workload(seed * 131 + topo_kind, 16);
+      ParkSchedule pa;
+      ParkSchedule pb;
+      expect_same_result(
+          run_full_sim(
+              topo_kind, w,
+              [](Registry& reg) -> SchedPtr {
+                return std::make_unique<ef::EchelonMaddScheduler>(&reg);
+              },
+              &pa),
+          run_full_sim(
+              topo_kind, w,
+              [](Registry& reg) -> SchedPtr {
+                return std::make_unique<ref::EchelonMadd>(&reg);
+              },
+              &pb),
+          "topo " + std::to_string(topo_kind) + " seed " +
+              std::to_string(seed) + " echelon park/resume");
+      EXPECT_EQ(pa.parks, pb.parks);
+      parks += pa.parks;
+    }
+  }
+  EXPECT_GT(parks, 0u);
+}
+
 // ============================================================================
 // 4) Zero heap allocations in steady-state control() + allocate().
 // ============================================================================
@@ -1151,8 +1213,7 @@ TEST(ZeroAlloc, ControlAndAllocateSteadyState) {
     for (Flow& f : flows) ptrs.push_back(&f);
     netsim::RateAllocator alloc(&fabric.topo);
 
-    // Warm-up: grow every arena to its high-water mark (and, for the
-    // EchelonFlow scheduler, populate the group cache).
+    // Warm-up: grow every arena to its high-water mark.
     for (int i = 0; i < 3; ++i) {
       sched->control(sim, ptrs);
       alloc.allocate(ptrs);

@@ -665,7 +665,9 @@ TEST(ArrivalGen, BurstCollapsesGapsWithoutPerturbingParameters) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     expect_same_job(a[i].job, b[i].job, i);  // parameter stream untouched
-    if (i > 0) EXPECT_GE(b[i].at, b[i - 1].at);
+    if (i > 0) {
+      EXPECT_GE(b[i].at, b[i - 1].at);
+    }
   }
   // Every 2nd emission pins its successor to the same instant: pairs (1,2),
   // (3,4), ... share arrival doubles bitwise.
@@ -910,7 +912,7 @@ TEST(Admission, NamesRoundTrip) {
         AdmissionPolicy::kTardinessAware}) {
     EXPECT_EQ(service::admission_policy_from_string(service::to_string(p)), p);
   }
-  EXPECT_THROW(service::admission_policy_from_string("nonsense"),
+  EXPECT_THROW((void)service::admission_policy_from_string("nonsense"),
                std::invalid_argument);
   EXPECT_EQ(std::string(service::to_string(AdmissionOutcome::kQueued)),
             "queued");

@@ -23,8 +23,7 @@ struct RunResult {
 };
 
 // Runs a generated job alone on a big switch of `hosts` ports.
-RunResult run_job(const GeneratedJob& job, topology::BuiltFabric& fabric,
-                  netsim::Simulator& sim) {
+RunResult run_job(const GeneratedJob& job, netsim::Simulator& sim) {
   netsim::WorkflowEngine eng(&sim, &job.workflow);
   eng.launch(0.0);
   RunResult r;
@@ -184,7 +183,7 @@ TEST(DpAllReduce, InfiniteBandwidthIterationTimeIsComputeBound) {
       {.model = model, .gpu = gpu, .buckets = 2, .iterations = 2},
       placement, reg, JobId{0});
   EXPECT_TRUE(job.workflow.is_acyclic());
-  const auto r = run_job(job, fabric, sim);
+  const auto r = run_job(job, sim);
   // Per iteration: fwd + bwd + optimizer (communication is free).
   const double t_iter = gpu.compute_time(model.total_fwd_flops()) * 1.05 +
                         gpu.compute_time(model.total_bwd_flops());
@@ -203,7 +202,7 @@ TEST(DpAllReduce, AllEchelonFlowsCompleteAndBind) {
       {.model = make_mlp(4, 32, 2), .gpu = unit_gpu(), .buckets = 2,
        .iterations = 2},
       placement, reg, JobId{0});
-  run_job(job, fabric, sim);
+  run_job(job, sim);
   for (const EchelonFlowId id : job.echelonflows) {
     EXPECT_TRUE(reg.get(id).complete());
     EXPECT_GE(reg.get(id).tardiness(), 0.0);
@@ -224,7 +223,7 @@ TEST(Pipeline, GpipeBubbleFractionMatchesAnalytic) {
       {.model = model, .gpu = unit_gpu(), .micro_batches = M,
        .iterations = 1, .optimizer_fraction = 0.0},
       placement, reg, JobId{0});
-  const auto r = run_job(job, fabric, sim);
+  const auto r = run_job(job, sim);
   // Makespan of one iteration with T per stage-µbatch: (M + S - 1) * 2T
   // (forward fill + drain on both passes; bwd = 2T per µbatch).
   const double T = unit_gpu().compute_time(model.layers[0].fwd_flops);
@@ -273,7 +272,7 @@ TEST(Tensor, InfiniteBandwidthMatchesShardedCompute) {
       {.model = model, .gpu = gpu, .iterations = 1,
        .optimizer_fraction = 0.0},
       placement, reg, JobId{0});
-  const auto r = run_job(job, fabric, sim);
+  const auto r = run_job(job, sim);
   const double expected =
       gpu.compute_time(model.total_fwd_flops() + model.total_bwd_flops()) /
       4.0;  // 1/m of the FLOPs per rank, layers serialized
@@ -291,7 +290,7 @@ TEST(Fsdp, InfiniteBandwidthMatchesLayerSerialCompute) {
       {.model = model, .gpu = gpu, .iterations = 1,
        .optimizer_fraction = 0.0},
       placement, reg, JobId{0});
-  const auto r = run_job(job, fabric, sim);
+  const auto r = run_job(job, sim);
   const double expected =
       gpu.compute_time(model.total_fwd_flops() + model.total_bwd_flops());
   EXPECT_NEAR(r.makespan, expected, 1e-6);
