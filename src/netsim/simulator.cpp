@@ -205,13 +205,13 @@ void Simulator::finish_task(TaskId id) {
   // Fire completion callbacks first: they typically release successor work
   // (flows or tasks on other workers), and for determinism that work should
   // be visible before this worker greedily grabs its next queued task.
-  // Callbacks may enqueue tasks and reallocate tasks_, so work on a copy.
-  const ComputeTask snapshot = t;
+  // Callbacks may enqueue tasks; tasks_ never moves a record, so `t` stays
+  // valid and hooks see the stored record itself.
   if (TaskCallback cb = std::move(task_done_.at(id.value())); cb) {
-    cb(*this, snapshot);
+    cb(*this, t);
   }
-  for (const TaskCallback& cb : task_listeners_) cb(*this, snapshot);
-  start_next_task(snapshot.worker);
+  for (const TaskCallback& cb : task_listeners_) cb(*this, t);
+  start_next_task(t.worker);
 }
 
 FlowId Simulator::submit_flow(FlowSpec spec, FlowCallback on_done) {
@@ -262,19 +262,16 @@ FlowId Simulator::submit_flow(FlowSpec spec, FlowCallback on_done) {
     f.path = routes_.path(*rid);  // copy of the canonical interned path
   }
   f.entered = true;
-  flows_.push_back(std::move(f));
+  // Listeners may submit flows; flows_ never moves a record, so `fr` stays
+  // valid across them.
+  Flow& fr = flows_.push_back(std::move(f));
   flow_done_.push_back(std::move(on_done));
   if (tracing(obs::TraceDetail::kFlow)) {
-    const Flow& fr = flows_.at(id.value());
     trace_flow(obs::TraceKind::kFlowStart, fr, fr.spec.size, fr.spec.label);
   }
 
-  // Callbacks may submit flows and reallocate flows_; re-index as needed and
-  // hand callbacks a snapshot.
-  for (const FlowCallback& cb : flow_arrival_listeners_) {
-    cb(*this, flows_.at(id.value()));
-  }
-  if (flows_.at(id.value()).remaining <= kBytesEpsilon) {
+  for (const FlowCallback& cb : flow_arrival_listeners_) cb(*this, fr);
+  if (fr.remaining <= kBytesEpsilon) {
     // Zero-byte flow (e.g. control message): completes instantly, without
     // ever joining the active set. The scheduler never saw it arrive, so it
     // is not told about the departure either.
@@ -285,11 +282,11 @@ FlowId Simulator::submit_flow(FlowSpec spec, FlowCallback on_done) {
   // stamping pass until the reallocation below assigns it a rate -- at which
   // point the epoch has been moved to its start instant, so its `remaining`
   // baseline is consistent with the epoch by construction.
-  flows_.at(id.value()).active_index = active_flows_.size();
+  fr.active_index = active_flows_.size();
   active_flows_.push_back(id);  // ids are monotonic: tail push keeps order
   allocation_dirty_ = true;
-  mark_job_dirty(flows_.at(id.value()).spec.job);
-  scheduler_->on_flow_arrival(*this, flows_.at(id.value()));
+  mark_job_dirty(fr.spec.job);
+  scheduler_->on_flow_arrival(*this, fr);
   return id;
 }
 
@@ -498,15 +495,14 @@ void Simulator::complete_flow(FlowId id, bool notify_scheduler) {
 
   ECHELON_LOG(kDebug) << "flow " << f.spec.label << " done at " << now_;
 
-  // Callbacks may submit flows and reallocate flows_, so work on a copy.
   // Canonical departure order: scheduler hook, then the per-flow callback,
-  // then global listeners.
-  const Flow snapshot = f;
-  if (notify_scheduler) scheduler_->on_flow_departure(*this, snapshot);
+  // then global listeners. Callbacks may submit flows; flows_ never moves a
+  // record, so every hook sees the stored record itself.
+  if (notify_scheduler) scheduler_->on_flow_departure(*this, f);
   if (FlowCallback cb = std::move(flow_done_.at(id.value())); cb) {
-    cb(*this, snapshot);
+    cb(*this, f);
   }
-  for (const FlowCallback& cb : flow_listeners_) cb(*this, snapshot);
+  for (const FlowCallback& cb : flow_listeners_) cb(*this, f);
 }
 
 void Simulator::finish_flow(FlowId id) {
@@ -574,8 +570,7 @@ void Simulator::park_flow(FlowId id) {
   // caches, frozen-member handling). The completion callback and global
   // flow listeners do NOT fire: the flow is suspended, not done -- in
   // particular the EchelonFlow registry must not mark the member finished.
-  const Flow snapshot = f;
-  scheduler_->on_flow_departure(*this, snapshot);
+  scheduler_->on_flow_departure(*this, f);
 }
 
 void Simulator::resume_flow(FlowId id, topology::Path path) {
@@ -603,10 +598,9 @@ void Simulator::resume_flow(FlowId id, topology::Path path) {
     if (tracing(obs::TraceDetail::kFlow)) {
       trace_flow(obs::TraceKind::kFlowStart, f, f.remaining, f.spec.label);
     }
-    for (const FlowCallback& cb : flow_arrival_listeners_) {
-      cb(*this, flows_.at(id.value()));
-    }
-    if (flows_.at(id.value()).remaining <= kBytesEpsilon) {
+    // Listeners may submit flows; `f` stays valid (flows_ never moves it).
+    for (const FlowCallback& cb : flow_arrival_listeners_) cb(*this, f);
+    if (f.remaining <= kBytesEpsilon) {
       // Zero-byte flow finally deliverable: completes instantly, never
       // joining the active set (mirrors submit_flow).
       complete_flow(id, /*notify_scheduler=*/false);
@@ -614,14 +608,13 @@ void Simulator::resume_flow(FlowId id, topology::Path path) {
     }
   }
 
-  Flow& fr = flows_.at(id.value());  // listeners may reallocate flows_
-  fr.active_index = active_flows_.size();
+  f.active_index = active_flows_.size();
   active_flows_.push_back(id);
   // The resumed id is almost certainly smaller than the current tail.
   active_order_dirty_ = true;
   allocation_dirty_ = true;
-  mark_job_dirty(fr.spec.job);
-  scheduler_->on_flow_arrival(*this, fr);
+  mark_job_dirty(f.spec.job);
+  scheduler_->on_flow_arrival(*this, f);
 }
 
 void Simulator::reroute_flow(FlowId id, topology::Path path) {
@@ -661,9 +654,8 @@ void Simulator::abandon_flow(FlowId id) {
     // never joins the active set and the scheduler is never notified.
     f.entered = true;
     f.start_time = now_;
-    for (const FlowCallback& cb : flow_arrival_listeners_) {
-      cb(*this, flows_.at(id.value()));  // listeners may reallocate flows_
-    }
+    // Listeners may submit flows; `f` stays valid (flows_ never moves it).
+    for (const FlowCallback& cb : flow_arrival_listeners_) cb(*this, f);
   }
   // Unsuccessful completion: finish_time is fixed and the completion
   // callback + listeners fire so dependent DAG work is released, but
@@ -671,8 +663,7 @@ void Simulator::abandon_flow(FlowId id) {
   // scheduler is not re-notified -- it saw the departure at park time (and
   // never saw parked-at-birth flows at all).
   if (tracing(obs::TraceDetail::kCoarse)) {
-    const Flow& fr = flows_.at(id.value());  // listeners may reallocate
-    trace_flow(obs::TraceKind::kFlowAbandon, fr, fr.remaining);
+    trace_flow(obs::TraceKind::kFlowAbandon, f, f.remaining);
   }
   complete_flow(id, /*notify_scheduler=*/false);
 }

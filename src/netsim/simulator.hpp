@@ -37,6 +37,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -60,6 +61,51 @@ namespace echelon::netsim {
 // kEagerScan is the O(active)-per-event reference used by the
 // golden-equivalence suite. Both produce bit-identical simulations.
 enum class SimLoopMode { kLazy, kEagerScan };
+
+// Append-only record store in fixed kChunk-element chunks (DESIGN.md §6).
+// Appending never moves an existing element, so references into the store
+// stay valid across push_back -- and growth never holds two copies of the
+// records the way a doubling vector's reallocation does.
+template <typename T>
+class ChunkedStore {
+ public:
+  static constexpr std::size_t kChunk = 4096;
+
+  ChunkedStore() = default;
+  // A copied chunk keeps no spare capacity, so appending to a copy could
+  // move its records: copying is disabled. Moves keep every chunk buffer.
+  ChunkedStore(const ChunkedStore&) = delete;
+  ChunkedStore& operator=(const ChunkedStore&) = delete;
+  ChunkedStore(ChunkedStore&&) noexcept = default;
+  ChunkedStore& operator=(ChunkedStore&&) noexcept = default;
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+  // Bounds-checked like std::vector::at.
+  [[nodiscard]] T& at(std::size_t i) {
+    if (i >= size_) throw std::out_of_range("ChunkedStore::at");
+    return chunks_[i / kChunk][i % kChunk];
+  }
+  [[nodiscard]] const T& at(std::size_t i) const {
+    if (i >= size_) throw std::out_of_range("ChunkedStore::at");
+    return chunks_[i / kChunk][i % kChunk];
+  }
+
+  T& push_back(T value) {
+    if (size_ % kChunk == 0) {
+      // A chunk never grows past its reserved capacity, so its buffer never
+      // moves; growing chunks_ moves the chunk vectors, not their buffers.
+      chunks_.emplace_back().reserve(kChunk);
+    }
+    T& slot = chunks_.back().emplace_back(std::move(value));
+    ++size_;
+    return slot;
+  }
+
+ private:
+  std::vector<std::vector<T>> chunks_;
+  std::size_t size_ = 0;
+};
 
 class Simulator {
  public:
@@ -173,6 +219,9 @@ class Simulator {
 
   // --- flows ---
   // Submits a flow that starts *now*. `on_done` fires at completion.
+  // Flow and task records are never moved or freed, so references returned
+  // by flow()/task() -- and the records hooks receive -- stay valid for the
+  // simulator's lifetime.
   FlowId submit_flow(FlowSpec spec, FlowCallback on_done = {});
   [[nodiscard]] const Flow& flow(FlowId id) const {
     return flows_.at(id.value());
@@ -425,8 +474,10 @@ class Simulator {
   SimTime epoch_time_ = 0.0;
   EventQueue events_;
 
-  std::vector<Flow> flows_;             // indexed by FlowId; never shrinks
-  std::vector<FlowCallback> flow_done_; // parallel to flows_
+  // Indexed by FlowId; never shrinks. Chunked, so a Flow& stays valid while
+  // callbacks submit more flows.
+  ChunkedStore<Flow> flows_;
+  ChunkedStore<FlowCallback> flow_done_;  // parallel to flows_
   std::vector<FlowId> active_flows_;
   // Reused by reallocate() so steady-state control passes are allocation-free
   // (grows to the high-water mark of the active set, never shrinks).
@@ -451,8 +502,8 @@ class Simulator {
   std::vector<std::uint32_t> timer_free_;
 
   std::vector<Worker> workers_;
-  std::vector<ComputeTask> tasks_;
-  std::vector<TaskCallback> task_done_;
+  ChunkedStore<ComputeTask> tasks_;       // indexed by TaskId, like flows_
+  ChunkedStore<TaskCallback> task_done_;  // parallel to tasks_
 
   std::vector<FlowCallback> flow_listeners_;
   std::vector<FlowCallback> flow_arrival_listeners_;

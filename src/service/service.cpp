@@ -200,7 +200,7 @@ bool ServiceLoop::step() {
 
 bool ServiceLoop::step_impl() {
   refill_pending();
-  const bool work_left = running_ > 0 || !wait_queue_.empty();
+  const bool work_left = !running_jobs_.empty() || !wait_queue_.empty();
   if (!pending_.has_value() && !work_left) return false;
 
   const ScopedTimer wall;
@@ -228,6 +228,7 @@ bool ServiceLoop::step_impl() {
     ++control_ticks_;
     sim_.invalidate_allocation();
   }
+  retire_finished();
   ++steps_;
   const double ms = wall.elapsed_ms();
   wall_ms_ += ms;
@@ -293,7 +294,7 @@ void ServiceLoop::flush_telemetry(SimTime now) {
   m.gauge("service.total_tardiness_s").set(registry_->total_tardiness());
   m.series("service.queue_depth")
       .sample(now, static_cast<double>(wait_queue_.size()));
-  m.series("service.running").sample(now, static_cast<double>(running_));
+  m.series("service.running").sample(now, static_cast<double>(running()));
   m.series("service.active_flows")
       .sample(now, static_cast<double>(sim_.active_flow_count()));
   sim_.link_utilization(link_util_scratch_);
@@ -318,9 +319,9 @@ void ServiceLoop::flush_telemetry(SimTime now) {
 void ServiceLoop::mark_deadline_risk(SimTime now) {
   for (const SloObjective& obj : config_.telemetry.slo.objectives) {
     if (obj.kind != SloKind::kJct) continue;
-    for (const auto& lj : jobs_) {
-      ServiceJobRecord& r = lj->record;
-      if (r.finished || r.deadline_at_risk) continue;
+    for (const std::size_t j : running_jobs_) {
+      ServiceJobRecord& r = jobs_[j]->record;
+      if (r.deadline_at_risk) continue;
       if (now - r.submitted > obj.threshold) {
         r.deadline_at_risk = true;
         ++at_risk_;
@@ -354,7 +355,7 @@ void ServiceLoop::handle_arrivals_at(SimTime at) {
 void ServiceLoop::admit(Arrival arrival) {
   AdmissionOutcome outcome{};
   profiled("admission", [&] {
-    outcome = decide(config_.admission, running_, wait_queue_.size(),
+    outcome = decide(config_.admission, running(), wait_queue_.size(),
                      [this] { return registry_->total_tardiness(); });
   });
   if (replay_expected_ != nullptr) {
@@ -376,7 +377,7 @@ void ServiceLoop::admit(Arrival arrival) {
     switch (outcome) {
       case AdmissionOutcome::kAdmitted:
         flightrec_->record(obs::FlightKind::kAdmit, arrival.at, journal_index,
-                           running_);
+                           running());
         break;
       case AdmissionOutcome::kQueued:
         flightrec_->record(obs::FlightKind::kQueue, arrival.at, journal_index,
@@ -470,9 +471,9 @@ void ServiceLoop::launch_job(const cluster::JobSpec& spec, SimTime submitted,
   last_launch_seq_ = std::max(last_launch_seq_, sim_.events().scheduled_seq());
 
   jobs_.push_back(std::move(lj));
-  ++running_;
+  running_jobs_.push_back(index);
   if (flightrec_ != nullptr) {
-    flightrec_->record(obs::FlightKind::kLaunch, start, index, running_);
+    flightrec_->record(obs::FlightKind::kLaunch, start, index, running());
   }
   if (config_.telemetry.profile) {
     record_phase_ms("launch", launch_timer.elapsed_ms());
@@ -483,8 +484,12 @@ void ServiceLoop::job_finished(std::size_t index) {
   LiveJob& lj = *jobs_[index];
   lj.record.finish = sim_.now();
   lj.record.finished = true;
-  assert(running_ > 0);
-  --running_;
+  // The engine is still on the stack (on_complete fires inside its
+  // node_done), so its workflow is freed by retire_finished once sim_.run()
+  // returns, not here.
+  [[maybe_unused]] const std::size_t erased = std::erase(running_jobs_, index);
+  assert(erased == 1);
+  finished_jobs_.push_back(index);
   ++completed_;
   if (config_.telemetry.enabled()) {
     const SimTime now = sim_.now();
@@ -519,7 +524,7 @@ void ServiceLoop::job_finished(std::size_t index) {
   // their schedule sequence.
   while (!wait_queue_.empty() &&
          (config_.admission.max_running == 0 ||
-          running_ < config_.admission.max_running)) {
+          running() < config_.admission.max_running)) {
     Arrival next = std::move(wait_queue_.front());
     wait_queue_.pop_front();
     launch_job(next.job, next.at, sim_.now());
@@ -533,8 +538,24 @@ SimTime ServiceLoop::drain() {
   // retries, etc. Runs to quiescence.
   const ScopedTimer wall;
   const SimTime end = sim_.run();
+  retire_finished();
   wall_ms_ += wall.elapsed_ms();
   return end;
+}
+
+void ServiceLoop::retire_finished() {
+  for (const std::size_t j : finished_jobs_) {
+    LiveJob& lj = *jobs_[j];
+    lj.engine.reset();
+    lj.generated = {};
+  }
+  finished_jobs_.clear();
+}
+
+std::size_t ServiceLoop::workflows_held() const noexcept {
+  return static_cast<std::size_t>(
+      std::count_if(jobs_.begin(), jobs_.end(),
+                    [](const auto& lj) { return lj->engine != nullptr; }));
 }
 
 ServiceResult ServiceLoop::result() const {
@@ -576,7 +597,7 @@ void ServiceLoop::publish_metrics() const {
   m.counter("service.steps").set(steps_);
   m.counter("service.control_ticks").set(control_ticks_);
   m.gauge("service.queue_depth").set(static_cast<double>(wait_queue_.size()));
-  m.gauge("service.running").set(static_cast<double>(running_));
+  m.gauge("service.running").set(static_cast<double>(running()));
   m.gauge("service.admission_rate")
       .set(journal_.empty() ? 1.0
                             : static_cast<double>(admitted_) /
@@ -587,7 +608,10 @@ void ServiceLoop::publish_metrics() const {
                            : static_cast<double>(sim_.control_invocations()) /
                                  (wall_ms_ / 1e3));
   m.gauge("echelon.total_tardiness_s").set(registry_->total_tardiness());
+  // Rebuilt from scratch on every call, so republishing never
+  // double-counts a group.
   obs::Histogram& tard = m.histogram("service.tardiness_s");
+  tard = obs::Histogram(tard.bounds());
   for (const ef::EchelonFlow* g : registry_->all()) {
     if (g->complete()) tard.observe(g->tardiness());
   }

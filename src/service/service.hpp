@@ -183,7 +183,8 @@ class ServiceLoop {
   // Publishes steady-state service metrics into the registry configured at
   // construction (no-op without one): counters service.*, queue-depth
   // gauge, decisions/sec and admission-rate gauges, per-group tardiness
-  // histogram. Callable at any boundary.
+  // histogram. Callable at any boundary; idempotent (each call rebuilds the
+  // histogram from the complete groups instead of adding to it).
   void publish_metrics() const;
 
   // --- snapshot surface (snapshot.cpp) ---
@@ -217,7 +218,13 @@ class ServiceLoop {
   [[nodiscard]] std::uint64_t tick_index() const noexcept {
     return tick_index_;
   }
-  [[nodiscard]] std::uint64_t running() const noexcept { return running_; }
+  [[nodiscard]] std::uint64_t running() const noexcept {
+    return running_jobs_.size();
+  }
+  // Launched jobs still holding their workflow and engine: equal to
+  // running() at every step boundary and 0 after drain(). O(launched);
+  // for tests and diagnostics.
+  [[nodiscard]] std::size_t workflows_held() const noexcept;
   [[nodiscard]] std::size_t queue_depth() const noexcept {
     return wait_queue_.size();
   }
@@ -319,6 +326,7 @@ class ServiceLoop {
   struct LiveJob {
     cluster::JobSpec spec;
     SimTime submitted = 0.0;
+    // Both emptied by retire_finished once the job has finished.
     workload::GeneratedJob generated;
     std::unique_ptr<netsim::WorkflowEngine> engine;
     ServiceJobRecord record;
@@ -343,6 +351,10 @@ class ServiceLoop {
   void launch_job(const cluster::JobSpec& spec, SimTime submitted,
                   SimTime start);
   void job_finished(std::size_t index);
+  // Frees the workflow and engine of every job finished during the last
+  // sim_.run(). Called after each run returns, never from job_finished:
+  // on_complete fires inside the engine's own node_done.
+  void retire_finished();
 
   ServiceConfig config_;
   std::optional<faultsim::FaultPlan> owned_plan_;
@@ -361,11 +373,17 @@ class ServiceLoop {
   std::optional<Arrival> pending_;
   std::vector<JournalEntry> journal_;
   std::deque<Arrival> wait_queue_;
-  std::vector<std::unique_ptr<LiveJob>> jobs_;  // stable addresses (engines
-                                                // point into their workflow)
+  // Every launched job in launch order (stable addresses: engines point
+  // into their workflow). A finished job keeps only its spec, record and
+  // group range: its workflow and engine are freed at the end of the step
+  // it finished in (retire_finished).
+  std::vector<std::unique_ptr<LiveJob>> jobs_;
+  // Indices of the jobs still running, in launch order.
+  std::vector<std::size_t> running_jobs_;
+  // Jobs finished during the current sim_.run(), awaiting retirement.
+  std::vector<std::size_t> finished_jobs_;
 
   std::size_t next_host_ = 0;
-  std::uint64_t running_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t admitted_ = 0;
   std::uint64_t queued_total_ = 0;

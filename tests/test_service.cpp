@@ -3,7 +3,7 @@
 // The ServiceLoop promises that streaming operation is *bit-identical* to
 // itself under interruption: a snapshot taken at any step boundary, restored
 // into a fresh process, and run to completion must produce exactly the
-// results and trace stream of the uninterrupted run. Six sections:
+// results and trace stream of the uninterrupted run. Seven sections:
 //
 //   1. Snapshot/restore bit identity: every-boundary sweep on a small
 //      configuration (results AND split trace streams), then a mid-run
@@ -24,6 +24,9 @@
 //   6. Same-instant ordering: simultaneous arrivals launch in submission
 //      order (the event-queue seq tie-break), and non-monotone or stale
 //      arrival streams are rejected loudly.
+//   7. Retained state: only running jobs hold a workflow at any step
+//      boundary, a finished job keeps it until its run returns, and
+//      snapshot replay retires identically.
 //
 // Single translation unit: equivalence_harness.hpp defines the global
 // allocation hook (see its header comment).
@@ -962,6 +965,7 @@ TEST(Admission, PublishMetricsExportsServiceCounters) {
       std::make_unique<PoissonArrivalGenerator>(small_arrivals(97)));
   loop.drain();
   loop.publish_metrics();
+  loop.publish_metrics();  // idempotent: republishing must not double-count
   const ServiceResult r = loop.result();
   EXPECT_EQ(metrics.counter("service.arrivals").value(), r.arrivals);
   EXPECT_EQ(metrics.counter("service.completed").value(), r.completed);
@@ -970,6 +974,12 @@ TEST(Admission, PublishMetricsExportsServiceCounters) {
   EXPECT_EQ(metrics.gauge("service.queue_depth").value(), 0.0);
   EXPECT_EQ(metrics.gauge("service.admission_rate").value(), 1.0);
   EXPECT_GT(metrics.gauge("service.decisions_per_sec").value(), 0.0);
+  std::uint64_t complete_groups = 0;
+  for (const ef::EchelonFlow* g : loop.registry().all()) {
+    if (g->complete()) ++complete_groups;
+  }
+  EXPECT_GT(complete_groups, 0u);
+  EXPECT_EQ(metrics.histogram("service.tardiness_s").count(), complete_groups);
 }
 
 // ---------------------------------------------------------------------------
@@ -1049,6 +1059,93 @@ TEST(SameInstant, NonMonotoneArrivalStreamThrows) {
   loop.set_generator(
       std::make_unique<VectorArrivalGenerator>(std::move(arrivals)));
   EXPECT_THROW(loop.drain(), std::logic_error);
+}
+
+// ---------------------------------------------------------------------------
+// 7. Retained state
+// ---------------------------------------------------------------------------
+
+// Steps `loop` to completion (or `max_steps` boundaries), checking at every
+// boundary that exactly the running jobs hold a workflow. A flow and task
+// listener also watches *inside* each run: a job that finishes there must
+// keep its workflow until the run returns (its engine is still on the
+// stack), so the count briefly exceeds running(). Returns whether it did.
+bool step_checking_retained(ServiceLoop& loop,
+                            std::uint64_t max_steps = ~std::uint64_t{0}) {
+  bool deferred = false;
+  const auto watch = [&loop, &deferred] {
+    if (loop.workflows_held() > loop.running()) deferred = true;
+  };
+  loop.sim().add_flow_listener(
+      [watch](netsim::Simulator&, const netsim::Flow&) { watch(); });
+  loop.sim().add_task_listener(
+      [watch](netsim::Simulator&, const netsim::ComputeTask&) { watch(); });
+  EXPECT_EQ(loop.workflows_held(), loop.running());
+  for (std::uint64_t k = 0; k < max_steps && loop.step(); ++k) {
+    EXPECT_EQ(loop.workflows_held(), loop.running())
+        << "boundary " << loop.steps_executed();
+  }
+  return deferred;
+}
+
+TEST(RetainedState, OnlyRunningJobsHoldWorkflows) {
+  const auto trace = small_arrivals(61, /*jobs=*/5);
+  const auto built = service_fabric(FabricKind::kBigSwitch);
+  const FaultPlan plan = service_chaos_plan(11, built.topo);
+  AdmissionConfig queue_with_cap;
+  queue_with_cap.policy = AdmissionPolicy::kQueueWithCap;
+  queue_with_cap.max_running = 2;
+  queue_with_cap.queue_cap = 8;
+
+  for (const AdmissionConfig& admission :
+       {AdmissionConfig{}, queue_with_cap}) {
+    for (const FaultPlan* p :
+         {static_cast<const FaultPlan*>(nullptr), &plan}) {
+      ServiceSpec spec;
+      spec.admission = admission;
+      spec.plan = p;
+      auto loop = make_loop(spec, trace, /*burst_every=*/2);
+      EXPECT_TRUE(step_checking_retained(*loop))
+          << "no finished job kept its workflow until its run returned";
+      loop->drain();
+      const ServiceResult r = loop->result();
+      EXPECT_GT(r.launched, 0u);
+      EXPECT_EQ(r.completed, r.launched);
+      EXPECT_EQ(loop->workflows_held(), 0u);
+      if (HasFailure()) {
+        FAIL() << "policy " << service::to_string(admission.policy)
+               << " chaos " << (p != nullptr);
+      }
+    }
+  }
+}
+
+TEST(RetainedState, SnapshotRestoreRetiresIdentically) {
+  ServiceSpec spec;
+  spec.admission.policy = AdmissionPolicy::kQueueWithCap;
+  spec.admission.max_running = 2;
+  spec.admission.queue_cap = 8;
+  const auto trace = small_arrivals(67, /*jobs=*/5);
+
+  auto whole = make_loop(spec, trace, /*burst_every=*/2);
+  whole->drain();
+  const ServiceResult reference = whole->result();
+  const std::uint64_t cut = reference.steps / 2;
+
+  auto prefix = make_loop(spec, trace, /*burst_every=*/2);
+  step_checking_retained(*prefix, cut);
+  ASSERT_EQ(prefix->steps_executed(), cut);
+  ASSERT_GT(prefix->completed(), 0u);  // the cut lands after a retirement
+  const std::string bytes = save_snapshot(*prefix);
+  const std::uint64_t running_at_cut = prefix->running();
+  prefix.reset();
+
+  auto restored = restore_snapshot(bytes);
+  EXPECT_EQ(restored->running(), running_at_cut);
+  step_checking_retained(*restored);
+  restored->drain();
+  EXPECT_EQ(restored->workflows_held(), 0u);
+  expect_same_service_result(reference, restored->result());
 }
 
 }  // namespace

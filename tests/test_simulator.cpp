@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "netsim/event_queue.hpp"
@@ -183,6 +184,56 @@ TEST_F(SimFixture, ControlInvocationsCounted) {
   sim.run();
   // At least one pass per arrival batch and per departure.
   EXPECT_GE(sim.control_invocations(), 2u);
+}
+
+TEST(ChunkedStore, ReferencesSurviveGrowthAndAtChecksBounds) {
+  constexpr std::size_t kChunk = ChunkedStore<int>::kChunk;
+  ChunkedStore<int> store;
+  EXPECT_THROW((void)store.at(0), std::out_of_range);
+  store.push_back(7);
+  const int* first = &store.at(0);
+  while (store.size() < kChunk) store.push_back(static_cast<int>(store.size()));
+  const int* chunk_end = &store.at(kChunk - 1);
+  while (store.size() <= 3 * kChunk) {
+    store.push_back(static_cast<int>(store.size()));
+  }
+  EXPECT_EQ(store.size(), 3 * kChunk + 1);
+  EXPECT_EQ(&store.at(0), first);
+  EXPECT_EQ(&store.at(kChunk - 1), chunk_end);
+  EXPECT_EQ(*first, 7);
+  EXPECT_EQ(*chunk_end, static_cast<int>(kChunk - 1));
+  EXPECT_EQ(store.at(3 * kChunk), static_cast<int>(3 * kChunk));
+  EXPECT_THROW((void)store.at(store.size()), std::out_of_range);
+  const ChunkedStore<int>& cstore = store;
+  EXPECT_THROW((void)cstore.at(cstore.size()), std::out_of_range);
+}
+
+TEST_F(SimFixture, CompletionHooksSeeTheStoredRecord) {
+  // The completion callback submits enough flows to open new record chunks;
+  // the record it was handed must stay the simulator's own, unmoved.
+  const std::size_t burst = 2 * ChunkedStore<Flow>::kChunk;
+  const Flow* seen = nullptr;
+  bool still_valid = false;
+  const FlowId id = sim.submit_flow(
+      FlowSpec{.src = fabric.hosts[0], .dst = fabric.hosts[1], .size = 10.0},
+      [&](Simulator& s, const Flow& f) {
+        seen = &f;
+        for (std::size_t i = 0; i < burst; ++i) {
+          s.submit_flow(FlowSpec{
+              .src = fabric.hosts[2], .dst = fabric.hosts[3], .size = 1.0});
+        }
+        still_valid = &s.flow(f.id) == &f && f.finished();
+      });
+  const ComputeTask* task_seen = nullptr;
+  const WorkerId w = sim.add_worker(fabric.hosts[0]);
+  const TaskId t = sim.enqueue_task(
+      w, 1.0, "t", {},
+      [&](Simulator&, const ComputeTask& task) { task_seen = &task; });
+  sim.run();
+  EXPECT_EQ(seen, &sim.flow(id));
+  EXPECT_TRUE(still_valid);
+  EXPECT_EQ(sim.flow_count(), burst + 1);
+  EXPECT_EQ(task_seen, &sim.task(t));
 }
 
 }  // namespace
