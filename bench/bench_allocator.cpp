@@ -20,6 +20,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -28,6 +29,7 @@
 #include "netsim/allocator.hpp"
 #include "netsim/flow.hpp"
 #include "topology/builders.hpp"
+#include "topology/route_table.hpp"
 
 namespace {
 
@@ -37,11 +39,13 @@ struct Population {
   topology::BuiltFabric fabric;
   std::vector<netsim::Flow> flows;
   std::vector<netsim::Flow*> active;
+  std::unique_ptr<topology::RouteTable> routes;  // owns the flows' paths
 };
 
 Population make_population(int n_flows, bool capped) {
   const int hosts = 32;
-  Population p{topology::make_big_switch(hosts, gbps(100)), {}, {}};
+  Population p{topology::make_big_switch(hosts, gbps(100)), {}, {}, {}};
+  p.routes = std::make_unique<topology::RouteTable>(&p.fabric.topo);
   Rng rng(11);
   p.flows.reserve(static_cast<std::size_t>(n_flows));
   for (int i = 0; i < n_flows; ++i) {
@@ -54,8 +58,9 @@ Population make_population(int n_flows, bool capped) {
     f.remaining = f.spec.size;
     f.weight = 1.0 + static_cast<double>(i % 3);
     if (capped) f.rate_cap = rng.uniform(0.1, 1.0) * gbps(10);
-    f.path = *p.fabric.topo.route(p.fabric.hosts[src], p.fabric.hosts[dst],
-                                  static_cast<std::uint64_t>(i));
+    f.path = p.routes->path(*p.routes->route(p.fabric.hosts[src],
+                                             p.fabric.hosts[dst],
+                                             static_cast<std::uint64_t>(i)));
     p.flows.push_back(std::move(f));
   }
   for (auto& f : p.flows) p.active.push_back(&f);

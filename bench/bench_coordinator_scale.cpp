@@ -59,8 +59,9 @@ void BM_EchelonMaddControlPass(benchmark::State& state) {
     f.spec.index_in_group = i % per_ef;
     f.spec.size = rng.uniform(1e6, 1e8);
     f.remaining = f.spec.size;
-    f.path = *fabric.topo.route(fabric.hosts[src], fabric.hosts[dst],
-                                static_cast<std::uint64_t>(i));
+    f.path = sim.routes().path(
+        *sim.routes().route(fabric.hosts[src], fabric.hosts[dst],
+                            static_cast<std::uint64_t>(i)));
     reg.get(f.spec.group)
         .note_start(f.spec.index_in_group, f.id, f.spec.size,
                     0.001 * static_cast<double>(i % per_ef));

@@ -31,6 +31,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -39,6 +40,7 @@
 #include "netsim/allocator.hpp"
 #include "netsim/flow.hpp"
 #include "topology/builders.hpp"
+#include "topology/route_table.hpp"
 
 namespace {
 
@@ -48,6 +50,7 @@ struct Population {
   topology::BuiltFabric fabric;
   std::vector<netsim::Flow> flows;
   std::vector<netsim::Flow*> active;
+  std::unique_ptr<topology::RouteTable> routes;  // owns the flows' paths
 };
 
 // `n_jobs` independent components: job j's `flows_per_job` flows all cross
@@ -56,7 +59,8 @@ struct Population {
 // within a job, so every flow is its own equivalence class and each
 // water-fill round freezes one flow.
 Population make_components(int n_jobs, int flows_per_job) {
-  Population p{topology::make_big_switch(2 * n_jobs, gbps(100)), {}, {}};
+  Population p{topology::make_big_switch(2 * n_jobs, gbps(100)), {}, {}, {}};
+  p.routes = std::make_unique<topology::RouteTable>(&p.fabric.topo);
   std::uint64_t id = 0;
   p.flows.reserve(static_cast<std::size_t>(n_jobs) * flows_per_job);
   for (int j = 0; j < n_jobs; ++j) {
@@ -67,8 +71,8 @@ Population make_components(int n_jobs, int flows_per_job) {
       f.remaining = 1e9;
       f.weight = 1.0;
       f.rate_cap = gbps(0.1 * (k + 1));
-      f.path = *p.fabric.topo.route(p.fabric.hosts[2 * j],
-                                    p.fabric.hosts[2 * j + 1], id);
+      f.path = p.routes->path(*p.routes->route(
+          p.fabric.hosts[2 * j], p.fabric.hosts[2 * j + 1], id));
       ++id;
       p.flows.push_back(std::move(f));
     }

@@ -88,7 +88,7 @@ std::vector<SimTime> run_instance(const Instance& inst, bool echelon) {
   }
   sim.run();
   std::vector<SimTime> finishes;
-  for (const FlowId id : ids) finishes.push_back(sim.flow(id).finish_time);
+  for (const FlowId id : ids) finishes.push_back(sim.finish_time(id));
   return finishes;
 }
 

@@ -50,6 +50,9 @@ void FaultInjector::arm() {
         // first), so defer the park to the same instant's next event batch.
         const FlowId id = flow.id;
         sim.schedule_at(sim.now(), [this, id](netsim::Simulator& s) {
+          // A zero-byte flow finishes right after this listener returns, and
+          // its record may be released with its chunk before this runs.
+          if (!s.flow_resident(id)) return;
           const netsim::Flow& f = s.flow(id);
           if (f.state == netsim::FlowState::kActive &&
               f.active_index != netsim::Flow::kNotActive) {
@@ -213,7 +216,7 @@ void FaultInjector::apply(const FaultEvent& ev) {
         if (!f.spec.job.valid() || f.spec.job.value() != ev.target) continue;
         auto path = sim_->route_flow(id);
         if (path.has_value()) {
-          resume(id, std::move(*path));
+          resume(id, *path);
         } else {
           park_records_.at(id.value()).reason = ParkReason::kOutage;
           schedule_retry(id);
@@ -241,7 +244,7 @@ void FaultInjector::sweep_broken_paths() {
     if (!broken) continue;
     auto path = sim_->route_flow(id);
     if (path.has_value()) {
-      sim_->reroute_flow(id, std::move(*path));
+      sim_->reroute_flow(id, *path);
       ++outcome(id).reroutes;
       ++summary_.reroutes;
     } else {
@@ -257,7 +260,7 @@ void FaultInjector::try_resume_all() {
     if (park_records_.at(id.value()).reason == ParkReason::kAbort) continue;
     auto path = sim_->route_flow(id);
     if (!path.has_value()) continue;  // stay parked; retry timer still runs
-    resume(id, std::move(*path));
+    resume(id, *path);
   }
 }
 
@@ -288,7 +291,7 @@ void FaultInjector::retry(FlowId id) {
   const netsim::Flow& f = sim_->flow(id);
   auto path = sim_->route_flow(id);
   if (path.has_value()) {
-    resume(id, std::move(*path));
+    resume(id, *path);
     return;
   }
   ++rec.attempts;
@@ -310,7 +313,7 @@ void FaultInjector::retry(FlowId id) {
   }
 }
 
-void FaultInjector::resume(FlowId id, topology::Path path) {
+void FaultInjector::resume(FlowId id, const topology::Path& path) {
   FaultOutcome& out = outcome(id);
   out.downtime += sim_->now() - park_records_.at(id.value()).parked_at;
   summary_.downtime += sim_->now() - park_records_.at(id.value()).parked_at;
@@ -318,7 +321,7 @@ void FaultInjector::resume(FlowId id, topology::Path path) {
   assert(pos != parked_.end() && *pos == id);
   parked_.erase(pos);
   ++summary_.resumes;
-  sim_->resume_flow(id, std::move(path));
+  sim_->resume_flow(id, path);
 }
 
 void FaultInjector::abandon(FlowId id) {

@@ -99,7 +99,7 @@ class FaultInjector {
   void park(FlowId id, ParkReason reason);
   void schedule_retry(FlowId id);
   void retry(FlowId id);
-  void resume(FlowId id, topology::Path path);
+  void resume(FlowId id, const topology::Path& path);
   void abandon(FlowId id);
   [[nodiscard]] bool is_parked(FlowId id) const;
   FaultOutcome& outcome(FlowId id);

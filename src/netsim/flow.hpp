@@ -52,13 +52,16 @@ struct Flow {
 
   FlowId id;
   FlowSpec spec;
-  topology::Path path;          // directed links traversed
+  // Directed links traversed: a view of the interned route, not a copy
+  // (DESIGN.md §11). Empty for loopback flows.
+  topology::PathView path;
   // Interned identity of `path` in the Simulator's RouteTable: flows with
   // equal `route` have bitwise-equal paths, which is what the allocator's
-  // equivalence-class fill groups on. Kept in sync with `path` by the
-  // Simulator (submission, resume, reroute); invalid for flows whose path
-  // was written directly (standalone benchmarks/tests), which the allocator
-  // then treats as singleton classes.
+  // equivalence-class fill groups on. The Simulator binds `path` to
+  // routes().path(route) (submission, resume, reroute); standalone
+  // benchmarks/tests that build flows by hand intern through a RouteTable
+  // of their own, or leave `route` invalid, which the allocator then treats
+  // as a singleton class.
   RouteId route;
 
   // Simulator bookkeeping: this flow's slot in Simulator::active_flows_,

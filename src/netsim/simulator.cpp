@@ -39,6 +39,41 @@ namespace {
   return t + kTimeEpsilon * std::max(1.0, std::fabs(t));
 }
 
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+// One word of a flow-chunk digest: FNV-1a over whole words, with an
+// xorshift so high input bits also reach the low state bits.
+[[nodiscard]] inline std::uint64_t fold(std::uint64_t h,
+                                        std::uint64_t word) noexcept {
+  h = (h ^ word) * kFnvPrime;
+  return h ^ (h >> 32);
+}
+
+[[nodiscard]] inline std::uint64_t fold(std::uint64_t h, double v) noexcept {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return fold(h, bits);
+}
+
+// Folds a finished flow's snapshot-image fields (the per-flow entries of
+// service/snapshot.cpp's verify image) into its chunk's digest.
+[[nodiscard]] std::uint64_t fold_flow(std::uint64_t h, const Flow& f) noexcept {
+  h = fold(h, static_cast<std::uint64_t>(f.state));
+  h = fold(h, std::uint64_t{f.entered ? 1u : 0u});
+  h = fold(h, f.remaining);
+  h = fold(h, f.rate);
+  h = fold(h, f.start_time);
+  h = fold(h, f.finish_time);
+  h = fold(h, f.weight);
+  h = fold(h, std::uint64_t{f.rate_cap.has_value() ? 1u : 0u});
+  h = fold(h, f.rate_cap.value_or(-1.0));
+  h = fold(h, f.route.valid() ? f.route.value() : ~std::uint64_t{0});
+  h = fold(h, static_cast<std::uint64_t>(f.path.size()));
+  for (const LinkId link : f.path) h = fold(h, link.value());
+  return h;
+}
+
 }  // namespace
 
 Simulator::Simulator(const topology::Topology* topo, SimLoopMode mode,
@@ -111,7 +146,7 @@ void Simulator::link_utilization(std::vector<double>& out) const {
   // nothing, so steady-state sampling stays allocation-free.
   out.assign(topo_->link_count(), 0.0);
   for (FlowId id : active_flows_) {
-    const Flow& f = flows_.at(id.value());
+    const Flow& f = flows_.at(id.value()).flow;
     if (f.rate <= 0.0 || std::isinf(f.rate)) continue;
     for (const LinkId lid : f.path) out[lid.value()] += f.rate;
   }
@@ -140,13 +175,13 @@ TaskId Simulator::enqueue_task(WorkerId worker, Duration duration,
                                std::string label, JobId job,
                                TaskCallback on_done) {
   const TaskId id{tasks_.size()};
-  tasks_.push_back(ComputeTask{.id = id,
-                               .worker = worker,
-                               .duration = duration,
-                               .label = std::move(label),
-                               .job = job,
-                               .enqueue_time = now_});
-  task_done_.push_back(std::move(on_done));
+  tasks_.push_back(TaskRecord{.task = ComputeTask{.id = id,
+                                                 .worker = worker,
+                                                 .duration = duration,
+                                                 .label = std::move(label),
+                                                 .job = job,
+                                                 .enqueue_time = now_},
+                              .on_done = std::move(on_done)});
   Worker& w = workers_.at(worker.value());
   w.queue.push_back(id);
   if (m_queue_depth_ != nullptr) {
@@ -161,7 +196,7 @@ void Simulator::start_next_task(WorkerId worker) {
   if (!w.idle() || w.queue.empty()) return;
   const TaskId id = w.queue.front();
   w.queue.pop_front();
-  ComputeTask& t = tasks_.at(id.value());
+  ComputeTask& t = tasks_.at(id.value()).task;
   t.start_time = now_;
   // Straggler scaling is applied once, at start, and recorded back into the
   // task so busy-time accounting and later reads see the actual runtime.
@@ -184,7 +219,8 @@ void Simulator::start_next_task(WorkerId worker) {
 }
 
 void Simulator::finish_task(TaskId id) {
-  ComputeTask& t = tasks_.at(id.value());
+  TaskRecord& rec = tasks_.at(id.value());
+  ComputeTask& t = rec.task;
   t.finish_time = now_;
   Worker& w = workers_.at(t.worker.value());
   w.busy_time += t.duration;
@@ -207,11 +243,11 @@ void Simulator::finish_task(TaskId id) {
   // be visible before this worker greedily grabs its next queued task.
   // Callbacks may enqueue tasks; tasks_ never moves a record, so `t` stays
   // valid and hooks see the stored record itself.
-  if (TaskCallback cb = std::move(task_done_.at(id.value())); cb) {
-    cb(*this, t);
-  }
+  if (TaskCallback cb = std::move(rec.on_done); cb) cb(*this, t);
   for (const TaskCallback& cb : task_listeners_) cb(*this, t);
   start_next_task(t.worker);
+  // Done for good: the record may be freed with its chunk from here on.
+  tasks_.retire(id.value());
 }
 
 FlowId Simulator::submit_flow(FlowSpec spec, FlowCallback on_done) {
@@ -240,8 +276,7 @@ FlowId Simulator::submit_flow(FlowSpec spec, FlowCallback on_done) {
         // not entered the network: no arrival listeners, no scheduler
         // notification, start_time is fixed on its first real entry.
         f.state = FlowState::kParked;
-        flows_.push_back(std::move(f));
-        flow_done_.push_back(std::move(on_done));
+        store_flow(std::move(f), std::move(on_done));
         UnroutableHandler handler = unroutable_handler_;  // reentrancy-safe
         handler(*this, id);
         return id;
@@ -259,13 +294,12 @@ FlowId Simulator::submit_flow(FlowSpec spec, FlowCallback on_done) {
           std::to_string(f.spec.dst.value()));
     }
     f.route = *rid;
-    f.path = routes_.path(*rid);  // copy of the canonical interned path
+    f.path = routes_.path(*rid);  // a view: the interned path never moves
   }
   f.entered = true;
   // Listeners may submit flows; flows_ never moves a record, so `fr` stays
   // valid across them.
-  Flow& fr = flows_.push_back(std::move(f));
-  flow_done_.push_back(std::move(on_done));
+  Flow& fr = store_flow(std::move(f), std::move(on_done));
   if (tracing(obs::TraceDetail::kFlow)) {
     trace_flow(obs::TraceKind::kFlowStart, fr, fr.spec.size, fr.spec.label);
   }
@@ -288,6 +322,12 @@ FlowId Simulator::submit_flow(FlowSpec spec, FlowCallback on_done) {
   mark_job_dirty(fr.spec.job);
   scheduler_->on_flow_arrival(*this, fr);
   return id;
+}
+
+Flow& Simulator::store_flow(Flow&& f, FlowCallback&& on_done) {
+  if (f.id.value() % kFlowChunk == 0) flow_chunk_digests_.push_back(kFnvOffset);
+  finish_times_.push_back(kTimeInfinity);
+  return flows_.push_back(FlowRecord{std::move(f), std::move(on_done)}).flow;
 }
 
 void Simulator::schedule_at(SimTime at, TimerCallback cb) {
@@ -329,7 +369,7 @@ void Simulator::reallocate() {
   active_scratch_.clear();
   active_scratch_.reserve(active_flows_.size());
   for (FlowId id : active_flows_) {
-    active_scratch_.push_back(&flows_.at(id.value()));
+    active_scratch_.push_back(&flows_.at(id.value()).flow);
   }
   // Pre-control churn scan (DESIGN.md §12): a control_dirty flag standing
   // *before* the scheduler runs means an external caller touched the flow's
@@ -401,7 +441,7 @@ void Simulator::restore_active_order() {
   // order the seed maintained with order-preserving erase.
   std::sort(active_flows_.begin(), active_flows_.end());
   for (std::size_t i = 0; i < active_flows_.size(); ++i) {
-    flows_.at(active_flows_[i].value()).active_index = i;
+    flows_.at(active_flows_[i].value()).flow.active_index = i;
   }
   active_order_dirty_ = false;
 }
@@ -410,7 +450,7 @@ void Simulator::stamp_active_flows(SimTime to) {
   const Duration dt = to - epoch_time_;
   if (dt > 0.0) {
     for (FlowId id : active_flows_) {
-      Flow& f = flows_.at(id.value());
+      Flow& f = flows_.at(id.value()).flow;
       // Rate-0 flows (just-submitted, or starved by the allocator) make no
       // progress; skipping them keeps the stamp proportional to *flowing*
       // flows and avoids perturbing their byte counts.
@@ -440,7 +480,7 @@ void Simulator::rebuild_completion_heap() {
   completion_heap_.clear();
   ++heap_gen_;
   for (FlowId id : active_flows_) {
-    Flow& f = flows_.at(id.value());
+    Flow& f = flows_.at(id.value()).flow;
     if (f.rate <= 0.0) continue;  // never completes at its current rate
     f.completion_gen = heap_gen_;
     completion_heap_.push_back(
@@ -454,7 +494,7 @@ void Simulator::rebuild_completion_heap() {
 SimTime Simulator::earliest_completion_scan() const noexcept {
   SimTime best = kTimeInfinity;
   for (FlowId id : active_flows_) {
-    const Flow& f = flows_.at(id.value());
+    const Flow& f = flows_.at(id.value()).flow;
     if (f.rate <= 0.0) continue;
     best = std::min(best, completion_time(epoch_time_, f));
   }
@@ -469,10 +509,7 @@ SimTime Simulator::earliest_completion_heap() {
   // loosens.
   while (!completion_heap_.empty()) {
     const CompletionEntry& e = completion_heap_.front();
-    const Flow& f = flows_.at(e.flow.value());
-    if (f.active_index != Flow::kNotActive && f.completion_gen == e.gen) {
-      return e.tc;
-    }
+    if (entry_valid(e)) return e.tc;
     std::pop_heap(completion_heap_.begin(), completion_heap_.end(),
                   LaterCompletion{});
     completion_heap_.pop_back();
@@ -480,10 +517,19 @@ SimTime Simulator::earliest_completion_heap() {
   return kTimeInfinity;
 }
 
+bool Simulator::entry_valid(const CompletionEntry& e) const {
+  // A released record belonged to a finished flow: never valid.
+  if (!flows_.resident(e.flow.value())) return false;
+  const Flow& f = flows_.at(e.flow.value()).flow;
+  return f.active_index != Flow::kNotActive && f.completion_gen == e.gen;
+}
+
 void Simulator::complete_flow(FlowId id, bool notify_scheduler) {
-  Flow& f = flows_.at(id.value());
+  FlowRecord& rec = flows_.at(id.value());
+  Flow& f = rec.flow;
   f.state = FlowState::kFinished;
   f.finish_time = now_;
+  finish_times_.at(id.value()) = now_;
 
   // value = undelivered bytes: 0 for a clean finish, > 0 for an abandonment.
   if (tracing(obs::TraceDetail::kFlow)) {
@@ -499,14 +545,18 @@ void Simulator::complete_flow(FlowId id, bool notify_scheduler) {
   // then global listeners. Callbacks may submit flows; flows_ never moves a
   // record, so every hook sees the stored record itself.
   if (notify_scheduler) scheduler_->on_flow_departure(*this, f);
-  if (FlowCallback cb = std::move(flow_done_.at(id.value())); cb) {
-    cb(*this, f);
-  }
+  if (FlowCallback cb = std::move(rec.on_done); cb) cb(*this, f);
   for (const FlowCallback& cb : flow_listeners_) cb(*this, f);
+
+  // Done for good: fold the final record into its chunk's digest while it
+  // is hot, then retire it -- the last retirement frees the whole chunk.
+  std::uint64_t& digest = flow_chunk_digests_[id.value() / kFlowChunk];
+  digest = fold_flow(digest, f);
+  flows_.retire(id.value());
 }
 
 void Simulator::finish_flow(FlowId id) {
-  Flow& f = flows_.at(id.value());
+  Flow& f = flows_.at(id.value()).flow;
   f.remaining = 0.0;
   f.rate = 0.0;
   // O(1) swap-and-pop retirement (the seed did a linear std::erase). The
@@ -519,7 +569,7 @@ void Simulator::finish_flow(FlowId id) {
   if (idx != last) {
     const FlowId moved = active_flows_[last];
     active_flows_[idx] = moved;
-    flows_.at(moved.value()).active_index = idx;
+    flows_.at(moved.value()).flow.active_index = idx;
     active_order_dirty_ = true;
   }
   active_flows_.pop_back();
@@ -531,7 +581,7 @@ void Simulator::finish_flow(FlowId id) {
 }
 
 void Simulator::park_flow(FlowId id) {
-  Flow& f = flows_.at(id.value());
+  Flow& f = flows_.at(id.value()).flow;
   if (f.state != FlowState::kActive || f.active_index == Flow::kNotActive) {
     return;  // parked, finished, or never entered: nothing to remove
   }
@@ -548,7 +598,7 @@ void Simulator::park_flow(FlowId id) {
   if (idx != last) {
     const FlowId moved = active_flows_[last];
     active_flows_[idx] = moved;
-    flows_.at(moved.value()).active_index = idx;
+    flows_.at(moved.value()).flow.active_index = idx;
     active_order_dirty_ = true;
   }
   active_flows_.pop_back();
@@ -573,16 +623,16 @@ void Simulator::park_flow(FlowId id) {
   scheduler_->on_flow_departure(*this, f);
 }
 
-void Simulator::resume_flow(FlowId id, topology::Path path) {
-  Flow& f = flows_.at(id.value());
+void Simulator::resume_flow(FlowId id, const topology::Path& path) {
+  Flow& f = flows_.at(id.value()).flow;
   assert(f.state == FlowState::kParked && "resume_flow on non-parked flow");
   if (f.state != FlowState::kParked) return;
   // Re-intern so the flow's route identity matches its new path -- a
   // recovery path computed by route_flow() lands back on the canonical
   // RouteId; an externally crafted path gets its own (still-deduplicated)
-  // id. Either way `route` and `path` stay in sync.
+  // id. Either way `path` views the interned copy of `route`.
   f.route = routes_.intern(path);
-  f.path = std::move(path);
+  f.path = routes_.path(f.route);
   f.state = FlowState::kActive;
   f.rate = 0.0;
 
@@ -617,12 +667,12 @@ void Simulator::resume_flow(FlowId id, topology::Path path) {
   scheduler_->on_flow_arrival(*this, f);
 }
 
-void Simulator::reroute_flow(FlowId id, topology::Path path) {
-  Flow& f = flows_.at(id.value());
+void Simulator::reroute_flow(FlowId id, const topology::Path& path) {
+  Flow& f = flows_.at(id.value()).flow;
   assert(f.state == FlowState::kActive && f.active_index != Flow::kNotActive &&
          "reroute_flow on inactive flow");
-  f.route = routes_.intern(path);  // keep route identity in sync (see resume)
-  f.path = std::move(path);
+  f.route = routes_.intern(path);  // view the interned copy (see resume)
+  f.path = routes_.path(f.route);
   allocation_dirty_ = true;
   mark_job_dirty(f.spec.job);
   if (tracing(obs::TraceDetail::kCoarse)) {
@@ -632,7 +682,7 @@ void Simulator::reroute_flow(FlowId id, topology::Path path) {
 }
 
 std::optional<topology::Path> Simulator::route_flow(FlowId id) {
-  const Flow& f = flows_.at(id.value());
+  const Flow& f = flows_.at(id.value()).flow;
   if (f.spec.src == f.spec.dst) return topology::Path{};  // loopback: no links
   const std::uint64_t seed =
       f.spec.route_hint != 0 ? f.spec.route_hint : id.value();
@@ -642,7 +692,7 @@ std::optional<topology::Path> Simulator::route_flow(FlowId id) {
 }
 
 void Simulator::abandon_flow(FlowId id) {
-  Flow& f = flows_.at(id.value());
+  Flow& f = flows_.at(id.value()).flow;
   assert(f.state == FlowState::kParked && "abandon_flow on non-parked flow");
   if (f.state != FlowState::kParked) return;
   if (!f.entered) {
@@ -700,7 +750,7 @@ SimTime Simulator::run(SimTime deadline) {
       restore_active_order();
       bool retired = false;
       for (std::size_t i = active_flows_.size(); i-- > 0;) {
-        Flow& f = flows_.at(active_flows_[i].value());
+        Flow& f = flows_.at(active_flows_[i].value()).flow;
         if (std::isinf(f.rate) || f.remaining <= kBytesEpsilon) {
           finish_flow(f.id);
           retired = true;
@@ -744,9 +794,7 @@ SimTime Simulator::run(SimTime deadline) {
       retire_scratch_.clear();
       while (!completion_heap_.empty()) {
         const CompletionEntry e = completion_heap_.front();
-        const Flow& f = flows_.at(e.flow.value());
-        const bool valid =
-            f.active_index != Flow::kNotActive && f.completion_gen == e.gen;
+        const bool valid = entry_valid(e);
         if (valid && e.tc > threshold) break;
         std::pop_heap(completion_heap_.begin(), completion_heap_.end(),
                       LaterCompletion{});
@@ -756,13 +804,13 @@ SimTime Simulator::run(SimTime deadline) {
       std::sort(retire_scratch_.begin(), retire_scratch_.end(),
                 std::greater<FlowId>{});
       for (FlowId id : retire_scratch_) {
-        assert(flows_.at(id.value()).active_index != Flow::kNotActive);
+        assert(flows_.at(id.value()).flow.active_index != Flow::kNotActive);
         finish_flow(id);
       }
     } else {
       restore_active_order();  // retire in descending-id order
       for (std::size_t i = active_flows_.size(); i-- > 0;) {
-        Flow& f = flows_.at(active_flows_[i].value());
+        Flow& f = flows_.at(active_flows_[i].value()).flow;
         if (f.rate <= 0.0) continue;
         if (completion_time(epoch_time_, f) <= threshold) finish_flow(f.id);
       }

@@ -31,6 +31,7 @@
 
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -62,10 +63,13 @@ namespace echelon::netsim {
 // golden-equivalence suite. Both produce bit-identical simulations.
 enum class SimLoopMode { kLazy, kEagerScan };
 
-// Append-only record store in fixed kChunk-element chunks (DESIGN.md §6).
-// Appending never moves an existing element, so references into the store
-// stay valid across push_back -- and growth never holds two copies of the
-// records the way a doubling vector's reallocation does.
+// Record store in fixed kChunk-element chunks (DESIGN.md §6). Appending
+// never moves an existing element, so references into the store stay valid
+// across push_back -- and growth never holds two copies of the records the
+// way a doubling vector's reallocation does. Indices are never reused: a
+// record is retired once it is done for good, and a full chunk whose every
+// record is retired is freed whole. A released index stays counted in
+// size() but is no longer resident, and at() on it throws.
 template <typename T>
 class ChunkedStore {
  public:
@@ -79,31 +83,55 @@ class ChunkedStore {
   ChunkedStore(ChunkedStore&&) noexcept = default;
   ChunkedStore& operator=(ChunkedStore&&) noexcept = default;
 
+  // Records ever pushed, released ones included.
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
-  // Bounds-checked like std::vector::at.
+  // True when record `i` was pushed and its chunk has not been released.
+  [[nodiscard]] bool resident(std::size_t i) const noexcept {
+    return i < size_ && i % kChunk < chunks_[i / kChunk].slots.size();
+  }
+
+  // Bounds-checked like std::vector::at; a released record is out of range.
   [[nodiscard]] T& at(std::size_t i) {
-    if (i >= size_) throw std::out_of_range("ChunkedStore::at");
-    return chunks_[i / kChunk][i % kChunk];
+    if (!resident(i)) throw std::out_of_range("ChunkedStore::at");
+    return chunks_[i / kChunk].slots[i % kChunk];
   }
   [[nodiscard]] const T& at(std::size_t i) const {
-    if (i >= size_) throw std::out_of_range("ChunkedStore::at");
-    return chunks_[i / kChunk][i % kChunk];
+    if (!resident(i)) throw std::out_of_range("ChunkedStore::at");
+    return chunks_[i / kChunk].slots[i % kChunk];
   }
 
   T& push_back(T value) {
     if (size_ % kChunk == 0) {
       // A chunk never grows past its reserved capacity, so its buffer never
       // moves; growing chunks_ moves the chunk vectors, not their buffers.
-      chunks_.emplace_back().reserve(kChunk);
+      chunks_.emplace_back().slots.reserve(kChunk);
     }
-    T& slot = chunks_.back().emplace_back(std::move(value));
+    Chunk& c = chunks_.back();
+    T& slot = c.slots.emplace_back(std::move(value));
+    ++c.open;
     ++size_;
     return slot;
   }
 
+  // Marks resident record `i` done for good; call at most once per record.
+  // Frees the chunk when it is full and this was its last open record. A
+  // partly filled chunk is never freed, so a store under kChunk records
+  // never releases anything.
+  void retire(std::size_t i) {
+    Chunk& c = chunks_[i / kChunk];
+    assert(resident(i) && c.open > 0 && "retire of a released record");
+    if (--c.open == 0 && c.slots.size() == kChunk) {
+      std::vector<T>().swap(c.slots);
+    }
+  }
+
  private:
-  std::vector<std::vector<T>> chunks_;
+  struct Chunk {
+    std::vector<T> slots;
+    std::size_t open = 0;  // pushed and not yet retired
+  };
+  std::vector<Chunk> chunks_;
   std::size_t size_ = 0;
 };
 
@@ -206,8 +234,10 @@ class Simulator {
   // is free. `on_done` fires at completion.
   TaskId enqueue_task(WorkerId worker, Duration duration, std::string label,
                       JobId job = {}, TaskCallback on_done = {});
+  // Valid until the task finishes; after that only while its record chunk
+  // is resident (DESIGN.md §6).
   [[nodiscard]] const ComputeTask& task(TaskId id) const {
-    return tasks_.at(id.value());
+    return tasks_.at(id.value()).task;
   }
 
   // Straggler control: tasks *starting* on `worker` after this call run for
@@ -219,12 +249,23 @@ class Simulator {
 
   // --- flows ---
   // Submits a flow that starts *now*. `on_done` fires at completion.
-  // Flow and task records are never moved or freed, so references returned
-  // by flow()/task() -- and the records hooks receive -- stay valid for the
-  // simulator's lifetime.
+  // Flow and task records never move, and a record is freed only after it
+  // finished, its hooks returned and every other record of its 4096-record
+  // chunk finished too (DESIGN.md §6). So references returned by
+  // flow()/task() -- and the records hooks receive -- stay valid until the
+  // record finishes; after that, check flow_resident() first, or read
+  // finish_time(), which outlives the record.
   FlowId submit_flow(FlowSpec spec, FlowCallback on_done = {});
   [[nodiscard]] const Flow& flow(FlowId id) const {
-    return flows_.at(id.value());
+    return flows_.at(id.value()).flow;
+  }
+  [[nodiscard]] bool flow_resident(FlowId id) const noexcept {
+    return flows_.resident(id.value());
+  }
+  // Completion instant of any flow ever submitted (kTimeInfinity while it
+  // has not finished), kept at 8 B per flow after its record is released.
+  [[nodiscard]] SimTime finish_time(FlowId id) const {
+    return finish_times_.at(id.value());
   }
   [[nodiscard]] std::size_t flow_count() const noexcept {
     return flows_.size();
@@ -240,7 +281,9 @@ class Simulator {
   }
 
   // Mutable flow access for schedulers (weights/caps).
-  [[nodiscard]] Flow& flow_mutable(FlowId id) { return flows_.at(id.value()); }
+  [[nodiscard]] Flow& flow_mutable(FlowId id) {
+    return flows_.at(id.value()).flow;
+  }
 
   // --- graceful degradation (fault injection) ---
   // Removes an active flow from the network without finishing it: bytes
@@ -254,11 +297,11 @@ class Simulator {
   // in the current topology. Resumes from the parked `remaining`; on the
   // first real entry (flows parked at birth) fixes start_time and fires the
   // arrival listeners. The scheduler sees a (re-)arrival.
-  void resume_flow(FlowId id, topology::Path path);
+  void resume_flow(FlowId id, const topology::Path& path);
 
   // Replaces an active flow's path in place (fault rerouting) and forces a
   // reallocation.
-  void reroute_flow(FlowId id, topology::Path path);
+  void reroute_flow(FlowId id, const topology::Path& path);
 
   // Recomputes flow `id`'s route in the *current* topology through the
   // interned route cache, using the same ECMP seed submit_flow used
@@ -368,6 +411,14 @@ class Simulator {
   // of these mutate state or observe anything mode-dependent.
   [[nodiscard]] SimTime epoch_time() const noexcept { return epoch_time_; }
   [[nodiscard]] const EventQueue& events() const noexcept { return events_; }
+  // Digest of flow record chunk `chunk` (FlowIds chunk * kFlowChunk and up):
+  // the snapshot-image fields of each of its flows, folded in completion
+  // order as each completes. Once the chunk is released (its first flow is
+  // no longer resident) this stands in for its records.
+  static constexpr std::size_t kFlowChunk = ChunkedStore<Flow>::kChunk;
+  [[nodiscard]] std::uint64_t flow_chunk_digest(std::size_t chunk) const {
+    return flow_chunk_digests_.at(chunk);
+  }
   // Order-insensitive FNV-1a fold over the completion heap's (tc, flow, gen)
   // triples plus its size and rebuild generation. Two simulators whose
   // histories diverged anywhere upstream of completion scheduling disagree
@@ -459,6 +510,10 @@ class Simulator {
   // only; called right after a reallocation that kept the epoch in place.
   void patch_completion_heap();
   [[nodiscard]] SimTime earliest_completion_scan() const noexcept;
+  // True when heap entry `e` still describes its flow's pending completion.
+  [[nodiscard]] bool entry_valid(const CompletionEntry& e) const;
+  // Appends flow `f` (whose id is the next FlowId) and its callback.
+  Flow& store_flow(Flow&& f, FlowCallback&& on_done);
   [[nodiscard]] SimTime earliest_completion_heap();
 
   const topology::Topology* topo_;
@@ -474,10 +529,23 @@ class Simulator {
   SimTime epoch_time_ = 0.0;
   EventQueue events_;
 
-  // Indexed by FlowId; never shrinks. Chunked, so a Flow& stays valid while
-  // callbacks submit more flows.
-  ChunkedStore<Flow> flows_;
-  ChunkedStore<FlowCallback> flow_done_;  // parallel to flows_
+  // A record and its completion callback share one slot, so they are
+  // released together.
+  struct FlowRecord {
+    Flow flow;
+    FlowCallback on_done;
+  };
+  struct TaskRecord {
+    ComputeTask task;
+    TaskCallback on_done;
+  };
+
+  // Indexed by FlowId. Chunked, so a Flow& stays valid while callbacks
+  // submit more flows; each flow is retired at the end of complete_flow,
+  // which frees whole chunks of finished records.
+  ChunkedStore<FlowRecord> flows_;
+  ChunkedStore<SimTime> finish_times_;  // parallel to flows_; never released
+  std::vector<std::uint64_t> flow_chunk_digests_;  // see flow_chunk_digest
   std::vector<FlowId> active_flows_;
   // Reused by reallocate() so steady-state control passes are allocation-free
   // (grows to the high-water mark of the active set, never shrinks).
@@ -502,8 +570,8 @@ class Simulator {
   std::vector<std::uint32_t> timer_free_;
 
   std::vector<Worker> workers_;
-  ChunkedStore<ComputeTask> tasks_;       // indexed by TaskId, like flows_
-  ChunkedStore<TaskCallback> task_done_;  // parallel to tasks_
+  // Indexed by TaskId; retired at the end of finish_task, like flows_.
+  ChunkedStore<TaskRecord> tasks_;
 
   std::vector<FlowCallback> flow_listeners_;
   std::vector<FlowCallback> flow_arrival_listeners_;

@@ -578,7 +578,7 @@ ServiceResult ServiceLoop::result() const {
   r.wall_ms = wall_ms_;
   r.flow_finish.reserve(sim_.flow_count());
   for (std::size_t i = 0; i < sim_.flow_count(); ++i) {
-    r.flow_finish.push_back(sim_.flow(FlowId{i}).finish_time);
+    r.flow_finish.push_back(sim_.finish_time(FlowId{i}));
   }
   r.jobs.reserve(jobs_.size());
   for (const auto& lj : jobs_) r.jobs.push_back(lj->record);

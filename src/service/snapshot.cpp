@@ -377,7 +377,17 @@ void build_verify_image(const ServiceLoop& loop, ImageBuilder& img) {
   img.add("service.last_launch_seq", loop.last_launch_seq());
   img.addf("service.last_arrival_at", loop.last_arrival_at());
 
+  constexpr std::size_t kChunk = netsim::Simulator::kFlowChunk;
   for (std::size_t i = 0; i < sim.flow_count(); ++i) {
+    if (!sim.flow_resident(FlowId{i})) {
+      // Released chunk: its records are gone, and the digest the simulator
+      // folded as each of them completed stands in for their entries.
+      const std::size_t chunk = i / kChunk;
+      img.add("flow_chunk[" + std::to_string(chunk) + "].digest",
+              sim.flow_chunk_digest(chunk));
+      i = (chunk + 1) * kChunk - 1;
+      continue;
+    }
     const netsim::Flow& f = sim.flow(FlowId{i});
     const std::string p = "flow[" + std::to_string(i) + "].";
     img.add(p + "state", static_cast<std::uint64_t>(f.state));

@@ -26,7 +26,8 @@
 //     3 kGenerator  generator kind + progress (Poisson RNG words / trace
 //                   file cursor) + the fetched-but-unconsumed arrival
 //     4 kService    step counter, tick index, journal length, clocks
-//     5 kVerify     named scalar image + per-flow records (see .cpp)
+//     5 kVerify     named scalar image + per-flow records of resident flows
+//                   + one digest per released flow record chunk (see .cpp)
 //     6 kTelemetry  (v2) named scalar image over the telemetry state:
 //                   flush counters, SLO window digest, flight-ring digest,
 //                   Prometheus exposition digest. Telemetry *state* is
@@ -62,7 +63,9 @@ inline constexpr char kSnapshotMagic[8] = {'E', 'C', 'H', 'S', 'N', 'A', 'P',
 //     hop-distance reuse instead of (src, dst, seed) cache verdicts.
 // v5: kConfig drops the loop/alloc/fill mode words; kVerify drops
 //     alloc.components_reused.
-inline constexpr std::uint32_t kSnapshotVersion = 5;
+// v6: kVerify keeps per-flow records only for resident flows; each released
+//     4096-flow record chunk contributes one flow_chunk[c].digest instead.
+inline constexpr std::uint32_t kSnapshotVersion = 6;
 
 // Thrown on any malformed, truncated, corrupt, or divergent snapshot. The
 // message always names what failed and where.

@@ -19,6 +19,28 @@ namespace echelon::topology {
 // A routed path is the ordered list of directed links a flow traverses.
 using Path = std::vector<LinkId>;
 
+// Read-only view of a Path stored elsewhere -- for a simulated flow, the
+// route interned in the Simulator's RouteTable, whose buffer never moves
+// (DESIGN.md §11). Binding a temporary Path does not compile: the view
+// would dangle as soon as the temporary died.
+class PathView {
+ public:
+  PathView() = default;
+  // Implicit, so `view = table.path(id)` reads like assigning a Path.
+  PathView(const Path& path) noexcept : links_(path) {}  // NOLINT
+  PathView(const Path&&) = delete;
+
+  [[nodiscard]] auto begin() const noexcept { return links_.begin(); }
+  [[nodiscard]] auto end() const noexcept { return links_.end(); }
+  [[nodiscard]] std::size_t size() const noexcept { return links_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return links_.empty(); }
+  [[nodiscard]] LinkId operator[](std::size_t i) const { return links_[i]; }
+  [[nodiscard]] LinkId front() const { return links_.front(); }
+
+ private:
+  std::span<const LinkId> links_;
+};
+
 class Topology {
  public:
   Topology() = default;

@@ -9,20 +9,24 @@
 #include "common/rng.hpp"
 #include "netsim/allocator.hpp"
 #include "topology/builders.hpp"
+#include "topology/route_table.hpp"
 
 namespace echelon::netsim {
 namespace {
 
-// Builds a flow on the given fabric with routing resolved.
-Flow make_flow(const topology::BuiltFabric& f, std::size_t src,
-               std::size_t dst, Bytes size, std::uint64_t id = 0) {
+// Builds a flow on the given fabric with routing resolved. Its path views
+// the route interned in `routes`, which must outlive the flow; `route` stays
+// invalid, so the allocator treats the flow as a singleton class.
+Flow make_flow(topology::RouteTable& routes, const topology::BuiltFabric& f,
+               std::size_t src, std::size_t dst, Bytes size,
+               std::uint64_t id = 0) {
   Flow flow;
   flow.id = FlowId{id};
   flow.spec.src = f.hosts[src];
   flow.spec.dst = f.hosts[dst];
   flow.spec.size = size;
   flow.remaining = size;
-  flow.path = *f.topo.route(f.hosts[src], f.hosts[dst], id);
+  flow.path = routes.path(*routes.route(f.hosts[src], f.hosts[dst], id));
   return flow;
 }
 
@@ -35,7 +39,8 @@ std::vector<Flow*> ptrs(std::vector<Flow>& flows) {
 TEST(Allocator, SingleFlowGetsFullBandwidth) {
   auto f = topology::make_big_switch(2, 10.0);
   RateAllocator alloc(&f.topo);
-  std::vector<Flow> flows{make_flow(f, 0, 1, 100.0)};
+  topology::RouteTable routes(&f.topo);
+  std::vector<Flow> flows{make_flow(routes, f, 0, 1, 100.0)};
   auto p = ptrs(flows);
   alloc.allocate(p);
   EXPECT_DOUBLE_EQ(flows[0].rate, 10.0);
@@ -44,8 +49,9 @@ TEST(Allocator, SingleFlowGetsFullBandwidth) {
 TEST(Allocator, TwoFlowsSameLinkSplitEvenly) {
   auto f = topology::make_big_switch(2, 10.0);
   RateAllocator alloc(&f.topo);
-  std::vector<Flow> flows{make_flow(f, 0, 1, 100.0, 0),
-                          make_flow(f, 0, 1, 100.0, 1)};
+  topology::RouteTable routes(&f.topo);
+  std::vector<Flow> flows{make_flow(routes, f, 0, 1, 100.0, 0),
+                          make_flow(routes, f, 0, 1, 100.0, 1)};
   auto p = ptrs(flows);
   alloc.allocate(p);
   EXPECT_DOUBLE_EQ(flows[0].rate, 5.0);
@@ -55,8 +61,9 @@ TEST(Allocator, TwoFlowsSameLinkSplitEvenly) {
 TEST(Allocator, WeightsBiasShares) {
   auto f = topology::make_big_switch(2, 9.0);
   RateAllocator alloc(&f.topo);
-  std::vector<Flow> flows{make_flow(f, 0, 1, 100.0, 0),
-                          make_flow(f, 0, 1, 100.0, 1)};
+  topology::RouteTable routes(&f.topo);
+  std::vector<Flow> flows{make_flow(routes, f, 0, 1, 100.0, 0),
+                          make_flow(routes, f, 0, 1, 100.0, 1)};
   flows[0].weight = 2.0;
   flows[1].weight = 1.0;
   auto p = ptrs(flows);
@@ -68,8 +75,9 @@ TEST(Allocator, WeightsBiasShares) {
 TEST(Allocator, CapIsHonoredAndLeftoverRedistributed) {
   auto f = topology::make_big_switch(2, 10.0);
   RateAllocator alloc(&f.topo);
-  std::vector<Flow> flows{make_flow(f, 0, 1, 100.0, 0),
-                          make_flow(f, 0, 1, 100.0, 1)};
+  topology::RouteTable routes(&f.topo);
+  std::vector<Flow> flows{make_flow(routes, f, 0, 1, 100.0, 0),
+                          make_flow(routes, f, 0, 1, 100.0, 1)};
   flows[0].rate_cap = 2.0;
   auto p = ptrs(flows);
   alloc.allocate(p);
@@ -82,8 +90,9 @@ TEST(Allocator, AllCappedLeavesCapacityUnused) {
   // exact pacing.
   auto f = topology::make_big_switch(2, 10.0);
   RateAllocator alloc(&f.topo);
-  std::vector<Flow> flows{make_flow(f, 0, 1, 100.0, 0),
-                          make_flow(f, 0, 1, 100.0, 1)};
+  topology::RouteTable routes(&f.topo);
+  std::vector<Flow> flows{make_flow(routes, f, 0, 1, 100.0, 0),
+                          make_flow(routes, f, 0, 1, 100.0, 1)};
   flows[0].rate_cap = 2.0;
   flows[1].rate_cap = 3.0;
   auto p = ptrs(flows);
@@ -95,8 +104,9 @@ TEST(Allocator, AllCappedLeavesCapacityUnused) {
 TEST(Allocator, InfeasibleCapsDegradeGracefully) {
   auto f = topology::make_big_switch(2, 10.0);
   RateAllocator alloc(&f.topo);
-  std::vector<Flow> flows{make_flow(f, 0, 1, 100.0, 0),
-                          make_flow(f, 0, 1, 100.0, 1)};
+  topology::RouteTable routes(&f.topo);
+  std::vector<Flow> flows{make_flow(routes, f, 0, 1, 100.0, 0),
+                          make_flow(routes, f, 0, 1, 100.0, 1)};
   flows[0].rate_cap = 8.0;
   flows[1].rate_cap = 8.0;
   auto p = ptrs(flows);
@@ -109,8 +119,9 @@ TEST(Allocator, InfeasibleCapsDegradeGracefully) {
 TEST(Allocator, DifferentDestinationsDontContend) {
   auto f = topology::make_big_switch(4, 10.0);
   RateAllocator alloc(&f.topo);
-  std::vector<Flow> flows{make_flow(f, 0, 1, 100.0, 0),
-                          make_flow(f, 2, 3, 100.0, 1)};
+  topology::RouteTable routes(&f.topo);
+  std::vector<Flow> flows{make_flow(routes, f, 0, 1, 100.0, 0),
+                          make_flow(routes, f, 2, 3, 100.0, 1)};
   auto p = ptrs(flows);
   alloc.allocate(p);
   EXPECT_DOUBLE_EQ(flows[0].rate, 10.0);
@@ -121,8 +132,9 @@ TEST(Allocator, IngressBottleneckShared) {
   // Two sources into one destination port.
   auto f = topology::make_big_switch(3, 10.0);
   RateAllocator alloc(&f.topo);
-  std::vector<Flow> flows{make_flow(f, 0, 2, 100.0, 0),
-                          make_flow(f, 1, 2, 100.0, 1)};
+  topology::RouteTable routes(&f.topo);
+  std::vector<Flow> flows{make_flow(routes, f, 0, 2, 100.0, 0),
+                          make_flow(routes, f, 1, 2, 100.0, 1)};
   auto p = ptrs(flows);
   alloc.allocate(p);
   EXPECT_DOUBLE_EQ(flows[0].rate + flows[1].rate, 10.0);
@@ -134,9 +146,10 @@ TEST(Allocator, MaxMinUnevenDemands) {
   // other two split the rest (classic water-filling).
   auto f = topology::make_big_switch(4, 9.0);
   RateAllocator alloc(&f.topo);
-  std::vector<Flow> flows{make_flow(f, 0, 3, 100.0, 0),
-                          make_flow(f, 1, 3, 100.0, 1),
-                          make_flow(f, 2, 3, 100.0, 2)};
+  topology::RouteTable routes(&f.topo);
+  std::vector<Flow> flows{make_flow(routes, f, 0, 3, 100.0, 0),
+                          make_flow(routes, f, 1, 3, 100.0, 1),
+                          make_flow(routes, f, 2, 3, 100.0, 2)};
   flows[0].rate_cap = 1.0;
   auto p = ptrs(flows);
   alloc.allocate(p);
@@ -148,8 +161,9 @@ TEST(Allocator, MaxMinUnevenDemands) {
 TEST(Allocator, FinishedFlowsGetZero) {
   auto f = topology::make_big_switch(2, 10.0);
   RateAllocator alloc(&f.topo);
-  std::vector<Flow> flows{make_flow(f, 0, 1, 100.0, 0),
-                          make_flow(f, 0, 1, 100.0, 1)};
+  topology::RouteTable routes(&f.topo);
+  std::vector<Flow> flows{make_flow(routes, f, 0, 1, 100.0, 0),
+                          make_flow(routes, f, 0, 1, 100.0, 1)};
   flows[0].state = FlowState::kFinished;
   auto p = ptrs(flows);
   alloc.allocate(p);
@@ -160,8 +174,9 @@ TEST(Allocator, FinishedFlowsGetZero) {
 TEST(Allocator, EmptyPathGetsInfiniteRate) {
   auto f = topology::make_big_switch(2, 10.0);
   RateAllocator alloc(&f.topo);
-  Flow loop = make_flow(f, 0, 1, 100.0);
-  loop.path.clear();  // loopback
+  topology::RouteTable routes(&f.topo);
+  Flow loop = make_flow(routes, f, 0, 1, 100.0);
+  loop.path = {};  // loopback
   std::vector<Flow> flows{std::move(loop)};
   auto p = ptrs(flows);
   alloc.allocate(p);
@@ -180,8 +195,9 @@ TEST(Allocator, EmptyPathGetsInfiniteRate) {
 TEST(Allocator, ZeroWeightFlowDoesNotDivideByZero) {
   auto f = topology::make_big_switch(2, 10.0);
   RateAllocator alloc(&f.topo);
-  std::vector<Flow> flows{make_flow(f, 0, 1, 100.0, 0),
-                          make_flow(f, 0, 1, 100.0, 1)};
+  topology::RouteTable routes(&f.topo);
+  std::vector<Flow> flows{make_flow(routes, f, 0, 1, 100.0, 0),
+                          make_flow(routes, f, 0, 1, 100.0, 1)};
   flows[0].weight = 0.0;
   auto p = ptrs(flows);
   alloc.allocate(p);
@@ -194,8 +210,9 @@ TEST(Allocator, ZeroWeightFlowDoesNotDivideByZero) {
 TEST(Allocator, NegativeWeightFlowIsClampedNotCrashing) {
   auto f = topology::make_big_switch(2, 10.0);
   RateAllocator alloc(&f.topo);
-  std::vector<Flow> flows{make_flow(f, 0, 1, 100.0, 0),
-                          make_flow(f, 0, 1, 100.0, 1)};
+  topology::RouteTable routes(&f.topo);
+  std::vector<Flow> flows{make_flow(routes, f, 0, 1, 100.0, 0),
+                          make_flow(routes, f, 0, 1, 100.0, 1)};
   flows[0].weight = -3.0;
   auto p = ptrs(flows);
   alloc.allocate(p);
@@ -207,8 +224,9 @@ TEST(Allocator, AllZeroWeightFlowsStillSplitCapacity) {
   // Clamped equal (epsilon) weights degenerate to plain even max-min.
   auto f = topology::make_big_switch(2, 10.0);
   RateAllocator alloc(&f.topo);
-  std::vector<Flow> flows{make_flow(f, 0, 1, 100.0, 0),
-                          make_flow(f, 0, 1, 100.0, 1)};
+  topology::RouteTable routes(&f.topo);
+  std::vector<Flow> flows{make_flow(routes, f, 0, 1, 100.0, 0),
+                          make_flow(routes, f, 0, 1, 100.0, 1)};
   flows[0].weight = 0.0;
   flows[1].weight = 0.0;
   auto p = ptrs(flows);
@@ -221,8 +239,9 @@ TEST(Allocator, CapAboveAnyFeasibleShareActsUncapped) {
   // A cap the fabric can never satisfy must not distort the fair share.
   auto f = topology::make_big_switch(3, 10.0);
   RateAllocator alloc(&f.topo);
-  std::vector<Flow> flows{make_flow(f, 0, 2, 100.0, 0),
-                          make_flow(f, 1, 2, 100.0, 1)};
+  topology::RouteTable routes(&f.topo);
+  std::vector<Flow> flows{make_flow(routes, f, 0, 2, 100.0, 0),
+                          make_flow(routes, f, 1, 2, 100.0, 1)};
   flows[0].rate_cap = 1e12;  // far above the 10.0 port
   auto p = ptrs(flows);
   alloc.allocate(p);
@@ -235,16 +254,17 @@ TEST(Allocator, LoopbackFlowsMixedWithContendedOnes) {
   // perturb the water-fill of contended flows sharing the pass.
   auto f = topology::make_big_switch(3, 10.0);
   RateAllocator alloc(&f.topo);
-  Flow loop_uncapped = make_flow(f, 0, 1, 100.0, 0);
-  loop_uncapped.path.clear();
-  Flow loop_capped = make_flow(f, 0, 1, 100.0, 1);
-  loop_capped.path.clear();
+  topology::RouteTable routes(&f.topo);
+  Flow loop_uncapped = make_flow(routes, f, 0, 1, 100.0, 0);
+  loop_uncapped.path = {};
+  Flow loop_capped = make_flow(routes, f, 0, 1, 100.0, 1);
+  loop_capped.path = {};
   loop_capped.rate_cap = 7.5;
   std::vector<Flow> flows;
   flows.push_back(std::move(loop_uncapped));
   flows.push_back(std::move(loop_capped));
-  flows.push_back(make_flow(f, 0, 2, 100.0, 2));
-  flows.push_back(make_flow(f, 1, 2, 100.0, 3));
+  flows.push_back(make_flow(routes, f, 0, 2, 100.0, 2));
+  flows.push_back(make_flow(routes, f, 1, 2, 100.0, 3));
   auto p = ptrs(flows);
   alloc.allocate(p);
   EXPECT_TRUE(std::isinf(flows[0].rate));
@@ -259,12 +279,13 @@ TEST(Allocator, LoopbackFlowsMixedWithContendedOnes) {
 TEST(Allocator, ComponentChurnDoesNotPerturbCleanComponent) {
   auto f = topology::make_big_switch(4, 10.0);
   RateAllocator alloc(&f.topo);
+  topology::RouteTable routes(&f.topo);
   // Component A: hosts {0 -> 1} x2; component B: hosts {2 -> 3} x3.
-  std::vector<Flow> flows{make_flow(f, 0, 1, 100.0, 0),
-                          make_flow(f, 0, 1, 100.0, 1),
-                          make_flow(f, 2, 3, 100.0, 2),
-                          make_flow(f, 2, 3, 100.0, 3),
-                          make_flow(f, 2, 3, 100.0, 4)};
+  std::vector<Flow> flows{make_flow(routes, f, 0, 1, 100.0, 0),
+                          make_flow(routes, f, 0, 1, 100.0, 1),
+                          make_flow(routes, f, 2, 3, 100.0, 2),
+                          make_flow(routes, f, 2, 3, 100.0, 3),
+                          make_flow(routes, f, 2, 3, 100.0, 4)};
   flows[2].weight = 1.5;  // make B's shares non-trivial doubles
   auto p = ptrs(flows);
   alloc.allocate(p);
@@ -292,8 +313,9 @@ TEST(Allocator, ComponentChurnDoesNotPerturbCleanComponent) {
 TEST(Allocator, RatesFollowRuntimeCapacityChange) {
   auto f = topology::make_big_switch(2, 10.0);
   RateAllocator alloc(&f.topo);
-  std::vector<Flow> flows{make_flow(f, 0, 1, 100.0, 0),
-                          make_flow(f, 0, 1, 100.0, 1)};
+  topology::RouteTable routes(&f.topo);
+  std::vector<Flow> flows{make_flow(routes, f, 0, 1, 100.0, 0),
+                          make_flow(routes, f, 0, 1, 100.0, 1)};
   auto p = ptrs(flows);
   alloc.allocate(p);
   EXPECT_DOUBLE_EQ(flows[0].rate, 5.0);
@@ -340,6 +362,7 @@ TEST_P(AllocatorProperty, FeasibleAndWeightedMaxMin) {
   }
   const std::size_t hosts = f.hosts.size();
   RateAllocator alloc(&f.topo);
+  topology::RouteTable routes(&f.topo);
 
   const int n = 1 + static_cast<int>(rng.uniform_int(30));
   std::vector<Flow> flows;
@@ -347,7 +370,8 @@ TEST_P(AllocatorProperty, FeasibleAndWeightedMaxMin) {
     const std::size_t src = rng.uniform_int(hosts);
     std::size_t dst = rng.uniform_int(hosts);
     if (dst == src) dst = (dst + 1) % hosts;
-    Flow fl = make_flow(f, src, dst, 100.0, static_cast<std::uint64_t>(i));
+    Flow fl =
+        make_flow(routes, f, src, dst, 100.0, static_cast<std::uint64_t>(i));
     fl.weight = rng.uniform(0.1, 4.0);
     if (rng.bernoulli(0.5)) fl.rate_cap = rng.uniform(0.0, cap * 1.5);
     flows.push_back(std::move(fl));

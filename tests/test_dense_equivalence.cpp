@@ -45,6 +45,7 @@
 #include "echelon/registry.hpp"
 #include "echelon/sincronia.hpp"
 #include "echelon/srpt.hpp"
+#include "topology/route_table.hpp"
 
 namespace echelon {
 namespace {
@@ -709,6 +710,7 @@ topology::BuiltFabric make_fabric(int topo_kind) {
 struct PassScenario {
   std::vector<Flow> flows;
   std::unique_ptr<Registry> registry;
+  std::unique_ptr<topology::RouteTable> routes;  // owns the flows' paths
 };
 
 PassScenario make_pass_scenario(const topology::BuiltFabric& fabric,
@@ -716,6 +718,7 @@ PassScenario make_pass_scenario(const topology::BuiltFabric& fabric,
   Rng rng(seed);
   PassScenario sc;
   sc.registry = std::make_unique<Registry>();
+  sc.routes = std::make_unique<topology::RouteTable>(&fabric.topo);
   const int hosts = static_cast<int>(fabric.hosts.size());
 
   // EchelonFlow groups with mixed arrangements.
@@ -773,7 +776,8 @@ PassScenario make_pass_scenario(const topology::BuiltFabric& fabric,
     f.start_time = rng.uniform(0.0, 0.5);
     if (src != dst) {
       // Both fabrics are fully connected, so routing cannot fail here.
-      f.path = *fabric.topo.route(f.spec.src, f.spec.dst, f.id.value());
+      f.path = sc.routes->path(
+          *sc.routes->route(f.spec.src, f.spec.dst, f.id.value()));
     }
     // Bind reference times as the runtime would (ignores group-less flows;
     // members past the arrangement's cardinality are ignored too, exercising
@@ -824,6 +828,7 @@ TEST(DenseEquivalence, AllocatorMatchesSeedWaterFill) {
   for (int topo_kind = 0; topo_kind < 2; ++topo_kind) {
     const topology::BuiltFabric fabric = make_fabric(topo_kind);
     netsim::RateAllocator alloc(&fabric.topo);
+    topology::RouteTable routes(&fabric.topo);
     for (std::uint64_t seed = 0; seed < 50; ++seed) {
       Rng rng(seed * 7919 + topo_kind);
       const int hosts = static_cast<int>(fabric.hosts.size());
@@ -840,7 +845,8 @@ TEST(DenseEquivalence, AllocatorMatchesSeedWaterFill) {
         f.spec.size = rng.uniform(1e3, 100e6);
         f.remaining = f.spec.size;
         if (src != dst) {
-          f.path = *fabric.topo.route(f.spec.src, f.spec.dst, f.id.value());
+          f.path =
+              routes.path(*routes.route(f.spec.src, f.spec.dst, f.id.value()));
         }
         f.weight = rng.uniform(0.25, 4.0);
         if (rng.uniform() < 0.5) {

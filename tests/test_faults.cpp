@@ -386,6 +386,33 @@ TEST(InjectorMicro, JobAbortParksAndRestartResumes) {
   EXPECT_NEAR(outs[0].downtime, 0.2, 1e-9);
 }
 
+// The arrival listener defers an aborted job's park to the next event batch,
+// but a zero-byte flow finishes inside submit_flow, right after that
+// listener. As the last open record of a full chunk, its record is released
+// before the deferred park runs, which must then leave it alone.
+TEST(InjectorMicro, DeferredAbortParkSkipsAReleasedRecord) {
+  auto fabric = topology::make_big_switch(2, gbps(10));
+  Simulator sim(&fabric.topo);
+  FaultPlan plan;
+  plan.events.push_back({0.1, FaultKind::kJobAbort, 7, 1.0});
+  FaultInjector inj(&sim, &fabric.topo, &plan);
+  inj.arm();
+  constexpr std::size_t kChunk = Simulator::kFlowChunk;
+  const FlowSpec empty{.src = fabric.hosts[0], .dst = fabric.hosts[1]};
+  for (std::size_t i = 0; i + 1 < kChunk; ++i) sim.submit_flow(empty);
+  FlowId last;
+  sim.schedule_at(0.2, [&](Simulator& s) {
+    FlowSpec spec = empty;
+    spec.job = JobId{7};
+    last = s.submit_flow(std::move(spec));
+  });
+  EXPECT_NO_THROW(sim.run());
+  ASSERT_EQ(last.value(), kChunk - 1);
+  EXPECT_FALSE(sim.flow_resident(last));
+  EXPECT_EQ(sim.finish_time(last), 0.2);
+  EXPECT_EQ(inj.summary().parks, 0u);
+}
+
 // ============================================================================
 // 3. Property tests
 // ============================================================================

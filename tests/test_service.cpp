@@ -419,6 +419,22 @@ TEST(ServiceFuzz, CrashResumeManySeededRuns) {
 // 3. Corrupt-snapshot negative fuzz
 // ---------------------------------------------------------------------------
 
+// Recomputes and rewrites a snapshot's trailing checksum so a mutation
+// reaches the validation layer it targets instead of tripping the integrity
+// check.
+std::string restamp(std::string b) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i + 8 < b.size(); ++i) {
+    h ^= static_cast<unsigned char>(b[i]);
+    h *= 0x100000001b3ULL;
+  }
+  for (int i = 0; i < 8; ++i) {
+    b[b.size() - 8 + static_cast<std::size_t>(i)] =
+        static_cast<char>((h >> (8 * i)) & 0xff);
+  }
+  return b;
+}
+
 class CorruptSnapshotTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -431,21 +447,6 @@ class CorruptSnapshotTest : public ::testing::Test {
     // Sanity: the pristine snapshot restores.
     auto restored = restore_snapshot(bytes_);
     restored->drain();
-  }
-
-  // Recomputes and rewrites the trailing checksum so a mutation reaches the
-  // validation layer it targets instead of tripping the integrity check.
-  static std::string restamp(std::string b) {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::size_t i = 0; i + 8 < b.size(); ++i) {
-      h ^= static_cast<unsigned char>(b[i]);
-      h *= 0x100000001b3ULL;
-    }
-    for (int i = 0; i < 8; ++i) {
-      b[b.size() - 8 + static_cast<std::size_t>(i)] =
-          static_cast<char>((h >> (8 * i)) & 0xff);
-    }
-    return b;
   }
 
   static std::string expect_snapshot_error(const std::string& bytes) {
@@ -503,13 +504,13 @@ TEST_F(CorruptSnapshotTest, HeaderAndVersionMutationsFailTheirOwnChecks) {
               std::string::npos);
   }
   {
-    // v4 files carry three mode words in kConfig and
-    // alloc.components_reused in kVerify; v5 readers reject them up front,
-    // naming the version, instead of misreading the config section.
-    static_assert(service::kSnapshotVersion == 5);
+    // v5 files carry a per-flow kVerify record for every flow ever
+    // submitted; v6 readers reject them up front, naming the version,
+    // instead of failing verification on a released record chunk.
+    static_assert(service::kSnapshotVersion == 6);
     std::string m = bytes_;
-    m[8] = 4;
-    EXPECT_NE(expect_snapshot_error(restamp(m)).find("unsupported version 4"),
+    m[8] = 5;
+    EXPECT_NE(expect_snapshot_error(restamp(m)).find("unsupported version 5"),
               std::string::npos);
   }
   {
@@ -1146,6 +1147,50 @@ TEST(RetainedState, SnapshotRestoreRetiresIdentically) {
   restored->drain();
   EXPECT_EQ(restored->workflows_held(), 0u);
   expect_same_service_result(reference, restored->result());
+}
+
+// Released flow record chunks: each contributes one digest to kVerify, so a
+// save taken after several releases must restore (verification passes) and
+// continue bit-identically.
+TEST(RetainedState, SnapshotAfterChunkReleasesRestoresIdentically) {
+  constexpr std::size_t kChunk = netsim::Simulator::kFlowChunk;
+  const ServiceSpec spec;
+  auto trace = small_arrivals(71, /*jobs=*/100);
+  trace.iterations = 4;
+
+  auto whole = make_loop(spec, trace);
+  whole->drain();
+  const ServiceResult reference = whole->result();
+  ASSERT_GT(reference.flow_finish.size(), 4 * kChunk);
+  EXPECT_FALSE(whole->sim().flow_resident(FlowId{0}));
+
+  auto prefix = make_loop(spec, trace);
+  while (prefix->sim().flow_resident(FlowId{3 * kChunk - 1}) ||
+         prefix->sim().flow_count() < 3 * kChunk) {
+    ASSERT_TRUE(prefix->step());
+  }
+  const std::string bytes = save_snapshot(*prefix);
+  prefix.reset();
+
+  auto restored = restore_snapshot(bytes);
+  EXPECT_FALSE(restored->sim().flow_resident(FlowId{3 * kChunk - 1}));
+  restored->drain();
+  expect_same_service_result(reference, restored->result());
+
+  // The chunk digests are verified: corrupting one fails the restore.
+  const std::string field = "flow_chunk[2].digest";
+  const std::size_t at = bytes.find(field);
+  ASSERT_NE(at, std::string::npos);
+  std::string bad = bytes;
+  bad[at + field.size()] ^= 0x01;  // low byte of the digest value
+  try {
+    (void)restore_snapshot(restamp(bad));
+    ADD_FAILURE() << "a corrupt chunk digest restored without error";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + field + "' mismatch"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

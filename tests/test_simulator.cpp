@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "netsim/event_queue.hpp"
@@ -208,16 +211,86 @@ TEST(ChunkedStore, ReferencesSurviveGrowthAndAtChecksBounds) {
   EXPECT_THROW((void)cstore.at(cstore.size()), std::out_of_range);
 }
 
+TEST(ChunkedStore, FullyRetiredFullChunkIsFreedAndAtThrows) {
+  constexpr std::size_t kChunk = ChunkedStore<std::string>::kChunk;
+  ChunkedStore<std::string> store;
+  for (std::size_t i = 0; i < kChunk; ++i) {
+    store.push_back("r" + std::to_string(i));
+  }
+  for (std::size_t i = 0; i + 1 < kChunk; ++i) store.retire(i);
+  EXPECT_TRUE(store.resident(0));
+  store.retire(kChunk - 1);
+  EXPECT_EQ(store.size(), kChunk);  // released indices stay counted
+  for (const std::size_t i : {std::size_t{0}, kChunk / 2, kChunk - 1}) {
+    EXPECT_FALSE(store.resident(i));
+    EXPECT_THROW((void)store.at(i), std::out_of_range);
+  }
+}
+
+TEST(ChunkedStore, PartlyFilledChunkIsNeverFreed) {
+  constexpr std::size_t kChunk = ChunkedStore<int>::kChunk;
+  ChunkedStore<int> store;
+  for (std::size_t i = 0; i < kChunk + 10; ++i) {
+    store.push_back(static_cast<int>(i));
+  }
+  // Every record of the partial second chunk retires; it stays resident.
+  for (std::size_t i = kChunk; i < kChunk + 10; ++i) store.retire(i);
+  EXPECT_TRUE(store.resident(kChunk));
+  EXPECT_EQ(store.at(kChunk + 9), static_cast<int>(kChunk + 9));
+  // Filling it up later releases it once its new records retire too.
+  while (store.size() < 2 * kChunk) {
+    store.push_back(static_cast<int>(store.size()));
+  }
+  for (std::size_t i = kChunk + 10; i + 1 < 2 * kChunk; ++i) store.retire(i);
+  EXPECT_TRUE(store.resident(kChunk));
+  store.retire(2 * kChunk - 1);
+  EXPECT_FALSE(store.resident(kChunk));
+  EXPECT_TRUE(store.resident(0));  // never retired
+}
+
+TEST(ChunkedStore, OneOpenRecordKeepsItsChunkResident) {
+  constexpr std::size_t kChunk = ChunkedStore<int>::kChunk;
+  constexpr std::size_t kOpen = 17;
+  ChunkedStore<int> store;
+  for (std::size_t i = 0; i < kChunk; ++i) store.push_back(static_cast<int>(i));
+  const int* open = &store.at(kOpen);
+  for (std::size_t i = 0; i < kChunk; ++i) {
+    if (i != kOpen) store.retire(i);
+  }
+  EXPECT_TRUE(store.resident(0));
+  EXPECT_EQ(&store.at(kOpen), open);
+  EXPECT_EQ(store.at(kChunk - 1), static_cast<int>(kChunk - 1));
+  store.retire(kOpen);
+  EXPECT_FALSE(store.resident(kOpen));
+}
+
+TEST(ChunkedStore, PushesAfterAReleaseStillWork) {
+  constexpr std::size_t kChunk = ChunkedStore<int>::kChunk;
+  ChunkedStore<int> store;
+  for (std::size_t i = 0; i < kChunk; ++i) store.push_back(static_cast<int>(i));
+  for (std::size_t i = 0; i < kChunk; ++i) store.retire(i);
+  ASSERT_FALSE(store.resident(0));
+  int& next = store.push_back(-1);
+  EXPECT_EQ(&store.at(kChunk), &next);
+  while (store.size() < 3 * kChunk) {
+    store.push_back(static_cast<int>(store.size()));
+  }
+  EXPECT_EQ(&store.at(kChunk), &next);  // later chunks never move it
+  EXPECT_EQ(store.at(3 * kChunk - 1), static_cast<int>(3 * kChunk - 1));
+  EXPECT_FALSE(store.resident(kChunk - 1));
+  EXPECT_THROW((void)store.at(3 * kChunk), std::out_of_range);
+}
+
 TEST_F(SimFixture, CompletionHooksSeeTheStoredRecord) {
   // The completion callback submits enough flows to open new record chunks;
   // the record it was handed must stay the simulator's own, unmoved.
   const std::size_t burst = 2 * ChunkedStore<Flow>::kChunk;
-  const Flow* seen = nullptr;
   bool still_valid = false;
+  SimTime seen_finish = kTimeInfinity;
   const FlowId id = sim.submit_flow(
       FlowSpec{.src = fabric.hosts[0], .dst = fabric.hosts[1], .size = 10.0},
       [&](Simulator& s, const Flow& f) {
-        seen = &f;
+        seen_finish = f.finish_time;
         for (std::size_t i = 0; i < burst; ++i) {
           s.submit_flow(FlowSpec{
               .src = fabric.hosts[2], .dst = fabric.hosts[3], .size = 1.0});
@@ -230,11 +303,83 @@ TEST_F(SimFixture, CompletionHooksSeeTheStoredRecord) {
       w, 1.0, "t", {},
       [&](Simulator&, const ComputeTask& task) { task_seen = &task; });
   sim.run();
-  EXPECT_EQ(seen, &sim.flow(id));
   EXPECT_TRUE(still_valid);
   EXPECT_EQ(sim.flow_count(), burst + 1);
-  EXPECT_EQ(task_seen, &sim.task(t));
+  // Every flow of the first chunk finished, so its records are gone; the
+  // finish time outlives them.
+  EXPECT_FALSE(sim.flow_resident(id));
+  EXPECT_EQ(sim.finish_time(id), seen_finish);
+  EXPECT_EQ(task_seen, &sim.task(t));  // a lone task's chunk is never full
 }
+
+// More than two chunks of flows: the finished full chunks are released,
+// finish_time() keeps what every completion hook saw, and the partial tail
+// chunk stays resident.
+TEST_F(SimFixture, FinishedChunksAreReleasedAndFinishTimesKept) {
+  constexpr std::size_t kChunk = Simulator::kFlowChunk;
+  constexpr std::size_t kFlows = 2 * kChunk + 100;
+  std::vector<SimTime> seen(kFlows, -1.0);
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    // Four sizes on two disjoint host pairs: many distinct finish times.
+    const std::size_t pair = i % 2;
+    sim.submit_flow(
+        FlowSpec{.src = fabric.hosts[2 * pair],
+                 .dst = fabric.hosts[2 * pair + 1],
+                 .size = 1.0 + static_cast<double>(i % 4)},
+        [&seen](Simulator&, const Flow& f) {
+          seen[f.id.value()] = f.finish_time;
+        });
+  }
+  sim.run();
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    ASSERT_EQ(sim.finish_time(FlowId{i}), seen[i]) << "flow " << i;
+  }
+  EXPECT_FALSE(sim.flow_resident(FlowId{0}));
+  EXPECT_FALSE(sim.flow_resident(FlowId{2 * kChunk - 1}));
+  EXPECT_THROW((void)sim.flow(FlowId{kChunk}), std::out_of_range);
+  EXPECT_TRUE(sim.flow_resident(FlowId{2 * kChunk}));
+  EXPECT_TRUE(sim.flow(FlowId{kFlows - 1}).finished());
+  EXPECT_EQ(sim.finish_time(FlowId{kFlows - 1}),
+            sim.flow(FlowId{kFlows - 1}).finish_time);
+}
+
+TEST_F(SimFixture, ParkedFlowKeepsItsChunkResidentUntilAbandoned) {
+  constexpr std::size_t kChunk = Simulator::kFlowChunk;
+  constexpr std::size_t kParked = 5;
+  for (std::size_t i = 0; i < 2 * kChunk; ++i) {
+    sim.submit_flow(FlowSpec{
+        .src = fabric.hosts[0], .dst = fabric.hosts[1], .size = 1.0});
+  }
+  sim.park_flow(FlowId{kParked});
+  sim.run();
+  EXPECT_TRUE(sim.flow_resident(FlowId{0}));
+  EXPECT_TRUE(sim.flow(FlowId{kParked}).parked());
+  EXPECT_TRUE(sim.flow(FlowId{kChunk - 1}).finished());
+  EXPECT_FALSE(sim.flow_resident(FlowId{kChunk}));  // no parked member
+  EXPECT_EQ(sim.finish_time(FlowId{kParked}), kTimeInfinity);
+
+  sim.abandon_flow(FlowId{kParked});
+  EXPECT_FALSE(sim.flow_resident(FlowId{0}));
+  EXPECT_EQ(sim.finish_time(FlowId{kParked}), sim.now());
+}
+
+TEST_F(SimFixture, FinishedTaskChunksAreReleased) {
+  constexpr std::size_t kChunk = ChunkedStore<ComputeTask>::kChunk;
+  const WorkerId w = sim.add_worker(fabric.hosts[0]);
+  for (std::size_t i = 0; i <= kChunk; ++i) sim.enqueue_task(w, 1e-3, "t");
+  sim.run();
+  EXPECT_THROW((void)sim.task(TaskId{0}), std::out_of_range);
+  EXPECT_TRUE(sim.task(TaskId{kChunk}).finished());
+}
+
+// Flow::path views an interned route: binding it to a temporary Path, which
+// would dangle, must not compile.
+static_assert(
+    !std::is_assignable_v<decltype((std::declval<Flow&>().path)),
+                          topology::Path&&>);
+static_assert(!std::is_assignable_v<topology::PathView&, topology::Path&&>);
+static_assert(
+    std::is_assignable_v<topology::PathView&, const topology::Path&>);
 
 }  // namespace
 }  // namespace echelon::netsim
