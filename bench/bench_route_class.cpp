@@ -1,26 +1,24 @@
-// Equivalence-class water-fill vs per-flow water-fill (DESIGN.md §11).
+// Equivalence-class water-fill (DESIGN.md §11).
 //
 // Collective traffic is many flows over few routes: a 1024-GPU ring emits
 // thousands of flows but only as many distinct routed paths as there are
 // adjacent host pairs. The class-granularity fill exploits that by running
 // the max-min loop over (route, weight, cap) equivalence classes and
 // fanning rates back with one dense scatter, so per-pass cost scales with
-// *distinct routes*, not flows. This benchmark quantifies both sides of
-// that bet on a 64-host big-switch fabric:
+// *distinct routes*, not flows. This benchmark measures both sides of
+// that bet on a 64-host big-switch fabric (the per-flow fill it was once
+// compared against is gone; EXPERIMENTS.md EXT-Q keeps the historical
+// ratios):
 //
 //   * The grid (flows x routes): weight-1 flows with MADD-style staggered
 //     per-route caps (what the Echelon/Coflow schedulers emit), so every
 //     route is one (route, weight, cap) class and the progressive fill
-//     freezes one class per round -- the multi-round worst case where the
-//     per-flow fill's cost is O(flows x rounds) and the class fill's is
-//     O(routes x rounds). The headline comparison (BENCH_hotpath.json
-//     "speedup_class_fill_64k_512routes") is flows:65536/routes:512, class
-//     vs per-flow, budget >= 5x.
+//     freezes one class per round -- the multi-round worst case, costing
+//     O(routes x rounds) plus one O(flows) scatter.
 //   * AllDistinct -- the adversarial input: every flow carries a direct
 //     path write and no interned RouteId, so the partition degenerates to
 //     65536 sentinel singleton classes and the class fill pays its
-//     bookkeeping with zero compression. Overhead budget vs the per-flow
-//     fill is <= 1.05x ("overhead_class_fill_all_distinct").
+//     bookkeeping with zero compression.
 //   * RouteLookup -- the routing half: serve-shaped RouteTable::route()
 //     lookups, each with its own ECMP seed, through a cold table on the
 //     64-host 2:1 leaf-spine the service runs on.
@@ -102,8 +100,8 @@ Population make_population(int n_flows, int n_routes, bool interned) {
   return p;
 }
 
-void fill_loop(benchmark::State& state, Population& p, netsim::FillMode fill) {
-  netsim::RateAllocator alloc(&p.fabric.topo, fill);
+void fill_loop(benchmark::State& state, Population& p) {
+  netsim::RateAllocator alloc(&p.fabric.topo);
   alloc.allocate(p.active);  // warm the arenas: steady state allocates nothing
   for (auto _ : state) {
     alloc.allocate(p.active);
@@ -124,22 +122,9 @@ void BM_RouteClassFill(benchmark::State& state) {
   Population p = make_population(static_cast<int>(state.range(0)),
                                  static_cast<int>(state.range(1)),
                                  /*interned=*/true);
-  fill_loop(state, p, netsim::FillMode::kClass);
+  fill_loop(state, p);
 }
 BENCHMARK(BM_RouteClassFill)
-    ->ArgNames({"flows", "routes"})
-    ->Args({16384, 64})
-    ->Args({16384, 512})
-    ->Args({65536, 64})
-    ->Args({65536, 512});
-
-void BM_RouteClassFillPerFlow(benchmark::State& state) {
-  Population p = make_population(static_cast<int>(state.range(0)),
-                                 static_cast<int>(state.range(1)),
-                                 /*interned=*/true);
-  fill_loop(state, p, netsim::FillMode::kPerFlow);
-}
-BENCHMARK(BM_RouteClassFillPerFlow)
     ->ArgNames({"flows", "routes"})
     ->Args({16384, 64})
     ->Args({16384, 512})
@@ -149,24 +134,15 @@ BENCHMARK(BM_RouteClassFillPerFlow)
 // --- adversarial: every route distinct ---------------------------------------
 //
 // 512 underlying paths but no interned ids: the class fill sees 65536
-// singleton classes. The delta between these two numbers is the pure cost
-// of the class partition + scatter when it buys nothing.
+// singleton classes, so this is the fill with the class partition and
+// scatter buying nothing.
 
 void BM_RouteClassFillAllDistinct(benchmark::State& state) {
   Population p = make_population(static_cast<int>(state.range(0)),
                                  /*n_routes=*/512, /*interned=*/false);
-  fill_loop(state, p, netsim::FillMode::kClass);
+  fill_loop(state, p);
 }
 BENCHMARK(BM_RouteClassFillAllDistinct)
-    ->ArgNames({"flows"})
-    ->Args({65536});
-
-void BM_RouteClassFillAllDistinctPerFlow(benchmark::State& state) {
-  Population p = make_population(static_cast<int>(state.range(0)),
-                                 /*n_routes=*/512, /*interned=*/false);
-  fill_loop(state, p, netsim::FillMode::kPerFlow);
-}
-BENCHMARK(BM_RouteClassFillAllDistinctPerFlow)
     ->ArgNames({"flows"})
     ->Args({65536});
 

@@ -5,12 +5,11 @@
 // the lazy-accounting rewrite targets. 64 self-rescheduling timers fire
 // every 100us of simulated time while `range(0)` long-lived flows hold
 // rates; no flow completes and the allocation never goes dirty, so the loop
-// runs pure event iterations:
-//   * kEagerScan (the seed-shaped reference): O(active) completion scan per
-//     event,
-//   * kLazy (production): O(log n) heap read per event.
-// items_processed counts fired timer events, so `items_per_second` is the
-// event-loop throughput.
+// runs pure event iterations, each an O(log n) completion-heap read.
+// (The O(active)-scan reference loop this was once compared against is
+// gone; EXPERIMENTS.md EXT-L keeps the historical ratios.) items_processed
+// counts fired timer events, so `items_per_second` is the event-loop
+// throughput.
 //
 // BM_Sweep measures cluster::run_sweep throughput on a scheduler-comparison
 // grid, serial vs one thread per core (on a single-core container the two
@@ -30,7 +29,6 @@
 namespace {
 
 using namespace echelon;
-using netsim::SimLoopMode;
 using netsim::Simulator;
 
 constexpr int kTickers = 64;
@@ -53,8 +51,8 @@ struct LoopBench {
   std::vector<Ticker> tickers;
   double t = 0.0;
 
-  LoopBench(int flows, SimLoopMode mode)
-      : fabric(topology::make_big_switch(16, gbps(100))), sim(&fabric.topo, mode) {
+  explicit LoopBench(int flows)
+      : fabric(topology::make_big_switch(16, gbps(100))), sim(&fabric.topo) {
     for (int i = 0; i < flows; ++i) {
       netsim::FlowSpec spec;
       spec.src = fabric.hosts[static_cast<std::size_t>(i) % 16];
@@ -80,8 +78,8 @@ struct LoopBench {
   }
 };
 
-void run_sim_loop(benchmark::State& state, SimLoopMode mode) {
-  LoopBench b(static_cast<int>(state.range(0)), mode);
+void BM_SimLoopLazy(benchmark::State& state) {
+  LoopBench b(static_cast<int>(state.range(0)));
   const std::uint64_t fired_before = b.fired();
   // ~640 timer events per benchmark iteration.
   const double slice = kTickInterval / kTickers * 640.0;
@@ -92,15 +90,7 @@ void run_sim_loop(benchmark::State& state, SimLoopMode mode) {
   state.SetItemsProcessed(static_cast<std::int64_t>(b.fired() - fired_before));
 }
 
-void BM_SimLoopLazy(benchmark::State& state) {
-  run_sim_loop(state, SimLoopMode::kLazy);
-}
-void BM_SimLoopEagerScan(benchmark::State& state) {
-  run_sim_loop(state, SimLoopMode::kEagerScan);
-}
-
 BENCHMARK(BM_SimLoopLazy)->RangeMultiplier(4)->Range(64, 8192);
-BENCHMARK(BM_SimLoopEagerScan)->RangeMultiplier(4)->Range(64, 8192);
 
 // --- sweep throughput --------------------------------------------------------
 

@@ -99,7 +99,7 @@ ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
          .uplink = hosts_per_leaf * config.port_capacity /
                    (spines * config.oversubscription)});
   }
-  netsim::Simulator sim(&fabric.topo, config.loop_mode, config.fill_mode);
+  netsim::Simulator sim(&fabric.topo);
 
   // Scheduler stack. The coordinator owns its registry; other schedulers
   // share a standalone one (attached for tardiness measurement either way).

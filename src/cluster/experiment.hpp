@@ -65,17 +65,6 @@ struct ExperimentConfig {
   // Wrap the policy in K-queue priority enforcement (0 = exact rates).
   int priority_queues = 0;
 
-  // Simulator event-loop strategy. kLazy is the production fast path;
-  // kEagerScan is the O(active)-per-event reference the golden-equivalence
-  // suite compares against (results are bit-identical by construction).
-  netsim::SimLoopMode loop_mode = netsim::SimLoopMode::kLazy;
-
-  // Water-fill granularity. kClass (the production default) fills one unit
-  // per (route, weight, cap) equivalence class and fans rates back out;
-  // kPerFlow fills every flow individually. Results are bit-identical
-  // (tests/test_route_class_equivalence.cpp pins this differentially).
-  netsim::FillMode fill_mode = netsim::FillMode::kClass;
-
   // Optional deterministic fault script, replayed by a FaultInjector during
   // the run (DESIGN.md §8). Must outlive run_experiment; read-only, so one
   // plan can be shared across sweep threads. nullptr = fault-free. A

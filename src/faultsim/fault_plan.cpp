@@ -163,6 +163,7 @@ FaultPlan parse_fault_plan(std::istream& in) {
         fail(lineno, "expected event time, 'retries' or 'backoff', got '" +
                          first + "'");
       }
+      if (*at < 0.0) fail(lineno, "negative event time");
       ev.at = *at;
       const std::string kind_name = next();
       if (kind_name.empty()) fail(lineno, "missing fault kind");

@@ -103,7 +103,9 @@ struct ChaosProfile {
 //   <time> <kind> <target|*> [factor]
 // '#' starts a comment. parse throws std::invalid_argument, naming the line,
 // on any malformed line: a number with trailing characters, a negative
-// target, a non-finite time or factor, or a token after the last field.
+// time or target, a non-finite time or factor, or a token after the last
+// field. Whether targets exist is checked against a topology by
+// FaultInjector::arm().
 [[nodiscard]] std::string serialize(const FaultPlan& plan);
 [[nodiscard]] FaultPlan parse_fault_plan(std::istream& in);
 [[nodiscard]] FaultPlan parse_fault_plan(const std::string& text);

@@ -4,6 +4,9 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "common/log.hpp"
 
@@ -11,6 +14,17 @@ namespace echelon::faultsim {
 
 namespace {
 constexpr double kNoNominal = std::numeric_limits<double>::quiet_NaN();
+
+// Rejects event `ev` (plan index `index`): `what` target is not one of the
+// `count` the deployment has.
+[[noreturn]] void reject(const FaultEvent& ev, std::size_t index,
+                         const char* what, std::size_t count) {
+  std::ostringstream os;
+  os << "fault plan event " << index << " (" << ev.at << ' '
+     << to_string(ev.kind) << ' ' << ev.target << "): no " << what << ' '
+     << ev.target << " (there are " << count << ')';
+  throw std::invalid_argument(os.str());
+}
 }  // namespace
 
 FaultInjector::FaultInjector(netsim::Simulator* sim, topology::Topology* topo,
@@ -24,6 +38,29 @@ FaultInjector::FaultInjector(netsim::Simulator* sim, topology::Topology* topo,
 }
 
 void FaultInjector::arm() {
+  for (std::size_t i = 0; i < plan_->events.size(); ++i) {
+    const FaultEvent& ev = plan_->events[i];
+    switch (ev.kind) {
+      case FaultKind::kBrownout:
+      case FaultKind::kBrownoutEnd:
+        if (ev.target == kAllLinks) break;
+        [[fallthrough]];
+      case FaultKind::kLinkDown:
+      case FaultKind::kLinkUp:
+        if (ev.target >= topo_->link_count()) {
+          reject(ev, i, "link", topo_->link_count());
+        }
+        break;
+      case FaultKind::kNodeDown:
+      case FaultKind::kNodeUp:
+        if (ev.target >= topo_->node_count()) {
+          reject(ev, i, "node", topo_->node_count());
+        }
+        break;
+      default:
+        break;
+    }
+  }
   // Graceful-degradation hooks are installed unconditionally so behaviour
   // is uniform across plans; with a zero-fault plan they are pure no-ops
   // and the run is byte-identical to one without an injector.
@@ -60,8 +97,10 @@ void FaultInjector::arm() {
           }
         });
       });
-  for (const FaultEvent& ev : plan_->events) {
-    sim_->schedule_at(ev.at, [this, ev](netsim::Simulator&) { apply(ev); });
+  for (std::size_t i = 0; i < plan_->events.size(); ++i) {
+    const FaultEvent& ev = plan_->events[i];
+    sim_->schedule_at(ev.at,
+                      [this, ev, i](netsim::Simulator&) { apply(ev, i); });
   }
 }
 
@@ -91,7 +130,12 @@ bool FaultInjector::is_parked(FlowId id) const {
   return std::binary_search(parked_.begin(), parked_.end(), id);
 }
 
-void FaultInjector::apply(const FaultEvent& ev) {
+void FaultInjector::apply(const FaultEvent& ev, std::size_t index) {
+  if ((ev.kind == FaultKind::kStraggler ||
+       ev.kind == FaultKind::kStragglerEnd) &&
+      ev.target >= sim_->worker_count()) {
+    reject(ev, index, "worker", sim_->worker_count());
+  }
   ++summary_.events_fired;
   if (trace_ != nullptr) {
     trace_->record(

@@ -8,11 +8,10 @@
 // unsuccessfully, releasing dependent work). Per-flow interactions are
 // recorded as FaultOutcome rows and aggregated into a FaultSummary.
 //
-// Determinism contract: every injector decision is a function of simulation
-// state that is itself bit-identical across {kLazy, kEagerScan} and
-// {kClass, kPerFlow} -- the topology, flow specs/paths,
-// now(), and *ascending-FlowId* sweeps (never the internal active-set
-// order, which is mode-dependent mid-instant). An empty plan schedules
+// Determinism contract: every injector decision is a function of the
+// topology, flow specs/paths, now(), and *ascending-FlowId* sweeps (never
+// the internal active-set order, which swap-and-pop retirement perturbs
+// mid-instant). An empty plan schedules
 // nothing and perturbs nothing: runs with a zero-fault injector are
 // byte-identical to runs without one.
 
@@ -63,7 +62,10 @@ class FaultInjector {
   FaultInjector& operator=(const FaultInjector&) = delete;
 
   // Installs the unroutable-flow handler + arrival listener and schedules
-  // every plan event. Call once, before Simulator::run.
+  // every plan event. Call once, before Simulator::run. Throws
+  // std::invalid_argument, naming the event, when a link or node target is
+  // outside the topology; worker targets are checked when their event
+  // fires (workers may be added after arming), with the same exception.
   void arm();
 
   // Observability (DESIGN.md §9): with a sink attached, every applied plan
@@ -89,7 +91,8 @@ class FaultInjector {
     int attempts = 0;  // failed resume attempts *this* episode
   };
 
-  void apply(const FaultEvent& ev);
+  // `index` is the event's position in the plan, for diagnostics.
+  void apply(const FaultEvent& ev, std::size_t index);
   // Ascending-id sweep over active flows whose path crosses a down link:
   // reroute where possible, park where not.
   void sweep_broken_paths();

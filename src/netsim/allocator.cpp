@@ -101,25 +101,19 @@ void RateAllocator::allocate(std::span<Flow*> flows, SimTime now) {
   // --- Phase D: water-fill every component, then merge.
   //
   // The fills -- pure functions of per-component inputs writing only their
-  // own class/member rates and their own (link-disjoint) links_ slots -- run
-  // in any order on any thread (DESIGN.md §10); every order-sensitive effect
+  // own class rates and their own (link-disjoint) links_ slots -- run in
+  // any order on any thread (DESIGN.md §10); every order-sensitive effect
   // (rate scatter, stats, kCompFill emission) happens serially, in
-  // ascending-component order. Both paths execute identical floating-point
-  // expressions on identical operands, so rates, stats, the dirty set and
-  // the trace stream are bit-identical at any thread count. ---
+  // ascending-component order. Serial and parallel passes execute identical
+  // floating-point expressions on identical operands, so rates, stats, the
+  // dirty set and the trace stream are bit-identical at any thread
+  // count. ---
   //
   // Per-component trace emission: one kCompFill (member count) + one
   // kClassFill (class count) pair, keyed on the component id so the merged
   // stream is in ascending-component order at any thread count (same-key
   // ties resolve by per-shard emission order -- the pair stays adjacent).
   const bool emit_comps = trace_ != nullptr && trace_components_;
-  const auto fill_one = [&](std::uint32_t c, FillScratch& fs) {
-    if (fill_ == FillMode::kClass) {
-      fill_component_class(c, fs);
-    } else {
-      fill_component_perflow(c, fs);
-    }
-  };
   const auto comp_fill_event = [&](std::uint32_t c) {
     return obs::TraceEvent{
         .kind = obs::TraceKind::kCompFill,
@@ -129,9 +123,6 @@ void RateAllocator::allocate(std::span<Flow*> flows, SimTime now) {
         .ctx = c,
         .value = static_cast<double>(comp_start_[c + 1] - comp_start_[c])};
   };
-  // kClassFill is emitted at *both* fill granularities (the partition is
-  // computed regardless), keeping traced streams bit-identical across the
-  // class-vs-per-flow differential suite.
   const auto class_fill_event = [&](std::uint32_t c) {
     return obs::TraceEvent{
         .kind = obs::TraceKind::kClassFill,
@@ -150,7 +141,7 @@ void RateAllocator::allocate(std::span<Flow*> flows, SimTime now) {
     if (emit_comps) comp_shards_.begin(workers);
     pool_->run(comps, workers, [&](unsigned w, std::size_t i) {
       const auto c = static_cast<std::uint32_t>(i);
-      fill_one(c, fill_scratch_.at(w));
+      fill_component_class(c, fill_scratch_.at(w));
       if (emit_comps) {
         comp_shards_.record(w, c, comp_fill_event(c));
         comp_shards_.record(w, c, class_fill_event(c));
@@ -161,7 +152,7 @@ void RateAllocator::allocate(std::span<Flow*> flows, SimTime now) {
     fill_scratch_.begin_pass(1);
     FillScratch& fs = fill_scratch_.at(0);
     for (std::uint32_t c = 0; c < comps; ++c) {
-      fill_one(c, fs);
+      fill_component_class(c, fs);
       if (emit_comps) {
         trace_->record(comp_fill_event(c));
         trace_->record(class_fill_event(c));
@@ -170,16 +161,15 @@ void RateAllocator::allocate(std::span<Flow*> flows, SimTime now) {
   }
 
   // Deterministic merge: the converged rates fan back out to the flows in a
-  // serial scatter. (Fills write only cls_rate_/member_rate_; Flow::rate is
-  // written here and nowhere else on the fill path, so the result is
-  // independent of thread count.)
+  // serial scatter. (Fills write only cls_rate_; Flow::rate is written here
+  // and nowhere else on the fill path, so the result is independent of
+  // thread count.)
   stats_.components += comps;
   stats_.components_filled += comps;
   stats_.classes += n_classes_;
   stats_.class_members += n;
   for (std::uint32_t s = 0; s < n; ++s) {
-    af_[s].flow->rate = fill_ == FillMode::kClass ? cls_rate_[class_of_slot_[s]]
-                                                  : member_rate_[s];
+    af_[s].flow->rate = cls_rate_[class_of_slot_[s]];
   }
 
   // --- Dirty-set handoff + notification consumption. ---
@@ -233,7 +223,7 @@ void RateAllocator::partition_classes() {
   // walk over the bucket's own classes (distinct weight/cap pairs per
   // route are few in practice; singletons trivially so). Class ids are
   // assigned in (route key, first-member) order -- deterministic, and
-  // identical across fill granularities and thread counts.
+  // identical at any thread count.
   n_classes_ = 0;
   cls_weight_.clear();
   cls_cap_.clear();
@@ -291,21 +281,14 @@ void RateAllocator::partition_classes() {
   }
 
   // Classes bucketed by component (stable: preserves class-id order within
-  // each component), then member slots bucketed by class (stable: input is
-  // component-major slot-ascending, so each class's member run is
-  // ascending).
+  // each component).
   bucket_scatter(
       n_classes_, comps, [&](std::size_t k) { return cls_comp_[k]; },
       [](std::size_t k) { return static_cast<std::uint32_t>(k); },
       comp_class_start_, comp_class_cursor_, comp_classes_);
-  bucket_scatter(
-      m, n_classes_,
-      [&](std::size_t i) { return class_of_slot_[comp_members_[i]]; },
-      [&](std::size_t i) { return comp_members_[i]; }, class_member_start_,
-      class_member_cursor_, class_members_);
 
   // Deduped per-component link list, in class-unit order: the single
-  // `remaining_capacity -= delta * unfrozen_weight` sweep both fills run
+  // `remaining_capacity -= delta * unfrozen_weight` sweep the fill runs
   // per round walks exactly these links. The `listed` marker needs no
   // per-component reset -- components are link-disjoint and begin_pass()
   // zeroed it.
@@ -326,31 +309,31 @@ void RateAllocator::partition_classes() {
     }
   }
   comp_link_start_.push_back(static_cast<std::uint32_t>(comp_links_.size()));
-
-  if (fill_ == FillMode::kPerFlow) member_rate_.resize(af_.size());
 }
 
-// Both fills below are the *same* canonical progressive filling in
-// grouping-invariant form (DESIGN.md §11): per round,
-//   1. delta = min over unfrozen units of per-route-link rem/uw and the
+// Progressive filling over equivalence classes, in a grouping-invariant
+// form (DESIGN.md §11) -- each class stands for its members exactly as if
+// they were filled one by one. Per round,
+//   1. delta = min over unfrozen classes of per-route-link rem/uw and the
 //      cap headroom (cap - rate) / w  -- min is exact, so evaluating a
 //      shared route's links once per class or once per member gives the
 //      bitwise-same delta;
-//   2. every unfrozen unit's rate += w * delta -- class members share the
+//   2. every unfrozen class's rate += w * delta -- class members share the
 //      identical accumulation history, so one class-level add stands for
 //      all of them;
 //   3. every component link's rem -= delta * uw, once per link per round
 //      (links whose flows are all frozen have uw == +-0.0 and the subtract
 //      is an exact no-op);
-//   4. freeze pass in unit order: cap-clamp or any route link rem <= eps;
-//      a frozen unit retires weight w from each route link once per member
-//      (the class repeats the subtraction count times -- the identical
+//   4. freeze pass in class order: cap-clamp or any route link rem <= eps;
+//      a frozen class retires weight w from each route link once per
+//      member (the subtraction repeats count times -- the identical
 //      per-link value sequence as consecutive per-flow members).
 // Each round freezes at least one unit or saturates at least one link, so
 // the loop terminates in O(units + links) rounds. Components are
 // link-disjoint by construction, so concurrent fills of distinct
 // components are race-free (the mutable working set `fs` is
-// thread-confined per participant).
+// thread-confined per participant). The test certifier (tests/certify.hpp)
+// holds every pass to the weighted max-min definition.
 void RateAllocator::fill_component_class(std::uint32_t c, FillScratch& fs) {
   std::vector<std::uint32_t>& unfrozen_ = fs.unfrozen;
   std::vector<std::uint32_t>& next_ = fs.next;
@@ -381,110 +364,57 @@ void RateAllocator::fill_component_class(std::uint32_t c, FillScratch& fs) {
       ll.remaining_capacity -= delta * ll.unfrozen_weight;
     }
     // Freezing pass (separate from the increment so all link updates land
-    // before saturation checks).
+    // before saturation checks). A unit freezes at its cap or on a
+    // saturated route link: within kEps absolute, or -- when `relaxed` --
+    // within kNoise of the cap or the link's capacity as well.
     constexpr double kEps = 1e-12;
-    next_.clear();
-    for (const std::uint32_t k : unfrozen_) {
-      bool frozen = false;
-      if (cls_has_cap_[k] && cls_rate_[k] >= cls_cap_[k] - kEps) {
-        cls_rate_[k] = cls_cap_[k];
-        frozen = true;
-      } else {
-        for (std::uint32_t p = cls_path_begin_[k]; p < cls_path_end_[k];
-             ++p) {
-          if (links_.at(LinkId{path_flat_[p]}).remaining_capacity <= kEps) {
-            frozen = true;
-            break;
-          }
-        }
-      }
-      if (frozen) {
-        // One weight retirement per member: the per-link subtraction
-        // sequence (w, count times) is bitwise what consecutive per-flow
-        // members would have produced.
-        for (std::uint32_t rep = 0; rep < cls_count_[k]; ++rep) {
+    constexpr double kNoise = 1e-12;
+    const auto freeze = [&](bool relaxed) {
+      next_.clear();
+      for (const std::uint32_t k : unfrozen_) {
+        bool frozen = false;
+        if (cls_has_cap_[k] &&
+            (cls_rate_[k] >= cls_cap_[k] - kEps ||
+             (relaxed && cls_rate_[k] >= cls_cap_[k] - kNoise * cls_cap_[k]))) {
+          cls_rate_[k] = cls_cap_[k];
+          frozen = true;
+        } else {
           for (std::uint32_t p = cls_path_begin_[k]; p < cls_path_end_[k];
                ++p) {
-            links_.at(LinkId{path_flat_[p]}).unfrozen_weight -=
-                cls_weight_[k];
+            const LinkId lid{path_flat_[p]};
+            const double rem = links_.at(lid).remaining_capacity;
+            if (rem <= kEps ||
+                (relaxed && rem <= kNoise * topo_->link(lid).capacity)) {
+              frozen = true;
+              break;
+            }
           }
         }
-      } else {
-        next_.push_back(k);
-      }
-    }
-    if (next_.size() == unfrozen_.size()) break;  // defensive: no progress
-    unfrozen_.swap(next_);
-  }
-}
-
-void RateAllocator::fill_component_perflow(std::uint32_t c,
-                                           FillScratch& fs) {
-  // Reference granularity: units are individual members, enumerated in
-  // class-major order (class id ascending, slot ascending within) -- the
-  // exact order the class fill logically treats them in.
-  std::vector<std::uint32_t>& unfrozen_ = fs.unfrozen;
-  std::vector<std::uint32_t>& next_ = fs.next;
-  unfrozen_.clear();
-  for (std::uint32_t ki = comp_class_start_[c];
-       ki < comp_class_start_[c + 1]; ++ki) {
-    const std::uint32_t k = comp_classes_[ki];
-    for (std::uint32_t mi = class_member_start_[k];
-         mi < class_member_start_[k + 1]; ++mi) {
-      const std::uint32_t s = class_members_[mi];
-      member_rate_[s] = 0.0;
-      unfrozen_.push_back(s);
-    }
-  }
-  const std::uint32_t link_begin = comp_link_start_[c];
-  const std::uint32_t link_end = comp_link_start_[c + 1];
-  while (!unfrozen_.empty()) {
-    double delta = std::numeric_limits<double>::infinity();
-    for (const std::uint32_t s : unfrozen_) {
-      const ActiveFlow& a = af_[s];
-      for (std::uint32_t p = a.path_begin; p < a.path_end; ++p) {
-        const LinkLoad& ll = links_.at(LinkId{path_flat_[p]});
-        assert(ll.unfrozen_weight > 0.0);
-        delta = std::min(delta, ll.remaining_capacity / ll.unfrozen_weight);
-      }
-      if (a.flow->rate_cap) {
-        delta =
-            std::min(delta, (*a.flow->rate_cap - member_rate_[s]) / a.weight);
-      }
-    }
-    if (!std::isfinite(delta)) break;  // defensive: no constraint found
-    delta = std::max(delta, 0.0);
-
-    for (const std::uint32_t s : unfrozen_) {
-      member_rate_[s] += af_[s].weight * delta;
-    }
-    for (std::uint32_t li = link_begin; li < link_end; ++li) {
-      LinkLoad& ll = links_.at(LinkId{comp_links_[li]});
-      ll.remaining_capacity -= delta * ll.unfrozen_weight;
-    }
-    constexpr double kEps = 1e-12;
-    next_.clear();
-    for (const std::uint32_t s : unfrozen_) {
-      const ActiveFlow& a = af_[s];
-      bool frozen = false;
-      if (a.flow->rate_cap && member_rate_[s] >= *a.flow->rate_cap - kEps) {
-        member_rate_[s] = *a.flow->rate_cap;
-        frozen = true;
-      } else {
-        for (std::uint32_t p = a.path_begin; p < a.path_end; ++p) {
-          if (links_.at(LinkId{path_flat_[p]}).remaining_capacity <= kEps) {
-            frozen = true;
-            break;
+        if (frozen) {
+          // One weight retirement per member: the per-link subtraction
+          // sequence (w, count times) is bitwise what consecutive per-flow
+          // members would have produced.
+          for (std::uint32_t rep = 0; rep < cls_count_[k]; ++rep) {
+            for (std::uint32_t p = cls_path_begin_[k]; p < cls_path_end_[k];
+                 ++p) {
+              links_.at(LinkId{path_flat_[p]}).unfrozen_weight -=
+                  cls_weight_[k];
+            }
           }
+        } else {
+          next_.push_back(k);
         }
       }
-      if (frozen) {
-        for (std::uint32_t p = a.path_begin; p < a.path_end; ++p) {
-          links_.at(LinkId{path_flat_[p]}).unfrozen_weight -= a.weight;
-        }
-      } else {
-        next_.push_back(s);
-      }
+    };
+    freeze(/*relaxed=*/false);
+    if (next_.size() == unfrozen_.size()) {
+      // Nothing froze: the constraint that set delta was met only up to
+      // rounding -- `rem - (rem / uw) * uw` or `rate + w * (cap - rate) / w`
+      // can land a few ulps short of it, far above kEps at 1e10 B/s. That
+      // constraint is within kNoise of binding, so a relaxed pass freezes
+      // its units; stopping here instead would leave every unfrozen unit of
+      // the component short of its max-min rate.
+      freeze(/*relaxed=*/true);
     }
     if (next_.size() == unfrozen_.size()) break;  // defensive: no progress
     unfrozen_.swap(next_);

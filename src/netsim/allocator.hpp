@@ -22,10 +22,12 @@
 // Equivalence-class fill (DESIGN.md §11): collectives emit thousands of
 // flows over a handful of distinct routed paths, so each component's
 // members are additionally partitioned into (interned route, weight, cap)
-// equivalence classes and the production fill (FillMode::kClass) iterates
-// over K classes instead of N flows -- per-pass cost scales with distinct
-// routes, not flows. The per-flow granularity survives as the reference
-// the differential suite compares bit-for-bit.
+// equivalence classes and the fill iterates over K classes instead of N
+// flows -- per-pass cost scales with distinct routes, not flows. Under
+// weighted max-min, flows sharing the same interned route, weight and cap
+// are interchangeable: they see identical link constraints, accumulate
+// identical per-round increments, and freeze together. The converged class
+// rates fan back out to the flows in a serial flow-id-ascending scatter.
 //
 // Hot-path data layout: the allocator runs after every scheduler control()
 // pass, so its per-round state is arena-backed (see DESIGN.md). Per-link
@@ -53,20 +55,6 @@
 
 namespace echelon::netsim {
 
-// Water-fill granularity (DESIGN.md §11). Under weighted max-min, flows
-// sharing the same interned route, weight and cap are interchangeable: they
-// see identical link constraints, accumulate identical per-round
-// increments, and freeze together. kClass (the production path) therefore
-// partitions each component's members into such equivalence classes and
-// iterates the fill over K classes instead of N flows, fanning the
-// converged class rates back out in a serial flow-id-ascending scatter.
-// kPerFlow runs the same canonical fill with every member as its own unit
-// -- the reference granularity the class-vs-per-flow differential suite
-// compares against. Both granularities execute the identical sequence of
-// floating-point operations per unit and per link (grouping-invariant
-// form), so results, stats and traces are bit-identical.
-enum class FillMode { kPerFlow, kClass };
-
 // Weights at or below this epsilon are clamped up to it inside the
 // allocator. A zero or negative weight would otherwise divide-by-zero in
 // the water level computation (and previously tripped an assert in Debug
@@ -76,9 +64,7 @@ inline constexpr double kMinFlowWeight = 1e-12;
 
 class RateAllocator {
  public:
-  explicit RateAllocator(const topology::Topology* topo,
-                         FillMode fill = FillMode::kClass)
-      : topo_(topo), fill_(fill) {}
+  explicit RateAllocator(const topology::Topology* topo) : topo_(topo) {}
 
   // Overwrites `rate` on every flow in `flows`. Finished flows get rate 0.
   // Non-const: reuses the allocator's internal arenas across calls. Also
@@ -96,9 +82,8 @@ class RateAllocator {
   // a kClassFill event (same keys, value = equivalence-class count) in
   // ascending-component order -- parallel fills record into per-worker
   // shards and merge on the same key, so the stream is bit-identical at any
-  // thread count *and* across fill granularities. nullptr (the default)
-  // detaches: the emission site reduces to a single pointer compare and the
-  // pass performs no extra work.
+  // thread count. nullptr (the default) detaches: the emission site reduces
+  // to a single pointer compare and the pass performs no extra work.
   void set_trace(obs::TraceSink* sink, bool per_component = false) noexcept {
     trace_ = sink;
     trace_components_ = sink != nullptr && per_component;
@@ -197,14 +182,8 @@ class RateAllocator {
   // `fs` -- safe to run concurrently for distinct components with distinct
   // scratch.
   void fill_component_class(std::uint32_t c, FillScratch& fs);
-  // The same canonical fill with every class member as its own unit
-  // (reference granularity); converged rates land in member_rate_. Executes
-  // bit-identical arithmetic to fill_component_class -- see DESIGN.md §11
-  // for the grouping-invariance argument.
-  void fill_component_perflow(std::uint32_t c, FillScratch& fs);
 
   const topology::Topology* topo_;
-  FillMode fill_ = FillMode::kClass;
   Stats stats_;
   std::uint64_t pass_ = 0;
   obs::TraceSink* trace_ = nullptr;  // null => zero-cost emission branch
@@ -222,7 +201,7 @@ class RateAllocator {
   std::vector<std::uint32_t> comp_start_;   // comps+1 prefix offsets
   std::vector<std::uint32_t> comp_cursor_;
   // Slots bucketed by component, ascending slot within: the canonical unit
-  // order both fills follow.
+  // order the fill follows.
   std::vector<std::uint32_t> comp_members_;
   WorkerScratch<FillScratch> fill_scratch_; // per-participant fill arenas
   obs::TraceShards comp_shards_;            // parallel kCompFill emission
@@ -249,12 +228,8 @@ class RateAllocator {
   std::vector<std::uint32_t> comp_class_start_; // comps+1: classes per comp
   std::vector<std::uint32_t> comp_class_cursor_;
   std::vector<std::uint32_t> comp_classes_;     // class ids bucketed by comp
-  std::vector<std::uint32_t> class_member_start_;  // classes+1
-  std::vector<std::uint32_t> class_member_cursor_;
-  std::vector<std::uint32_t> class_members_;    // slots bucketed by class
   std::vector<std::uint32_t> comp_links_;       // deduped links, comp-major
   std::vector<std::uint32_t> comp_link_start_;  // comps+1 offsets into ^
-  std::vector<double> member_rate_;             // per-slot rates (kPerFlow)
 };
 
 }  // namespace echelon::netsim

@@ -12,6 +12,11 @@
 
 namespace echelon::netsim {
 
+// A flow is considered drained once fewer bytes than this remain. Flow sizes
+// in the experiments are >= 1 byte, so a micro-byte of slack only absorbs
+// floating-point error.
+inline constexpr Bytes kBytesEpsilon = 1e-6;
+
 // Immutable description of a flow, provided at submission time.
 struct FlowSpec {
   NodeId src;

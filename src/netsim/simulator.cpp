@@ -11,20 +11,13 @@
 
 namespace echelon::netsim {
 
-// A flow is considered drained once fewer bytes than this remain. Flow sizes
-// in the experiments are >= 1 byte, so a micro-byte of slack only absorbs
-// floating-point error.
-constexpr Bytes kBytesEpsilon = 1e-6;
-
 namespace {
 
 // Canonical completion instant for an active flow under the epoch-stamped
-// accounting: the zero crossing of `remaining - rate * (t - epoch)`. Both
-// loop modes (and the retirement predicate) evaluate exactly this
-// expression on exactly these operands, which is what makes lazy and eager
-// runs bit-identical. Edge cases fall out of IEEE arithmetic: rate == +inf
-// gives epoch (finishes immediately); rate == 0 with positive remaining
-// gives +inf (never finishes on its own).
+// accounting: the zero crossing of `remaining - rate * (t - epoch)`. Edge
+// cases fall out of IEEE arithmetic: rate == +inf gives epoch (finishes
+// immediately); rate == 0 with positive remaining gives +inf (never
+// finishes on its own).
 [[nodiscard]] inline SimTime completion_time(SimTime epoch,
                                              const Flow& f) noexcept {
   return epoch + f.remaining / f.rate;
@@ -76,13 +69,11 @@ constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
 }  // namespace
 
-Simulator::Simulator(const topology::Topology* topo, SimLoopMode mode,
-                     FillMode fill_mode)
+Simulator::Simulator(const topology::Topology* topo)
     : topo_(topo),
       routes_(topo),
-      allocator_(topo, fill_mode),
-      scheduler_(&default_scheduler_),
-      mode_(mode) {
+      allocator_(topo),
+      scheduler_(&default_scheduler_) {
   assert(topo != nullptr);
 }
 
@@ -416,9 +407,7 @@ void Simulator::reallocate() {
   // entry is bitwise still valid, so re-stamp only the allocator's dirty
   // set instead of rebuilding O(active). When the epoch moved, the stamp
   // already marked the heap dirty and the full rebuild runs in step 3.
-  if (mode_ == SimLoopMode::kLazy && !completion_heap_dirty_) {
-    patch_completion_heap();
-  }
+  if (!completion_heap_dirty_) patch_completion_heap();
 }
 
 void Simulator::patch_completion_heap() {
@@ -489,16 +478,6 @@ void Simulator::rebuild_completion_heap() {
   std::make_heap(completion_heap_.begin(), completion_heap_.end(),
                  LaterCompletion{});
   completion_heap_dirty_ = false;
-}
-
-SimTime Simulator::earliest_completion_scan() const noexcept {
-  SimTime best = kTimeInfinity;
-  for (FlowId id : active_flows_) {
-    const Flow& f = flows_.at(id.value()).flow;
-    if (f.rate <= 0.0) continue;
-    best = std::min(best, completion_time(epoch_time_, f));
-  }
-  return best;
 }
 
 SimTime Simulator::earliest_completion_heap() {
@@ -759,15 +738,11 @@ SimTime Simulator::run(SimTime deadline) {
       if (retired) continue;  // callbacks may have scheduled work at `now_`
     }
 
-    // 3. Pick the next instant. Lazy mode reads the heap top (rebuilding by
-    // heapify at most once per accounting epoch); eager mode scans.
-    if (mode_ == SimLoopMode::kLazy && completion_heap_dirty_) {
-      rebuild_completion_heap();
-    }
+    // 3. Pick the next instant: the heap top, rebuilt by heapify at most
+    // once per accounting epoch.
+    if (completion_heap_dirty_) rebuild_completion_heap();
     const SimTime next_event = events_.next_time();
-    const SimTime next_done = mode_ == SimLoopMode::kLazy
-                                  ? earliest_completion_heap()
-                                  : earliest_completion_scan();
+    const SimTime next_done = earliest_completion_heap();
     const SimTime next = std::min(next_event, next_done);
     if (next > deadline) {
       // Materialize progress up to the deadline so a later run() resumes
@@ -783,37 +758,27 @@ SimTime Simulator::run(SimTime deadline) {
     if (next > now_) now_ = next;
 
     // 5. Retire flows whose completion instant has arrived (within the
-    // relative time resolution -- see retire_threshold). Completion
-    // callbacks fire in descending-FlowId order, as the seed's
-    // descending-index sweep did.
+    // relative time resolution -- see retire_threshold). Every due entry is
+    // popped first (callbacks during finish_flow cannot retire other active
+    // flows, so the candidate set is stable), then completion callbacks
+    // fire in descending-FlowId order, as the seed's descending-index sweep
+    // did.
     const SimTime threshold = retire_threshold(now_);
-    if (mode_ == SimLoopMode::kLazy) {
-      // Pop every due entry first (callbacks during finish_flow cannot
-      // retire other active flows, so the candidate set is stable), then
-      // finish in descending-id order.
-      retire_scratch_.clear();
-      while (!completion_heap_.empty()) {
-        const CompletionEntry e = completion_heap_.front();
-        const bool valid = entry_valid(e);
-        if (valid && e.tc > threshold) break;
-        std::pop_heap(completion_heap_.begin(), completion_heap_.end(),
-                      LaterCompletion{});
-        completion_heap_.pop_back();
-        if (valid) retire_scratch_.push_back(e.flow);
-      }
-      std::sort(retire_scratch_.begin(), retire_scratch_.end(),
-                std::greater<FlowId>{});
-      for (FlowId id : retire_scratch_) {
-        assert(flows_.at(id.value()).flow.active_index != Flow::kNotActive);
-        finish_flow(id);
-      }
-    } else {
-      restore_active_order();  // retire in descending-id order
-      for (std::size_t i = active_flows_.size(); i-- > 0;) {
-        Flow& f = flows_.at(active_flows_[i].value()).flow;
-        if (f.rate <= 0.0) continue;
-        if (completion_time(epoch_time_, f) <= threshold) finish_flow(f.id);
-      }
+    retire_scratch_.clear();
+    while (!completion_heap_.empty()) {
+      const CompletionEntry e = completion_heap_.front();
+      const bool valid = entry_valid(e);
+      if (valid && e.tc > threshold) break;
+      std::pop_heap(completion_heap_.begin(), completion_heap_.end(),
+                    LaterCompletion{});
+      completion_heap_.pop_back();
+      if (valid) retire_scratch_.push_back(e.flow);
+    }
+    std::sort(retire_scratch_.begin(), retire_scratch_.end(),
+              std::greater<FlowId>{});
+    for (FlowId id : retire_scratch_) {
+      assert(flows_.at(id.value()).flow.active_index != Flow::kNotActive);
+      finish_flow(id);
     }
   }
 }

@@ -21,13 +21,9 @@
 // Rates change only at reallocation boundaries, so one O(active) stamp per
 // reallocate() replaces the seed's O(active) drain per event, and completion
 // instants come from a min-heap of precomputed completion times instead of a
-// linear scan. Per event the loop costs O(log n + retired flows).
-//
-// SimLoopMode::kEagerScan keeps the seed's O(active)-per-event linear scans
-// (on top of the same epoch-stamped accounting) as a reference
-// implementation: both modes evaluate identical floating-point expressions
-// on identical operands at every observation point, so results are
-// bit-identical -- the property the golden-equivalence suite asserts.
+// linear scan. Per event the loop costs O(log n + retired flows). The test
+// certifier (tests/certify.hpp) checks this accounting against its
+// definition: every flow's delivered bytes equal the integral of its rates.
 
 #pragma once
 
@@ -57,11 +53,6 @@
 #include "topology/route_table.hpp"
 
 namespace echelon::netsim {
-
-// Event-loop strategy. kLazy is the production O(log n)-per-event path;
-// kEagerScan is the O(active)-per-event reference used by the
-// golden-equivalence suite. Both produce bit-identical simulations.
-enum class SimLoopMode { kLazy, kEagerScan };
 
 // Record store in fixed kChunk-element chunks (DESIGN.md §6). Appending
 // never moves an existing element, so references into the store stay valid
@@ -141,13 +132,7 @@ class Simulator {
   using TaskCallback = std::function<void(Simulator&, const ComputeTask&)>;
   using TimerCallback = std::function<void(Simulator&)>;
 
-  // `fill_mode` selects the per-component water-fill granularity
-  // (equivalence classes by default; see FillMode) -- the two produce
-  // bit-identical allocations, which the route-class differential suite
-  // pins.
-  explicit Simulator(const topology::Topology* topo,
-                     SimLoopMode mode = SimLoopMode::kLazy,
-                     FillMode fill_mode = FillMode::kClass);
+  explicit Simulator(const topology::Topology* topo);
 
   // Non-copyable: owns callbacks holding references to itself.
   Simulator(const Simulator&) = delete;
@@ -501,15 +486,14 @@ class Simulator {
   // and per run() deadline, never per event.
   void stamp_active_flows(SimTime to);
   // Rebuilds the completion heap from the current epoch state (heapify,
-  // O(active)). Lazy mode only.
+  // O(active)).
   void rebuild_completion_heap();
   // Incremental heap maintenance for same-instant reallocations: when the
   // accounting epoch did not move, every unchanged flow's heap entry is
   // bitwise still valid, so only the allocator's rate-changed dirty set
-  // needs re-stamping (O(changed * log n) instead of O(active)). Lazy mode
-  // only; called right after a reallocation that kept the epoch in place.
+  // needs re-stamping (O(changed * log n) instead of O(active)). Called
+  // right after a reallocation that kept the epoch in place.
   void patch_completion_heap();
-  [[nodiscard]] SimTime earliest_completion_scan() const noexcept;
   // True when heap entry `e` still describes its flow's pending completion.
   [[nodiscard]] bool entry_valid(const CompletionEntry& e) const;
   // Appends flow `f` (whose id is the next FlowId) and its callback.
@@ -521,7 +505,6 @@ class Simulator {
   RateAllocator allocator_;
   FairSharingScheduler default_scheduler_;
   NetworkScheduler* scheduler_;
-  SimLoopMode mode_;
 
   SimTime now_ = 0.0;
   // Accounting epoch: the instant at which every active flow's `remaining`
@@ -551,7 +534,7 @@ class Simulator {
   // (grows to the high-water mark of the active set, never shrinks).
   std::vector<Flow*> active_scratch_;
 
-  // Completion-time min-heap (lazy mode). Cleared and re-heapified once per
+  // Completion-time min-heap. Cleared and re-heapified once per
   // accounting epoch; entries invalidated in between are discarded lazily
   // via the generation stamp.
   std::vector<CompletionEntry> completion_heap_;

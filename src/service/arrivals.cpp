@@ -63,6 +63,19 @@ T read_value(std::istringstream& ls, const char* key, int lineno) {
   return *v;
 }
 
+// read_value plus a range check: fails, naming the field, unless `ok(v)`;
+// `range` says what the field must be ("> 0", ...).
+template <typename T, typename Ok>
+T read_checked(std::istringstream& ls, const char* key, int lineno, Ok ok,
+               const char* range) {
+  const T v = read_value<T>(ls, key, lineno);
+  if (!ok(v)) fail(lineno, std::string(key) + " must be " + range);
+  return v;
+}
+constexpr auto kAtLeastOne = [](int v) { return v >= 1; };
+constexpr auto kNonNegative = [](double v) { return v >= 0.0; };
+constexpr auto kPositive = [](double v) { return v > 0.0; };
+
 // The line must end after its last field.
 void expect_end(std::istringstream& ls, int lineno) {
   if (std::string tok; ls >> tok) {
@@ -245,32 +258,46 @@ std::vector<Arrival> parse_arrival_trace(std::istream& in) {
       std::string pname;
       if (!(ls >> pname)) fail(lineno, "missing paradigm");
       j.paradigm = paradigm_from_string(pname, lineno);
-      j.ranks = read_value<int>(ls, "ranks", lineno);
-      j.iterations = read_value<int>(ls, "iterations", lineno);
-      j.buckets = read_value<int>(ls, "buckets", lineno);
-      j.micro_batches = read_value<int>(ls, "micro", lineno);
+      j.ranks = read_checked<int>(ls, "ranks", lineno, kAtLeastOne, ">= 1");
+      j.iterations =
+          read_checked<int>(ls, "iterations", lineno, kAtLeastOne, ">= 1");
+      j.buckets = read_checked<int>(ls, "buckets", lineno, kAtLeastOne, ">= 1");
+      j.micro_batches =
+          read_checked<int>(ls, "micro", lineno, kAtLeastOne, ">= 1");
       expect_key(ls, "ppsched", lineno);
       std::string sname;
       if (!(ls >> sname)) fail(lineno, "missing ppsched");
       j.pp_schedule = pp_schedule_from_string(sname, lineno);
-      j.compute_jitter = read_value<double>(ls, "jitter", lineno);
+      j.compute_jitter =
+          read_checked<double>(ls, "jitter", lineno, kNonNegative, ">= 0");
       j.jitter_seed = read_value<std::uint64_t>(ls, "jseed", lineno);
-      j.arrival = read_value<double>(ls, "submit", lineno);
+      j.arrival =
+          read_checked<double>(ls, "submit", lineno, kNonNegative, ">= 0");
       expect_end(ls, lineno);
     }
     {
       std::istringstream ls(next_line(in, lineno));
       expect_key(ls, "gpu", lineno);
-      j.gpu.peak_flops = read_value<double>(ls, "peak", lineno);
-      j.gpu.efficiency = read_value<double>(ls, "eff", lineno);
+      j.gpu.peak_flops =
+          read_checked<double>(ls, "peak", lineno, kPositive, "> 0");
+      j.gpu.efficiency = read_checked<double>(
+          ls, "eff", lineno, [](double v) { return v > 0.0 && v <= 1.0; },
+          "in (0, 1]");
       j.gpu.name = read_name_tail(ls, lineno);
     }
     std::uint64_t layer_count = 0;
     {
       std::istringstream ls(next_line(in, lineno));
       expect_key(ls, "model", lineno);
-      j.model.bytes_per_element = read_value<double>(ls, "bpe", lineno);
+      j.model.bytes_per_element =
+          read_checked<double>(ls, "bpe", lineno, kPositive, "> 0");
       layer_count = read_value<std::uint64_t>(ls, "layers", lineno);
+      // Gradient buckets partition the layers, so there must be at least
+      // one layer per bucket.
+      if (layer_count < static_cast<std::uint64_t>(j.buckets)) {
+        fail(lineno, "layers must be >= buckets (" +
+                         std::to_string(j.buckets) + ")");
+      }
       j.model.name = read_name_tail(ls, lineno);
     }
     for (std::uint64_t l = 0; l < layer_count; ++l) {
@@ -278,9 +305,12 @@ std::vector<Arrival> parse_arrival_trace(std::istream& in) {
       expect_key(ls, "layer", lineno);
       workload::LayerSpec spec;
       spec.params = read_value<std::uint64_t>(ls, "params", lineno);
-      spec.activation_bytes = read_value<double>(ls, "act", lineno);
-      spec.fwd_flops = read_value<double>(ls, "fwd", lineno);
-      spec.bwd_flops = read_value<double>(ls, "bwd", lineno);
+      spec.activation_bytes =
+          read_checked<double>(ls, "act", lineno, kNonNegative, ">= 0");
+      spec.fwd_flops =
+          read_checked<double>(ls, "fwd", lineno, kNonNegative, ">= 0");
+      spec.bwd_flops =
+          read_checked<double>(ls, "bwd", lineno, kNonNegative, ">= 0");
       spec.name = read_name_tail(ls, lineno);
       j.model.layers.push_back(std::move(spec));
     }

@@ -116,6 +116,10 @@ void write_arrival_trace(std::ostream& out,
                          const std::vector<Arrival>& arrivals);
 [[nodiscard]] std::string serialize_arrivals(
     const std::vector<Arrival>& arrivals);
+// parse_arrival_trace throws std::invalid_argument naming the line -- and,
+// for a field out of range, the field -- on malformed input: ranks,
+// iterations, buckets and micro must be >= 1; layers >= buckets; jitter,
+// submit, act, fwd and bwd >= 0; peak and bpe > 0; eff in (0, 1].
 [[nodiscard]] std::vector<Arrival> parse_arrival_trace(std::istream& in);
 [[nodiscard]] std::vector<Arrival> parse_arrival_trace(
     const std::string& text);

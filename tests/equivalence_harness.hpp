@@ -1,18 +1,18 @@
-// Shared harness for the golden-equivalence suites.
+// Shared harness for the equivalence and certification suites.
 //
-// Production fast paths promise *bit identity* with their reference
-// implementations: the dense-state schedulers/allocator
-// (tests/test_dense_equivalence.cpp), the lazy event loop
-// (tests/test_simloop_equivalence.cpp) and the class-granularity fill
-// (tests/test_route_class_equivalence.cpp) -- and since the fault-injection
-// subsystem, all of the above must stay bit-identical *under fire*
-// (tests/test_faults.cpp). Every suite needs the same scaffolding:
+// The dense-state schedulers promise *bit identity* with their seed
+// implementations (tests/test_dense_equivalence.cpp), and every run is
+// bit-identical at any thread count (tests/test_parallel_equivalence.cpp).
+// The event loop and the water-fill are certified against their
+// definitions instead (tests/certify.hpp): tests/test_simloop_equivalence.cpp,
+// tests/test_route_class_equivalence.cpp and tests/test_faults.cpp, the
+// last under fire. Every suite needs the same scaffolding:
 //
 //   - an allocation-counting operator-new hook (off under ASan/TSan),
 //   - a bitwise ExperimentResult comparator,
 //   - the small randomized cluster trace + a run_cluster(jobs, RunSpec)
-//     entry point spanning the full scheduler x fabric x SimLoopMode x
-//     FillMode (x FaultPlan) matrix,
+//     entry point spanning the scheduler x fabric (x FaultPlan x threads)
+//     matrix,
 //   - the scheduler x fabric gtest param fixture with its name generator,
 //   - the simulator-level randomized completion-trace scenario.
 //
@@ -35,6 +35,7 @@
 #include <tuple>
 #include <vector>
 
+#include "certify.hpp"
 #include "cluster/experiment.hpp"
 #include "cluster/trace.hpp"
 #include "common/pool.hpp"
@@ -127,11 +128,6 @@ namespace echelon::eqh {
 struct RunSpec {
   cluster::SchedulerKind scheduler = cluster::SchedulerKind::kEchelonMadd;
   cluster::FabricKind fabric = cluster::FabricKind::kBigSwitch;
-  netsim::SimLoopMode loop = netsim::SimLoopMode::kLazy;
-  // Water-fill granularity -- the axis the route-class differential suite
-  // (tests/test_route_class_equivalence.cpp) sweeps: kClass and kPerFlow
-  // must produce bit-identical results and trace streams.
-  netsim::FillMode fill = netsim::FillMode::kClass;
   const faultsim::FaultPlan* plan = nullptr;  // nullptr = fault-free
   // Intra-run parallelism width (ExperimentConfig::threads): 1 = serial,
   // 0 = every shared-pool participant, N = at most N. Results must be
@@ -153,8 +149,6 @@ inline cluster::ExperimentResult run_cluster(
   cfg.port_capacity = gbps(25);
   cfg.oversubscription =
       spec.fabric == cluster::FabricKind::kLeafSpine ? 2.0 : 1.0;
-  cfg.loop_mode = spec.loop;
-  cfg.fill_mode = spec.fill;
   cfg.fault_plan = spec.plan;
   cfg.threads = spec.threads;
   if (spec.trace_sink != nullptr) {
@@ -205,8 +199,9 @@ inline topology::BuiltFabric run_cluster_fabric(cluster::FabricKind fabric) {
 
 // The single bit-identical comparator: every deterministic ExperimentResult
 // field must agree to the bit (wall_ms is host timing and excluded). Fault
-// counters are part of the contract -- two runs of the same plan in
-// different modes must make identical reroute/park/abandon decisions.
+// counters are part of the contract -- two runs of the same plan at
+// different thread counts must make identical reroute/park/abandon
+// decisions.
 inline void expect_same_result(const cluster::ExperimentResult& a,
                                const cluster::ExperimentResult& b) {
   EXPECT_EQ(a.scheduler_name, b.scheduler_name);
@@ -345,7 +340,6 @@ struct TraceEvent {
 };
 
 struct ScenarioOptions {
-  netsim::SimLoopMode loop = netsim::SimLoopMode::kLazy;
   int flows = 60;
   // Uneven run(deadline) stepping: exercises the deadline-stamp path
   // (progress must be materialized exactly so the resumed run continues
@@ -364,6 +358,8 @@ struct ScenarioOptions {
   // fill work per pass for the allocator to dispatch onto the pool.
   bool wide = false;
   obs::TraceSink* trace_sink = nullptr;  // kFlow detail when set
+  // Certifies the run instead (kFlow detail); exclusive with trace_sink.
+  certify::Certifier* certifier = nullptr;
 };
 
 struct ScenarioOutcome {
@@ -381,13 +377,17 @@ struct ScenarioOutcome {
 inline ScenarioOutcome run_sim_scenario(std::uint64_t seed,
                                         const ScenarioOptions& opt) {
   auto fabric = topology::make_big_switch(8, gbps(10));
-  netsim::Simulator sim(&fabric.topo, opt.loop);
+  netsim::Simulator sim(&fabric.topo);
   if (opt.sched != nullptr) sim.set_scheduler(opt.sched);
   if (opt.threads != 1) {
     sim.set_parallelism(&ThreadPool::shared(), opt.threads);
   }
   if (opt.trace_sink != nullptr) {
     sim.set_trace(opt.trace_sink, obs::TraceDetail::kFlow);
+  }
+  if (opt.certifier != nullptr) {
+    opt.certifier->watch(sim);
+    sim.set_trace(opt.certifier, obs::TraceDetail::kFlow);
   }
 
   ScenarioOutcome out;

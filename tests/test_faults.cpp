@@ -16,9 +16,10 @@
 //      brownout is deliberately not asserted monotone: slowing one link can
 //      reshape SRPT/MADD priorities and finish a trace earlier -- see
 //      DESIGN.md §8, "monotonicity caveat".)
-//   4. Chaos-differential fuzz: >= 200 seeded plan-runs (ECHELON_CHAOS_SEEDS
-//      x 5 schedulers; reduced under sanitizers) assert the lazy and eager
-//      event loops stay bit-identical *under fire*, and that the sweep is
+//   4. Chaos certification fuzz: >= 200 seeded plan-runs (ECHELON_CHAOS_SEEDS
+//      x 5 schedulers; reduced under sanitizers) certify every allocation
+//      pass, every parked and finished flow's bytes and every EchelonFlow's
+//      tardiness *under fire* (tests/certify.hpp), and that the sweep is
 //      non-vacuous (faults actually fired, flows actually rerouted/parked).
 //   5. Event-order regression for the latent tie-break bug: callbacks
 //      scheduled at identical timestamps fire in submission order, including
@@ -48,7 +49,6 @@ using faultsim::FaultInjector;
 using faultsim::FaultKind;
 using faultsim::FaultPlan;
 using netsim::FlowSpec;
-using netsim::SimLoopMode;
 using netsim::Simulator;
 
 // ============================================================================
@@ -221,6 +221,36 @@ TEST(FaultPlanFuzz, SeededBitFlipsParseOrThrow) {
   EXPECT_LT(parsed, kFlips);
 }
 
+// Seeded byte flips: each mutated byte takes any value, not just one bit
+// away from the original.
+TEST(FaultPlanFuzz, SeededByteFlipsParseOrThrow) {
+  const std::string text = fuzz_plan_text();
+  Rng rng(31);
+  constexpr std::size_t kFlips = 256;
+  std::size_t parsed = 0;
+  for (std::size_t k = 0; k < kFlips; ++k) {
+    std::string mutated = text;
+    const std::size_t off = rng.uniform_int(mutated.size());
+    mutated[off] = static_cast<char>(rng.uniform_int(256));
+    SCOPED_TRACE("offset " + std::to_string(off));
+    if (expect_plan_parses_or_throws(mutated)) ++parsed;
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(parsed, 0u);
+  EXPECT_LT(parsed, kFlips);
+}
+
+TEST(FaultPlanDeterminism, ParseRejectsNegativeEventTime) {
+  try {
+    (void)faultsim::parse_fault_plan("0.5 link-down 3\n-1 link-up 3\n");
+    ADD_FAILURE() << "negative event time parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("fault plan line 2: negative"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ============================================================================
 // 2. Injector micro-semantics (small leaf-spine, inspectable paths)
 // ============================================================================
@@ -260,6 +290,58 @@ struct MicroRig {
     return {0, 2};
   }
 };
+
+// A plan naming a link or node the topology lacks is rejected by arm(),
+// before anything is scheduled; a worker target is checked when its event
+// fires. Each error names the event.
+TEST(InjectorMicro, OutOfRangeTargetsThrowNamingTheEvent) {
+  for (const FaultKind kind :
+       {FaultKind::kLinkDown, FaultKind::kLinkUp, FaultKind::kBrownout,
+        FaultKind::kBrownoutEnd, FaultKind::kNodeDown, FaultKind::kNodeUp}) {
+    SCOPED_TRACE(faultsim::to_string(kind));
+    MicroRig rig;
+    FaultPlan plan;
+    plan.events.push_back({0.05, FaultKind::kLinkDown, 0, 1.0});
+    plan.events.push_back({0.1, kind, 99999, 0.5});
+    FaultInjector inj(&rig.sim, &rig.fabric.topo, &plan);
+    try {
+      inj.arm();
+      ADD_FAILURE() << "out-of-range target armed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("fault plan event 1 ("),
+                std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("99999"), std::string::npos)
+          << e.what();
+    }
+  }
+  for (const FaultKind kind :
+       {FaultKind::kStraggler, FaultKind::kStragglerEnd}) {
+    SCOPED_TRACE(faultsim::to_string(kind));
+    MicroRig rig;
+    FaultPlan plan;
+    plan.events.push_back({0.1, kind, 99999, 2.0});
+    FaultInjector inj(&rig.sim, &rig.fabric.topo, &plan);
+    inj.arm();  // workers may still be added before the event fires
+    try {
+      rig.sim.run();
+      ADD_FAILURE() << "out-of-range worker applied";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("fault plan event 0 ("),
+                std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("no worker 99999"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The all-links brownout target is not a link id.
+  MicroRig rig;
+  FaultPlan plan;
+  plan.events.push_back({0.1, FaultKind::kBrownout, faultsim::kAllLinks, 0.5});
+  FaultInjector inj(&rig.sim, &rig.fabric.topo, &plan);
+  EXPECT_NO_THROW(inj.arm());
+}
 
 TEST(InjectorMicro, ReroutesWhenAlternateSpineSurvives) {
   MicroRig rig;
@@ -466,7 +548,7 @@ TEST(FaultProperties, UniformBrownoutMonotoneUnderFairSharing) {
 }
 
 // ============================================================================
-// 4. Chaos-differential fuzz: lazy vs eager under fire
+// 4. Chaos certification fuzz: definitions hold under fire
 // ============================================================================
 
 int chaos_seed_budget() {
@@ -481,7 +563,7 @@ int chaos_seed_budget() {
 #endif
 }
 
-TEST(ChaosDifferential, LazyVsEagerBitIdenticalUnderChaos) {
+TEST(ChaosDifferential, CertifiedUnderChaos) {
   const int seeds = chaos_seed_budget();
   const auto fabric = eqh::run_cluster_fabric(FabricKind::kLeafSpine);
   const SchedulerKind kinds[] = {
@@ -489,20 +571,21 @@ TEST(ChaosDifferential, LazyVsEagerBitIdenticalUnderChaos) {
       SchedulerKind::kCoflowMadd, SchedulerKind::kEchelonMadd,
       SchedulerKind::kCoordinator};
 
-  std::uint64_t events_total = 0;
-  std::uint64_t interactions_total = 0;
+  certify::Report total;
   for (int s = 0; s < seeds; ++s) {
     const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(s);
     const auto jobs = small_trace(seed);
     std::size_t workers = 0;
     for (const auto& j : jobs) workers += static_cast<std::size_t>(j.ranks);
 
+    // No stragglers: the certified runs go through ServiceLoop, whose
+    // workers only exist after launch (as with `serve --chaos`).
     ChaosProfile p;
     p.seed = seed;
     p.horizon = 1.5;
     p.link_faults = 1 + s % 3;
     p.brownouts = s % 3;
-    p.stragglers = s % 2;
+    p.stragglers = 0;
     p.node_faults = (s % 4 == 0) ? 1 : 0;
     p.job_aborts = (s % 5 == 0) ? 1 : 0;
     const FaultPlan plan =
@@ -512,23 +595,65 @@ TEST(ChaosDifferential, LazyVsEagerBitIdenticalUnderChaos) {
     for (const auto kind : kinds) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " " +
                    std::string(cluster::to_string(kind)));
-      RunSpec lazy{.scheduler = kind, .fabric = FabricKind::kLeafSpine,
-                   .loop = SimLoopMode::kLazy, .plan = &plan};
-      const auto r0 = run_cluster(jobs, lazy);
-      events_total += r0.fault_events;
-      interactions_total +=
-          r0.flow_reroutes + r0.flow_parks + r0.flows_abandoned;
-
-      RunSpec eager = lazy;
-      eager.loop = SimLoopMode::kEagerScan;
-      expect_same_result(r0, run_cluster(jobs, eager));
+      const certify::Report r = certify::certified_service_run(
+          jobs, {.scheduler = kind,
+                 .fabric = FabricKind::kLeafSpine,
+                 .plan = &plan});
+      EXPECT_TRUE(r.ok()) << r.summary();
+      total += r;
     }
   }
   // Non-vacuous: the sweep actually injected faults and actually disturbed
-  // flows (reroutes/parks/abandons), so the equivalences were tested under
-  // real degradation, not no-ops.
-  EXPECT_GT(events_total, 0u);
-  EXPECT_GT(interactions_total, 0u);
+  // flows (reroutes and parks), so the definitions were checked under real
+  // degradation, not no-ops.
+  EXPECT_GT(total.faults, 0u) << total.summary();
+  EXPECT_GT(total.reroutes + total.parks, 0u) << total.summary();
+  EXPECT_GT(total.echelonflows, 0u) << total.summary();
+}
+
+// The small traces above keep most traffic inside a leaf, so their uplinks
+// rarely saturate. Here every job spans both leaves and half of them are
+// expert-parallel all-to-alls, whose cross-leaf traffic oversubscribes the
+// 2:1 uplinks; node faults park flows at the same time. Both the spine
+// bottleneck and the park path are certified.
+TEST(ChaosDifferential, CrossSpineJobsCertifiedUnderNodeFaults) {
+  const auto fabric = eqh::run_cluster_fabric(FabricKind::kLeafSpine);
+  cluster::TraceConfig tcfg;
+  tcfg.num_jobs = 4;
+  tcfg.seed = 5;
+  tcfg.arrival_rate = 3.0;
+  tcfg.iterations = 2;
+  tcfg.min_width = 4096;
+  tcfg.max_width = 4096;
+  tcfg.rank_choices = {12, 16};
+  tcfg.paradigm_weights = {1.0, 0.0, 0.0, 0.0, 0.0, 1.0};  // DP, EP-MoE
+  const auto jobs = cluster::generate_trace(tcfg);
+
+  ChaosProfile p;
+  p.seed = 5;
+  p.horizon = 1.0;
+  p.link_faults = 1;
+  p.brownouts = 1;
+  p.node_faults = 2;
+  const FaultPlan plan = faultsim::from_chaos(p, fabric.topo, 0, jobs.size());
+
+  // Fair sharing leaves flows below any cap; SRPT and EchelonFlow-MADD cap
+  // every flow (the MADD family and the Coordinator share that shape and
+  // run the chaos grid above).
+  certify::Report total;
+  for (const auto kind : {SchedulerKind::kFairSharing, SchedulerKind::kSrpt,
+                          SchedulerKind::kEchelonMadd}) {
+    SCOPED_TRACE(cluster::to_string(kind));
+    const certify::Report r = certify::certified_service_run(
+        jobs, {.scheduler = kind,
+               .fabric = FabricKind::kLeafSpine,
+               .plan = &plan});
+    EXPECT_TRUE(r.ok()) << r.summary();
+    total += r;
+  }
+  EXPECT_GT(total.saturated_spine_links, 0u) << total.summary();
+  EXPECT_GT(total.parks, 0u) << total.summary();
+  EXPECT_GT(total.below_cap, 0u) << total.summary();
 }
 
 // Replaying the identical plan twice in the same process is bit-identical:

@@ -1,10 +1,9 @@
-// Route interning + equivalence-class water-fill: the differential suite.
+// Route interning + equivalence-class water-fill: the certification suite.
 //
 // The route-interning layer (topology::RouteTable, DESIGN.md §11) and the
-// class-granularity max-min fill (netsim::FillMode::kClass) are pure
-// performance restructurings: every observable -- flow rates, completion
-// times, ExperimentResults, full structured-trace streams -- must be
-// *bit-identical* to the per-flow fill they replace, and route computations
+// class-granularity max-min fill are performance restructurings: every
+// allocation they produce must still be the weighted max-min allocation its
+// definition fixes (certified by tests/certify.hpp), and route computations
 // must scale with distinct destinations per capacity epoch, not with flow
 // count or ECMP seeds. This binary pins all of that:
 //
@@ -14,16 +13,14 @@
 //      on every canned fabric through a seeded sequence of link mutations.
 //   2. Route-computation regression under a flap-heavy fault plan: N flows
 //      to one destination cost one BFS per epoch, not one per reroute.
-//   3. Dense-level differential fuzz: kClass vs kPerFlow bitwise rate
-//      equality on randomized flow sets with heavy route/weight/cap sharing
-//      (multi-member classes) plus uninterned direct-path flows (sentinel
-//      singleton classes).
-//   4. Cluster-level differential: 5 schedulers x 2 fabrics x
-//      threads {1, 2, 8}, comparing bit-identical
-//      ExperimentResults *and* whole trace streams (including the new
-//      kClassFill events, which both granularities must emit identically).
-//   5. Chaos differential: >= 100 distinct flap-heavy fault plans (seed x
-//      scheduler grid), per-flow vs class under fire.
+//   3. Dense-level fuzz: certify_allocation on randomized flow sets with
+//      heavy route/weight/cap sharing (multi-member classes) plus
+//      uninterned direct-path flows (sentinel singleton classes).
+//   4. Cluster-shaped certification: 6 schedulers x 2 fabrics x
+//      threads {1, 2, 8}, plus the class census (one kClassFill per
+//      component fill).
+//   5. Chaos certification: >= 100 distinct flap-heavy fault plans (seed x
+//      scheduler grid) under fire.
 //   6. Zero-allocation steady state: the class fill's arenas reach their
 //      high-water mark and stop allocating, and the class partition is
 //      exact (counted classes match the constructed sharing structure).
@@ -49,13 +46,9 @@ using faultsim::ChaosProfile;
 using faultsim::FaultInjector;
 using faultsim::FaultKind;
 using faultsim::FaultPlan;
-using netsim::FillMode;
 using netsim::Flow;
 using netsim::FlowSpec;
-using netsim::SimLoopMode;
 using netsim::Simulator;
-using eqh::expect_same_result;
-using eqh::expect_same_trace;
 using eqh::run_cluster;
 using eqh::RunSpec;
 using eqh::small_trace;
@@ -301,7 +294,7 @@ TEST(RouteCacheRegression, FlapHeavyPlanComputesOncePerEpochNotPerFlow) {
 }
 
 // ============================================================================
-// 3. Dense-level differential fuzz: kClass vs kPerFlow bitwise
+// 3. Dense-level fuzz: every class-fill allocation certified
 // ============================================================================
 
 // Randomized flow sets engineered for heavy class sharing: a handful of
@@ -309,9 +302,9 @@ TEST(RouteCacheRegression, FlapHeavyPlanComputesOncePerEpochNotPerFlow) {
 // and RouteIds), weights and caps drawn mostly from small discrete sets so
 // (route, weight, cap) classes have many members -- plus a sprinkle of
 // flows with a direct path write and no interned RouteId, which must fall
-// back to sentinel singleton classes. The class fill must reproduce the
-// per-flow fill's rates to the bit.
-TEST(RouteClassDense, ClassVsPerFlowBitIdenticalOnSharedRoutes) {
+// back to sentinel singleton classes. The class fill's rates must be the
+// weighted max-min allocation.
+TEST(RouteClassDense, ClassFillCertifiedOnSharedRoutes) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const auto fabric = topology::make_big_switch(16, 10e9);
@@ -335,7 +328,7 @@ TEST(RouteClassDense, ClassVsPerFlowBitIdenticalOnSharedRoutes) {
     }
 
     const int n = 64 + static_cast<int>(rng.uniform_int(128));
-    std::vector<Flow> a;
+    std::vector<Flow> flows;
     for (int i = 0; i < n; ++i) {
       Flow f;
       f.id = FlowId{static_cast<std::uint64_t>(i)};
@@ -357,67 +350,62 @@ TEST(RouteClassDense, ClassVsPerFlowBitIdenticalOnSharedRoutes) {
       } else if (c < 0.35) {
         f.rate_cap = rng.uniform(0.0, 2e9);
       }
-      a.push_back(std::move(f));
+      flows.push_back(std::move(f));
     }
-    std::vector<Flow> b = a;
-    std::vector<Flow*> pa, pb;
-    for (Flow& f : a) pa.push_back(&f);
-    for (Flow& f : b) pb.push_back(&f);
+    std::vector<Flow*> ptrs;
+    for (Flow& f : flows) ptrs.push_back(&f);
 
-    netsim::RateAllocator per_flow(&fabric.topo, FillMode::kPerFlow);
-    netsim::RateAllocator by_class(&fabric.topo, FillMode::kClass);
-    per_flow.allocate(pa);
-    by_class.allocate(pb);
-    for (int i = 0; i < n; ++i) {
-      EXPECT_BITEQ(a[static_cast<std::size_t>(i)].rate,
-                   b[static_cast<std::size_t>(i)].rate)
-          << "flow " << i;
-    }
+    netsim::RateAllocator alloc(&fabric.topo);
+    alloc.allocate(ptrs);
+    const certify::Report r = certify::certify_allocation(fabric.topo, ptrs);
+    EXPECT_TRUE(r.ok()) << r.summary();
+    EXPECT_EQ(r.flows_checked, static_cast<std::uint64_t>(n));
+    EXPECT_GT(r.below_cap, 0u);
+    EXPECT_GT(r.saturated_links, 0u);
     // The sharing structure actually compressed: fewer classes than flows.
-    EXPECT_GT(by_class.stats().class_members, by_class.stats().classes);
-    EXPECT_EQ(by_class.stats().class_members, per_flow.stats().class_members);
+    EXPECT_GT(alloc.stats().class_members, alloc.stats().classes);
+    EXPECT_EQ(alloc.stats().class_members, static_cast<std::uint64_t>(n));
   }
 }
 
 // ============================================================================
-// 4. Cluster-level differential: fills x threads, results + traces
+// 4. Cluster-shaped certification across thread counts + class census
 // ============================================================================
 
 using RouteClassEquivalence = eqh::SchedFabricTest;
 
-TEST_P(RouteClassEquivalence, ClassFillBitIdenticalAcrossThreads) {
+TEST_P(RouteClassEquivalence, ClassFillCertifiedAcrossThreads) {
   const auto [sched, fabric] = GetParam();
   const auto jobs = small_trace(11);
   for (const unsigned threads : {1u, 2u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    obs::TraceRecorder per_flow_trace(1u << 20);
-    obs::TraceRecorder class_trace(1u << 20);
-    RunSpec per_flow{.scheduler = sched,
-                     .fabric = fabric,
-                     .fill = FillMode::kPerFlow,
-                     .threads = threads,
-                     .trace_sink = &per_flow_trace};
-    RunSpec by_class = per_flow;
-    by_class.fill = FillMode::kClass;
-    by_class.trace_sink = &class_trace;
+    const certify::Report r = certify::certified_service_run(
+        jobs, {.scheduler = sched, .fabric = fabric, .threads = threads});
+    EXPECT_TRUE(r.ok()) << r.summary();
+    EXPECT_GT(r.passes, 0u);
+    // Every policy but fair sharing caps each flow at a feasible rate.
+    if (sched == SchedulerKind::kFairSharing) {
+      EXPECT_GT(r.below_cap, 0u);
+    }
+    EXPECT_GT(r.byte_checks, 0u);
+    EXPECT_GT(r.echelonflows, 0u);
 
-    const auto ra = run_cluster(jobs, per_flow);
-    const auto rb = run_cluster(jobs, by_class);
-    expect_same_result(ra, rb);
-    expect_same_trace(per_flow_trace, class_trace);
-    // Both granularities emit the class-census event, one per component
-    // fill -- the per-flow fill computes the partition too, precisely so
-    // the streams stay comparable.
-    EXPECT_GT(class_trace.count(obs::TraceKind::kClassFill), 0u);
-    EXPECT_EQ(class_trace.count(obs::TraceKind::kClassFill),
-              class_trace.count(obs::TraceKind::kCompFill));
+    // Class census: one kClassFill per component fill.
+    obs::TraceRecorder trace(1u << 20);
+    (void)run_cluster(jobs, {.scheduler = sched,
+                             .fabric = fabric,
+                             .threads = threads,
+                             .trace_sink = &trace});
+    EXPECT_GT(trace.count(obs::TraceKind::kClassFill), 0u);
+    EXPECT_EQ(trace.count(obs::TraceKind::kClassFill),
+              trace.count(obs::TraceKind::kCompFill));
   }
 }
 
 ECHELON_INSTANTIATE_SCHED_FABRIC(RouteClassEquivalence);
 
 // ============================================================================
-// 5. Chaos differential: >= 100 flap-heavy plans under fire
+// 5. Chaos certification: >= 100 flap-heavy plans under fire
 // ============================================================================
 
 int chaos_seed_budget() {
@@ -432,7 +420,7 @@ int chaos_seed_budget() {
 #endif
 }
 
-TEST(RouteClassChaosDifferential, HundredFlapHeavyPlansBitIdentical) {
+TEST(RouteClassChaos, HundredFlapHeavyPlansCertified) {
   const int seeds = chaos_seed_budget();
   const auto fabric = eqh::run_cluster_fabric(FabricKind::kLeafSpine);
   const SchedulerKind kinds[] = {
@@ -441,10 +429,7 @@ TEST(RouteClassChaosDifferential, HundredFlapHeavyPlansBitIdentical) {
       SchedulerKind::kCoordinator};
   const unsigned thread_cycle[] = {1u, 2u, 8u};
 
-  std::uint64_t events_total = 0;
-  std::uint64_t interactions_total = 0;
-  obs::TraceRecorder per_flow_trace(1u << 20);
-  obs::TraceRecorder class_trace(1u << 20);
+  certify::Report total;
   for (int s = 0; s < seeds; ++s) {
     const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(s);
     const auto jobs = small_trace(seed);
@@ -455,14 +440,15 @@ TEST(RouteClassChaosDifferential, HundredFlapHeavyPlansBitIdentical) {
     for (const SchedulerKind kind : kinds) {
       // One distinct plan per (seed, scheduler) grid point, link-flap
       // heavy: reroute storms are where route interning and class
-      // repartitioning earn their keep.
+      // repartitioning earn their keep. No stragglers: service workers
+      // only exist after launch.
       ChaosProfile p;
       p.seed = 3000 + static_cast<std::uint64_t>(s) * 16 +
                static_cast<std::uint64_t>(ki);
       p.horizon = 1.5;
       p.link_faults = 2 + (s + ki) % 3;
       p.brownouts = s % 2;
-      p.stragglers = ki % 2;
+      p.stragglers = 0;
       p.node_faults = ((s + ki) % 4 == 0) ? 1 : 0;
       p.job_aborts = ((s + ki) % 5 == 0) ? 1 : 0;
       const FaultPlan plan =
@@ -473,30 +459,22 @@ TEST(RouteClassChaosDifferential, HundredFlapHeavyPlansBitIdentical) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " " +
                    std::string(cluster::to_string(kind)) +
                    " threads=" + std::to_string(threads));
-      per_flow_trace.clear();
-      class_trace.clear();
-      RunSpec per_flow{.scheduler = kind,
-                       .fabric = FabricKind::kLeafSpine,
-                       .fill = FillMode::kPerFlow,
-                       .plan = &plan,
-                       .threads = threads,
-                       .trace_sink = &per_flow_trace};
-      RunSpec by_class = per_flow;
-      by_class.fill = FillMode::kClass;
-      by_class.trace_sink = &class_trace;
-
-      const auto r0 = run_cluster(jobs, per_flow);
-      events_total += r0.fault_events;
-      interactions_total +=
-          r0.flow_reroutes + r0.flow_parks + r0.flows_abandoned;
-      expect_same_result(r0, run_cluster(jobs, by_class));
-      expect_same_trace(per_flow_trace, class_trace);
+      const certify::Report r = certify::certified_service_run(
+          jobs, {.scheduler = kind,
+                 .fabric = FabricKind::kLeafSpine,
+                 .threads = threads,
+                 .plan = &plan});
+      EXPECT_TRUE(r.ok()) << r.summary();
+      total += r;
       ++ki;
     }
   }
-  // Non-vacuous: the plans actually fired and actually disturbed flows.
-  EXPECT_GT(events_total, 0u);
-  EXPECT_GT(interactions_total, 0u);
+  // Non-vacuous: the plans fired and disturbed flows. (Parks and spine
+  // saturation are certified by the cross-spine fault scenario in
+  // tests/test_faults.cpp.)
+  EXPECT_GT(total.faults, 0u) << total.summary();
+  EXPECT_GT(total.reroutes + total.parks, 0u) << total.summary();
+  EXPECT_GT(total.below_cap, 0u) << total.summary();
 }
 
 // ============================================================================
@@ -536,7 +514,7 @@ TEST(RouteClassSteadyState, ClassFillIsAllocationFreeAndCensusIsExact) {
   std::vector<Flow*> ptrs;
   for (Flow& f : flows) ptrs.push_back(&f);
 
-  netsim::RateAllocator alloc(&fabric.topo, FillMode::kClass);
+  netsim::RateAllocator alloc(&fabric.topo);
   alloc.allocate(ptrs);  // sizes the arenas
   alloc.allocate(ptrs);  // confirms the high-water mark
   const netsim::RateAllocator::Stats warm = alloc.stats();

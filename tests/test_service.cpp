@@ -34,6 +34,7 @@
 #include "equivalence_harness.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -811,6 +812,84 @@ TEST(ArrivalTraceFuzz, PartialTokensAndTrailingContentThrow) {
   // Blank lines after the declared arrivals are fine.
   EXPECT_EQ(service::parse_arrival_trace(text + "\n \n").size(), 3u);
 }
+
+// Seeded byte flips: each mutated byte takes any value, not just one bit
+// away from the original.
+TEST(ArrivalTraceFuzz, SeededByteFlipsParseOrThrow) {
+  const std::string text = fuzz_trace_text();
+  Rng rng(29);
+  constexpr std::size_t kFlips = 256;
+  std::size_t parsed = 0;
+  for (std::size_t k = 0; k < kFlips; ++k) {
+    std::string mutated = text;
+    const std::size_t off = rng.uniform_int(mutated.size());
+    mutated[off] = static_cast<char>(rng.uniform_int(256));
+    SCOPED_TRACE("offset " + std::to_string(off));
+    if (expect_trace_parses_or_throws(mutated)) ++parsed;
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(parsed, 0u);
+  EXPECT_LT(parsed, kFlips);
+}
+
+// One out-of-range value per field: the parse fails with
+// std::invalid_argument naming the line and the field, instead of loading
+// a job that crashes, hangs or silently misbehaves downstream.
+struct FieldCase {
+  const char* key;    // the field's keyword in the trace text
+  const char* value;  // an out-of-range value for it
+  int line;           // the line it sits on in fuzz_trace_text()
+};
+
+class ArrivalTraceField : public ::testing::TestWithParam<FieldCase> {};
+
+TEST_P(ArrivalTraceField, OutOfRangeValueThrowsNamingLineAndField) {
+  const FieldCase c = GetParam();
+  std::string text = fuzz_trace_text();
+  // Replace the first occurrence of "<key> <value>".
+  const std::string key = " " + std::string(c.key) + " ";
+  const std::size_t at = text.find(key);
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t begin = at + key.size();
+  const std::size_t end = text.find_first_of(" \n", begin);
+  text.replace(begin, end - begin, c.value);
+  try {
+    (void)service::parse_arrival_trace(text);
+    ADD_FAILURE() << c.key << " " << c.value << " parsed";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line " + std::to_string(c.line) + ":"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find(c.key), std::string::npos) << what;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryRangedField, ArrivalTraceField,
+    ::testing::Values(FieldCase{"ranks", "0", 3},
+                      FieldCase{"iterations", "0", 3},
+                      FieldCase{"iterations", "-1", 3},
+                      FieldCase{"buckets", "0", 3},
+                      FieldCase{"micro", "0", 3},
+                      FieldCase{"jitter", "-1", 3},
+                      FieldCase{"submit", "-0.5", 3},
+                      FieldCase{"peak", "0", 4},
+                      FieldCase{"eff", "0", 4},
+                      FieldCase{"eff", "1.5", 4},
+                      FieldCase{"bpe", "-4", 5},
+                      FieldCase{"layers", "0", 5},
+                      FieldCase{"params", "-1", 6},
+                      FieldCase{"act", "-472192", 6},
+                      FieldCase{"fwd", "-1", 6},
+                      FieldCase{"bwd", "-1", 6}),
+    [](const ::testing::TestParamInfo<FieldCase>& info) {
+      std::string name = std::string(info.param.key) + "_";
+      for (const char ch : std::string(info.param.value)) {
+        name += std::isalnum(static_cast<unsigned char>(ch)) ? ch : '_';
+      }
+      return name;
+    });
 
 // ---------------------------------------------------------------------------
 // 5. Admission control

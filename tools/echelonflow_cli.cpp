@@ -602,8 +602,15 @@ int cmd_cluster(const Args& args) {
   opts.threads = static_cast<unsigned>(std::max(0, args.geti("threads", 0)));
   const bool want_capture = obs_args.metrics() || !recorders.empty();
   cluster::SweepCapture capture;
-  const auto results =
-      cluster::run_sweep(points, opts, want_capture ? &capture : nullptr);
+  std::vector<cluster::ExperimentResult> results;
+  try {
+    results =
+        cluster::run_sweep(points, opts, want_capture ? &capture : nullptr);
+  } catch (const std::invalid_argument& e) {
+    // A fault-plan event naming a link, node or worker the run lacks.
+    std::cerr << e.what() << "\n";
+    return 2;
+  }
 
   std::vector<std::string> headers = {"scheduler", "mean iter (s)",
                                       "p99 iter (s)", "mean JCT (s)",
@@ -847,8 +854,15 @@ int cmd_serve(const Args& args) {
 
       const std::string arrivals_path = args.get("arrivals", "");
       if (!arrivals_path.empty()) {
-        loop->set_generator(
-            std::make_unique<service::TraceFileArrivalReader>(arrivals_path));
+        std::unique_ptr<service::TraceFileArrivalReader> reader;
+        try {
+          reader =
+              std::make_unique<service::TraceFileArrivalReader>(arrivals_path);
+        } catch (const std::invalid_argument& e) {
+          std::cerr << e.what() << "\n";  // names the malformed line
+          return 2;
+        }
+        loop->set_generator(std::move(reader));
       } else {
         cluster::TraceConfig tc;
         tc.num_jobs = args.geti("jobs", 12);
