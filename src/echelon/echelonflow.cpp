@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace echelon::ef {
 
 void EchelonFlow::note_start(int index, FlowId sim_flow, Bytes size,
                              SimTime now) {
-  assert(index >= 0 && index < arrangement_.size());
+  assert(index >= 0 && index < cardinality_);
   MemberFlow& m = members_.at(static_cast<std::size_t>(index));
   assert(!m.started() && "member flow started twice");
   m.sim_flow = sim_flow;
@@ -24,11 +27,12 @@ void EchelonFlow::note_start(int index, FlowId sim_flow, Bytes size,
 }
 
 void EchelonFlow::note_finish(int index, SimTime now) {
-  assert(index >= 0 && index < arrangement_.size());
+  assert(index >= 0 && index < cardinality_);
   MemberFlow& m = members_.at(static_cast<std::size_t>(index));
   assert(m.started() && !m.finished());
   m.finish_time = now;
   ++finished_;
+  last_finish_ = std::max(last_finish_, now);
   if (const auto d = ideal_finish(index)) {
     max_tardiness_ = std::max(max_tardiness_, now - *d);
   }
@@ -49,9 +53,23 @@ std::optional<Duration> EchelonFlow::flow_tardiness(int index) const {
 
 std::optional<Duration> EchelonFlow::coflow_completion_time() const {
   if (!complete() || !reference_time_) return std::nullopt;
-  SimTime last = -kTimeInfinity;
-  for (const MemberFlow& m : members_) last = std::max(last, m.finish_time);
-  return last - *reference_time_;
+  return last_finish_ - *reference_time_;
+}
+
+void EchelonFlow::retire() {
+  if (!complete()) {
+    throw std::logic_error("EchelonFlow::retire: EchelonFlow " +
+                           std::to_string(id_.value()) + " has " +
+                           std::to_string(finished_) + " of " +
+                           std::to_string(cardinality_) +
+                           " members finished");
+  }
+  // Swap with empty containers: clear() would keep the capacity.
+  std::vector<MemberFlow>().swap(members_);
+  Arrangement none;
+  std::swap(arrangement_, none);
+  std::string().swap(label_);
+  retired_ = true;
 }
 
 }  // namespace echelon::ef

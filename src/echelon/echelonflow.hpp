@@ -8,6 +8,14 @@
 // positions to simulator flows as they start, fixes the reference time when
 // the head flow appears, exposes ideal finish times to schedulers, and
 // accumulates tardiness (Eq. 1: t_f = e - d; Eq. 2: t_H = max_j (e_j - d_j)).
+//
+// Per-member state matters only until t_H is final. Once complete, retire()
+// frees it: a retired EchelonFlow answers id(), job(), weight(),
+// cardinality(), reference_time(), tardiness(), started_count(),
+// finished_count(), complete() and coflow_completion_time() exactly as
+// before, while members() is empty, label() and arrangement() are empty, and
+// ideal_finish(j), flow_tardiness(j) and arrangement().offset(j) throw
+// std::out_of_range.
 
 #pragma once
 
@@ -48,7 +56,8 @@ class EchelonFlow {
         arrangement_(std::move(arrangement)),
         label_(std::move(label)),
         weight_(weight),
-        members_(static_cast<std::size_t>(arrangement_.size())) {
+        members_(static_cast<std::size_t>(arrangement_.size())),
+        cardinality_(arrangement_.size()) {
     for (std::size_t j = 0; j < members_.size(); ++j) {
       members_[j].index = static_cast<int>(j);
     }
@@ -60,7 +69,7 @@ class EchelonFlow {
   // cardinality must not change.
   void set_arrangement(Arrangement arrangement) {
     assert(started_ == 0 && "cannot recalibrate a live EchelonFlow");
-    assert(arrangement.size() == arrangement_.size());
+    assert(arrangement.size() == cardinality_);
     arrangement_ = std::move(arrangement);
   }
 
@@ -71,9 +80,7 @@ class EchelonFlow {
   [[nodiscard]] const Arrangement& arrangement() const noexcept {
     return arrangement_;
   }
-  [[nodiscard]] int cardinality() const noexcept {
-    return arrangement_.size();
-  }
+  [[nodiscard]] int cardinality() const noexcept { return cardinality_; }
   [[nodiscard]] const std::vector<MemberFlow>& members() const noexcept {
     return members_;
   }
@@ -112,12 +119,20 @@ class EchelonFlow {
   [[nodiscard]] int started_count() const noexcept { return started_; }
   [[nodiscard]] int finished_count() const noexcept { return finished_; }
   [[nodiscard]] bool complete() const noexcept {
-    return finished_ == arrangement_.size();
+    return finished_ == cardinality_;
   }
 
   // Completion time of the last flow minus reference time -- the Coflow
   // completion metric, reported for Property-2 comparisons.
   [[nodiscard]] std::optional<Duration> coflow_completion_time() const;
+
+  // --- retirement ---------------------------------------------------------------
+
+  // Frees the per-member records, the arrangement's offsets and the label,
+  // keeping the scalars listed in the header comment. Throws
+  // std::logic_error unless complete().
+  void retire();
+  [[nodiscard]] bool retired() const noexcept { return retired_; }
 
  private:
   EchelonFlowId id_;
@@ -129,8 +144,11 @@ class EchelonFlow {
   std::vector<MemberFlow> members_;
   std::optional<SimTime> reference_time_;
   Duration max_tardiness_ = -kTimeInfinity;
+  SimTime last_finish_ = -kTimeInfinity;  // max_j e_j over finished members
+  int cardinality_ = 0;
   int started_ = 0;
   int finished_ = 0;
+  bool retired_ = false;
 };
 
 }  // namespace echelon::ef

@@ -46,18 +46,33 @@ void Registry::attach(netsim::Simulator& sim) {
   });
 }
 
+void Registry::advance_complete_prefix() const {
+  while (prefix_end_ < echelonflows_.size() &&
+         echelonflows_[prefix_end_]->complete()) {
+    const EchelonFlow& ef = *echelonflows_[prefix_end_++];
+    prefix_tardiness_ += ef.tardiness();
+    prefix_weighted_tardiness_ += ef.weight() * ef.tardiness();
+  }
+}
+
+// Both sums continue the prefix's running sum with the same additions in
+// the same order as a scan from 0, so they are bit-identical to one.
 Duration Registry::total_tardiness() const {
-  Duration sum = 0.0;
-  for (const auto& ef : echelonflows_) {
-    if (ef->complete()) sum += ef->tardiness();
+  advance_complete_prefix();
+  Duration sum = prefix_tardiness_;
+  for (std::size_t i = prefix_end_; i < echelonflows_.size(); ++i) {
+    const EchelonFlow& ef = *echelonflows_[i];
+    if (ef.complete()) sum += ef.tardiness();
   }
   return sum;
 }
 
 Duration Registry::weighted_total_tardiness() const {
-  Duration sum = 0.0;
-  for (const auto& ef : echelonflows_) {
-    if (ef->complete()) sum += ef->weight() * ef->tardiness();
+  advance_complete_prefix();
+  Duration sum = prefix_weighted_tardiness_;
+  for (std::size_t i = prefix_end_; i < echelonflows_.size(); ++i) {
+    const EchelonFlow& ef = *echelonflows_[i];
+    if (ef.complete()) sum += ef.weight() * ef.tardiness();
   }
   return sum;
 }

@@ -56,20 +56,33 @@ class Registry {
 
   // --- objectives --------------------------------------------------------------
 
-  // Eq. 4: sum of tardiness over all *complete* EchelonFlows.
+  // Eq. 4: sum of tardiness over all *complete* EchelonFlows, added in
+  // creation order. The sum over the longest all-complete prefix is kept
+  // (a complete EchelonFlow never changes again), so a call scans only the
+  // EchelonFlows from the first incomplete one on. The prefix is advanced
+  // lazily: calls are not thread-safe.
   [[nodiscard]] Duration total_tardiness() const;
 
   // Weighted variant mentioned under Eq. 4.
   [[nodiscard]] Duration weighted_total_tardiness() const;
 
+  // Every EchelonFlow ever created, retired ones included, in creation
+  // order.
   [[nodiscard]] std::vector<const EchelonFlow*> all() const;
 
  private:
+  // Extends the complete prefix [0, prefix_end_) and its running sums.
+  void advance_complete_prefix() const;
+
   std::vector<std::unique_ptr<EchelonFlow>> echelonflows_;
-  // Set by attach(). Registry mutations that can flip a scheduler's
-  // resolve() outcome for already-cached flows (a new EchelonFlow binding
-  // pending members, a reference time fixed by a first-started member)
-  // escalate to a full pass -- they are not attributable to one job's mark.
+  mutable std::size_t prefix_end_ = 0;
+  mutable Duration prefix_tardiness_ = 0.0;
+  mutable Duration prefix_weighted_tardiness_ = 0.0;
+  // Set by attach(). Registry mutations that can give an active flow a
+  // deadline without re-marking its job (a new EchelonFlow binding pending
+  // members, a reference time fixed by a first-started member) mark every
+  // job dirty: the interval Coordinator reads that as churn and re-runs
+  // its control pass at the next boundary.
   netsim::Simulator* sim_ = nullptr;
 };
 

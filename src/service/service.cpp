@@ -548,6 +548,11 @@ void ServiceLoop::retire_finished() {
     LiveJob& lj = *jobs_[j];
     lj.engine.reset();
     lj.generated = {};
+    // Every member of a finished job's groups has finished (an abandoned
+    // flow finishes too), so each group's tardiness is final.
+    for (std::size_t g = lj.group_begin; g < lj.group_end; ++g) {
+      registry_->get(EchelonFlowId{g}).retire();
+    }
   }
   finished_jobs_.clear();
 }

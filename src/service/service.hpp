@@ -331,7 +331,8 @@ class ServiceLoop {
     std::unique_ptr<netsim::WorkflowEngine> engine;
     ServiceJobRecord record;
     // EchelonFlow group id range [group_begin, group_end) this job created
-    // in the registry (tardiness attribution for SLO samples).
+    // in the registry (tardiness attribution for SLO samples; retired with
+    // the job).
     std::size_t group_begin = 0;
     std::size_t group_end = 0;
   };
@@ -352,8 +353,9 @@ class ServiceLoop {
                   SimTime start);
   void job_finished(std::size_t index);
   // Frees the workflow and engine of every job finished during the last
-  // sim_.run(). Called after each run returns, never from job_finished:
-  // on_complete fires inside the engine's own node_done.
+  // sim_.run() and retires its EchelonFlows (EchelonFlow::retire). Called
+  // after each run returns, never from job_finished: on_complete fires
+  // inside the engine's own node_done.
   void retire_finished();
 
   ServiceConfig config_;
@@ -375,8 +377,8 @@ class ServiceLoop {
   std::deque<Arrival> wait_queue_;
   // Every launched job in launch order (stable addresses: engines point
   // into their workflow). A finished job keeps only its spec, record and
-  // group range: its workflow and engine are freed at the end of the step
-  // it finished in (retire_finished).
+  // group range: its workflow, engine and EchelonFlow member records are
+  // freed at the end of the step it finished in (retire_finished).
   std::vector<std::unique_ptr<LiveJob>> jobs_;
   // Indices of the jobs still running, in launch order.
   std::vector<std::size_t> running_jobs_;

@@ -22,10 +22,15 @@
 //         each flow's rate, which is constant until the next pass;
 //       - kFlowPark / kFlowFinish: the flow's delivered bytes -- the
 //         integral of its rates -- must equal size - ev.value;
-//       - after the run, certify_tardiness(registry) rebuilds every complete
-//         EchelonFlow's t_H from the sink's own kFlowStart / kFlowFinish
-//         times and compares it to EchelonFlow::tardiness(), and their sum
-//         to Registry::total_tardiness().
+//       - kFlowFinish of an EchelonFlow's last member (ev.ctx names the
+//         group): rebuild its t_H from the sink's own kFlowStart /
+//         kFlowFinish times and the group's members and offsets, which are
+//         still held -- a service retires a finished job's groups only after
+//         its run returns;
+//       - after the run, certify_tardiness() compares each rebuilt t_H to
+//         EchelonFlow::tardiness(), and their creation-order sum to
+//         Registry::total_tardiness(). A complete group that was never
+//         rebuilt fails.
 //     Byte conservation is the independent oracle for the lazy event loop:
 //     a flow retired early or late shows up as missing or extra bytes.
 //   * certified_service_run(jobs, spec) -- a cluster-shaped run through
@@ -87,6 +92,7 @@ struct Report {
   std::uint64_t faults = 0;          // kFaultFired events seen
   std::uint64_t reroutes = 0;        // kFlowReroute events seen
   std::uint64_t echelonflows = 0;    // complete EchelonFlows rebuilt
+  std::uint64_t retired = 0;         // of those, retired by the end
   double worst_byte_error = 0.0;     // max |delivered - expected| / size
   std::uint64_t violation_count = 0;
   std::vector<std::string> violations;  // the first kKeep, verbatim
@@ -112,6 +118,7 @@ struct Report {
     faults += o.faults;
     reroutes += o.reroutes;
     echelonflows += o.echelonflows;
+    retired += o.retired;
     worst_byte_error = std::max(worst_byte_error, o.worst_byte_error);
     for (const std::string& v : o.violations) {
       if (violations.size() < kKeep) violations.push_back(v);
@@ -128,7 +135,8 @@ struct Report {
        << byte_checks << " byte checks (" << parks << " parks, " << finishes
        << " finishes, worst rel error " << worst_byte_error << "), "
        << faults << " faults, " << reroutes << " reroutes, " << echelonflows
-       << " EchelonFlows; " << violation_count << " violations";
+       << " EchelonFlows (" << retired << " retired); " << violation_count
+       << " violations";
     for (const std::string& v : violations) os << "\n  " << v;
     return os.str();
   }
@@ -254,11 +262,14 @@ template <typename Flows>
 
 // Certifies a whole run from its trace stream. Attach with
 // sim.set_trace(&cert, obs::TraceDetail::kFlow) after watch(sim), or hand it
-// to a ServiceLoop as its kFlow trace sink and call watch(loop.sim()) before
-// the first step.
+// to a ServiceLoop as its kFlow trace sink and call watch(loop.sim()) and
+// watch(loop.registry()) before the first step. Without a watched simulator
+// only lifecycle events are read (no allocation or byte checks); without a
+// watched registry no tardiness is certified.
 class Certifier final : public obs::TraceSink {
  public:
   void watch(const netsim::Simulator& sim) noexcept { sim_ = &sim; }
+  void watch(const ef::Registry& registry) noexcept { registry_ = &registry; }
 
   using obs::TraceSink::record;
   void record(const obs::TraceEvent& ev, std::string_view) override {
@@ -280,9 +291,11 @@ class Certifier final : public obs::TraceSink {
         conserve(ev, /*finished=*/false);
         break;
       case obs::TraceKind::kFlowFinish:
+        // Every completion emits one, a flow abandoned at birth included.
         ++report_.finishes;
         conserve(ev, /*finished=*/true);
         life(ev.id).finish = ev.t;
+        note_group_finish(ev.ctx);
         break;
       case obs::TraceKind::kFaultFired:
         ++report_.faults;
@@ -295,52 +308,37 @@ class Certifier final : public obs::TraceSink {
     }
   }
 
-  // Eq. 2 recomputed from raw start and finish events for every complete
-  // EchelonFlow of `registry`; call after the run.
-  void certify_tardiness(const ef::Registry& registry) {
+  // Compares every complete EchelonFlow of the watched registry with the
+  // t_H rebuilt when its last member finished, and the creation-order sum
+  // of those with Registry::total_tardiness(); call after the run.
+  void certify_tardiness() {
+    if (registry_ == nullptr) {
+      report_.fail("tardiness certified with no registry watched");
+      return;
+    }
     Duration sum = 0.0;
-    for (const ef::EchelonFlow* h : registry.all()) {
+    for (const ef::EchelonFlow* h : registry_->all()) {
       if (!h->complete()) continue;
       ++report_.echelonflows;
-      const auto& members = h->members();
-      // r: the first member to start, minus its own offset.
-      const Life* head = nullptr;
-      int head_index = 0;
-      bool bound = true;
-      for (const ef::MemberFlow& m : members) {
-        const Life* l = m.sim_flow.valid() && m.sim_flow.value() < lives_.size()
-                            ? &lives_[m.sim_flow.value()]
-                            : nullptr;
-        if (l == nullptr || l->start_seq == 0 || !(l->finish < kTimeInfinity)) {
-          bound = false;
-          break;
-        }
-        if (head == nullptr || l->start_seq < head->start_seq) {
-          head = l;
-          head_index = m.index;
-        }
-      }
-      if (!bound || head == nullptr) {
-        report_.fail("EchelonFlow " + std::to_string(h->id().value()) +
-                     ": a member has no start or finish event");
+      if (h->retired()) ++report_.retired;
+      const std::size_t g = h->id().value();
+      if (g >= rebuilt_.size() || !rebuilt_[g]) {
+        report_.fail("EchelonFlow " + std::to_string(g) +
+                     ": complete, but its last member's finish was never "
+                     "seen");
         continue;
       }
-      const SimTime r = head->start - h->arrangement().offset(head_index);
-      Duration t_h = -kTimeInfinity;
-      for (const ef::MemberFlow& m : members) {
-        const SimTime e = lives_[m.sim_flow.value()].finish;
-        t_h = std::max(t_h, e - (r + h->arrangement().offset(m.index)));
-      }
+      const Duration t_h = *rebuilt_[g];
       if (std::fabs(t_h - h->tardiness()) >
           1e-9 * std::max(1.0, std::fabs(t_h))) {
         std::ostringstream os;
-        os << "EchelonFlow " << h->id().value() << ": t_H from events " << t_h
+        os << "EchelonFlow " << g << ": t_H from events " << t_h
            << " but tardiness() " << h->tardiness();
         report_.fail(os.str());
       }
       sum += t_h;
     }
-    const Duration total = registry.total_tardiness();
+    const Duration total = registry_->total_tardiness();
     if (std::fabs(sum - total) > 1e-9 * std::max(1.0, std::fabs(sum))) {
       std::ostringstream os;
       os << "sum of rebuilt t_H " << sum << " but total_tardiness() " << total;
@@ -378,6 +376,48 @@ class Certifier final : public obs::TraceSink {
     if (l.start_seq != 0) return;
     l.start = t;
     l.start_seq = seq_;
+  }
+
+  // Counts a finish towards group `ctx`; at its last member's finish,
+  // rebuilds t_H (Eq. 2) while the group's members are still bound.
+  void note_group_finish(std::uint64_t ctx) {
+    const EchelonFlowId gid{ctx};
+    if (registry_ == nullptr || !registry_->contains(gid)) return;
+    if (ctx >= group_finishes_.size()) {
+      group_finishes_.resize(ctx + 1, 0);
+      rebuilt_.resize(ctx + 1);
+    }
+    const ef::EchelonFlow& h = registry_->get(gid);
+    if (++group_finishes_[ctx] != h.cardinality()) return;
+    if (h.retired()) {
+      report_.fail("EchelonFlow " + std::to_string(ctx) +
+                   ": retired before its last member finished");
+      return;
+    }
+    // r: the first member to start, minus its own offset.
+    const Life* head = nullptr;
+    int head_index = 0;
+    for (const ef::MemberFlow& m : h.members()) {
+      const Life* l = m.sim_flow.valid() && m.sim_flow.value() < lives_.size()
+                          ? &lives_[m.sim_flow.value()]
+                          : nullptr;
+      if (l == nullptr || l->start_seq == 0 || !(l->finish < kTimeInfinity)) {
+        report_.fail("EchelonFlow " + std::to_string(ctx) +
+                     ": a member has no start or finish event");
+        return;
+      }
+      if (head == nullptr || l->start_seq < head->start_seq) {
+        head = l;
+        head_index = m.index;
+      }
+    }
+    const SimTime r = head->start - h.arrangement().offset(head_index);
+    Duration t_h = -kTimeInfinity;
+    for (const ef::MemberFlow& m : h.members()) {
+      const SimTime e = lives_[m.sim_flow.value()].finish;
+      t_h = std::max(t_h, e - (r + h.arrangement().offset(m.index)));
+    }
+    rebuilt_[ctx] = t_h;
   }
 
   static void advance(Delivery& l, SimTime t) {
@@ -431,9 +471,12 @@ class Certifier final : public obs::TraceSink {
   }
 
   const netsim::Simulator* sim_ = nullptr;
+  const ef::Registry* registry_ = nullptr;
   std::uint64_t seq_ = 0;
   std::vector<Delivery> deliveries_;  // by flow id
   std::vector<Life> lives_;           // by flow id
+  std::vector<int> group_finishes_;   // by EchelonFlow id
+  std::vector<std::optional<Duration>> rebuilt_;  // t_H, by EchelonFlow id
   std::vector<const netsim::Flow*> active_;
   detail::LinkScratch links_;
   Report report_;
@@ -499,9 +542,10 @@ struct ServiceRunSpec {
   cfg.trace_detail = obs::TraceDetail::kFlow;
   service::ServiceLoop loop(cfg);
   cert.watch(loop.sim());
+  cert.watch(loop.registry());
   loop.set_generator(std::make_unique<ScheduleGenerator>(jobs));
   loop.drain();
-  cert.certify_tardiness(loop.registry());
+  cert.certify_tardiness();
   Report r = cert.report();
   const service::ServiceResult res = loop.result();
   if (res.completed != jobs.size()) {

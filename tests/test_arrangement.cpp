@@ -3,6 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "echelon/arrangement.hpp"
 #include "echelon/echelonflow.hpp"
 #include "echelon/registry.hpp"
@@ -114,6 +122,54 @@ TEST(EchelonFlow, SetArrangementBeforeStartOnly) {
   EXPECT_FALSE(h.arrangement().is_coflow_compliant());
 }
 
+TEST(EchelonFlow, RetireBeforeCompleteThrows) {
+  EchelonFlow h(EchelonFlowId{0}, JobId{0}, Arrangement::pipeline(2, 1.0));
+  h.note_start(0, FlowId{1}, 1.0, 0.0);
+  h.note_start(1, FlowId{2}, 1.0, 0.5);
+  h.note_finish(0, 2.0);
+  EXPECT_THROW(h.retire(), std::logic_error);
+  EXPECT_FALSE(h.retired());
+  EXPECT_EQ(h.members().size(), 2u);
+}
+
+TEST(EchelonFlow, RetireKeepsScalarsAndFreesMembers) {
+  EchelonFlow h(EchelonFlowId{3}, JobId{7}, Arrangement::pipeline(3, 1.0),
+                "grp", 2.5);
+  h.note_start(1, FlowId{1}, 1.0, 0.5);  // head: r = 0.5 - 1 = -0.5
+  h.note_start(0, FlowId{2}, 1.0, 0.75);
+  h.note_start(2, FlowId{3}, 1.0, 1.0);
+  h.note_finish(2, 2.0);
+  h.note_finish(0, 3.0);
+  h.note_finish(1, 1.25);
+  ASSERT_TRUE(h.complete());
+  const Duration tardiness = h.tardiness();
+  const Duration cct = *h.coflow_completion_time();
+  EXPECT_DOUBLE_EQ(cct, 3.5);  // last finish 3.0 - r
+
+  h.retire();
+  EXPECT_TRUE(h.retired());
+  EXPECT_TRUE(h.complete());
+  EXPECT_EQ(h.id(), EchelonFlowId{3});
+  EXPECT_EQ(h.job(), JobId{7});
+  EXPECT_EQ(h.cardinality(), 3);
+  EXPECT_EQ(h.started_count(), 3);
+  EXPECT_EQ(h.finished_count(), 3);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(h.weight()),
+            std::bit_cast<std::uint64_t>(2.5));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(h.tardiness()),
+            std::bit_cast<std::uint64_t>(tardiness));
+  ASSERT_TRUE(h.coflow_completion_time().has_value());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(*h.coflow_completion_time()),
+            std::bit_cast<std::uint64_t>(cct));
+  EXPECT_DOUBLE_EQ(*h.reference_time(), -0.5);
+  EXPECT_TRUE(h.members().empty());
+  EXPECT_TRUE(h.label().empty());
+  EXPECT_EQ(h.arrangement().size(), 0);
+  EXPECT_THROW((void)h.ideal_finish(0), std::out_of_range);
+  EXPECT_THROW((void)h.flow_tardiness(0), std::out_of_range);
+  EXPECT_THROW((void)h.arrangement().offset(0), std::out_of_range);
+}
+
 TEST(Registry, CreateAssignsSequentialIds) {
   Registry reg;
   const EchelonFlowId a = reg.create(JobId{0}, Arrangement::coflow(1));
@@ -147,6 +203,64 @@ TEST(Registry, TotalTardinessSumsCompleteEchelonFlows) {
   reg.note_departure(fb, 2.0);
   EXPECT_DOUBLE_EQ(reg.total_tardiness(), 3.0);           // Eq. 4
   EXPECT_DOUBLE_EQ(reg.weighted_total_tardiness(), 5.0);  // weights 1 and 3
+}
+
+// total_tardiness() keeps a running sum over the complete prefix; it must
+// add the same terms in the same order as a scan from the first
+// EchelonFlow, so both sums match that scan bit for bit after every
+// completion, whatever the completion order, with one EchelonFlow that
+// never completes and with retired ones mixed in.
+TEST(Registry, TotalTardinessMatchesCreationOrderScanBitForBit) {
+  Rng rng(29);
+  Registry reg;
+  constexpr int kGroups = 64;
+  std::uint64_t next_flow = 0;
+  std::vector<int> pending;  // group ids with members still to finish
+  for (int g = 0; g < kGroups; ++g) {
+    const int n = 1 + static_cast<int>(rng.uniform_int(3));
+    const EchelonFlowId id = reg.create(JobId{0}, Arrangement::pipeline(n, 0.1),
+                                        "", rng.uniform(0.1, 3.0));
+    // Start every member at a scale-varied instant, so the sum's rounding
+    // depends on its order.
+    const double at = rng.uniform() * std::pow(10.0, rng.uniform(-3.0, 3.0));
+    for (int j = 0; j < n; ++j) {
+      reg.get(id).note_start(j, FlowId{next_flow++}, 1.0, at);
+      pending.push_back(g);
+    }
+  }
+  // Group 5 keeps one member running to the end.
+  pending.erase(std::find(pending.begin(), pending.end(), 5));
+
+  // The scans total_tardiness() replaced.
+  const auto naive = [&reg] {
+    Duration sum = 0.0;
+    for (const EchelonFlow* h : reg.all()) {
+      if (h->complete()) sum += h->tardiness();
+    }
+    return sum;
+  };
+  const auto naive_weighted = [&reg] {
+    Duration sum = 0.0;
+    for (const EchelonFlow* h : reg.all()) {
+      if (h->complete()) sum += h->weight() * h->tardiness();
+    }
+    return sum;
+  };
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  double now = 1e3;
+  while (!pending.empty()) {
+    const std::size_t k = rng.uniform_int(pending.size());
+    EchelonFlow& h = reg.get(EchelonFlowId{static_cast<std::uint64_t>(
+        pending[k])});
+    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(k));
+    now += rng.uniform(0.0, 7.0);
+    h.note_finish(h.finished_count(), now);
+    if (h.complete() && rng.uniform() < 0.5) h.retire();
+    ASSERT_EQ(bits(reg.total_tardiness()), bits(naive()));
+    ASSERT_EQ(bits(reg.weighted_total_tardiness()), bits(naive_weighted()));
+  }
+  EXPECT_FALSE(reg.get(EchelonFlowId{5}).complete());
+  EXPECT_NE(reg.total_tardiness(), 0.0);
 }
 
 TEST(Registry, IgnoresUngroupedFlows) {

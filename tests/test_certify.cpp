@@ -10,7 +10,10 @@
 //      ten retire thresholds early (or late) fails; the exact instant
 //      passes.
 //   3. Tardiness: a run's own start/finish events rebuild every complete
-//      EchelonFlow's t_H; replaying them with the finishes shifted fails.
+//      EchelonFlow's t_H; replaying them with the finishes shifted fails,
+//      and so does a complete group whose finishes were never seen. A
+//      certified service run retires its finished jobs' groups and still
+//      certifies each of them, and a shifted replay of it fails too.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +21,7 @@
 #include <vector>
 
 #include "certify.hpp"
+#include "cluster/trace.hpp"
 #include "echelon/arrangement.hpp"
 #include "echelon/registry.hpp"
 #include "netsim/allocator.hpp"
@@ -37,6 +41,17 @@ using netsim::Flow;
   }
   return false;
 }
+
+// Forwards every event to two sinks.
+struct Tee final : obs::TraceSink {
+  obs::TraceSink* a;
+  obs::TraceSink* b;
+  Tee(obs::TraceSink* x, obs::TraceSink* y) : a(x), b(y) {}
+  void record(const obs::TraceEvent& ev, std::string_view label) override {
+    a->record(ev, label);
+    b->record(ev, label);
+  }
+};
 
 // ============================================================================
 // 1. certify_allocation
@@ -206,17 +221,10 @@ TEST(CertifyTardiness, RebuildMatchesAndAShiftedFinishFails) {
   obs::TraceRecorder recorder(1u << 12);
   certify::Certifier cert;
   cert.watch(sim);
+  cert.watch(registry);
 
   // Tee: the certifier sees the run; the recorder keeps it for the replay.
-  struct Tee final : obs::TraceSink {
-    obs::TraceSink* a;
-    obs::TraceSink* b;
-    Tee(obs::TraceSink* x, obs::TraceSink* y) : a(x), b(y) {}
-    void record(const obs::TraceEvent& ev, std::string_view label) override {
-      a->record(ev, label);
-      b->record(ev, label);
-    }
-  } tee(&cert, &recorder);
+  Tee tee(&cert, &recorder);
   sim.set_trace(&tee, obs::TraceDetail::kFlow);
 
   for (int g = 0; g < 2; ++g) {
@@ -237,7 +245,7 @@ TEST(CertifyTardiness, RebuildMatchesAndAShiftedFinishFails) {
   }
   sim.run();
 
-  cert.certify_tardiness(registry);
+  cert.certify_tardiness();
   const certify::Report& r = cert.report();
   EXPECT_TRUE(r.ok()) << r.summary();
   EXPECT_EQ(r.echelonflows, 2u);
@@ -249,6 +257,7 @@ TEST(CertifyTardiness, RebuildMatchesAndAShiftedFinishFails) {
   // moved 1 ms later raises each t_H by 1 ms and fails.
   const auto replay = [&](bool shift) {
     certify::Certifier c;
+    c.watch(registry);
     for (obs::TraceEvent ev : recorder.events()) {
       if (ev.kind != obs::TraceKind::kFlowStart &&
           ev.kind != obs::TraceKind::kFlowFinish) {
@@ -257,7 +266,7 @@ TEST(CertifyTardiness, RebuildMatchesAndAShiftedFinishFails) {
       if (shift && ev.kind == obs::TraceKind::kFlowFinish) ev.t += 1e-3;
       c.record(ev);
     }
-    c.certify_tardiness(registry);
+    c.certify_tardiness();
     return c.report();
   };
   const certify::Report verbatim = replay(false);
@@ -266,6 +275,70 @@ TEST(CertifyTardiness, RebuildMatchesAndAShiftedFinishFails) {
   const certify::Report shifted = replay(true);
   EXPECT_FALSE(shifted.ok());
   EXPECT_TRUE(mentions(shifted, "t_H from events")) << shifted.summary();
+
+  // A certifier that saw no finishes has certified no group.
+  certify::Certifier blind;
+  blind.watch(registry);
+  blind.certify_tardiness();
+  EXPECT_FALSE(blind.report().ok());
+  EXPECT_TRUE(mentions(blind.report(), "never seen"))
+      << blind.report().summary();
+}
+
+// A service retires a finished job's groups once its run returns, freeing
+// their members; the certifier rebuilt each t_H while they were live. A
+// second, lifecycle-only certifier fed every finish 1 ms late (no simulator
+// watched, so it checks no bytes) must fail on the same retired groups.
+TEST(CertifyTardiness, RetiredServiceGroupsAreCertifiedLive) {
+  cluster::TraceConfig tcfg;
+  tcfg.num_jobs = 6;
+  tcfg.seed = 17;
+  tcfg.arrival_rate = 3.0;
+  tcfg.rank_choices = {2, 4};
+  const std::vector<cluster::JobSpec> jobs = cluster::generate_trace(tcfg);
+  certify::Certifier cert;
+  certify::Certifier shifted;
+  struct Shift final : obs::TraceSink {
+    certify::Certifier* c;
+    explicit Shift(certify::Certifier* x) : c(x) {}
+    void record(const obs::TraceEvent& ev, std::string_view label) override {
+      obs::TraceEvent e = ev;
+      if (e.kind == obs::TraceKind::kFlowFinish) {
+        e.t += 1e-3;
+      } else if (e.kind != obs::TraceKind::kFlowStart &&
+                 e.kind != obs::TraceKind::kFlowAbandon) {
+        return;
+      }
+      c->record(e, label);
+    }
+  } shift(&shifted);
+  Tee tee(&cert, &shift);
+
+  service::ServiceConfig cfg = certify::service_config({});
+  cfg.trace_sink = &tee;
+  cfg.trace_detail = obs::TraceDetail::kFlow;
+  service::ServiceLoop loop(cfg);
+  cert.watch(loop.sim());
+  cert.watch(loop.registry());
+  shifted.watch(loop.registry());
+  loop.set_generator(std::make_unique<certify::ScheduleGenerator>(jobs));
+  loop.drain();
+  ASSERT_EQ(loop.completed(), jobs.size());
+
+  cert.certify_tardiness();
+  const certify::Report& r = cert.report();
+  EXPECT_TRUE(r.ok()) << r.summary();
+  EXPECT_EQ(r.echelonflows, loop.registry().size());
+  EXPECT_GT(r.retired, 0u);
+  EXPECT_EQ(r.retired, r.echelonflows);  // every job finished
+  for (const ef::EchelonFlow* h : loop.registry().all()) {
+    EXPECT_TRUE(h->members().empty());
+  }
+
+  shifted.certify_tardiness();
+  EXPECT_FALSE(shifted.report().ok());
+  EXPECT_TRUE(mentions(shifted.report(), "t_H from events"))
+      << shifted.report().summary();
 }
 
 }  // namespace

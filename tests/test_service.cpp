@@ -1145,11 +1145,31 @@ TEST(SameInstant, NonMonotoneArrivalStreamThrows) {
 // 7. Retained state
 // ---------------------------------------------------------------------------
 
+// Exactly the finished jobs' EchelonFlows are retired: every group of a
+// finished job is, and no group of a running job is. Returns how many are.
+std::size_t expect_groups_retired_with_jobs(const ServiceLoop& loop) {
+  const ServiceResult r = loop.result();
+  std::size_t retired = 0;
+  std::size_t wrong = 0;
+  for (const ef::EchelonFlow* h : loop.registry().all()) {
+    const bool finished = r.jobs.at(h->job().value()).finished;
+    if (h->retired() != finished) ++wrong;
+    if (h->retired()) {
+      ++retired;
+      EXPECT_TRUE(h->members().empty());
+    }
+  }
+  EXPECT_EQ(wrong, 0u) << "EchelonFlows retired iff their job finished, at "
+                       << "boundary " << loop.steps_executed();
+  return retired;
+}
+
 // Steps `loop` to completion (or `max_steps` boundaries), checking at every
-// boundary that exactly the running jobs hold a workflow. A flow and task
-// listener also watches *inside* each run: a job that finishes there must
-// keep its workflow until the run returns (its engine is still on the
-// stack), so the count briefly exceeds running(). Returns whether it did.
+// boundary that exactly the running jobs hold a workflow and exactly the
+// finished jobs' EchelonFlows are retired. A flow and task listener also
+// watches *inside* each run: a job that finishes there must keep its
+// workflow until the run returns (its engine is still on the stack), so the
+// count briefly exceeds running(). Returns whether it did.
 bool step_checking_retained(ServiceLoop& loop,
                             std::uint64_t max_steps = ~std::uint64_t{0}) {
   bool deferred = false;
@@ -1161,9 +1181,11 @@ bool step_checking_retained(ServiceLoop& loop,
   loop.sim().add_task_listener(
       [watch](netsim::Simulator&, const netsim::ComputeTask&) { watch(); });
   EXPECT_EQ(loop.workflows_held(), loop.running());
+  expect_groups_retired_with_jobs(loop);
   for (std::uint64_t k = 0; k < max_steps && loop.step(); ++k) {
     EXPECT_EQ(loop.workflows_held(), loop.running())
         << "boundary " << loop.steps_executed();
+    expect_groups_retired_with_jobs(loop);
   }
   return deferred;
 }
@@ -1171,7 +1193,18 @@ bool step_checking_retained(ServiceLoop& loop,
 TEST(RetainedState, OnlyRunningJobsHoldWorkflows) {
   const auto trace = small_arrivals(61, /*jobs=*/5);
   const auto built = service_fabric(FabricKind::kBigSwitch);
-  const FaultPlan plan = service_chaos_plan(11, built.topo);
+  // The chaos plan, plus an outage of the first job's first host that
+  // outlasts the retry budget: its flows park at birth and are abandoned,
+  // so some groups retire with abandoned members.
+  const FaultPlan plan = [&built] {
+    FaultPlan p = service_chaos_plan(11, built.topo);
+    const std::uint64_t host0 = built.hosts[0].value();
+    p.events.push_back({0.0, faultsim::FaultKind::kNodeDown, host0});
+    p.events.push_back({0.5, faultsim::FaultKind::kNodeUp, host0});
+    std::stable_sort(p.events.begin(), p.events.end(),
+                     [](const auto& a, const auto& b) { return a.at < b.at; });
+    return p;
+  }();
   AdmissionConfig queue_with_cap;
   queue_with_cap.policy = AdmissionPolicy::kQueueWithCap;
   queue_with_cap.max_running = 2;
@@ -1192,6 +1225,16 @@ TEST(RetainedState, OnlyRunningJobsHoldWorkflows) {
       EXPECT_GT(r.launched, 0u);
       EXPECT_EQ(r.completed, r.launched);
       EXPECT_EQ(loop->workflows_held(), 0u);
+      EXPECT_GT(loop->registry().size(), 0u);
+      EXPECT_EQ(expect_groups_retired_with_jobs(*loop),
+                loop->registry().size());
+      if (p != nullptr) {
+        // The plan exercised the retirement of groups with parked and
+        // abandoned members.
+        const faultsim::FaultSummary& fs = loop->injector()->summary();
+        EXPECT_GT(fs.parks, 0u);
+        EXPECT_GT(fs.abandoned, 0u);
+      }
       if (HasFailure()) {
         FAIL() << "policy " << service::to_string(admission.policy)
                << " chaos " << (p != nullptr);
@@ -1216,12 +1259,26 @@ TEST(RetainedState, SnapshotRestoreRetiresIdentically) {
   step_checking_retained(*prefix, cut);
   ASSERT_EQ(prefix->steps_executed(), cut);
   ASSERT_GT(prefix->completed(), 0u);  // the cut lands after a retirement
+  std::vector<bool> retired_at_cut;
+  for (const ef::EchelonFlow* h : prefix->registry().all()) {
+    retired_at_cut.push_back(h->retired());
+  }
+  ASSERT_GT(std::count(retired_at_cut.begin(), retired_at_cut.end(), true),
+            0);
   const std::string bytes = save_snapshot(*prefix);
   const std::uint64_t running_at_cut = prefix->running();
   prefix.reset();
 
+  // Restore replays to the cut (kVerify passes) and retires the same
+  // EchelonFlows on the way.
   auto restored = restore_snapshot(bytes);
   EXPECT_EQ(restored->running(), running_at_cut);
+  ASSERT_EQ(restored->registry().size(), retired_at_cut.size());
+  for (std::size_t g = 0; g < retired_at_cut.size(); ++g) {
+    EXPECT_EQ(restored->registry().get(EchelonFlowId{g}).retired(),
+              retired_at_cut[g])
+        << "EchelonFlow " << g;
+  }
   step_checking_retained(*restored);
   restored->drain();
   EXPECT_EQ(restored->workflows_held(), 0u);
