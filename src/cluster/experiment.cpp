@@ -1,5 +1,6 @@
 #include "cluster/experiment.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <memory>
 
@@ -72,12 +73,38 @@ workload::GeneratedJob generate_job_workflow(const JobSpec& spec,
 
 namespace {
 
+// One job of the trace. `generated` and `engine` are held only from the
+// job's build until it is freed after finishing.
 struct LiveJob {
   JobSpec spec;
+  workload::Placement placement;
+  NodeId ps_host;
+  WorkerId ps_worker;
+  // EchelonFlow id range [group_begin, group_end) the build created.
+  std::size_t group_begin = 0;
+  std::size_t group_end = 0;
+  JobMetrics metrics;
+  bool done = false;
   workload::GeneratedJob generated;
-  std::vector<WorkerId> workers;
   std::unique_ptr<netsim::WorkflowEngine> engine;
 };
+
+// Fills everything of lj.metrics the engine knows: iteration times from the
+// iteration_end barriers and the finish of the last one.
+void record_job_metrics(LiveJob& lj, JobId id) {
+  JobMetrics& jm = lj.metrics;
+  jm.job = id;
+  jm.paradigm = lj.spec.paradigm;
+  jm.description = lj.generated.description;
+  jm.arrival = lj.spec.arrival;
+  SimTime prev = lj.spec.arrival;
+  for (const netsim::WfNodeId node : lj.generated.iteration_end) {
+    const SimTime t = lj.engine->node_finish(node);
+    jm.iteration_times.push_back(t - prev);
+    prev = t;
+  }
+  jm.finish = prev;
+}
 
 }  // namespace
 
@@ -171,45 +198,38 @@ ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
   }
   if (config.metrics != nullptr) sim.set_metrics(config.metrics);
 
-  // Place and generate every job. Ranks are packed onto consecutive ports
-  // (wrapping), so jobs share ports once the cluster is loaded.
-  std::vector<LiveJob> live;
-  live.reserve(jobs.size());
+  // Place every job, in index order, before the run: ranks are packed onto
+  // consecutive ports (wrapping), so jobs share ports once the cluster is
+  // loaded, and every WorkerId is fixed here. Workflows are built later.
+  std::vector<LiveJob> live(jobs.size());
   std::size_t next_host = 0;
   const std::size_t H = fabric.hosts.size();
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const JobSpec& spec = jobs[j];
-    assert(static_cast<std::size_t>(spec.ranks) <= H &&
+    LiveJob& lj = live[j];
+    lj.spec = jobs[j];
+    assert(static_cast<std::size_t>(lj.spec.ranks) <= H &&
            "job does not fit the cluster");
 
     std::vector<NodeId> job_hosts;
-    job_hosts.reserve(static_cast<std::size_t>(spec.ranks));
-    for (int r = 0; r < spec.ranks; ++r) {
+    job_hosts.reserve(static_cast<std::size_t>(lj.spec.ranks));
+    for (int r = 0; r < lj.spec.ranks; ++r) {
       job_hosts.push_back(fabric.hosts[(next_host + r) % H]);
     }
-    const workload::Placement placement = workload::make_placement(
-        sim, job_hosts, "j" + std::to_string(j) + ".");
+    lj.placement = workload::make_placement(sim, job_hosts,
+                                            "j" + std::to_string(j) + ".");
 
-    NodeId ps_host;
-    WorkerId ps_worker;
-    std::size_t consumed = static_cast<std::size_t>(spec.ranks);
-    if (spec.paradigm == workload::Paradigm::kDpPs) {
-      ps_host = fabric.hosts[(next_host + consumed) % H];
-      ps_worker = sim.add_worker(ps_host, "j" + std::to_string(j) + ".ps");
+    std::size_t consumed = static_cast<std::size_t>(lj.spec.ranks);
+    if (lj.spec.paradigm == workload::Paradigm::kDpPs) {
+      lj.ps_host = fabric.hosts[(next_host + consumed) % H];
+      lj.ps_worker =
+          sim.add_worker(lj.ps_host, "j" + std::to_string(j) + ".ps");
       ++consumed;
     }
     next_host = (next_host + consumed) % H;
-
-    LiveJob lj{.spec = spec};
-    lj.generated = generate_job_workflow(spec, placement, ps_host, ps_worker,
-                                         *registry, JobId{j});
-    lj.workers = placement.workers;
-    if (ps_worker.valid()) lj.workers.push_back(ps_worker);
-    live.push_back(std::move(lj));
   }
 
   // Arm fault injection (if any) before anything is scheduled: plan events
-  // land in the queue ahead of job launches, so same-instant ties resolve
+  // land in the queue ahead of job arrivals, so same-instant ties resolve
   // fault-first, deterministically.
   std::unique_ptr<faultsim::FaultInjector> injector;
   if (config.fault_plan != nullptr) {
@@ -222,16 +242,68 @@ ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
     injector->arm();
   }
 
-  // Launch at arrival times and run to quiescence.
-  for (LiveJob& lj : live) {
+  // Workflow lifetime (DESIGN.md §13). Job j's workflow is built in its
+  // arrival event, or earlier: an arrival first builds every unbuilt job of
+  // lower index, so EchelonFlowIds keep index order whatever the arrival
+  // order. A finished job is only queued by on_complete, which fires inside
+  // its engine's node_done; the next arrival, or the end of the run, frees
+  // its workflow and engine and retires its EchelonFlows.
+  std::size_t built = 0;  // jobs [0, built) have been built
+  std::size_t held = 0;   // workflows built and not yet freed
+  std::vector<std::size_t> finished;
+  double build_ms = 0.0;
+  std::size_t peak_live = 0;
+
+  const auto build = [&](std::size_t j) {
+    LiveJob& lj = live[j];
+    lj.group_begin = registry->size();
+    lj.generated = generate_job_workflow(lj.spec, lj.placement, lj.ps_host,
+                                         lj.ps_worker, *registry, JobId{j});
+    lj.group_end = registry->size();
     lj.engine =
         std::make_unique<netsim::WorkflowEngine>(&sim, &lj.generated.workflow);
-    lj.engine->launch(lj.spec.arrival);
+    lj.engine->on_complete = [&lj, &finished, j](netsim::Simulator&) {
+      record_job_metrics(lj, JobId{j});
+      lj.done = true;
+      finished.push_back(j);
+    };
+    ++held;
+  };
+  const auto free_finished = [&] {
+    for (const std::size_t j : finished) {
+      LiveJob& lj = live[j];
+      lj.engine.reset();
+      lj.generated = {};
+      // Every member of a finished job's groups has finished (an abandoned
+      // flow finishes too), so each group's tardiness is final.
+      for (std::size_t g = lj.group_begin; g < lj.group_end; ++g) {
+        registry->get(EchelonFlowId{g}).retire();
+      }
+      --held;
+    }
+    finished.clear();
+  };
+
+  // One arrival event per job, scheduled in index order after the fault
+  // plan's: same-instant ties resolve faults first, then jobs by index.
+  // Building a workflow schedules nothing, so event sequence numbers do not
+  // depend on when it happens. Building and freeing are timed and kept out
+  // of wall_ms.
+  for (std::size_t j = 0; j < live.size(); ++j) {
+    sim.schedule_at(live[j].spec.arrival, [&, j](netsim::Simulator&) {
+      const ScopedTimer build_timer;
+      free_finished();
+      for (; built <= j; ++built) build(built);
+      build_ms += build_timer.elapsed_ms();
+      peak_live = std::max(peak_live, held);
+      live[j].engine->start();
+    });
   }
 
   const ScopedTimer wall_timer;
   const SimTime end = sim.run();
-  const double wall_ms = wall_timer.elapsed_ms();
+  const double wall_ms = wall_timer.elapsed_ms() - build_ms;
+  free_finished();
 
   // Collect metrics.
   ExperimentResult result;
@@ -245,6 +317,8 @@ ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
     result.reuse_hits = coordinator->reuse_hits();
   }
   result.wall_ms = wall_ms;
+  result.build_ms = build_ms;
+  result.peak_live_workflows = peak_live;
   if (injector) {
     const faultsim::FaultSummary& fs = injector->summary();
     result.fault_events = fs.events_fired;
@@ -256,28 +330,24 @@ ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
   }
 
   for (std::size_t j = 0; j < live.size(); ++j) {
-    const LiveJob& lj = live[j];
-    assert(lj.engine->finished() && "job did not complete");
-    JobMetrics jm;
-    jm.job = JobId{j};
-    jm.paradigm = lj.spec.paradigm;
-    jm.description = lj.generated.description;
-    jm.arrival = lj.spec.arrival;
-
-    SimTime prev = lj.spec.arrival;
-    for (const netsim::WfNodeId node : lj.generated.iteration_end) {
-      const SimTime t = lj.engine->node_finish(node);
-      jm.iteration_times.push_back(t - prev);
-      prev = t;
+    LiveJob& lj = live[j];
+    if (!lj.done) {
+      // Never finished: its engine is still held, so read what it has.
+      assert(lj.engine->finished() && "job did not complete");
+      record_job_metrics(lj, JobId{j});
     }
-    jm.finish = prev;
-
+    JobMetrics& jm = lj.metrics;
+    std::size_t workers = lj.placement.workers.size();
     double idle = 0.0;
-    for (const WorkerId w : lj.workers) {
+    for (const WorkerId w : lj.placement.workers) {
       idle += sim.worker(w).idle_fraction();
     }
+    if (lj.ps_worker.valid()) {
+      idle += sim.worker(lj.ps_worker).idle_fraction();
+      ++workers;
+    }
     jm.mean_gpu_idle_fraction =
-        lj.workers.empty() ? 0.0 : idle / static_cast<double>(lj.workers.size());
+        workers == 0 ? 0.0 : idle / static_cast<double>(workers);
     result.jobs.push_back(std::move(jm));
   }
 

@@ -99,13 +99,24 @@ struct ExperimentConfig {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
+// Runs `jobs` to completion on one shared fabric. Every job is placed before
+// the run, but its workflow is built in its arrival event (together with any
+// unbuilt job of lower index, so EchelonFlowIds follow job index) and freed,
+// with its EchelonFlows retired, at the first arrival after it finishes or
+// at the end of the run. Memory therefore follows live jobs, not the trace.
+// In the result:
+//   wall_ms             -- host time of the simulation, excluding build_ms;
+//   build_ms            -- host time the arrival events spent building and
+//                          freeing workflows;
+//   peak_live_workflows -- most workflows held after an arrival event
+//                          (deterministic).
 [[nodiscard]] ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
                                               const ExperimentConfig& config);
 
 // Expands one JobSpec into its paradigm's workflow graph on the given
 // placement, registering echelon groups under `id`. `ps_host`/`ps_worker`
 // are only consumed by the DP-PS paradigm (the parameter-server endpoint).
-// Shared by run_experiment's batch placement loop and the online service's
+// Shared by run_experiment's arrival-time build and the online service's
 // incremental job launch (src/service): both must expand jobs identically
 // for batch and streaming runs to be comparable.
 [[nodiscard]] workload::GeneratedJob generate_job_workflow(

@@ -41,7 +41,16 @@ struct ExperimentResult {
   std::uint64_t control_invocations = 0;
   std::uint64_t heuristic_runs = 0;   // coordinator only; 0 otherwise
   std::uint64_t reuse_hits = 0;       // coordinator only
-  double wall_ms = 0.0;               // host-side runtime of the simulation
+  // Host time of the simulation: sim.run() minus build_ms. Host timing,
+  // so never compared between runs.
+  double wall_ms = 0.0;
+  // Host time the run's arrival events spent building workflows and freeing
+  // finished ones (run_experiment builds each job's workflow when it
+  // arrives). Host timing, like wall_ms.
+  double build_ms = 0.0;
+  // Most workflows held at once, sampled after each arrival event: built
+  // and not yet freed. Deterministic.
+  std::uint64_t peak_live_workflows = 0;
 
   // Fault-injection summary (all zero when no fault plan was attached).
   std::uint64_t fault_events = 0;     // plan events fired

@@ -195,26 +195,43 @@ void RateAllocator::partition_classes() {
   const std::size_t m = comp_members_.size();
   const std::size_t comps = comp_start_.size() - 1;
 
-  // Dense route-bucket keys: the interned RouteId, or a unique sentinel
-  // above every real id for flows without one (direct path writes) -- those
-  // become singleton classes, degrading gracefully to per-flow behavior.
+  // Dense route-bucket keys: the rank of the flow's interned RouteId among
+  // the distinct RouteIds of this pass, or a unique sentinel after every
+  // rank for flows without one (direct path writes) -- those become
+  // singleton classes, degrading gracefully to per-flow behavior. Buckets
+  // stay in ascending-RouteId order, which fixes class ids (and so every
+  // rate), while the scatter costs what the pass fills rather than the
+  // size of the route table.
   // Two flows sharing a RouteId share every link, hence a component, so a
   // *global* route bucket never straddles components and the scatter below
   // respects component boundaries for free.
+  route_rank_.begin_pass();
   route_key_.resize(m);
-  std::uint64_t route_limit = 0;
   for (std::size_t i = 0; i < m; ++i) {
     const RouteId r = af_[comp_members_[i]].flow->route;
-    if (r.valid()) route_limit = std::max(route_limit, r.value() + 1);
+    if (!r.valid()) {
+      route_key_[i] = kInvalidIndex;
+      continue;
+    }
+    const auto id = static_cast<std::uint32_t>(r.value());
+    route_rank_.ensure_size(std::size_t{id} + 1);
+    route_rank_.touch(id);
+    route_key_[i] = id;
   }
-  std::uint64_t next_sentinel = route_limit;
+  pass_routes_.assign(route_rank_.touched().begin(),
+                      route_rank_.touched().end());
+  std::sort(pass_routes_.begin(), pass_routes_.end());
+  for (std::size_t k = 0; k < pass_routes_.size(); ++k) {
+    route_rank_.at(pass_routes_[k]) = static_cast<std::uint32_t>(k);
+  }
+  auto next_sentinel = static_cast<std::uint32_t>(pass_routes_.size());
   for (std::size_t i = 0; i < m; ++i) {
-    const RouteId r = af_[comp_members_[i]].flow->route;
-    route_key_[i] = r.valid() ? r.value() : next_sentinel++;
+    route_key_[i] = route_key_[i] == kInvalidIndex
+                        ? next_sentinel++
+                        : route_rank_.at(route_key_[i]);
   }
   bucket_scatter(
-      m, static_cast<std::size_t>(next_sentinel),
-      [&](std::size_t i) { return route_key_[i]; },
+      m, next_sentinel, [&](std::size_t i) { return route_key_[i]; },
       [&](std::size_t i) { return comp_members_[i]; }, route_start_,
       route_cursor_, route_order_);
 

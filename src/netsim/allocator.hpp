@@ -211,7 +211,9 @@ class RateAllocator {
   // --- equivalence-class partition (Phase C; DESIGN.md §11) ---
   // Built once per pass over every contended flow, then read-only during
   // the fills. SoA layout keyed by dense class index.
-  std::vector<std::uint64_t> route_key_;        // per comp_members_ entry
+  EpochScratch<std::uint32_t> route_rank_;      // RouteId -> rank this pass
+  std::vector<std::uint32_t> pass_routes_;      // this pass's RouteIds, sorted
+  std::vector<std::uint32_t> route_key_;        // per comp_members_ entry
   std::vector<std::uint32_t> route_start_;      // route-bucket scatter
   std::vector<std::uint32_t> route_cursor_;
   std::vector<std::uint32_t> route_order_;

@@ -34,11 +34,12 @@ WorkflowEngine::WorkflowEngine(Simulator* sim, const Workflow* wf)
   for (const WfNode& n : wf->nodes()) pending_[n.id] = n.dependency_count;
 }
 
-void WorkflowEngine::launch(SimTime start) {
-  const std::vector<WfNodeId> roots = wf_->roots();
-  sim_->schedule_at(start, [this, roots](Simulator&) {
-    for (WfNodeId id : roots) release(id);
-  });
+void WorkflowEngine::start() {
+  for (const WfNodeId id : wf_->roots()) release(id);
+}
+
+void WorkflowEngine::launch(SimTime at) {
+  sim_->schedule_at(at, [this](Simulator&) { start(); });
 }
 
 void WorkflowEngine::release(WfNodeId id) {

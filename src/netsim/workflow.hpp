@@ -8,7 +8,7 @@
 // the network.
 //
 // The WorkflowEngine binds a Workflow to a Simulator: it releases source
-// nodes at launch and releases each successor the moment its last
+// nodes at start and releases each successor the moment its last
 // dependency completes, recording per-node start/finish times.
 
 #pragma once
@@ -31,6 +31,7 @@ enum class WfKind { kCompute, kFlow, kBarrier };
 struct WfNode {
   WfNodeId id = 0;
   WfKind kind = WfKind::kBarrier;
+  // kCompute and kBarrier; a kFlow node's label is flow.label.
   std::string label;
 
   // kCompute
@@ -60,12 +61,10 @@ class Workflow {
     return add_node(std::move(n));
   }
 
-  WfNodeId add_flow(FlowSpec spec, std::string label = {}) {
+  WfNodeId add_flow(FlowSpec spec) {
     WfNode n;
     n.kind = WfKind::kFlow;
-    if (label.empty()) label = spec.label;
     n.flow = std::move(spec);
-    n.label = std::move(label);
     return add_node(std::move(n));
   }
 
@@ -94,7 +93,7 @@ class Workflow {
     return nodes_;
   }
 
-  // Nodes with no dependencies (released at launch).
+  // Nodes with no dependencies (released at start).
   [[nodiscard]] std::vector<WfNodeId> roots() const {
     std::vector<WfNodeId> out;
     for (const WfNode& n : nodes_) {
@@ -123,8 +122,11 @@ class WorkflowEngine {
   // The engine keeps pointers to both; they must outlive it.
   WorkflowEngine(Simulator* sim, const Workflow* wf);
 
-  // Releases all root nodes at `start` (>= sim.now()).
-  void launch(SimTime start);
+  // Releases all root nodes now, synchronously: zero-cost roots (barriers,
+  // zero-byte flows) and their successor chains complete before it returns.
+  void start();
+  // Schedules start() at `at` (>= sim.now()).
+  void launch(SimTime at);
 
   [[nodiscard]] bool finished() const noexcept {
     return completed_ == wf_->size();

@@ -198,10 +198,10 @@ inline topology::BuiltFabric run_cluster_fabric(cluster::FabricKind fabric) {
 }
 
 // The single bit-identical comparator: every deterministic ExperimentResult
-// field must agree to the bit (wall_ms is host timing and excluded). Fault
-// counters are part of the contract -- two runs of the same plan at
-// different thread counts must make identical reroute/park/abandon
-// decisions.
+// field must agree to the bit (wall_ms and build_ms are host timing and
+// excluded). Fault counters are part of the contract -- two runs of the
+// same plan at different thread counts must make identical
+// reroute/park/abandon decisions.
 inline void expect_same_result(const cluster::ExperimentResult& a,
                                const cluster::ExperimentResult& b) {
   EXPECT_EQ(a.scheduler_name, b.scheduler_name);
@@ -217,6 +217,7 @@ inline void expect_same_result(const cluster::ExperimentResult& a,
   EXPECT_EQ(a.flow_retries, b.flow_retries);
   EXPECT_EQ(a.flows_abandoned, b.flows_abandoned);
   EXPECT_BITEQ(a.flow_downtime, b.flow_downtime);
+  EXPECT_EQ(a.peak_live_workflows, b.peak_live_workflows);
   ASSERT_EQ(a.jobs.size(), b.jobs.size());
   for (std::size_t j = 0; j < a.jobs.size(); ++j) {
     const auto& ja = a.jobs[j];

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+
 #include "cluster/experiment.hpp"
 #include "cluster/trace.hpp"
 
@@ -209,6 +214,108 @@ TEST(Experiment, SingleParadigmTracesRunEachParadigm) {
     EXPECT_EQ(r.jobs.size(), 2u)
         << workload::to_string(static_cast<workload::Paradigm>(p));
   }
+}
+
+// FNV-1a over the bits of every deterministic ExperimentResult field the
+// comparison below pins (host timings and peak_live_workflows excluded).
+std::uint64_t result_digest(const ExperimentResult& r) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto add = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  const auto add_real = [&add](double v) {
+    add(std::bit_cast<std::uint64_t>(v));
+  };
+  add_real(r.makespan);
+  add_real(r.total_tardiness);
+  add_real(r.weighted_total_tardiness);
+  add(r.control_invocations);
+  add(r.heuristic_runs);
+  add(r.reuse_hits);
+  for (const JobMetrics& jm : r.jobs) {
+    add(jm.job.value());
+    for (const char c : jm.description) add(static_cast<unsigned char>(c));
+    add_real(jm.arrival);
+    add_real(jm.finish);
+    add_real(jm.mean_gpu_idle_fraction);
+    for (const Duration t : jm.iteration_times) add_real(t);
+  }
+  return h;
+}
+
+// small_trace() with its arrival times reversed: job 0 arrives last, so the
+// first arrival event builds every job's workflow at once.
+std::vector<JobSpec> reversed_arrival_trace() {
+  auto jobs = small_trace();
+  std::vector<SimTime> arrivals;
+  for (const JobSpec& j : jobs) arrivals.push_back(j.arrival);
+  std::reverse(arrivals.begin(), arrivals.end());
+  for (std::size_t j = 0; j < jobs.size(); ++j) jobs[j].arrival = arrivals[j];
+  return jobs;
+}
+
+TEST(Experiment, ArrivalsOutOfIndexOrderMatchRecordedDigest) {
+  // Digests recorded with every workflow built before the run: building at
+  // arrival must keep EchelonFlowIds, WorkerIds and event order, so results
+  // match to the bit even when arrivals are not sorted by job index.
+  const auto jobs = reversed_arrival_trace();
+  const std::pair<SchedulerKind, std::uint64_t> cases[] = {
+      {SchedulerKind::kEchelonMadd, 0x4fc02f851ea036d7ull},
+      {SchedulerKind::kCoordinator, 0x3d18e71d0d45072aull},
+  };
+  for (const auto& [kind, expected] : cases) {
+    ExperimentConfig cfg;
+    cfg.scheduler = kind;
+    cfg.hosts = 8;
+    const ExperimentResult r = run_experiment(jobs, cfg);
+    EXPECT_EQ(result_digest(r), expected)
+        << to_string(kind) << " 0x" << std::hex << result_digest(r);
+    EXPECT_EQ(r.peak_live_workflows, jobs.size()) << to_string(kind);
+  }
+}
+
+TEST(Experiment, SequentialJobsHoldOneWorkflow) {
+  // Each job arrives long after the previous one finished: the arrival
+  // frees the finished workflow before building its own.
+  auto jobs = small_trace();
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    jobs[j].arrival = 1000.0 * static_cast<double>(j);
+  }
+  ExperimentConfig cfg;
+  cfg.scheduler = SchedulerKind::kEchelonMadd;
+  cfg.hosts = 8;
+  const ExperimentResult r = run_experiment(jobs, cfg);
+  EXPECT_EQ(r.peak_live_workflows, 1u);
+  EXPECT_GE(r.build_ms, 0.0);
+  EXPECT_GE(r.wall_ms, 0.0);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    EXPECT_LT(r.jobs[j].finish, jobs[j].arrival + 1000.0);
+  }
+}
+
+TEST(Experiment, LongTraceHoldsLiveWorkflowsOnly) {
+  // The cluster-sweep benchmark's shape: 150 jobs of 8 iterations at 2
+  // jobs/s on a 64-host big switch.
+  TraceConfig tcfg;
+  tcfg.num_jobs = 150;
+  tcfg.arrival_rate = 2.0;
+  tcfg.iterations = 8;
+  const auto jobs = generate_trace(tcfg);
+  ExperimentConfig cfg;
+  cfg.scheduler = SchedulerKind::kEchelonMadd;
+  cfg.hosts = 64;
+  cfg.port_capacity = gbps(25);
+  const ExperimentResult r = run_experiment(jobs, cfg);
+  ASSERT_EQ(r.jobs.size(), jobs.size());
+  std::printf("peak_live_workflows = %llu of %zu jobs\n",
+              static_cast<unsigned long long>(r.peak_live_workflows),
+              jobs.size());
+  EXPECT_GE(r.peak_live_workflows, 1u);
+  EXPECT_LT(r.peak_live_workflows, jobs.size());
+  EXPECT_GE(r.build_ms, 0.0);
 }
 
 }  // namespace

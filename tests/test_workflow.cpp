@@ -145,6 +145,71 @@ TEST_F(WfFixture, TwoEnginesInterleave) {
   EXPECT_NEAR(e2.node_finish(t2), 2.0, 1e-9);
 }
 
+TEST_F(WfFixture, StartReleasesRootsSynchronously) {
+  // start() runs inside the caller's frame: a root barrier chain finishes
+  // and a root compute task starts before it returns, with no event popped.
+  Workflow wf;
+  const WfNodeId b1 = wf.add_barrier("b1");
+  const WfNodeId b2 = wf.add_barrier("b2");
+  const WfNodeId a = wf.add_compute(w0, 1.0, "a");
+  wf.add_dep(b1, b2);
+  int completions = 0;
+  WorkflowEngine eng(&sim, &wf);
+  eng.on_complete = [&completions](Simulator&) { ++completions; };
+  eng.start();
+  EXPECT_EQ(eng.node_finish(b2), 0.0);
+  EXPECT_EQ(eng.node_start(a), 0.0);
+  EXPECT_EQ(eng.completed_nodes(), 2u);
+  EXPECT_EQ(completions, 0);
+  sim.run();
+  EXPECT_EQ(completions, 1);
+  EXPECT_EQ(eng.node_finish(a), 1.0);
+}
+
+TEST(Workflow, LaunchMatchesScheduledStart) {
+  // launch(t) is schedule_at(t, start): every node starts and finishes at
+  // the same instants either way.
+  const auto run = [](bool use_launch) {
+    auto fabric = topology::make_big_switch(4, 10.0);
+    Simulator sim(&fabric.topo);
+    const WorkerId w0 = sim.add_worker(fabric.hosts[0]);
+    const WorkerId w1 = sim.add_worker(fabric.hosts[1]);
+    Workflow wf;
+    const WfNodeId a = wf.add_compute(w0, 1.0, "a");
+    const WfNodeId f1 = wf.add_flow(FlowSpec{
+        .src = fabric.hosts[0], .dst = fabric.hosts[1], .size = 20.0});
+    const WfNodeId f2 = wf.add_flow(FlowSpec{
+        .src = fabric.hosts[2], .dst = fabric.hosts[1], .size = 5.0});
+    const WfNodeId join = wf.add_barrier("join");
+    const WfNodeId b = wf.add_compute(w1, 0.5, "b");
+    wf.add_dep(a, f1);
+    wf.add_deps({f1, f2}, join);
+    wf.add_dep(join, b);
+    WorkflowEngine eng(&sim, &wf);
+    if (use_launch) {
+      eng.launch(1.5);
+    } else {
+      sim.schedule_at(1.5, [&eng](Simulator&) { eng.start(); });
+    }
+    sim.run();
+    EXPECT_TRUE(eng.finished());
+    std::vector<SimTime> times;
+    for (WfNodeId n = 0; n < wf.size(); ++n) {
+      times.push_back(eng.node_start(n));
+      times.push_back(eng.node_finish(n));
+    }
+    return times;
+  };
+  EXPECT_EQ(run(true), run(false));
+}
+
+TEST(Workflow, FlowLabelLivesInItsSpec) {
+  Workflow wf;
+  const WfNodeId f = wf.add_flow(FlowSpec{.size = 1.0, .label = "g.s0"});
+  EXPECT_EQ(wf.node(f).flow.label, "g.s0");
+  EXPECT_TRUE(wf.node(f).label.empty());
+}
+
 TEST(Workflow, CycleDetection) {
   Workflow wf;
   const WfNodeId a = wf.add_barrier("a");

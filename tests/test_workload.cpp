@@ -309,8 +309,8 @@ TEST(Generators, SignaturesStableAcrossIterations) {
   std::vector<std::uint64_t> it0, it1;
   for (const auto& n : job.workflow.nodes()) {
     if (n.kind != netsim::WfKind::kFlow) continue;
-    if (n.label.rfind("it0.", 0) == 0) it0.push_back(n.flow.signature);
-    if (n.label.rfind("it1.", 0) == 0) it1.push_back(n.flow.signature);
+    if (n.flow.label.rfind("it0.", 0) == 0) it0.push_back(n.flow.signature);
+    if (n.flow.label.rfind("it1.", 0) == 0) it1.push_back(n.flow.signature);
   }
   ASSERT_FALSE(it0.empty());
   EXPECT_EQ(it0, it1);
