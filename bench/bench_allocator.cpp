@@ -11,7 +11,11 @@
 //     the multi-round water-fill worst case.
 //   * Capped: every flow carries a MADD-style explicit rate cap (as the
 //     Echelon/Coflow schedulers emit), so most flows freeze at their cap in
-//     the first rounds.
+//     the first rounds. Each source port sits just under its cap sum, so
+//     the caps do not fit and the pass fills.
+//   * ExplicitRatePass: the same capped population scaled to fit every
+//     link -- what the MADD-family schedulers hand over -- so the pass only
+//     sums each link's caps and returns them (DESIGN.md §7).
 //
 // Flow counts match BM_EchelonMaddControlPass (64..4096) so the two
 // benchmarks compose into an end-to-end control-plane latency estimate.
@@ -20,6 +24,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -80,6 +85,7 @@ BENCHMARK(BM_RateAllocatorFairShare)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_RateAllocatorCapped(benchmark::State& state) {
   Population p = make_population(static_cast<int>(state.range(0)), true);
+  benchutil::overcommit_source_ports(p.fabric.topo, p.active);
   netsim::RateAllocator alloc(&p.fabric.topo);
   for (auto _ : state) {
     alloc.allocate(p.active);
@@ -88,6 +94,28 @@ void BM_RateAllocatorCapped(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_RateAllocatorCapped)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
+
+void BM_ExplicitRatePass(benchmark::State& state) {
+  Population p = make_population(static_cast<int>(state.range(0)), true);
+  // Scale every cap so the fullest link carries half its capacity.
+  std::vector<double> sum(p.fabric.topo.link_count(), 0.0);
+  for (const netsim::Flow& f : p.flows) {
+    for (const LinkId lid : f.path) sum[lid.value()] += *f.rate_cap;
+  }
+  const double scale = 0.5 * gbps(100) / *std::max_element(sum.begin(),
+                                                           sum.end());
+  for (netsim::Flow& f : p.flows) f.rate_cap = *f.rate_cap * scale;
+  netsim::RateAllocator alloc(&p.fabric.topo);
+  for (auto _ : state) {
+    alloc.allocate(p.active);
+    benchmark::DoNotOptimize(p.active);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.counters["explicit"] =
+      static_cast<double>(alloc.stats().explicit_passes) /
+      static_cast<double>(alloc.stats().passes);
+}
+BENCHMARK(BM_ExplicitRatePass)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
 }  // namespace
 

@@ -57,7 +57,8 @@ struct Population {
 // the dedicated host pair (2j, 2j+1), so the union-find partition yields
 // exactly n_jobs components with zero shared links. Caps are staggered
 // within a job, so every flow is its own equivalence class and each
-// water-fill round freezes one flow.
+// water-fill round freezes one flow. Host 2j's port sits just under the
+// job's cap sum, so the caps do not fit and every pass fills.
 Population make_components(int n_jobs, int flows_per_job) {
   Population p{topology::make_big_switch(2 * n_jobs, gbps(100)), {}, {}, {}};
   p.routes = std::make_unique<topology::RouteTable>(&p.fabric.topo);
@@ -78,6 +79,7 @@ Population make_components(int n_jobs, int flows_per_job) {
     }
   }
   for (auto& f : p.flows) p.active.push_back(&f);
+  benchutil::overcommit_source_ports(p.fabric.topo, p.active);
   return p;
 }
 

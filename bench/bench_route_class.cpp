@@ -60,9 +60,10 @@ struct Population {
 // `n_flows` weight-1 flows striped over `n_routes` distinct (src, dst)
 // pairs, every flow's path interned through one RouteTable so flows on the
 // same pair share the RouteId the class partition groups on. Each route
-// carries a distinct staggered rate cap, every one binding and sized so no
-// link saturates (sum of caps per port < capacity): the fill freezes
-// exactly one class per round, the progressive-filling worst case.
+// carries a distinct staggered rate cap, every one binding: the fill
+// freezes exactly one class per round, the progressive-filling worst case.
+// Each source port sits just under the sum of its flows' caps, so the caps
+// do not fit and every pass fills; the port's last class freezes on it.
 Population make_population(int n_flows, int n_routes, bool interned) {
   Population p;
   std::vector<RouteId> routes;
@@ -88,7 +89,7 @@ Population make_population(int n_flows, int n_routes, bool interned) {
     const RouteId rid = routes[static_cast<std::size_t>(r)];
     f.path = p.table.path(rid);
     // Strictly increasing per-route caps; ~1024 flows per port at the top
-    // grid point average ~0.03 Gbps each, well under the 100 Gbps port.
+    // grid point average ~0.03 Gbps each.
     f.rate_cap = gbps(0.02 * (1.0 + static_cast<double>(r) /
                                         static_cast<double>(n_routes)));
     // When not interned the allocator sees a direct path write (invalid
@@ -97,6 +98,7 @@ Population make_population(int n_flows, int n_routes, bool interned) {
     p.flows.push_back(std::move(f));
   }
   for (auto& f : p.flows) p.active.push_back(&f);
+  benchutil::overcommit_source_ports(p.fabric.topo, p.active);
   return p;
 }
 

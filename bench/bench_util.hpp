@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -147,6 +148,34 @@ inline std::string hotpath_metrics_context() {
   std::erase_if(snap.gauges,
                 [](const auto& g) { return g.first == "run.wall_ms"; });
   return metrics_snapshot_json(snap);
+}
+
+// Keeps a water-fill benchmark measuring the fill. RateAllocator::allocate
+// returns the caps without filling when every flow is capped and every
+// link's cap sum fits its capacity (DESIGN.md §7), which is how capped fill
+// populations are usually built. Unless the caps already overcommit a link,
+// this lowers each source host's port (every flow's first link) to its cap
+// sum / (1 + 1e-9) -- a thousand times the allocator's slack -- so every
+// component has a port just short of its caps. The fill still freezes the
+// port's flows at their caps round by round; only the last one freezes on
+// the saturated port, 1e-9 short of its cap.
+inline void overcommit_source_ports(topology::Topology& topo,
+                                    std::span<netsim::Flow* const> flows) {
+  std::vector<double> link_sum(topo.link_count(), 0.0);
+  std::vector<double> port_sum(topo.link_count(), 0.0);
+  for (const netsim::Flow* f : flows) {
+    if (f->path.empty() || !f->rate_cap) continue;
+    for (const LinkId lid : f->path) link_sum[lid.value()] += *f->rate_cap;
+    port_sum[f->path.front().value()] += *f->rate_cap;
+  }
+  for (std::size_t l = 0; l < link_sum.size(); ++l) {
+    if (link_sum[l] > topo.link(LinkId{l}).capacity) return;
+  }
+  for (std::size_t l = 0; l < port_sum.size(); ++l) {
+    if (port_sum[l] > 0.0) {
+      topo.set_link_capacity(LinkId{l}, port_sum[l] / (1.0 + 1e-9));
+    }
+  }
 }
 
 struct SingleJobResult {

@@ -367,6 +367,7 @@ ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
 
     const netsim::RateAllocator::Stats& as = sim.alloc_stats();
     m.counter("alloc.passes").set(as.passes);
+    m.counter("alloc.explicit_passes").set(as.explicit_passes);
     m.counter("alloc.components").set(as.components);
     m.counter("alloc.components_filled").set(as.components_filled);
     m.counter("alloc.classes").set(as.classes);

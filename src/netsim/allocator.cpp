@@ -22,19 +22,76 @@ std::uint32_t RateAllocator::uf_find(std::uint32_t slot) noexcept {
 void RateAllocator::allocate(std::span<Flow*> flows, SimTime now) {
   ++pass_;
   ++stats_.passes;
+  rate_changed_.clear();
 
+  // Every flow's `control_dirty` is consumed, and `rate_changed_` lists, in
+  // span order, the flows whose rate the pass moved (the Simulator's
+  // heap-patch dirty set).
+  std::uint32_t comps = 0;
+  if (caps_fit(flows)) {
+    // Explicit-rate pass: each contended flow gets exactly its cap (the
+    // weighted max-min allocation when the caps fit), and trivial flows
+    // what Phase A gives them. Weights play no part.
+    ++stats_.explicit_passes;
+    for (Flow* f : flows) {
+      // An uncapped flow here is a loopback: caps_fit() rejects any other.
+      const double rate =
+          f->finished() || (f->rate_cap && *f->rate_cap <= 0.0) ? 0.0
+          : f->rate_cap ? *f->rate_cap
+                        : std::numeric_limits<double>::infinity();
+      f->control_dirty = false;
+      if (rate != f->rate) rate_changed_.push_back(f);
+      f->rate = rate;
+    }
+  } else {
+    prev_rate_.clear();
+    for (const Flow* f : flows) prev_rate_.push_back(f->rate);
+    comps = water_fill(flows, now);
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      Flow* f = flows[i];
+      f->control_dirty = false;
+      if (f->rate != prev_rate_[i]) rate_changed_.push_back(f);
+    }
+  }
+
+  // Observability: one event per pass, read-only, behind the null-sink
+  // branch (DESIGN.md §9 no-perturbation contract).
+  if (trace_ != nullptr) {
+    trace_->record(obs::TraceEvent{.kind = obs::TraceKind::kAllocPass,
+                                   .t = now,
+                                   .id = pass_ - 1,
+                                   .job = obs::TraceEvent::kNone,
+                                   .ctx = comps,
+                                   .value = static_cast<double>(comps)});
+  }
+}
+
+bool RateAllocator::caps_fit(std::span<Flow* const> flows) {
+  cap_sum_.begin_pass(*topo_);
+  for (const Flow* f : flows) {
+    // Trivial flows, classified as in Phase A: finished, loopback or
+    // zero-capped flows take no link capacity.
+    if (f->finished() || f->path.empty()) continue;
+    if (!f->rate_cap) return false;
+    const double cap = *f->rate_cap;
+    if (cap <= 0.0) continue;
+    for (const LinkId lid : f->path) {
+      double& sum = cap_sum_.touch(lid);
+      sum += cap;
+      // Negated so that a NaN cap is left to the fill as well.
+      if (!(sum <= topo_->link(lid).capacity * (1.0 + kNoise))) return false;
+    }
+  }
+  return true;
+}
+
+std::uint32_t RateAllocator::water_fill(std::span<Flow*> flows, SimTime now) {
   // Per-round link state, stamped only for links that carry at least one
   // flow (lazy epoch reset; no per-pass map rebuild).
   links_.begin_pass(*topo_);
   af_.clear();
   path_flat_.clear();
   uf_parent_.clear();
-  prev_rate_.clear();
-  rate_changed_.clear();
-
-  // Snapshot incoming rates so the pass can report exactly which flows the
-  // reallocation actually changed (the Simulator's heap-patch dirty set).
-  for (const Flow* f : flows) prev_rate_.push_back(f->rate);
 
   // --- Phase A: scan. Classify trivial flows, build the contended flow
   // list, accumulate per-link loads, and thread the union-find through the
@@ -171,24 +228,7 @@ void RateAllocator::allocate(std::span<Flow*> flows, SimTime now) {
   for (std::uint32_t s = 0; s < n; ++s) {
     af_[s].flow->rate = cls_rate_[class_of_slot_[s]];
   }
-
-  // --- Dirty-set handoff + notification consumption. ---
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    Flow* f = flows[i];
-    f->control_dirty = false;
-    if (f->rate != prev_rate_[i]) rate_changed_.push_back(f);
-  }
-
-  // Observability: one event per pass, read-only, behind the null-sink
-  // branch (DESIGN.md §9 no-perturbation contract).
-  if (trace_ != nullptr) {
-    trace_->record(obs::TraceEvent{.kind = obs::TraceKind::kAllocPass,
-                                   .t = now,
-                                   .id = pass_ - 1,
-                                   .job = obs::TraceEvent::kNone,
-                                   .ctx = comps,
-                                   .value = static_cast<double>(comps)});
-  }
+  return comps;
 }
 
 void RateAllocator::partition_classes() {
@@ -385,7 +425,6 @@ void RateAllocator::fill_component_class(std::uint32_t c, FillScratch& fs) {
     // saturated route link: within kEps absolute, or -- when `relaxed` --
     // within kNoise of the cap or the link's capacity as well.
     constexpr double kEps = 1e-12;
-    constexpr double kNoise = 1e-12;
     const auto freeze = [&](bool relaxed) {
       next_.clear();
       for (const std::uint32_t k : unfrozen_) {

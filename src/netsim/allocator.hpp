@@ -19,6 +19,17 @@
 // the dense per-link scratch) and water-fills each component independently;
 // components are also the unit of intra-pass parallelism.
 //
+// Explicit-rate return (DESIGN.md §7): the MADD-family, SRPT, Aalo and
+// Sincronia schedulers hand over rates, not weights -- each caps every flow
+// it schedules against the links' residual capacity, so the caps fit by
+// construction. Weighted max-min with caps that fit every link *is* the
+// caps, so a pass first sums each link's caps in a separate walk; if every
+// contended flow carries a cap and no link's sum exceeds its capacity by
+// more than kNoise, every flow gets exactly its cap and the pass skips the
+// partition and the fill below. Any uncapped contended flow (fair sharing,
+// PriorityQueueEnforcer weights) or overfull link (a capacity drop under
+// cached Coordinator caps) falls through to the fill.
+//
 // Equivalence-class fill (DESIGN.md §11): collectives emit thousands of
 // flows over a handful of distinct routed paths, so each component's
 // members are additionally partitioned into (interned route, weight, cap)
@@ -73,9 +84,17 @@ class RateAllocator {
   // standalone callers (benchmarks, property tests) can ignore it.
   void allocate(std::span<Flow*> flows, SimTime now = 0.0);
 
+  // Relative slack of the explicit-rate test and of the fill's relaxed
+  // freeze. The fill treats a link within kNoise * capacity of saturation
+  // as saturated, since a saturated link's rounded residual can land a few
+  // ulps off zero; for the same reason, caps whose re-summed total lands a
+  // few ulps above a link's capacity still count as fitting it.
+  static constexpr double kNoise = 1e-12;
+
   // Observability (DESIGN.md §9): with a sink attached, every allocate()
   // pass emits one kAllocPass event (id = pass index, ctx = components seen
-  // this pass, value = components water-filled this pass -- every one). With
+  // this pass, value = components water-filled this pass -- every one; both
+  // are 0 on an explicit-rate pass, which partitions and fills nothing). With
   // `per_component` additionally set (the Simulator passes detail >=
   // kFlow), every water-filled component emits a kCompFill event
   // (id = pass index, ctx = component id, value = member count) followed by
@@ -118,10 +137,13 @@ class RateAllocator {
     return rate_changed_;
   }
 
-  // Telemetry: cumulative pass and fill counts. Every component is
-  // water-filled, so components_filled == components.
+  // Telemetry: cumulative pass and fill counts. Every component of a
+  // filled pass is water-filled, so components_filled == components.
   struct Stats {
     std::uint64_t passes = 0;
+    // Passes that returned the caps without partitioning or filling; every
+    // other pass fills at least one component.
+    std::uint64_t explicit_passes = 0;
     std::uint64_t components = 0;         // components seen, cumulative
     // Always 0: the converged-rate cache it counted is gone (DESIGN.md §7).
     // Kept for readers that still report a cache hit ratio.
@@ -170,6 +192,15 @@ class RateAllocator {
     std::vector<std::uint32_t> next;
   };
 
+  // The explicit-rate test: true when every contended flow carries a cap
+  // and every link's cap sum is at most its capacity * (1 + kNoise). Bails
+  // at the first uncapped contended flow or overfull link (caps are > 0, so
+  // sums only grow). Reads flows only.
+  [[nodiscard]] bool caps_fit(std::span<Flow* const> flows);
+  // Phases A-D of a filled pass: partition the contended flows into
+  // components and classes, water-fill every component and write the
+  // rates. Returns the number of components filled.
+  std::uint32_t water_fill(std::span<Flow*> flows, SimTime now);
   [[nodiscard]] std::uint32_t uf_find(std::uint32_t slot) noexcept;
   // Partitions every component's members into (route, weight, cap)
   // equivalence classes and builds each component's deduped link list.
@@ -192,6 +223,7 @@ class RateAllocator {
   unsigned threads_ = 1;
 
   // --- reusable arenas (allocation-free after warm-up) ---
+  topology::LinkScratch<double> cap_sum_;  // caps_fit(): per-link cap sums
   topology::LinkScratch<LinkLoad> links_;
   std::vector<ActiveFlow> af_;            // contended flows, span order
   std::vector<std::uint32_t> path_flat_;  // cached dense link indices

@@ -327,6 +327,7 @@ void build_verify_image(const ServiceLoop& loop, ImageBuilder& img) {
 
   const netsim::RateAllocator::Stats& as = sim.alloc_stats();
   img.add("alloc.passes", as.passes);
+  img.add("alloc.explicit_passes", as.explicit_passes);
   img.add("alloc.components", as.components);
   img.add("alloc.components_filled", as.components_filled);
   img.add("alloc.classes", as.classes);

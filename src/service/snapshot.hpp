@@ -65,7 +65,9 @@ inline constexpr char kSnapshotMagic[8] = {'E', 'C', 'H', 'S', 'N', 'A', 'P',
 //     alloc.components_reused.
 // v6: kVerify keeps per-flow records only for resident flows; each released
 //     4096-flow record chunk contributes one flow_chunk[c].digest instead.
-inline constexpr std::uint32_t kSnapshotVersion = 6;
+// v7: kVerify adds alloc.explicit_passes (allocator passes that returned the
+//     scheduler's caps without a fill).
+inline constexpr std::uint32_t kSnapshotVersion = 7;
 
 // Thrown on any malformed, truncated, corrupt, or divergent snapshot. The
 // message always names what failed and where.

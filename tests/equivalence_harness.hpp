@@ -138,6 +138,8 @@ struct RunSpec {
   // streams, not just end-of-run aggregates).
   obs::TraceSink* trace_sink = nullptr;
   obs::TraceDetail trace_detail = obs::TraceDetail::kFlow;
+  // Optional run-level metrics export (ExperimentConfig::metrics).
+  obs::MetricsRegistry* metrics = nullptr;
 };
 
 inline cluster::ExperimentResult run_cluster(
@@ -151,6 +153,7 @@ inline cluster::ExperimentResult run_cluster(
       spec.fabric == cluster::FabricKind::kLeafSpine ? 2.0 : 1.0;
   cfg.fault_plan = spec.plan;
   cfg.threads = spec.threads;
+  cfg.metrics = spec.metrics;
   if (spec.trace_sink != nullptr) {
     cfg.trace_sink = spec.trace_sink;
     cfg.trace_detail = spec.trace_detail;

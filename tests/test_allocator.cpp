@@ -6,8 +6,10 @@
 #include <tuple>
 #include <vector>
 
+#include "certify.hpp"
 #include "common/rng.hpp"
 #include "netsim/allocator.hpp"
+#include "obs/trace.hpp"
 #include "topology/builders.hpp"
 #include "topology/route_table.hpp"
 
@@ -324,6 +326,230 @@ TEST(Allocator, RatesFollowRuntimeCapacityChange) {
   alloc.allocate(p);
   EXPECT_DOUBLE_EQ(flows[0].rate, 2.0);
   EXPECT_DOUBLE_EQ(flows[1].rate, 2.0);
+}
+
+// ---------------------------------------------------------------------------
+// Explicit-rate return (DESIGN.md §7): when every contended flow carries a
+// cap and every link's cap sum fits its capacity (up to the relative slack
+// RateAllocator::kNoise), the pass returns the caps and fills nothing.
+// ---------------------------------------------------------------------------
+
+// Sum of the rates crossing `lid`.
+double link_load(const std::vector<Flow>& flows, LinkId lid) {
+  double load = 0.0;
+  for (const Flow& fl : flows) {
+    for (const LinkId l : fl.path) {
+      if (l == lid) load += fl.rate;
+    }
+  }
+  return load;
+}
+
+TEST(AllocatorExplicitRate, CapsThatFitAreReturnedBitwise) {
+  // Leaf-spine: cross-leaf flows share an oversubscribed uplink; the caps
+  // are awkward doubles that sum to under every link's capacity.
+  auto f = topology::make_leaf_spine({.leaves = 2,
+                                      .spines = 1,
+                                      .hosts_per_leaf = 2,
+                                      .host_link = 10.0,
+                                      .uplink = 10.0});
+  RateAllocator alloc(&f.topo);
+  topology::RouteTable routes(&f.topo);
+  std::vector<Flow> flows{make_flow(routes, f, 0, 2, 100.0, 0),
+                          make_flow(routes, f, 1, 3, 100.0, 1),
+                          make_flow(routes, f, 0, 3, 100.0, 2),
+                          make_flow(routes, f, 2, 1, 100.0, 3)};
+  flows[0].rate_cap = 10.0 / 3.0;
+  flows[1].rate_cap = 10.0 / 7.0;
+  flows[2].rate_cap = 1.0 / 3.0;
+  flows[3].rate_cap = 0.1;
+  flows[1].weight = 3.0;
+  obs::TraceRecorder trace;
+  alloc.set_trace(&trace, /*per_component=*/true);
+  auto p = ptrs(flows);
+  alloc.allocate(p);
+  for (const Flow& fl : flows) EXPECT_EQ(fl.rate, *fl.rate_cap);
+  EXPECT_EQ(trace.count(obs::TraceKind::kCompFill), 0u);
+  EXPECT_EQ(trace.count(obs::TraceKind::kClassFill), 0u);
+  ASSERT_EQ(trace.count(obs::TraceKind::kAllocPass), 1u);
+  EXPECT_EQ(trace.events().front().value, 0.0);
+  EXPECT_EQ(alloc.stats().passes, 1u);
+  EXPECT_EQ(alloc.stats().explicit_passes, 1u);
+  EXPECT_EQ(alloc.stats().components_filled, 0u);
+  EXPECT_EQ(alloc.rate_changed().size(), flows.size());
+  const certify::Report r = certify::certify_allocation(f.topo, p);
+  EXPECT_TRUE(r.ok()) << r.summary();
+}
+
+TEST(AllocatorExplicitRate, CapSumOverCapacityTakesTheFill) {
+  // Two flows on one 10 B/s port. Caps summing to capacity * (1 + 1e-13)
+  // are inside the slack and returned as they are; 1e-9 over is a real
+  // overcommit and must be filled down to the port's capacity.
+  auto f = topology::make_big_switch(2, 10.0);
+  RateAllocator alloc(&f.topo);
+  topology::RouteTable routes(&f.topo);
+  std::vector<Flow> flows{make_flow(routes, f, 0, 1, 100.0, 0),
+                          make_flow(routes, f, 0, 1, 100.0, 1)};
+  auto p = ptrs(flows);
+  const LinkId port = flows[0].path.front();
+
+  flows[0].rate_cap = 5.0;
+  flows[1].rate_cap = 5.0 * (1.0 + 2e-13);
+  alloc.allocate(p);
+  EXPECT_EQ(alloc.stats().explicit_passes, 1u);
+  EXPECT_EQ(flows[1].rate, *flows[1].rate_cap);
+
+  flows[1].rate_cap = 5.0 * (1.0 + 2e-9);
+  obs::TraceRecorder trace;
+  alloc.set_trace(&trace, /*per_component=*/true);
+  alloc.allocate(p);
+  EXPECT_EQ(alloc.stats().explicit_passes, 1u);  // this pass filled
+  EXPECT_EQ(alloc.stats().components_filled, 1u);
+  EXPECT_EQ(trace.count(obs::TraceKind::kCompFill), 1u);
+  // The fill keeps the port within its capacity up to the fill's own slack;
+  // returning the caps would overshoot it by 1e-8 B/s.
+  EXPECT_LE(link_load(flows, port),
+            f.topo.link(port).capacity * (1.0 + RateAllocator::kNoise));
+  const certify::Report r = certify::certify_allocation(f.topo, p);
+  EXPECT_TRUE(r.ok()) << r.summary();
+}
+
+TEST(AllocatorExplicitRate, UncappedFlowAmongCappedTakesTheFill) {
+  auto f = topology::make_big_switch(3, 10.0);
+  RateAllocator alloc(&f.topo);
+  topology::RouteTable routes(&f.topo);
+  std::vector<Flow> flows{make_flow(routes, f, 0, 1, 100.0, 0),
+                          make_flow(routes, f, 0, 2, 100.0, 1),
+                          make_flow(routes, f, 1, 2, 100.0, 2)};
+  flows[0].rate_cap = 2.0;
+  flows[2].rate_cap = 3.0;  // flow 1 is uncapped
+  auto p = ptrs(flows);
+  alloc.allocate(p);
+  EXPECT_EQ(alloc.stats().explicit_passes, 0u);
+  EXPECT_GT(alloc.stats().components_filled, 0u);
+  EXPECT_DOUBLE_EQ(flows[0].rate, 2.0);
+  EXPECT_DOUBLE_EQ(flows[1].rate, 7.0);  // host 2's downlink: 10 - 3
+  EXPECT_DOUBLE_EQ(flows[2].rate, 3.0);
+  const certify::Report r = certify::certify_allocation(f.topo, p);
+  EXPECT_TRUE(r.ok()) << r.summary();
+}
+
+TEST(AllocatorExplicitRate, CapacityCutAfterControlTakesTheFill) {
+  // The caps fit when set; a runtime capacity cut before the next pass (a
+  // Coordinator reusing cached caps) makes them overcommit the port.
+  auto f = topology::make_big_switch(2, 10.0);
+  RateAllocator alloc(&f.topo);
+  topology::RouteTable routes(&f.topo);
+  std::vector<Flow> flows{make_flow(routes, f, 0, 1, 100.0, 0),
+                          make_flow(routes, f, 0, 1, 100.0, 1),
+                          make_flow(routes, f, 0, 1, 100.0, 2)};
+  for (Flow& fl : flows) fl.rate_cap = 3.0;
+  auto p = ptrs(flows);
+  alloc.allocate(p);
+  EXPECT_EQ(alloc.stats().explicit_passes, 1u);
+  for (const Flow& fl : flows) EXPECT_EQ(fl.rate, 3.0);
+
+  const LinkId port = flows[0].path.front();
+  f.topo.set_link_capacity(port, 6.0);
+  alloc.allocate(p);
+  EXPECT_EQ(alloc.stats().explicit_passes, 1u);
+  EXPECT_EQ(alloc.stats().components_filled, 1u);
+  for (const Flow& fl : flows) EXPECT_DOUBLE_EQ(fl.rate, 2.0);
+  EXPECT_LE(link_load(flows, port), 6.0 * (1.0 + RateAllocator::kNoise));
+  EXPECT_EQ(alloc.rate_changed().size(), flows.size());
+  const certify::Report r = certify::certify_allocation(f.topo, p);
+  EXPECT_TRUE(r.ok()) << r.summary();
+}
+
+TEST(AllocatorExplicitRate, TrivialFlowsMatchTheFill) {
+  // The same trivial flows (loopback with and without a cap, a zero cap, a
+  // finished flow) next to one capped flow, once in an explicit pass and
+  // once in a filled pass -- forced by an extra uncapped flow on a disjoint
+  // host pair. Rates, the dirty set and the consumed notification flags
+  // must agree flow for flow.
+  auto f = topology::make_big_switch(4, 10.0);
+  topology::RouteTable routes(&f.topo);
+  std::vector<Flow> base;
+  base.push_back(make_flow(routes, f, 0, 1, 100.0, 0));  // loopback uncapped
+  base.back().path = {};
+  base.push_back(make_flow(routes, f, 0, 1, 100.0, 1));  // loopback capped
+  base.back().path = {};
+  base.back().rate_cap = 7.5;
+  base.push_back(make_flow(routes, f, 0, 1, 100.0, 2));  // zero cap
+  base.back().rate_cap = 0.0;
+  base.push_back(make_flow(routes, f, 0, 1, 100.0, 3));  // finished
+  base.back().state = FlowState::kFinished;
+  base.back().rate_cap = 1.0;
+  base.push_back(make_flow(routes, f, 0, 1, 100.0, 4));  // capped, contended
+  base.back().rate_cap = 4.0;
+  base.push_back(make_flow(routes, f, 0, 1, 100.0, 5));  // unchanged rate
+  base.back().rate_cap = 2.0;
+  for (Flow& fl : base) {
+    fl.rate = 1.0;
+    fl.control_dirty = true;
+  }
+  base[5].rate = 2.0;
+
+  std::vector<Flow> expl = base;
+  std::vector<Flow> filled = base;
+  filled.push_back(make_flow(routes, f, 2, 3, 100.0, 6));  // uncapped
+
+  RateAllocator a(&f.topo);
+  RateAllocator b(&f.topo);
+  auto pa = ptrs(expl);
+  auto pb = ptrs(filled);
+  a.allocate(pa);
+  b.allocate(pb);
+  ASSERT_EQ(a.stats().explicit_passes, 1u);
+  ASSERT_EQ(b.stats().explicit_passes, 0u);
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    SCOPED_TRACE("flow " + std::to_string(i));
+    EXPECT_EQ(expl[i].rate, filled[i].rate);
+    EXPECT_FALSE(expl[i].control_dirty);
+    EXPECT_FALSE(filled[i].control_dirty);
+  }
+  EXPECT_TRUE(std::isinf(expl[0].rate));
+  EXPECT_EQ(expl[1].rate, 7.5);
+  EXPECT_EQ(expl[2].rate, 0.0);
+  EXPECT_EQ(expl[3].rate, 0.0);
+  EXPECT_EQ(expl[4].rate, 4.0);
+  // Dirty sets: the extra flow aside, the same flows in the same order.
+  std::vector<FlowId> da;
+  std::vector<FlowId> db;
+  for (const Flow* fl : a.rate_changed()) da.push_back(fl->id);
+  for (const Flow* fl : b.rate_changed()) {
+    if (fl->id != FlowId{6}) db.push_back(fl->id);
+  }
+  EXPECT_EQ(da, db);
+  EXPECT_EQ(da, (std::vector<FlowId>{FlowId{0}, FlowId{1}, FlowId{2},
+                                     FlowId{3}, FlowId{4}}));
+}
+
+TEST(AllocatorExplicitRate, WeightsAreIgnored) {
+  // Weighted max-min with caps that fit is the caps, whatever the weights:
+  // zero, negative and large weights give the same rates as unit ones.
+  auto f = topology::make_big_switch(3, 10.0);
+  RateAllocator alloc(&f.topo);
+  topology::RouteTable routes(&f.topo);
+  std::vector<Flow> flows{make_flow(routes, f, 0, 1, 100.0, 0),
+                          make_flow(routes, f, 0, 2, 100.0, 1),
+                          make_flow(routes, f, 1, 2, 100.0, 2)};
+  flows[0].rate_cap = 4.0 / 3.0;
+  flows[1].rate_cap = 8.0 / 3.0;
+  flows[2].rate_cap = 5.0;
+  auto p = ptrs(flows);
+  alloc.allocate(p);
+  std::vector<double> unit;
+  for (const Flow& fl : flows) unit.push_back(fl.rate);
+  flows[0].weight = 0.0;
+  flows[1].weight = -2.0;
+  flows[2].weight = 1e6;
+  alloc.allocate(p);
+  EXPECT_EQ(alloc.stats().explicit_passes, 2u);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    EXPECT_EQ(flows[i].rate, unit[i]);
+    EXPECT_EQ(flows[i].rate, *flows[i].rate_cap);
+  }
 }
 
 // ---------------------------------------------------------------------------

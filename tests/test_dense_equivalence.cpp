@@ -80,7 +80,41 @@ namespace ref {
 // netsim/allocator.cpp.
 // Degenerate (<= 0) weights are clamped to kMinFlowWeight, mirroring the
 // production fix for the old divide-by-zero.
+//
+// Explicit-rate rule (DESIGN.md §7): when every contended flow carries a
+// cap and no link's cap sum, taken in span order, exceeds its capacity by
+// more than the relative slack kNoise, each flow's rate is exactly its cap
+// and nothing is filled. Summed here per link in a std::map.
+constexpr double kNoise = 1e-12;
+
+bool caps_fit(const topology::Topology& topo, std::span<Flow*> flows) {
+  std::map<std::uint64_t, double> cap_sum;
+  for (const Flow* f : flows) {
+    if (f->finished() || f->path.empty()) continue;
+    if (!f->rate_cap) return false;
+    if (*f->rate_cap <= 0.0) continue;
+    for (LinkId lid : f->path) {
+      double& sum = cap_sum[lid.value()];
+      sum += *f->rate_cap;
+      if (sum > topo.link(lid).capacity * (1.0 + kNoise)) return false;
+    }
+  }
+  return true;
+}
+
 void allocate(const topology::Topology& topo, std::span<Flow*> flows) {
+  if (caps_fit(topo, flows)) {
+    for (Flow* f : flows) {
+      if (f->finished()) {
+        f->rate = 0.0;
+      } else if (f->rate_cap) {
+        f->rate = *f->rate_cap > 0.0 ? *f->rate_cap : 0.0;
+      } else {
+        f->rate = kInf;  // loopback: the only uncapped flow that fits
+      }
+    }
+    return;
+  }
   struct LinkLoad {
     double remaining_capacity = 0.0;
     double unfrozen_weight = 0.0;
@@ -186,7 +220,6 @@ void allocate(const topology::Topology& topo, std::span<Flow*> flows) {
       // constraint that set delta was met only up to rounding, so retry
       // with a relative tolerance (the production fill's relaxed pass).
       constexpr double kEps = 1e-12;
-      constexpr double kNoise = 1e-12;
       const auto freeze = [&](bool relaxed) {
         next.clear();
         for (const std::size_t s : unfrozen) {

@@ -260,11 +260,14 @@ TEST(SimLevelParallelTest, WideFixtureDispatchesAndStaysBitIdentical) {
 }
 
 TEST(SimLevelParallelTest, ServeShapedRunNeverDispatches) {
-  // The `serve` shape at reduced scale: EchelonFlow-MADD, Poisson arrivals on
-  // a 64-host 2:1 leaf-spine, two threads. Its passes fill a few dozen flows
-  // at most, below the work cutoff, so the run must stay on the calling
-  // thread -- a dispatch here costs more than the fill it would split.
+  // The `serve` shape at reduced scale: Poisson arrivals on a 64-host 2:1
+  // leaf-spine, two threads. Its passes fill a few dozen flows at most,
+  // below the work cutoff, so the run must stay on the calling thread -- a
+  // dispatch here costs more than the fill it would split. Fair sharing,
+  // so the passes do fill (EchelonFlow-MADD's caps fit and skip the fill,
+  // which would make the no-dispatch check vacuous).
   service::ServiceConfig cfg;
+  cfg.scheduler = cluster::SchedulerKind::kFairSharing;
   cfg.fabric = cluster::FabricKind::kLeafSpine;
   cfg.hosts = 64;
   cfg.oversubscription = 2.0;

@@ -390,15 +390,39 @@ TEST_P(RouteClassEquivalence, ClassFillCertifiedAcrossThreads) {
     EXPECT_GT(r.byte_checks, 0u);
     EXPECT_GT(r.echelonflows, 0u);
 
-    // Class census: one kClassFill per component fill.
+    // Class census: one kClassFill per component fill. Every pass either
+    // fills (its kAllocPass value counts the components filled, >= 1) or
+    // returns the caps (value 0, counted in alloc.explicit_passes).
     obs::TraceRecorder trace(1u << 20);
+    obs::MetricsRegistry metrics;
     (void)run_cluster(jobs, {.scheduler = sched,
                              .fabric = fabric,
                              .threads = threads,
-                             .trace_sink = &trace});
-    EXPECT_GT(trace.count(obs::TraceKind::kClassFill), 0u);
+                             .trace_sink = &trace,
+                             .metrics = &metrics});
+    ASSERT_EQ(trace.dropped(), 0u);
     EXPECT_EQ(trace.count(obs::TraceKind::kClassFill),
               trace.count(obs::TraceKind::kCompFill));
+    std::uint64_t filled_passes = 0;
+    for (const obs::TraceEvent& ev : trace.events()) {
+      if (ev.kind == obs::TraceKind::kAllocPass && ev.value > 0.0) {
+        ++filled_passes;
+      }
+    }
+    const std::uint64_t explicit_passes =
+        metrics.counter("alloc.explicit_passes").value();
+    EXPECT_EQ(filled_passes + explicit_passes,
+              trace.count(obs::TraceKind::kAllocPass));
+    EXPECT_EQ(metrics.counter("alloc.passes").value(),
+              trace.count(obs::TraceKind::kAllocPass));
+    if (sched == SchedulerKind::kFairSharing) {
+      // Uncapped flows always reach the fill.
+      EXPECT_GT(trace.count(obs::TraceKind::kClassFill), 0u);
+      EXPECT_GT(filled_passes, 0u);
+    } else {
+      // Cap-setting policies hand over caps that fit.
+      EXPECT_GT(explicit_passes, 0u);
+    }
   }
 }
 
@@ -536,15 +560,20 @@ TEST(RouteClassSteadyState, ClassFillIsAllocationFreeAndCensusIsExact) {
 // ============================================================================
 
 TEST(RouteClassTelemetry, ExperimentExportsRouteAndClassCounters) {
+  // Fair sharing: its uncapped flows reach the class fill, so the class
+  // counters below count something.
   obs::MetricsRegistry reg;
   cluster::ExperimentConfig cfg;
-  cfg.scheduler = SchedulerKind::kEchelonMadd;
+  cfg.scheduler = SchedulerKind::kFairSharing;
   cfg.fabric = FabricKind::kLeafSpine;
   cfg.hosts = 16;
   cfg.port_capacity = gbps(25);
   cfg.oversubscription = 2.0;
   cfg.metrics = &reg;
   (void)cluster::run_experiment(small_trace(5), cfg);
+  // Only its passes without a contended flow skip the fill.
+  EXPECT_LT(reg.counter("alloc.explicit_passes").value(),
+            reg.counter("alloc.passes").value());
 
   const std::uint64_t lookups = reg.counter("routes.lookups").value();
   const std::uint64_t hits = reg.counter("routes.cache_hits").value();
@@ -560,6 +589,16 @@ TEST(RouteClassTelemetry, ExperimentExportsRouteAndClassCounters) {
   EXPECT_GT(classes, 0u);
   EXPECT_GE(members, classes);
   EXPECT_GT(reg.gauge("alloc.flows_per_class").value(), 0.0);
+
+  // EchelonFlow-MADD hands over caps that fit: its passes take the
+  // explicit-rate return.
+  obs::MetricsRegistry madd;
+  cfg.scheduler = SchedulerKind::kEchelonMadd;
+  cfg.metrics = &madd;
+  (void)cluster::run_experiment(small_trace(5), cfg);
+  EXPECT_GT(madd.counter("alloc.explicit_passes").value(), 0u);
+  EXPECT_LE(madd.counter("alloc.explicit_passes").value(),
+            madd.counter("alloc.passes").value());
 }
 
 }  // namespace

@@ -505,13 +505,13 @@ TEST_F(CorruptSnapshotTest, HeaderAndVersionMutationsFailTheirOwnChecks) {
               std::string::npos);
   }
   {
-    // v5 files carry a per-flow kVerify record for every flow ever
-    // submitted; v6 readers reject them up front, naming the version,
-    // instead of failing verification on a released record chunk.
-    static_assert(service::kSnapshotVersion == 6);
+    // v6 files lack the alloc.explicit_passes kVerify word; v7 readers
+    // reject them up front, naming the version, instead of failing
+    // verification on the missing field.
+    static_assert(service::kSnapshotVersion == 7);
     std::string m = bytes_;
-    m[8] = 5;
-    EXPECT_NE(expect_snapshot_error(restamp(m)).find("unsupported version 5"),
+    m[8] = 6;
+    EXPECT_NE(expect_snapshot_error(restamp(m)).find("unsupported version 6"),
               std::string::npos);
   }
   {
