@@ -19,6 +19,15 @@
 //
 // Flow counts match BM_EchelonMaddControlPass (64..4096) so the two
 // benchmarks compose into an end-to-end control-plane latency estimate.
+//
+// Two more families fill link-disjoint components (one src->dst host pair
+// each, so every pass fills every component):
+//
+//   * ComponentFill: 32 capped flows per component -- the staggered-caps
+//     progressive-filling worst case, every flow its own equivalence class
+//     -- at 64 and 256 components (2,048 / 8,192 flows).
+//   * ServeShapedFill: what fair-sharing `serve` passes fill -- 4 flows per
+//     component, one equivalence class per flow -- at 32..1,024 flows.
 // Emit JSON for trajectory tracking with:
 //   bench_allocator --benchmark_format=json
 
@@ -117,6 +126,65 @@ void BM_ExplicitRatePass(benchmark::State& state) {
 }
 BENCHMARK(BM_ExplicitRatePass)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
+// `n_jobs` independent components: job j's `flows_per_job` flows all cross
+// the dedicated host pair (2j, 2j+1), so the union-find partition yields
+// exactly n_jobs components with zero shared links. Caps are staggered
+// within a job, so every flow is its own equivalence class and each
+// water-fill round freezes one flow. Host 2j's port sits just under the
+// job's cap sum, so the caps do not fit and every pass fills.
+Population make_components(int n_jobs, int flows_per_job) {
+  Population p{topology::make_big_switch(2 * n_jobs, gbps(100)), {}, {}, {}};
+  p.routes = std::make_unique<topology::RouteTable>(&p.fabric.topo);
+  std::uint64_t id = 0;
+  p.flows.reserve(static_cast<std::size_t>(n_jobs) * flows_per_job);
+  for (int j = 0; j < n_jobs; ++j) {
+    for (int k = 0; k < flows_per_job; ++k) {
+      netsim::Flow f;
+      f.id = FlowId{id};
+      f.spec.size = 1e9;
+      f.remaining = 1e9;
+      f.weight = 1.0;
+      f.rate_cap = gbps(0.1 * (k + 1));
+      f.path = p.routes->path(*p.routes->route(
+          p.fabric.hosts[2 * j], p.fabric.hosts[2 * j + 1], id));
+      ++id;
+      p.flows.push_back(std::move(f));
+    }
+  }
+  for (auto& f : p.flows) p.active.push_back(&f);
+  benchutil::overcommit_source_ports(p.fabric.topo, p.active);
+  return p;
+}
+
+void run_fill(benchmark::State& state, Population& p) {
+  netsim::RateAllocator alloc(&p.fabric.topo);
+  alloc.allocate(p.active);  // warm the arenas
+  for (auto _ : state) {
+    alloc.allocate(p.active);
+    benchmark::DoNotOptimize(p.active);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(p.flows.size()));
+}
+
+void BM_ComponentFill(benchmark::State& state) {
+  Population p = make_components(static_cast<int>(state.range(0)), 32);
+  run_fill(state, p);
+}
+BENCHMARK(BM_ComponentFill)->ArgName("components")->Arg(64)->Arg(256);
+
+void BM_ServeShapedFill(benchmark::State& state) {
+  constexpr int kFlowsPerComponent = 4;
+  Population p = make_components(
+      static_cast<int>(state.range(0)) / kFlowsPerComponent,
+      kFlowsPerComponent);
+  run_fill(state, p);
+}
+BENCHMARK(BM_ServeShapedFill)
+    ->ArgName("flows")
+    ->RangeMultiplier(2)
+    ->Range(32, 1024);
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -130,13 +198,10 @@ int main(int argc, char** argv) {
                               echelon::benchutil::kGitCommit);
   benchmark::AddCustomContext("echelon_git_dirty",
                               echelon::benchutil::kGitDirty);
-  // Machine shape: thread-scaling numbers are only comparable between
-  // identically-shaped hosts (tools/check_bench_regression.py checks this).
+  // Machine shape: the host's hardware thread count.
   benchmark::AddCustomContext(
       "echelon_hardware_concurrency",
       echelon::benchutil::hardware_concurrency_context());
-  benchmark::AddCustomContext("echelon_pool_participants",
-                              echelon::benchutil::pool_participants_context());
   // Behavioural fingerprint of the hot path (allocator pass counts,
   // reallocation counts, ...) so BENCH_hotpath.json timing shifts can be
   // cross-read against scheduler behaviour (bench_util.hpp).

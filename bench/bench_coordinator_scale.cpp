@@ -153,13 +153,10 @@ int main(int argc, char** argv) {
                               echelon::benchutil::kGitCommit);
   benchmark::AddCustomContext("echelon_git_dirty",
                               echelon::benchutil::kGitDirty);
-  // Machine shape: thread-scaling numbers are only comparable between
-  // identically-shaped hosts (tools/check_bench_regression.py checks this).
+  // Machine shape: the host's hardware thread count.
   benchmark::AddCustomContext(
       "echelon_hardware_concurrency",
       echelon::benchutil::hardware_concurrency_context());
-  benchmark::AddCustomContext("echelon_pool_participants",
-                              echelon::benchutil::pool_participants_context());
   // Behavioural fingerprint of the hot path (allocator cache hit rate,
   // reallocation counts, ...) so BENCH_hotpath.json timing shifts can be
   // cross-read against scheduler behaviour (bench_util.hpp).

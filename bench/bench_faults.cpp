@@ -49,11 +49,9 @@ int main() {
   const BytesPerSec port = gbps(25);
   const double oversub = 2.0;
 
-  // Fabric replica used only for chaos target selection -- must match the
-  // shape run_experiment builds for FabricKind::kLeafSpine.
-  const auto fabric = topology::make_leaf_spine(
-      {.leaves = 2, .spines = 2, .hosts_per_leaf = 8, .host_link = port,
-       .uplink = 8 * port / (2 * oversub)});
+  // The fabric run_experiment builds, used here for chaos target selection.
+  const auto fabric = cluster::build_fabric(cluster::FabricKind::kLeafSpine,
+                                            hosts, port, oversub);
   std::size_t workers = 0;
   for (const auto& j : jobs) workers += static_cast<std::size_t>(j.ranks);
 

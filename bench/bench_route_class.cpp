@@ -158,13 +158,8 @@ BENCHMARK(BM_RouteClassFillAllDistinct)
 // and every lookup pays a forward walk plus an intern.
 
 void BM_RouteLookup(benchmark::State& state) {
-  constexpr BytesPerSec kPort = gbps(25);
-  const topology::BuiltFabric fabric = topology::make_leaf_spine(
-      {.leaves = kHosts / 8,
-       .spines = 2,
-       .hosts_per_leaf = 8,
-       .host_link = kPort,
-       .uplink = 8 * kPort / (2 * 2.0)});
+  const topology::BuiltFabric fabric = cluster::build_fabric(
+      cluster::FabricKind::kLeafSpine, kHosts, gbps(25), 2.0);
   struct Lookup {
     NodeId src;
     NodeId dst;
@@ -205,8 +200,6 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext(
       "echelon_hardware_concurrency",
       echelon::benchutil::hardware_concurrency_context());
-  benchmark::AddCustomContext("echelon_pool_participants",
-                              echelon::benchutil::pool_participants_context());
   benchmark::AddCustomContext("echelon_metrics",
                               echelon::benchutil::hotpath_metrics_context());
   benchmark::Initialize(&argc, argv);

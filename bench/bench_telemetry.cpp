@@ -211,8 +211,6 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext(
       "echelon_hardware_concurrency",
       echelon::benchutil::hardware_concurrency_context());
-  benchmark::AddCustomContext("echelon_pool_participants",
-                              echelon::benchutil::pool_participants_context());
   benchmark::AddCustomContext("echelon_metrics",
                               echelon::benchutil::hotpath_metrics_context());
   benchmark::Initialize(&argc, argv);

@@ -15,7 +15,6 @@
 
 #include "cluster/experiment.hpp"
 #include "cluster/trace.hpp"
-#include "common/pool.hpp"
 #include "echelon/coflow_madd.hpp"
 #include "echelon/echelon_madd.hpp"
 #include "echelon/registry.hpp"
@@ -76,19 +75,11 @@ inline bool warn_if_not_release() {
 }
 
 // --- machine-shape context ---------------------------------------------------
-// Every gbench main records the host's hardware concurrency and the shared
-// ThreadPool's participant count in its JSON context
-// (`echelon_hardware_concurrency` / `echelon_pool_participants`). The
-// throughput_vs_threads bench family only makes sense relative to the
-// machine shape it ran on; tools/check_bench_regression.py refuses to gate
-// thread-scaling numbers against a baseline recorded on a differently-
-// shaped host.
+// Every gbench main records the host's hardware concurrency in its JSON
+// context (`echelon_hardware_concurrency`), so a baseline can be read
+// against the machine it was recorded on.
 [[nodiscard]] inline std::string hardware_concurrency_context() {
   return std::to_string(std::thread::hardware_concurrency());
-}
-
-[[nodiscard]] inline std::string pool_participants_context() {
-  return std::to_string(ThreadPool::shared().concurrency());
 }
 
 // --- metrics context for machine-readable bench output -----------------------

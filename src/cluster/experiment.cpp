@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
-#include "common/pool.hpp"
 #include "common/timer.hpp"
 #include "echelon/coflow_madd.hpp"
 #include "echelon/sincronia.hpp"
@@ -19,6 +21,40 @@
 #include "workload/tp.hpp"
 
 namespace echelon::cluster {
+
+topology::BuiltFabric build_fabric(FabricKind kind, int hosts,
+                                   BytesPerSec port_capacity,
+                                   double oversubscription) {
+  constexpr int kHostsPerLeaf = 8;
+  constexpr int kSpines = 2;
+  if (hosts < 2) {
+    throw std::invalid_argument("fabric: hosts must be >= 2, got " +
+                                std::to_string(hosts));
+  }
+  if (!(std::isfinite(port_capacity) && port_capacity > 0.0)) {
+    throw std::invalid_argument(
+        "fabric: port capacity must be finite and > 0");
+  }
+  if (!(std::isfinite(oversubscription) && oversubscription > 0.0)) {
+    throw std::invalid_argument(
+        "fabric: oversubscription must be finite and > 0");
+  }
+  if (kind == FabricKind::kBigSwitch) {
+    return topology::make_big_switch(hosts, port_capacity);
+  }
+  if (hosts % kHostsPerLeaf != 0) {
+    throw std::invalid_argument(
+        "fabric: leaf-spine hosts must be a multiple of 8, got " +
+        std::to_string(hosts));
+  }
+  return topology::make_leaf_spine(
+      {.leaves = hosts / kHostsPerLeaf,
+       .spines = kSpines,
+       .hosts_per_leaf = kHostsPerLeaf,
+       .host_link = port_capacity,
+       .uplink = kHostsPerLeaf * port_capacity /
+                 (kSpines * oversubscription)});
+}
 
 workload::GeneratedJob generate_job_workflow(const JobSpec& spec,
                                              const workload::Placement& placement,
@@ -110,22 +146,9 @@ void record_job_metrics(LiveJob& lj, JobId id) {
 
 ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
                                 const ExperimentConfig& config) {
-  assert(config.hosts >= 2);
-  topology::BuiltFabric fabric;
-  if (config.fabric == FabricKind::kBigSwitch) {
-    fabric = topology::make_big_switch(config.hosts, config.port_capacity);
-  } else {
-    const int hosts_per_leaf = 8;
-    const int leaves = std::max(1, config.hosts / hosts_per_leaf);
-    const int spines = 2;
-    fabric = topology::make_leaf_spine(
-        {.leaves = leaves,
-         .spines = spines,
-         .hosts_per_leaf = hosts_per_leaf,
-         .host_link = config.port_capacity,
-         .uplink = hosts_per_leaf * config.port_capacity /
-                   (spines * config.oversubscription)});
-  }
+  topology::BuiltFabric fabric =
+      build_fabric(config.fabric, config.hosts, config.port_capacity,
+                   config.oversubscription);
   netsim::Simulator sim(&fabric.topo);
 
   // Scheduler stack. The coordinator owns its registry; other schedulers
@@ -177,14 +200,6 @@ ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
     scheduler = pq.get();
   }
   sim.set_scheduler(scheduler);
-
-  // Intra-run parallelism wiring (DESIGN.md §10): hand the process-wide
-  // shared pool to the simulator's allocator water-fill. threads == 1 leaves
-  // everything serial and never touches the pool. Safe under run_sweep:
-  // nested dispatches from pool workers run inline-serially.
-  if (config.threads != 1) {
-    sim.set_parallelism(&ThreadPool::shared(), config.threads);
-  }
 
   // Observability wiring (DESIGN.md §9): read-only emitters, null-guarded at
   // every site. The coordinator's kHeuristicRun/kReuseHit and the fault

@@ -14,6 +14,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/coordinator.hpp"
+#include "topology/builders.hpp"
 
 namespace echelon::cluster {
 
@@ -43,6 +44,17 @@ enum class FabricKind {
   kLeafSpine,  // two-tier Clos; oversubscription makes the core contend
 };
 
+// The one place a FabricKind becomes a topology, shared by run_experiment,
+// the online service, the CLI and the tests. A big switch gets `hosts` ports
+// of `port_capacity`; a leaf-spine gets hosts/8 leaves of 8 hosts and 2
+// spines whose uplinks carry 8 * port_capacity / (2 * oversubscription)
+// each. Throws std::invalid_argument when hosts < 2, when a leaf-spine host
+// count is not a multiple of 8, or when port_capacity or oversubscription is
+// <= 0 or not finite.
+[[nodiscard]] topology::BuiltFabric build_fabric(FabricKind kind, int hosts,
+                                                 BytesPerSec port_capacity,
+                                                 double oversubscription);
+
 struct ExperimentConfig {
   SchedulerKind scheduler = SchedulerKind::kEchelonMadd;
 
@@ -52,9 +64,8 @@ struct ExperimentConfig {
   FabricKind fabric = FabricKind::kBigSwitch;
   int hosts = 16;
   BytesPerSec port_capacity = gbps(100);
-  // Leaf-spine only: hosts-per-leaf / uplink oversubscription ratio; the
-  // fabric gets hosts/8 leaves of 8 hosts and 2 spines whose uplinks carry
-  // 8 * port_capacity / (2 * oversubscription) each.
+  // Leaf-spine only: hosts-per-leaf / uplink oversubscription ratio (see
+  // build_fabric for the shape).
   double oversubscription = 1.0;
 
   // Scheduler knobs.
@@ -71,17 +82,6 @@ struct ExperimentConfig {
   // non-null plan with zero events produces byte-identical results to
   // nullptr (proven by tests/test_faults.cpp).
   const faultsim::FaultPlan* fault_plan = nullptr;
-
-  // --- intra-run parallelism (DESIGN.md §10) ---
-  // Worker count for the allocator's per-component water-fill, which goes to
-  // the pool only on passes above RateAllocator::kMinParallelFillFlows.
-  // 1 = fully serial (default; no pool touched); 0 = all participants of
-  // the process-wide shared pool; N = at most N participants. Results are
-  // bit-identical at every setting -- the parallel fill executes the same FP
-  // expressions on the same operands and merges in a deterministic order
-  // (tests/test_parallel_equivalence.cpp pins this). Nested-safe under run_sweep: inner dispatches from sweep workers
-  // run inline-serially on the shared pool.
-  unsigned threads = 1;
 
   // --- observability (DESIGN.md §9) ---
   // Optional structured-event sink, threaded into the Simulator, the

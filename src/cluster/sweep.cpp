@@ -1,44 +1,49 @@
 #include "cluster/sweep.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <system_error>
 #include <thread>
-
-#include "common/pool.hpp"
 
 namespace echelon::cluster {
 
-namespace {
-
-[[nodiscard]] unsigned resolve_threads(unsigned requested,
-                                       std::size_t n) noexcept {
-  unsigned t = requested;
-  if (t == 0) {
-    t = std::thread::hardware_concurrency();
-    if (t == 0) t = 1;
-  }
-  // Never engage more workers than there are points.
-  t = static_cast<unsigned>(
-      std::min<std::size_t>(t, std::max<std::size_t>(n, 1)));
-  return std::max(1u, t);
-}
-
-}  // namespace
-
 void parallel_for_indexed(std::size_t n, unsigned threads,
                           const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  threads = resolve_threads(threads, n);
-
-  // Dispatch onto the process-wide shared pool instead of spawning a
-  // per-call thread vector (satellite of DESIGN.md §10): repeated sweeps
-  // reuse parked workers, and a sweep point that itself runs a threaded
-  // simulator nests safely -- ThreadPool::run detects re-entry from a pool
-  // task and degrades to an inline serial loop rather than deadlocking on
-  // its own workers. The pool preserves this function's contract: every
-  // index is attempted exactly once and the lowest failing index is
-  // rethrown, matching what a serial loop would have thrown first.
-  ThreadPool::shared().run(n, threads,
-                           [&fn](unsigned, std::size_t i) { fn(i); });
+  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
+  // One exception slot per index: every index is attempted, and the scan
+  // after the join rethrows what a serial loop would have thrown first.
+  std::vector<std::exception_ptr> errors(n);
+  const auto run_one = [&](std::size_t i) {
+    try {
+      fn(i);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  };
+  if (threads <= 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) run_one(i);
+  } else {
+    std::atomic<std::size_t> next{0};
+    const auto drain = [&] {
+      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+           i = next.fetch_add(1, std::memory_order_relaxed)) {
+        run_one(i);
+      }
+    };
+    const std::size_t width = std::min<std::size_t>(threads, n);
+    std::vector<std::thread> workers;
+    workers.reserve(width);
+    try {
+      for (std::size_t w = 0; w < width; ++w) workers.emplace_back(drain);
+    } catch (const std::system_error&) {
+      drain();  // out of threads: the caller takes whatever is left
+    }
+    for (std::thread& t : workers) t.join();
+  }
+  for (const std::exception_ptr& ep : errors) {
+    if (ep) std::rethrow_exception(ep);
+  }
 }
 
 std::vector<ExperimentResult> run_sweep(const std::vector<SweepPoint>& points,

@@ -9,16 +9,13 @@
 // `wall_ms` timing field is the only exception). The golden suite asserts
 // exactly this.
 //
-// Scheduling: points dispatch onto the process-wide echelon::ThreadPool
-// (common/pool.hpp) -- no per-call thread spawn; repeated sweeps reuse
-// parked workers. Workers steal point indices from per-worker atomic
-// cursors (dynamic load balancing; sweep points can differ wildly in
-// cost). Exceptions thrown by a point are captured and rethrown on the
-// calling thread -- the lowest failing index wins, matching serial
-// semantics. Nested-parallelism safe: a sweep point whose experiment
-// config enables intra-run parallelism (ExperimentConfig::threads) shares
-// the same pool; inner dispatches from pool workers run inline-serially
-// by construction, so a sweep can never deadlock on its own workers.
+// Scheduling: run_sweep is the codebase's one threading level (DESIGN.md
+// §10). Each call spawns min(threads, points) plain std::threads that take
+// point indices from one shared atomic counter (dynamic load balancing;
+// sweep points can differ wildly in cost) and joins them before returning.
+// Points run for seconds, so the per-call spawn is noise. Exceptions thrown
+// by a point are captured and rethrown on the calling thread -- the lowest
+// failing index wins, matching serial semantics.
 
 #pragma once
 
@@ -40,7 +37,7 @@ struct SweepPoint {
 
 struct SweepOptions {
   // Worker threads. 0 = one per hardware thread (at least 1); 1 = run
-  // serially on the calling thread (no pool spawned).
+  // serially on the calling thread (no thread spawned).
   unsigned threads = 0;
 };
 
@@ -48,7 +45,7 @@ struct SweepOptions {
 // passed to run_sweep, every point gets its *own* MetricsRegistry, created
 // and written exclusively on the worker thread that runs the point
 // (thread-confined: registries are not thread-safe and never need to be
-// here). After the pool joins, the per-point snapshots are stored in point
+// here). After the workers join, the per-point snapshots are stored in point
 // order and merged deterministically -- the merged snapshot is identical for
 // any thread count. A point whose config already carries a `metrics`
 // registry keeps it (the caller owns that one; its snapshot is still
@@ -69,8 +66,10 @@ struct SweepCapture {
 // Deterministic parallel-for underlying run_sweep, exposed for benches whose
 // per-point runner is not run_experiment. Invokes fn(i) for every
 // i in [0, n) exactly once across `threads` workers (same semantics for
-// `threads` as SweepOptions::threads). fn must not touch shared mutable
-// state except through index i. Rethrows the lowest-index exception.
+// `threads` as SweepOptions::threads). With one worker or n <= 1 the loop
+// runs inline on the calling thread and spawns nothing. fn must not touch
+// shared mutable state except through index i. Every index is attempted
+// even after one throws; the lowest-index exception is rethrown.
 void parallel_for_indexed(std::size_t n, unsigned threads,
                           const std::function<void(std::size_t)>& fn);
 

@@ -10,22 +10,17 @@
 // O(N) clear, no allocation. Arenas grow to their high-water mark once and
 // are reused forever after ("zero heap allocations in steady state").
 //
-// Three containers:
-//   * EpochScratch<T>  -- dense array keyed by a small integer id, with a
+// Two containers:
+//   * EpochScratch<T> -- dense array keyed by a small integer id, with a
 //     touched-list so sparse passes can iterate exactly the slots they wrote.
-//   * KeySlotMap       -- open-addressing map from an *arbitrary* 64-bit key
+//   * KeySlotMap      -- open-addressing map from an *arbitrary* 64-bit key
 //     to a uint32 payload, for group keys that are not dense (e.g.
 //     singleton coflow keys with the high bit set). Also epoch-cleared.
-//   * WorkerScratch<T> -- one arena slot per pool participant for parallel
-//     passes (DESIGN.md §10), cache-line aligned, with a per-worker pass
-//     epoch and a debug-build owner-thread check so cross-thread arena
-//     reuse fails loudly instead of corrupting silently.
 
 #pragma once
 
 #include <cassert>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 namespace echelon {
@@ -169,55 +164,6 @@ class KeySlotMap {
   std::vector<std::uint32_t> vals_;
   std::vector<std::uint64_t> stamps_;
   std::uint64_t epoch_ = 0;
-};
-
-// One T per pool participant for parallel passes. The value slots persist
-// across passes (arena semantics: a worker's vectors keep their high-water
-// capacity), so steady-state parallel fills allocate nothing. Slots are
-// cache-line aligned -- neighbouring workers' arenas never share a line.
-//
-// Thread confinement contract: within one pass (begin_pass .. the join)
-// slot w may be touched by exactly one thread. Debug builds enforce it: the
-// first at(w) in a pass binds the slot to the calling thread, and any later
-// at(w) from a different thread asserts -- cross-thread arena reuse would
-// otherwise corrupt both workers' state silently in release builds.
-template <typename T>
-class WorkerScratch {
- public:
-  // Starts a pass with `workers` usable slots, growing the slot array if
-  // needed (existing values preserved -- arenas, not fresh state). Resets
-  // the debug owner bindings.
-  void begin_pass(unsigned workers) {
-    if (slots_.size() < workers) slots_.resize(workers);
-    ++epoch_;
-  }
-
-  // Slot `worker`, callable only from the one thread that owns it this pass
-  // (debug-checked; see the confinement contract above).
-  [[nodiscard]] T& at(unsigned worker) {
-    assert(worker < slots_.size());
-    Slot& s = slots_[worker];
-#ifndef NDEBUG
-    if (s.owner_epoch != epoch_) {
-      s.owner_epoch = epoch_;
-      s.owner = std::this_thread::get_id();
-    }
-    assert(s.owner == std::this_thread::get_id() &&
-           "WorkerScratch slot touched from two threads in one pass");
-#endif
-    return s.value;
-  }
-
- private:
-  struct alignas(64) Slot {
-    T value{};
-#ifndef NDEBUG
-    std::uint64_t owner_epoch = 0;  // 0 = unbound (epoch_ starts at 1)
-    std::thread::id owner{};
-#endif
-  };
-  std::vector<Slot> slots_;
-  std::uint64_t epoch_ = 1;
 };
 
 }  // namespace echelon

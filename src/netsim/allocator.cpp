@@ -151,76 +151,38 @@ std::uint32_t RateAllocator::water_fill(std::span<Flow*> flows, SimTime now) {
       comp_start_, comp_cursor_, comp_members_);
 
   // --- Phase C: equivalence-class partition of every component's members,
-  // plus each component's deduped link list. Serial; the fills below only
-  // read its output. ---
+  // plus each component's deduped link list. The fills below only read its
+  // output. ---
   partition_classes();
 
-  // --- Phase D: water-fill every component, then merge.
-  //
-  // The fills -- pure functions of per-component inputs writing only their
-  // own class rates and their own (link-disjoint) links_ slots -- run in
-  // any order on any thread (DESIGN.md §10); every order-sensitive effect
-  // (rate scatter, stats, kCompFill emission) happens serially, in
-  // ascending-component order. Serial and parallel passes execute identical
-  // floating-point expressions on identical operands, so rates, stats, the
-  // dirty set and the trace stream are bit-identical at any thread
-  // count. ---
-  //
-  // Per-component trace emission: one kCompFill (member count) + one
-  // kClassFill (class count) pair, keyed on the component id so the merged
-  // stream is in ascending-component order at any thread count (same-key
-  // ties resolve by per-shard emission order -- the pair stays adjacent).
+  // --- Phase D: water-fill every component in ascending-component order,
+  // each followed by its kCompFill (member count) and kClassFill (class
+  // count) events, then merge. ---
   const bool emit_comps = trace_ != nullptr && trace_components_;
-  const auto comp_fill_event = [&](std::uint32_t c) {
-    return obs::TraceEvent{
-        .kind = obs::TraceKind::kCompFill,
-        .t = now,
-        .id = pass_ - 1,
-        .job = obs::TraceEvent::kNone,
-        .ctx = c,
-        .value = static_cast<double>(comp_start_[c + 1] - comp_start_[c])};
-  };
-  const auto class_fill_event = [&](std::uint32_t c) {
-    return obs::TraceEvent{
-        .kind = obs::TraceKind::kClassFill,
-        .t = now,
-        .id = pass_ - 1,
-        .job = obs::TraceEvent::kNone,
-        .ctx = c,
-        .value = static_cast<double>(comp_class_start_[c + 1] -
-                                     comp_class_start_[c])};
-  };
-  if (pool_ != nullptr && n >= kMinParallelFillFlows) {
-    const unsigned workers =
-        std::min<unsigned>(threads_ == 0 ? pool_->concurrency() : threads_,
-                           pool_->concurrency());
-    fill_scratch_.begin_pass(workers);
-    if (emit_comps) comp_shards_.begin(workers);
-    pool_->run(comps, workers, [&](unsigned w, std::size_t i) {
-      const auto c = static_cast<std::uint32_t>(i);
-      fill_component_class(c, fill_scratch_.at(w));
-      if (emit_comps) {
-        comp_shards_.record(w, c, comp_fill_event(c));
-        comp_shards_.record(w, c, class_fill_event(c));
-      }
-    });
-    if (emit_comps) comp_shards_.merge_into(*trace_);
-  } else {
-    fill_scratch_.begin_pass(1);
-    FillScratch& fs = fill_scratch_.at(0);
-    for (std::uint32_t c = 0; c < comps; ++c) {
-      fill_component_class(c, fs);
-      if (emit_comps) {
-        trace_->record(comp_fill_event(c));
-        trace_->record(class_fill_event(c));
-      }
+  for (std::uint32_t c = 0; c < comps; ++c) {
+    fill_component_class(c);
+    if (emit_comps) {
+      trace_->record(obs::TraceEvent{
+          .kind = obs::TraceKind::kCompFill,
+          .t = now,
+          .id = pass_ - 1,
+          .job = obs::TraceEvent::kNone,
+          .ctx = c,
+          .value = static_cast<double>(comp_start_[c + 1] - comp_start_[c])});
+      trace_->record(obs::TraceEvent{
+          .kind = obs::TraceKind::kClassFill,
+          .t = now,
+          .id = pass_ - 1,
+          .job = obs::TraceEvent::kNone,
+          .ctx = c,
+          .value = static_cast<double>(comp_class_start_[c + 1] -
+                                       comp_class_start_[c])});
     }
   }
 
-  // Deterministic merge: the converged rates fan back out to the flows in a
-  // serial scatter. (Fills write only cls_rate_; Flow::rate is written here
-  // and nowhere else on the fill path, so the result is independent of
-  // thread count.)
+  // The converged class rates fan back out to the flows. (Fills write only
+  // cls_rate_; Flow::rate is written here and nowhere else on the fill
+  // path.)
   stats_.components += comps;
   stats_.components_filled += comps;
   stats_.classes += n_classes_;
@@ -279,8 +241,7 @@ void RateAllocator::partition_classes() {
   // bucket are contiguous in class-id space, so the match scan is a short
   // walk over the bucket's own classes (distinct weight/cap pairs per
   // route are few in practice; singletons trivially so). Class ids are
-  // assigned in (route key, first-member) order -- deterministic, and
-  // identical at any thread count.
+  // assigned in (route key, first-member) order, which is deterministic.
   n_classes_ = 0;
   cls_weight_.clear();
   cls_cap_.clear();
@@ -386,14 +347,9 @@ void RateAllocator::partition_classes() {
 //      member (the subtraction repeats count times -- the identical
 //      per-link value sequence as consecutive per-flow members).
 // Each round freezes at least one unit or saturates at least one link, so
-// the loop terminates in O(units + links) rounds. Components are
-// link-disjoint by construction, so concurrent fills of distinct
-// components are race-free (the mutable working set `fs` is
-// thread-confined per participant). The test certifier (tests/certify.hpp)
-// holds every pass to the weighted max-min definition.
-void RateAllocator::fill_component_class(std::uint32_t c, FillScratch& fs) {
-  std::vector<std::uint32_t>& unfrozen_ = fs.unfrozen;
-  std::vector<std::uint32_t>& next_ = fs.next;
+// the loop terminates in O(units + links) rounds. The test certifier
+// (tests/certify.hpp) holds every pass to the weighted max-min definition.
+void RateAllocator::fill_component_class(std::uint32_t c) {
   unfrozen_.assign(comp_classes_.begin() + comp_class_start_[c],
                    comp_classes_.begin() + comp_class_start_[c + 1]);
   const std::uint32_t link_begin = comp_link_start_[c];

@@ -16,8 +16,7 @@
 // contention graph -- two flows that share no links cannot influence each
 // other's rates. Every pass therefore partitions the contended flows into
 // link-contention components (an epoch-stamped union-find threaded through
-// the dense per-link scratch) and water-fills each component independently;
-// components are also the unit of intra-pass parallelism.
+// the dense per-link scratch) and water-fills each component independently.
 //
 // Explicit-rate return (DESIGN.md §7): the MADD-family, SRPT, Aalo and
 // Sincronia schedulers hand over rates, not weights -- each caps every flow
@@ -56,7 +55,6 @@
 #include <span>
 #include <vector>
 
-#include "common/pool.hpp"
 #include "common/scratch.hpp"
 #include "common/time.hpp"
 #include "netsim/flow.hpp"
@@ -99,35 +97,13 @@ class RateAllocator {
   // kFlow), every water-filled component emits a kCompFill event
   // (id = pass index, ctx = component id, value = member count) followed by
   // a kClassFill event (same keys, value = equivalence-class count) in
-  // ascending-component order -- parallel fills record into per-worker
-  // shards and merge on the same key, so the stream is bit-identical at any
-  // thread count. nullptr (the default) detaches: the emission site reduces
-  // to a single pointer compare and the pass performs no extra work.
+  // ascending-component order. nullptr (the default) detaches: the emission
+  // site reduces to a single pointer compare and the pass performs no extra
+  // work.
   void set_trace(obs::TraceSink* sink, bool per_component = false) noexcept {
     trace_ = sink;
     trace_components_ = sink != nullptr && per_component;
   }
-
-  // Intra-pass parallelism (DESIGN.md §10): water-fill independent
-  // contention components on up to `threads` pool participants. Components
-  // are link-disjoint, each fill writes only its own members' rates and its
-  // own links' scratch slots, and every order-sensitive effect (rate
-  // scatter, stats, dirty-set handoff, trace emission) happens serially
-  // after the join -- so results, stats and
-  // traces are bit-identical to the serial pass at any thread count.
-  // threads == 1 or pool == nullptr restores the serial path (the
-  // default); threads == 0 uses every pool participant. A pass dispatches
-  // only when its components hold at least kMinParallelFillFlows member
-  // flows in total; smaller passes fill
-  // serially, since one dispatch costs more than the whole fill there.
-  void set_parallelism(ThreadPool* pool, unsigned threads) noexcept {
-    pool_ = threads == 1 ? nullptr : pool;
-    threads_ = threads;
-  }
-  // Work cutoff for the parallel fill (DESIGN.md §10): contended flows in
-  // the pass. The cutoff cannot affect results --
-  // both paths are bit-identical -- only where the time goes.
-  static constexpr std::size_t kMinParallelFillFlows = 1024;
 
   // Flows whose `rate` differs from the value they carried into the last
   // allocate() pass, in span order. This is the dirty set the Simulator
@@ -183,15 +159,6 @@ class RateAllocator {
   };
   static constexpr std::uint32_t kInvalidIndex = 0xffffffffu;
 
-  // Thread-confined working set of one water-fill: the unfrozen member list
-  // and its next-round double buffer. One per pool participant
-  // (WorkerScratch) so concurrent component fills never share them; the
-  // serial path uses slot 0.
-  struct FillScratch {
-    std::vector<std::uint32_t> unfrozen;
-    std::vector<std::uint32_t> next;
-  };
-
   // The explicit-rate test: true when every contended flow carries a cap
   // and every link's cap sum is at most its capacity * (1 + kNoise). Bails
   // at the first uncapped contended flow or overfull link (caps are > 0, so
@@ -204,23 +171,19 @@ class RateAllocator {
   [[nodiscard]] std::uint32_t uf_find(std::uint32_t slot) noexcept;
   // Partitions every component's members into (route, weight, cap)
   // equivalence classes and builds each component's deduped link list.
-  // Serial; output is read-only during the (possibly parallel) fills. See
-  // allocate() Phase C.
+  // Output is read-only during the fills. See water_fill() Phase C.
   void partition_classes();
   // Progressive filling of component `c` at class granularity: the working
   // units are the component's classes and converged rates land in
-  // cls_rate_. Touches only the component's own links_/class state plus
-  // `fs` -- safe to run concurrently for distinct components with distinct
-  // scratch.
-  void fill_component_class(std::uint32_t c, FillScratch& fs);
+  // cls_rate_. Touches only the component's own links_/class state plus the
+  // unfrozen_/next_ working set.
+  void fill_component_class(std::uint32_t c);
 
   const topology::Topology* topo_;
   Stats stats_;
   std::uint64_t pass_ = 0;
   obs::TraceSink* trace_ = nullptr;  // null => zero-cost emission branch
   bool trace_components_ = false;    // emit kCompFill per filled component
-  ThreadPool* pool_ = nullptr;       // null => serial fills (the default)
-  unsigned threads_ = 1;
 
   // --- reusable arenas (allocation-free after warm-up) ---
   topology::LinkScratch<double> cap_sum_;  // caps_fit(): per-link cap sums
@@ -235,8 +198,9 @@ class RateAllocator {
   // Slots bucketed by component, ascending slot within: the canonical unit
   // order the fill follows.
   std::vector<std::uint32_t> comp_members_;
-  WorkerScratch<FillScratch> fill_scratch_; // per-participant fill arenas
-  obs::TraceShards comp_shards_;            // parallel kCompFill emission
+  // One water-fill's unfrozen class list and its next-round double buffer.
+  std::vector<std::uint32_t> unfrozen_;
+  std::vector<std::uint32_t> next_;
   std::vector<double> prev_rate_;           // span-parallel rate snapshot
   std::vector<Flow*> rate_changed_;
 

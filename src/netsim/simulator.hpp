@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "common/ids.hpp"
-#include "common/pool.hpp"
 #include "common/time.hpp"
 #include "netsim/allocator.hpp"
 #include "netsim/compute.hpp"
@@ -160,19 +159,6 @@ class Simulator {
   // `scheduler` must outlive the simulator run. Defaults to fair sharing.
   void set_scheduler(NetworkScheduler* scheduler) noexcept;
   [[nodiscard]] NetworkScheduler& scheduler() noexcept { return *scheduler_; }
-
-  // --- intra-run parallelism (DESIGN.md §10) ---
-  // Forwards to the allocator, whose per-component water-fill is the only
-  // section a run dispatches onto the pool (and only above
-  // RateAllocator::kMinParallelFillFlows). Results are bit-identical at any
-  // thread count (the threaded golden-equivalence suite pins this).
-  // threads == 1 or pool == nullptr restores the fully serial simulator
-  // (the default); threads == 0 uses every pool participant. Nested use --
-  // a parallel simulator inside a run_sweep worker -- is safe: the fill
-  // executes inline-serially (ThreadPool nested-dispatch rule).
-  void set_parallelism(ThreadPool* pool, unsigned threads) noexcept {
-    allocator_.set_parallelism(pool, threads);
-  }
 
   // --- observability (DESIGN.md §9) ---
   // Attaches a structured-event sink. Emitters only ever *read* simulation

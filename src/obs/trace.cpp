@@ -119,30 +119,4 @@ void TraceRecorder::clear() {
   labels_.clear();
 }
 
-void TraceShards::begin(std::size_t workers) {
-  if (shards_.size() < workers) shards_.resize(workers);
-  for (Shard& s : shards_) s.events.clear();
-}
-
-void TraceShards::record(std::size_t w, std::uint64_t order_key,
-                         const TraceEvent& ev) {
-  Shard& s = shards_[w];
-  s.events.push_back(Keyed{order_key, static_cast<std::uint32_t>(w),
-                           static_cast<std::uint32_t>(s.events.size()), ev});
-}
-
-void TraceShards::merge_into(TraceSink& sink) {
-  merged_.clear();
-  for (const Shard& s : shards_) {
-    merged_.insert(merged_.end(), s.events.begin(), s.events.end());
-  }
-  std::sort(merged_.begin(), merged_.end(),
-            [](const Keyed& a, const Keyed& b) {
-              if (a.key != b.key) return a.key < b.key;
-              if (a.shard != b.shard) return a.shard < b.shard;
-              return a.seq < b.seq;
-            });
-  for (const Keyed& k : merged_) sink.record(k.ev);
-}
-
 }  // namespace echelon::obs

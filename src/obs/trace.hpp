@@ -173,54 +173,4 @@ class TraceRecorder final : public TraceSink {
   std::unordered_map<std::uint64_t, std::string> labels_;
 };
 
-// Thread-confined trace shards for parallel emitters (DESIGN.md §10).
-//
-// TraceSinks are not thread-safe, so a parallel section must never record
-// into one directly -- and even a locked sink would record in *scheduling*
-// order, breaking the bit-identical-at-any-thread-count contract. Instead
-// each pool worker records into its own shard, tagging every event with a
-// deterministic order key (e.g. the component id), and after the join the
-// orchestrating thread forwards everything to the real sink sorted by that
-// key. Keys unique within a pass give a total order independent of which
-// worker emitted what, so the downstream sink observes the exact event
-// stream a serial emitter would have produced.
-//
-// Arena semantics: shard and merge buffers keep their high-water capacity
-// across passes, so steady-state parallel emission allocates nothing.
-class TraceShards {
- public:
-  // Starts a pass with `workers` usable shards (grown as needed, never
-  // shrunk) and clears every shard.
-  void begin(std::size_t workers);
-
-  // Records `ev` into worker `w`'s shard. Thread-confined: each worker
-  // index is used by exactly one thread per pass (the same contract as
-  // WorkerScratch).
-  void record(std::size_t w, std::uint64_t order_key, const TraceEvent& ev);
-
-  // Forwards every recorded event to `sink` in ascending order_key order
-  // (ties broken by worker index, then per-shard emission order -- but
-  // callers use unique keys, making the order fully deterministic). Called
-  // from the orchestrating thread after the parallel section has joined.
-  void merge_into(TraceSink& sink);
-
-  [[nodiscard]] std::size_t shard_count() const noexcept {
-    return shards_.size();
-  }
-
- private:
-  struct Keyed {
-    std::uint64_t key;
-    std::uint32_t shard;
-    std::uint32_t seq;  // per-shard emission order (tie-break stability)
-    TraceEvent ev;
-  };
-  // Padded so neighbouring workers' shard vectors never share a cache line.
-  struct alignas(64) Shard {
-    std::vector<Keyed> events;
-  };
-  std::vector<Shard> shards_;
-  std::vector<Keyed> merged_;  // reused across passes
-};
-
 }  // namespace echelon::obs

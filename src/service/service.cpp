@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/pool.hpp"
 #include "common/timer.hpp"
 #include "echelon/coflow_madd.hpp"
 #include "echelon/sincronia.hpp"
@@ -16,31 +15,6 @@
 #include "workload/paradigm.hpp"
 
 namespace echelon::service {
-
-namespace {
-
-topology::BuiltFabric make_fabric(const ServiceConfig& config) {
-  if (config.hosts < 2) {
-    throw std::invalid_argument("ServiceLoop: hosts must be >= 2");
-  }
-  if (config.fabric == cluster::FabricKind::kBigSwitch) {
-    return topology::make_big_switch(config.hosts, config.port_capacity);
-  }
-  // Same shape as run_experiment: hosts/8 leaves of 8 hosts, 2 spines,
-  // uplinks carrying 8 * port_capacity / (2 * oversubscription) each.
-  const int hosts_per_leaf = 8;
-  const int leaves = std::max(1, config.hosts / hosts_per_leaf);
-  const int spines = 2;
-  return topology::make_leaf_spine(
-      {.leaves = leaves,
-       .spines = spines,
-       .hosts_per_leaf = hosts_per_leaf,
-       .host_link = config.port_capacity,
-       .uplink = hosts_per_leaf * config.port_capacity /
-                 (spines * config.oversubscription)});
-}
-
-}  // namespace
 
 template <typename F>
 void ServiceLoop::profiled(std::string_view phase, F&& fn) {
@@ -57,7 +31,9 @@ ServiceLoop::ServiceLoop(const ServiceConfig& config,
                          std::optional<faultsim::FaultPlan> owned_plan)
     : config_(config),
       owned_plan_(std::move(owned_plan)),
-      fabric_(make_fabric(config_)),
+      fabric_(cluster::build_fabric(config_.fabric, config_.hosts,
+                                    config_.port_capacity,
+                                    config_.oversubscription)),
       sim_(&fabric_.topo) {
   if (config_.control_period <= 0.0) {
     throw std::invalid_argument("ServiceLoop: control_period must be > 0");
@@ -130,10 +106,6 @@ void ServiceLoop::build_stack() {
     scheduler_ = pq_.get();
   }
   sim_.set_scheduler(scheduler_);
-
-  if (config_.threads != 1) {
-    sim_.set_parallelism(&ThreadPool::shared(), config_.threads);
-  }
 
   attach_observability(config_.trace_sink, config_.trace_detail,
                        config_.metrics);

@@ -693,7 +693,6 @@ std::string save_snapshot(const ServiceLoop& loop) {
     w.f64(c.oversubscription);
     w.u8(c.coflow_work_conserving ? 1 : 0);
     w.u32(static_cast<std::uint32_t>(c.priority_queues));
-    w.u32(c.threads);
     w.f64(c.control_period);
     w.u32(static_cast<std::uint32_t>(c.admission.policy));
     w.u64(c.admission.max_running);
@@ -853,7 +852,6 @@ std::unique_ptr<ServiceLoop> restore_snapshot(const std::string& bytes,
     config.oversubscription = c.f64("config.oversubscription");
     config.coflow_work_conserving = c.u8("config.coflow_work_conserving") != 0;
     config.priority_queues = static_cast<int>(c.u32("config.priority_queues"));
-    config.threads = c.u32("config.threads");
     config.control_period = c.f64("config.control_period");
     const std::uint32_t policy = c.u32("config.admission.policy");
     if (policy >

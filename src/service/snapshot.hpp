@@ -67,7 +67,8 @@ inline constexpr char kSnapshotMagic[8] = {'E', 'C', 'H', 'S', 'N', 'A', 'P',
 //     4096-flow record chunk contributes one flow_chunk[c].digest instead.
 // v7: kVerify adds alloc.explicit_passes (allocator passes that returned the
 //     scheduler's caps without a fill).
-inline constexpr std::uint32_t kSnapshotVersion = 7;
+// v8: kConfig drops the threads word (runs are single-threaded).
+inline constexpr std::uint32_t kSnapshotVersion = 8;
 
 // Thrown on any malformed, truncated, corrupt, or divergent snapshot. The
 // message always names what failed and where.

@@ -510,7 +510,6 @@ class ScheduleGenerator final : public service::ArrivalGenerator {
 struct ServiceRunSpec {
   cluster::SchedulerKind scheduler = cluster::SchedulerKind::kEchelonMadd;
   cluster::FabricKind fabric = cluster::FabricKind::kBigSwitch;
-  unsigned threads = 1;
   // Service workers only exist after launch, so plans target links, nodes
   // and jobs (no stragglers), as `serve --chaos` does.
   const faultsim::FaultPlan* plan = nullptr;
@@ -527,7 +526,6 @@ struct ServiceRunSpec {
   cfg.port_capacity = gbps(25);
   cfg.oversubscription =
       spec.fabric == cluster::FabricKind::kLeafSpine ? 2.0 : 1.0;
-  cfg.threads = spec.threads;
   cfg.fault_plan = spec.plan;
   return cfg;
 }

@@ -1,8 +1,8 @@
 // Shared harness for the equivalence and certification suites.
 //
 // The dense-state schedulers promise *bit identity* with their seed
-// implementations (tests/test_dense_equivalence.cpp), and every run is
-// bit-identical at any thread count (tests/test_parallel_equivalence.cpp).
+// implementations (tests/test_dense_equivalence.cpp), and a sweep is
+// bit-identical at any run_sweep width (tests/test_simloop_equivalence.cpp).
 // The event loop and the water-fill are certified against their
 // definitions instead (tests/certify.hpp): tests/test_simloop_equivalence.cpp,
 // tests/test_route_class_equivalence.cpp and tests/test_faults.cpp, the
@@ -11,8 +11,7 @@
 //   - an allocation-counting operator-new hook (off under ASan/TSan),
 //   - a bitwise ExperimentResult comparator,
 //   - the small randomized cluster trace + a run_cluster(jobs, RunSpec)
-//     entry point spanning the scheduler x fabric (x FaultPlan x threads)
-//     matrix,
+//     entry point spanning the scheduler x fabric (x FaultPlan) matrix,
 //   - the scheduler x fabric gtest param fixture with its name generator,
 //   - the simulator-level randomized completion-trace scenario.
 //
@@ -38,7 +37,6 @@
 #include "certify.hpp"
 #include "cluster/experiment.hpp"
 #include "cluster/trace.hpp"
-#include "common/pool.hpp"
 #include "common/rng.hpp"
 #include "echelon/coflow_madd.hpp"
 #include "echelon/echelon_madd.hpp"
@@ -129,11 +127,6 @@ struct RunSpec {
   cluster::SchedulerKind scheduler = cluster::SchedulerKind::kEchelonMadd;
   cluster::FabricKind fabric = cluster::FabricKind::kBigSwitch;
   const faultsim::FaultPlan* plan = nullptr;  // nullptr = fault-free
-  // Intra-run parallelism width (ExperimentConfig::threads): 1 = serial,
-  // 0 = every shared-pool participant, N = at most N. Results must be
-  // bit-identical at every setting -- that IS the axis
-  // tests/test_parallel_equivalence.cpp sweeps.
-  unsigned threads = 1;
   // Optional structured-event capture (differential suites compare whole
   // streams, not just end-of-run aggregates).
   obs::TraceSink* trace_sink = nullptr;
@@ -152,7 +145,6 @@ inline cluster::ExperimentResult run_cluster(
   cfg.oversubscription =
       spec.fabric == cluster::FabricKind::kLeafSpine ? 2.0 : 1.0;
   cfg.fault_plan = spec.plan;
-  cfg.threads = spec.threads;
   cfg.metrics = spec.metrics;
   if (spec.trace_sink != nullptr) {
     cfg.trace_sink = spec.trace_sink;
@@ -187,24 +179,17 @@ inline void expect_same_trace(const obs::TraceRecorder& a,
   }
 }
 
-// The fabric run_cluster builds for chaos-profile target selection (must
-// match run_experiment's shape for the given RunSpec fabric/hosts).
+// The fabric run_cluster builds, for chaos-profile target selection.
 inline topology::BuiltFabric run_cluster_fabric(cluster::FabricKind fabric) {
-  if (fabric == cluster::FabricKind::kBigSwitch) {
-    return topology::make_big_switch(16, gbps(25));
-  }
-  return topology::make_leaf_spine({.leaves = 2,
-                                    .spines = 2,
-                                    .hosts_per_leaf = 8,
-                                    .host_link = gbps(25),
-                                    .uplink = 8 * gbps(25) / (2 * 2.0)});
+  return cluster::build_fabric(
+      fabric, 16, gbps(25),
+      fabric == cluster::FabricKind::kLeafSpine ? 2.0 : 1.0);
 }
 
 // The single bit-identical comparator: every deterministic ExperimentResult
 // field must agree to the bit (wall_ms and build_ms are host timing and
 // excluded). Fault counters are part of the contract -- two runs of the
-// same plan at different thread counts must make identical
-// reroute/park/abandon decisions.
+// same plan must make identical reroute/park/abandon decisions.
 inline void expect_same_result(const cluster::ExperimentResult& a,
                                const cluster::ExperimentResult& b) {
   EXPECT_EQ(a.scheduler_name, b.scheduler_name);
@@ -352,15 +337,6 @@ struct ScenarioOptions {
   // Timers that degrade and restore random link capacities mid-run.
   bool capacity_churn = false;
   netsim::NetworkScheduler* sched = nullptr;  // nullptr = fair sharing
-  // Intra-run parallelism width (see RunSpec::threads). The allocator fill
-  // only dispatches above RateAllocator::kMinParallelFillFlows member
-  // flows, so pair this with `wide` and enough `flows` to reach the pool.
-  unsigned threads = 1;
-  // Wide fixture: flows cycle over the four link-disjoint host pairs
-  // (2k -> 2k+1) and all arrive within the first 20 ms, so most of them
-  // stay concurrently active in four contention components -- enough
-  // fill work per pass for the allocator to dispatch onto the pool.
-  bool wide = false;
   obs::TraceSink* trace_sink = nullptr;  // kFlow detail when set
   // Certifies the run instead (kFlow detail); exclusive with trace_sink.
   certify::Certifier* certifier = nullptr;
@@ -383,9 +359,6 @@ inline ScenarioOutcome run_sim_scenario(std::uint64_t seed,
   auto fabric = topology::make_big_switch(8, gbps(10));
   netsim::Simulator sim(&fabric.topo);
   if (opt.sched != nullptr) sim.set_scheduler(opt.sched);
-  if (opt.threads != 1) {
-    sim.set_parallelism(&ThreadPool::shared(), opt.threads);
-  }
   if (opt.trace_sink != nullptr) {
     sim.set_trace(opt.trace_sink, obs::TraceDetail::kFlow);
   }
@@ -401,20 +374,10 @@ inline ScenarioOutcome run_sim_scenario(std::uint64_t seed,
       });
 
   Rng rng(seed);
-  double group_at = 0.0;  // wide fixture: the current group's arrival
   for (int i = 0; i < opt.flows; ++i) {
-    double at = rng.uniform() * 0.5;
-    auto src = fabric.hosts[rng.uniform_int(fabric.hosts.size())];
-    auto dst = fabric.hosts[rng.uniform_int(fabric.hosts.size())];
-    if (opt.wide) {
-      // Groups of four flows, one per pair, share an arrival instant in the
-      // first 20 ms.
-      const std::size_t pair = static_cast<std::size_t>(i) % 4;
-      if (pair == 0) group_at = at * 0.04;
-      at = group_at;
-      src = fabric.hosts[2 * pair];
-      dst = fabric.hosts[2 * pair + 1];
-    }
+    const double at = rng.uniform() * 0.5;
+    const auto src = fabric.hosts[rng.uniform_int(fabric.hosts.size())];
+    const auto dst = fabric.hosts[rng.uniform_int(fabric.hosts.size())];
     const double size = 1e6 * std::exp(2.0 * rng.normal());
     sim.schedule_at(at, [src, dst, size, i](netsim::Simulator& s) {
       netsim::FlowSpec spec;

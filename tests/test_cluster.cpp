@@ -6,6 +6,8 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
+#include <stdexcept>
 
 #include "cluster/experiment.hpp"
 #include "cluster/trace.hpp"
@@ -192,6 +194,81 @@ TEST(Experiment, OversubscriptionNeverSpeedsThingsUp) {
     return run_experiment(jobs, cfg).iteration_samples().mean();
   };
   EXPECT_LE(run_oversub(1.0), run_oversub(8.0) + 1e-9);
+}
+
+TEST(BuildFabric, BigSwitchAndLeafSpineShapes) {
+  const topology::BuiltFabric bs =
+      build_fabric(FabricKind::kBigSwitch, 2, gbps(25), 1.0);
+  EXPECT_EQ(bs.hosts.size(), 2u);
+  // 64 hosts at 25 Gbps, 2:1: 8 leaves x 2 spines, uplinks carry
+  // 8 * 25 / (2 * 2) Gbps each.
+  const topology::BuiltFabric ls =
+      build_fabric(FabricKind::kLeafSpine, 64, gbps(25), 2.0);
+  EXPECT_EQ(ls.hosts.size(), 64u);
+  double max_capacity = 0.0;
+  for (std::size_t l = 0; l < ls.topo.link_count(); ++l) {
+    max_capacity = std::max(max_capacity, ls.topo.link(LinkId{l}).capacity);
+  }
+  EXPECT_DOUBLE_EQ(max_capacity, gbps(50));
+}
+
+// True when build_fabric rejects the shape with std::invalid_argument.
+bool rejected(FabricKind kind, int hosts, double capacity, double oversub) {
+  try {
+    (void)build_fabric(kind, hosts, capacity, oversub);
+  } catch (const std::invalid_argument&) {
+    return true;
+  }
+  return false;
+}
+
+constexpr FabricKind kBothFabrics[] = {FabricKind::kBigSwitch,
+                                       FabricKind::kLeafSpine};
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(BuildFabric, RejectsTooFewHosts) {
+  for (const FabricKind kind : kBothFabrics) {
+    for (const int hosts : {1, 0, -8}) {
+      EXPECT_TRUE(rejected(kind, hosts, gbps(25), 2.0)) << hosts;
+    }
+  }
+}
+
+TEST(BuildFabric, RejectsLeafSpineHostsNotAMultipleOfEight) {
+  // A leaf holds exactly 8 hosts: no count is rounded to fit.
+  for (const int hosts : {4, 12, 20}) {
+    EXPECT_TRUE(rejected(FabricKind::kLeafSpine, hosts, gbps(25), 2.0))
+        << hosts;
+    EXPECT_FALSE(rejected(FabricKind::kBigSwitch, hosts, gbps(25), 1.0))
+        << hosts;
+  }
+}
+
+TEST(BuildFabric, RejectsNonPositiveOrNonFiniteCapacity) {
+  for (const FabricKind kind : kBothFabrics) {
+    for (const double cap : {0.0, -gbps(1), kInf, kNaN}) {
+      EXPECT_TRUE(rejected(kind, 16, cap, 2.0)) << cap;
+    }
+  }
+}
+
+TEST(BuildFabric, RejectsNonPositiveOrNonFiniteOversubscription) {
+  for (const FabricKind kind : kBothFabrics) {
+    for (const double oversub : {0.0, -2.0, kInf, kNaN}) {
+      EXPECT_TRUE(rejected(kind, 16, gbps(25), oversub)) << oversub;
+    }
+  }
+}
+
+TEST(Experiment, RejectsFabricItCannotBuild) {
+  // One host would run every rank over loopback.
+  ExperimentConfig cfg;
+  cfg.hosts = 1;
+  EXPECT_THROW((void)run_experiment(small_trace(), cfg), std::invalid_argument);
+  cfg.hosts = 16;
+  cfg.port_capacity = 0.0;
+  EXPECT_THROW((void)run_experiment(small_trace(), cfg), std::invalid_argument);
 }
 
 TEST(Experiment, SingleParadigmTracesRunEachParadigm) {

@@ -16,9 +16,8 @@
 //   3. Dense-level fuzz: certify_allocation on randomized flow sets with
 //      heavy route/weight/cap sharing (multi-member classes) plus
 //      uninterned direct-path flows (sentinel singleton classes).
-//   4. Cluster-shaped certification: 6 schedulers x 2 fabrics x
-//      threads {1, 2, 8}, plus the class census (one kClassFill per
-//      component fill).
+//   4. Cluster-shaped certification: 6 schedulers x 2 fabrics, plus the
+//      class census (one kClassFill per component fill).
 //   5. Chaos certification: >= 100 distinct flap-heavy fault plans (seed x
 //      scheduler grid) under fire.
 //   6. Zero-allocation steady state: the class fill's arenas reach their
@@ -369,60 +368,56 @@ TEST(RouteClassDense, ClassFillCertifiedOnSharedRoutes) {
 }
 
 // ============================================================================
-// 4. Cluster-shaped certification across thread counts + class census
+// 4. Cluster-shaped certification + class census
 // ============================================================================
 
 using RouteClassEquivalence = eqh::SchedFabricTest;
 
-TEST_P(RouteClassEquivalence, ClassFillCertifiedAcrossThreads) {
+TEST_P(RouteClassEquivalence, ClassFillCertified) {
   const auto [sched, fabric] = GetParam();
   const auto jobs = small_trace(11);
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const certify::Report r = certify::certified_service_run(
-        jobs, {.scheduler = sched, .fabric = fabric, .threads = threads});
-    EXPECT_TRUE(r.ok()) << r.summary();
-    EXPECT_GT(r.passes, 0u);
-    // Every policy but fair sharing caps each flow at a feasible rate.
-    if (sched == SchedulerKind::kFairSharing) {
-      EXPECT_GT(r.below_cap, 0u);
-    }
-    EXPECT_GT(r.byte_checks, 0u);
-    EXPECT_GT(r.echelonflows, 0u);
+  const certify::Report r = certify::certified_service_run(
+      jobs, {.scheduler = sched, .fabric = fabric});
+  EXPECT_TRUE(r.ok()) << r.summary();
+  EXPECT_GT(r.passes, 0u);
+  // Every policy but fair sharing caps each flow at a feasible rate.
+  if (sched == SchedulerKind::kFairSharing) {
+    EXPECT_GT(r.below_cap, 0u);
+  }
+  EXPECT_GT(r.byte_checks, 0u);
+  EXPECT_GT(r.echelonflows, 0u);
 
-    // Class census: one kClassFill per component fill. Every pass either
-    // fills (its kAllocPass value counts the components filled, >= 1) or
-    // returns the caps (value 0, counted in alloc.explicit_passes).
-    obs::TraceRecorder trace(1u << 20);
-    obs::MetricsRegistry metrics;
-    (void)run_cluster(jobs, {.scheduler = sched,
-                             .fabric = fabric,
-                             .threads = threads,
-                             .trace_sink = &trace,
-                             .metrics = &metrics});
-    ASSERT_EQ(trace.dropped(), 0u);
-    EXPECT_EQ(trace.count(obs::TraceKind::kClassFill),
-              trace.count(obs::TraceKind::kCompFill));
-    std::uint64_t filled_passes = 0;
-    for (const obs::TraceEvent& ev : trace.events()) {
-      if (ev.kind == obs::TraceKind::kAllocPass && ev.value > 0.0) {
-        ++filled_passes;
-      }
+  // Class census: one kClassFill per component fill. Every pass either
+  // fills (its kAllocPass value counts the components filled, >= 1) or
+  // returns the caps (value 0, counted in alloc.explicit_passes).
+  obs::TraceRecorder trace(1u << 20);
+  obs::MetricsRegistry metrics;
+  (void)run_cluster(jobs, {.scheduler = sched,
+                           .fabric = fabric,
+                           .trace_sink = &trace,
+                           .metrics = &metrics});
+  ASSERT_EQ(trace.dropped(), 0u);
+  EXPECT_EQ(trace.count(obs::TraceKind::kClassFill),
+            trace.count(obs::TraceKind::kCompFill));
+  std::uint64_t filled_passes = 0;
+  for (const obs::TraceEvent& ev : trace.events()) {
+    if (ev.kind == obs::TraceKind::kAllocPass && ev.value > 0.0) {
+      ++filled_passes;
     }
-    const std::uint64_t explicit_passes =
-        metrics.counter("alloc.explicit_passes").value();
-    EXPECT_EQ(filled_passes + explicit_passes,
-              trace.count(obs::TraceKind::kAllocPass));
-    EXPECT_EQ(metrics.counter("alloc.passes").value(),
-              trace.count(obs::TraceKind::kAllocPass));
-    if (sched == SchedulerKind::kFairSharing) {
-      // Uncapped flows always reach the fill.
-      EXPECT_GT(trace.count(obs::TraceKind::kClassFill), 0u);
-      EXPECT_GT(filled_passes, 0u);
-    } else {
-      // Cap-setting policies hand over caps that fit.
-      EXPECT_GT(explicit_passes, 0u);
-    }
+  }
+  const std::uint64_t explicit_passes =
+      metrics.counter("alloc.explicit_passes").value();
+  EXPECT_EQ(filled_passes + explicit_passes,
+            trace.count(obs::TraceKind::kAllocPass));
+  EXPECT_EQ(metrics.counter("alloc.passes").value(),
+            trace.count(obs::TraceKind::kAllocPass));
+  if (sched == SchedulerKind::kFairSharing) {
+    // Uncapped flows always reach the fill.
+    EXPECT_GT(trace.count(obs::TraceKind::kClassFill), 0u);
+    EXPECT_GT(filled_passes, 0u);
+  } else {
+    // Cap-setting policies hand over caps that fit.
+    EXPECT_GT(explicit_passes, 0u);
   }
 }
 
@@ -451,7 +446,6 @@ TEST(RouteClassChaos, HundredFlapHeavyPlansCertified) {
       SchedulerKind::kFairSharing, SchedulerKind::kSrpt,
       SchedulerKind::kCoflowMadd, SchedulerKind::kEchelonMadd,
       SchedulerKind::kCoordinator};
-  const unsigned thread_cycle[] = {1u, 2u, 8u};
 
   certify::Report total;
   for (int s = 0; s < seeds; ++s) {
@@ -479,14 +473,11 @@ TEST(RouteClassChaos, HundredFlapHeavyPlansCertified) {
           faultsim::from_chaos(p, fabric.topo, workers, jobs.size());
       ASSERT_FALSE(plan.empty());
 
-      const unsigned threads = thread_cycle[(s + ki) % 3];
       SCOPED_TRACE("seed " + std::to_string(seed) + " " +
-                   std::string(cluster::to_string(kind)) +
-                   " threads=" + std::to_string(threads));
+                   std::string(cluster::to_string(kind)));
       const certify::Report r = certify::certified_service_run(
           jobs, {.scheduler = kind,
                  .fabric = FabricKind::kLeafSpine,
-                 .threads = threads,
                  .plan = &plan});
       EXPECT_TRUE(r.ok()) << r.summary();
       total += r;

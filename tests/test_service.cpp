@@ -7,9 +7,8 @@
 //
 //   1. Snapshot/restore bit identity: every-boundary sweep on a small
 //      configuration (results AND split trace streams), then a mid-run
-//      snapshot across the scheduler x fabric x {chaos, none} x threads
-//      {1, 2, 8} matrix.
-//   2. Crash/resume fuzz: >= 100 seeded (trace, scheduler, fabric, threads,
+//      snapshot across the scheduler x fabric x {chaos, none} matrix.
+//   2. Crash/resume fuzz: >= 100 seeded (trace, scheduler, fabric,
 //      admission, burst, cut point) combinations (ECHELON_SERVICE_SEEDS
 //      overrides the budget; CI sanitizer legs set it to 8).
 //   3. Corrupt-snapshot negative fuzz: truncations at every short length and
@@ -39,6 +38,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -79,7 +79,6 @@ using service::TraceFileArrivalReader;
 struct ServiceSpec {
   SchedulerKind scheduler = SchedulerKind::kEchelonMadd;
   FabricKind fabric = FabricKind::kBigSwitch;
-  unsigned threads = 1;
   const FaultPlan* plan = nullptr;
   AdmissionConfig admission;
   double control_period = 0.02;
@@ -93,7 +92,6 @@ ServiceConfig make_config(const ServiceSpec& s) {
   c.hosts = 16;
   c.port_capacity = gbps(25);
   c.oversubscription = s.fabric == FabricKind::kLeafSpine ? 2.0 : 1.0;
-  c.threads = s.threads;
   c.control_period = s.control_period;
   c.admission = s.admission;
   c.fault_plan = s.plan;
@@ -200,16 +198,6 @@ FaultPlan service_chaos_plan(std::uint64_t seed,
   return faultsim::from_chaos(p, topo, /*worker_count=*/0, /*job_count=*/8);
 }
 
-topology::BuiltFabric service_fabric(FabricKind fabric) {
-  if (fabric == FabricKind::kBigSwitch) {
-    return topology::make_big_switch(16, gbps(25));
-  }
-  return topology::make_leaf_spine({.leaves = 2,
-                                    .spines = 2,
-                                    .hosts_per_leaf = 8,
-                                    .host_link = gbps(25),
-                                    .uplink = 8 * gbps(25) / (2 * 2.0)});
-}
 
 // Steps a fresh loop to `cut` boundaries, snapshots, restores, and drains
 // the restored loop to completion.
@@ -310,10 +298,10 @@ TEST(ServiceSnapshot, SplitTraceStreamMatchesUninterrupted) {
 
 using ServiceSnapshotMatrix = eqh::SchedFabricTest;
 
-TEST_P(ServiceSnapshotMatrix, MidRunSnapshotBitIdenticalAcrossChaosAndThreads) {
+TEST_P(ServiceSnapshotMatrix, MidRunSnapshotBitIdenticalAcrossChaos) {
   const auto [sched, fabric] = GetParam();
   const auto trace = small_arrivals(41);
-  const auto built = service_fabric(fabric);
+  const auto built = eqh::run_cluster_fabric(fabric);
   const FaultPlan plan = service_chaos_plan(7, built.topo);
 
   for (const FaultPlan* p :
@@ -328,15 +316,11 @@ TEST_P(ServiceSnapshotMatrix, MidRunSnapshotBitIdenticalAcrossChaosAndThreads) {
     const ServiceResult reference = whole->result();
     const std::uint64_t cut = reference.steps / 2;
 
-    for (const unsigned threads : {1u, 2u, 8u}) {
-      ServiceSpec wide = spec;
-      wide.threads = threads;
-      const ServiceResult resumed = run_with_snapshot_at(wide, trace, cut);
-      expect_same_service_result(reference, resumed);
-      if (HasFailure()) {
-        FAIL() << "first divergence: chaos " << (p != nullptr) << " threads "
-               << threads << " cut " << cut;
-      }
+    const ServiceResult resumed = run_with_snapshot_at(spec, trace, cut);
+    expect_same_service_result(reference, resumed);
+    if (HasFailure()) {
+      FAIL() << "first divergence: chaos " << (p != nullptr) << " cut "
+             << cut;
     }
   }
 }
@@ -356,7 +340,6 @@ TEST(ServiceFuzz, CrashResumeManySeededRuns) {
       SchedulerKind::kEchelonMadd, SchedulerKind::kCoordinator};
   constexpr FabricKind kFabrics[] = {FabricKind::kBigSwitch,
                                      FabricKind::kLeafSpine};
-  constexpr unsigned kThreads[] = {1u, 2u, 8u};
 
   for (int s = 0; s < budget; ++s) {
     const auto seed = static_cast<std::uint64_t>(s);
@@ -366,7 +349,6 @@ TEST(ServiceFuzz, CrashResumeManySeededRuns) {
     ServiceSpec spec;
     spec.scheduler = kKinds[s % 6];
     spec.fabric = kFabrics[(s / 6) % 2];
-    spec.threads = kThreads[s % 3];
     switch (s % 4) {
       case 0:
         spec.admission.policy = AdmissionPolicy::kAcceptAll;
@@ -388,7 +370,7 @@ TEST(ServiceFuzz, CrashResumeManySeededRuns) {
         break;
     }
 
-    const auto built = service_fabric(spec.fabric);
+    const auto built = eqh::run_cluster_fabric(spec.fabric);
     FaultPlan plan;
     if (s % 2 == 1) {
       plan = service_chaos_plan(seed, built.topo);
@@ -409,7 +391,7 @@ TEST(ServiceFuzz, CrashResumeManySeededRuns) {
              << cluster::to_string(spec.scheduler) << ", fabric "
              << (spec.fabric == FabricKind::kBigSwitch ? "bigswitch"
                                                        : "leafspine")
-             << ", threads " << spec.threads << ", admission " << (s % 4)
+             << ", admission " << (s % 4)
              << ", chaos " << (s % 2) << ", burst " << burst << ", cut "
              << cut << " of " << reference.steps << ")";
     }
@@ -505,13 +487,13 @@ TEST_F(CorruptSnapshotTest, HeaderAndVersionMutationsFailTheirOwnChecks) {
               std::string::npos);
   }
   {
-    // v6 files lack the alloc.explicit_passes kVerify word; v7 readers
-    // reject them up front, naming the version, instead of failing
-    // verification on the missing field.
-    static_assert(service::kSnapshotVersion == 7);
+    // v7 files carry a kConfig threads word that v8 dropped; v8 readers
+    // reject them up front, naming the version, instead of misreading every
+    // later config field.
+    static_assert(service::kSnapshotVersion == 8);
     std::string m = bytes_;
-    m[8] = 6;
-    EXPECT_NE(expect_snapshot_error(restamp(m)).find("unsupported version 6"),
+    m[8] = 7;
+    EXPECT_NE(expect_snapshot_error(restamp(m)).find("unsupported version 7"),
               std::string::npos);
   }
   {
@@ -612,27 +594,6 @@ TEST(ArrivalGen, CheckpointRestoreResumesBitExactly) {
     for (std::size_t i = 0; i < tail.size(); ++i) {
       EXPECT_BITEQ(tail[i].at, reference[cut + i].at);
       expect_same_job(tail[i].job, reference[cut + i].job, cut + i);
-    }
-  }
-}
-
-TEST(ArrivalGen, JournalIdenticalAcrossThreadCounts) {
-  const auto trace = small_arrivals(67);
-  std::string reference;
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    ServiceSpec spec;
-    spec.threads = threads;
-    auto loop = make_loop(spec, trace);
-    loop->drain();
-    std::vector<Arrival> consumed;
-    for (const service::JournalEntry& e : loop->journal()) {
-      consumed.push_back(e.arrival);
-    }
-    const std::string text = service::serialize_arrivals(consumed);
-    if (threads == 1u) {
-      reference = text;
-    } else {
-      EXPECT_EQ(reference, text) << "threads " << threads;
     }
   }
 }
@@ -1192,7 +1153,7 @@ bool step_checking_retained(ServiceLoop& loop,
 
 TEST(RetainedState, OnlyRunningJobsHoldWorkflows) {
   const auto trace = small_arrivals(61, /*jobs=*/5);
-  const auto built = service_fabric(FabricKind::kBigSwitch);
+  const auto built = eqh::run_cluster_fabric(FabricKind::kBigSwitch);
   // The chaos plan, plus an outage of the first job's first host that
   // outlasts the retry budget: its flows park at birth and are abandoned,
   // so some groups retire with abandoned members.
@@ -1327,6 +1288,36 @@ TEST(RetainedState, SnapshotAfterChunkReleasesRestoresIdentically) {
               std::string::npos)
         << e.what();
   }
+}
+
+// A fabric build_fabric rejects fails the constructor. A zero or negative
+// port capacity or oversubscription would stall every flow and hang drain().
+TEST(ServiceConfigCheck, RejectsFabricItCannotBuild) {
+  const auto rejects = [](const ServiceConfig& c) {
+    try {
+      ServiceLoop loop(c);
+    } catch (const std::invalid_argument&) {
+      return true;
+    }
+    return false;
+  };
+  ServiceConfig c;
+  c.port_capacity = 0.0;
+  EXPECT_TRUE(rejects(c));
+  c.port_capacity = -gbps(1);
+  EXPECT_TRUE(rejects(c));
+  c = ServiceConfig{};
+  c.hosts = 1;
+  EXPECT_TRUE(rejects(c));
+  c = ServiceConfig{};
+  c.fabric = FabricKind::kLeafSpine;
+  c.oversubscription = -2.0;
+  EXPECT_TRUE(rejects(c));
+  c.oversubscription = 2.0;
+  c.hosts = 12;
+  EXPECT_TRUE(rejects(c));
+  c.hosts = 16;
+  EXPECT_FALSE(rejects(c));
 }
 
 }  // namespace

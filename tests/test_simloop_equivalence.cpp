@@ -18,8 +18,10 @@
 //      degradation and recovery.
 //   3. run_sweep determinism: N-threaded sweeps produce results identical to
 //      the serial ordering, including with per-job compute jitter (per-job
-//      seeded RNG, so thread assignment cannot leak into results), and
-//      exceptions surface as in a serial loop (lowest index first).
+//      seeded RNG, so thread assignment cannot leak into results), plus the
+//      parallel_for_indexed contract: every index runs exactly once at any
+//      width, exceptions surface as in a serial loop (lowest index first),
+//      width 1 stays on the calling thread and an empty range does nothing.
 //   4. The harness's allocation-counting operator-new hook proves
 //      steady-state event iterations (timer firing + rescheduling with live
 //      flows) perform zero heap allocations: pooled EventQueue slots, pooled
@@ -33,6 +35,7 @@
 #include <atomic>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/sweep.hpp"
@@ -190,20 +193,56 @@ TEST(RunSweep, EmptyAndSinglePoint) {
 }
 
 TEST(RunSweep, LowestIndexExceptionWins) {
-  std::atomic<int> ran{0};
-  try {
-    cluster::parallel_for_indexed(8, 4, [&](std::size_t i) {
-      ran.fetch_add(1);
-      if (i == 2 || i == 5) {
-        throw std::runtime_error("boom " + std::to_string(i));
-      }
-    });
-    FAIL() << "expected exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "boom 2");
+  for (const unsigned width : {1u, 4u, 8u}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    std::atomic<int> ran{0};
+    try {
+      cluster::parallel_for_indexed(8, width, [&](std::size_t i) {
+        ran.fetch_add(1);
+        if (i == 5 || i == 2 || i == 7) {
+          throw std::runtime_error("boom " + std::to_string(i));
+        }
+      });
+      FAIL() << "expected exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "boom 2");
+    }
+    // Every index ran exactly once despite the failures.
+    EXPECT_EQ(ran.load(), 8);
   }
-  // Every index ran exactly once despite the failures.
-  EXPECT_EQ(ran.load(), 8);
+}
+
+TEST(RunSweep, EveryIndexRunsExactlyOnceAtAnyWidth) {
+  constexpr std::size_t kN = 1000;
+  for (const unsigned width : {1u, 2u, 4u, 8u, 0u}) {
+    std::vector<std::atomic<int>> hits(kN);
+    cluster::parallel_for_indexed(kN, width, [&](std::size_t i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "width " << width << " index " << i;
+    }
+  }
+}
+
+TEST(RunSweep, WidthOneAndSingleIndexRunOnCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> off_thread{0};
+  const auto check = [&](std::size_t) {
+    if (std::this_thread::get_id() != caller) off_thread.fetch_add(1);
+  };
+  cluster::parallel_for_indexed(16, 1, check);
+  cluster::parallel_for_indexed(1, 8, check);
+  EXPECT_EQ(off_thread.load(), 0);
+}
+
+TEST(RunSweep, EmptyRangeDoesNothing) {
+  for (const unsigned width : {1u, 4u, 0u}) {
+    bool called = false;
+    cluster::parallel_for_indexed(0, width,
+                                  [&](std::size_t) { called = true; });
+    EXPECT_FALSE(called) << "width " << width;
+  }
 }
 
 // ============================================================================

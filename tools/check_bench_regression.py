@@ -2,8 +2,8 @@
 """Perf-smoke regression gate for the hot-path benchmarks.
 
 Compares fresh google-benchmark JSON output (bench_allocator,
-bench_coordinator_scale, bench_simloop, bench_parallel_alloc,
-bench_route_class, bench_service, bench_telemetry) against the
+bench_coordinator_scale, bench_simloop, bench_route_class, bench_service,
+bench_telemetry) against the
 checked-in baselines in BENCH_hotpath.json and fails if any benchmark
 regressed by more than the tolerance. Run from CI after the perf-smoke leg;
 deliberately NOT a ctest -- it needs the baseline file and a calibrated
@@ -19,31 +19,11 @@ a *skewed* slowdown -- e.g. an observability branch creeping into one hot
 loop while the others stay put -- does not. Use --no-normalize for
 same-machine comparisons against the recorded absolute numbers.
 
-Thread-scaling family (throughput_vs_threads, EXPERIMENTS.md EXT-P):
-benchmarks whose name carries a "threads:" argument scale with the machine
-*shape*, not just its speed -- an 8-thread fill on a 2-core box is a
-different experiment from the same fill on a 32-core box, and a uniform
-calibration factor cannot correct for that. Two rules therefore apply:
-
-  1. thread-family benchmarks never contribute to the machine-speed
-     calibration median (their ratios would skew it on differently-shaped
-     hosts), and
-  2. they are gated only when the fresh run's echelon_hardware_concurrency
-     context matches the baseline run's; on a shape mismatch they are
-     reported but skipped, with a note.
-
-A baseline run may additionally carry a "single_core_host" context marker
-(stamped when the recording machine had 1 CPU): thread-scaling numbers from
-such a run are degenerate -- every width timeshares one core -- so its
-thread-family benchmarks are always reported as SKIPPED, even against a
-fresh 1-CPU run.
-
 Route-structure family (bench_route_class, EXPERIMENTS.md EXT-Q):
 benchmarks whose name carries a "routes:" argument sweep the route-sharing
-*structure* of the flow population. Like the thread family they are
-excluded from the machine-speed calibration median (the class-vs-per-flow
-ratios span nearly two orders of magnitude and would swamp it); unlike the
-thread family they do not depend on machine shape and are gated normally.
+*structure* of the flow population. They are excluded from the
+machine-speed calibration median (the class-vs-per-flow ratios span nearly
+two orders of magnitude and would swamp it) and gated normally.
 
 Online-service family (bench_service, EXPERIMENTS.md EXT-S): benchmarks
 whose name carries a "svc:" argument run the streaming service loop end to
@@ -68,9 +48,8 @@ Usage:
   bench_allocator         --benchmark_out=alloc.json --benchmark_out_format=json
   bench_coordinator_scale --benchmark_out=coord.json --benchmark_out_format=json
   bench_simloop           --benchmark_out=simloop.json --benchmark_out_format=json
-  bench_parallel_alloc    --benchmark_out=par.json --benchmark_out_format=json
   tools/check_bench_regression.py --baseline BENCH_hotpath.json \
-      --tolerance 2.0 alloc.json coord.json simloop.json par.json
+      --tolerance 2.0 alloc.json coord.json simloop.json
 
 A benchmark recorded with --benchmark_repetitions contributes the median of
 its repetitions, on the baseline side and on the fresh side alike.
@@ -82,10 +61,6 @@ import argparse
 import json
 import statistics
 import sys
-
-# Benchmark names carrying this argument tag belong to the thread-scaling
-# family (see module docstring).
-THREAD_FAMILY_TAG = "threads:"
 
 # Benchmark names carrying this argument tag belong to the route-structure
 # family: calibration-excluded but gated normally (see module docstring).
@@ -101,14 +76,6 @@ SERVICE_FAMILY_TAG = "svc:"
 # overhead gate (see module docstring).
 TEL_FAMILY_TAG = "tel:"
 TEL_OVERHEAD_COUNTER = "telemetry_overhead_ratio"
-
-# Baseline-run context marker: the recording host had a single CPU, so its
-# thread-scaling numbers are degenerate and never gated.
-SINGLE_CORE_MARKER = "single_core_host"
-
-
-def is_thread_family(name):
-    return THREAD_FAMILY_TAG in name
 
 
 def is_route_family(name):
@@ -147,37 +114,26 @@ def check_telemetry_overhead(overhead_ratios, tolerance_pct):
 
 
 def load_baseline(path):
-    """(name -> baseline median real_time ns, name -> run hardware concurrency,
-    set of names recorded on a single_core_host-marked run) from
-    BENCH_hotpath.json's runs blob."""
+    """name -> baseline median real_time ns from BENCH_hotpath.json's runs
+    blob."""
     with open(path) as f:
         doc = json.load(f)
     times = {}
-    hw = {}
-    single_core = set()
     for run in doc.get("runs", {}).values():
-        context = run.get("context", {})
-        run_hw = context.get("echelon_hardware_concurrency")
-        run_single_core = str(context.get(SINGLE_CORE_MARKER, "")) == "true"
         for b in run.get("benchmarks", []):
             if b.get("run_type", "iteration") != "iteration":
                 continue
             times.setdefault(b["name"], []).append(float(b["real_time"]))
-            if run_hw is not None:
-                hw[b["name"]] = str(run_hw)
-            if run_single_core:
-                single_core.add(b["name"])
     if not times:
         raise ValueError(f"{path}: no benchmark baselines found under 'runs'")
-    return median_times(times), hw, single_core
+    return median_times(times)
 
 
 def load_fresh(paths, require_metrics_context):
-    """(name -> fresh median real_time ns, name -> run hardware concurrency,
-    name -> per-repetition telemetry_overhead_ratio counters) across all
-    given benchmark JSON files."""
+    """(name -> fresh median real_time ns, name -> per-repetition
+    telemetry_overhead_ratio counters) across all given benchmark JSON
+    files."""
     times = {}
-    hw = {}
     overhead = {}
     for path in paths:
         with open(path) as f:
@@ -188,17 +144,14 @@ def load_fresh(paths, require_metrics_context):
                 f"{path}: context is missing the echelon_metrics snapshot "
                 "(bench_util.hpp should attach it)"
             )
-        run_hw = context.get("echelon_hardware_concurrency")
         for b in doc.get("benchmarks", []):
             if b.get("run_type", "iteration") != "iteration":
                 continue
             times.setdefault(b["name"], []).append(float(b["real_time"]))
-            if run_hw is not None:
-                hw[b["name"]] = str(run_hw)
             if TEL_OVERHEAD_COUNTER in b:
                 overhead.setdefault(b["name"], []).append(
                     float(b[TEL_OVERHEAD_COUNTER]))
-    return median_times(times), hw, overhead
+    return median_times(times), overhead
 
 
 def median_times(times):
@@ -236,9 +189,8 @@ def main():
     args = ap.parse_args()
 
     try:
-        baseline, baseline_hw, baseline_single_core = load_baseline(
-            args.baseline)
-        fresh, fresh_hw, fresh_overhead = load_fresh(
+        baseline = load_baseline(args.baseline)
+        fresh, fresh_overhead = load_fresh(
             args.fresh, args.require_metrics_context)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -251,11 +203,10 @@ def main():
         return 2
 
     ratios = {name: fresh[name] / baseline[name] for name in common}
-    # Machine-speed calibration from the shape- and structure-insensitive
-    # benchmarks only (falling back to everything if nothing else ran).
+    # Machine-speed calibration from the structure-insensitive benchmarks
+    # only (falling back to everything if nothing else ran).
     calib_pool = [r for n, r in ratios.items()
-                  if not is_thread_family(n) and not is_route_family(n)
-                  and not is_service_family(n)
+                  if not is_route_family(n) and not is_service_family(n)
                   and not is_tel_family(n)]
     if not calib_pool:
         calib_pool = list(ratios.values())
@@ -264,28 +215,12 @@ def main():
 
     print(f"baseline: {args.baseline} ({len(common)} comparable benchmarks)")
     calib_kind = ("raw" if args.no_normalize
-                  else "median fresh/baseline, thread/route/service/"
-                  "telemetry families excluded")
+                  else "median fresh/baseline, route/service/telemetry "
+                  "families excluded")
     print(f"machine-speed calibration: x{calibration:.3f} ({calib_kind})")
     failures = []
-    shape_skipped = []
     for name in common:
         norm = ratios[name] / calibration
-        if is_thread_family(name) and name in baseline_single_core:
-            shape_skipped.append(name)
-            print(f"  {name:<40} base {baseline[name]:>12.0f} ns  "
-                  f"fresh {fresh[name]:>12.0f} ns  norm x{norm:.3f}  "
-                  f"SKIPPED (baseline recorded on a single_core_host)")
-            continue
-        if is_thread_family(name) and baseline_hw.get(name) != fresh_hw.get(
-            name
-        ):
-            shape_skipped.append(name)
-            print(f"  {name:<40} base {baseline[name]:>12.0f} ns  "
-                  f"fresh {fresh[name]:>12.0f} ns  norm x{norm:.3f}  "
-                  f"SKIPPED (hw {baseline_hw.get(name)} -> "
-                  f"{fresh_hw.get(name)})")
-            continue
         status = "ok"
         if norm > limit:
             status = f"REGRESSED {100.0 * (norm - 1.0):+.2f}%"
@@ -300,10 +235,6 @@ def main():
     if missing:
         print(f"note: {len(missing)} baseline benchmarks not in this run "
               f"(e.g. {missing[0]})")
-    if shape_skipped:
-        print(f"note: {len(shape_skipped)} thread-scaling benchmark(s) "
-              "skipped: single-core baseline recording or machine shape "
-              "differs from the baseline's")
 
     if overhead_failures:
         print(f"\nFAIL: {len(overhead_failures)} telemetry pair(s) over the "

@@ -22,13 +22,8 @@
 //   --scheduler <name>|all (default all)  --csv PATH (write results CSV)
 //     names: fair|srpt|coflow|sincronia|echelonflow|all
 //   --threads N (default 0 = one per hardware thread; 1 = serial)
-//     scheduler comparisons run through cluster::run_sweep; output is
-//     identical for any thread count.
-//   --intra-threads N (default 1 = serial; 0 = all shared-pool workers)
-//     intra-run data parallelism inside each experiment (the allocator's
-//     per-component water-fill on large passes; DESIGN.md §10). Also
-//     bit-identical at any setting, and safe to combine with --threads:
-//     nested dispatches run inline-serially on the shared pool.
+//     scheduler comparisons run through cluster::run_sweep, one scheduler
+//     per thread; output is identical for any thread count.
 //   --fault-plan PATH   replay a scripted fault plan (src/faultsim format;
 //                       see DESIGN.md §8) against every scheduler
 //   --chaos N           generate N link faults + N brownouts + N stragglers
@@ -52,7 +47,6 @@
 //   --max-running N (default 0 = unlimited)  --queue-cap N (default 16)
 //   --tardiness-limit X seconds (default 1; tardiness-aware load shedding)
 //   --control-period T seconds (default 0.01) forced control-pass interval
-//   --threads N         intra-run pool width (default 1 = serial)
 //   --chaos N --chaos-seed S --chaos-horizon T   seeded link faults +
 //                       brownouts (stragglers stay 0: service workers are
 //                       created at launch time, after the plan is armed)
@@ -80,8 +74,9 @@
 //                       events (admit/launch/complete/fault/flush/...)
 //   --flightrec-out PATH dump the ring on error and at exit (ECHFLIGHT text,
 //                       round-trips through obs::parse_flight_dump)
-//   --series-budget N   cap every time series at N points (decimation by
-//                       stride doubling; oldest points thin out first)
+//   --series-budget N   cap every time series at N points, --metrics-out
+//                       ones included (decimation by stride doubling;
+//                       oldest points thin out first)
 //   --trace-chunk-out PATH  stream trace events as incremental ECHCHUNK
 //                       chunks flushed at every telemetry boundary; memory
 //                       stays O(chunk), and obs::merge_trace_chunks rebuilds
@@ -106,8 +101,11 @@
 //     flags on or off (tests/test_obs.cpp pins this).
 //
 // Every flag is checked against its subcommand's list: an unknown flag, a
-// stray positional argument, a flag missing its value, or a numeric value
-// with trailing junk ("--jobs 4x", "--rate abc") exits with status 2.
+// stray positional argument, a flag missing its value, a numeric value with
+// trailing junk ("--jobs 4x", "--rate abc") or a negative count
+// ("--queue-cap -1") exits with status 2. So does a fabric that cannot be
+// built: --hosts below 2, a leaf-spine --hosts that is not a multiple of 8,
+// or a --gbps / --oversub that is not a finite number above 0.
 
 #include <algorithm>
 #include <cstdlib>
@@ -155,8 +153,8 @@ namespace {
 using namespace echelon;
 
 // What a flag takes: nothing (a switch), free text, or a number that must
-// parse in full.
-enum class Value { kNone, kText, kInt, kReal };
+// parse in full. A count is an integer that must also be >= 0.
+enum class Value { kNone, kText, kInt, kCount, kReal };
 using Flags = std::map<std::string, Value, std::less<>>;
 
 // Parsed flags of one subcommand. Values were validated against the
@@ -195,41 +193,54 @@ struct Args {
   static const Flags kFig2;
   static const Flags kSingle = with_obs({
       {"paradigm", kText},   {"scheduler", kText},
-      {"ranks", kInt},       {"iterations", kInt},
-      {"gbps", kReal},       {"microbatches", kInt},
-      {"layers", kInt},      {"hidden", kInt},
+      {"ranks", kCount},     {"iterations", kCount},
+      {"gbps", kReal},       {"microbatches", kCount},
+      {"layers", kCount},    {"hidden", kCount},
       {"jitter", kReal},     {"timeline", kNone}});
   static const Flags kCluster = with_obs({
-      {"jobs", kInt},           {"hosts", kInt},
+      {"jobs", kCount},         {"hosts", kCount},
       {"seed", kInt},           {"gbps", kReal},
-      {"iterations", kInt},     {"scheduler", kText},
-      {"csv", kText},           {"threads", kInt},
-      {"intra-threads", kInt},  {"fault-plan", kText},
-      {"chaos", kInt},          {"chaos-seed", kInt},
-      {"chaos-horizon", kReal}});
+      {"iterations", kCount},   {"scheduler", kText},
+      {"csv", kText},           {"threads", kCount},
+      {"fault-plan", kText},    {"chaos", kCount},
+      {"chaos-seed", kInt},     {"chaos-horizon", kReal}});
   static const Flags kServe = with_obs({
       {"scheduler", kText},       {"fabric", kText},
-      {"hosts", kInt},            {"gbps", kReal},
+      {"hosts", kCount},          {"gbps", kReal},
       {"oversub", kReal},         {"arrivals", kText},
-      {"jobs", kInt},             {"rate", kReal},
-      {"seed", kInt},             {"iterations", kInt},
-      {"burst-every", kInt},      {"arrivals-out", kText},
-      {"admission", kText},       {"max-running", kInt},
-      {"queue-cap", kInt},        {"tardiness-limit", kReal},
-      {"control-period", kReal},  {"threads", kInt},
-      {"chaos", kInt},            {"chaos-seed", kInt},
-      {"chaos-horizon", kReal},   {"snapshot-out", kText},
-      {"snapshot-every", kInt},   {"snapshot-in", kText},
-      {"prom-out", kText},        {"prom-rotate", kInt},
-      {"metrics-every", kReal},   {"slo", kText},
-      {"slo-window", kReal},      {"flightrec", kInt},
-      {"flightrec-out", kText},   {"series-budget", kInt},
-      {"trace-chunk-out", kText}, {"profile", kNone}});
+      {"jobs", kCount},           {"rate", kReal},
+      {"seed", kInt},             {"iterations", kCount},
+      {"burst-every", kCount},    {"arrivals-out", kText},
+      {"admission", kText},       {"max-running", kCount},
+      {"queue-cap", kCount},      {"tardiness-limit", kReal},
+      {"control-period", kReal},  {"chaos", kCount},
+      {"chaos-seed", kInt},       {"chaos-horizon", kReal},
+      {"snapshot-out", kText},    {"snapshot-every", kCount},
+      {"snapshot-in", kText},     {"prom-out", kText},
+      {"prom-rotate", kCount},    {"metrics-every", kReal},
+      {"slo", kText},             {"slo-window", kReal},
+      {"flightrec", kCount},      {"flightrec-out", kText},
+      {"series-budget", kCount},  {"trace-chunk-out", kText},
+      {"profile", kNone}});
   if (cmd == "fig2") return &kFig2;
   if (cmd == "single") return &kSingle;
   if (cmd == "cluster") return &kCluster;
   if (cmd == "serve") return &kServe;
   return nullptr;
+}
+
+[[nodiscard]] bool valid_value(Value kind, std::string_view value) {
+  switch (kind) {
+    case Value::kInt: return parse_number<int>(value).has_value();
+    case Value::kCount: {
+      const std::optional<int> n = parse_number<int>(value);
+      return n && *n >= 0;
+    }
+    case Value::kReal: return parse_number<double>(value).has_value();
+    case Value::kNone:
+    case Value::kText: return true;
+  }
+  return true;
 }
 
 // Parses argv[from..] against `known`. Reports the first bad argument on
@@ -257,10 +268,11 @@ struct Args {
       return false;
     }
     const std::string value = argv[++i];
-    if ((it->second == Value::kInt && !parse_number<int>(value)) ||
-        (it->second == Value::kReal && !parse_number<double>(value))) {
+    if (!valid_value(it->second, value)) {
       std::cerr << "flag --" << key << " expects "
-                << (it->second == Value::kInt ? "an integer" : "a number")
+                << (it->second == Value::kInt     ? "an integer"
+                    : it->second == Value::kCount ? "a non-negative integer"
+                                                  : "a number")
                 << ", got '" << value << "'\n";
       return false;
     }
@@ -324,6 +336,21 @@ struct ObsArgs {
   }
   std::cout << ")\n";
   return true;
+}
+
+// The fabric a run uses, built by the one shared builder; on a shape it
+// rejects (too few hosts, a bad capacity or oversubscription) prints why and
+// returns nullopt, for an exit status of 2.
+[[nodiscard]] std::optional<topology::BuiltFabric> build_fabric_or_report(
+    cluster::FabricKind kind, int hosts, BytesPerSec port_capacity,
+    double oversubscription) {
+  try {
+    return cluster::build_fabric(kind, hosts, port_capacity,
+                                 oversubscription);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    return std::nullopt;
+  }
 }
 
 std::unique_ptr<netsim::NetworkScheduler> make_scheduler(
@@ -402,8 +429,11 @@ int cmd_single(const Args& args) {
   if (!parse_obs(args, &obs_args)) return 2;
 
   const bool needs_ps = paradigm == "ps";
-  auto fabric =
-      topology::make_big_switch(ranks + (needs_ps ? 1 : 0), gbps(cap_gbps));
+  const std::optional<topology::BuiltFabric> built =
+      build_fabric_or_report(cluster::FabricKind::kBigSwitch,
+                             ranks + (needs_ps ? 1 : 0), gbps(cap_gbps), 1.0);
+  if (!built) return 2;
+  const topology::BuiltFabric& fabric = *built;
   netsim::Simulator sim(&fabric.topo);
   ef::Registry reg;
   reg.attach(sim);
@@ -507,6 +537,13 @@ int cmd_single(const Args& args) {
 int cmd_cluster(const Args& args) {
   ObsArgs obs_args;
   if (!parse_obs(args, &obs_args)) return 2;
+  // The shape every sweep point builds; also the chaos target and the link
+  // names of the trace files.
+  const int hosts = args.geti("hosts", 16);
+  const double cap_gbps = args.getd("gbps", 25.0);
+  const std::optional<topology::BuiltFabric> fabric = build_fabric_or_report(
+      cluster::FabricKind::kBigSwitch, hosts, gbps(cap_gbps), 1.0);
+  if (!fabric) return 2;
 
   cluster::TraceConfig tcfg;
   tcfg.num_jobs = args.geti("jobs", 12);
@@ -540,8 +577,6 @@ int cmd_cluster(const Args& args) {
 
   // Optional fault injection: a scripted plan file, or a seeded chaos
   // profile drawn against the same fabric shape run_experiment will build.
-  const int hosts = args.geti("hosts", 16);
-  const double cap_gbps = args.getd("gbps", 25.0);
   faultsim::FaultPlan plan;
   bool have_plan = false;
   if (const std::string path = args.get("fault-plan", ""); !path.empty()) {
@@ -564,10 +599,9 @@ int cmd_cluster(const Args& args) {
     profile.link_faults = chaos;
     profile.brownouts = chaos;
     profile.stragglers = chaos;
-    const auto fabric = topology::make_big_switch(hosts, gbps(cap_gbps));
     std::size_t workers = 0;
     for (const auto& j : jobs) workers += static_cast<std::size_t>(j.ranks);
-    plan = faultsim::from_chaos(profile, fabric.topo, workers, jobs.size());
+    plan = faultsim::from_chaos(profile, fabric->topo, workers, jobs.size());
     have_plan = true;
   }
 
@@ -586,10 +620,6 @@ int cmd_cluster(const Args& args) {
     cfg.scheduler = kind;
     cfg.hosts = hosts;
     cfg.port_capacity = gbps(cap_gbps);
-    // Intra-run data parallelism (per-component water-fill etc.); results
-    // are bit-identical at any setting, so this is purely a speed knob.
-    cfg.threads =
-        static_cast<unsigned>(std::max(0, args.geti("intra-threads", 1)));
     if (have_plan) cfg.fault_plan = &plan;
     if (obs_args.tracing() && !obs_args.trace_out.empty()) {
       recorders.push_back(std::make_unique<obs::TraceRecorder>());
@@ -599,7 +629,7 @@ int cmd_cluster(const Args& args) {
     points.push_back({jobs, cfg});
   }
   cluster::SweepOptions opts;
-  opts.threads = static_cast<unsigned>(std::max(0, args.geti("threads", 0)));
+  opts.threads = static_cast<unsigned>(args.geti("threads", 0));
   const bool want_capture = obs_args.metrics() || !recorders.empty();
   cluster::SweepCapture capture;
   std::vector<cluster::ExperimentResult> results;
@@ -661,9 +691,8 @@ int cmd_cluster(const Args& args) {
   if (!recorders.empty()) {
     // One trace file per sweep point; name the link counter tracks with the
     // same fabric shape run_experiment built.
-    const auto fabric = topology::make_big_switch(hosts, gbps(cap_gbps));
     obs::PerfettoOptions popt;
-    popt.topology = &fabric.topo;
+    popt.topology = &fabric->topo;
     for (std::size_t i = 0; i < kinds.size(); ++i) {
       const std::string path =
           kinds.size() == 1
@@ -719,7 +748,14 @@ int cmd_serve(const Args& args) {
   cfg.hosts = args.geti("hosts", 16);
   cfg.port_capacity = gbps(args.getd("gbps", 25.0));
   cfg.oversubscription = args.getd("oversub", 2.0);
-  cfg.threads = static_cast<unsigned>(args.geti("threads", 1));
+  // A restored run takes its fabric from the snapshot; a fresh one is
+  // checked here (exit 2) and the same shape is the chaos target below.
+  std::optional<topology::BuiltFabric> fabric;
+  if (!args.has("snapshot-in")) {
+    fabric = build_fabric_or_report(cfg.fabric, cfg.hosts, cfg.port_capacity,
+                                    cfg.oversubscription);
+    if (!fabric) return 2;
+  }
   cfg.control_period = args.getd("control-period", 0.01);
   try {
     cfg.admission.policy = service::admission_policy_from_string(
@@ -753,9 +789,9 @@ int cmd_serve(const Args& args) {
   const std::string flightrec_out = args.get("flightrec-out", "");
   cfg.telemetry.metrics_every = args.getd("metrics-every", 0.0);
   cfg.telemetry.series_budget =
-      static_cast<std::size_t>(std::max(0, args.geti("series-budget", 0)));
+      static_cast<std::size_t>(args.geti("series-budget", 0));
   cfg.telemetry.flightrec_capacity =
-      static_cast<std::size_t>(std::max(0, args.geti("flightrec", 0)));
+      static_cast<std::size_t>(args.geti("flightrec", 0));
   cfg.telemetry.profile = args.has("profile");
   cfg.telemetry.slo.window = args.getd("slo-window", 10.0);
   if (const std::string spec = args.get("slo", ""); !spec.empty()) {
@@ -778,8 +814,7 @@ int cmd_serve(const Args& args) {
   std::optional<obs::PromWriter> prom;
   if (!prom_out.empty()) {
     prom.emplace(prom_out,
-                 static_cast<std::size_t>(std::max(0, args.geti("prom-rotate",
-                                                                0))));
+                 static_cast<std::size_t>(args.geti("prom-rotate", 0)));
   }
   std::ofstream chunk_stream;
   std::optional<obs::TraceChunkWriter> chunk;
@@ -828,23 +863,13 @@ int cmd_serve(const Args& args) {
         // Same fabric shape ServiceLoop builds internally. Stragglers stay
         // zero: service-mode workers are created at job-launch time, after
         // the plan is armed.
-        const auto built =
-            cfg.fabric == cluster::FabricKind::kBigSwitch
-                ? topology::make_big_switch(cfg.hosts, cfg.port_capacity)
-                : topology::make_leaf_spine(
-                      {.leaves = std::max(1, cfg.hosts / 8),
-                       .spines = 2,
-                       .hosts_per_leaf = 8,
-                       .host_link = cfg.port_capacity,
-                       .uplink = 8 * cfg.port_capacity /
-                                 (2 * cfg.oversubscription)});
         faultsim::ChaosProfile profile;
         profile.seed = static_cast<std::uint64_t>(args.geti("chaos-seed", 1));
         profile.horizon = args.getd("chaos-horizon", 2.0);
         profile.link_faults = chaos;
         profile.brownouts = chaos;
         profile.stragglers = 0;
-        chaos_plan = faultsim::from_chaos(profile, built.topo,
+        chaos_plan = faultsim::from_chaos(profile, fabric->topo,
                                           /*worker_count=*/0,
                                           /*job_count=*/args.geti("jobs", 12));
         cfg.fault_plan = &chaos_plan;
@@ -887,6 +912,14 @@ int cmd_serve(const Args& args) {
             std::make_unique<service::PoissonArrivalGenerator>(tc, burst));
       }
     }
+
+    // --series-budget caps the Simulator's --metrics-out series as well as
+    // the service telemetry ones. A restored run keeps its snapshot's budget
+    // unless the flag is given again.
+    const std::size_t budget = args.has("series-budget")
+                                   ? cfg.telemetry.series_budget
+                                   : loop->config().telemetry.series_budget;
+    if (budget > 0) metrics.set_series_budget(budget);
 
     // Snapshots are only valid at step boundaries (drain's final run() to
     // quiescence executes past the last boundary), so the terminal snapshot
