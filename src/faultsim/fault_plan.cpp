@@ -1,6 +1,7 @@
 #include "faultsim/fault_plan.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -39,9 +40,14 @@ std::optional<FaultKind> kind_from_string(std::string_view name) noexcept {
 FaultPlan from_chaos(const ChaosProfile& profile,
                      const topology::Topology& topo, std::size_t worker_count,
                      std::size_t job_count) {
+  const SimTime horizon = profile.horizon;
+  if (!(std::isfinite(horizon) && horizon > 0.0)) {
+    std::ostringstream os;
+    os << "chaos: horizon must be finite and > 0, got " << horizon;
+    throw std::invalid_argument(os.str());
+  }
   FaultPlan plan;
   Rng rng(profile.seed);
-  const SimTime horizon = profile.horizon;
   const auto hosts = topo.hosts();
 
   // Window helper: start in [0, 0.8 * horizon), length in the outage range.

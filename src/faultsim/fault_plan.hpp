@@ -92,6 +92,7 @@ struct ChaosProfile {
 // (categories whose pool is empty are skipped). Every fault is a
 // well-formed window: the recovery event is always emitted, so plans never
 // leave the fabric degraded forever. Events are sorted by time (stable).
+// Throws std::invalid_argument when the horizon is <= 0 or not finite.
 [[nodiscard]] FaultPlan from_chaos(const ChaosProfile& profile,
                                    const topology::Topology& topo,
                                    std::size_t worker_count,

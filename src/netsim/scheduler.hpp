@@ -2,11 +2,19 @@
 //
 // A NetworkScheduler observes flow arrivals/departures and, whenever the
 // active set changes, assigns per-flow weights and rate caps that the
-// RateAllocator then turns into feasible rates. Concrete policies:
-//   * FairSharingScheduler (here)    -- TCP-like max-min fairness baseline
-//   * CoflowMaddScheduler (echelon/) -- Varys-style SEBF + MADD
-//   * EchelonMaddScheduler (echelon/)-- the paper's tardiness-minimizing
-//                                       adaptation (Property 4)
+// RateAllocator then turns into feasible rates. The six run_experiment and
+// the service pick from (cluster::SchedulerKind, built by cluster::Stack):
+//   * FairSharingScheduler (here)     -- TCP-like max-min fairness baseline
+//   * SrptScheduler (echelon/)        -- pFabric-style per-flow SRPT
+//   * CoflowMaddScheduler (echelon/)  -- Varys-style SEBF + MADD
+//   * SincroniaScheduler (echelon/)   -- order-first BSSI + greedy rates
+//   * EchelonMaddScheduler (echelon/) -- the paper's tardiness-minimizing
+//                                        adaptation (Property 4)
+//   * runtime::Coordinator (runtime/) -- EchelonFlow-MADD behind the
+//                                        paper's control plane (§5)
+// AaloScheduler (echelon/; `echelonflow_cli single --scheduler aalo`) and
+// the runtime::PriorityQueueEnforcer wrapper (bench_enforcement, tests) are
+// constructed directly by their callers.
 //
 // Every control() call is one full pass: the policy recomputes every weight
 // and cap from the active span. The Simulator still forwards per-job dirty

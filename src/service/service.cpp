@@ -9,10 +9,6 @@
 #include <utility>
 
 #include "common/timer.hpp"
-#include "echelon/coflow_madd.hpp"
-#include "echelon/sincronia.hpp"
-#include "echelon/srpt.hpp"
-#include "workload/paradigm.hpp"
 
 namespace echelon::service {
 
@@ -31,18 +27,25 @@ ServiceLoop::ServiceLoop(const ServiceConfig& config,
                          std::optional<faultsim::FaultPlan> owned_plan)
     : config_(config),
       owned_plan_(std::move(owned_plan)),
-      fabric_(cluster::build_fabric(config_.fabric, config_.hosts,
-                                    config_.port_capacity,
-                                    config_.oversubscription)),
-      sim_(&fabric_.topo) {
+      stack_(config_.scheduler, config_.fabric, config_.hosts,
+             config_.port_capacity, config_.oversubscription) {
   if (config_.control_period <= 0.0) {
     throw std::invalid_argument("ServiceLoop: control_period must be > 0");
   }
   if (config_.telemetry.metrics_every < 0.0) {
     throw std::invalid_argument("ServiceLoop: metrics_every must be >= 0");
   }
+  if (config_.telemetry.slo.enabled() &&
+      !(std::isfinite(config_.telemetry.slo.window) &&
+        config_.telemetry.slo.window > 0.0)) {
+    throw std::invalid_argument(
+        "ServiceLoop: SLO window must be finite and > 0");
+  }
   if (owned_plan_.has_value()) config_.fault_plan = &*owned_plan_;
-  build_stack();
+  stack_.observe(config_.trace_sink, config_.trace_detail, config_.metrics);
+  // Armed before any launch: fault-first same-instant tie-break, as in
+  // run_experiment.
+  stack_.arm_faults(config_.fault_plan);
 
   // Telemetry state is config-driven (no output attachments yet), so a
   // restored loop replaying its journal rebuilds it identically.
@@ -60,85 +63,13 @@ ServiceLoop::ServiceLoop(const ServiceConfig& config,
 
 ServiceLoop::~ServiceLoop() = default;
 
-void ServiceLoop::build_stack() {
-  // Scheduler stack, mirroring run_experiment: the coordinator owns its
-  // registry; every other scheduler shares the standalone one (attached for
-  // tardiness measurement either way).
-  registry_ = &standalone_registry_;
-  switch (config_.scheduler) {
-    case cluster::SchedulerKind::kFairSharing:
-      policy_ = std::make_unique<netsim::FairSharingScheduler>();
-      standalone_registry_.attach(sim_);
-      break;
-    case cluster::SchedulerKind::kSrpt:
-      policy_ = std::make_unique<ef::SrptScheduler>();
-      standalone_registry_.attach(sim_);
-      break;
-    case cluster::SchedulerKind::kCoflowMadd:
-      policy_ = std::make_unique<ef::CoflowMaddScheduler>(
-          ef::CoflowMaddConfig{.work_conserving =
-                                   config_.coflow_work_conserving});
-      standalone_registry_.attach(sim_);
-      break;
-    case cluster::SchedulerKind::kSincronia:
-      policy_ = std::make_unique<ef::SincroniaScheduler>();
-      standalone_registry_.attach(sim_);
-      break;
-    case cluster::SchedulerKind::kEchelonMadd:
-      policy_ = std::make_unique<ef::EchelonMaddScheduler>(
-          &standalone_registry_, ef::EchelonMaddConfig{});
-      standalone_registry_.attach(sim_);
-      break;
-    case cluster::SchedulerKind::kCoordinator:
-      coordinator_ = std::make_unique<runtime::Coordinator>(
-          &sim_, runtime::CoordinatorConfig{});
-      registry_ = &coordinator_->registry();
-      break;
-  }
-
-  scheduler_ = coordinator_
-                   ? static_cast<netsim::NetworkScheduler*>(coordinator_.get())
-                   : policy_.get();
-  if (config_.priority_queues > 0) {
-    pq_ = std::make_unique<runtime::PriorityQueueEnforcer>(
-        scheduler_, runtime::PriorityQueueConfig{
-                        .num_queues = config_.priority_queues});
-    scheduler_ = pq_.get();
-  }
-  sim_.set_scheduler(scheduler_);
-
-  attach_observability(config_.trace_sink, config_.trace_detail,
-                       config_.metrics);
-
-  // Fault injection armed before any launch, preserving run_experiment's
-  // fault-first same-instant tie-break.
-  if (config_.fault_plan != nullptr) {
-    injector_ = std::make_unique<faultsim::FaultInjector>(
-        &sim_, &fabric_.topo, config_.fault_plan);
-    if (config_.trace_sink != nullptr &&
-        config_.trace_detail >= obs::TraceDetail::kCoarse) {
-      injector_->set_trace(config_.trace_sink);
-    }
-    injector_->arm();
-  }
-}
-
 void ServiceLoop::attach_observability(obs::TraceSink* sink,
                                        obs::TraceDetail detail,
                                        obs::MetricsRegistry* metrics) {
   config_.trace_sink = sink;
   config_.trace_detail = detail;
   config_.metrics = metrics;
-  if (sink != nullptr && detail != obs::TraceDetail::kOff) {
-    sim_.set_trace(sink, detail);
-    if (coordinator_ && detail >= obs::TraceDetail::kCoarse) {
-      coordinator_->set_trace(sink);
-    }
-    if (injector_ && detail >= obs::TraceDetail::kCoarse) {
-      injector_->set_trace(sink);
-    }
-  }
-  if (metrics != nullptr) sim_.set_metrics(metrics);
+  stack_.observe(sink, detail, metrics);
 }
 
 void ServiceLoop::set_generator(std::unique_ptr<ArrivalGenerator> gen) {
@@ -185,20 +116,20 @@ bool ServiceLoop::step_impl() {
       !(pending_.has_value() && (!work_left || !(tick_at < pending_->at)));
   if (!is_tick) {
     const SimTime at = pending_->at;
-    sim_.run(at);
+    sim().run(at);
     handle_arrivals_at(at);
     if (!work_left) {
       // The jump skipped an idle gap; realign the tick grid so the next
       // tick is the first multiple of the period not yet reached.
       const auto caught_up = static_cast<std::uint64_t>(
-          std::floor(sim_.now() / config_.control_period));
+          std::floor(sim().now() / config_.control_period));
       tick_index_ = std::max(tick_index_, caught_up);
     }
   } else {
-    sim_.run(tick_at);
+    sim().run(tick_at);
     ++tick_index_;
     ++control_ticks_;
-    sim_.invalidate_allocation();
+    sim().invalidate_allocation();
   }
   retire_finished();
   ++steps_;
@@ -213,9 +144,9 @@ bool ServiceLoop::step_impl() {
 void ServiceLoop::telemetry_boundary() {
   const TelemetryConfig& tc = config_.telemetry;
   if (!tc.enabled()) return;
-  const SimTime now = sim_.now();
-  if (flightrec_ != nullptr && injector_ != nullptr) {
-    const faultsim::FaultSummary& s = injector_->summary();
+  const SimTime now = sim().now();
+  if (flightrec_ != nullptr && injector() != nullptr) {
+    const faultsim::FaultSummary& s = injector()->summary();
     if (s.events_fired > faults_seen_) {
       faults_seen_ = s.events_fired;
       flightrec_->record(obs::FlightKind::kFault, now, faults_seen_);
@@ -263,13 +194,13 @@ void ServiceLoop::flush_telemetry(SimTime now) {
       .set(journal_.empty() ? 1.0
                             : static_cast<double>(admitted_) /
                                   static_cast<double>(journal_.size()));
-  m.gauge("service.total_tardiness_s").set(registry_->total_tardiness());
+  m.gauge("service.total_tardiness_s").set(registry().total_tardiness());
   m.series("service.queue_depth")
       .sample(now, static_cast<double>(wait_queue_.size()));
   m.series("service.running").sample(now, static_cast<double>(running()));
   m.series("service.active_flows")
-      .sample(now, static_cast<double>(sim_.active_flow_count()));
-  sim_.link_utilization(link_util_scratch_);
+      .sample(now, static_cast<double>(sim().active_flow_count()));
+  sim().link_utilization(link_util_scratch_);
   if (link_series_.size() != link_util_scratch_.size()) {
     link_series_.clear();
     link_series_.reserve(link_util_scratch_.size());
@@ -312,11 +243,11 @@ void ServiceLoop::handle_arrivals_at(SimTime at) {
   while (pending_.has_value() && pending_->at == at) {
     Arrival arrival = std::move(*pending_);
     pending_.reset();
-    if (arrival.at < sim_.now()) {
+    if (arrival.at < sim().now()) {
       throw std::logic_error("ServiceLoop: arrival at " +
                              std::to_string(arrival.at) +
                              " is in the simulator's past (now " +
-                             std::to_string(sim_.now()) + ")");
+                             std::to_string(sim().now()) + ")");
     }
     last_arrival_at_ = arrival.at;
     admit(std::move(arrival));
@@ -328,7 +259,7 @@ void ServiceLoop::admit(Arrival arrival) {
   AdmissionOutcome outcome{};
   profiled("admission", [&] {
     outcome = decide(config_.admission, running(), wait_queue_.size(),
-                     [this] { return registry_->total_tardiness(); });
+                     [this] { return registry().total_tardiness(); });
   });
   if (replay_expected_ != nullptr) {
     const std::size_t i = journal_.size();
@@ -379,58 +310,20 @@ void ServiceLoop::admit(Arrival arrival) {
 void ServiceLoop::launch_job(const cluster::JobSpec& spec, SimTime submitted,
                              SimTime start) {
   const std::size_t index = jobs_.size();
-  const std::size_t H = fabric_.hosts.size();
-  if (static_cast<std::size_t>(spec.ranks) > H) {
-    throw std::invalid_argument("ServiceLoop: job needs " +
-                                std::to_string(spec.ranks) + " ranks but the "
-                                "fabric has " + std::to_string(H) + " hosts");
-  }
-
   const ScopedTimer launch_timer;
   auto lj = std::make_unique<LiveJob>();
-  lj->spec = spec;
-  lj->submitted = submitted;
   lj->record.paradigm = spec.paradigm;
   lj->record.submitted = submitted;
   lj->record.started = start;
-
-  // run_experiment's rank packing, applied in launch order: consecutive
-  // ports from a wrapping cursor, DP-PS gets one extra port for its
-  // parameter server.
-  std::vector<NodeId> job_hosts;
-  job_hosts.reserve(static_cast<std::size_t>(spec.ranks));
-  for (int r = 0; r < spec.ranks; ++r) {
-    job_hosts.push_back(fabric_.hosts[(next_host_ + r) % H]);
-  }
-  const workload::Placement placement = workload::make_placement(
-      sim_, job_hosts, "j" + std::to_string(index) + ".");
-
-  NodeId ps_host;
-  WorkerId ps_worker;
-  std::size_t consumed = static_cast<std::size_t>(spec.ranks);
-  if (spec.paradigm == workload::Paradigm::kDpPs) {
-    ps_host = fabric_.hosts[(next_host_ + consumed) % H];
-    ps_worker =
-        sim_.add_worker(ps_host, "j" + std::to_string(index) + ".ps");
-    ++consumed;
-  }
-  next_host_ = (next_host_ + consumed) % H;
-
-  lj->group_begin = registry_->size();
-  lj->generated = cluster::generate_job_workflow(
-      spec, placement, ps_host, ps_worker, *registry_, JobId{index});
-  lj->group_end = registry_->size();
-  lj->engine = std::make_unique<netsim::WorkflowEngine>(
-      &sim_, &lj->generated.workflow);
-  lj->engine->on_complete = [this, index](netsim::Simulator&) {
-    job_finished(index);
-  };
+  const cluster::Seat seat = stack_.place(spec, index);
+  stack_.build(lj->built, spec, seat, JobId{index},
+               [this, index](netsim::Simulator&) { job_finished(index); });
 
   // Same-instant ordering contract (ISSUE 9 satellite): a launch scheduled
   // after another must land strictly later in the event queue's sequence
   // space -- pop_due's tie-break then replays same-instant releases in
   // submission order. A violation means something scheduled out of band.
-  const std::uint64_t seq_before = sim_.events().scheduled_seq();
+  const std::uint64_t seq_before = sim().events().scheduled_seq();
   assert(seq_before >= last_launch_seq_ &&
          "launch sequence floor moved backwards");
   if (seq_before < last_launch_seq_) {
@@ -439,8 +332,9 @@ void ServiceLoop::launch_job(const cluster::JobSpec& spec, SimTime submitted,
         "sequence floor, breaking the same-instant submission-order "
         "tie-break");
   }
-  lj->engine->launch(start);
-  last_launch_seq_ = std::max(last_launch_seq_, sim_.events().scheduled_seq());
+  lj->built.engine->launch(start);
+  last_launch_seq_ =
+      std::max(last_launch_seq_, sim().events().scheduled_seq());
 
   jobs_.push_back(std::move(lj));
   running_jobs_.push_back(index);
@@ -454,25 +348,25 @@ void ServiceLoop::launch_job(const cluster::JobSpec& spec, SimTime submitted,
 
 void ServiceLoop::job_finished(std::size_t index) {
   LiveJob& lj = *jobs_[index];
-  lj.record.finish = sim_.now();
+  lj.record.finish = sim().now();
   lj.record.finished = true;
   // The engine is still on the stack (on_complete fires inside its
-  // node_done), so its workflow is freed by retire_finished once sim_.run()
+  // node_done), so its workflow is freed by retire_finished once sim().run()
   // returns, not here.
   [[maybe_unused]] const std::size_t erased = std::erase(running_jobs_, index);
   assert(erased == 1);
   finished_jobs_.push_back(index);
   ++completed_;
   if (config_.telemetry.enabled()) {
-    const SimTime now = sim_.now();
+    const SimTime now = sim().now();
     const double jct = lj.record.finish - lj.record.submitted;
     const double queue_wait = lj.record.started - lj.record.submitted;
     // Max tardiness over the job's complete groups (incomplete ones report
     // -inf and are skipped; a fully-incomplete job samples 0).
     double tardiness = 0.0;
     bool any_group = false;
-    for (std::size_t g = lj.group_begin; g < lj.group_end; ++g) {
-      const ef::EchelonFlow& grp = registry_->get(EchelonFlowId{g});
+    for (std::size_t g = lj.built.group_begin; g < lj.built.group_end; ++g) {
+      const ef::EchelonFlow& grp = registry().get(EchelonFlowId{g});
       if (!grp.complete()) continue;
       tardiness =
           any_group ? std::max(tardiness, grp.tardiness()) : grp.tardiness();
@@ -490,7 +384,7 @@ void ServiceLoop::job_finished(std::size_t index) {
     }
   }
   // Backfill freed slots from the wait queue, oldest first, launching at
-  // the completion instant. This runs inside sim_.run() (the engine's
+  // the completion instant. This runs inside sim().run() (the engine's
   // on_complete fires from the event loop), so the released root nodes join
   // the very next batch at this instant -- deterministically ordered by
   // their schedule sequence.
@@ -499,7 +393,7 @@ void ServiceLoop::job_finished(std::size_t index) {
           running() < config_.admission.max_running)) {
     Arrival next = std::move(wait_queue_.front());
     wait_queue_.pop_front();
-    launch_job(next.job, next.at, sim_.now());
+    launch_job(next.job, next.at, sim().now());
   }
 }
 
@@ -509,39 +403,31 @@ SimTime ServiceLoop::drain() {
   // Leftover events past the last completion: fault-plan timers, parked
   // retries, etc. Runs to quiescence.
   const ScopedTimer wall;
-  const SimTime end = sim_.run();
+  const SimTime end = sim().run();
   retire_finished();
   wall_ms_ += wall.elapsed_ms();
   return end;
 }
 
 void ServiceLoop::retire_finished() {
-  for (const std::size_t j : finished_jobs_) {
-    LiveJob& lj = *jobs_[j];
-    lj.engine.reset();
-    lj.generated = {};
-    // Every member of a finished job's groups has finished (an abandoned
-    // flow finishes too), so each group's tardiness is final.
-    for (std::size_t g = lj.group_begin; g < lj.group_end; ++g) {
-      registry_->get(EchelonFlowId{g}).retire();
-    }
-  }
+  for (const std::size_t j : finished_jobs_) stack_.retire(jobs_[j]->built);
   finished_jobs_.clear();
 }
 
 std::size_t ServiceLoop::workflows_held() const noexcept {
   return static_cast<std::size_t>(
-      std::count_if(jobs_.begin(), jobs_.end(),
-                    [](const auto& lj) { return lj->engine != nullptr; }));
+      std::count_if(jobs_.begin(), jobs_.end(), [](const auto& lj) {
+        return lj->built.engine != nullptr;
+      }));
 }
 
 ServiceResult ServiceLoop::result() const {
   ServiceResult r;
-  r.scheduler_name = scheduler_->name();
-  r.end = sim_.now();
-  r.total_tardiness = registry_->total_tardiness();
-  r.weighted_total_tardiness = registry_->weighted_total_tardiness();
-  r.control_invocations = sim_.control_invocations();
+  r.scheduler_name = scheduler().name();
+  r.end = sim().now();
+  r.total_tardiness = registry().total_tardiness();
+  r.weighted_total_tardiness = registry().weighted_total_tardiness();
+  r.control_invocations = sim().control_invocations();
   r.arrivals = journal_.size();
   r.admitted = admitted_;
   r.queued = queued_total_;
@@ -553,9 +439,9 @@ ServiceResult ServiceLoop::result() const {
   r.deadline_at_risk = at_risk_;
   r.telemetry_flushes = flushes_;
   r.wall_ms = wall_ms_;
-  r.flow_finish.reserve(sim_.flow_count());
-  for (std::size_t i = 0; i < sim_.flow_count(); ++i) {
-    r.flow_finish.push_back(sim_.finish_time(FlowId{i}));
+  r.flow_finish.reserve(sim().flow_count());
+  for (std::size_t i = 0; i < sim().flow_count(); ++i) {
+    r.flow_finish.push_back(sim().finish_time(FlowId{i}));
   }
   r.jobs.reserve(jobs_.size());
   for (const auto& lj : jobs_) r.jobs.push_back(lj->record);
@@ -582,14 +468,14 @@ void ServiceLoop::publish_metrics() const {
   // Control decisions per host-side second of service-loop work.
   m.gauge("service.decisions_per_sec")
       .set(wall_ms_ <= 0.0 ? 0.0
-                           : static_cast<double>(sim_.control_invocations()) /
+                           : static_cast<double>(sim().control_invocations()) /
                                  (wall_ms_ / 1e3));
-  m.gauge("echelon.total_tardiness_s").set(registry_->total_tardiness());
+  m.gauge("echelon.total_tardiness_s").set(registry().total_tardiness());
   // Rebuilt from scratch on every call, so republishing never
   // double-counts a group.
   obs::Histogram& tard = m.histogram("service.tardiness_s");
   tard = obs::Histogram(tard.bounds());
-  for (const ef::EchelonFlow* g : registry_->all()) {
+  for (const ef::EchelonFlow* g : registry().all()) {
     if (g->complete()) tard.observe(g->tardiness());
   }
 }
@@ -600,17 +486,17 @@ void ServiceLoop::attach_telemetry_outputs(TelemetryOutputs outputs) {
 
 void ServiceLoop::flush_now() {
   if (!config_.telemetry.enabled()) return;
-  flush_telemetry(sim_.now());
+  flush_telemetry(sim().now());
 }
 
 void ServiceLoop::note_snapshot() {
   if (flightrec_ == nullptr) return;
-  flightrec_->record(obs::FlightKind::kSnapshot, sim_.now(), steps_);
+  flightrec_->record(obs::FlightKind::kSnapshot, sim().now(), steps_);
 }
 
 void ServiceLoop::note_error(std::string_view what) {
   if (flightrec_ == nullptr) return;
-  flightrec_->record(obs::FlightKind::kError, sim_.now(), 0, 0,
+  flightrec_->record(obs::FlightKind::kError, sim().now(), 0, 0,
                      std::string(what));
   if (!outputs_.flightrec_path.empty()) {
     std::ofstream os(outputs_.flightrec_path,
@@ -627,7 +513,7 @@ void ServiceLoop::record_phase_ms(std::string_view phase, double ms) {
   if (!config_.telemetry.profile) return;
   const std::string name = "service.profile." + std::string(phase) + "_ms";
   profile_.histogram(name).observe(ms);
-  profile_.series(name).sample(sim_.now(), ms);
+  profile_.series(name).sample(sim().now(), ms);
 }
 
 void ServiceLoop::begin_replay(const std::vector<JournalEntry>& expected) {

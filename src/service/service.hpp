@@ -1,18 +1,17 @@
 // Long-running scheduler daemon over the batch simulator (DESIGN.md §13).
 //
-// ServiceLoop turns run_experiment's one-shot pipeline into a streaming
-// control loop: job arrivals are pulled from an ArrivalGenerator, pushed
-// through pluggable admission control (admission.hpp), placed and launched
-// incrementally (the exact rank-packing of run_experiment, applied in
-// launch order), and interleaved with periodic control ticks that force a
-// scheduler pass. The loop is *pull-driven*: every run of the simulator
-// stops at a deterministic boundary -- the next arrival instant or the next
-// control tick t_k = k * control_period -- so two ServiceLoops fed the same
-// configuration and arrival stream execute the identical event history and
-// produce bit-identical results and trace streams. That is the invariant
-// the snapshot/restore layer (snapshot.hpp) is built on: a restored loop
-// replays its arrival journal through this same step loop and must land on
-// a bitwise-equal simulator state.
+// ServiceLoop drives online the cluster::Stack that run_experiment drives in
+// batch: job arrivals are pulled from an ArrivalGenerator, pushed through
+// pluggable admission control (admission.hpp), placed and built by the
+// Stack in launch order, and interleaved with periodic control ticks that
+// force a scheduler pass. The loop is *pull-driven*: every run of the
+// simulator stops at a deterministic boundary -- the next arrival instant or
+// the next control tick t_k = k * control_period -- so two ServiceLoops fed
+// the same configuration and arrival stream execute the identical event
+// history and produce bit-identical results and trace streams. That is the
+// invariant the snapshot/restore layer (snapshot.hpp) is built on: a
+// restored loop replays its arrival journal through this same step loop and
+// must land on a bitwise-equal simulator state.
 
 #pragma once
 
@@ -23,24 +22,20 @@
 #include <string>
 #include <vector>
 
-#include "cluster/experiment.hpp"
 #include "cluster/job.hpp"
+#include "cluster/stack.hpp"
 #include "common/units.hpp"
 #include "faultsim/fault_plan.hpp"
 #include "faultsim/injector.hpp"
 #include "netsim/simulator.hpp"
-#include "netsim/workflow.hpp"
 #include "obs/expose.hpp"
 #include "obs/flightrec.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stream.hpp"
 #include "obs/trace.hpp"
-#include "runtime/coordinator.hpp"
-#include "runtime/priority_queue.hpp"
 #include "service/admission.hpp"
 #include "service/arrivals.hpp"
 #include "service/slo.hpp"
-#include "topology/builders.hpp"
 
 namespace echelon::service {
 
@@ -85,8 +80,6 @@ struct ServiceConfig {
   int hosts = 16;
   BytesPerSec port_capacity = gbps(25);
   double oversubscription = 1.0;  // leaf-spine only
-  bool coflow_work_conserving = true;
-  int priority_queues = 0;
   // Read by nothing and not serialized: runs are single-threaded. It stays
   // only because the frozen end-to-end benchmark driver (bench/e2e) assigns
   // it; the next refresh of that driver deletes it (ROADMAP item 4).
@@ -204,16 +197,18 @@ class ServiceLoop {
       const noexcept {
     return pending_;
   }
-  [[nodiscard]] const netsim::Simulator& sim() const noexcept { return sim_; }
-  [[nodiscard]] netsim::Simulator& sim() noexcept { return sim_; }
+  [[nodiscard]] const netsim::Simulator& sim() const noexcept {
+    return stack_.sim();
+  }
+  [[nodiscard]] netsim::Simulator& sim() noexcept { return stack_.sim(); }
   [[nodiscard]] const ef::Registry& registry() const noexcept {
-    return *registry_;
+    return stack_.registry();
   }
   [[nodiscard]] const netsim::NetworkScheduler& scheduler() const noexcept {
-    return *scheduler_;
+    return stack_.scheduler();
   }
   [[nodiscard]] const faultsim::FaultInjector* injector() const noexcept {
-    return injector_.get();
+    return stack_.injector();
   }
   [[nodiscard]] std::uint64_t steps_executed() const noexcept {
     return steps_;
@@ -248,7 +243,7 @@ class ServiceLoop {
     return control_ticks_;
   }
   [[nodiscard]] std::size_t next_host_cursor() const noexcept {
-    return next_host_;
+    return stack_.next_host();
   }
   [[nodiscard]] std::uint64_t last_launch_seq() const noexcept {
     return last_launch_seq_;
@@ -327,24 +322,14 @@ class ServiceLoop {
 
  private:
   struct LiveJob {
-    cluster::JobSpec spec;
-    SimTime submitted = 0.0;
-    // Both emptied by retire_finished once the job has finished.
-    workload::GeneratedJob generated;
-    std::unique_ptr<netsim::WorkflowEngine> engine;
+    cluster::BuiltJob built;  // retired by retire_finished
     ServiceJobRecord record;
-    // EchelonFlow group id range [group_begin, group_end) this job created
-    // in the registry (tardiness attribution for SLO samples; retired with
-    // the job).
-    std::size_t group_begin = 0;
-    std::size_t group_end = 0;
   };
   // Runs fn(); with telemetry.profile on, also records its wall time as
   // profile phase `phase`. Unprofiled runs never read the clock.
   template <typename F>
   void profiled(std::string_view phase, F&& fn);
 
-  void build_stack();
   void refill_pending();
   bool step_impl();
   void telemetry_boundary();
@@ -355,24 +340,13 @@ class ServiceLoop {
   void launch_job(const cluster::JobSpec& spec, SimTime submitted,
                   SimTime start);
   void job_finished(std::size_t index);
-  // Frees the workflow and engine of every job finished during the last
-  // sim_.run() and retires its EchelonFlows (EchelonFlow::retire). Called
-  // after each run returns, never from job_finished: on_complete fires
-  // inside the engine's own node_done.
+  // Stack::retire()s every job finished during the last sim().run(); called
+  // after each run returns, never from job_finished.
   void retire_finished();
 
   ServiceConfig config_;
   std::optional<faultsim::FaultPlan> owned_plan_;
-  topology::BuiltFabric fabric_;
-  netsim::Simulator sim_;
-
-  ef::Registry standalone_registry_;
-  std::unique_ptr<runtime::Coordinator> coordinator_;
-  std::unique_ptr<netsim::NetworkScheduler> policy_;
-  std::unique_ptr<runtime::PriorityQueueEnforcer> pq_;
-  ef::Registry* registry_ = nullptr;
-  netsim::NetworkScheduler* scheduler_ = nullptr;
-  std::unique_ptr<faultsim::FaultInjector> injector_;
+  cluster::Stack stack_;
 
   std::unique_ptr<ArrivalGenerator> gen_;
   std::optional<Arrival> pending_;
@@ -385,10 +359,9 @@ class ServiceLoop {
   std::vector<std::unique_ptr<LiveJob>> jobs_;
   // Indices of the jobs still running, in launch order.
   std::vector<std::size_t> running_jobs_;
-  // Jobs finished during the current sim_.run(), awaiting retirement.
+  // Jobs finished during the current sim().run(), awaiting retirement.
   std::vector<std::size_t> finished_jobs_;
 
-  std::size_t next_host_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t admitted_ = 0;
   std::uint64_t queued_total_ = 0;

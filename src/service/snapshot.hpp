@@ -68,7 +68,9 @@ inline constexpr char kSnapshotMagic[8] = {'E', 'C', 'H', 'S', 'N', 'A', 'P',
 // v7: kVerify adds alloc.explicit_passes (allocator passes that returned the
 //     scheduler's caps without a fill).
 // v8: kConfig drops the threads word (runs are single-threaded).
-inline constexpr std::uint32_t kSnapshotVersion = 8;
+// v9: kConfig drops the coflow work-conserving and priority-queue words
+//     (ServiceConfig no longer has either knob).
+inline constexpr std::uint32_t kSnapshotVersion = 9;
 
 // Thrown on any malformed, truncated, corrupt, or divergent snapshot. The
 // message always names what failed and where.

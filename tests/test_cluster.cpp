@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "cluster/experiment.hpp"
 #include "cluster/trace.hpp"
@@ -131,15 +132,24 @@ TEST(Experiment, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.total_tardiness, b.total_tardiness);
 }
 
-TEST(Experiment, PriorityQueueEnforcementStillCompletes) {
-  const auto jobs = small_trace();
+// Placement refuses a job with more ranks than the fabric has hosts, before
+// the run starts, naming both counts.
+TEST(Experiment, RejectsJobWiderThanFabric) {
+  auto jobs = small_trace();
   ExperimentConfig cfg;
-  cfg.scheduler = SchedulerKind::kEchelonMadd;
-  cfg.hosts = 8;
-  cfg.priority_queues = 8;
-  const auto r = run_experiment(jobs, cfg);
-  EXPECT_EQ(r.jobs.size(), jobs.size());
-  EXPECT_NE(r.scheduler_name.find("+pq8"), std::string::npos);
+  cfg.hosts = 4;
+  jobs[2].ranks = 5;
+  try {
+    (void)run_experiment(jobs, cfg);
+    ADD_FAILURE() << "a 5-rank job ran on a 4-host fabric";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "job needs 5 ranks but the fabric has 4 hosts"),
+              std::string::npos)
+        << e.what();
+  }
+  jobs[2].ranks = 4;
+  EXPECT_EQ(run_experiment(jobs, cfg).jobs.size(), jobs.size());
 }
 
 TEST(Experiment, CoordinatorIntervalModeReportsControlStats) {

@@ -28,6 +28,7 @@
 
 #include "equivalence_harness.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -105,6 +106,22 @@ void expect_same_plan(const FaultPlan& a, const FaultPlan& b) {
     EXPECT_EQ(a.events[i].target, b.events[i].target);
     EXPECT_EQ(a.events[i].factor, b.events[i].factor);
   }
+}
+
+// A horizon that is not a finite positive number would draw fault windows
+// in the past or ending before they start; the generator refuses it.
+TEST(FaultPlanDeterminism, FromChaosRejectsBadHorizon) {
+  const auto fabric = eqh::run_cluster_fabric(FabricKind::kBigSwitch);
+  ChaosProfile p;
+  p.link_faults = 1;
+  for (const double horizon : {0.0, -1.0, std::nan(""), kTimeInfinity}) {
+    p.horizon = horizon;
+    EXPECT_THROW((void)faultsim::from_chaos(p, fabric.topo, 0, 1),
+                 std::invalid_argument)
+        << "horizon " << horizon;
+  }
+  p.horizon = 1e-3;
+  EXPECT_FALSE(faultsim::from_chaos(p, fabric.topo, 0, 1).empty());
 }
 
 TEST(FaultPlanDeterminism, SerializeParseRoundTripIsExact) {

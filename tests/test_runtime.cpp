@@ -169,6 +169,7 @@ TEST_F(RuntimeFixture, PriorityQueueApproximatesEchelonDecisions) {
   reg.attach(sim);
   ef::EchelonMaddScheduler policy(&reg);
   PriorityQueueEnforcer pq(&policy, {.num_queues = 8});
+  EXPECT_NE(pq.name().find("+pq8"), std::string::npos);
   sim.set_scheduler(&pq);
   const EchelonFlowId ef =
       reg.create(JobId{0}, ef::Arrangement::pipeline(2, 1.0));

@@ -487,13 +487,14 @@ TEST_F(CorruptSnapshotTest, HeaderAndVersionMutationsFailTheirOwnChecks) {
               std::string::npos);
   }
   {
-    // v7 files carry a kConfig threads word that v8 dropped; v8 readers
-    // reject them up front, naming the version, instead of misreading every
-    // later config field.
-    static_assert(service::kSnapshotVersion == 8);
+    // v8 files carry the coflow work-conserving and priority-queue kConfig
+    // words that v9 dropped; v9 readers reject them up front, naming the
+    // version, instead of misreading every later config field.
+    static_assert(service::kSnapshotVersion == 9);
     std::string m = bytes_;
-    m[8] = 7;
-    EXPECT_NE(expect_snapshot_error(restamp(m)).find("unsupported version 7"),
+    m[8] = 8;
+    EXPECT_NE(expect_snapshot_error(restamp(m))
+                  .find("unsupported version 8 (expected 9)"),
               std::string::npos);
   }
   {
@@ -1318,6 +1319,35 @@ TEST(ServiceConfigCheck, RejectsFabricItCannotBuild) {
   EXPECT_TRUE(rejects(c));
   c.hosts = 16;
   EXPECT_FALSE(rejects(c));
+}
+
+// A job wider than the fabric is refused at launch by the placement rule
+// run_experiment uses, with the same exception and message; the job
+// launched before it stands.
+TEST(ServiceConfigCheck, RejectsJobWiderThanFabricLikeRunExperiment) {
+  std::vector<Arrival> arrivals = simultaneous_arrivals(2, 0.5);
+  arrivals[1].job.ranks = 17;
+  const auto refusal = [](const auto& run) -> std::string {
+    try {
+      run();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "<accepted>";
+  };
+  cluster::ExperimentConfig batch;
+  batch.hosts = 16;
+  batch.port_capacity = gbps(25);
+  const std::vector<cluster::JobSpec> jobs = {arrivals[0].job,
+                                              arrivals[1].job};
+  const std::string batch_what =
+      refusal([&] { (void)cluster::run_experiment(jobs, batch); });
+  EXPECT_EQ(batch_what, "job needs 17 ranks but the fabric has 16 hosts");
+
+  ServiceLoop loop(make_config(ServiceSpec{}));
+  loop.set_generator(std::make_unique<VectorArrivalGenerator>(arrivals));
+  EXPECT_EQ(refusal([&] { loop.drain(); }), batch_what);
+  EXPECT_EQ(loop.launched(), 1u);
 }
 
 }  // namespace

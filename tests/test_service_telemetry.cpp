@@ -25,6 +25,7 @@
 
 #include "equivalence_harness.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -541,6 +542,24 @@ TEST(Slo, DeadlineAtRiskLatchesOnSlowJobs) {
   std::uint64_t flagged = 0;
   for (const auto& j : r.jobs) flagged += j.deadline_at_risk ? 1 : 0;
   EXPECT_EQ(flagged, r.deadline_at_risk);
+}
+
+// With objectives set, a window that is not a finite positive number would
+// expire every sample at once and pin the burn-rate gauges at 0, so the
+// constructor refuses it. Without objectives the window is never read.
+TEST(Slo, NonPositiveWindowIsRejected) {
+  TelSpec spec;
+  spec.telemetry.slo.objectives = {SloObjective{SloKind::kJct, 1.0, 0.1}};
+  for (const double window : {0.0, -1.0, std::nan(""), kTimeInfinity}) {
+    spec.telemetry.slo.window = window;
+    EXPECT_THROW(ServiceLoop{make_config(spec)}, std::invalid_argument)
+        << "window " << window;
+  }
+  spec.telemetry.slo.window = 0.5;
+  EXPECT_NO_THROW(ServiceLoop{make_config(spec)});
+  spec.telemetry.slo.objectives.clear();
+  spec.telemetry.slo.window = -1.0;
+  EXPECT_NO_THROW(ServiceLoop{make_config(spec)});
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Line-coverage ratchet for the service and netsim subsystems.
+"""Line-coverage ratchet for the service, netsim, obs and cluster subsystems.
 
 Walks a --coverage (gcc/gcov) build tree for .gcda counter files, runs gcov
 on each object's counters, aggregates "Lines executed" per tracked source
@@ -36,6 +36,12 @@ FLOORS = {
     # Telemetry/exporter layer (DESIGN.md §15): driven by test_obs and
     # tests/test_service_telemetry.cpp.
     "src/obs": 80.0,
+    # The cluster Stack shared by run_experiment and the service, plus
+    # run_experiment and run_sweep (DESIGN.md §13): driven by test_cluster
+    # and test_service.
+    # Measured on the CI test set at floor-setting time: 95.3%
+    # (385/404 lines, Debug --coverage, gcc 12).
+    "src/cluster": 92.0,
 }
 
 FILE_RE = re.compile(r"^File '(?P<path>[^']+)'")

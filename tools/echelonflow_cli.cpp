@@ -28,7 +28,8 @@
 //                       see DESIGN.md §8) against every scheduler
 //   --chaos N           generate N link faults + N brownouts + N stragglers
 //                       from a seeded profile instead of a plan file
-//   --chaos-seed S (default 1)  --chaos-horizon T seconds (default 2)
+//   --chaos-seed S (default 1)  --chaos-horizon T seconds (default 2;
+//                       finite and > 0)
 //     fault columns (reroutes/parks/abandoned/downtime) are reported and
 //     written to the CSV whenever fault injection is active.
 //
@@ -69,7 +70,8 @@
 //                       (kind<=threshold@error_budget, kinds jct|queue_wait|
 //                       tardiness); publishes service.slo.* burn-rate gauges
 //                       and latches per-job deadline-at-risk flags
-//   --slo-window T      rolling SLO window in simulated seconds (default 10)
+//   --slo-window T      rolling SLO window in simulated seconds (default 10;
+//                       finite and > 0 when --slo is set)
 //   --flightrec N       keep a flight recorder ring of the last N service
 //                       events (admit/launch/complete/fault/flush/...)
 //   --flightrec-out PATH dump the ring on error and at exit (ECHFLIGHT text,
@@ -601,7 +603,12 @@ int cmd_cluster(const Args& args) {
     profile.stragglers = chaos;
     std::size_t workers = 0;
     for (const auto& j : jobs) workers += static_cast<std::size_t>(j.ranks);
-    plan = faultsim::from_chaos(profile, fabric->topo, workers, jobs.size());
+    try {
+      plan = faultsim::from_chaos(profile, fabric->topo, workers, jobs.size());
+    } catch (const std::invalid_argument& e) {
+      std::cerr << e.what() << "\n";
+      return 2;
+    }
     have_plan = true;
   }
 
@@ -637,7 +644,8 @@ int cmd_cluster(const Args& args) {
     results =
         cluster::run_sweep(points, opts, want_capture ? &capture : nullptr);
   } catch (const std::invalid_argument& e) {
-    // A fault-plan event naming a link, node or worker the run lacks.
+    // A job wider than the fabric, or a fault-plan event naming a link,
+    // node or worker the run lacks.
     std::cerr << e.what() << "\n";
     return 2;
   }
@@ -949,6 +957,12 @@ int cmd_serve(const Args& args) {
     if (loop != nullptr) loop->note_error(e.what());
     std::cerr << "snapshot error: " << e.what() << "\n";
     return 1;
+  } catch (const std::invalid_argument& e) {
+    // Input the run cannot take: a bad chaos horizon or SLO window, a job
+    // wider than the fabric, a fault target outside it.
+    if (loop != nullptr) loop->note_error(e.what());
+    std::cerr << "serve failed: " << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     if (loop != nullptr) loop->note_error(e.what());
     std::cerr << "serve failed: " << e.what() << "\n";
