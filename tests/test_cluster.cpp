@@ -12,6 +12,7 @@
 
 #include "cluster/experiment.hpp"
 #include "cluster/trace.hpp"
+#include "faultsim/fault_plan.hpp"
 
 namespace echelon::cluster {
 namespace {
@@ -362,6 +363,65 @@ TEST(Experiment, ArrivalsOutOfIndexOrderMatchRecordedDigest) {
         << to_string(kind) << " 0x" << std::hex << result_digest(r);
     EXPECT_EQ(r.peak_live_workflows, jobs.size()) << to_string(kind);
   }
+}
+
+// The interval Coordinator's heuristic-run and reuse-hit counts, pinned with
+// the rest of the result: its churn rule decides which boundaries re-run.
+TEST(Experiment, IntervalCoordinatorMatchesRecordedDigest) {
+  const auto jobs = small_trace();
+  const std::pair<bool, std::uint64_t> cases[] = {
+      {false, 0x315b385d989831f3ull},
+      {true, 0x0ffa0e4a708ce290ull},
+  };
+  for (const auto& [reuse, expected] : cases) {
+    ExperimentConfig cfg;
+    cfg.scheduler = SchedulerKind::kCoordinator;
+    cfg.hosts = 8;
+    cfg.coordinator.mode = runtime::SchedulingMode::kInterval;
+    cfg.coordinator.interval = 1e-3;
+    cfg.coordinator.iterative_reuse = reuse;
+    const ExperimentResult r = run_experiment(jobs, cfg);
+    EXPECT_EQ(result_digest(r), expected)
+        << "reuse " << reuse << " 0x" << std::hex << result_digest(r);
+  }
+}
+
+// small_trace()'s shape with 3- and 5-rank jobs: packed onto a 16-host
+// leaf-spine, some jobs straddle the two leaves and cross the spines.
+std::vector<JobSpec> straddling_trace() {
+  TraceConfig cfg;
+  cfg.num_jobs = 5;
+  cfg.seed = 3;
+  cfg.rank_choices = {3, 5};
+  cfg.min_layers = 3;
+  cfg.max_layers = 4;
+  cfg.min_width = 256;
+  cfg.max_width = 512;
+  cfg.arrival_rate = 5.0;
+  cfg.iterations = 2;
+  return generate_trace(cfg);
+}
+
+// A leaf-spine uplink pair dies and returns mid-run: flows crossing it are
+// rerouted (or parked) and the interval Coordinator sees the churn.
+TEST(Experiment, IntervalCoordinatorUnderLinkFaultMatchesRecordedDigest) {
+  faultsim::FaultPlan plan;
+  // Links 0 and 1 are leaf0 <-> spine0 (make_leaf_spine adds uplinks first).
+  for (const std::uint64_t link : {0ull, 1ull}) {
+    plan.events.push_back({0.5, faultsim::FaultKind::kLinkDown, link, 1.0});
+    plan.events.push_back({0.7, faultsim::FaultKind::kLinkUp, link, 1.0});
+  }
+  ExperimentConfig cfg;
+  cfg.scheduler = SchedulerKind::kCoordinator;
+  cfg.fabric = FabricKind::kLeafSpine;
+  cfg.hosts = 16;
+  cfg.coordinator.mode = runtime::SchedulingMode::kInterval;
+  cfg.coordinator.interval = 1e-3;
+  cfg.fault_plan = &plan;
+  const ExperimentResult r = run_experiment(straddling_trace(), cfg);
+  EXPECT_GT(r.flow_reroutes, 0u);
+  EXPECT_EQ(result_digest(r), 0x3ce78fa899240562ull)
+      << "0x" << std::hex << result_digest(r);
 }
 
 TEST(Experiment, SequentialJobsHoldOneWorkflow) {
