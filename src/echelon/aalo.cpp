@@ -27,8 +27,8 @@ void AaloScheduler::control(netsim::Simulator& sim,
   std::size_t routed = 0;
   for (netsim::Flow* f : active) {
     if (f->path.empty()) {
-      f->set_weight(1.0);
-      f->clear_rate_cap();
+      f->weight = 1.0;
+      f->rate_cap.reset();
       continue;
     }
     ++routed;
@@ -96,8 +96,8 @@ void AaloScheduler::control(netsim::Simulator& sim,
     for (std::uint32_t i = g.begin; i < g.end; ++i) {
       netsim::Flow* f = members_[i];
       const double rate = caps_.path_residual(*f);
-      f->set_weight(1.0);
-      f->set_rate_cap(std::isfinite(rate) ? rate : 0.0);
+      f->weight = 1.0;
+      f->rate_cap = std::isfinite(rate) ? rate : 0.0;
       caps_.consume(*f, *f->rate_cap);
     }
   }

@@ -68,8 +68,8 @@ void CoflowMaddScheduler::control(netsim::Simulator& sim,
   std::size_t routed = 0;
   for (netsim::Flow* f : active) {
     if (f->path.empty()) {  // loopback: never network-limited
-      f->set_weight(1.0);
-      f->clear_rate_cap();
+      f->weight = 1.0;
+      f->rate_cap.reset();
       continue;
     }
     ++routed;
@@ -129,8 +129,8 @@ void CoflowMaddScheduler::control(netsim::Simulator& sim,
       double rate = std::isinf(gamma) || gamma <= 0.0 ? 0.0
                                                       : f->remaining / gamma;
       rate = std::min(rate, caps_.path_residual(*f));  // numerical safety
-      f->set_weight(1.0);
-      f->set_rate_cap(rate);
+      f->weight = 1.0;
+      f->rate_cap = rate;
       caps_.consume(*f, rate);
     }
   }
@@ -160,7 +160,7 @@ void CoflowMaddScheduler::control(netsim::Simulator& sim,
         netsim::Flow* f = members_[i];
         const double extra = f->remaining * lambda;
         if (extra <= 0.0) continue;
-        f->set_rate_cap(*f->rate_cap + extra);
+        f->rate_cap = *f->rate_cap + extra;
         caps_.consume(*f, extra);
       }
     }
@@ -170,7 +170,7 @@ void CoflowMaddScheduler::control(netsim::Simulator& sim,
         netsim::Flow* f = members_[i];
         const double extra = caps_.path_residual(*f);
         if (extra <= 0.0 || !std::isfinite(extra)) continue;
-        f->set_rate_cap(*f->rate_cap + extra);
+        f->rate_cap = *f->rate_cap + extra;
         caps_.consume(*f, extra);
       }
     }

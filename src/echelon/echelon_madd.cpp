@@ -47,8 +47,8 @@ void EchelonMaddScheduler::build_groups(std::span<netsim::Flow*> active) {
   if (registry_ != nullptr) group_of_ef_.ensure_size(registry_->size());
   for (netsim::Flow* f : active) {
     if (f->path.empty()) {  // loopback: never network-limited
-      f->set_weight(1.0);
-      f->clear_rate_cap();
+      f->weight = 1.0;
+      f->rate_cap.reset();
       continue;
     }
     const Resolved r = resolve(*f);
@@ -191,8 +191,8 @@ void EchelonMaddScheduler::control(netsim::Simulator& sim,
           rate = horizon > 0.0 ? f->remaining / horizon : kInf;
         }
         rate = std::min(rate, caps_.path_residual(*f));
-        f->set_weight(1.0);
-        f->set_rate_cap(rate);
+        f->weight = 1.0;
+        f->rate_cap = rate;
         caps_.consume(*f, rate);
       }
 
@@ -216,7 +216,7 @@ void EchelonMaddScheduler::control(netsim::Simulator& sim,
             netsim::Flow* f = members_[k].flow;
             const double extra = f->remaining * lambda;
             if (extra <= 0.0) continue;
-            f->set_rate_cap(*f->rate_cap + extra);
+            f->rate_cap = *f->rate_cap + extra;
             caps_.consume(*f, extra);
           }
         }
@@ -236,7 +236,7 @@ void EchelonMaddScheduler::control(netsim::Simulator& sim,
         netsim::Flow* f = members_[i].flow;
         const double extra = caps_.path_residual(*f);
         if (extra <= 0.0 || !std::isfinite(extra)) continue;
-        f->set_rate_cap(*f->rate_cap + extra);
+        f->rate_cap = *f->rate_cap + extra;
         caps_.consume(*f, extra);
       }
     }

@@ -8,9 +8,8 @@ EchelonFlowId Registry::create(JobId job, Arrangement arrangement,
   echelonflows_.push_back(std::make_unique<EchelonFlow>(
       id, job, std::move(arrangement), std::move(label), weight));
   // Late registration can turn an active member's deadline from unknown into
-  // a real one without that member's job being re-marked; the mark reports
-  // it as churn so an interval coordinator re-runs at its next boundary.
-  if (sim_ != nullptr) sim_->mark_all_jobs_dirty();
+  // a real one.
+  ++revision_;
   return id;
 }
 
@@ -21,12 +20,8 @@ void Registry::note_arrival(const netsim::Flow& flow, SimTime now) {
   const bool had_reference = ef.reference_known();
   ef.note_start(flow.spec.index_in_group, flow.id, flow.spec.size, now);
   // The first started member fixes r, turning every sibling's ideal finish
-  // d_j = r + offset_j from unknown to known -- siblings may belong to
-  // other jobs, so escalate: an interval coordinator reads the mark as
-  // churn and re-runs at its next boundary.
-  if (!had_reference && ef.reference_known() && sim_ != nullptr) {
-    sim_->mark_all_jobs_dirty();
-  }
+  // d_j = r + offset_j from unknown to known.
+  if (!had_reference && ef.reference_known()) ++revision_;
 }
 
 void Registry::note_departure(const netsim::Flow& flow, SimTime now) {
@@ -36,7 +31,6 @@ void Registry::note_departure(const netsim::Flow& flow, SimTime now) {
 }
 
 void Registry::attach(netsim::Simulator& sim) {
-  sim_ = &sim;
   sim.add_flow_arrival_listener(
       [this](netsim::Simulator& s, const netsim::Flow& f) {
         note_arrival(f, s.now());

@@ -9,6 +9,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -41,6 +42,12 @@ class Registry {
   [[nodiscard]] std::size_t size() const noexcept {
     return echelonflows_.size();
   }
+
+  // Counts the mutations that can give an active flow a deadline it did not
+  // have: create() (a late EchelonFlow binds already-active members) and a
+  // first-started member fixing an EchelonFlow's reference time. The
+  // interval Coordinator reads a moved revision as churn.
+  [[nodiscard]] std::uint64_t revision() const noexcept { return revision_; }
 
   // --- runtime wiring ---------------------------------------------------------
 
@@ -78,12 +85,7 @@ class Registry {
   mutable std::size_t prefix_end_ = 0;
   mutable Duration prefix_tardiness_ = 0.0;
   mutable Duration prefix_weighted_tardiness_ = 0.0;
-  // Set by attach(). Registry mutations that can give an active flow a
-  // deadline without re-marking its job (a new EchelonFlow binding pending
-  // members, a reference time fixed by a first-started member) mark every
-  // job dirty: the interval Coordinator reads that as churn and re-runs
-  // its control pass at the next boundary.
-  netsim::Simulator* sim_ = nullptr;
+  std::uint64_t revision_ = 0;
 };
 
 }  // namespace echelon::ef

@@ -20,8 +20,8 @@ void SincroniaScheduler::control(netsim::Simulator& sim,
   std::map<std::uint64_t, Group> groups;
   for (netsim::Flow* f : active) {
     if (f->path.empty()) {
-      f->set_weight(1.0);
-      f->clear_rate_cap();
+      f->weight = 1.0;
+      f->rate_cap.reset();
       continue;
     }
     const std::uint64_t key = f->spec.group.valid()
@@ -79,8 +79,8 @@ void SincroniaScheduler::control(netsim::Simulator& sim,
   for (auto it = reverse_order.rbegin(); it != reverse_order.rend(); ++it) {
     for (netsim::Flow* f : (*it)->flows) {
       const double rate = caps_.path_residual(*f);
-      f->set_weight(1.0);
-      f->set_rate_cap(std::isfinite(rate) ? rate : 0.0);
+      f->weight = 1.0;
+      f->rate_cap = std::isfinite(rate) ? rate : 0.0;
       caps_.consume(*f, *f->rate_cap);
     }
   }

@@ -12,8 +12,8 @@ void SrptScheduler::control(netsim::Simulator& sim,
   order_.clear();
   for (netsim::Flow* f : active) {
     if (f->path.empty()) {
-      f->set_weight(1.0);
-      f->clear_rate_cap();
+      f->weight = 1.0;
+      f->rate_cap.reset();
       continue;
     }
     order_.push_back(f);
@@ -31,8 +31,8 @@ void SrptScheduler::control(netsim::Simulator& sim,
   caps_.reset(&sim.topology());
   for (netsim::Flow* f : order_) {
     const double rate = caps_.path_residual(*f);
-    f->set_weight(1.0);
-    f->set_rate_cap(std::isfinite(rate) ? rate : 0.0);
+    f->weight = 1.0;
+    f->rate_cap = std::isfinite(rate) ? rate : 0.0;
     caps_.consume(*f, f->rate_cap.value());
   }
 }

@@ -24,9 +24,8 @@ void RateAllocator::allocate(std::span<Flow*> flows, SimTime now) {
   ++stats_.passes;
   rate_changed_.clear();
 
-  // Every flow's `control_dirty` is consumed, and `rate_changed_` lists, in
-  // span order, the flows whose rate the pass moved (the Simulator's
-  // heap-patch dirty set).
+  // `rate_changed_` lists, in span order, the flows whose rate the pass
+  // moved (the Simulator's heap-patch dirty set).
   std::uint32_t comps = 0;
   if (caps_fit(flows)) {
     // Explicit-rate pass: each contended flow gets exactly its cap (the
@@ -39,7 +38,6 @@ void RateAllocator::allocate(std::span<Flow*> flows, SimTime now) {
           f->finished() || (f->rate_cap && *f->rate_cap <= 0.0) ? 0.0
           : f->rate_cap ? *f->rate_cap
                         : std::numeric_limits<double>::infinity();
-      f->control_dirty = false;
       if (rate != f->rate) rate_changed_.push_back(f);
       f->rate = rate;
     }
@@ -48,9 +46,7 @@ void RateAllocator::allocate(std::span<Flow*> flows, SimTime now) {
     for (const Flow* f : flows) prev_rate_.push_back(f->rate);
     comps = water_fill(flows, now);
     for (std::size_t i = 0; i < flows.size(); ++i) {
-      Flow* f = flows[i];
-      f->control_dirty = false;
-      if (f->rate != prev_rate_[i]) rate_changed_.push_back(f);
+      if (flows[i]->rate != prev_rate_[i]) rate_changed_.push_back(flows[i]);
     }
   }
 

@@ -76,8 +76,7 @@ class RateAllocator {
   explicit RateAllocator(const topology::Topology* topo) : topo_(topo) {}
 
   // Overwrites `rate` on every flow in `flows`. Finished flows get rate 0.
-  // Non-const: reuses the allocator's internal arenas across calls. Also
-  // consumes (clears) every flow's `control_dirty` notification flag.
+  // Non-const: reuses the allocator's internal arenas across calls.
   // `now` is only used to timestamp the optional kAllocPass trace event;
   // standalone callers (benchmarks, property tests) can ignore it.
   void allocate(std::span<Flow*> flows, SimTime now = 0.0);

@@ -17,10 +17,7 @@
 // constructed directly by their callers.
 //
 // Every control() call is one full pass: the policy recomputes every weight
-// and cap from the active span. The Simulator still forwards per-job dirty
-// marks before each pass (mark_job_dirty / mark_all_jobs_dirty); policies
-// ignore them, and only the interval-mode Coordinator reads them, as churn
-// that invalidates its standing allocation (DESIGN.md §12).
+// and cap from the active span (DESIGN.md §12).
 
 #pragma once
 
@@ -67,10 +64,10 @@ class NetworkScheduler {
   // control pass.
   virtual void on_topology_change(Simulator& sim) { (void)sim; }
 
-  // Dirty-mark hooks (DESIGN.md §12). The Simulator batches per-job marks
-  // between control passes and forwards them right before control().
-  // Policies recompute everything every pass and ignore them; decorators
-  // forward them, and the interval-mode Coordinator counts them as churn.
+  // Never called. They remain only because bench/e2e/bench_e2e.cpp, which
+  // the benchmark keeps unchanged, declares overrides of them; they go with
+  // that file's next refresh (ROADMAP item 3), as ServiceConfig::threads
+  // does.
   virtual void mark_job_dirty(JobId job) { (void)job; }
   virtual void mark_all_jobs_dirty() {}
 
@@ -96,8 +93,8 @@ class FairSharingScheduler final : public NetworkScheduler {
   void control(Simulator&, std::span<Flow*> active) override {
     ++stats_.passes;
     for (Flow* f : active) {
-      f->set_weight(1.0);
-      f->clear_rate_cap();
+      f->weight = 1.0;
+      f->rate_cap.reset();
     }
     ++stats_.full_passes;
   }

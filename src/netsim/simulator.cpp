@@ -79,9 +79,6 @@ Simulator::Simulator(const topology::Topology* topo)
 
 void Simulator::set_scheduler(NetworkScheduler* scheduler) noexcept {
   scheduler_ = scheduler != nullptr ? scheduler : &default_scheduler_;
-  // A fresh scheduler has seen none of the standing flows: announce its
-  // first pass as all-dirty.
-  mark_all_jobs_dirty();
   allocation_dirty_ = true;
 }
 
@@ -310,7 +307,6 @@ FlowId Simulator::submit_flow(FlowSpec spec, FlowCallback on_done) {
   fr.active_index = active_flows_.size();
   active_flows_.push_back(id);  // ids are monotonic: tail push keeps order
   allocation_dirty_ = true;
-  mark_job_dirty(fr.spec.job);
   scheduler_->on_flow_arrival(*this, fr);
   return id;
 }
@@ -362,42 +358,12 @@ void Simulator::reallocate() {
   for (FlowId id : active_flows_) {
     active_scratch_.push_back(&flows_.at(id.value()).flow);
   }
-  // Pre-control churn scan (DESIGN.md §12): a control_dirty flag standing
-  // *before* the scheduler runs means an external caller touched the flow's
-  // weight/cap through the notification setters since the allocator last
-  // consumed the flag -- genuine churn the per-event mark sites cannot see.
-  // Read-only: the allocator still consumes the flags after control().
-  if (!all_jobs_dirty_) {
-    for (const Flow* f : active_scratch_) {
-      if (f->control_dirty) mark_job_dirty(f->spec.job);
-    }
-  }
   if (tracing(obs::TraceDetail::kCoarse)) {
     trace_->record(obs::TraceEvent{.kind = obs::TraceKind::kControlPass,
                                    .t = now_,
                                    .id = control_invocations_,
                                    .ctx = active_scratch_.size()});
-    // Dirty-mark summary of the upcoming pass: ctx = marked jobs (or the
-    // active count on an all-dirty pass), value 1.0 flags all-dirty.
-    trace_->record(obs::TraceEvent{.kind = obs::TraceKind::kSchedPass,
-                                   .t = now_,
-                                   .id = control_invocations_,
-                                   .ctx = all_jobs_dirty_
-                                              ? active_scratch_.size()
-                                              : dirty_jobs_.size(),
-                                   .value = all_jobs_dirty_ ? 1.0 : 0.0});
   }
-  // Forward the accumulated dirty-job marks, then clear them: everything the
-  // upcoming pass needs to reconsider has been announced.
-  if (all_jobs_dirty_) {
-    scheduler_->mark_all_jobs_dirty();
-  } else {
-    for (const std::uint64_t j : dirty_jobs_) {
-      scheduler_->mark_job_dirty(JobId{j});
-    }
-  }
-  all_jobs_dirty_ = false;
-  dirty_jobs_.clear();
   scheduler_->control(*this, active_scratch_);
   ++control_invocations_;
   allocator_.allocate(active_scratch_, now_);
@@ -554,7 +520,6 @@ void Simulator::finish_flow(FlowId id) {
   active_flows_.pop_back();
   f.active_index = Flow::kNotActive;
   allocation_dirty_ = true;
-  mark_job_dirty(f.spec.job);
 
   complete_flow(id, /*notify_scheduler=*/true);
 }
@@ -589,7 +554,6 @@ void Simulator::park_flow(FlowId id) {
   // entry from before the park would otherwise pass the validity check.
   f.completion_gen = ++heap_gen_;
   allocation_dirty_ = true;
-  mark_job_dirty(f.spec.job);
 
   if (tracing(obs::TraceDetail::kCoarse)) {
     trace_flow(obs::TraceKind::kFlowPark, f, f.remaining);
@@ -642,7 +606,6 @@ void Simulator::resume_flow(FlowId id, const topology::Path& path) {
   // The resumed id is almost certainly smaller than the current tail.
   active_order_dirty_ = true;
   allocation_dirty_ = true;
-  mark_job_dirty(f.spec.job);
   scheduler_->on_flow_arrival(*this, f);
 }
 
@@ -653,7 +616,6 @@ void Simulator::reroute_flow(FlowId id, const topology::Path& path) {
   f.route = routes_.intern(path);  // view the interned copy (see resume)
   f.path = routes_.path(f.route);
   allocation_dirty_ = true;
-  mark_job_dirty(f.spec.job);
   if (tracing(obs::TraceDetail::kCoarse)) {
     // `remaining` is epoch-stamped, not materialized -- observational only.
     trace_flow(obs::TraceKind::kFlowReroute, f, f.remaining);

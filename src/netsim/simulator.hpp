@@ -302,39 +302,10 @@ class Simulator {
   // Tells the control plane that link capacities / up-down state changed at
   // runtime: forwards to NetworkScheduler::on_topology_change and
   // invalidates the allocation. Fault injectors call this after every
-  // topology mutation. Capacity churn couples every job through the shared
-  // fabric, so the whole dirty-job set escalates.
+  // topology mutation.
   void notify_topology_change() {
     scheduler_->on_topology_change(*this);
-    mark_all_jobs_dirty();
     allocation_dirty_ = true;
-  }
-
-  // --- dirty marks (DESIGN.md §12) ---
-  // Per-job dirty marks, accumulated between control passes and forwarded to
-  // the NetworkScheduler at the top of every reallocate(). The simulator
-  // marks on every scheduler-visible membership change (arrival, completion,
-  // park/resume, reroute) and on externally-observed weight/cap churn (the
-  // Flow notification setters leave control_dirty, which the pre-control
-  // scan picks up); Registry-style external control-state changes call these
-  // directly. The marks feed two readers only: the interval-mode
-  // Coordinator, which counts them as churn, and the kSchedPass trace event.
-  // Scheduling policies ignore them, so results never depend on them.
-  void mark_job_dirty(JobId job) {
-    if (all_jobs_dirty_) return;
-    const std::uint64_t v = job.value();
-    for (const std::uint64_t d : dirty_jobs_) {
-      if (d == v) return;
-    }
-    if (dirty_jobs_.size() >= kMaxDirtyJobs) {
-      mark_all_jobs_dirty();
-      return;
-    }
-    dirty_jobs_.push_back(v);
-  }
-  void mark_all_jobs_dirty() noexcept {
-    all_jobs_dirty_ = true;
-    dirty_jobs_.clear();
   }
 
   // Accounting generation: bumped exactly when an epoch stamp advances byte
@@ -553,15 +524,6 @@ class Simulator {
   bool active_order_dirty_ = false;
   std::uint64_t control_invocations_ = 0;
 
-  // --- dirty marks (DESIGN.md §12) ---
-  // Dirty-job marks accumulated since the last control pass. Deduplicated
-  // linearly (the set is capped at kMaxDirtyJobs before escalating to the
-  // all-dirty flag, so the scan is a handful of comparisons); starts
-  // all-dirty so the first pass after construction or set_scheduler is
-  // announced as all-dirty.
-  static constexpr std::size_t kMaxDirtyJobs = 64;
-  std::vector<std::uint64_t> dirty_jobs_;
-  bool all_jobs_dirty_ = true;
   // Bumped in stamp_active_flows whenever dt > 0 (the only place byte
   // accounting advances).
   std::uint64_t accounting_gen_ = 0;

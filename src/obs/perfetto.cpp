@@ -230,8 +230,7 @@ std::size_t write_perfetto_trace(std::ostream& os, const TraceRecorder& rec,
   meta("process_name", kControlPid, 0, false, "control plane");
   for (const TraceKind k :
        {TraceKind::kControlPass, TraceKind::kAllocPass, TraceKind::kFaultFired,
-        TraceKind::kHeuristicRun, TraceKind::kReuseHit,
-        TraceKind::kSchedPass}) {
+        TraceKind::kHeuristicRun, TraceKind::kReuseHit}) {
     meta("thread_name", kControlPid, static_cast<std::uint64_t>(k), true,
          to_string(k));
   }
@@ -328,7 +327,6 @@ std::size_t write_perfetto_trace(std::ostream& os, const TraceRecorder& rec,
       case TraceKind::kFaultFired:
       case TraceKind::kHeuristicRun:
       case TraceKind::kReuseHit:
-      case TraceKind::kSchedPass:
         instant(ev, kControlPid, static_cast<std::uint64_t>(ev.kind),
                 "control",
                 std::string(to_string(ev.kind)) + " " + std::to_string(ev.id));

@@ -23,7 +23,6 @@ const char* to_string(TraceKind kind) noexcept {
     case TraceKind::kReuseHit: return "reuse_hit";
     case TraceKind::kCompFill: return "comp_fill";
     case TraceKind::kClassFill: return "class_fill";
-    case TraceKind::kSchedPass: return "sched_pass";
   }
   return "?";
 }

@@ -52,11 +52,10 @@ enum class TraceKind : std::uint8_t {
   kReuseHit,      // Coordinator granted a cached (signature-keyed) decision
   kCompFill,      // RateAllocator water-filled one component (detail >= kFlow)
   kClassFill,     // equivalence-class count of that fill     (detail >= kFlow)
-  kSchedPass,     // dirty-job set forwarded to the scheduler (DESIGN.md §12)
 };
 
 inline constexpr std::size_t kTraceKindCount =
-    static_cast<std::size_t>(TraceKind::kSchedPass) + 1;
+    static_cast<std::size_t>(TraceKind::kClassFill) + 1;
 
 [[nodiscard]] const char* to_string(TraceKind kind) noexcept;
 
@@ -93,8 +92,6 @@ enum class TraceDetail : std::uint8_t { kOff = 0, kCoarse = 1, kFlow = 2 };
 //   kReuseHit     flow id       job id     signature        granted rate B/s
 //   kCompFill     pass index    --         component id     member count
 //   kClassFill    pass index    --         component id     class count
-//   kSchedPass    pass index    --         dirty job count  1 = all dirty
-//                                          (active flows when all dirty)
 //
 // `job` and `ctx` use kNone when not applicable.
 struct TraceEvent {

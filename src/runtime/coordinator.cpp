@@ -1,12 +1,23 @@
 #include "runtime/coordinator.hpp"
 
 #include <cassert>
+#include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace echelon::runtime {
 
 Coordinator::Coordinator(netsim::Simulator* sim, CoordinatorConfig config)
     : sim_(sim), config_(config), policy_(&registry_, config.policy) {
   assert(sim != nullptr);
+  // A zero, negative or NaN interval would re-arm the boundary timer at
+  // `now` forever.
+  if (config_.mode == SchedulingMode::kInterval &&
+      !(std::isfinite(config_.interval) && config_.interval > 0.0)) {
+    throw std::invalid_argument(
+        "coordinator: interval must be finite and > 0, got " +
+        std::to_string(config_.interval));
+  }
   registry_.attach(*sim);
 }
 
@@ -31,13 +42,14 @@ void Coordinator::arm_timer(netsim::Simulator& sim) {
 
 void Coordinator::control(netsim::Simulator& sim,
                           std::span<netsim::Flow*> active) {
-  // An interval boundary with no arrivals or departures since the previous
-  // heuristic run leaves the standing allocation valid -- skip the recompute
-  // (this is what makes interval scheduling cheaper than per-event even at
-  // low event rates).
+  // An interval boundary with no churn since the previous heuristic run
+  // leaves the standing allocation valid -- skip the recompute (this is
+  // what makes interval scheduling cheaper than per-event even at low event
+  // rates).
   const bool due = time_le(next_recompute_, sim.now());
-  if (config_.mode == SchedulingMode::kInterval && due &&
-      dirty_events_ == 0) {
+  const std::uint64_t revision = registry_.revision();
+  if (config_.mode == SchedulingMode::kInterval && due && !churn_ &&
+      revision == seen_revision_) {
     if (!active.empty()) {
       next_recompute_ = sim.now() + config_.interval;
       arm_timer(sim);
@@ -54,7 +66,8 @@ void Coordinator::control(netsim::Simulator& sim,
                                      .ctx = active.size()});
     }
     ++heuristic_runs_;
-    dirty_events_ = 0;
+    churn_ = false;
+    seen_revision_ = revision;
     if (config_.mode == SchedulingMode::kInterval) {
       next_recompute_ = sim.now() + config_.interval;
       if (config_.iterative_reuse) {
@@ -78,7 +91,7 @@ void Coordinator::control(netsim::Simulator& sim,
     if (config_.iterative_reuse && f->spec.signature != 0) {
       if (const auto it = decision_cache_.find(f->spec.signature);
           it != decision_cache_.end()) {
-        f->set_rate_cap(it->second);
+        f->rate_cap = it->second;
         ++reuse_hits_;
         if (trace_ != nullptr) {
           trace_->record(
@@ -92,7 +105,7 @@ void Coordinator::control(netsim::Simulator& sim,
         continue;
       }
     }
-    f->set_rate_cap(0.0);
+    f->rate_cap = 0.0;
     ++deferred_flows_;
   }
   if (!active.empty()) arm_timer(sim);

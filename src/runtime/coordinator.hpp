@@ -7,7 +7,11 @@
 //   * per-event: re-run the heuristic on every flow arrival/departure (the
 //     textbook Coflow-scheduler behaviour; most reactive, most expensive).
 //   * interval: re-run at fixed scheduling intervals; flows arriving
-//     mid-interval wait for the next decision.
+//     mid-interval wait for the next decision. A boundary re-runs only
+//     after churn: an arrival, departure or topology change seen through
+//     the scheduler hooks, or a moved registry revision (a late
+//     EchelonFlow registration or a newly fixed reference time). With no
+//     churn the standing allocation is still valid and the boundary skips.
 //   * interval + iterative reuse: additionally cache decisions keyed by
 //     each flow's *structural signature* (stable across training
 //     iterations); a mid-interval arrival whose signature was seen in a
@@ -42,6 +46,8 @@ class Coordinator final : public netsim::NetworkScheduler {
  public:
   // Attaches the registry to `sim` for runtime binding; the caller still
   // selects the coordinator as the network scheduler via set_scheduler.
+  // Throws std::invalid_argument in kInterval mode when `config.interval`
+  // is not finite or is <= 0.
   Coordinator(netsim::Simulator* sim, CoordinatorConfig config = {});
 
   [[nodiscard]] ef::Registry& registry() noexcept { return registry_; }
@@ -63,29 +69,25 @@ class Coordinator final : public netsim::NetworkScheduler {
   // --- NetworkScheduler -------------------------------------------------------
   void control(netsim::Simulator& sim,
                std::span<netsim::Flow*> active) override;
-  // Membership hooks only count churn for the interval policy: the inner
+  // Membership hooks only record churn for the interval policy: the inner
   // heuristic regroups the active set on every pass and keeps no membership
-  // state of its own.
+  // state of its own. Parks and resumes arrive here as a departure and an
+  // arrival.
   void on_flow_arrival(netsim::Simulator&, const netsim::Flow&) override {
-    ++dirty_events_;
+    churn_ = true;
   }
   void on_flow_departure(netsim::Simulator&, const netsim::Flow&) override {
-    ++dirty_events_;
+    churn_ = true;
   }
-  // Dirty marks (DESIGN.md §12) are interval-mode churn detection: a mark
-  // with no accompanying arrival/departure (park/resume, reroute, external
-  // setter churn) still invalidates the standing allocation, so the next
-  // interval boundary re-runs instead of skipping.
-  void mark_job_dirty(JobId) override { ++dirty_events_; }
-  void mark_all_jobs_dirty() override { ++dirty_events_; }
   // Runtime topology changes (fault injection) invalidate the iterative
   // decision cache: a cached rate was granted against path capacities that
   // no longer hold, and replaying it after a link loss could over-subscribe
   // the degraded fabric (the allocator would clamp, but the *decision* is
-  // stale). Drop the cache and force a heuristic re-run.
+  // stale). Drop the cache and force a heuristic re-run; the reroutes that
+  // follow a link loss come with this call.
   void on_topology_change(netsim::Simulator&) override {
     decision_cache_.clear();
-    ++dirty_events_;
+    churn_ = true;
   }
   [[nodiscard]] std::string name() const override;
 
@@ -111,7 +113,11 @@ class Coordinator final : public netsim::NetworkScheduler {
 
   SimTime next_recompute_ = 0.0;
   bool timer_pending_ = false;
-  std::uint64_t dirty_events_ = 0;  // arrivals/departures/marks since last run
+  // Churn since the last heuristic run: a hook fired, or the registry
+  // revision moved off seen_revision_. A fresh coordinator has seen none of
+  // the standing flows, so its first boundary re-runs.
+  bool churn_ = true;
+  std::uint64_t seen_revision_ = 0;
   std::uint64_t heuristic_runs_ = 0;
   std::uint64_t reuse_hits_ = 0;
   std::uint64_t deferred_flows_ = 0;

@@ -27,8 +27,8 @@ void PriorityQueueEnforcer::control(netsim::Simulator& sim,
     const int queue = std::min(config_.num_queues - 1,
                                static_cast<int>(-std::floor(std::log2(clamped))));
 
-    f->set_weight(std::ldexp(1.0, -queue));
-    f->clear_rate_cap();  // enforcement is weighted sharing only
+    f->weight = std::ldexp(1.0, -queue);
+    f->rate_cap.reset();  // enforcement is weighted sharing only
   }
 }
 

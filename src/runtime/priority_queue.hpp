@@ -38,8 +38,8 @@ class PriorityQueueEnforcer final : public netsim::NetworkScheduler {
   void on_topology_change(netsim::Simulator& sim) override {
     inner_->on_topology_change(sim);
   }
-  // Membership and dirty-mark hooks pass through so inner state (the group
-  // cache, the interval coordinator's churn count) stays coherent.
+  // Membership hooks pass through so inner state (the interval
+  // coordinator's churn flag) stays coherent.
   void on_flow_arrival(netsim::Simulator& sim,
                        const netsim::Flow& flow) override {
     inner_->on_flow_arrival(sim, flow);
@@ -48,8 +48,6 @@ class PriorityQueueEnforcer final : public netsim::NetworkScheduler {
                          const netsim::Flow& flow) override {
     inner_->on_flow_departure(sim, flow);
   }
-  void mark_job_dirty(JobId job) override { inner_->mark_job_dirty(job); }
-  void mark_all_jobs_dirty() override { inner_->mark_all_jobs_dirty(); }
 
   [[nodiscard]] std::string name() const override {
     return inner_->name() + "+pq" + std::to_string(config_.num_queues);

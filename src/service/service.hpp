@@ -82,7 +82,7 @@ struct ServiceConfig {
   double oversubscription = 1.0;  // leaf-spine only
   // Read by nothing and not serialized: runs are single-threaded. It stays
   // only because the frozen end-to-end benchmark driver (bench/e2e) assigns
-  // it; the next refresh of that driver deletes it (ROADMAP item 4).
+  // it; the next refresh of that driver deletes it (ROADMAP item 3).
   unsigned threads = 1;
 
   // Interval between forced control passes while work is outstanding.

@@ -294,11 +294,10 @@ TEST(Allocator, ComponentChurnDoesNotPerturbCleanComponent) {
   const double b0 = flows[2].rate;
   const double b1 = flows[3].rate;
   const double b2 = flows[4].rate;
-  // Churn A across several passes: toggle caps and weights through the
-  // notification setters.
+  // Churn A across several passes: toggle caps and weights.
   for (int pass = 0; pass < 4; ++pass) {
-    flows[0].set_rate_cap(1.0 + pass);
-    flows[1].set_weight(1.0 + 0.5 * pass);
+    flows[0].rate_cap = 1.0 + pass;
+    flows[1].weight = 1.0 + 0.5 * pass;
     alloc.allocate(p);
     EXPECT_EQ(flows[2].rate, b0);  // exact: bit-identical refill
     EXPECT_EQ(flows[3].rate, b1);
@@ -465,8 +464,7 @@ TEST(AllocatorExplicitRate, TrivialFlowsMatchTheFill) {
   // The same trivial flows (loopback with and without a cap, a zero cap, a
   // finished flow) next to one capped flow, once in an explicit pass and
   // once in a filled pass -- forced by an extra uncapped flow on a disjoint
-  // host pair. Rates, the dirty set and the consumed notification flags
-  // must agree flow for flow.
+  // host pair. Rates and the dirty set must agree flow for flow.
   auto f = topology::make_big_switch(4, 10.0);
   topology::RouteTable routes(&f.topo);
   std::vector<Flow> base;
@@ -484,10 +482,7 @@ TEST(AllocatorExplicitRate, TrivialFlowsMatchTheFill) {
   base.back().rate_cap = 4.0;
   base.push_back(make_flow(routes, f, 0, 1, 100.0, 5));  // unchanged rate
   base.back().rate_cap = 2.0;
-  for (Flow& fl : base) {
-    fl.rate = 1.0;
-    fl.control_dirty = true;
-  }
+  for (Flow& fl : base) fl.rate = 1.0;
   base[5].rate = 2.0;
 
   std::vector<Flow> expl = base;
@@ -505,8 +500,6 @@ TEST(AllocatorExplicitRate, TrivialFlowsMatchTheFill) {
   for (std::size_t i = 0; i < base.size(); ++i) {
     SCOPED_TRACE("flow " + std::to_string(i));
     EXPECT_EQ(expl[i].rate, filled[i].rate);
-    EXPECT_FALSE(expl[i].control_dirty);
-    EXPECT_FALSE(filled[i].control_dirty);
   }
   EXPECT_TRUE(std::isinf(expl[0].rate));
   EXPECT_EQ(expl[1].rate, 7.5);

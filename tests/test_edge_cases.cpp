@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "common/log.hpp"
 #include "echelon/echelon_madd.hpp"
 #include "echelon/registry.hpp"
@@ -126,6 +129,25 @@ TEST(CoordinatorEdge, FlowAfterIdlePeriodIsScheduled) {
   // The second flow must complete promptly (within one interval of grace).
   EXPECT_LE(end, 12.0);
   EXPECT_TRUE(sim.flow(FlowId{1}).finished());
+}
+
+TEST(CoordinatorEdge, RejectsNonPositiveInterval) {
+  // A zero, negative or NaN interval re-arms the boundary timer at `now`
+  // forever, so run() never returns; an infinite one never reaches a
+  // boundary.
+  auto fabric = topology::make_big_switch(2, 10.0);
+  netsim::Simulator sim(&fabric.topo);
+  for (const Duration bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(
+        runtime::Coordinator(&sim, {.mode = runtime::SchedulingMode::kInterval,
+                                    .interval = bad}),
+        std::invalid_argument)
+        << bad;
+  }
+  // Per-event mode never reads the interval.
+  EXPECT_NO_THROW(runtime::Coordinator(
+      &sim, {.mode = runtime::SchedulingMode::kPerEvent, .interval = 0.0}));
 }
 
 TEST(EchelonMaddEdge, EmptyActiveSetIsNoOp) {

@@ -253,11 +253,10 @@ TEST(PerfettoTest, RoundTripCountsMatchRecorder) {
   // leave nothing unfinished.
   EXPECT_EQ(parsed.count_ph("X"), rec.count(TraceKind::kFlowFinish) +
                                       rec.count(TraceKind::kTaskFinish));
-  // Instants: submits plus the control plane (each reallocate emits a
-  // control_pass + sched_pass pair, plus the allocator's alloc_pass).
+  // Instants: submits plus the control plane (each reallocate emits one
+  // control_pass and the allocator's alloc_pass).
   EXPECT_EQ(parsed.count_ph("i"), rec.count(TraceKind::kFlowSubmit) +
                                       rec.count(TraceKind::kControlPass) +
-                                      rec.count(TraceKind::kSchedPass) +
                                       rec.count(TraceKind::kAllocPass));
   // Counter samples: every series point lands as one "C" event.
   std::size_t series_points = 0;

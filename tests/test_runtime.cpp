@@ -96,11 +96,10 @@ TEST_F(RuntimeFixture, IntervalModeDefersMidIntervalArrivals) {
   EXPECT_NEAR(sim.flow(FlowId{1}).finish_time, 3.0, 1e-9);
 }
 
-// The interval coordinator is the one reader of the Simulator's dirty
-// marks: a boundary with no arrival, departure or mark since the last
-// heuristic run keeps the standing allocation, while external setter churn
-// on an active flow -- seen by the pre-control control_dirty scan and
-// forwarded as a job mark -- makes the next boundary re-run.
+// An interval boundary with no arrival, departure, topology change or
+// registry revision since the last heuristic run keeps the standing
+// allocation; a topology change, or a late EchelonFlow registration on the
+// coordinator's registry, makes the next boundary re-run.
 TEST_F(RuntimeFixture, IntervalBoundaryRerunsOnlyAfterChurn) {
   Coordinator coord(&sim, {.mode = SchedulingMode::kInterval,
                            .interval = 1.0});
@@ -112,16 +111,19 @@ TEST_F(RuntimeFixture, IntervalBoundaryRerunsOnlyAfterChurn) {
   sim.run(2.5);  // the t=0 run, then quiet boundaries at t=1 and t=2
   EXPECT_EQ(coord.heuristic_runs(), 1u);
 
-  sim.flow_mutable(f).set_weight(0.5);
-  sim.invalidate_allocation();
+  sim.notify_topology_change();
   sim.run(2.9);  // the mid-interval pass sees the churn but defers to t=3
   EXPECT_EQ(coord.heuristic_runs(), 1u);
   sim.run(3.5);
   EXPECT_EQ(coord.heuristic_runs(), 2u);
-  EXPECT_EQ(sim.flow(f).weight, 1.0);  // the re-run overwrote the churn
-
   sim.run(4.5);  // quiet again
   EXPECT_EQ(coord.heuristic_runs(), 2u);
+
+  (void)coord.registry().create(JobId{1}, ef::Arrangement::coflow(1));
+  sim.run(5.5);  // no pass until the t=5 boundary, which re-runs
+  EXPECT_EQ(coord.heuristic_runs(), 3u);
+  sim.run(6.5);
+  EXPECT_EQ(coord.heuristic_runs(), 3u);
   sim.run();
   EXPECT_NEAR(sim.flow(f).finish_time, 10.0, 1e-9);
 }
