@@ -83,8 +83,9 @@ class Coordinator final : public netsim::NetworkScheduler {
   // decision cache: a cached rate was granted against path capacities that
   // no longer hold, and replaying it after a link loss could over-subscribe
   // the degraded fabric (the allocator would clamp, but the *decision* is
-  // stale). Drop the cache and force a heuristic re-run; the reroutes that
-  // follow a link loss come with this call.
+  // stale). Drop the cache and force a heuristic re-run. Reroutes need no
+  // hook of their own: the fault injector reroutes only right after this
+  // call.
   void on_topology_change(netsim::Simulator&) override {
     decision_cache_.clear();
     churn_ = true;

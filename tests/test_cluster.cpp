@@ -69,7 +69,7 @@ TEST(Trace, ParadigmWeightsZeroExcludes) {
 }
 
 // Small mixed workload shared by the experiment tests.
-std::vector<JobSpec> small_trace() {
+TraceConfig small_trace_config() {
   TraceConfig cfg;
   cfg.num_jobs = 5;
   cfg.seed = 3;
@@ -80,7 +80,11 @@ std::vector<JobSpec> small_trace() {
   cfg.max_width = 512;
   cfg.arrival_rate = 5.0;
   cfg.iterations = 2;
-  return generate_trace(cfg);
+  return cfg;
+}
+
+std::vector<JobSpec> small_trace() {
+  return generate_trace(small_trace_config());
 }
 
 TEST(Experiment, AllJobsCompleteUnderEveryScheduler) {
@@ -389,16 +393,8 @@ TEST(Experiment, IntervalCoordinatorMatchesRecordedDigest) {
 // small_trace()'s shape with 3- and 5-rank jobs: packed onto a 16-host
 // leaf-spine, some jobs straddle the two leaves and cross the spines.
 std::vector<JobSpec> straddling_trace() {
-  TraceConfig cfg;
-  cfg.num_jobs = 5;
-  cfg.seed = 3;
+  TraceConfig cfg = small_trace_config();
   cfg.rank_choices = {3, 5};
-  cfg.min_layers = 3;
-  cfg.max_layers = 4;
-  cfg.min_width = 256;
-  cfg.max_width = 512;
-  cfg.arrival_rate = 5.0;
-  cfg.iterations = 2;
   return generate_trace(cfg);
 }
 

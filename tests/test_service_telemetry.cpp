@@ -426,6 +426,12 @@ TEST(TelemetryChunks, TruncatedChunkStreamFailsLoudly) {
   std::istringstream garbage("ECHGARBAGE 1\n");
   EXPECT_THROW((void)obs::merge_trace_chunks(garbage, sink),
                std::runtime_error);
+  // Kind 16 (class_fill) is the last kind; 17 was the retired sched_pass.
+  std::istringstream last("ECHCHUNK 1\nE 16 0 0 0 0 0\n");
+  EXPECT_EQ(obs::merge_trace_chunks(last, sink), 1u);
+  std::istringstream retired("ECHCHUNK 1\nE 17 0 0 0 0 0\n");
+  EXPECT_THROW((void)obs::merge_trace_chunks(retired, sink),
+               std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------

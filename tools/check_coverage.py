@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Line-coverage ratchet for the service, netsim, obs and cluster subsystems.
+"""Line-coverage ratchet for the service, netsim, obs, cluster and runtime
+subsystems.
 
 Walks a --coverage (gcc/gcov) build tree for .gcda counter files, runs gcov
 on each object's counters, aggregates "Lines executed" per tracked source
@@ -42,6 +43,11 @@ FLOORS = {
     # Measured on the CI test set at floor-setting time: 95.3%
     # (385/404 lines, Debug --coverage, gcc 12).
     "src/cluster": 92.0,
+    # The Coordinator (interval churn rule, signature reuse), agents and the
+    # priority-queue enforcer: driven by test_runtime, test_edge_cases and
+    # test_cluster. Measured on the CI test set at floor-setting time:
+    # 87.3% (158/181 lines, Debug --coverage, gcc 12).
+    "src/runtime": 84.0,
 }
 
 FILE_RE = re.compile(r"^File '(?P<path>[^']+)'")
