@@ -58,7 +58,7 @@ int main() {
     std::vector<NodeId> worker_hosts(fabric.hosts.begin(),
                                      fabric.hosts.end() - 1);
     const auto placement = make_placement(sim, worker_hosts);
-    const WorkerId psw = sim.add_worker(fabric.hosts.back(), "ps");
+    const WorkerId psw = sim.add_worker(fabric.hosts.back());
     const auto job = generate_dp_ps(
         {.model = model, .gpu = gpu, .buckets = 4, .iterations = 3},
         placement, fabric.hosts.back(), psw, registry, JobId{0});

@@ -51,7 +51,7 @@ ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
   std::vector<LiveJob> live(jobs.size());
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     live[j].spec = jobs[j];
-    live[j].seat = stack.place(jobs[j], j);
+    live[j].seat = stack.place(jobs[j]);
   }
   stack.arm_faults(config.fault_plan);
 

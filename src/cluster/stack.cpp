@@ -172,7 +172,7 @@ void Stack::arm_faults(const faultsim::FaultPlan* plan) {
   injector_->arm();
 }
 
-Seat Stack::place(const JobSpec& spec, std::size_t index) {
+Seat Stack::place(const JobSpec& spec) {
   const std::size_t H = fabric_.hosts.size();
   if (static_cast<std::size_t>(spec.ranks) > H) {
     throw std::invalid_argument("job needs " + std::to_string(spec.ranks) +
@@ -184,13 +184,11 @@ Seat Stack::place(const JobSpec& spec, std::size_t index) {
   for (int r = 0; r < spec.ranks; ++r) {
     hosts.push_back(fabric_.hosts[(next_host_ + r) % H]);
   }
-  const std::string prefix = "j" + std::to_string(index) + ".";
-  Seat seat{.placement = workload::make_placement(sim_, std::move(hosts),
-                                                  prefix)};
+  Seat seat{.placement = workload::make_placement(sim_, std::move(hosts))};
   std::size_t consumed = static_cast<std::size_t>(spec.ranks);
   if (spec.paradigm == workload::Paradigm::kDpPs) {
     seat.ps_host = fabric_.hosts[(next_host_ + consumed) % H];
-    seat.ps_worker = sim_.add_worker(seat.ps_host, prefix + "ps");
+    seat.ps_worker = sim_.add_worker(seat.ps_host);
     ++consumed;
   }
   next_host_ = (next_host_ + consumed) % H;

@@ -105,10 +105,9 @@ class Stack {
 
   // Seats the ranks on consecutive hosts from a wrapping cursor, and a DP-PS
   // parameter server on the next one, so jobs share hosts once the fabric
-  // is full (GPU fragmentation, paper §5). Workers are named "j<index>.".
-  // Throws std::invalid_argument, placing nothing, for a job with more
-  // ranks than the fabric has hosts.
-  [[nodiscard]] Seat place(const JobSpec& spec, std::size_t index);
+  // is full (GPU fragmentation, paper §5). Throws std::invalid_argument,
+  // placing nothing, for a job with more ranks than the fabric has hosts.
+  [[nodiscard]] Seat place(const JobSpec& spec);
 
   // Expands `spec` into its paradigm's workflow on `seat`, registering its
   // EchelonFlows under `id`, and creates its engine. Schedules nothing.

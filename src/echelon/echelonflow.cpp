@@ -2,16 +2,48 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 namespace echelon::ef {
 
+EchelonFlow::EchelonFlow(EchelonFlowId id, JobId job,
+                         const Arrangement& arrangement,
+                         std::string_view label, double weight)
+    : id_(id), job_(job), weight_(weight), cardinality_(arrangement.size()) {
+  const auto n = static_cast<std::size_t>(cardinality_);
+  static_assert(alignof(MemberFlow) <= alignof(Duration));
+  auto* offsets = static_cast<Duration*>(::operator new(
+      n * (sizeof(Duration) + sizeof(MemberFlow)) + label.size() + 1));
+  block_.reset(offsets);
+  std::uninitialized_copy_n(arrangement.offsets().data(), n, offsets);
+  auto* members = reinterpret_cast<MemberFlow*>(offsets + n);
+  std::uninitialized_value_construct_n(members, n);
+  for (std::size_t j = 0; j < n; ++j) members[j].index = static_cast<int>(j);
+  char* text = reinterpret_cast<char*>(members + n);
+  *std::copy(label.begin(), label.end(), text) = '\0';
+}
+
+void EchelonFlow::no_member(int index) {
+  throw std::out_of_range("EchelonFlow: no member " + std::to_string(index));
+}
+
+void EchelonFlow::set_arrangement(const Arrangement& arrangement) {
+  assert(started_ == 0 && "cannot recalibrate a live EchelonFlow");
+  assert(arrangement.size() == cardinality_);
+  std::copy_n(arrangement.offsets().data(), cardinality_, block_.get());
+}
+
+Arrangement EchelonFlow::arrangement() const {
+  if (!block_) return {};
+  return Arrangement::from_offsets(
+      {block_.get(), block_.get() + cardinality_});
+}
+
 void EchelonFlow::note_start(int index, FlowId sim_flow, Bytes size,
                              SimTime now) {
-  assert(index >= 0 && index < cardinality_);
-  MemberFlow& m = members_.at(static_cast<std::size_t>(index));
+  MemberFlow& m = member(index);
   assert(!m.started() && "member flow started twice");
   m.sim_flow = sim_flow;
   m.size = size;
@@ -22,13 +54,12 @@ void EchelonFlow::note_start(int index, FlowId sim_flow, Bytes size,
     // later ideal finish times derive from r, even for flows that start late
     // -- their d_j may precede their own start time, which is exactly the
     // paper's "advance the ideal finish time to offset the delay".
-    reference_time_ = now - arrangement_.offset(index);
+    reference_time_ = now - offset(index);
   }
 }
 
 void EchelonFlow::note_finish(int index, SimTime now) {
-  assert(index >= 0 && index < cardinality_);
-  MemberFlow& m = members_.at(static_cast<std::size_t>(index));
+  MemberFlow& m = member(index);
   assert(m.started() && !m.finished());
   m.finish_time = now;
   ++finished_;
@@ -38,13 +69,8 @@ void EchelonFlow::note_finish(int index, SimTime now) {
   }
 }
 
-std::optional<SimTime> EchelonFlow::ideal_finish(int index) const {
-  if (!reference_time_) return std::nullopt;
-  return *reference_time_ + arrangement_.offset(index);
-}
-
 std::optional<Duration> EchelonFlow::flow_tardiness(int index) const {
-  const MemberFlow& m = members_.at(static_cast<std::size_t>(index));
+  const MemberFlow& m = member(index);
   if (!m.finished()) return std::nullopt;
   const auto d = ideal_finish(index);
   if (!d) return std::nullopt;
@@ -64,12 +90,7 @@ void EchelonFlow::retire() {
                            std::to_string(cardinality_) +
                            " members finished");
   }
-  // Swap with empty containers: clear() would keep the capacity.
-  std::vector<MemberFlow>().swap(members_);
-  Arrangement none;
-  std::swap(arrangement_, none);
-  std::string().swap(label_);
-  retired_ = true;
+  block_.reset();
 }
 
 }  // namespace echelon::ef

@@ -9,9 +9,10 @@
 // the head flow appears, exposes ideal finish times to schedulers, and
 // accumulates tardiness (Eq. 1: t_f = e - d; Eq. 2: t_H = max_j (e_j - d_j)).
 //
-// Per-member state matters only until t_H is final. Once complete, retire()
-// frees it: a retired EchelonFlow answers id(), job(), weight(),
-// cardinality(), reference_time(), tardiness(), started_count(),
+// Per-member state matters only until t_H is final. The member records,
+// the arrangement's offsets and the label share one heap block; once
+// complete, retire() frees it. A retired EchelonFlow answers id(), job(),
+// weight(), cardinality(), reference_time(), tardiness(), started_count(),
 // finished_count(), complete() and coflow_completion_time() exactly as
 // before, while members() is empty, label() and arrangement() are empty, and
 // ideal_finish(j), flow_tardiness(j) and arrangement().offset(j) throw
@@ -19,10 +20,11 @@
 
 #pragma once
 
-#include <cassert>
+#include <memory>
+#include <new>
 #include <optional>
-#include <string>
-#include <vector>
+#include <span>
+#include <string_view>
 
 #include "common/ids.hpp"
 #include "common/time.hpp"
@@ -49,40 +51,28 @@ struct MemberFlow {
 
 class EchelonFlow {
  public:
-  EchelonFlow(EchelonFlowId id, JobId job, Arrangement arrangement,
-              std::string label = {}, double weight = 1.0)
-      : id_(id),
-        job_(job),
-        arrangement_(std::move(arrangement)),
-        label_(std::move(label)),
-        weight_(weight),
-        members_(static_cast<std::size_t>(arrangement_.size())),
-        cardinality_(arrangement_.size()) {
-    for (std::size_t j = 0; j < members_.size(); ++j) {
-      members_[j].index = static_cast<int>(j);
-    }
-  }
+  EchelonFlow(EchelonFlowId id, JobId job, const Arrangement& arrangement,
+              std::string_view label = {}, double weight = 1.0);
 
   // Replaces the arrangement before any member has started -- used by the
   // profiling-based calibration path (the paper's "computation profiling")
   // to overwrite an analytic arrangement with measured offsets. The
   // cardinality must not change.
-  void set_arrangement(Arrangement arrangement) {
-    assert(started_ == 0 && "cannot recalibrate a live EchelonFlow");
-    assert(arrangement.size() == cardinality_);
-    arrangement_ = std::move(arrangement);
-  }
+  void set_arrangement(const Arrangement& arrangement);
 
   [[nodiscard]] EchelonFlowId id() const noexcept { return id_; }
   [[nodiscard]] JobId job() const noexcept { return job_; }
-  [[nodiscard]] const std::string& label() const noexcept { return label_; }
-  [[nodiscard]] double weight() const noexcept { return weight_; }
-  [[nodiscard]] const Arrangement& arrangement() const noexcept {
-    return arrangement_;
+  [[nodiscard]] std::string_view label() const noexcept {
+    return block_ ? std::string_view(label_data()) : std::string_view();
   }
+  [[nodiscard]] double weight() const noexcept { return weight_; }
+  // A copy of the offsets, built on each call: for reports and tests, not
+  // for per-pass scheduling (use ideal_finish).
+  [[nodiscard]] Arrangement arrangement() const;
   [[nodiscard]] int cardinality() const noexcept { return cardinality_; }
-  [[nodiscard]] const std::vector<MemberFlow>& members() const noexcept {
-    return members_;
+  [[nodiscard]] std::span<const MemberFlow> members() const noexcept {
+    if (!block_) return {};
+    return {member_data(), static_cast<std::size_t>(cardinality_)};
   }
 
   // --- runtime binding -------------------------------------------------------
@@ -107,7 +97,10 @@ class EchelonFlow {
   }
 
   // Ideal finish time d_j = r + offset_j. Unknown until the head flow starts.
-  [[nodiscard]] std::optional<SimTime> ideal_finish(int index) const;
+  [[nodiscard]] std::optional<SimTime> ideal_finish(int index) const {
+    if (!reference_time_) return std::nullopt;
+    return *reference_time_ + offset(index);
+  }
 
   // Tardiness of member j (Eq. 1), defined once it has finished.
   [[nodiscard]] std::optional<Duration> flow_tardiness(int index) const;
@@ -128,27 +121,54 @@ class EchelonFlow {
 
   // --- retirement ---------------------------------------------------------------
 
-  // Frees the per-member records, the arrangement's offsets and the label,
-  // keeping the scalars listed in the header comment. Throws
-  // std::logic_error unless complete().
+  // Frees the heap block (member records, offsets and label), keeping the
+  // scalars listed in the header comment. Throws std::logic_error unless
+  // complete().
   void retire();
-  [[nodiscard]] bool retired() const noexcept { return retired_; }
+  [[nodiscard]] bool retired() const noexcept { return !block_; }
 
  private:
+  struct FreeBlock {
+    void operator()(Duration* p) const noexcept { ::operator delete(p); }
+  };
+
+  // True when `index` names a member whose state is still held.
+  [[nodiscard]] bool holds(int index) const noexcept {
+    return block_ && static_cast<unsigned>(index) <
+                         static_cast<unsigned>(cardinality_);
+  }
+  [[noreturn]] static void no_member(int index);
+  // offset_j; throws std::out_of_range unless holds(index).
+  [[nodiscard]] Duration offset(int index) const {
+    if (!holds(index)) no_member(index);
+    return block_[static_cast<std::size_t>(index)];
+  }
+  // Member j, checked like offset().
+  [[nodiscard]] MemberFlow& member(int index) const {
+    if (!holds(index)) no_member(index);
+    return member_data()[index];
+  }
+  // The block holds offsets[cardinality], then members[cardinality], then
+  // the NUL-terminated label.
+  [[nodiscard]] MemberFlow* member_data() const noexcept {
+    return reinterpret_cast<MemberFlow*>(block_.get() + cardinality_);
+  }
+  [[nodiscard]] const char* label_data() const noexcept {
+    return reinterpret_cast<const char*>(member_data() + cardinality_);
+  }
+
   EchelonFlowId id_;
   JobId job_;
-  Arrangement arrangement_;
-  std::string label_;
+  // Block start, so ideal_finish reads an offset with one dereference; null
+  // once retired.
+  std::unique_ptr<Duration[], FreeBlock> block_;
   double weight_ = 1.0;
-
-  std::vector<MemberFlow> members_;
   std::optional<SimTime> reference_time_;
   Duration max_tardiness_ = -kTimeInfinity;
   SimTime last_finish_ = -kTimeInfinity;  // max_j e_j over finished members
   int cardinality_ = 0;
   int started_ = 0;
   int finished_ = 0;
-  bool retired_ = false;
 };
 
 }  // namespace echelon::ef

@@ -2,11 +2,10 @@
 
 namespace echelon::ef {
 
-EchelonFlowId Registry::create(JobId job, Arrangement arrangement,
-                               std::string label, double weight) {
+EchelonFlowId Registry::create(JobId job, const Arrangement& arrangement,
+                               std::string_view label, double weight) {
   const EchelonFlowId id{echelonflows_.size()};
-  echelonflows_.push_back(std::make_unique<EchelonFlow>(
-      id, job, std::move(arrangement), std::move(label), weight));
+  echelonflows_.push_back(EchelonFlow(id, job, arrangement, label, weight));
   // Late registration can turn an active member's deadline from unknown into
   // a real one.
   ++revision_;
@@ -42,8 +41,8 @@ void Registry::attach(netsim::Simulator& sim) {
 
 void Registry::advance_complete_prefix() const {
   while (prefix_end_ < echelonflows_.size() &&
-         echelonflows_[prefix_end_]->complete()) {
-    const EchelonFlow& ef = *echelonflows_[prefix_end_++];
+         echelonflows_.at(prefix_end_).complete()) {
+    const EchelonFlow& ef = echelonflows_.at(prefix_end_++);
     prefix_tardiness_ += ef.tardiness();
     prefix_weighted_tardiness_ += ef.weight() * ef.tardiness();
   }
@@ -55,7 +54,7 @@ Duration Registry::total_tardiness() const {
   advance_complete_prefix();
   Duration sum = prefix_tardiness_;
   for (std::size_t i = prefix_end_; i < echelonflows_.size(); ++i) {
-    const EchelonFlow& ef = *echelonflows_[i];
+    const EchelonFlow& ef = echelonflows_.at(i);
     if (ef.complete()) sum += ef.tardiness();
   }
   return sum;
@@ -65,7 +64,7 @@ Duration Registry::weighted_total_tardiness() const {
   advance_complete_prefix();
   Duration sum = prefix_weighted_tardiness_;
   for (std::size_t i = prefix_end_; i < echelonflows_.size(); ++i) {
-    const EchelonFlow& ef = *echelonflows_[i];
+    const EchelonFlow& ef = echelonflows_.at(i);
     if (ef.complete()) sum += ef.weight() * ef.tardiness();
   }
   return sum;
@@ -74,7 +73,9 @@ Duration Registry::weighted_total_tardiness() const {
 std::vector<const EchelonFlow*> Registry::all() const {
   std::vector<const EchelonFlow*> out;
   out.reserve(echelonflows_.size());
-  for (const auto& ef : echelonflows_) out.push_back(ef.get());
+  for (std::size_t i = 0; i < echelonflows_.size(); ++i) {
+    out.push_back(&echelonflows_.at(i));
+  }
   return out;
 }
 

@@ -10,11 +10,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
+#include "common/chunked_store.hpp"
 #include "common/ids.hpp"
 #include "echelon/echelonflow.hpp"
 #include "netsim/simulator.hpp"
@@ -27,17 +26,19 @@ class Registry {
 
   // Declares a new EchelonFlow. The returned id is stamped into
   // FlowSpec::group of every member flow by the workload generator.
-  EchelonFlowId create(JobId job, Arrangement arrangement,
-                       std::string label = {}, double weight = 1.0);
+  EchelonFlowId create(JobId job, const Arrangement& arrangement,
+                       std::string_view label = {}, double weight = 1.0);
 
   [[nodiscard]] bool contains(EchelonFlowId id) const {
     return id.valid() && id.value() < echelonflows_.size();
   }
+  // References stay valid for the registry's lifetime: EchelonFlows never
+  // move.
   [[nodiscard]] EchelonFlow& get(EchelonFlowId id) {
-    return *echelonflows_.at(id.value());
+    return echelonflows_.at(id.value());
   }
   [[nodiscard]] const EchelonFlow& get(EchelonFlowId id) const {
-    return *echelonflows_.at(id.value());
+    return echelonflows_.at(id.value());
   }
   [[nodiscard]] std::size_t size() const noexcept {
     return echelonflows_.size();
@@ -81,7 +82,8 @@ class Registry {
   // Extends the complete prefix [0, prefix_end_) and its running sums.
   void advance_complete_prefix() const;
 
-  std::vector<std::unique_ptr<EchelonFlow>> echelonflows_;
+  // By value, in chunks that never move; nothing is ever released.
+  ChunkedStore<EchelonFlow> echelonflows_;
   mutable std::size_t prefix_end_ = 0;
   mutable Duration prefix_tardiness_ = 0.0;
   mutable Duration prefix_weighted_tardiness_ = 0.0;

@@ -7,10 +7,8 @@
 
 #pragma once
 
-#include <deque>
-#include <functional>
+#include <cstddef>
 #include <string>
-#include <vector>
 
 #include "common/ids.hpp"
 #include "common/time.hpp"
@@ -35,12 +33,17 @@ struct ComputeTask {
   }
 };
 
+// Holds no heap memory: its ready queue is threaded through the simulator's
+// task records (DESIGN.md §6).
 struct Worker {
   WorkerId id;
   NodeId host;                 // network attachment point
-  std::string name;
 
-  std::deque<TaskId> queue;    // ready tasks waiting for the GPU
+  // Ready tasks waiting for the GPU, oldest first: an intrusive FIFO whose
+  // links live in the Simulator's task records.
+  TaskId queue_head = TaskId::invalid();
+  TaskId queue_tail = TaskId::invalid();
+  std::size_t queued = 0;
   TaskId running = TaskId::invalid();
   // Straggler multiplier: tasks *starting* on this worker run for
   // duration * compute_scale (fault injection models a slowed GPU; paper

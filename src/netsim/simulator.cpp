@@ -152,10 +152,9 @@ void Simulator::sample_metrics() {
   }
 }
 
-WorkerId Simulator::add_worker(NodeId host, std::string name) {
+WorkerId Simulator::add_worker(NodeId host) {
   const WorkerId id{workers_.size()};
-  if (name.empty()) name = "w" + std::to_string(id.value());
-  workers_.push_back(Worker{.id = id, .host = host, .name = std::move(name)});
+  workers_.push_back(Worker{.id = id, .host = host});
   return id;
 }
 
@@ -171,9 +170,15 @@ TaskId Simulator::enqueue_task(WorkerId worker, Duration duration,
                                                  .enqueue_time = now_},
                               .on_done = std::move(on_done)});
   Worker& w = workers_.at(worker.value());
-  w.queue.push_back(id);
+  if (w.queue_tail.valid()) {
+    tasks_.at(w.queue_tail.value()).next_ready = id;
+  } else {
+    w.queue_head = id;
+  }
+  w.queue_tail = id;
+  ++w.queued;
   if (m_queue_depth_ != nullptr) {
-    m_queue_depth_->observe(static_cast<double>(w.queue.size()));
+    m_queue_depth_->observe(static_cast<double>(w.queued));
   }
   if (w.idle()) start_next_task(worker);
   return id;
@@ -181,10 +186,12 @@ TaskId Simulator::enqueue_task(WorkerId worker, Duration duration,
 
 void Simulator::start_next_task(WorkerId worker) {
   Worker& w = workers_.at(worker.value());
-  if (!w.idle() || w.queue.empty()) return;
-  const TaskId id = w.queue.front();
-  w.queue.pop_front();
-  ComputeTask& t = tasks_.at(id.value()).task;
+  if (!w.idle() || w.queued == 0) return;
+  const TaskId id = w.queue_head;
+  TaskRecord& rec = tasks_.at(id.value());
+  w.queue_head = rec.next_ready;
+  if (--w.queued == 0) w.queue_tail = TaskId::invalid();
+  ComputeTask& t = rec.task;
   t.start_time = now_;
   // Straggler scaling is applied once, at start, and recorded back into the
   // task so busy-time accounting and later reads see the actual runtime.

@@ -3,9 +3,12 @@
 #include <cstdio>
 #include <cstring>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+
+#include "common/parse.hpp"
 
 namespace echelon::obs {
 
@@ -41,6 +44,20 @@ void fnv1a(std::uint64_t& h, const void* data, std::size_t len) {
 }
 
 void fnv1a_u64(std::uint64_t& h, std::uint64_t v) { fnv1a(h, &v, sizeof(v)); }
+
+// Splits the next space-delimited token off the front of `rest`; empty
+// when none is left.
+std::string_view next_token(std::string_view& rest) {
+  const std::size_t begin = rest.find_first_not_of(' ');
+  if (begin == std::string_view::npos) {
+    rest = {};
+    return {};
+  }
+  rest.remove_prefix(begin);
+  const std::string_view tok = rest.substr(0, rest.find(' '));
+  rest.remove_prefix(tok.size());
+  return tok;
+}
 
 std::string fmt_time(SimTime t) {
   char buf[64];
@@ -163,34 +180,42 @@ ParsedFlightDump parse_flight_dump(std::istream& is) {
     out.error = std::move(msg);
     return out;
   };
+  // N from a "<prefix>N" line, or nullopt.
+  auto keyed = [&line](std::string_view prefix) {
+    return std::string_view(line).starts_with(prefix)
+               ? parse_number<std::uint64_t>(line.substr(prefix.size()))
+               : std::nullopt;
+  };
 
   if (!std::getline(is, line) || line != "ECHFLIGHT 1") {
     return fail("bad header: expected 'ECHFLIGHT 1'");
   }
-  if (!std::getline(is, line) ||
-      std::sscanf(line.c_str(), "capacity %zu", &out.capacity) != 1) {
+  std::optional<std::uint64_t> capacity;
+  if (!std::getline(is, line) || !(capacity = keyed("capacity "))) {
     return fail("bad capacity line");
   }
-  if (!std::getline(is, line) ||
-      std::sscanf(line.c_str(), "recorded %llu",
-                  reinterpret_cast<unsigned long long*>(&out.recorded)) != 1) {
+  out.capacity = *capacity;
+  std::optional<std::uint64_t> recorded;
+  if (!std::getline(is, line) || !(recorded = keyed("recorded "))) {
     return fail("bad recorded line");
   }
+  out.recorded = *recorded;
   if (!std::getline(is, line) || line.rfind("counts", 0) != 0) {
     return fail("bad counts line");
   }
   {
-    std::istringstream cs(line.substr(6));
-    std::string tok;
-    while (cs >> tok) {
+    std::string_view rest = std::string_view(line).substr(6);
+    for (std::string_view tok = next_token(rest); !tok.empty();
+         tok = next_token(rest)) {
       const std::size_t eq = tok.find('=');
-      if (eq == std::string::npos) return fail("bad counts token: " + tok);
       FlightKind kind{};
-      if (!kind_from_name(tok.substr(0, eq), kind)) {
-        return fail("unknown kind in counts: " + tok);
+      if (eq == std::string_view::npos ||
+          !kind_from_name(tok.substr(0, eq), kind)) {
+        return fail("bad counts token: " + std::string(tok));
       }
-      out.counts[static_cast<std::size_t>(kind)] =
-          std::strtoull(tok.c_str() + eq + 1, nullptr, 10);
+      const auto count = parse_number<std::uint64_t>(tok.substr(eq + 1));
+      if (!count) return fail("bad count: " + std::string(tok));
+      out.counts[static_cast<std::size_t>(kind)] = *count;
     }
   }
   bool saw_end = false;
@@ -200,19 +225,26 @@ ParsedFlightDump parse_flight_dump(std::istream& is) {
       break;
     }
     if (line.rfind("E ", 0) != 0) return fail("bad event line: " + line);
-    std::istringstream es(line.substr(2));
-    std::string kind_name;
-    std::string t_str;
+    std::string_view rest = std::string_view(line).substr(2);
+    const std::string_view kind_name = next_token(rest);
+    const std::string_view t = next_token(rest);
+    const std::string_view a = next_token(rest);
+    const std::string_view b = next_token(rest);
+    if (b.empty()) return fail("short event line: " + line);
     FlightEvent ev;
-    if (!(es >> kind_name >> t_str >> ev.a >> ev.b)) {
-      return fail("short event line: " + line);
-    }
     if (!kind_from_name(kind_name, ev.kind)) {
-      return fail("unknown event kind: " + kind_name);
+      return fail("unknown event kind: " + std::string(kind_name));
     }
-    ev.t = std::strtod(t_str.c_str(), nullptr);
-    if (es.peek() == ' ') es.get();
-    std::getline(es, ev.note);
+    const auto time = parse_number<SimTime>(t);
+    const auto field_a = parse_number<std::uint64_t>(a);
+    const auto field_b = parse_number<std::uint64_t>(b);
+    if (!time || !field_a || !field_b) {
+      return fail("bad number in event line: " + line);
+    }
+    ev.t = *time;
+    ev.a = *field_a;
+    ev.b = *field_b;
+    if (!rest.empty()) ev.note = rest.substr(1);  // after the one separator
     out.events.push_back(std::move(ev));
   }
   if (!saw_end) return fail("missing END");

@@ -222,8 +222,8 @@ void ServiceLoop::flush_telemetry(SimTime now) {
 void ServiceLoop::mark_deadline_risk(SimTime now) {
   for (const SloObjective& obj : config_.telemetry.slo.objectives) {
     if (obj.kind != SloKind::kJct) continue;
-    for (const std::size_t j : running_jobs_) {
-      ServiceJobRecord& r = jobs_[j]->record;
+    for (const RunningJob& job : running_jobs_) {
+      ServiceJobRecord& r = jobs_[job.index];
       if (r.deadline_at_risk) continue;
       if (now - r.submitted > obj.threshold) {
         r.deadline_at_risk = true;
@@ -311,12 +311,9 @@ void ServiceLoop::launch_job(const cluster::JobSpec& spec, SimTime submitted,
                              SimTime start) {
   const std::size_t index = jobs_.size();
   const ScopedTimer launch_timer;
-  auto lj = std::make_unique<LiveJob>();
-  lj->record.paradigm = spec.paradigm;
-  lj->record.submitted = submitted;
-  lj->record.started = start;
-  const cluster::Seat seat = stack_.place(spec, index);
-  stack_.build(lj->built, spec, seat, JobId{index},
+  auto built = std::make_unique<cluster::BuiltJob>();
+  const cluster::Seat seat = stack_.place(spec);
+  stack_.build(*built, spec, seat, JobId{index},
                [this, index](netsim::Simulator&) { job_finished(index); });
 
   // Same-instant ordering contract (ISSUE 9 satellite): a launch scheduled
@@ -332,12 +329,13 @@ void ServiceLoop::launch_job(const cluster::JobSpec& spec, SimTime submitted,
         "sequence floor, breaking the same-instant submission-order "
         "tie-break");
   }
-  lj->built.engine->launch(start);
+  built->engine->launch(start);
   last_launch_seq_ =
       std::max(last_launch_seq_, sim().events().scheduled_seq());
 
-  jobs_.push_back(std::move(lj));
-  running_jobs_.push_back(index);
+  jobs_.push_back(ServiceJobRecord{
+      .paradigm = spec.paradigm, .submitted = submitted, .started = start});
+  running_jobs_.push_back(RunningJob{.index = index, .built = std::move(built)});
   if (flightrec_ != nullptr) {
     flightrec_->record(obs::FlightKind::kLaunch, start, index, running());
   }
@@ -347,25 +345,29 @@ void ServiceLoop::launch_job(const cluster::JobSpec& spec, SimTime submitted,
 }
 
 void ServiceLoop::job_finished(std::size_t index) {
-  LiveJob& lj = *jobs_[index];
-  lj.record.finish = sim().now();
-  lj.record.finished = true;
+  ServiceJobRecord& record = jobs_[index];
+  record.finish = sim().now();
+  record.finished = true;
   // The engine is still on the stack (on_complete fires inside its
   // node_done), so its workflow is freed by retire_finished once sim().run()
   // returns, not here.
-  [[maybe_unused]] const std::size_t erased = std::erase(running_jobs_, index);
-  assert(erased == 1);
-  finished_jobs_.push_back(index);
+  const auto it = std::find_if(
+      running_jobs_.begin(), running_jobs_.end(),
+      [index](const RunningJob& r) { return r.index == index; });
+  assert(it != running_jobs_.end());
+  const cluster::BuiltJob& built = *finished_jobs_.emplace_back(
+      std::move(it->built));
+  running_jobs_.erase(it);
   ++completed_;
   if (config_.telemetry.enabled()) {
     const SimTime now = sim().now();
-    const double jct = lj.record.finish - lj.record.submitted;
-    const double queue_wait = lj.record.started - lj.record.submitted;
+    const double jct = record.finish - record.submitted;
+    const double queue_wait = record.started - record.submitted;
     // Max tardiness over the job's complete groups (incomplete ones report
     // -inf and are skipped; a fully-incomplete job samples 0).
     double tardiness = 0.0;
     bool any_group = false;
-    for (std::size_t g = lj.built.group_begin; g < lj.built.group_end; ++g) {
+    for (std::size_t g = built.group_begin; g < built.group_end; ++g) {
       const ef::EchelonFlow& grp = registry().get(EchelonFlowId{g});
       if (!grp.complete()) continue;
       tardiness =
@@ -410,15 +412,8 @@ SimTime ServiceLoop::drain() {
 }
 
 void ServiceLoop::retire_finished() {
-  for (const std::size_t j : finished_jobs_) stack_.retire(jobs_[j]->built);
+  for (const auto& built : finished_jobs_) stack_.retire(*built);
   finished_jobs_.clear();
-}
-
-std::size_t ServiceLoop::workflows_held() const noexcept {
-  return static_cast<std::size_t>(
-      std::count_if(jobs_.begin(), jobs_.end(), [](const auto& lj) {
-        return lj->built.engine != nullptr;
-      }));
 }
 
 ServiceResult ServiceLoop::result() const {
@@ -443,8 +438,7 @@ ServiceResult ServiceLoop::result() const {
   for (std::size_t i = 0; i < sim().flow_count(); ++i) {
     r.flow_finish.push_back(sim().finish_time(FlowId{i}));
   }
-  r.jobs.reserve(jobs_.size());
-  for (const auto& lj : jobs_) r.jobs.push_back(lj->record);
+  r.jobs = jobs_;
   return r;
 }
 

@@ -220,9 +220,11 @@ class ServiceLoop {
     return running_jobs_.size();
   }
   // Launched jobs still holding their workflow and engine: equal to
-  // running() at every step boundary and 0 after drain(). O(launched);
-  // for tests and diagnostics.
-  [[nodiscard]] std::size_t workflows_held() const noexcept;
+  // running() at every step boundary and 0 after drain(). For tests and
+  // diagnostics.
+  [[nodiscard]] std::size_t workflows_held() const noexcept {
+    return running_jobs_.size() + finished_jobs_.size();
+  }
   [[nodiscard]] std::size_t queue_depth() const noexcept {
     return wait_queue_.size();
   }
@@ -321,9 +323,11 @@ class ServiceLoop {
                             obs::MetricsRegistry* metrics);
 
  private:
-  struct LiveJob {
-    cluster::BuiltJob built;  // retired by retire_finished
-    ServiceJobRecord record;
+  // A launched job that still holds its workflow. The BuiltJob lives on the
+  // heap so its engine's pointer into the workflow survives moves.
+  struct RunningJob {
+    std::size_t index = 0;  // into jobs_
+    std::unique_ptr<cluster::BuiltJob> built;
   };
   // Runs fn(); with telemetry.profile on, also records its wall time as
   // profile phase `phase`. Unprofiled runs never read the clock.
@@ -352,15 +356,14 @@ class ServiceLoop {
   std::optional<Arrival> pending_;
   std::vector<JournalEntry> journal_;
   std::deque<Arrival> wait_queue_;
-  // Every launched job in launch order (stable addresses: engines point
-  // into their workflow). A finished job keeps only its spec, record and
-  // group range: its workflow, engine and EchelonFlow member records are
-  // freed at the end of the step it finished in (retire_finished).
-  std::vector<std::unique_ptr<LiveJob>> jobs_;
-  // Indices of the jobs still running, in launch order.
-  std::vector<std::size_t> running_jobs_;
+  // Every launched job's record, in launch order. A finished job keeps only
+  // this: its workflow, engine and EchelonFlow member records are freed at
+  // the end of the step it finished in (retire_finished).
+  std::vector<ServiceJobRecord> jobs_;
+  // The jobs still running, in launch order.
+  std::vector<RunningJob> running_jobs_;
   // Jobs finished during the current sim().run(), awaiting retirement.
-  std::vector<std::size_t> finished_jobs_;
+  std::vector<std::unique_ptr<cluster::BuiltJob>> finished_jobs_;
 
   std::uint64_t completed_ = 0;
   std::uint64_t admitted_ = 0;

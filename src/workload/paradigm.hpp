@@ -50,15 +50,11 @@ struct Placement {
 
 // Creates one worker per host on the simulator.
 [[nodiscard]] inline Placement make_placement(netsim::Simulator& sim,
-                                              std::vector<NodeId> hosts,
-                                              const std::string& prefix = {}) {
+                                              std::vector<NodeId> hosts) {
   Placement p;
   p.hosts = std::move(hosts);
   p.workers.reserve(p.hosts.size());
-  for (std::size_t i = 0; i < p.hosts.size(); ++i) {
-    p.workers.push_back(
-        sim.add_worker(p.hosts[i], prefix + "w" + std::to_string(i)));
-  }
+  for (const NodeId host : p.hosts) p.workers.push_back(sim.add_worker(host));
   return p;
 }
 

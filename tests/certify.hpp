@@ -411,11 +411,12 @@ class Certifier final : public obs::TraceSink {
         head_index = m.index;
       }
     }
-    const SimTime r = head->start - h.arrangement().offset(head_index);
+    const ef::Arrangement arrangement = h.arrangement();
+    const SimTime r = head->start - arrangement.offset(head_index);
     Duration t_h = -kTimeInfinity;
     for (const ef::MemberFlow& m : h.members()) {
       const SimTime e = lives_[m.sim_flow.value()].finish;
-      t_h = std::max(t_h, e - (r + h.arrangement().offset(m.index)));
+      t_h = std::max(t_h, e - (r + arrangement.offset(m.index)));
     }
     rebuilt_[ctx] = t_h;
   }

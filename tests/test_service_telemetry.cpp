@@ -639,7 +639,20 @@ TEST(FlightRecorder, ParserRejectsMalformedDumps) {
         "E admit 0 0 0\n",  // missing END
         "ECHFLIGHT 1\ncapacity 4\nrecorded 1\ncounts bogus=1\nEND\n",
         "ECHFLIGHT 1\ncapacity 1\nrecorded 2\ncounts admit=2\n"
-        "E admit 0 0 0\nE admit 1 1 0\nEND\n"}) {  // over capacity
+        "E admit 0 0 0\nE admit 1 1 0\nEND\n",  // over capacity
+        // Malformed numbers: trailing junk, a sign that would wrap an
+        // unsigned field, an empty count and a non-finite time.
+        "ECHFLIGHT 1\ncapacity 4x\nrecorded 1\ncounts admit=1\nEND\n",
+        "ECHFLIGHT 1\ncapacity -1\nrecorded 1\ncounts admit=1\nEND\n",
+        "ECHFLIGHT 1\ncapacity 4\nrecorded 1z\ncounts admit=1\nEND\n",
+        "ECHFLIGHT 1\ncapacity 4\nrecorded 1\ncounts admit=1q\nEND\n",
+        "ECHFLIGHT 1\ncapacity 4\nrecorded 1\ncounts admit=\nEND\n",
+        "ECHFLIGHT 1\ncapacity 4\nrecorded 1\ncounts admit=1\n"
+        "E admit 0.5x 0 0\nEND\n",
+        "ECHFLIGHT 1\ncapacity 4\nrecorded 1\ncounts admit=1\n"
+        "E admit nan 0 0\nEND\n",
+        "ECHFLIGHT 1\ncapacity 4\nrecorded 1\ncounts admit=1\n"
+        "E admit 0 -1 0\nEND\n"}) {
     SCOPED_TRACE(bad);
     std::istringstream in(bad);
     const obs::ParsedFlightDump parsed = obs::parse_flight_dump(in);

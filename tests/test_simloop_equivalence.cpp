@@ -29,16 +29,23 @@
 //   5. The shared completion tail: zero-byte flows complete instantly with
 //      the canonical callback-before-listener order and never enter the
 //      active set.
+//   6. Retained-state layouts (DESIGN.md §6, §13): adding workers and
+//      queueing tasks allocates nothing per worker or per queued task, and
+//      the EchelonFlow registry allocates nothing per EchelonFlow object and
+//      never moves one.
 
 #include "equivalence_harness.hpp"
 
 #include <atomic>
+#include <bit>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/sweep.hpp"
+#include "common/chunked_store.hpp"
+#include "echelon/registry.hpp"
 #include "echelon/srpt.hpp"
 
 namespace echelon {
@@ -333,6 +340,103 @@ TEST(ZeroByteFlow, InstantCompletionCanonicalOrder) {
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], "done:ctl");      // per-flow callback first
   EXPECT_EQ(order[1], "listener:ctl");  // then global listeners
+}
+
+// ============================================================================
+// 6. Retained-state layouts
+// ============================================================================
+
+// Chunks a store of `n` records holds, plus the doublings of its chunk index:
+// the allocations a ChunkedStore may make while growing to `n` records.
+std::uint64_t chunk_allocations(std::size_t n) {
+  const std::size_t chunks = (n + ChunkedStore<int>::kChunk - 1) /
+                             ChunkedStore<int>::kChunk;
+  return chunks + static_cast<std::uint64_t>(std::bit_width(chunks));
+}
+
+TEST(RetainedLayout, AddWorkerAllocatesOnlyToGrowTheWorkerVector) {
+  auto fabric = topology::make_big_switch(2, gbps(10));
+  Simulator sim(&fabric.topo);
+  constexpr std::size_t kWorkers = 10000;
+  eqh::alloc_count_begin();
+  for (std::size_t i = 0; i < kWorkers; ++i) {
+    (void)sim.add_worker(fabric.hosts[i % 2]);
+  }
+  const std::uint64_t allocs = eqh::alloc_count_end();
+  EXPECT_EQ(sim.worker_count(), kWorkers);
+#if ECHELON_ALLOC_HOOK
+  // Doubling growth of workers_ only: at most ceil(log2 N) + 1 buffers.
+  EXPECT_LE(allocs, static_cast<std::uint64_t>(std::bit_width(kWorkers - 1)) +
+                        1)
+      << "a worker must not allocate";
+#else
+  (void)allocs;
+#endif
+}
+
+TEST(RetainedLayout, QueuedTasksAllocateOnlyTheirRecords) {
+  auto fabric = topology::make_big_switch(2, gbps(10));
+  Simulator sim(&fabric.topo);
+  const WorkerId w = sim.add_worker(fabric.hosts[0]);
+  // The first task occupies the GPU, so every later one queues behind it.
+  (void)sim.enqueue_task(w, 1.0, {});
+  constexpr std::size_t kQueued = 5000;
+  eqh::alloc_count_begin();
+  for (std::size_t i = 0; i < kQueued; ++i) {
+    (void)sim.enqueue_task(w, 1e-3, {});
+  }
+  const std::uint64_t allocs = eqh::alloc_count_end();
+  EXPECT_EQ(sim.worker(w).queued, kQueued);
+#if ECHELON_ALLOC_HOOK
+  EXPECT_LE(allocs, chunk_allocations(kQueued + 1))
+      << "a queued task must not allocate beyond its record";
+#else
+  (void)allocs;
+#endif
+  // The ready queue is FIFO: tasks run in the order they were queued.
+  std::size_t finished = 0;
+  sim.add_task_listener([&finished](Simulator&, const netsim::ComputeTask& t) {
+    EXPECT_EQ(t.id, TaskId{finished++});
+  });
+  sim.run();
+  EXPECT_EQ(finished, kQueued + 1);
+  EXPECT_EQ(sim.worker(w).queued, 0u);
+  EXPECT_FALSE(sim.worker(w).queue_head.valid());
+  EXPECT_FALSE(sim.worker(w).queue_tail.valid());
+}
+
+TEST(RetainedLayout, RegistryCreateAllocatesOnlyTheMemberBlocks) {
+  ef::Registry reg;
+  const ef::Arrangement arrangement = ef::Arrangement::pipeline(4, 1.0);
+  constexpr std::size_t kCreated = 5000;
+  eqh::alloc_count_begin();
+  for (std::size_t i = 0; i < kCreated; ++i) {
+    (void)reg.create(JobId{i}, arrangement);
+  }
+  const std::uint64_t allocs = eqh::alloc_count_end();
+  EXPECT_EQ(reg.size(), kCreated);
+#if ECHELON_ALLOC_HOOK
+  // One block per EchelonFlow for its members, offsets and label; the
+  // EchelonFlows themselves live in the registry's chunks.
+  EXPECT_LE(allocs, kCreated + chunk_allocations(kCreated))
+      << "an EchelonFlow must not be allocated on its own";
+#else
+  (void)allocs;
+#endif
+}
+
+TEST(RetainedLayout, RegistryReferencesSurviveLaterCreates) {
+  ef::Registry reg;
+  const EchelonFlowId first =
+      reg.create(JobId{0}, ef::Arrangement::coflow(2), "first");
+  const ef::EchelonFlow* address = &reg.get(first);
+  for (std::size_t i = 1; i <= 5000; ++i) {
+    (void)reg.create(JobId{i}, ef::Arrangement::coflow(1));
+  }
+  EXPECT_EQ(&reg.get(first), address);
+  EXPECT_EQ(address->id(), first);
+  EXPECT_EQ(address->label(), "first");
+  EXPECT_EQ(address->members().size(), 2u);
 }
 
 }  // namespace
