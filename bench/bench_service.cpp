@@ -15,9 +15,9 @@
 //      snapshot cost against state size; the `snapshot_bytes` counter pins
 //      the size itself.
 //   3. BM_ServiceSnapshotRestore/svc:J -- the full restore path: header +
-//      checksum validation, stack rebuild, journal replay through the step
-//      loop, bitwise verification. Replay dominates; this bounds service
-//      recovery time.
+//      checksum validation, stack and generator rebuild, replay through
+//      the step loop, bitwise verification. Replay dominates; this bounds
+//      service recovery time.
 
 #include <benchmark/benchmark.h>
 
@@ -81,9 +81,9 @@ BENCHMARK(BM_ServiceSteadyState)
     ->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
-// A drained loop at its terminal step boundary: maximal journal, per-flow
-// verification image, and generator progress -- the worst case both
-// directions of the snapshot pay for.
+// A drained loop at its terminal step boundary: maximal journal and per-flow
+// verification image -- the worst case both directions of the snapshot pay
+// for.
 void BM_ServiceSnapshotSave(benchmark::State& state) {
   const int jobs = static_cast<int>(state.range(0));
   auto loop = make_loop(jobs);

@@ -39,6 +39,18 @@ struct TraceConfig {
   workload::GpuSpec gpu = workload::a100();
 };
 
+// Throws std::invalid_argument unless arrival_rate > 0, num_jobs >= 0,
+// paradigm_weights has one entry per paradigm and rank_choices is non-empty.
+void check_trace_config(const TraceConfig& cfg);
+
+// One job's parameters: paradigm, ranks, layer count, width, then the model,
+// drawn from `rng` in that order. The arrival instant and the inter-arrival
+// gap are the caller's; generate_trace and the service's Poisson generator
+// share this draw, so their streams agree job for job.
+[[nodiscard]] JobSpec draw_job(const TraceConfig& cfg, Rng& rng);
+
+// Checks cfg (check_trace_config), then draws cfg.num_jobs jobs from one Rng
+// seeded with cfg.seed, each job's exponential gap after its parameters.
 [[nodiscard]] std::vector<JobSpec> generate_trace(const TraceConfig& cfg);
 
 }  // namespace echelon::cluster

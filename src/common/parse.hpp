@@ -18,12 +18,19 @@
 
 namespace echelon {
 
+// `base` applies to integers only ("ff" with base 16; no "0x" prefix).
 template <typename T>
-[[nodiscard]] std::optional<T> parse_number(std::string_view s) {
+[[nodiscard]] std::optional<T> parse_number(std::string_view s,
+                                            int base = 10) {
   T v{};
   const char* end = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
-  if (s.empty() || ec != std::errc{} || ptr != end) return std::nullopt;
+  std::from_chars_result r;
+  if constexpr (std::is_floating_point_v<T>) {
+    r = std::from_chars(s.data(), end, v);
+  } else {
+    r = std::from_chars(s.data(), end, v, base);
+  }
+  if (s.empty() || r.ec != std::errc{} || r.ptr != end) return std::nullopt;
   if constexpr (std::is_floating_point_v<T>) {
     if (!std::isfinite(v)) return std::nullopt;
   }

@@ -3,7 +3,10 @@
 // xoshiro256** (Blackman & Vigna) -- small, fast, and fully reproducible
 // across platforms, unlike std::default_random_engine whose behaviour is
 // implementation-defined. All distribution sampling is implemented here so a
-// seed uniquely determines a generated trace on every toolchain.
+// seed uniquely determines a generated trace on every toolchain. The state is
+// private on purpose: a stream is resumed by reseeding and drawing again
+// (service snapshots rebuild their arrival generator at stream start,
+// DESIGN.md §13), never by copying words out and back in.
 
 #pragma once
 
@@ -90,17 +93,6 @@ class Rng {
   }
 
   [[nodiscard]] bool bernoulli(double p) noexcept { return uniform() < p; }
-
-  // Raw generator state, exposed so long-running services can checkpoint a
-  // stream mid-flight and resume it bit-exactly (DESIGN.md §13). The state is
-  // the full xoshiro256** word vector; restoring it reproduces the identical
-  // draw sequence on every platform.
-  [[nodiscard]] const std::array<std::uint64_t, 4>& state() const noexcept {
-    return state_;
-  }
-  void set_state(const std::array<std::uint64_t, 4>& s) noexcept {
-    state_ = s;
-  }
 
  private:
   [[nodiscard]] static std::uint64_t rotl(std::uint64_t x, int k) noexcept {

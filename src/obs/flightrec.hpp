@@ -78,7 +78,7 @@ class FlightRecorder {
   void clear();
 
   // Overwrites the ring with checkpointed contents (oldest first). Used by
-  // snapshot restore: journal replay rebuilds every event *except* the
+  // snapshot restore: the replay rebuilds every event *except* the
   // kSnapshot markers earlier saves injected, so the ring is restored
   // verbatim rather than re-derived. Throws std::invalid_argument when
   // `events` exceeds capacity or `counts` has the wrong length.

@@ -6,6 +6,9 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string_view>
+
+#include "common/parse.hpp"
 
 namespace echelon::obs {
 
@@ -55,42 +58,62 @@ std::uint64_t merge_trace_chunks(std::istream& is, TraceSink& sink) {
   std::string line;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
-    unsigned long long n = 0;
-    if (std::sscanf(line.c_str(), "ECHCHUNK %llu", &n) != 1) {
+    constexpr std::string_view kHeader = "ECHCHUNK ";
+    const auto n = std::string_view{line}.starts_with(kHeader)
+                       ? parse_number<std::uint64_t>(
+                             std::string_view{line}.substr(kHeader.size()))
+                       : std::nullopt;
+    if (!n) {
       throw std::runtime_error("merge_trace_chunks: bad chunk header: " +
                                line);
     }
-    for (unsigned long long i = 0; i < n; ++i) {
+    for (std::uint64_t i = 0; i < *n; ++i) {
       if (!std::getline(is, line)) {
         throw std::runtime_error(
             "merge_trace_chunks: chunk truncated (expected " +
-            std::to_string(n) + " events, got " + std::to_string(i) + ")");
+            std::to_string(*n) + " events, got " + std::to_string(i) + ")");
       }
-      char tag = 0;
-      unsigned kind = 0;
-      std::uint64_t t_bits = 0;
-      std::uint64_t v_bits = 0;
+      const auto bad = [&line] {
+        return std::runtime_error("merge_trace_chunks: bad event line: " +
+                                  line);
+      };
+      // Six space-terminated fields, then the value bits, which end the
+      // line ('E') or precede one space and the label ('L'). Every field is
+      // one whole token: "1x", "+1", "-1" and "0x0" all fail.
+      std::string_view rest{line};
+      std::string_view field[6];
+      for (std::string_view& f : field) {
+        const std::size_t sp = rest.find(' ');
+        if (sp == std::string_view::npos) throw bad();
+        f = rest.substr(0, sp);
+        rest.remove_prefix(sp + 1);
+      }
+      const std::size_t sp = rest.find(' ');
+      const std::string_view value = rest.substr(0, sp);
+      const bool labelled = field[0] == "L";
+      if (!labelled && (field[0] != "E" || sp != std::string_view::npos)) {
+        throw bad();
+      }
+      const auto kind = parse_number<unsigned>(field[1]);
+      const auto t_bits = parse_number<std::uint64_t>(field[2], 16);
+      const auto id = parse_number<std::uint64_t>(field[3]);
+      const auto job = parse_number<std::uint64_t>(field[4]);
+      const auto ctx = parse_number<std::uint64_t>(field[5]);
+      const auto v_bits = parse_number<std::uint64_t>(value, 16);
+      if (!kind || *kind >= kTraceKindCount || !t_bits || !id || !job ||
+          !ctx || !v_bits) {
+        throw bad();
+      }
       TraceEvent ev;
-      int consumed = 0;
-      if (std::sscanf(line.c_str(),
-                      "%c %u %" SCNx64 " %" SCNu64 " %" SCNu64 " %" SCNu64
-                      " %" SCNx64 "%n",
-                      &tag, &kind, &t_bits, &ev.id, &ev.job, &ev.ctx, &v_bits,
-                      &consumed) != 7 ||
-          (tag != 'E' && tag != 'L') || kind >= kTraceKindCount) {
-        throw std::runtime_error("merge_trace_chunks: bad event line: " +
-                                 line);
-      }
-      ev.kind = static_cast<TraceKind>(kind);
-      ev.t = bits_f64(t_bits);
-      ev.value = bits_f64(v_bits);
-      std::string_view label;
-      if (tag == 'L') {
-        std::string_view rest{line};
-        rest.remove_prefix(static_cast<std::size_t>(consumed));
-        if (!rest.empty() && rest.front() == ' ') rest.remove_prefix(1);
-        label = rest;
-      }
+      ev.kind = static_cast<TraceKind>(*kind);
+      ev.t = bits_f64(*t_bits);
+      ev.id = *id;
+      ev.job = *job;
+      ev.ctx = *ctx;
+      ev.value = bits_f64(*v_bits);
+      const std::string_view label =
+          labelled && sp != std::string_view::npos ? rest.substr(sp + 1)
+                                                   : std::string_view{};
       sink.record(ev, label);
       ++replayed;
     }

@@ -1,6 +1,5 @@
 #include "service/arrivals.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <istream>
@@ -8,8 +7,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/hash.hpp"
 #include "common/parse.hpp"
-#include "workload/model.hpp"
 
 namespace echelon::service {
 
@@ -116,65 +115,16 @@ void put_f(std::ostream& out, double v) {
 PoissonArrivalGenerator::PoissonArrivalGenerator(
     const cluster::TraceConfig& config, int burst_every)
     : config_(config), burst_every_(burst_every), rng_(config.seed) {
-  if (config_.arrival_rate <= 0.0) {
-    throw std::invalid_argument(
-        "PoissonArrivalGenerator: arrival_rate must be > 0");
-  }
-  if (config_.num_jobs < 0) {
-    throw std::invalid_argument(
-        "PoissonArrivalGenerator: num_jobs must be >= 0");
-  }
-  if (config_.paradigm_weights.size() != 6) {
-    throw std::invalid_argument(
-        "PoissonArrivalGenerator: paradigm_weights must have 6 entries");
-  }
-  if (config_.rank_choices.empty()) {
-    throw std::invalid_argument(
-        "PoissonArrivalGenerator: rank_choices must be non-empty");
-  }
+  cluster::check_trace_config(config_);
 }
 
 std::optional<Arrival> PoissonArrivalGenerator::next() {
   if (emitted_ >= config_.num_jobs) return std::nullopt;
 
-  // EXACTLY generate_trace's per-job draw sequence (cluster/trace.cpp):
-  // paradigm, rank choice, layer count, log-uniform width, then the
-  // exponential gap consumed AFTER the arrival instant is recorded. Keeping
-  // the order identical is what makes this stream == generate_trace(config)
+  // generate_trace's per-job draw, then the exponential gap consumed AFTER
+  // the arrival instant is recorded: this stream == generate_trace(config)
   // element-for-element (tests/test_service.cpp pins it).
-  cluster::JobSpec spec;
-  {
-    double total = 0.0;
-    for (const double w : config_.paradigm_weights) total += w;
-    double x = rng_.uniform(0.0, total);
-    spec.paradigm = workload::Paradigm::kDpAllReduce;
-    for (std::size_t i = 0; i < config_.paradigm_weights.size(); ++i) {
-      x -= config_.paradigm_weights[i];
-      if (x <= 0.0) {
-        spec.paradigm = static_cast<workload::Paradigm>(i);
-        break;
-      }
-    }
-  }
-  spec.ranks =
-      config_.rank_choices[rng_.uniform_int(config_.rank_choices.size())];
-
-  const int layers =
-      config_.min_layers +
-      static_cast<int>(rng_.uniform_int(static_cast<std::uint64_t>(
-          config_.max_layers - config_.min_layers + 1)));
-  const double lw = rng_.uniform(std::log(double(config_.min_width)),
-                                 std::log(double(config_.max_width)));
-  const int width = static_cast<int>(std::exp(lw));
-
-  const int eff_layers = spec.paradigm == workload::Paradigm::kPipeline
-                             ? std::max(layers, spec.ranks)
-                             : layers;
-  spec.model = workload::make_mlp(eff_layers, width, config_.batch);
-  spec.gpu = config_.gpu;
-  spec.iterations = config_.iterations;
-  spec.buckets = std::min(4, eff_layers);
-  spec.micro_batches = 4;
+  cluster::JobSpec spec = cluster::draw_job(config_, rng_);
   spec.arrival = clock_;
 
   const double gap = rng_.exponential(config_.arrival_rate);
@@ -337,24 +287,20 @@ std::vector<Arrival> parse_arrival_trace(const std::string& text) {
 
 TraceFileArrivalReader::TraceFileArrivalReader(const std::string& path)
     : path_(path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) {
     throw std::runtime_error("cannot open arrival trace: " + path);
   }
-  arrivals_ = parse_arrival_trace(in);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  const std::string text = bytes.str();
+  digest_ = fnv1a(text.data(), text.size());
+  arrivals_ = parse_arrival_trace(text);
 }
 
 std::optional<Arrival> TraceFileArrivalReader::next() {
   if (index_ >= arrivals_.size()) return std::nullopt;
   return arrivals_[index_++];
-}
-
-void TraceFileArrivalReader::seek(std::size_t index) {
-  if (index > arrivals_.size()) {
-    throw std::invalid_argument(
-        "TraceFileArrivalReader::seek past end of trace");
-  }
-  index_ = index;
 }
 
 std::vector<Arrival> drain(ArrivalGenerator& gen) {

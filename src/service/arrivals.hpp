@@ -1,23 +1,22 @@
 // Streaming job-arrival sources for the online service loop (DESIGN.md §13).
 //
 // Two concrete generators:
-//   * PoissonArrivalGenerator -- samples the exact per-job draw sequence of
-//     cluster::generate_trace (same Rng consumption order), so the stream it
-//     emits for a TraceConfig is element-for-element identical to the batch
-//     trace for that config. An optional burst knob collapses every Nth
-//     inter-arrival gap to zero without perturbing the draw sequence.
+//   * PoissonArrivalGenerator -- draws each job with cluster::draw_job, the
+//     draw cluster::generate_trace uses (same Rng consumption order), so the
+//     stream it emits for a TraceConfig is element-for-element identical to
+//     the batch trace for that config. An optional burst knob collapses
+//     every Nth inter-arrival gap to zero without perturbing the draws.
 //   * TraceFileArrivalReader -- replays a text arrival-trace file
 //     (write_arrival_trace's format, the fault-plan round-trip idiom:
 //     precision-17 doubles, line-based parse, loud std::invalid_argument
 //     with a line number on any malformed input).
 //
-// Both are checkpointable: their progress state is small and explicit
-// (snapshot.cpp serializes it), and restoring it resumes the stream
-// bit-exactly mid-flight.
+// Both are deterministic from their construction arguments, which is all a
+// snapshot records of them (snapshot.cpp): restore rebuilds the generator at
+// stream start and the replayed step loop pulls the same arrivals again.
 
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -52,8 +51,8 @@ class PoissonArrivalGenerator final : public ArrivalGenerator {
   // burst_every == 0 disables bursting; N >= 2 makes every Nth job arrive
   // at the same instant as its predecessor (the exponential gap draw is
   // still consumed, so the sampled job parameters are unchanged -- only the
-  // arrival clock differs). Throws std::invalid_argument on a non-positive
-  // arrival rate or num_jobs < 0.
+  // arrival clock differs). Throws std::invalid_argument on a config
+  // cluster::check_trace_config rejects.
   explicit PoissonArrivalGenerator(const cluster::TraceConfig& config,
                                    int burst_every = 0);
 
@@ -62,20 +61,11 @@ class PoissonArrivalGenerator final : public ArrivalGenerator {
     return "poisson";
   }
 
-  // Checkpoint surface (snapshot.cpp).
+  // Construction arguments (snapshot.cpp records them).
   [[nodiscard]] const cluster::TraceConfig& config() const noexcept {
     return config_;
   }
   [[nodiscard]] int burst_every() const noexcept { return burst_every_; }
-  [[nodiscard]] const Rng& rng() const noexcept { return rng_; }
-  [[nodiscard]] SimTime clock() const noexcept { return clock_; }
-  [[nodiscard]] int emitted() const noexcept { return emitted_; }
-  void restore(const std::array<std::uint64_t, 4>& rng_state, SimTime clock,
-               int emitted) noexcept {
-    rng_.set_state(rng_state);
-    clock_ = clock;
-    emitted_ = emitted;
-  }
 
  private:
   cluster::TraceConfig config_;
@@ -97,13 +87,14 @@ class TraceFileArrivalReader final : public ArrivalGenerator {
   [[nodiscard]] const char* kind() const noexcept override { return "trace"; }
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
-  [[nodiscard]] std::size_t index() const noexcept { return index_; }
+  // FNV-1a over the file's bytes as read (snapshot.cpp records it, so a
+  // restore from a rewritten file fails instead of replaying other jobs).
+  [[nodiscard]] std::uint64_t digest() const noexcept { return digest_; }
   [[nodiscard]] std::size_t size() const noexcept { return arrivals_.size(); }
-  // Checkpoint restore: skip the first `index` arrivals.
-  void seek(std::size_t index);
 
  private:
   std::string path_;
+  std::uint64_t digest_ = 0;
   std::vector<Arrival> arrivals_;
   std::size_t index_ = 0;
 };

@@ -73,6 +73,10 @@ void ServiceLoop::attach_observability(obs::TraceSink* sink,
 }
 
 void ServiceLoop::set_generator(std::unique_ptr<ArrivalGenerator> gen) {
+  if (steps_ > 0) {
+    throw std::logic_error(
+        "ServiceLoop: set_generator after the loop has stepped");
+  }
   gen_ = std::move(gen);
 }
 
@@ -264,17 +268,17 @@ void ServiceLoop::admit(Arrival arrival) {
   if (replay_expected_ != nullptr) {
     const std::size_t i = journal_.size();
     if (i >= replay_expected_->size() ||
-        (*replay_expected_)[i].outcome != outcome) {
+        (*replay_expected_)[i] != outcome) {
       throw std::runtime_error(
           "snapshot replay diverged: arrival " + std::to_string(i) +
           " decided '" + to_string(outcome) + "' but the journal recorded '" +
           (i < replay_expected_->size()
-               ? to_string((*replay_expected_)[i].outcome)
+               ? to_string((*replay_expected_)[i])
                : "<past end>") +
           "' (configuration or code mismatch)");
     }
   }
-  journal_.push_back(JournalEntry{outcome, arrival});
+  journal_.push_back(outcome);
   if (flightrec_ != nullptr) {
     const std::uint64_t journal_index = journal_.size() - 1;
     switch (outcome) {
@@ -510,15 +514,11 @@ void ServiceLoop::record_phase_ms(std::string_view phase, double ms) {
   profile_.series(name).sample(sim().now(), ms);
 }
 
-void ServiceLoop::begin_replay(const std::vector<JournalEntry>& expected) {
+void ServiceLoop::begin_replay(
+    const std::vector<AdmissionOutcome>& expected) {
   replay_expected_ = &expected;
 }
 
-void ServiceLoop::end_replay(std::unique_ptr<ArrivalGenerator> gen,
-                             std::optional<Arrival> pending) {
-  replay_expected_ = nullptr;
-  gen_ = std::move(gen);
-  pending_ = std::move(pending);
-}
+void ServiceLoop::end_replay() { replay_expected_ = nullptr; }
 
 }  // namespace echelon::service

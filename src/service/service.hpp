@@ -10,8 +10,9 @@
 // the same configuration and arrival stream execute the identical event
 // history and produce bit-identical results and trace streams. That is the
 // invariant the snapshot/restore layer (snapshot.hpp) is built on: a
-// restored loop replays its arrival journal through this same step loop and
-// must land on a bitwise-equal simulator state.
+// restored loop rebuilds its arrival generator at stream start, replays the
+// same number of steps through this same step loop and must land on a
+// bitwise-equal simulator state.
 
 #pragma once
 
@@ -42,7 +43,7 @@ namespace echelon::service {
 // Deterministic service-plane telemetry (DESIGN.md §15). Everything here
 // except `profile` is a pure function of simulated time, so it is part of
 // the snapshot wire format and a restored loop rebuilds identical
-// telemetry state by journal replay. Output *attachments* (file targets)
+// telemetry state by replaying the run. Output *attachments* (file targets)
 // are per-process and live in TelemetryOutputs instead.
 struct TelemetryConfig {
   // Interval between telemetry flushes in simulated seconds (0 = never).
@@ -103,14 +104,6 @@ struct ServiceConfig {
   TelemetryConfig telemetry;
 };
 
-// One consumed arrival plus the admission decision made for it. The journal
-// of these is the durable half of a snapshot: replaying it through the step
-// loop reconstructs all service and simulator state.
-struct JournalEntry {
-  AdmissionOutcome outcome = AdmissionOutcome::kAdmitted;
-  Arrival arrival;
-};
-
 struct ServiceJobRecord {
   workload::Paradigm paradigm = workload::Paradigm::kDpAllReduce;
   SimTime submitted = 0.0;  // arrival instant (admission time)
@@ -160,6 +153,10 @@ class ServiceLoop {
   ServiceLoop(const ServiceLoop&) = delete;
   ServiceLoop& operator=(const ServiceLoop&) = delete;
 
+  // The loop's one arrival source. Throws std::logic_error once the loop
+  // has stepped: a snapshot records the generator's construction arguments
+  // and restore replays the stream from its start, so the source may not
+  // change mid-run.
   void set_generator(std::unique_ptr<ArrivalGenerator> gen);
 
   // Advances to the next boundary (arrival instant or control tick) and
@@ -187,15 +184,14 @@ class ServiceLoop {
   [[nodiscard]] const ServiceConfig& config() const noexcept {
     return config_;
   }
-  [[nodiscard]] const std::vector<JournalEntry>& journal() const noexcept {
+  // The admission outcome of every consumed arrival, in stream order: the
+  // arrival's index is its position here.
+  [[nodiscard]] const std::vector<AdmissionOutcome>& journal()
+      const noexcept {
     return journal_;
   }
   [[nodiscard]] const ArrivalGenerator* generator() const noexcept {
     return gen_.get();
-  }
-  [[nodiscard]] const std::optional<Arrival>& pending_arrival()
-      const noexcept {
-    return pending_;
   }
   [[nodiscard]] const netsim::Simulator& sim() const noexcept {
     return stack_.sim();
@@ -314,11 +310,12 @@ class ServiceLoop {
   // CLI). No-op unless telemetry.profile is on.
   void record_phase_ms(std::string_view phase, double ms);
 
-  // Restore plumbing (snapshot.cpp only): journal replay with outcome
-  // cross-checking, then reattachment of the live generator + observability.
-  void begin_replay(const std::vector<JournalEntry>& expected);
-  void end_replay(std::unique_ptr<ArrivalGenerator> gen,
-                  std::optional<Arrival> pending);
+  // Restore plumbing (snapshot.cpp only): between the two calls every
+  // admission decision is cross-checked against `expected`, which must
+  // outlive the replay. The replayed steps pull the arrivals from the
+  // rebuilt generator, so they leave it where the original run had it.
+  void begin_replay(const std::vector<AdmissionOutcome>& expected);
+  void end_replay();
   void attach_observability(obs::TraceSink* sink, obs::TraceDetail detail,
                             obs::MetricsRegistry* metrics);
 
@@ -354,7 +351,7 @@ class ServiceLoop {
 
   std::unique_ptr<ArrivalGenerator> gen_;
   std::optional<Arrival> pending_;
-  std::vector<JournalEntry> journal_;
+  std::vector<AdmissionOutcome> journal_;
   std::deque<Arrival> wait_queue_;
   // Every launched job's record, in launch order. A finished job keeps only
   // this: its workflow, engine and EchelonFlow member records are freed at
@@ -381,7 +378,7 @@ class ServiceLoop {
 
   // --- service-plane telemetry (DESIGN.md §15) ---
   // Deterministic telemetry state: prom-exported registry, SLO tracker,
-  // flight ring. Rebuilt identically by snapshot journal replay.
+  // flight ring. Rebuilt identically by snapshot replay.
   obs::MetricsRegistry telemetry_;
   // Wall-clock self-profile; kept OUT of telemetry_ so the exposition
   // stays bit-reproducible. Never serialized.
@@ -399,7 +396,7 @@ class ServiceLoop {
   // resolved on the first flush so later flushes skip the name building.
   std::vector<obs::Series*> link_series_;
 
-  const std::vector<JournalEntry>* replay_expected_ = nullptr;
+  const std::vector<AdmissionOutcome>* replay_expected_ = nullptr;
 };
 
 }  // namespace echelon::service

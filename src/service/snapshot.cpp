@@ -7,8 +7,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "faultsim/fault_plan.hpp"
-#include "workload/model.hpp"
 
 namespace echelon::service {
 
@@ -25,18 +25,6 @@ enum : std::uint32_t {
   kEndTag = 0xFFFFFFFFu,
 };
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv1a(const char* data, std::size_t n,
-                    std::uint64_t h = kFnvOffset) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
 std::uint64_t f64_bits(double v) noexcept {
   std::uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
@@ -47,6 +35,12 @@ double bits_f64(std::uint64_t bits) noexcept {
   double v;
   std::memcpy(&v, &bits, sizeof(v));
   return v;
+}
+
+std::string hex(std::uint64_t v) {
+  std::ostringstream os;
+  os << std::hex << v;
+  return os.str();
 }
 
 // ---------------------------------------------------------------------------
@@ -152,7 +146,7 @@ class Reader {
 };
 
 // ---------------------------------------------------------------------------
-// JobSpec / TraceConfig / Arrival payloads
+// TraceConfig payload
 // ---------------------------------------------------------------------------
 
 void put_gpu(Writer& w, const workload::GpuSpec& g) {
@@ -167,79 +161,6 @@ workload::GpuSpec get_gpu(Reader& r) {
   g.peak_flops = r.f64("gpu.peak_flops");
   g.efficiency = r.f64("gpu.efficiency");
   return g;
-}
-
-void put_jobspec(Writer& w, const cluster::JobSpec& j) {
-  w.u32(static_cast<std::uint32_t>(j.paradigm));
-  w.u32(static_cast<std::uint32_t>(j.ranks));
-  w.u32(static_cast<std::uint32_t>(j.iterations));
-  w.u32(static_cast<std::uint32_t>(j.buckets));
-  w.u32(static_cast<std::uint32_t>(j.micro_batches));
-  w.u32(static_cast<std::uint32_t>(j.pp_schedule));
-  w.f64(j.compute_jitter);
-  w.u64(j.jitter_seed);
-  w.f64(j.arrival);
-  put_gpu(w, j.gpu);
-  w.str(j.model.name);
-  w.f64(j.model.bytes_per_element);
-  w.u64(j.model.layers.size());
-  for (const workload::LayerSpec& l : j.model.layers) {
-    w.str(l.name);
-    w.u64(l.params);
-    w.f64(l.activation_bytes);
-    w.f64(l.fwd_flops);
-    w.f64(l.bwd_flops);
-  }
-}
-
-cluster::JobSpec get_jobspec(Reader& r) {
-  cluster::JobSpec j;
-  const std::uint32_t paradigm = r.u32("job.paradigm");
-  if (paradigm > static_cast<std::uint32_t>(workload::Paradigm::kExpert)) {
-    throw SnapshotError("snapshot: job.paradigm " + std::to_string(paradigm) +
-                        " is out of range");
-  }
-  j.paradigm = static_cast<workload::Paradigm>(paradigm);
-  j.ranks = static_cast<int>(r.u32("job.ranks"));
-  j.iterations = static_cast<int>(r.u32("job.iterations"));
-  j.buckets = static_cast<int>(r.u32("job.buckets"));
-  j.micro_batches = static_cast<int>(r.u32("job.micro_batches"));
-  const std::uint32_t sched = r.u32("job.pp_schedule");
-  if (sched > static_cast<std::uint32_t>(
-                  workload::PipelineSchedule::kOneFOneB)) {
-    throw SnapshotError("snapshot: job.pp_schedule " + std::to_string(sched) +
-                        " is out of range");
-  }
-  j.pp_schedule = static_cast<workload::PipelineSchedule>(sched);
-  j.compute_jitter = r.f64("job.compute_jitter");
-  j.jitter_seed = r.u64("job.jitter_seed");
-  j.arrival = r.f64("job.arrival");
-  j.gpu = get_gpu(r);
-  j.model.name = r.str("model.name");
-  j.model.bytes_per_element = r.f64("model.bytes_per_element");
-  const std::uint64_t layers = r.u64("model.layer_count");
-  for (std::uint64_t l = 0; l < layers; ++l) {
-    workload::LayerSpec spec;
-    spec.name = r.str("layer.name");
-    spec.params = r.u64("layer.params");
-    spec.activation_bytes = r.f64("layer.activation_bytes");
-    spec.fwd_flops = r.f64("layer.fwd_flops");
-    spec.bwd_flops = r.f64("layer.bwd_flops");
-    j.model.layers.push_back(std::move(spec));
-  }
-  return j;
-}
-
-void put_arrival(Writer& w, const Arrival& a) {
-  w.f64(a.at);
-  put_jobspec(w, a.job);
-}
-
-Arrival get_arrival(Reader& r) {
-  Arrival a;
-  a.at = r.f64("arrival.at");
-  a.job = get_jobspec(r);
-  return a;
 }
 
 void put_trace_config(Writer& w, const cluster::TraceConfig& c) {
@@ -336,8 +257,6 @@ void build_verify_image(const ServiceLoop& loop, ImageBuilder& img) {
   const netsim::SchedStats& ss = loop.scheduler().sched_stats();
   img.add("sched.passes", ss.passes);
   img.add("sched.full_passes", ss.full_passes);
-  img.add("sched.scoped_passes", ss.scoped_passes);
-  img.add("sched.pass_skips", ss.pass_skips);
 
   const topology::RouteTable::Stats& rs = sim.routes().stats();
   img.add("routes.size", sim.routes().size());
@@ -415,8 +334,8 @@ void build_verify_image(const ServiceLoop& loop, ImageBuilder& img) {
   }
 }
 
-// Telemetry state (except the flight ring, below) is rebuilt by journal
-// replay -- it is a pure function of config + journal -- so this image pins
+// Telemetry state (except the flight ring, below) is rebuilt by the
+// replay -- it is a pure function of config + arrivals -- so this image pins
 // the rebuild bit-for-bit, including the exact Prometheus exposition bytes
 // a flush would produce.
 void build_telemetry_image(const ServiceLoop& loop, ImageBuilder& img) {
@@ -551,27 +470,17 @@ void verify_image(Reader& r, const ImageBuilder& fresh, const char* what) {
                           "' in the restored state");
     }
     if (bits != fresh_bits) {
-      throw SnapshotError(
-          "snapshot " + std::string(what) + ": '" + name +
-          "' mismatch: saved 0x" +
-          [](std::uint64_t v) {
-            std::ostringstream os;
-            os << std::hex << v;
-            return os.str();
-          }(bits) +
-          " restored 0x" +
-          [](std::uint64_t v) {
-            std::ostringstream os;
-            os << std::hex << v;
-            return os.str();
-          }(fresh_bits) +
-          " -- restored run diverged from the checkpointed one");
+      throw SnapshotError("snapshot " + std::string(what) + ": '" + name +
+                          "' mismatch: saved 0x" + hex(bits) +
+                          " restored 0x" + hex(fresh_bits) +
+                          " -- restored run diverged from the checkpointed "
+                          "one");
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Generator state
+// Generator source
 // ---------------------------------------------------------------------------
 
 enum : std::uint8_t {
@@ -580,37 +489,32 @@ enum : std::uint8_t {
   kGenTraceFile = 2,
 };
 
-void put_generator(Writer& w, const ServiceLoop& loop) {
-  const ArrivalGenerator* gen = loop.generator();
-  if (const auto* p = dynamic_cast<const PoissonArrivalGenerator*>(gen)) {
+// Records how to rebuild the generator at stream start: its kind and
+// construction arguments. The loop cannot swap generators once it has
+// stepped, so this is the source every consumed arrival came from.
+void put_generator(Writer& w, const ArrivalGenerator* gen) {
+  if (gen == nullptr) {
+    w.u8(kGenNone);
+  } else if (const auto* p =
+                 dynamic_cast<const PoissonArrivalGenerator*>(gen)) {
     w.u8(kGenPoisson);
     put_trace_config(w, p->config());
     w.u32(static_cast<std::uint32_t>(p->burst_every()));
-    for (const std::uint64_t word : p->rng().state()) w.u64(word);
-    w.f64(p->clock());
-    w.u32(static_cast<std::uint32_t>(p->emitted()));
   } else if (const auto* t =
                  dynamic_cast<const TraceFileArrivalReader*>(gen)) {
     w.u8(kGenTraceFile);
     w.str(t->path());
-    w.u64(t->index());
+    w.u64(t->digest());
   } else {
-    // No generator, an exhausted external one, or a test-injected kind the
-    // snapshot cannot persist; restore resumes with no further arrivals.
-    w.u8(kGenNone);
+    throw SnapshotError(std::string("snapshot: cannot save a loop fed by a '") +
+                        gen->kind() +
+                        "' arrival generator (restore rebuilds only poisson "
+                        "and trace generators)");
   }
-  const std::optional<Arrival>& pending = loop.pending_arrival();
-  w.u8(pending.has_value() ? 1 : 0);
-  if (pending.has_value()) put_arrival(w, *pending);
 }
 
-struct GeneratorState {
+std::unique_ptr<ArrivalGenerator> get_generator(Reader& r) {
   std::unique_ptr<ArrivalGenerator> gen;
-  std::optional<Arrival> pending;
-};
-
-GeneratorState get_generator(Reader& r) {
-  GeneratorState out;
   const std::uint8_t kind = r.u8("generator.kind");
   switch (kind) {
     case kGenNone:
@@ -618,53 +522,39 @@ GeneratorState get_generator(Reader& r) {
     case kGenPoisson: {
       const cluster::TraceConfig cfg = get_trace_config(r);
       const int burst = static_cast<int>(r.u32("generator.burst_every"));
-      std::array<std::uint64_t, 4> state{};
-      for (std::uint64_t& word : state) word = r.u64("generator.rng_word");
-      const double clock = r.f64("generator.clock");
-      const int emitted = static_cast<int>(r.u32("generator.emitted"));
-      auto gen = std::make_unique<PoissonArrivalGenerator>(cfg, burst);
-      gen->restore(state, clock, emitted);
-      out.gen = std::move(gen);
+      try {
+        gen = std::make_unique<PoissonArrivalGenerator>(cfg, burst);
+      } catch (const std::invalid_argument& e) {
+        throw SnapshotError(std::string("snapshot: generator: ") + e.what());
+      }
       break;
     }
     case kGenTraceFile: {
       const std::string path = r.str("generator.path");
-      const std::uint64_t index = r.u64("generator.index");
-      auto gen = std::make_unique<TraceFileArrivalReader>(path);
-      if (index > gen->size()) {
-        throw SnapshotError("snapshot: trace generator index " +
-                            std::to_string(index) + " exceeds the " +
-                            std::to_string(gen->size()) + " arrivals in " +
-                            path);
+      const std::uint64_t digest = r.u64("generator.digest");
+      std::unique_ptr<TraceFileArrivalReader> reader;
+      try {
+        reader = std::make_unique<TraceFileArrivalReader>(path);
+      } catch (const std::exception& e) {
+        throw SnapshotError("snapshot: arrival trace " + path + ": " +
+                            e.what());
       }
-      gen->seek(static_cast<std::size_t>(index));
-      out.gen = std::move(gen);
+      if (reader->digest() != digest) {
+        throw SnapshotError("snapshot: arrival trace " + path +
+                            " changed since the snapshot was saved (digest 0x" +
+                            hex(reader->digest()) + ", recorded 0x" +
+                            hex(digest) + ")");
+      }
+      gen = std::move(reader);
       break;
     }
     default:
       throw SnapshotError("snapshot: unknown generator kind " +
                           std::to_string(kind));
   }
-  if (r.u8("generator.has_pending") != 0) out.pending = get_arrival(r);
   r.expect_exhausted("generator section");
-  return out;
+  return gen;
 }
-
-// Journal replay source: yields the consumed arrivals back in order.
-class JournalReplayGenerator final : public ArrivalGenerator {
- public:
-  explicit JournalReplayGenerator(std::vector<Arrival> arrivals)
-      : arrivals_(std::move(arrivals)) {}
-  std::optional<Arrival> next() override {
-    if (index_ >= arrivals_.size()) return std::nullopt;
-    return arrivals_[index_++];
-  }
-  const char* kind() const noexcept override { return "journal-replay"; }
-
- private:
-  std::vector<Arrival> arrivals_;
-  std::size_t index_ = 0;
-};
 
 void put_section(Writer& w, std::uint32_t tag, const std::string& payload) {
   w.u32(tag);
@@ -715,24 +605,19 @@ std::string save_snapshot(const ServiceLoop& loop) {
   {
     Writer w;
     w.u64(loop.journal().size());
-    for (const JournalEntry& e : loop.journal()) {
-      w.u8(static_cast<std::uint8_t>(e.outcome));
-      put_arrival(w, e.arrival);
+    for (const AdmissionOutcome o : loop.journal()) {
+      w.u8(static_cast<std::uint8_t>(o));
     }
     put_section(out, kArrivalsTag, w.take());
   }
   {
     Writer w;
-    put_generator(w, loop);
+    put_generator(w, loop.generator());
     put_section(out, kGeneratorTag, w.take());
   }
   {
     Writer w;
     w.u64(loop.steps_executed());
-    w.u64(loop.tick_index());
-    w.u64(loop.journal().size());
-    w.f64(loop.last_arrival_at());
-    w.f64(loop.sim().now());
     put_section(out, kServiceTag, w.take());
   }
   {
@@ -894,28 +779,25 @@ std::unique_ptr<ServiceLoop> restore_snapshot(const std::string& bytes,
   }
 
   // kArrivals
-  std::vector<JournalEntry> journal;
+  std::vector<AdmissionOutcome> journal;
   {
     const std::string payload = open_section(kArrivalsTag, "arrivals");
     Reader a(payload.data(), payload.size(), "arrivals");
     const std::uint64_t count = a.u64("journal.count");
     for (std::uint64_t i = 0; i < count; ++i) {
-      JournalEntry e;
       const std::uint8_t outcome = a.u8("journal.outcome");
       if (outcome > static_cast<std::uint8_t>(AdmissionOutcome::kRejected)) {
         throw SnapshotError("snapshot: journal entry " + std::to_string(i) +
                             " has out-of-range outcome " +
                             std::to_string(outcome));
       }
-      e.outcome = static_cast<AdmissionOutcome>(outcome);
-      e.arrival = get_arrival(a);
-      journal.push_back(std::move(e));
+      journal.push_back(static_cast<AdmissionOutcome>(outcome));
     }
     a.expect_exhausted("arrivals section");
   }
 
   // kGenerator
-  GeneratorState generator;
+  std::unique_ptr<ArrivalGenerator> generator;
   {
     const std::string payload = open_section(kGeneratorTag, "generator");
     Reader g(payload.data(), payload.size(), "generator");
@@ -928,44 +810,33 @@ std::unique_ptr<ServiceLoop> restore_snapshot(const std::string& bytes,
     const std::string payload = open_section(kServiceTag, "service");
     Reader s(payload.data(), payload.size(), "service");
     target_steps = s.u64("service.steps");
-    (void)s.u64("service.tick_index");
-    const std::uint64_t journal_len = s.u64("service.journal_len");
-    if (journal_len != journal.size()) {
-      throw SnapshotError("snapshot: service section records " +
-                          std::to_string(journal_len) +
-                          " journal entries but the arrivals section holds " +
-                          std::to_string(journal.size()));
-    }
-    (void)s.f64("service.last_arrival_at");
-    (void)s.f64("service.now");
     s.expect_exhausted("service section");
   }
 
-  // Rebuild + replay: run the journal back through the identical step loop
-  // (dark: observability attaches only after the state is re-established).
+  // Rebuild + replay: the rebuilt generator starts its stream over and the
+  // identical step loop pulls the same arrivals again, cross-checking each
+  // admission decision against the journal (dark: observability attaches
+  // only after the state is re-established). The replay leaves the
+  // generator and the fetched-but-unconsumed arrival where the original run
+  // had them.
   auto loop = std::make_unique<ServiceLoop>(config, std::move(plan));
-  {
-    std::vector<Arrival> arrivals;
-    arrivals.reserve(journal.size());
-    for (const JournalEntry& e : journal) arrivals.push_back(e.arrival);
-    loop->begin_replay(journal);
-    loop->set_generator(
-        std::make_unique<JournalReplayGenerator>(std::move(arrivals)));
-    while (loop->steps_executed() < target_steps) {
-      if (!loop->step()) {
-        throw SnapshotError(
-            "snapshot replay underran: loop went idle after " +
-            std::to_string(loop->steps_executed()) + " of " +
-            std::to_string(target_steps) +
-            " steps -- journal and step counter disagree");
-      }
+  loop->set_generator(std::move(generator));
+  loop->begin_replay(journal);
+  while (loop->steps_executed() < target_steps) {
+    if (!loop->step()) {
+      throw SnapshotError(
+          "snapshot replay underran: loop went idle after " +
+          std::to_string(loop->steps_executed()) + " of " +
+          std::to_string(target_steps) +
+          " steps -- journal and step counter disagree");
     }
-    if (loop->journal().size() != journal.size()) {
-      throw SnapshotError("snapshot replay consumed " +
-                          std::to_string(loop->journal().size()) +
-                          " arrivals but the journal holds " +
-                          std::to_string(journal.size()));
-    }
+  }
+  loop->end_replay();
+  if (loop->journal().size() != journal.size()) {
+    throw SnapshotError("snapshot replay consumed " +
+                        std::to_string(loop->journal().size()) +
+                        " arrivals but the journal holds " +
+                        std::to_string(journal.size()));
   }
 
   // kVerify: bitwise comparison of the replayed state against the image.
@@ -979,7 +850,7 @@ std::unique_ptr<ServiceLoop> restore_snapshot(const std::string& bytes,
   }
 
   // kTelemetry: the replay rebuilt the telemetry state from config +
-  // journal; pin it (flush counters, SLO window, exposition bytes) against
+  // arrivals; pin it (flush counters, SLO window, exposition bytes) against
   // what the checkpointed run held, then restore the flight ring verbatim
   // (replay cannot reproduce earlier saves' kSnapshot markers).
   {
@@ -999,7 +870,6 @@ std::unique_ptr<ServiceLoop> restore_snapshot(const std::string& bytes,
   }
   r.expect_exhausted("snapshot body");
 
-  loop->end_replay(std::move(generator.gen), std::move(generator.pending));
   loop->attach_observability(options.trace_sink, options.trace_detail,
                              options.metrics);
   loop->attach_telemetry_outputs(options.telemetry);

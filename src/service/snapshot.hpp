@@ -3,13 +3,16 @@
 // The event queue and workflow engines hold arbitrary std::function
 // closures, so a direct state-image resume is impossible. The snapshot is
 // instead a *replay checkpoint* (event-sourcing): it persists the service
-// configuration, the journal of every consumed arrival with its admission
-// outcome, the arrival generator's progress state, and a bitwise
-// verification image of the simulator. Restore rebuilds the stack from the
-// configuration, replays the journal through the identical step loop
-// (cross-checking every recomputed admission decision against the journaled
-// one), then compares the rebuilt simulator against the verification image
-// field-for-field -- any drift fails loudly with the offending field named.
+// configuration, the arrival *source* (the generator's kind and construction
+// arguments -- both persistable generators are deterministic from those),
+// one admission-outcome byte per consumed arrival, the step counter, and a
+// bitwise verification image of the simulator. Restore rebuilds the stack
+// from the configuration and the generator at stream start, replays the
+// recorded number of steps through the identical step loop -- which pulls
+// the same arrivals again, cross-checking every recomputed admission
+// decision against the recorded one -- then compares the rebuilt simulator
+// against the verification image field-for-field; any drift fails loudly
+// with the offending field named.
 // Because the service loop is pull-driven over a deterministic boundary
 // sequence, save -> load -> continue is bit-identical to an uninterrupted
 // run (tests/test_service.cpp proves this at every boundary).
@@ -22,16 +25,18 @@
 //     1 kConfig     ServiceConfig incl. the fault plan's text serialization
 //                   and the TelemetryConfig (v2: metrics_every, series
 //                   budget, flight-recorder capacity, SLO objectives)
-//     2 kArrivals   journal: count, then {outcome u8, at f64, JobSpec}
-//     3 kGenerator  generator kind + progress (Poisson RNG words / trace
-//                   file cursor) + the fetched-but-unconsumed arrival
-//     4 kService    step counter, tick index, journal length, clocks
+//     2 kArrivals   journal: count u64, then one outcome u8 per arrival
+//     3 kGenerator  generator kind u8 + construction arguments: none; the
+//                   TraceConfig and burst_every (Poisson); or the path and
+//                   the FNV-1a digest of the file's bytes (trace file --
+//                   restore fails naming the path if the file changed)
+//     4 kService    step counter
 //     5 kVerify     named scalar image + per-flow records of resident flows
 //                   + one digest per released flow record chunk (see .cpp)
 //     6 kTelemetry  (v2) named scalar image over the telemetry state:
 //                   flush counters, SLO window digest, flight-ring digest,
 //                   Prometheus exposition digest. Telemetry *state* is
-//                   config-driven, so journal replay rebuilds it; this
+//                   config-driven, so the replay rebuilds it; this
 //                   section verifies the rebuild bit-for-bit.
 //   end tag u32      0xFFFFFFFF
 //   checksum u64     FNV-1a over every preceding byte
@@ -70,7 +75,11 @@ inline constexpr char kSnapshotMagic[8] = {'E', 'C', 'H', 'S', 'N', 'A', 'P',
 // v8: kConfig drops the threads word (runs are single-threaded).
 // v9: kConfig drops the coflow work-conserving and priority-queue words
 //     (ServiceConfig no longer has either knob).
-inline constexpr std::uint32_t kSnapshotVersion = 9;
+// v10: kArrivals keeps one outcome byte per arrival (no JobSpec); kGenerator
+//      records the source (construction arguments, a trace file's digest)
+//      instead of its progress and pending arrival; kService keeps only the
+//      step counter; kVerify drops sched.scoped_passes and sched.pass_skips.
+inline constexpr std::uint32_t kSnapshotVersion = 10;
 
 // Thrown on any malformed, truncated, corrupt, or divergent snapshot. The
 // message always names what failed and where.
@@ -79,7 +88,9 @@ struct SnapshotError : std::runtime_error {
 };
 
 // Serializes the loop's full state. Call only at a step boundary (between
-// ServiceLoop::step() calls); mid-event state is not capturable.
+// ServiceLoop::step() calls); mid-event state is not capturable. Throws
+// SnapshotError, naming its kind(), for a generator restore cannot rebuild
+// (anything but PoissonArrivalGenerator, TraceFileArrivalReader or none).
 [[nodiscard]] std::string save_snapshot(const ServiceLoop& loop);
 void save_snapshot_file(const ServiceLoop& loop, const std::string& path);
 

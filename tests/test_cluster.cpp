@@ -58,6 +58,14 @@ TEST(Trace, RespectsRankChoicesAndLayerBounds) {
   }
 }
 
+// One weight per paradigm: a short list fails loudly instead of never
+// drawing the missing paradigm.
+TEST(Trace, RejectsFiveParadigmWeights) {
+  TraceConfig cfg;
+  cfg.paradigm_weights = {4.0, 2.0, 2.0, 1.0, 2.0};
+  EXPECT_THROW((void)generate_trace(cfg), std::invalid_argument);
+}
+
 TEST(Trace, ParadigmWeightsZeroExcludes) {
   TraceConfig cfg;
   cfg.num_jobs = 30;

@@ -5,9 +5,12 @@
 // into a fresh process, and run to completion must produce exactly the
 // results and trace stream of the uninterrupted run. Seven sections:
 //
-//   1. Snapshot/restore bit identity: every-boundary sweep on a small
-//      configuration (results AND split trace streams), then a mid-run
-//      snapshot across the scheduler x fabric x {chaos, none} matrix.
+//   1. Snapshot/restore bit identity: every-boundary sweeps on a small
+//      configuration fed by a Poisson generator and by a trace file
+//      (results AND split trace streams), then a mid-run snapshot across
+//      the scheduler x fabric x {chaos, none} matrix. Restore rebuilds the
+//      arrival source, so it refuses a trace file rewritten after the save
+//      and a save refuses a generator it could not rebuild.
 //   2. Crash/resume fuzz: >= 100 seeded (trace, scheduler, fabric,
 //      admission, burst, cut point) combinations (ECHELON_SERVICE_SEEDS
 //      overrides the budget; CI sanitizer legs set it to 8).
@@ -16,8 +19,8 @@
 //      a diagnostic -- a snapshot never loads garbage. Re-checksummed
 //      header/version/tag/length/enum mutations fail their specific checks.
 //   4. Arrival generators: Poisson draw-compatibility with generate_trace,
-//      checkpoint determinism, trace-file write -> read -> write byte
-//      identity, burst-knob invariants, empty/zero-rate edges.
+//      trace-file write -> read -> write byte identity, burst-knob
+//      invariants, empty/zero-rate edges.
 //   5. Admission control: decide() truth table and service-level queue /
 //      backfill / reject behaviour.
 //   6. Same-instant ordering: simultaneous arrivals launch in submission
@@ -201,21 +204,22 @@ FaultPlan service_chaos_plan(std::uint64_t seed,
 
 // Steps a fresh loop to `cut` boundaries, snapshots, restores, and drains
 // the restored loop to completion.
-ServiceResult run_with_snapshot_at(const ServiceSpec& spec,
-                                   const cluster::TraceConfig& trace,
-                                   std::uint64_t cut, int burst_every = 0,
-                                   std::string* bytes_out = nullptr,
-                                   const RestoreOptions& opts = {}) {
-  auto prefix = make_loop(spec, trace, burst_every);
+ServiceResult resume_at(std::unique_ptr<ServiceLoop> prefix,
+                        std::uint64_t cut) {
   for (std::uint64_t k = 0; k < cut; ++k) {
     if (!prefix->step()) break;  // cut past the end: snapshot the idle state
   }
   const std::string bytes = save_snapshot(*prefix);
-  if (bytes_out != nullptr) *bytes_out = bytes;
   prefix.reset();  // the "crash"
-  auto restored = restore_snapshot(bytes, opts);
+  auto restored = restore_snapshot(bytes);
   restored->drain();
   return restored->result();
+}
+
+ServiceResult run_with_snapshot_at(const ServiceSpec& spec,
+                                   const cluster::TraceConfig& trace,
+                                   std::uint64_t cut, int burst_every = 0) {
+  return resume_at(make_loop(spec, trace, burst_every), cut);
 }
 
 // A scripted arrival source for the ordering tests.
@@ -294,6 +298,94 @@ TEST(ServiceSnapshot, SplitTraceStreamMatchesUninterrupted) {
 
   expect_same_service_result(reference, restored->result());
   expect_split_trace(whole_rec, prefix_rec, suffix_rec);
+}
+
+// Writes a small bursty stream to an arrival trace file at `path`.
+void write_trace_file(const std::string& path, std::uint64_t seed) {
+  PoissonArrivalGenerator gen(small_arrivals(seed, /*jobs=*/4),
+                              /*burst_every=*/2);
+  std::ofstream out(path);
+  ASSERT_TRUE(out.good());
+  service::write_arrival_trace(out, service::drain(gen));
+}
+
+std::unique_ptr<ServiceLoop> make_trace_loop(const ServiceSpec& spec,
+                                             const std::string& path) {
+  auto loop = std::make_unique<ServiceLoop>(make_config(spec));
+  loop->set_generator(std::make_unique<TraceFileArrivalReader>(path));
+  return loop;
+}
+
+// Restore rereads the trace file and replays it from its first arrival.
+TEST(ServiceSnapshot, EveryBoundaryTraceFileResumeMatchesUninterrupted) {
+  ServiceSpec spec;
+  spec.admission.policy = AdmissionPolicy::kQueueWithCap;
+  spec.admission.max_running = 2;
+  spec.admission.queue_cap = 1;
+  const std::string path = temp_path("every_boundary.trace");
+  write_trace_file(path, 37);
+
+  auto whole = make_trace_loop(spec, path);
+  whole->drain();
+  const ServiceResult reference = whole->result();
+  ASSERT_EQ(reference.arrivals, 4u);
+  ASSERT_GT(reference.steps, 4u);
+
+  for (std::uint64_t cut = 0; cut <= reference.steps + 1; ++cut) {
+    expect_same_service_result(reference,
+                               resume_at(make_trace_loop(spec, path), cut));
+    if (HasFailure()) {
+      FAIL() << "first divergence at snapshot boundary " << cut << " of "
+             << reference.steps;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ServiceSnapshot, RewrittenTraceFileFailsRestoreNamingThePath) {
+  const std::string path = temp_path("rewritten.trace");
+  write_trace_file(path, 37);
+  auto loop = make_trace_loop(ServiceSpec{}, path);
+  for (int k = 0; k < 3; ++k) ASSERT_TRUE(loop->step());
+  const std::string bytes = save_snapshot(*loop);
+  (void)restore_snapshot(bytes);  // the unchanged file restores
+
+  write_trace_file(path, 38);  // same shape, other jobs
+  try {
+    (void)restore_snapshot(bytes);
+    ADD_FAILURE() << "restored against a rewritten trace file";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+// Save refuses a generator restore could not rebuild instead of writing a
+// snapshot whose restored run silently drops every later arrival.
+TEST(ServiceSnapshot, SaveRejectsAGeneratorItCannotRebuild) {
+  ServiceLoop loop(make_config(ServiceSpec{}));
+  loop.set_generator(std::make_unique<VectorArrivalGenerator>(
+      std::vector<Arrival>{}));
+  try {
+    (void)save_snapshot(loop);
+    ADD_FAILURE() << "saved a loop fed by a vector generator";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("'vector'"), std::string::npos)
+        << e.what();
+  }
+
+  // No generator at all is a source too: an empty one.
+  ServiceLoop idle(make_config(ServiceSpec{}));
+  EXPECT_EQ(restore_snapshot(save_snapshot(idle))->generator(), nullptr);
+}
+
+TEST(ServiceSnapshot, SetGeneratorAfterStepThrows) {
+  auto loop = make_loop(ServiceSpec{}, small_arrivals(17));
+  ASSERT_TRUE(loop->step());
+  EXPECT_THROW(loop->set_generator(std::make_unique<PoissonArrivalGenerator>(
+                   small_arrivals(18))),
+               std::logic_error);
 }
 
 using ServiceSnapshotMatrix = eqh::SchedFabricTest;
@@ -487,14 +579,14 @@ TEST_F(CorruptSnapshotTest, HeaderAndVersionMutationsFailTheirOwnChecks) {
               std::string::npos);
   }
   {
-    // v8 files carry the coflow work-conserving and priority-queue kConfig
-    // words that v9 dropped; v9 readers reject them up front, naming the
-    // version, instead of misreading every later config field.
-    static_assert(service::kSnapshotVersion == 9);
+    // v9 files carry a JobSpec per journal entry and the generator's
+    // progress that v10 dropped; v10 readers reject them up front, naming
+    // the version, instead of misreading every later section.
+    static_assert(service::kSnapshotVersion == 10);
     std::string m = bytes_;
-    m[8] = 8;
+    m[8] = 9;
     EXPECT_NE(expect_snapshot_error(restamp(m))
-                  .find("unsupported version 8 (expected 9)"),
+                  .find("unsupported version 9 (expected 10)"),
               std::string::npos);
   }
   {
@@ -575,27 +667,6 @@ TEST(ArrivalGen, PoissonStreamMatchesGenerateTrace) {
     EXPECT_BITEQ(stream[i].at, batch[i].arrival) << "job " << i;
     EXPECT_BITEQ(stream[i].job.arrival, batch[i].arrival) << "job " << i;
     expect_same_job(stream[i].job, batch[i], i);
-  }
-}
-
-TEST(ArrivalGen, CheckpointRestoreResumesBitExactly) {
-  const auto cfg = small_arrivals(61, /*jobs=*/8);
-  PoissonArrivalGenerator full(cfg);
-  const std::vector<Arrival> reference = service::drain(full);
-  ASSERT_EQ(reference.size(), 8u);
-
-  for (std::size_t cut = 0; cut <= reference.size(); ++cut) {
-    PoissonArrivalGenerator prefix(cfg);
-    for (std::size_t k = 0; k < cut; ++k) ASSERT_TRUE(prefix.next());
-
-    PoissonArrivalGenerator resumed(cfg);
-    resumed.restore(prefix.rng().state(), prefix.clock(), prefix.emitted());
-    const std::vector<Arrival> tail = service::drain(resumed);
-    ASSERT_EQ(tail.size(), reference.size() - cut) << "cut " << cut;
-    for (std::size_t i = 0; i < tail.size(); ++i) {
-      EXPECT_BITEQ(tail[i].at, reference[cut + i].at);
-      expect_same_job(tail[i].job, reference[cut + i].job, cut + i);
-    }
   }
 }
 
@@ -943,8 +1014,8 @@ TEST(Admission, OutcomesMatchEagerTardinessReads) {
                           /*burst_every=*/2);
     loop->drain();
     std::string outcomes;
-    for (const service::JournalEntry& e : loop->journal()) {
-      outcomes += "AQR"[static_cast<int>(e.outcome)];
+    for (const AdmissionOutcome o : loop->journal()) {
+      outcomes += "AQR"[static_cast<int>(o)];
     }
     EXPECT_EQ(outcomes, c.outcomes);
     EXPECT_EQ(loop->result().completed, loop->result().launched);

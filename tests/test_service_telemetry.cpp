@@ -432,6 +432,22 @@ TEST(TelemetryChunks, TruncatedChunkStreamFailsLoudly) {
   std::istringstream retired("ECHCHUNK 1\nE 17 0 0 0 0 0\n");
   EXPECT_THROW((void)obs::merge_trace_chunks(retired, sink),
                std::runtime_error);
+  // Every field is one whole token: partial numbers, signs, trailing
+  // content and "0x" prefixes on the hex bit images all fail.
+  for (const char* bad : {
+           "ECHCHUNK 1x\nE 16 0 0 0 0 0\n",
+           "ECHCHUNK +1\nE 16 0 0 0 0 0\n",
+           "ECHCHUNK 1 trailing\nE 16 0 0 0 0 0\n",
+           "ECHCHUNK 1\nE 16 0 0 0 0 0 junk\n",
+           "ECHCHUNK 1\nE 16 0 -1 0 0 0\n",
+           "ECHCHUNK 1\nE 16 0 +1 0 0 0\n",
+           "ECHCHUNK 1\nE 16 0x0 0 0 0 0\n",
+           "ECHCHUNK 1\nE 16 0 0 0 0 0x\n",
+       }) {
+    std::istringstream in(bad);
+    EXPECT_THROW((void)obs::merge_trace_chunks(in, sink), std::runtime_error)
+        << bad;
+  }
 }
 
 // ---------------------------------------------------------------------------

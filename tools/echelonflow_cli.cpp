@@ -854,8 +854,9 @@ int cmd_serve(const Args& args) {
   faultsim::FaultPlan chaos_plan;
   try {
     if (!snapshot_in.empty()) {
-      // Configuration (scheduler, fabric, admission, chaos, generator
-      // progress) comes from the snapshot; only observability flags apply.
+      // Configuration (scheduler, fabric, admission, chaos, the arrival
+      // source: Poisson parameters or the --arrivals file, which must be
+      // unchanged) comes from the snapshot; only observability flags apply.
       service::RestoreOptions ro;
       ro.trace_sink = cfg.trace_sink;
       ro.trace_detail = cfg.trace_detail;
