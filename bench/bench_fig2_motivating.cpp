@@ -12,12 +12,10 @@
 
 #include <iostream>
 #include <map>
-#include <memory>
 #include <vector>
 
+#include "cluster/stack.hpp"
 #include "common/table.hpp"
-#include "echelon/coflow_madd.hpp"
-#include "echelon/echelon_madd.hpp"
 #include "echelon/registry.hpp"
 #include "netsim/simulator.hpp"
 #include "netsim/workflow.hpp"
@@ -48,13 +46,9 @@ PanelResult run_panel(const std::string& which) {
   ef::Registry registry;
   registry.attach(sim);
 
-  std::unique_ptr<netsim::NetworkScheduler> sched;
-  if (which == "coflow") {
-    sched = std::make_unique<ef::CoflowMaddScheduler>();
-  } else if (which == "echelonflow") {
-    sched = std::make_unique<ef::EchelonMaddScheduler>(&registry);
-  }
-  if (sched) sim.set_scheduler(sched.get());
+  const auto sched =
+      cluster::make_policy(*cluster::scheduler_from_string(which), &registry);
+  sim.set_scheduler(sched.get());
 
   const WorkerId w0 = sim.add_worker(fabric.hosts[0]);
   const WorkerId w1 = sim.add_worker(fabric.hosts[1]);

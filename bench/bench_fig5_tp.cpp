@@ -36,15 +36,14 @@ int main() {
   }
 
   Table table({"scheduler", "steady iter (s)", "GPU idle", "sum tardiness"});
+  const cluster::JobSpec spec{.paradigm = Paradigm::kTensor,
+                              .model = model,
+                              .gpu = gpu,
+                              .ranks = 4,
+                              .iterations = 3};
   for (const std::string which : {"fair", "coflow", "echelonflow"}) {
     const auto r = benchutil::run_single_job(
-        which, 4, gbps(25),
-        [&](netsim::Simulator&, const workload::Placement& p,
-            ef::Registry& reg) {
-          return generate_tensor(
-              {.model = model, .gpu = gpu, .iterations = 3}, p, reg,
-              JobId{0});
-        });
+        *cluster::scheduler_from_string(which), gbps(25), spec);
     table.add_row({which, Table::num(r.steady_iteration(), 4),
                    Table::num(100.0 * r.mean_idle_fraction, 1) + "%",
                    Table::num(r.total_tardiness, 4)});

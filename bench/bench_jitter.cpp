@@ -12,46 +12,28 @@
 // fall below fair sharing even at heavy jitter.
 
 #include <iostream>
-#include <memory>
 
+#include "bench_util.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "echelon/coflow_madd.hpp"
-#include "echelon/echelon_madd.hpp"
-#include "echelon/registry.hpp"
-#include "netsim/simulator.hpp"
-#include "topology/builders.hpp"
-#include "workload/pp.hpp"
 
 namespace {
 
 using namespace echelon;
 
 double run(const std::string& which, double jitter, std::uint64_t seed) {
-  auto fabric = topology::make_big_switch(4, gbps(10));
-  netsim::Simulator sim(&fabric.topo);
-  ef::Registry reg;
-  reg.attach(sim);
-  std::unique_ptr<netsim::NetworkScheduler> sched;
-  if (which == "coflow") {
-    sched = std::make_unique<ef::CoflowMaddScheduler>();
-  } else if (which == "echelonflow") {
-    sched = std::make_unique<ef::EchelonMaddScheduler>(&reg);
-  }
-  if (sched) sim.set_scheduler(sched.get());
-
-  const auto placement = workload::make_placement(sim, fabric.hosts);
-  const auto job = workload::generate_pipeline(
-      {.model = workload::make_transformer(8, 4096, 512, 8),
-       .gpu = workload::a100(),
-       .micro_batches = 6,
-       .iterations = 3,
-       .compute_jitter = jitter,
-       .jitter_seed = seed},
-      placement, reg, JobId{0});
-  netsim::WorkflowEngine engine(&sim, &job.workflow);
-  engine.launch(0.0);
-  return sim.run();
+  const cluster::JobSpec spec{
+      .paradigm = workload::Paradigm::kPipeline,
+      .model = workload::make_transformer(8, 4096, 512, 8),
+      .gpu = workload::a100(),
+      .ranks = 4,
+      .iterations = 3,
+      .micro_batches = 6,
+      .compute_jitter = jitter,
+      .jitter_seed = seed};
+  return benchutil::run_single_job(*cluster::scheduler_from_string(which),
+                                   gbps(10), spec)
+      .makespan;
 }
 
 }  // namespace

@@ -11,15 +11,9 @@
 // degradation stays at or below the baselines'.
 
 #include <iostream>
-#include <memory>
 
+#include "bench_util.hpp"
 #include "common/table.hpp"
-#include "echelon/coflow_madd.hpp"
-#include "echelon/echelon_madd.hpp"
-#include "echelon/registry.hpp"
-#include "netsim/simulator.hpp"
-#include "topology/builders.hpp"
-#include "workload/pp.hpp"
 
 namespace {
 
@@ -32,54 +26,33 @@ struct Outcome {
 
 Outcome run(const std::string& which, double brownout_fraction,
             Duration period, Duration width) {
-  auto fabric = topology::make_big_switch(4, gbps(10));
-  netsim::Simulator sim(&fabric.topo);
-  ef::Registry reg;
-  reg.attach(sim);
-  std::unique_ptr<netsim::NetworkScheduler> sched;
-  if (which == "coflow") {
-    sched = std::make_unique<ef::CoflowMaddScheduler>();
-  } else if (which == "echelonflow") {
-    sched = std::make_unique<ef::EchelonMaddScheduler>(&reg);
-  }
-  if (sched) sim.set_scheduler(sched.get());
-
   // Periodic brownouts on every port.
+  faultsim::FaultPlan plan;
   if (brownout_fraction < 1.0) {
     for (int k = 0; k < 64; ++k) {
       const SimTime down = k * period;
-      const SimTime up = down + width;
-      sim.schedule_at(down, [&fabric, brownout_fraction](netsim::Simulator& s) {
-        for (std::size_t l = 0; l < fabric.topo.link_count(); ++l) {
-          fabric.topo.set_link_capacity(LinkId{l},
-                                        gbps(10) * brownout_fraction);
-        }
-        s.invalidate_allocation();
-      });
-      sim.schedule_at(up, [&fabric](netsim::Simulator& s) {
-        for (std::size_t l = 0; l < fabric.topo.link_count(); ++l) {
-          fabric.topo.set_link_capacity(LinkId{l}, gbps(10));
-        }
-        s.invalidate_allocation();
-      });
+      plan.events.push_back({.at = down,
+                             .kind = faultsim::FaultKind::kBrownout,
+                             .target = faultsim::kAllLinks,
+                             .factor = brownout_fraction});
+      plan.events.push_back({.at = down + width,
+                             .kind = faultsim::FaultKind::kBrownoutEnd,
+                             .target = faultsim::kAllLinks});
     }
   }
-
-  const auto placement = workload::make_placement(sim, fabric.hosts);
-  const auto job = workload::generate_pipeline(
-      {.model = workload::make_transformer(8, 4096, 512, 8),
-       .gpu = workload::a100(),
-       .micro_batches = 6,
-       .iterations = 3},
-      placement, reg, JobId{0});
-  netsim::WorkflowEngine engine(&sim, &job.workflow);
-  engine.launch(0.0);
-  sim.run();  // drains the job and the remaining brownout timers
-  Outcome o;
+  const cluster::JobSpec spec{
+      .paradigm = workload::Paradigm::kPipeline,
+      .model = workload::make_transformer(8, 4096, 512, 8),
+      .gpu = workload::a100(),
+      .ranks = 4,
+      .iterations = 3,
+      .micro_batches = 6};
+  // Drains the job and the remaining brownout timers.
+  const benchutil::SingleJobResult r = benchutil::run_single_job(
+      *cluster::scheduler_from_string(which), gbps(10), spec, &plan);
   // Job completion, not quiesce time (brownout timers outlive the job).
-  o.makespan = engine.node_finish(job.iteration_end.back());
-  o.tardiness = reg.total_tardiness();
-  return o;
+  return {.makespan = r.iteration_finish.back(),
+          .tardiness = r.total_tardiness};
 }
 
 }  // namespace

@@ -12,14 +12,12 @@
 // behavioural difference -- also measured below.
 
 #include <iostream>
-#include <memory>
 #include <vector>
 
+#include "cluster/stack.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "echelon/coflow_madd.hpp"
-#include "echelon/echelon_madd.hpp"
 #include "echelon/registry.hpp"
 #include "netsim/simulator.hpp"
 #include "topology/builders.hpp"
@@ -66,15 +64,15 @@ std::vector<SimTime> run_instance(const Instance& inst, bool echelon) {
   netsim::Simulator sim(&fabric.topo);
   ef::Registry reg;
   reg.attach(sim);
-  std::unique_ptr<netsim::NetworkScheduler> sched;
   if (echelon) {
     for (const int n : inst.group_sizes) {
       reg.create(JobId{0}, ef::Arrangement::coflow(n));
     }
-    sched = std::make_unique<ef::EchelonMaddScheduler>(&reg);
-  } else {
-    sched = std::make_unique<ef::CoflowMaddScheduler>();
   }
+  const auto sched = cluster::make_policy(
+      echelon ? cluster::SchedulerKind::kEchelonMadd
+              : cluster::SchedulerKind::kCoflowMadd,
+      &reg);
   sim.set_scheduler(sched.get());
 
   std::vector<FlowId> ids;

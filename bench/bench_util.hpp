@@ -1,12 +1,9 @@
-// Shared helpers for the benchmark binaries: run a single generated job
-// under a named scheduler and collect timing/tardiness/idleness.
+// Shared helpers for the benchmark binaries: run a single job on a
+// cluster::Stack under a scheduler and collect timing/tardiness/idleness.
 
 #pragma once
 
-#include <algorithm>
 #include <cstdio>
-#include <functional>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -14,10 +11,10 @@
 #include <vector>
 
 #include "cluster/experiment.hpp"
+#include "cluster/job.hpp"
+#include "cluster/stack.hpp"
 #include "cluster/trace.hpp"
-#include "echelon/coflow_madd.hpp"
-#include "echelon/echelon_madd.hpp"
-#include "echelon/registry.hpp"
+#include "faultsim/fault_plan.hpp"
 #include "netsim/simulator.hpp"
 #include "obs/metrics.hpp"
 #include "topology/builders.hpp"
@@ -184,46 +181,33 @@ struct SingleJobResult {
   }
 };
 
-// `generate` builds the job against the provided simulator/placement/
-// registry; the helper wires the selected scheduler ("fair", "coflow",
-// "echelonflow") and runs to quiescence.
+// Runs `spec` alone on a dedicated big switch -- a host per rank, plus the
+// DP-PS server's -- under `scheduler`, replaying `faults` (nullptr =
+// fault-free) against it, to quiescence.
 inline SingleJobResult run_single_job(
-    const std::string& scheduler, int hosts, BytesPerSec port_capacity,
-    const std::function<workload::GeneratedJob(
-        netsim::Simulator&, const workload::Placement&, ef::Registry&)>&
-        generate) {
-  auto fabric = topology::make_big_switch(hosts, port_capacity);
-  netsim::Simulator sim(&fabric.topo);
-  ef::Registry registry;
-  registry.attach(sim);
-
-  std::unique_ptr<netsim::NetworkScheduler> sched;
-  if (scheduler == "coflow") {
-    sched = std::make_unique<ef::CoflowMaddScheduler>();
-  } else if (scheduler == "echelonflow") {
-    sched = std::make_unique<ef::EchelonMaddScheduler>(&registry);
-  }
-  if (sched) sim.set_scheduler(sched.get());
-
-  const auto placement = workload::make_placement(sim, fabric.hosts);
-  const workload::GeneratedJob job = generate(sim, placement, registry);
-
-  netsim::WorkflowEngine engine(&sim, &job.workflow);
-  engine.launch(0.0);
+    cluster::SchedulerKind scheduler, BytesPerSec port_capacity,
+    const cluster::JobSpec& spec,
+    const faultsim::FaultPlan* faults = nullptr) {
+  const bool ps = spec.paradigm == workload::Paradigm::kDpPs;
+  cluster::Stack stack(scheduler, cluster::FabricKind::kBigSwitch,
+                       spec.ranks + (ps ? 1 : 0), port_capacity, 1.0);
+  stack.arm_faults(faults);
+  const cluster::Seat seat = stack.place(spec);
+  cluster::BuiltJob job;
+  stack.build(job, spec, seat, JobId{0}, {});
+  job.engine->launch(0.0);
   SingleJobResult r;
-  r.makespan = sim.run();
-  for (const netsim::WfNodeId n : job.iteration_end) {
-    r.iteration_finish.push_back(engine.node_finish(n));
+  r.makespan = stack.sim().run();
+  for (const netsim::WfNodeId n : job.generated.iteration_end) {
+    r.iteration_finish.push_back(job.engine->node_finish(n));
   }
-  r.total_tardiness = registry.total_tardiness();
+  r.total_tardiness = stack.registry().total_tardiness();
   double idle = 0.0;
-  for (const WorkerId w : placement.workers) {
-    idle += sim.worker(w).idle_fraction();
+  for (const WorkerId w : seat.placement.workers) {
+    idle += stack.sim().worker(w).idle_fraction();
   }
   r.mean_idle_fraction =
-      placement.workers.empty()
-          ? 0.0
-          : idle / static_cast<double>(placement.workers.size());
+      idle / static_cast<double>(seat.placement.workers.size());
   return r;
 }
 

@@ -11,11 +11,9 @@
 
 #include <algorithm>
 #include <iostream>
-#include <memory>
 
+#include "cluster/stack.hpp"
 #include "common/table.hpp"
-#include "echelon/coflow_madd.hpp"
-#include "echelon/echelon_madd.hpp"
 #include "netsim/simulator.hpp"
 #include "topology/builders.hpp"
 #include "workload/fsdp.hpp"
@@ -29,12 +27,10 @@ int main() {
     netsim::Simulator sim(&fabric.topo);
     ef::Registry registry;
     registry.attach(sim);
-    std::unique_ptr<netsim::NetworkScheduler> sched;
-    if (use_echelon) {
-      sched = std::make_unique<ef::EchelonMaddScheduler>(&registry);
-    } else {
-      sched = std::make_unique<ef::CoflowMaddScheduler>();
-    }
+    const auto sched = cluster::make_policy(
+        use_echelon ? cluster::SchedulerKind::kEchelonMadd
+                    : cluster::SchedulerKind::kCoflowMadd,
+        &registry);
     sim.set_scheduler(sched.get());
 
     const auto placement = workload::make_placement(sim, fabric.hosts);

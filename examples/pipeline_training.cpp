@@ -10,11 +10,9 @@
 // Run: ./pipeline_training
 
 #include <iostream>
-#include <memory>
 
+#include "cluster/stack.hpp"
 #include "common/table.hpp"
-#include "echelon/coflow_madd.hpp"
-#include "echelon/echelon_madd.hpp"
 #include "netsim/simulator.hpp"
 #include "topology/builders.hpp"
 #include "workload/pp.hpp"
@@ -35,13 +33,9 @@ Result run_with(const std::string& which) {
 
   ef::Registry registry;
   registry.attach(sim);
-  std::unique_ptr<netsim::NetworkScheduler> sched;
-  if (which == "coflow") {
-    sched = std::make_unique<ef::CoflowMaddScheduler>();
-  } else if (which == "echelonflow") {
-    sched = std::make_unique<ef::EchelonMaddScheduler>(&registry);
-  }  // "fair": leave the default
-  if (sched) sim.set_scheduler(sched.get());
+  const auto sched =
+      cluster::make_policy(*cluster::scheduler_from_string(which), &registry);
+  sim.set_scheduler(sched.get());
 
   const auto placement = workload::make_placement(sim, fabric.hosts);
   // A transformer sliced into 4 stages; big activations make the network

@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "echelon/aalo.hpp"
 #include "echelon/coflow_madd.hpp"
 #include "echelon/echelon_madd.hpp"
 #include "echelon/sincronia.hpp"
@@ -52,7 +53,88 @@ topology::BuiltFabric build_fabric(FabricKind kind, int hosts,
                  (kSpines * oversubscription)});
 }
 
+std::optional<SchedulerKind> scheduler_from_string(
+    std::string_view name) noexcept {
+  if (name == "coflow") return SchedulerKind::kCoflowMadd;
+  if (name == "echelonflow") return SchedulerKind::kEchelonMadd;
+  for (const SchedulerKind k :
+       {SchedulerKind::kFairSharing, SchedulerKind::kSrpt,
+        SchedulerKind::kCoflowMadd, SchedulerKind::kSincronia,
+        SchedulerKind::kEchelonMadd, SchedulerKind::kCoordinator,
+        SchedulerKind::kAalo}) {
+    if (name == to_string(k)) return k;
+  }
+  return std::nullopt;
+}
+
+std::unique_ptr<netsim::NetworkScheduler> make_policy(
+    SchedulerKind kind, const ef::Registry* registry) {
+  switch (kind) {
+    case SchedulerKind::kFairSharing:
+      return std::make_unique<netsim::FairSharingScheduler>();
+    case SchedulerKind::kSrpt:
+      return std::make_unique<ef::SrptScheduler>();
+    case SchedulerKind::kCoflowMadd:
+      return std::make_unique<ef::CoflowMaddScheduler>();
+    case SchedulerKind::kSincronia:
+      return std::make_unique<ef::SincroniaScheduler>();
+    case SchedulerKind::kEchelonMadd:
+      return std::make_unique<ef::EchelonMaddScheduler>(registry);
+    case SchedulerKind::kAalo:
+      return std::make_unique<ef::AaloScheduler>();
+    case SchedulerKind::kCoordinator:
+      break;
+  }
+  throw std::invalid_argument(std::string("no standalone policy for ") +
+                              to_string(kind));
+}
+
 namespace {
+
+// Throws std::invalid_argument naming the first field of `spec` that its
+// paradigm's generator cannot take (their own checks are asserts).
+void check_spec(const JobSpec& spec) {
+  using workload::Paradigm;
+  const auto reject = [](const std::string& what) {
+    throw std::invalid_argument("job " + what);
+  };
+  const int min_ranks = spec.paradigm == Paradigm::kDpPs ? 1 : 2;
+  if (spec.ranks < min_ranks) {
+    reject("ranks must be >= " + std::to_string(min_ranks) + " for " +
+           workload::to_string(spec.paradigm) + ", got " +
+           std::to_string(spec.ranks));
+  }
+  if (spec.iterations < 1) {
+    reject("iterations must be >= 1, got " + std::to_string(spec.iterations));
+  }
+  const std::size_t layers = spec.model.layer_count();
+  if (layers == 0) reject("model has no layers");
+  switch (spec.paradigm) {
+    case Paradigm::kDpAllReduce:
+    case Paradigm::kDpPs:
+      if (spec.buckets < 1 ||
+          static_cast<std::size_t>(spec.buckets) > layers) {
+        reject("buckets must be in [1, " + std::to_string(layers) +
+               "] (the model's layers), got " + std::to_string(spec.buckets));
+      }
+      break;
+    case Paradigm::kPipeline:
+      if (spec.micro_batches < 1) {
+        reject("micro_batches must be >= 1, got " +
+               std::to_string(spec.micro_batches));
+      }
+      if (static_cast<std::size_t>(spec.ranks) > layers) {
+        reject("ranks must be <= the model's " + std::to_string(layers) +
+               " layers for PP (one stage per rank), got " +
+               std::to_string(spec.ranks));
+      }
+      break;
+    case Paradigm::kTensor:
+    case Paradigm::kFsdp:
+    case Paradigm::kExpert:
+      break;
+  }
+}
 
 // Expands one JobSpec into its paradigm's workflow graph on `seat`,
 // registering its echelon groups under `id`.
@@ -114,32 +196,13 @@ Stack::Stack(SchedulerKind scheduler, FabricKind fabric, int hosts,
              const runtime::CoordinatorConfig& coordinator_config)
     : fabric_(build_fabric(fabric, hosts, port_capacity, oversubscription)),
       sim_(&fabric_.topo) {
-  switch (scheduler) {
-    case SchedulerKind::kFairSharing:
-      policy_ = std::make_unique<netsim::FairSharingScheduler>();
-      break;
-    case SchedulerKind::kSrpt:
-      policy_ = std::make_unique<ef::SrptScheduler>();
-      break;
-    case SchedulerKind::kCoflowMadd:
-      policy_ = std::make_unique<ef::CoflowMaddScheduler>();
-      break;
-    case SchedulerKind::kSincronia:
-      policy_ = std::make_unique<ef::SincroniaScheduler>();
-      break;
-    case SchedulerKind::kEchelonMadd:
-      policy_ = std::make_unique<ef::EchelonMaddScheduler>(
-          &standalone_registry_);
-      break;
-    case SchedulerKind::kCoordinator:
-      coordinator_ =
-          std::make_unique<runtime::Coordinator>(&sim_, coordinator_config);
-      break;
-  }
-  if (coordinator_) {
+  if (scheduler == SchedulerKind::kCoordinator) {
+    coordinator_ =
+        std::make_unique<runtime::Coordinator>(&sim_, coordinator_config);
     registry_ = &coordinator_->registry();
     scheduler_ = coordinator_.get();
   } else {
+    policy_ = make_policy(scheduler, &standalone_registry_);
     // Attached for tardiness measurement whatever the policy reads.
     standalone_registry_.attach(sim_);
     scheduler_ = policy_.get();
@@ -173,6 +236,7 @@ void Stack::arm_faults(const faultsim::FaultPlan* plan) {
 }
 
 Seat Stack::place(const JobSpec& spec) {
+  check_spec(spec);
   const std::size_t H = fabric_.hosts.size();
   if (static_cast<std::size_t>(spec.ranks) > H) {
     throw std::invalid_argument("job needs " + std::to_string(spec.ranks) +

@@ -8,6 +8,8 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <string_view>
 
 #include "cluster/job.hpp"
 #include "common/ids.hpp"
@@ -32,6 +34,8 @@ enum class SchedulerKind {
   kSincronia,    // order-first BSSI + greedy rate assignment
   kEchelonMadd,
   kCoordinator,  // EchelonFlow-MADD behind the runtime Coordinator
+  kAalo,         // non-clairvoyant Coflow queues (last, so the values
+                 // snapshots store do not move)
 };
 
 [[nodiscard]] constexpr const char* to_string(SchedulerKind k) noexcept {
@@ -42,9 +46,24 @@ enum class SchedulerKind {
     case SchedulerKind::kSincronia: return "sincronia";
     case SchedulerKind::kEchelonMadd: return "echelonflow-madd";
     case SchedulerKind::kCoordinator: return "coordinator";
+    case SchedulerKind::kAalo: return "aalo";
   }
   return "?";
 }
+
+// The one name -> scheduler table: a --scheduler name (fair|srpt|aalo|
+// coflow|sincronia|echelonflow|coordinator) or any to_string() name.
+// nullopt for anything else.
+[[nodiscard]] std::optional<SchedulerKind> scheduler_from_string(
+    std::string_view name) noexcept;
+
+// The policy a Stack runs for `kind`, reading tardiness declarations from
+// `registry` where it uses them (EchelonFlow-MADD). Hand-built simulations
+// use it to get the Stack's scheduler classes. Throws std::invalid_argument
+// for kCoordinator, which drives a Simulator of its own and is built by the
+// Stack.
+[[nodiscard]] std::unique_ptr<netsim::NetworkScheduler> make_policy(
+    SchedulerKind kind, const ef::Registry* registry);
 
 enum class FabricKind {
   kBigSwitch,  // non-blocking crossbar (Coflow-literature default)
@@ -106,7 +125,11 @@ class Stack {
   // Seats the ranks on consecutive hosts from a wrapping cursor, and a DP-PS
   // parameter server on the next one, so jobs share hosts once the fabric
   // is full (GPU fragmentation, paper §5). Throws std::invalid_argument,
-  // placing nothing, for a job with more ranks than the fabric has hosts.
+  // placing nothing and naming the field, for a job its paradigm's
+  // generator cannot take: ranks < 2 (< 1 for DP-PS), iterations < 1,
+  // micro_batches < 1 (PP), buckets outside [1, layers] (DP, DP-PS), a
+  // model without layers, more PP stages than layers. Likewise for a job
+  // with more ranks than the fabric has hosts.
   [[nodiscard]] Seat place(const JobSpec& spec);
 
   // Expands `spec` into its paradigm's workflow on `seat`, registering its

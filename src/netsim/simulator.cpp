@@ -32,9 +32,6 @@ namespace {
   return t + kTimeEpsilon * std::max(1.0, std::fabs(t));
 }
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
 // One word of a flow-chunk digest: FNV-1a over whole words, with an
 // xorshift so high input bits also reach the low state bits.
 [[nodiscard]] inline std::uint64_t fold(std::uint64_t h,
@@ -44,9 +41,7 @@ constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 }
 
 [[nodiscard]] inline std::uint64_t fold(std::uint64_t h, double v) noexcept {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return fold(h, bits);
+  return fold(h, std::bit_cast<std::uint64_t>(v));
 }
 
 // Folds a finished flow's snapshot-image fields (the per-flow entries of

@@ -27,8 +27,8 @@
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "common/chunked_store.hpp"
+#include "common/hash.hpp"
 #include "common/ids.hpp"
 #include "common/time.hpp"
 #include "netsim/allocator.hpp"
@@ -295,22 +296,12 @@ class Simulator {
   // (the heap's *array* order may differ between lazily-rebuilt heaps, hence
   // the commutative fold).
   [[nodiscard]] std::uint64_t completion_heap_digest() const noexcept {
-    constexpr std::uint64_t kOffset = 0xcbf29ce484222325ULL;
-    constexpr std::uint64_t kPrime = 0x100000001b3ULL;
     std::uint64_t acc = 0;
     for (const CompletionEntry& e : completion_heap_) {
-      std::uint64_t h = kOffset;
-      std::uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(e.tc));
-      std::memcpy(&bits, &e.tc, sizeof(bits));
-      for (const std::uint64_t word : {bits, static_cast<std::uint64_t>(
-                                                 e.flow.value()),
-                                       e.gen}) {
-        for (int i = 0; i < 8; ++i) {
-          h ^= (word >> (8 * i)) & 0xff;
-          h *= kPrime;
-        }
-      }
+      std::uint64_t h =
+          fnv1a_word(kFnvOffset, std::bit_cast<std::uint64_t>(e.tc));
+      h = fnv1a_word(h, e.flow.value());
+      h = fnv1a_word(h, e.gen);
       acc += h;  // commutative: heap array order is not part of the contract
     }
     return acc ^ (static_cast<std::uint64_t>(completion_heap_.size()) << 1) ^

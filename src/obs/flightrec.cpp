@@ -1,13 +1,14 @@
 #include "obs/flightrec.hpp"
 
+#include <bit>
 #include <cstdio>
-#include <cstring>
 #include <istream>
 #include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/hash.hpp"
 #include "common/parse.hpp"
 
 namespace echelon::obs {
@@ -28,22 +29,6 @@ bool kind_from_name(std::string_view name, FlightKind& out) {
   }
   return false;
 }
-
-std::uint64_t f64_bits(double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-void fnv1a(std::uint64_t& h, const void* data, std::size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-}
-
-void fnv1a_u64(std::uint64_t& h, std::uint64_t v) { fnv1a(h, &v, sizeof(v)); }
 
 // Splits the next space-delimited token off the front of `rest`; empty
 // when none is left.
@@ -132,18 +117,17 @@ void FlightRecorder::restore(std::uint64_t recorded,
 }
 
 std::uint64_t FlightRecorder::ring_digest() const noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  fnv1a_u64(h, recorded_);
-  for (std::uint64_t c : counts_) fnv1a_u64(h, c);
+  std::uint64_t h = fnv1a_word(kFnvOffset, recorded_);
+  for (std::uint64_t c : counts_) h = fnv1a_word(h, c);
   const std::size_t start = (head_ + ring_.size() - size_) % ring_.size();
   for (std::size_t i = 0; i < size_; ++i) {
     const FlightEvent& ev = ring_[(start + i) % ring_.size()];
-    fnv1a_u64(h, static_cast<std::uint64_t>(ev.kind));
-    fnv1a_u64(h, f64_bits(ev.t));
-    fnv1a_u64(h, ev.a);
-    fnv1a_u64(h, ev.b);
-    fnv1a(h, ev.note.data(), ev.note.size());
-    fnv1a_u64(h, ev.note.size());
+    h = fnv1a_word(h, static_cast<std::uint64_t>(ev.kind));
+    h = fnv1a_word(h, std::bit_cast<std::uint64_t>(ev.t));
+    h = fnv1a_word(h, ev.a);
+    h = fnv1a_word(h, ev.b);
+    h = fnv1a(ev.note.data(), ev.note.size(), h);
+    h = fnv1a_word(h, ev.note.size());
   }
   return h;
 }

@@ -1,8 +1,8 @@
 #include "obs/stream.hpp"
 
+#include <bit>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -11,22 +11,6 @@
 #include "common/parse.hpp"
 
 namespace echelon::obs {
-
-namespace {
-
-std::uint64_t f64_bits(double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-double bits_f64(std::uint64_t bits) {
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-}  // namespace
 
 void TraceChunkWriter::record(const TraceEvent& ev, std::string_view label) {
   buf_.push_back(Buffered{ev, std::string(label)});
@@ -41,8 +25,8 @@ std::size_t TraceChunkWriter::flush() {
                   "%c %u %016" PRIx64 " %" PRIu64 " %" PRIu64 " %" PRIu64
                   " %016" PRIx64,
                   b.label.empty() ? 'E' : 'L',
-                  static_cast<unsigned>(b.ev.kind), f64_bits(b.ev.t), b.ev.id,
-                  b.ev.job, b.ev.ctx, f64_bits(b.ev.value));
+                  static_cast<unsigned>(b.ev.kind), std::bit_cast<std::uint64_t>(b.ev.t), b.ev.id,
+                  b.ev.job, b.ev.ctx, std::bit_cast<std::uint64_t>(b.ev.value));
     *os_ << line;
     if (!b.label.empty()) *os_ << ' ' << b.label;
     *os_ << "\n";
@@ -106,11 +90,11 @@ std::uint64_t merge_trace_chunks(std::istream& is, TraceSink& sink) {
       }
       TraceEvent ev;
       ev.kind = static_cast<TraceKind>(*kind);
-      ev.t = bits_f64(*t_bits);
+      ev.t = std::bit_cast<double>(*t_bits);
       ev.id = *id;
       ev.job = *job;
       ev.ctx = *ctx;
-      ev.value = bits_f64(*v_bits);
+      ev.value = std::bit_cast<double>(*v_bits);
       const std::string_view label =
           labelled && sp != std::string_view::npos ? rest.substr(sp + 1)
                                                    : std::string_view{};

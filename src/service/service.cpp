@@ -173,6 +173,21 @@ void ServiceLoop::telemetry_boundary() {
   }
 }
 
+void ServiceLoop::publish_counts(obs::MetricsRegistry& m) const {
+  m.counter("service.arrivals").set(journal_.size());
+  m.counter("service.admitted").set(admitted_);
+  m.counter("service.queued").set(queued_total_);
+  m.counter("service.rejected").set(rejected_);
+  m.counter("service.launched").set(jobs_.size());
+  m.counter("service.completed").set(completed_);
+  m.counter("service.steps").set(steps_);
+  m.counter("service.control_ticks").set(control_ticks_);
+  m.gauge("service.admission_rate")
+      .set(journal_.empty() ? 1.0
+                            : static_cast<double>(admitted_) /
+                                  static_cast<double>(journal_.size()));
+}
+
 void ServiceLoop::flush_telemetry(SimTime now) {
   ++flushes_;
   obs::MetricsRegistry& m = telemetry_;
@@ -185,19 +200,8 @@ void ServiceLoop::flush_telemetry(SimTime now) {
     slo_->on_boundary(now, &telemetry_);
     mark_deadline_risk(now);
   }
-  m.counter("service.arrivals").set(journal_.size());
-  m.counter("service.admitted").set(admitted_);
-  m.counter("service.queued").set(queued_total_);
-  m.counter("service.rejected").set(rejected_);
-  m.counter("service.launched").set(jobs_.size());
-  m.counter("service.completed").set(completed_);
-  m.counter("service.steps").set(steps_);
-  m.counter("service.control_ticks").set(control_ticks_);
+  publish_counts(m);
   m.counter("service.flushes").set(flushes_);
-  m.gauge("service.admission_rate")
-      .set(journal_.empty() ? 1.0
-                            : static_cast<double>(admitted_) /
-                                  static_cast<double>(journal_.size()));
   m.gauge("service.total_tardiness_s").set(registry().total_tardiness());
   m.series("service.queue_depth")
       .sample(now, static_cast<double>(wait_queue_.size()));
@@ -449,20 +453,9 @@ ServiceResult ServiceLoop::result() const {
 void ServiceLoop::publish_metrics() const {
   if (config_.metrics == nullptr) return;
   obs::MetricsRegistry& m = *config_.metrics;
-  m.counter("service.arrivals").set(journal_.size());
-  m.counter("service.admitted").set(admitted_);
-  m.counter("service.queued").set(queued_total_);
-  m.counter("service.rejected").set(rejected_);
-  m.counter("service.launched").set(jobs_.size());
-  m.counter("service.completed").set(completed_);
-  m.counter("service.steps").set(steps_);
-  m.counter("service.control_ticks").set(control_ticks_);
+  publish_counts(m);
   m.gauge("service.queue_depth").set(static_cast<double>(wait_queue_.size()));
   m.gauge("service.running").set(static_cast<double>(running()));
-  m.gauge("service.admission_rate")
-      .set(journal_.empty() ? 1.0
-                            : static_cast<double>(admitted_) /
-                                  static_cast<double>(journal_.size()));
   // Control decisions per host-side second of service-loop work.
   m.gauge("service.decisions_per_sec")
       .set(wall_ms_ <= 0.0 ? 0.0

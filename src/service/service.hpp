@@ -334,6 +334,9 @@ class ServiceLoop {
   void refill_pending();
   bool step_impl();
   void telemetry_boundary();
+  // The service.* job and step counters and the admission-rate gauge, which
+  // publish_metrics() and the telemetry flush both write.
+  void publish_counts(obs::MetricsRegistry& m) const;
   void flush_telemetry(SimTime now);
   void mark_deadline_risk(SimTime now);
   void handle_arrivals_at(SimTime at);

@@ -1,7 +1,8 @@
 #include "service/slo.hpp"
 
-#include <cstring>
+#include <bit>
 
+#include "common/hash.hpp"
 #include "common/parse.hpp"
 #include "obs/metrics.hpp"
 
@@ -20,19 +21,6 @@ bool kind_from_name(std::string_view name, SloKind& out) {
     return false;
   }
   return true;
-}
-
-void fnv1a_u64(std::uint64_t& h, std::uint64_t v) {
-  for (std::size_t i = 0; i < sizeof(v); ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 0x100000001b3ull;
-  }
-}
-
-std::uint64_t f64_bits(double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
 }
 
 }  // namespace
@@ -185,14 +173,15 @@ void SloTracker::on_boundary(SimTime t, obs::MetricsRegistry* registry) {
 }
 
 std::uint64_t SloTracker::digest() const noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  fnv1a_u64(h, total_samples_);
-  fnv1a_u64(h, window_.size());
+  std::uint64_t h = fnv1a_word(kFnvOffset, total_samples_);
+  h = fnv1a_word(h, window_.size());
   for (const Sample& s : window_) {
-    fnv1a_u64(h, f64_bits(s.t));
-    for (double v : s.values) fnv1a_u64(h, f64_bits(v));
+    h = fnv1a_word(h, std::bit_cast<std::uint64_t>(s.t));
+    for (double v : s.values) {
+      h = fnv1a_word(h, std::bit_cast<std::uint64_t>(v));
+    }
   }
-  for (std::uint64_t v : violations_) fnv1a_u64(h, v);
+  for (std::uint64_t v : violations_) h = fnv1a_word(h, v);
   return h;
 }
 

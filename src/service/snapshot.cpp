@@ -25,18 +25,6 @@ enum : std::uint32_t {
   kEndTag = 0xFFFFFFFFu,
 };
 
-std::uint64_t f64_bits(double v) noexcept {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-double bits_f64(std::uint64_t bits) noexcept {
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
 std::string hex(std::uint64_t v) {
   std::ostringstream os;
   os << std::hex << v;
@@ -60,7 +48,7 @@ class Writer {
       buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
     }
   }
-  void f64(double v) { u64(f64_bits(v)); }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void str(const std::string& s) {
     u64(s.size());
     buf_.append(s);
@@ -105,7 +93,9 @@ class Reader {
     pos_ += 8;
     return v;
   }
-  [[nodiscard]] double f64(const char* what) { return bits_f64(u64(what)); }
+  [[nodiscard]] double f64(const char* what) {
+    return std::bit_cast<double>(u64(what));
+  }
   [[nodiscard]] std::string str(const char* what) {
     const std::uint64_t n = u64(what);
     if (n > remaining()) {
@@ -215,7 +205,9 @@ struct ImageBuilder {
   void add(std::string name, std::uint64_t bits) {
     fields.emplace_back(std::move(name), bits);
   }
-  void addf(std::string name, double v) { add(std::move(name), f64_bits(v)); }
+  void addf(std::string name, double v) {
+    add(std::move(name), std::bit_cast<std::uint64_t>(v));
+  }
 };
 
 void build_verify_image(const ServiceLoop& loop, ImageBuilder& img) {
@@ -234,14 +226,8 @@ void build_verify_image(const ServiceLoop& loop, ImageBuilder& img) {
   // opaque, but the pending key multiset pins the queue's future behaviour.
   std::uint64_t qdigest = 0;
   sim.events().for_each_pending([&](SimTime at, std::uint64_t seq) {
-    std::uint64_t h = kFnvOffset;
-    for (const std::uint64_t word : {f64_bits(at), seq}) {
-      for (int i = 0; i < 8; ++i) {
-        h ^= (word >> (8 * i)) & 0xff;
-        h *= kFnvPrime;
-      }
-    }
-    qdigest += h;
+    qdigest += fnv1a_word(
+        fnv1a_word(kFnvOffset, std::bit_cast<std::uint64_t>(at)), seq);
   });
   img.add("events.digest", qdigest);
   img.add("completion_heap.digest", sim.completion_heap_digest());
@@ -323,11 +309,7 @@ void build_verify_image(const ServiceLoop& loop, ImageBuilder& img) {
             f.route.valid() ? f.route.value() : ~std::uint64_t{0});
     std::uint64_t pdigest = kFnvOffset;
     for (const LinkId link : f.path) {
-      const std::uint64_t word = link.value();
-      for (int b = 0; b < 8; ++b) {
-        pdigest ^= (word >> (8 * b)) & 0xff;
-        pdigest *= kFnvPrime;
-      }
+      pdigest = fnv1a_word(pdigest, link.value());
     }
     img.add(p + "path_len", f.path.size());
     img.add(p + "path_digest", pdigest);
@@ -719,7 +701,7 @@ std::unique_ptr<ServiceLoop> restore_snapshot(const std::string& bytes,
     Reader c(payload.data(), payload.size(), "config");
     const std::uint32_t sched = c.u32("config.scheduler");
     if (sched >
-        static_cast<std::uint32_t>(cluster::SchedulerKind::kCoordinator)) {
+        static_cast<std::uint32_t>(cluster::SchedulerKind::kAalo)) {
       throw SnapshotError("snapshot: config.scheduler " +
                           std::to_string(sched) + " is out of range");
     }

@@ -7,10 +7,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "cluster/experiment.hpp"
+#include "cluster/stack.hpp"
 #include "cluster/trace.hpp"
 #include "faultsim/fault_plan.hpp"
 
@@ -292,6 +295,98 @@ TEST(Experiment, RejectsFabricItCannotBuild) {
   cfg.hosts = 16;
   cfg.port_capacity = 0.0;
   EXPECT_THROW((void)run_experiment(small_trace(), cfg), std::invalid_argument);
+}
+
+// The one name table: every SchedulerKind comes back from its to_string()
+// name, every --scheduler name maps to its kind, and kAalo stays last so the
+// values v10 snapshots store do not move.
+TEST(SchedulerNames, FromStringRoundTripsEveryKind) {
+  EXPECT_EQ(static_cast<int>(SchedulerKind::kCoordinator), 5);
+  EXPECT_EQ(static_cast<int>(SchedulerKind::kAalo), 6);
+  for (int k = 0; k <= static_cast<int>(SchedulerKind::kAalo); ++k) {
+    const auto kind = static_cast<SchedulerKind>(k);
+    EXPECT_EQ(scheduler_from_string(to_string(kind)), kind) << k;
+  }
+  const std::pair<const char*, SchedulerKind> kFlagNames[] = {
+      {"fair", SchedulerKind::kFairSharing},
+      {"srpt", SchedulerKind::kSrpt},
+      {"aalo", SchedulerKind::kAalo},
+      {"coflow", SchedulerKind::kCoflowMadd},
+      {"sincronia", SchedulerKind::kSincronia},
+      {"echelonflow", SchedulerKind::kEchelonMadd},
+      {"coordinator", SchedulerKind::kCoordinator}};
+  for (const auto& [name, kind] : kFlagNames) {
+    EXPECT_EQ(scheduler_from_string(name), kind) << name;
+  }
+  for (const char* bad : {"", "Fair", "echelon", "all", "coflow "}) {
+    EXPECT_EQ(scheduler_from_string(bad), std::nullopt) << bad;
+  }
+}
+
+TEST(SchedulerNames, MakePolicyBuildsEveryStandaloneKind) {
+  const ef::Registry registry;
+  for (int k = 0; k <= static_cast<int>(SchedulerKind::kAalo); ++k) {
+    const auto kind = static_cast<SchedulerKind>(k);
+    if (kind == SchedulerKind::kCoordinator) {
+      EXPECT_THROW((void)make_policy(kind, &registry), std::invalid_argument);
+    } else {
+      EXPECT_NE(make_policy(kind, &registry), nullptr) << to_string(kind);
+    }
+  }
+}
+
+// Stack::place refuses every job its paradigm's generator cannot take,
+// naming the field and placing nothing, and places the bounds themselves.
+TEST(StackPlace, RejectsJobsItsGeneratorCannotTake) {
+  using enum workload::Paradigm;
+  struct Case {
+    workload::Paradigm paradigm;
+    int ranks, iterations, buckets, micro_batches, layers;
+    const char* error;  // nullptr: places
+  };
+  const Case cases[] = {
+      {kDpAllReduce, 1, 1, 2, 2, 4,
+       "ranks must be >= 2 for DP-AllReduce, got 1"},
+      {kExpert, 0, 1, 2, 2, 4, "ranks must be >= 2 for EP-MoE, got 0"},
+      {kDpPs, 0, 1, 2, 2, 4, "ranks must be >= 1 for DP-PS, got 0"},
+      {kTensor, 2, 0, 2, 2, 4, "iterations must be >= 1, got 0"},
+      {kPipeline, 2, 1, 2, 0, 4, "micro_batches must be >= 1, got 0"},
+      {kDpAllReduce, 2, 1, 0, 2, 4,
+       "buckets must be in [1, 4] (the model's layers), got 0"},
+      {kDpPs, 2, 1, 5, 2, 4,
+       "buckets must be in [1, 4] (the model's layers), got 5"},
+      {kFsdp, 2, 1, 2, 2, 0, "model has no layers"},
+      {kPipeline, 5, 1, 2, 2, 4,
+       "ranks must be <= the model's 4 layers for PP (one stage per rank), "
+       "got 5"},
+      {kDpPs, 1, 1, 4, 2, 4, nullptr},
+      {kDpAllReduce, 2, 1, 1, 2, 4, nullptr},
+      {kPipeline, 4, 1, 2, 1, 4, nullptr},
+  };
+  for (const Case& c : cases) {
+    const JobSpec spec{.paradigm = c.paradigm,
+                       .model = workload::make_mlp(c.layers, 256, 8),
+                       .gpu = workload::a100(),
+                       .ranks = c.ranks,
+                       .iterations = c.iterations,
+                       .buckets = c.buckets,
+                       .micro_batches = c.micro_batches};
+    SCOPED_TRACE(spec.describe());
+    Stack stack(SchedulerKind::kFairSharing, FabricKind::kBigSwitch, 8,
+                gbps(25), 1.0);
+    if (c.error == nullptr) {
+      EXPECT_NO_THROW((void)stack.place(spec));
+      continue;
+    }
+    try {
+      (void)stack.place(spec);
+      ADD_FAILURE() << "placed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), std::string("job ") + c.error);
+    }
+    EXPECT_EQ(stack.sim().worker_count(), 0u);
+    EXPECT_EQ(stack.next_host(), 0u);
+  }
 }
 
 TEST(Experiment, SingleParadigmTracesRunEachParadigm) {

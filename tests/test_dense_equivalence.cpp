@@ -35,9 +35,11 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
+#include "cluster/stack.hpp"
 #include "common/rng.hpp"
 #include "echelon/aalo.hpp"
 #include "echelon/coflow_madd.hpp"
@@ -1149,67 +1151,45 @@ SimResult run_full_sim(int topo_kind, const Workload& w,
 
 TEST(DenseEquivalence, FullSimulationsMatchSeedSchedulers) {
   using SchedPtr = std::unique_ptr<netsim::NetworkScheduler>;
+  using cluster::SchedulerKind;
+  // Each production class, as the Stack builds it, against its seed port.
+  const std::tuple<SchedulerKind, SchedPtr (*)(Registry&), const char*>
+      kPairs[] = {
+          {SchedulerKind::kSrpt,
+           [](Registry&) -> SchedPtr { return std::make_unique<ref::Srpt>(); },
+           "srpt"},
+          {SchedulerKind::kCoflowMadd,
+           [](Registry&) -> SchedPtr {
+             return std::make_unique<ref::CoflowMadd>();
+           },
+           "coflow"},
+          {SchedulerKind::kAalo,
+           [](Registry&) -> SchedPtr { return std::make_unique<ref::Aalo>(); },
+           "aalo"},
+          {SchedulerKind::kSincronia,
+           [](Registry&) -> SchedPtr {
+             return std::make_unique<ref::Sincronia>();
+           },
+           "sincronia"},
+          {SchedulerKind::kEchelonMadd,
+           [](Registry& reg) -> SchedPtr {
+             return std::make_unique<ref::EchelonMadd>(&reg);
+           },
+           "echelon"},
+      };
   for (int topo_kind = 0; topo_kind < 2; ++topo_kind) {
     for (std::uint64_t seed = 0; seed < 10; ++seed) {
       const Workload w = make_workload(seed * 131 + topo_kind, 16);
       const std::string tag =
           "topo " + std::to_string(topo_kind) + " seed " + std::to_string(seed);
-
-      expect_same_result(
-          run_full_sim(topo_kind, w,
-                       [](Registry&) -> SchedPtr {
-                         return std::make_unique<ef::SrptScheduler>();
-                       }),
-          run_full_sim(topo_kind, w,
-                       [](Registry&) -> SchedPtr {
-                         return std::make_unique<ref::Srpt>();
-                       }),
-          tag + " srpt");
-
-      expect_same_result(
-          run_full_sim(topo_kind, w,
-                       [](Registry&) -> SchedPtr {
-                         return std::make_unique<ef::CoflowMaddScheduler>();
-                       }),
-          run_full_sim(topo_kind, w,
-                       [](Registry&) -> SchedPtr {
-                         return std::make_unique<ref::CoflowMadd>();
-                       }),
-          tag + " coflow");
-
-      expect_same_result(
-          run_full_sim(topo_kind, w,
-                       [](Registry&) -> SchedPtr {
-                         return std::make_unique<ef::AaloScheduler>();
-                       }),
-          run_full_sim(topo_kind, w,
-                       [](Registry&) -> SchedPtr {
-                         return std::make_unique<ref::Aalo>();
-                       }),
-          tag + " aalo");
-
-      expect_same_result(
-          run_full_sim(topo_kind, w,
-                       [](Registry&) -> SchedPtr {
-                         return std::make_unique<ef::SincroniaScheduler>();
-                       }),
-          run_full_sim(topo_kind, w,
-                       [](Registry&) -> SchedPtr {
-                         return std::make_unique<ref::Sincronia>();
-                       }),
-          tag + " sincronia");
-
-      expect_same_result(
-          run_full_sim(topo_kind, w,
-                       [](Registry& reg) -> SchedPtr {
-                         return std::make_unique<ef::EchelonMaddScheduler>(
-                             &reg);
-                       }),
-          run_full_sim(topo_kind, w,
-                       [](Registry& reg) -> SchedPtr {
-                         return std::make_unique<ref::EchelonMadd>(&reg);
-                       }),
-          tag + " echelon");
+      for (const auto& [kind, make_ref, name] : kPairs) {
+        expect_same_result(
+            run_full_sim(topo_kind, w,
+                         [kind](Registry& reg) {
+                           return cluster::make_policy(kind, &reg);
+                         }),
+            run_full_sim(topo_kind, w, make_ref), tag + " " + name);
+      }
     }
   }
 }

@@ -13,97 +13,46 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <algorithm>
 #include <tuple>
 
+#include "cluster/stack.hpp"
 #include "common/rng.hpp"
-#include "echelon/coflow_madd.hpp"
 #include "echelon/echelon_madd.hpp"
 #include "echelon/exhaustive.hpp"
 #include "echelon/registry.hpp"
-#include "echelon/srpt.hpp"
 #include "netsim/simulator.hpp"
 #include "topology/builders.hpp"
-#include "workload/dp.hpp"
-#include "workload/ep.hpp"
-#include "workload/fsdp.hpp"
-#include "workload/pp.hpp"
-#include "workload/tp.hpp"
 
 namespace echelon {
 namespace {
 
+using cluster::SchedulerKind;
 using workload::Paradigm;
 
-// (paradigm, ranks, scheduler-name)
-using Combo = std::tuple<Paradigm, int, const char*>;
+// (paradigm, ranks, scheduler)
+using Combo = std::tuple<Paradigm, int, SchedulerKind>;
 
 class ParadigmScheduler : public ::testing::TestWithParam<Combo> {};
 
-std::unique_ptr<netsim::NetworkScheduler> make_scheduler(
-    const std::string& name, const ef::Registry* reg) {
-  if (name == "coflow") return std::make_unique<ef::CoflowMaddScheduler>();
-  if (name == "echelonflow") {
-    return std::make_unique<ef::EchelonMaddScheduler>(reg);
-  }
-  if (name == "srpt") return std::make_unique<ef::SrptScheduler>();
-  return nullptr;  // fair (simulator default)
-}
-
 TEST_P(ParadigmScheduler, DrainsWithConsistentBookkeeping) {
-  const auto [paradigm, ranks, sched_name] = GetParam();
+  const auto [paradigm, ranks, kind] = GetParam();
 
+  const cluster::JobSpec spec{
+      .paradigm = paradigm,
+      .model = workload::make_mlp(std::max(3, ranks), 128, 4),
+      .gpu = workload::a100(),
+      .ranks = ranks,
+      .iterations = 2,
+      .buckets = 2,
+      .micro_batches = 3};
   const bool needs_ps = paradigm == Paradigm::kDpPs;
-  auto fabric = topology::make_big_switch(ranks + (needs_ps ? 1 : 0), 1e8);
-  netsim::Simulator sim(&fabric.topo);
-  ef::Registry reg;
-  reg.attach(sim);
-  auto sched = make_scheduler(sched_name, &reg);
-  if (sched) sim.set_scheduler(sched.get());
-
-  std::vector<NodeId> hosts(fabric.hosts.begin(),
-                            fabric.hosts.begin() + ranks);
-  const auto placement = workload::make_placement(sim, hosts);
-  const workload::ModelSpec model =
-      workload::make_mlp(std::max(3, ranks), 128, 4);
-  const workload::GpuSpec gpu = workload::a100();
-
-  workload::GeneratedJob job;
-  switch (paradigm) {
-    case Paradigm::kDpAllReduce:
-      job = workload::generate_dp_allreduce(
-          {.model = model, .gpu = gpu, .buckets = 2, .iterations = 2},
-          placement, reg, JobId{0});
-      break;
-    case Paradigm::kDpPs: {
-      const WorkerId ps = sim.add_worker(fabric.hosts.back());
-      job = workload::generate_dp_ps(
-          {.model = model, .gpu = gpu, .buckets = 2, .iterations = 2},
-          placement, fabric.hosts.back(), ps, reg, JobId{0});
-      break;
-    }
-    case Paradigm::kPipeline:
-      job = workload::generate_pipeline(
-          {.model = model, .gpu = gpu, .micro_batches = 3, .iterations = 2},
-          placement, reg, JobId{0});
-      break;
-    case Paradigm::kTensor:
-      job = workload::generate_tensor(
-          {.model = model, .gpu = gpu, .iterations = 2}, placement, reg,
-          JobId{0});
-      break;
-    case Paradigm::kFsdp:
-      job = workload::generate_fsdp(
-          {.model = model, .gpu = gpu, .iterations = 2}, placement, reg,
-          JobId{0});
-      break;
-    case Paradigm::kExpert:
-      job = workload::generate_expert(
-          {.model = model, .gpu = gpu, .iterations = 2}, placement, reg,
-          JobId{0});
-      break;
-  }
-  ASSERT_TRUE(job.workflow.is_acyclic());
+  cluster::Stack stack(kind, cluster::FabricKind::kBigSwitch,
+                       ranks + (needs_ps ? 1 : 0), 1e8, 1.0);
+  netsim::Simulator& sim = stack.sim();
+  cluster::BuiltJob job;
+  stack.build(job, spec, stack.place(spec), JobId{0}, {});
+  ASSERT_TRUE(job.generated.workflow.is_acyclic());
 
   // Conservation checks via listeners.
   double task_seconds = 0.0;
@@ -118,16 +67,15 @@ TEST_P(ParadigmScheduler, DrainsWithConsistentBookkeeping) {
     EXPECT_LE(f.remaining, 1e-6);
   });
 
-  netsim::WorkflowEngine engine(&sim, &job.workflow);
-  engine.launch(0.0);
+  job.engine->launch(0.0);
   sim.run();
-  ASSERT_TRUE(engine.finished())
+  ASSERT_TRUE(job.engine->finished())
       << workload::to_string(paradigm) << " x" << ranks << " under "
-      << sched_name;
+      << cluster::to_string(kind);
 
   // Every declared EchelonFlow completed with the declared cardinality.
-  for (const EchelonFlowId id : job.echelonflows) {
-    const ef::EchelonFlow& h = reg.get(id);
+  for (const EchelonFlowId id : job.generated.echelonflows) {
+    const ef::EchelonFlow& h = stack.registry().get(id);
     EXPECT_TRUE(h.complete()) << h.label();
     EXPECT_EQ(h.started_count(), h.cardinality());
     EXPECT_GE(h.tardiness(), 0.0);  // head flow's transfer time is > 0
@@ -141,16 +89,18 @@ TEST_P(ParadigmScheduler, DrainsWithConsistentBookkeeping) {
   EXPECT_NEAR(busy, task_seconds, 1e-6);
 }
 
-constexpr const char* kSchedulers[] = {"fair", "srpt", "coflow",
-                                       "echelonflow"};
-
 INSTANTIATE_TEST_SUITE_P(
     AllCombos, ParadigmScheduler,
     ::testing::Combine(
         ::testing::Values(Paradigm::kDpAllReduce, Paradigm::kDpPs,
                           Paradigm::kPipeline, Paradigm::kTensor,
                           Paradigm::kFsdp, Paradigm::kExpert),
-        ::testing::Values(2, 4), ::testing::ValuesIn(kSchedulers)));
+        ::testing::Values(2, 4),
+        ::testing::Values(SchedulerKind::kFairSharing, SchedulerKind::kSrpt,
+                          SchedulerKind::kCoflowMadd,
+                          SchedulerKind::kSincronia,
+                          SchedulerKind::kEchelonMadd,
+                          SchedulerKind::kCoordinator, SchedulerKind::kAalo)));
 
 // ---------------------------------------------------------------------------
 // Single-bottleneck dominance: the simulated EchelonFlow scheduler realizes

@@ -8,9 +8,16 @@
 //                                admission control, snapshot/restore
 //                                (DESIGN.md §13)
 //
+// Every subcommand runs its jobs on a cluster::Stack (DESIGN.md §13), which
+// owns the one scheduler table: --scheduler takes
+//   fair|srpt|aalo|coflow|sincronia|echelonflow|coordinator
+// in `single`, `cluster` and `serve` alike. A job the Stack cannot place
+// (too few ranks, iterations, micro-batches or layers, buckets outside the
+// layers, more ranks than hosts) exits 2 naming the field.
+//
 // `single` options:
 //   --paradigm dp|ps|pp|tp|fsdp|ep     (default pp)
-//   --scheduler fair|srpt|aalo|sincronia|coflow|echelonflow  (default echelonflow)
+//   --scheduler <name>  (default echelonflow)
 //   --ranks N          (default 4)      --iterations N   (default 3)
 //   --gbps G           (default 25)     --microbatches N (default 6)
 //   --layers N         (default 8)      --hidden N       (default 2048)
@@ -19,8 +26,8 @@
 // `cluster` options:
 //   --jobs N (default 12)  --hosts N (default 16)  --seed S (default 42)
 //   --gbps G (default 25)  --iterations N (default 2)
-//   --scheduler <name>|all (default all)  --csv PATH (write results CSV)
-//     names: fair|srpt|coflow|sincronia|echelonflow|all
+//   --scheduler <name>|all (default all: fair, srpt, coflow, sincronia,
+//                       echelonflow)  --csv PATH (write results CSV)
 //   --threads N (default 0 = one per hardware thread; 1 = serial)
 //     scheduler comparisons run through cluster::run_sweep, one scheduler
 //     per thread; output is identical for any thread count.
@@ -34,8 +41,7 @@
 //     written to the CSV whenever fault injection is active.
 //
 // `serve` options (DESIGN.md §13):
-//   --scheduler fair|srpt|coflow|sincronia|echelonflow|coordinator
-//                       (default echelonflow)
+//   --scheduler <name>  (default echelonflow)
 //   --fabric bigswitch|leafspine (default bigswitch)
 //   --hosts N (default 16)  --gbps G (default 25)  --oversub X (default 2)
 //   --arrivals PATH     replay a written arrival-trace file instead of the
@@ -87,7 +93,7 @@
 //                       out of the deterministic registries, exported as a
 //                       "service control" Perfetto process with --trace-out)
 //
-// observability options (both `single` and `cluster`, DESIGN.md §9):
+// observability options (`single`, `cluster` and `serve`, DESIGN.md §9):
 //   --trace-out PATH    write a Perfetto/Chrome trace_event JSON trace
 //                       (open in https://ui.perfetto.dev). `cluster` writes
 //                       one file per scheduler: PATH gains a .<scheduler>
@@ -110,8 +116,6 @@
 // or a --gbps / --oversub that is not a finite number above 0.
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -119,7 +123,9 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 
+#include "cluster/stack.hpp"
 #include "cluster/sweep.hpp"
 #include "faultsim/fault_plan.hpp"
 #include "cluster/trace.hpp"
@@ -127,11 +133,6 @@
 #include "common/parse.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
-#include "echelon/aalo.hpp"
-#include "echelon/coflow_madd.hpp"
-#include "echelon/echelon_madd.hpp"
-#include "echelon/sincronia.hpp"
-#include "echelon/srpt.hpp"
 #include "netsim/timeline.hpp"
 #include "obs/export.hpp"
 #include "obs/expose.hpp"
@@ -144,15 +145,16 @@
 #include "service/slo.hpp"
 #include "service/snapshot.hpp"
 #include "topology/builders.hpp"
-#include "workload/dp.hpp"
-#include "workload/ep.hpp"
-#include "workload/fsdp.hpp"
-#include "workload/pp.hpp"
-#include "workload/tp.hpp"
+#include "workload/gpu.hpp"
+#include "workload/model.hpp"
 
 namespace {
 
 using namespace echelon;
+
+// The names cluster::scheduler_from_string takes, for error messages.
+constexpr const char* kSchedulers =
+    "fair|srpt|aalo|coflow|sincronia|echelonflow|coordinator";
 
 // What a flag takes: nothing (a switch), free text, or a number that must
 // parse in full. A count is an integer that must also be >= 0.
@@ -355,18 +357,31 @@ struct ObsArgs {
   }
 }
 
-std::unique_ptr<netsim::NetworkScheduler> make_scheduler(
-    const std::string& name, const ef::Registry* reg) {
-  if (name == "fair") return nullptr;
-  if (name == "srpt") return std::make_unique<ef::SrptScheduler>();
-  if (name == "aalo") return std::make_unique<ef::AaloScheduler>();
-  if (name == "sincronia") return std::make_unique<ef::SincroniaScheduler>();
-  if (name == "coflow") return std::make_unique<ef::CoflowMaddScheduler>();
-  if (name == "echelonflow") {
-    return std::make_unique<ef::EchelonMaddScheduler>(reg);
+// --scheduler's value; on a name the Stack does not know prints it and
+// returns nullopt, for an exit status of 2.
+[[nodiscard]] std::optional<cluster::SchedulerKind> scheduler_or_report(
+    const std::string& name) {
+  const std::optional<cluster::SchedulerKind> kind =
+      cluster::scheduler_from_string(name);
+  if (!kind) {
+    std::cerr << "unknown scheduler '" << name << "' (expected " << kSchedulers
+              << ")\n";
   }
-  std::cerr << "unknown scheduler '" << name << "'\n";
-  std::exit(2);
+  return kind;
+}
+
+// `single`'s --paradigm value; nullopt for an unknown name.
+[[nodiscard]] std::optional<workload::Paradigm> paradigm_from_flag(
+    std::string_view name) {
+  using workload::Paradigm;
+  static constexpr std::pair<std::string_view, Paradigm> kParadigms[] = {
+      {"dp", Paradigm::kDpAllReduce}, {"ps", Paradigm::kDpPs},
+      {"pp", Paradigm::kPipeline},    {"tp", Paradigm::kTensor},
+      {"fsdp", Paradigm::kFsdp},      {"ep", Paradigm::kExpert}};
+  for (const auto& [flag, paradigm] : kParadigms) {
+    if (flag == name) return paradigm;
+  }
+  return std::nullopt;
 }
 
 int cmd_fig2() {
@@ -374,42 +389,34 @@ int cmd_fig2() {
   // policies and print the comparison row.
   std::cout << "see bench_fig2_motivating for the full panel; summary:\n";
   Table t({"policy", "comp finish (s)"});
+  workload::ModelSpec model;
+  model.name = "fig2";
+  for (int l = 0; l < 2; ++l) {
+    model.layers.push_back(workload::LayerSpec{
+        .name = "l", .params = 0, .activation_bytes = 2.0,
+        .fwd_flops = 1.0, .bwd_flops = 0.0});
+  }
+  const cluster::JobSpec spec{
+      .paradigm = workload::Paradigm::kPipeline,
+      .model = model,
+      .gpu = {.name = "slot", .peak_flops = 1.0, .efficiency = 1.0},
+      .ranks = 2,
+      .iterations = 1,
+      .micro_batches = 3};
   for (const std::string which : {"fair", "coflow", "echelonflow"}) {
-    auto fabric = topology::make_big_switch(2, 1.0);
-    netsim::Simulator sim(&fabric.topo);
-    ef::Registry reg;
-    reg.attach(sim);
-    auto sched = make_scheduler(which == "coflow" ? "coflow"
-                                : which == "echelonflow" ? "echelonflow"
-                                                         : "fair",
-                                &reg);
-    if (sched) sim.set_scheduler(sched.get());
-    const auto placement = workload::make_placement(sim, fabric.hosts);
-    const workload::GpuSpec slot{.name = "slot", .peak_flops = 1.0,
-                                 .efficiency = 1.0};
-    workload::ModelSpec model;
-    model.name = "fig2";
-    for (int l = 0; l < 2; ++l) {
-      model.layers.push_back(workload::LayerSpec{
-          .name = "l", .params = 0, .activation_bytes = 2.0,
-          .fwd_flops = 1.0, .bwd_flops = 0.0});
-    }
-    const auto job = workload::generate_pipeline(
-        {.model = model, .gpu = slot, .micro_batches = 3, .iterations = 1,
-         .optimizer_fraction = 0.0},
-        placement, reg, JobId{0});
-    netsim::WorkflowEngine eng(&sim, &job.workflow);
-    eng.launch(0.0);
-    // Forward-only variant of Fig. 2: stop once the last consumer forward
-    // is done (bwd flops are zero so the full run is equivalent).
-    sim.run();
+    cluster::Stack stack(*cluster::scheduler_from_string(which),
+                         cluster::FabricKind::kBigSwitch, 2, 1.0, 1.0);
+    cluster::BuiltJob job;
+    stack.build(job, spec, stack.place(spec), JobId{0}, {});
+    job.engine->launch(0.0);
+    stack.sim().run();
     // Comp finish = last forward on stage 1; with zero-size grad flows and
     // zero-length bwd tasks the makespan matches Fig. 2's comp finish.
     double comp = 0.0;
-    for (const auto& n : job.workflow.nodes()) {
+    for (const auto& n : job.generated.workflow.nodes()) {
       if (n.kind == netsim::WfKind::kCompute &&
           n.label.rfind("it0.f.s1", 0) == 0) {
-        comp = std::max(comp, eng.node_finish(n.id));
+        comp = std::max(comp, job.engine->node_finish(n.id));
       }
     }
     t.add_row({which, Table::num(comp, 2)});
@@ -419,97 +426,74 @@ int cmd_fig2() {
 }
 
 int cmd_single(const Args& args) {
-  const std::string paradigm = args.get("paradigm", "pp");
-  const std::string sched_name = args.get("scheduler", "echelonflow");
-  const int ranks = args.geti("ranks", 4);
-  const int iterations = args.geti("iterations", 3);
-  const double cap_gbps = args.getd("gbps", 25.0);
-  const int layers = args.geti("layers", 8);
-  const int hidden = args.geti("hidden", 2048);
-  const double jitter = args.getd("jitter", 0.0);
+  const std::string paradigm_name = args.get("paradigm", "pp");
+  const std::optional<workload::Paradigm> paradigm =
+      paradigm_from_flag(paradigm_name);
+  if (!paradigm) {
+    std::cerr << "unknown paradigm '" << paradigm_name << "'\n";
+    return 2;
+  }
+  const std::optional<cluster::SchedulerKind> kind =
+      scheduler_or_report(args.get("scheduler", "echelonflow"));
+  if (!kind) return 2;
   ObsArgs obs_args;
   if (!parse_obs(args, &obs_args)) return 2;
 
-  const bool needs_ps = paradigm == "ps";
-  const std::optional<topology::BuiltFabric> built =
-      build_fabric_or_report(cluster::FabricKind::kBigSwitch,
-                             ranks + (needs_ps ? 1 : 0), gbps(cap_gbps), 1.0);
-  if (!built) return 2;
-  const topology::BuiltFabric& fabric = *built;
-  netsim::Simulator sim(&fabric.topo);
-  ef::Registry reg;
-  reg.attach(sim);
-  auto sched = make_scheduler(sched_name, &reg);
-  if (sched) sim.set_scheduler(sched.get());
-  netsim::TimelineRecorder timeline(sim);
+  cluster::JobSpec spec;
+  spec.paradigm = *paradigm;
+  spec.ranks = args.geti("ranks", 4);
+  spec.iterations = args.geti("iterations", 3);
+  spec.model = workload::make_transformer(
+      std::max(args.geti("layers", 8), spec.ranks), args.geti("hidden", 2048),
+      256, 16);
+  spec.gpu = workload::a100();
+  spec.buckets = 4;
+  spec.micro_batches = args.geti("microbatches", 6);
+  spec.compute_jitter = args.getd("jitter", 0.0);
+
+  // A dedicated big switch: one host per rank, plus the DP-PS server's.
+  const int hosts =
+      spec.ranks + (spec.paradigm == workload::Paradigm::kDpPs ? 1 : 0);
+  std::unique_ptr<cluster::Stack> stack;
+  try {
+    stack = std::make_unique<cluster::Stack>(
+        *kind, cluster::FabricKind::kBigSwitch, hosts,
+        gbps(args.getd("gbps", 25.0)), 1.0);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
+  }
+  netsim::TimelineRecorder timeline(stack->sim());
 
   // Observability: attach only when requested -- the default run carries a
   // null sink and pays nothing (DESIGN.md §9).
   obs::TraceRecorder recorder;
   obs::MetricsRegistry registry;
-  if (obs_args.tracing()) sim.set_trace(&recorder, obs_args.detail);
-  if (obs_args.metrics()) sim.set_metrics(&registry);
+  stack->observe(&recorder, obs_args.detail,
+                 obs_args.metrics() ? &registry : nullptr);
 
-  std::vector<NodeId> hosts(fabric.hosts.begin(),
-                            fabric.hosts.begin() + ranks);
-  const auto placement = workload::make_placement(sim, hosts);
-  const workload::ModelSpec model =
-      workload::make_transformer(std::max(layers, ranks), hidden, 256, 16);
-  const workload::GpuSpec gpu = workload::a100();
-
-  workload::GeneratedJob job;
-  if (paradigm == "dp") {
-    job = workload::generate_dp_allreduce(
-        {.model = model, .gpu = gpu, .buckets = 4, .iterations = iterations},
-        placement, reg, JobId{0});
-  } else if (paradigm == "ps") {
-    const WorkerId ps = sim.add_worker(fabric.hosts.back());
-    job = workload::generate_dp_ps(
-        {.model = model, .gpu = gpu, .buckets = 4, .iterations = iterations},
-        placement, fabric.hosts.back(), ps, reg, JobId{0});
-  } else if (paradigm == "pp") {
-    job = workload::generate_pipeline(
-        {.model = model,
-         .gpu = gpu,
-         .micro_batches = args.geti("microbatches", 6),
-         .iterations = iterations,
-         .compute_jitter = jitter},
-        placement, reg, JobId{0});
-  } else if (paradigm == "tp") {
-    job = workload::generate_tensor(
-        {.model = model, .gpu = gpu, .iterations = iterations}, placement,
-        reg, JobId{0});
-  } else if (paradigm == "fsdp") {
-    job = workload::generate_fsdp({.model = model,
-                                   .gpu = gpu,
-                                   .iterations = iterations,
-                                   .compute_jitter = jitter},
-                                  placement, reg, JobId{0});
-  } else if (paradigm == "ep") {
-    job = workload::generate_expert(
-        {.model = model, .gpu = gpu, .iterations = iterations}, placement,
-        reg, JobId{0});
-  } else {
-    std::cerr << "unknown paradigm '" << paradigm << "'\n";
+  cluster::BuiltJob job;
+  try {
+    stack->build(job, spec, stack->place(spec), JobId{0}, {});
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
     return 2;
   }
+  job.engine->launch(0.0);
+  const SimTime makespan = stack->sim().run();
 
-  netsim::WorkflowEngine engine(&sim, &job.workflow);
-  engine.launch(0.0);
-  const SimTime makespan = sim.run();
-
-  std::cout << job.description << "  under "
-            << (sched ? sched->name() : std::string("fair")) << "\n\n";
+  std::cout << job.generated.description << "  under "
+            << stack->scheduler().name() << "\n\n";
   Table t({"iteration", "finish (s)", "duration (s)"});
   SimTime prev = 0.0;
-  for (std::size_t k = 0; k < job.iteration_end.size(); ++k) {
-    const SimTime f = engine.node_finish(job.iteration_end[k]);
+  for (std::size_t k = 0; k < job.generated.iteration_end.size(); ++k) {
+    const SimTime f = job.engine->node_finish(job.generated.iteration_end[k]);
     t.add_row({std::to_string(k), Table::num(f, 4), Table::num(f - prev, 4)});
     prev = f;
   }
   t.print(std::cout);
   std::cout << "makespan " << Table::num(makespan, 4) << " s, sum tardiness "
-            << Table::num(reg.total_tardiness(), 4) << " s\n";
+            << Table::num(stack->registry().total_tardiness(), 4) << " s\n";
   if (args.has("timeline")) {
     std::cout << "\n"
               << timeline.render(makespan / 100.0, 100);
@@ -519,7 +503,7 @@ int cmd_single(const Args& args) {
   if (obs_args.metrics()) snapshot = registry.snapshot();
   if (!obs_args.trace_out.empty()) {
     obs::PerfettoOptions popt;
-    popt.topology = &fabric.topo;
+    popt.topology = &stack->sim().topology();
     if (!export_trace(obs_args.trace_out, recorder,
                       obs_args.metrics() ? &snapshot : nullptr, popt)) {
       return 1;
@@ -555,25 +539,15 @@ int cmd_cluster(const Args& args) {
   const auto jobs = cluster::generate_trace(tcfg);
 
   std::vector<cluster::SchedulerKind> kinds;
-  const std::string which = args.get("scheduler", "all");
-  if (which == "all") {
+  if (const std::string which = args.get("scheduler", "all"); which == "all") {
     kinds = {cluster::SchedulerKind::kFairSharing,
              cluster::SchedulerKind::kSrpt,
              cluster::SchedulerKind::kCoflowMadd,
              cluster::SchedulerKind::kSincronia,
              cluster::SchedulerKind::kEchelonMadd};
-  } else if (which == "fair") {
-    kinds = {cluster::SchedulerKind::kFairSharing};
-  } else if (which == "srpt") {
-    kinds = {cluster::SchedulerKind::kSrpt};
-  } else if (which == "coflow") {
-    kinds = {cluster::SchedulerKind::kCoflowMadd};
-  } else if (which == "sincronia") {
-    kinds = {cluster::SchedulerKind::kSincronia};
-  } else if (which == "echelonflow") {
-    kinds = {cluster::SchedulerKind::kEchelonMadd};
+  } else if (const auto kind = scheduler_or_report(which)) {
+    kinds = {*kind};
   } else {
-    std::cerr << "unknown scheduler '" << which << "'\n";
     return 2;
   }
 
@@ -727,23 +701,10 @@ int cmd_cluster(const Args& args) {
 
 int cmd_serve(const Args& args) {
   service::ServiceConfig cfg;
-  const std::string sched_name = args.get("scheduler", "echelonflow");
-  if (sched_name == "fair") {
-    cfg.scheduler = cluster::SchedulerKind::kFairSharing;
-  } else if (sched_name == "srpt") {
-    cfg.scheduler = cluster::SchedulerKind::kSrpt;
-  } else if (sched_name == "coflow") {
-    cfg.scheduler = cluster::SchedulerKind::kCoflowMadd;
-  } else if (sched_name == "sincronia") {
-    cfg.scheduler = cluster::SchedulerKind::kSincronia;
-  } else if (sched_name == "echelonflow") {
-    cfg.scheduler = cluster::SchedulerKind::kEchelonMadd;
-  } else if (sched_name == "coordinator") {
-    cfg.scheduler = cluster::SchedulerKind::kCoordinator;
-  } else {
-    std::cerr << "unknown scheduler '" << sched_name << "'\n";
-    return 2;
-  }
+  const std::optional<cluster::SchedulerKind> kind =
+      scheduler_or_report(args.get("scheduler", "echelonflow"));
+  if (!kind) return 2;
+  cfg.scheduler = *kind;
   const std::string fabric_name = args.get("fabric", "bigswitch");
   if (fabric_name == "bigswitch") {
     cfg.fabric = cluster::FabricKind::kBigSwitch;
