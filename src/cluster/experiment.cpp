@@ -41,8 +41,7 @@ void record_job_metrics(LiveJob& lj, JobId id) {
 ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
                                 const ExperimentConfig& config) {
   Stack stack(config.scheduler, config.fabric, config.hosts,
-              config.port_capacity, config.oversubscription,
-              config.coordinator);
+              config.port_capacity, config.oversubscription);
   stack.observe(config.trace_sink, config.trace_detail, config.metrics);
   netsim::Simulator& sim = stack.sim();
 
@@ -108,7 +107,6 @@ ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
 
   // Collect metrics.
   const ef::Registry& registry = stack.registry();
-  const runtime::Coordinator* coordinator = stack.coordinator();
   const faultsim::FaultInjector* injector = stack.injector();
   ExperimentResult result;
   result.scheduler_name = stack.scheduler().name();
@@ -116,10 +114,6 @@ ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
   result.total_tardiness = registry.total_tardiness();
   result.weighted_total_tardiness = registry.weighted_total_tardiness();
   result.control_invocations = sim.control_invocations();
-  if (coordinator) {
-    result.heuristic_runs = coordinator->heuristic_runs();
-    result.reuse_hits = coordinator->reuse_hits();
-  }
   result.wall_ms = wall_ms;
   result.build_ms = build_ms;
   result.peak_live_workflows = peak_live;
@@ -198,13 +192,6 @@ ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
     m.counter("routes.computations").set(rs.computations);
     m.counter("routes.distinct").set(sim.routes().size());
 
-    if (coordinator) {
-      m.counter("coordinator.heuristic_runs")
-          .set(coordinator->heuristic_runs());
-      m.counter("coordinator.reuse_hits").set(coordinator->reuse_hits());
-      m.counter("coordinator.deferred_flows")
-          .set(coordinator->deferred_flows());
-    }
     if (injector) {
       const faultsim::FaultSummary& fs = injector->summary();
       m.counter("fault.events_fired").set(fs.events_fired);

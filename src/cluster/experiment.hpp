@@ -14,7 +14,6 @@
 #include "faultsim/fault_plan.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/coordinator.hpp"
 
 namespace echelon::cluster {
 
@@ -32,10 +31,6 @@ struct ExperimentConfig {
   // build_fabric for the shape).
   double oversubscription = 1.0;
 
-  // Read by SchedulerKind::kCoordinator only: the paper's interval and
-  // reuse operating points.
-  runtime::CoordinatorConfig coordinator;
-
   // Optional deterministic fault script, replayed by a FaultInjector during
   // the run (DESIGN.md §8). Must outlive run_experiment; read-only, so one
   // plan can be shared across sweep threads. nullptr = fault-free. A
@@ -45,18 +40,18 @@ struct ExperimentConfig {
 
   // --- observability (DESIGN.md §9) ---
   // Optional structured-event sink, threaded into the Simulator, the
-  // RateAllocator, the Coordinator and the FaultInjector. The emitters only
-  // ever *read* simulation state: ExperimentResults with and without a sink
-  // are byte-identical (tests/test_obs.cpp pins this). Must outlive
+  // RateAllocator and the FaultInjector. The emitters only ever *read*
+  // simulation state: ExperimentResults with and without a sink are
+  // byte-identical (tests/test_obs.cpp pins this). Must outlive
   // run_experiment; nullptr (or kOff) means zero extra work.
   obs::TraceSink* trace_sink = nullptr;
   obs::TraceDetail trace_detail = obs::TraceDetail::kOff;
   // Optional metrics registry: the run samples per-link utilization /
   // active-flow series and flow-completion / queue-depth histograms while it
   // executes, and run_experiment fills run-level counters and gauges
-  // (allocator and control-pass counts, route cache, coordinator stats,
-  // fault summary, per-group tardiness histogram) at the end. Same
-  // read-only contract as trace_sink.
+  // (allocator and control-pass counts, route cache, fault summary,
+  // per-group tardiness histogram) at the end. Same read-only contract as
+  // trace_sink.
   obs::MetricsRegistry* metrics = nullptr;
 };
 

@@ -39,8 +39,6 @@ struct ExperimentResult {
 
   // Control-plane cost.
   std::uint64_t control_invocations = 0;
-  std::uint64_t heuristic_runs = 0;   // coordinator only; 0 otherwise
-  std::uint64_t reuse_hits = 0;       // coordinator only
   // Host time of the simulation: sim.run() minus build_ms. Host timing,
   // so never compared between runs.
   double wall_ms = 0.0;

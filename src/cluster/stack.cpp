@@ -60,8 +60,7 @@ std::optional<SchedulerKind> scheduler_from_string(
   for (const SchedulerKind k :
        {SchedulerKind::kFairSharing, SchedulerKind::kSrpt,
         SchedulerKind::kCoflowMadd, SchedulerKind::kSincronia,
-        SchedulerKind::kEchelonMadd, SchedulerKind::kCoordinator,
-        SchedulerKind::kAalo}) {
+        SchedulerKind::kEchelonMadd, SchedulerKind::kAalo}) {
     if (name == to_string(k)) return k;
   }
   return std::nullopt;
@@ -82,11 +81,9 @@ std::unique_ptr<netsim::NetworkScheduler> make_policy(
       return std::make_unique<ef::EchelonMaddScheduler>(registry);
     case SchedulerKind::kAalo:
       return std::make_unique<ef::AaloScheduler>();
-    case SchedulerKind::kCoordinator:
-      break;
   }
-  throw std::invalid_argument(std::string("no standalone policy for ") +
-                              to_string(kind));
+  throw std::invalid_argument("unknown scheduler kind " +
+                              std::to_string(static_cast<int>(kind)));
 }
 
 namespace {
@@ -192,22 +189,13 @@ workload::GeneratedJob generate_job_workflow(const JobSpec& spec,
 }  // namespace
 
 Stack::Stack(SchedulerKind scheduler, FabricKind fabric, int hosts,
-             BytesPerSec port_capacity, double oversubscription,
-             const runtime::CoordinatorConfig& coordinator_config)
+             BytesPerSec port_capacity, double oversubscription)
     : fabric_(build_fabric(fabric, hosts, port_capacity, oversubscription)),
-      sim_(&fabric_.topo) {
-  if (scheduler == SchedulerKind::kCoordinator) {
-    coordinator_ =
-        std::make_unique<runtime::Coordinator>(&sim_, coordinator_config);
-    registry_ = &coordinator_->registry();
-    scheduler_ = coordinator_.get();
-  } else {
-    policy_ = make_policy(scheduler, &standalone_registry_);
-    // Attached for tardiness measurement whatever the policy reads.
-    standalone_registry_.attach(sim_);
-    scheduler_ = policy_.get();
-  }
-  sim_.set_scheduler(scheduler_);
+      sim_(&fabric_.topo),
+      policy_(make_policy(scheduler, &registry_)) {
+  // Attached for tardiness measurement whatever the policy reads.
+  registry_.attach(sim_);
+  sim_.set_scheduler(policy_.get());
 }
 
 void Stack::observe(obs::TraceSink* sink, obs::TraceDetail detail,
@@ -216,10 +204,9 @@ void Stack::observe(obs::TraceSink* sink, obs::TraceDetail detail,
   detail_ = detail;
   if (sink != nullptr && detail != obs::TraceDetail::kOff) {
     sim_.set_trace(sink, detail);
-    // kHeuristicRun/kReuseHit and fault events are control-plane kinds.
-    if (detail >= obs::TraceDetail::kCoarse) {
-      if (coordinator_) coordinator_->set_trace(sink);
-      if (injector_) injector_->set_trace(sink);
+    // Fault events are a control-plane kind.
+    if (detail >= obs::TraceDetail::kCoarse && injector_) {
+      injector_->set_trace(sink);
     }
   }
   if (metrics != nullptr) sim_.set_metrics(metrics);
@@ -262,9 +249,9 @@ Seat Stack::place(const JobSpec& spec) {
 void Stack::build(BuiltJob& job, const JobSpec& spec, const Seat& seat,
                   JobId id,
                   std::function<void(netsim::Simulator&)> on_complete) {
-  job.group_begin = registry_->size();
-  job.generated = generate_job_workflow(spec, seat, *registry_, id);
-  job.group_end = registry_->size();
+  job.group_begin = registry_.size();
+  job.generated = generate_job_workflow(spec, seat, registry_, id);
+  job.group_end = registry_.size();
   job.engine =
       std::make_unique<netsim::WorkflowEngine>(&sim_, &job.generated.workflow);
   job.engine->on_complete = std::move(on_complete);
@@ -274,7 +261,7 @@ void Stack::retire(BuiltJob& job) {
   job.engine.reset();
   job.generated = {};
   for (std::size_t g = job.group_begin; g < job.group_end; ++g) {
-    registry_->get(EchelonFlowId{g}).retire();
+    registry_.get(EchelonFlowId{g}).retire();
   }
 }
 

@@ -21,7 +21,6 @@
 #include "netsim/workflow.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/coordinator.hpp"
 #include "topology/builders.hpp"
 #include "workload/paradigm.hpp"
 
@@ -33,7 +32,6 @@ enum class SchedulerKind {
   kCoflowMadd,
   kSincronia,    // order-first BSSI + greedy rate assignment
   kEchelonMadd,
-  kCoordinator,  // EchelonFlow-MADD behind the runtime Coordinator
   kAalo,         // non-clairvoyant Coflow queues (last, so the values
                  // snapshots store do not move)
 };
@@ -45,23 +43,20 @@ enum class SchedulerKind {
     case SchedulerKind::kCoflowMadd: return "coflow-madd";
     case SchedulerKind::kSincronia: return "sincronia";
     case SchedulerKind::kEchelonMadd: return "echelonflow-madd";
-    case SchedulerKind::kCoordinator: return "coordinator";
     case SchedulerKind::kAalo: return "aalo";
   }
   return "?";
 }
 
 // The one name -> scheduler table: a --scheduler name (fair|srpt|aalo|
-// coflow|sincronia|echelonflow|coordinator) or any to_string() name.
+// coflow|sincronia|echelonflow) or any to_string() name.
 // nullopt for anything else.
 [[nodiscard]] std::optional<SchedulerKind> scheduler_from_string(
     std::string_view name) noexcept;
 
 // The policy a Stack runs for `kind`, reading tardiness declarations from
 // `registry` where it uses them (EchelonFlow-MADD). Hand-built simulations
-// use it to get the Stack's scheduler classes. Throws std::invalid_argument
-// for kCoordinator, which drives a Simulator of its own and is built by the
-// Stack.
+// use it to get the Stack's scheduler classes.
 [[nodiscard]] std::unique_ptr<netsim::NetworkScheduler> make_policy(
     SchedulerKind kind, const ef::Registry* registry);
 
@@ -104,17 +99,15 @@ struct BuiltJob {
 class Stack {
  public:
   // Builds the fabric as build_fabric does, throwing what it throws.
-  // `coordinator_config` is read by SchedulerKind::kCoordinator only.
   Stack(SchedulerKind scheduler, FabricKind fabric, int hosts,
-        BytesPerSec port_capacity, double oversubscription,
-        const runtime::CoordinatorConfig& coordinator_config = {});
+        BytesPerSec port_capacity, double oversubscription);
 
   Stack(const Stack&) = delete;
   Stack& operator=(const Stack&) = delete;
 
   // Wires the read-only emitters (DESIGN.md §9): the sink into the
-  // Simulator and, at >= kCoarse, into the Coordinator and the injector;
-  // `metrics` into the Simulator. Null or kOff leaves that part as it was.
+  // Simulator and, at >= kCoarse, into the injector; `metrics` into the
+  // Simulator. Null or kOff leaves that part as it was.
   void observe(obs::TraceSink* sink, obs::TraceDetail detail,
                obs::MetricsRegistry* metrics);
 
@@ -145,14 +138,10 @@ class Stack {
   [[nodiscard]] netsim::Simulator& sim() noexcept { return sim_; }
   [[nodiscard]] const netsim::Simulator& sim() const noexcept { return sim_; }
   [[nodiscard]] const ef::Registry& registry() const noexcept {
-    return *registry_;
+    return registry_;
   }
   [[nodiscard]] const netsim::NetworkScheduler& scheduler() const noexcept {
-    return *scheduler_;
-  }
-  // nullptr unless the scheduler is SchedulerKind::kCoordinator.
-  [[nodiscard]] const runtime::Coordinator* coordinator() const noexcept {
-    return coordinator_.get();
+    return *policy_;
   }
   // nullptr until arm_faults() gets a plan.
   [[nodiscard]] const faultsim::FaultInjector* injector() const noexcept {
@@ -164,13 +153,10 @@ class Stack {
  private:
   topology::BuiltFabric fabric_;
   netsim::Simulator sim_;
-  // The Coordinator owns its registry; every other scheduler measures
-  // tardiness in this standalone one.
-  ef::Registry standalone_registry_;
-  std::unique_ptr<runtime::Coordinator> coordinator_;
+  // Every scheduler measures tardiness here; EchelonFlow-MADD also reads
+  // its deadlines from it.
+  ef::Registry registry_;
   std::unique_ptr<netsim::NetworkScheduler> policy_;
-  ef::Registry* registry_ = &standalone_registry_;
-  netsim::NetworkScheduler* scheduler_ = nullptr;
   std::unique_ptr<faultsim::FaultInjector> injector_;
   obs::TraceSink* sink_ = nullptr;
   obs::TraceDetail detail_ = obs::TraceDetail::kOff;

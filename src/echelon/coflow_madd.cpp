@@ -141,38 +141,36 @@ void CoflowMaddScheduler::control(netsim::Simulator& sim,
   // then grant any capacity that proportional scaling could not use -- e.g.
   // when one member's port is taken by a higher-ranked coflow -- flow by
   // flow.
-  if (config_.work_conserving) {
-    for (const std::uint32_t gi : order_) {
-      const Grp& g = groups_[gi];
-      load_.begin_pass(topo);
-      for (std::uint32_t i = g.begin; i < g.end; ++i) {
-        const netsim::Flow* f = members_[i];
-        for (LinkId lid : f->path) load_.touch(lid) += f->remaining;
-      }
-      double lambda = kInf;
-      for (const std::uint32_t li : load_.touched()) {
-        const double bytes = load_.at(LinkId{li});
-        if (bytes <= 0.0) continue;
-        lambda = std::min(lambda, caps_.residual(LinkId{li}) / bytes);
-      }
-      if (!std::isfinite(lambda) || lambda < 0.0) lambda = 0.0;
-      for (std::uint32_t i = g.begin; i < g.end; ++i) {
-        netsim::Flow* f = members_[i];
-        const double extra = f->remaining * lambda;
-        if (extra <= 0.0) continue;
-        f->rate_cap = *f->rate_cap + extra;
-        caps_.consume(*f, extra);
-      }
+  for (const std::uint32_t gi : order_) {
+    const Grp& g = groups_[gi];
+    load_.begin_pass(topo);
+    for (std::uint32_t i = g.begin; i < g.end; ++i) {
+      const netsim::Flow* f = members_[i];
+      for (LinkId lid : f->path) load_.touch(lid) += f->remaining;
     }
-    for (const std::uint32_t gi : order_) {
-      const Grp& g = groups_[gi];
-      for (std::uint32_t i = g.begin; i < g.end; ++i) {
-        netsim::Flow* f = members_[i];
-        const double extra = caps_.path_residual(*f);
-        if (extra <= 0.0 || !std::isfinite(extra)) continue;
-        f->rate_cap = *f->rate_cap + extra;
-        caps_.consume(*f, extra);
-      }
+    double lambda = kInf;
+    for (const std::uint32_t li : load_.touched()) {
+      const double bytes = load_.at(LinkId{li});
+      if (bytes <= 0.0) continue;
+      lambda = std::min(lambda, caps_.residual(LinkId{li}) / bytes);
+    }
+    if (!std::isfinite(lambda) || lambda < 0.0) lambda = 0.0;
+    for (std::uint32_t i = g.begin; i < g.end; ++i) {
+      netsim::Flow* f = members_[i];
+      const double extra = f->remaining * lambda;
+      if (extra <= 0.0) continue;
+      f->rate_cap = *f->rate_cap + extra;
+      caps_.consume(*f, extra);
+    }
+  }
+  for (const std::uint32_t gi : order_) {
+    const Grp& g = groups_[gi];
+    for (std::uint32_t i = g.begin; i < g.end; ++i) {
+      netsim::Flow* f = members_[i];
+      const double extra = caps_.path_residual(*f);
+      if (extra <= 0.0 || !std::isfinite(extra)) continue;
+      f->rate_cap = *f->rate_cap + extra;
+      caps_.consume(*f, extra);
     }
   }
 }

@@ -8,7 +8,7 @@
 //   the coflow is paced at remaining_j / Gamma so all flows finish together
 //   exactly at the bottleneck's completion time (no bandwidth wasted on
 //   flows that would otherwise finish early).
-// * Optional work conservation: leftover capacity is granted to coflows in
+// * Work conservation: leftover capacity is granted to coflows in
 //   SEBF order, scaled proportionally to remaining bytes so simultaneous
 //   finishing is preserved.
 //
@@ -37,15 +37,8 @@
 
 namespace echelon::ef {
 
-struct CoflowMaddConfig {
-  bool work_conserving = true;
-};
-
 class CoflowMaddScheduler final : public netsim::NetworkScheduler {
  public:
-  explicit CoflowMaddScheduler(CoflowMaddConfig config = {})
-      : config_(config) {}
-
   void control(netsim::Simulator& sim,
                std::span<netsim::Flow*> active) override;
 
@@ -63,8 +56,6 @@ class CoflowMaddScheduler final : public netsim::NetworkScheduler {
   [[nodiscard]] double standalone_gamma(const topology::Topology& topo,
                                         const Grp& g);
   [[nodiscard]] double residual_gamma();
-
-  CoflowMaddConfig config_;
 
   // --- reusable per-pass arenas (allocation-free after warm-up) ---
   KeySlotMap key_slots_;

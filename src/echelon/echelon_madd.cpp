@@ -13,7 +13,7 @@ constexpr std::uint64_t kSingletonBase = 1ULL << 63;
 
 }  // namespace
 
-// (key, deadline, weight) a flow schedules under *right now*. Cheap: a
+// (key, deadline) a flow schedules under *right now*. Cheap: a
 // couple of dense vector lookups into the registry. Resolved afresh every
 // pass, so late registrations and newly known reference times take effect
 // on the next pass.
@@ -21,17 +21,15 @@ EchelonMaddScheduler::Resolved EchelonMaddScheduler::resolve(
     const netsim::Flow& f) const {
   std::uint64_t key = kSingletonBase | f.id.value();
   SimTime deadline = f.start_time;  // fallback: tardiness == FCT
-  double weight = 1.0;
   if (f.spec.group.valid() && registry_ != nullptr &&
       registry_->contains(f.spec.group)) {
     const EchelonFlow& ef = registry_->get(f.spec.group);
     if (const auto d = ef.ideal_finish(f.spec.index_in_group)) {
       key = f.spec.group.value();
       deadline = *d;
-      weight = ef.weight();
     }
   }
-  return Resolved{key, deadline, weight};
+  return Resolved{key, deadline};
 }
 
 // Groups the routed flows of `active` into members_, one contiguous
@@ -57,7 +55,7 @@ void EchelonMaddScheduler::build_groups(std::span<netsim::Flow*> active) {
     std::uint32_t gi = static_cast<std::uint32_t>(groups_.size());
     if ((r.key & kSingletonBase) == 0) gi = group_of_ef_.touch(r.key, gi);
     if (gi == groups_.size()) {
-      groups_.push_back(Grp{r.key, r.weight, 0, 0, 0.0});
+      groups_.push_back(Grp{r.key, 0, 0, 0.0});
     }
     ++groups_[gi].end;  // member count; converted to offsets below
     routed_.push_back(Member{f, r.deadline});
@@ -127,31 +125,25 @@ void EchelonMaddScheduler::control(netsim::Simulator& sim,
   build_groups(active);
 
   // --- rank groups by standalone achievable tardiness ------------------------
-  // (the Eq. 2 metric, Property 4's SEBF analog)
+  // (the Eq. 2 metric, Property 4's SEBF analog), smallest first: clearing
+  // the least-behind EchelonFlow first minimizes the Eq. 4 sum in the
+  // shortest-first sense.
   order_.clear();
   for (std::uint32_t gi = 0; gi < groups_.size(); ++gi) {
-    Grp& g = groups_[gi];
-    const double tardiness = min_uniform_tardiness(g, now, nullptr, topo);
-    // Weighted ranking: tardiness scaled by 1/weight, so heavier
-    // EchelonFlows sort as if they were further ahead (smallest-first) or
-    // further behind (largest-first).
-    g.rank_key = config_.use_weights && g.weight > 0.0 ? tardiness / g.weight
-                                                       : tardiness;
+    groups_[gi].tardiness =
+        min_uniform_tardiness(groups_[gi], now, nullptr, topo);
     order_.push_back(gi);
   }
-  const bool smallest_first =
-      config_.ranking == InterRanking::kSmallestTardinessFirst;
-  // Deterministic total order (rank key, then group key ascending; keys are
+  // Deterministic total order (tardiness, then group key ascending; keys are
   // unique) -- exactly what the seed's stable_sort over the key-ascending
   // std::map produced, but via std::sort, which unlike stable_sort allocates
   // no merge buffer.
   std::sort(order_.begin(), order_.end(),
-            [this, smallest_first](std::uint32_t a, std::uint32_t b) {
+            [this](std::uint32_t a, std::uint32_t b) {
               const Grp& ga = groups_[a];
               const Grp& gb = groups_[b];
-              if (ga.rank_key != gb.rank_key) {
-                return smallest_first ? ga.rank_key < gb.rank_key
-                                      : ga.rank_key > gb.rank_key;
+              if (ga.tardiness != gb.tardiness) {
+                return ga.tardiness < gb.tardiness;
               }
               return ga.key < gb.key;
             });
@@ -199,26 +191,24 @@ void EchelonMaddScheduler::control(netsim::Simulator& sim,
       // 2. Work conservation for the level (per-link load accumulated in the
       // epoch-stamped load_scratch_ arena; lambda is a min-fold over the
       // touched links, so touch order does not affect the result).
-      if (config_.work_conserving) {
-        load_scratch_.begin_pass(topo);
+      load_scratch_.begin_pass(topo);
+      for (std::uint32_t k = i; k < j; ++k) {
+        const netsim::Flow* f = members_[k].flow;
+        for (LinkId lid : f->path) load_scratch_.touch(lid) += f->remaining;
+      }
+      double lambda = kInf;
+      for (const std::uint32_t li : load_scratch_.touched()) {
+        const double bytes = load_scratch_.at(LinkId{li});
+        if (bytes <= 0.0) continue;
+        lambda = std::min(lambda, caps_.residual(LinkId{li}) / bytes);
+      }
+      if (std::isfinite(lambda) && lambda > 0.0) {
         for (std::uint32_t k = i; k < j; ++k) {
-          const netsim::Flow* f = members_[k].flow;
-          for (LinkId lid : f->path) load_scratch_.touch(lid) += f->remaining;
-        }
-        double lambda = kInf;
-        for (const std::uint32_t li : load_scratch_.touched()) {
-          const double bytes = load_scratch_.at(LinkId{li});
-          if (bytes <= 0.0) continue;
-          lambda = std::min(lambda, caps_.residual(LinkId{li}) / bytes);
-        }
-        if (std::isfinite(lambda) && lambda > 0.0) {
-          for (std::uint32_t k = i; k < j; ++k) {
-            netsim::Flow* f = members_[k].flow;
-            const double extra = f->remaining * lambda;
-            if (extra <= 0.0) continue;
-            f->rate_cap = *f->rate_cap + extra;
-            caps_.consume(*f, extra);
-          }
+          netsim::Flow* f = members_[k].flow;
+          const double extra = f->remaining * lambda;
+          if (extra <= 0.0) continue;
+          f->rate_cap = *f->rate_cap + extra;
+          caps_.consume(*f, extra);
         }
       }
       i = j;
@@ -229,16 +219,14 @@ void EchelonMaddScheduler::control(netsim::Simulator& sim,
   // grants capacity the level-proportional pass could not use, e.g. when one
   // member of a level is blocked by a higher-ranked EchelonFlow while the
   // others have idle ports.
-  if (config_.work_conserving) {
-    for (const std::uint32_t gi : order_) {
-      const Grp& g = groups_[gi];
-      for (std::uint32_t i = g.begin; i < g.end; ++i) {
-        netsim::Flow* f = members_[i].flow;
-        const double extra = caps_.path_residual(*f);
-        if (extra <= 0.0 || !std::isfinite(extra)) continue;
-        f->rate_cap = *f->rate_cap + extra;
-        caps_.consume(*f, extra);
-      }
+  for (const std::uint32_t gi : order_) {
+    const Grp& g = groups_[gi];
+    for (std::uint32_t i = g.begin; i < g.end; ++i) {
+      netsim::Flow* f = members_[i].flow;
+      const double extra = caps_.path_residual(*f);
+      if (extra <= 0.0 || !std::isfinite(extra)) continue;
+      f->rate_cap = *f->rate_cap + extra;
+      caps_.consume(*f, extra);
     }
   }
 }

@@ -64,31 +64,12 @@
 
 namespace echelon::ef {
 
-enum class InterRanking {
-  // Ascending achievable tardiness: clear the least-behind EchelonFlow first
-  // (SEBF analog; minimizes the Eq. 4 sum in the shortest-first sense).
-  kSmallestTardinessFirst,
-  // Descending: rescue the most-behind EchelonFlow first.
-  kLargestTardinessFirst,
-};
-
-struct EchelonMaddConfig {
-  bool work_conserving = true;
-  InterRanking ranking = InterRanking::kSmallestTardinessFirst;
-  // Weighted Eq. 4 variant: rank EchelonFlows by achievable tardiness scaled
-  // by 1/weight, so a weight-2 EchelonFlow is served as if its tardiness
-  // mattered twice as much. Weights come from the registry (paper: "should
-  // there be a proper way to assign weights to different DDLT jobs").
-  bool use_weights = false;
-};
-
 class EchelonMaddScheduler final : public netsim::NetworkScheduler {
  public:
   // `registry` provides arrangement functions and reference times; it must
   // outlive the scheduler and be attached to the same simulator.
-  explicit EchelonMaddScheduler(const Registry* registry,
-                                EchelonMaddConfig config = {})
-      : registry_(registry), config_(config) {}
+  explicit EchelonMaddScheduler(const Registry* registry)
+      : registry_(registry) {}
 
   void control(netsim::Simulator& sim,
                std::span<netsim::Flow*> active) override;
@@ -99,10 +80,9 @@ class EchelonMaddScheduler final : public netsim::NetworkScheduler {
   // An EchelonFlow (or singleton) as a [begin, end) range into members_.
   struct Grp {
     std::uint64_t key = 0;
-    double weight = 1.0;
     std::uint32_t begin = 0;
     std::uint32_t end = 0;
-    double rank_key = 0.0;
+    double tardiness = 0.0;  // standalone achievable tardiness: the rank
   };
   struct Member {
     netsim::Flow* flow = nullptr;
@@ -111,7 +91,6 @@ class EchelonMaddScheduler final : public netsim::NetworkScheduler {
   struct Resolved {
     std::uint64_t key;
     SimTime deadline;
-    double weight;
   };
   struct PerLink {  // EDF prefix state for min_uniform_tardiness
     double prefix_bytes = 0.0;
@@ -125,7 +104,6 @@ class EchelonMaddScheduler final : public netsim::NetworkScheduler {
                                const topology::Topology& topo);
 
   const Registry* registry_;
-  EchelonMaddConfig config_;
 
   // --- reusable per-pass arenas (allocation-free after warm-up) -------------
   EpochScratch<std::uint32_t> group_of_ef_;  // EchelonFlowId -> groups_ index

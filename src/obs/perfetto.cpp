@@ -229,8 +229,8 @@ std::size_t write_perfetto_trace(std::ostream& os, const TraceRecorder& rec,
   }
   meta("process_name", kControlPid, 0, false, "control plane");
   for (const TraceKind k :
-       {TraceKind::kControlPass, TraceKind::kAllocPass, TraceKind::kFaultFired,
-        TraceKind::kHeuristicRun, TraceKind::kReuseHit}) {
+       {TraceKind::kControlPass, TraceKind::kAllocPass,
+        TraceKind::kFaultFired}) {
     meta("thread_name", kControlPid, static_cast<std::uint64_t>(k), true,
          to_string(k));
   }
@@ -325,8 +325,6 @@ std::size_t write_perfetto_trace(std::ostream& os, const TraceRecorder& rec,
       case TraceKind::kControlPass:
       case TraceKind::kAllocPass:
       case TraceKind::kFaultFired:
-      case TraceKind::kHeuristicRun:
-      case TraceKind::kReuseHit:
         instant(ev, kControlPid, static_cast<std::uint64_t>(ev.kind),
                 "control",
                 std::string(to_string(ev.kind)) + " " + std::to_string(ev.id));

@@ -19,8 +19,6 @@ const char* to_string(TraceKind kind) noexcept {
     case TraceKind::kControlPass: return "control_pass";
     case TraceKind::kAllocPass: return "alloc_pass";
     case TraceKind::kFaultFired: return "fault_fired";
-    case TraceKind::kHeuristicRun: return "heuristic_run";
-    case TraceKind::kReuseHit: return "reuse_hit";
     case TraceKind::kCompFill: return "comp_fill";
     case TraceKind::kClassFill: return "class_fill";
   }

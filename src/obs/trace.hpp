@@ -2,9 +2,9 @@
 // (DESIGN.md §9).
 //
 // The data plane of observability is a stream of small fixed-size
-// TraceEvents emitted by the Simulator, RateAllocator, FaultInjector and
-// Coordinator at the instants something *happened*: a flow entered or left
-// the network, a control pass ran, a fault fired. Consumers implement
+// TraceEvents emitted by the Simulator, RateAllocator and FaultInjector at
+// the instants something *happened*: a flow entered or left the network, a
+// control pass ran, a fault fired. Consumers implement
 // TraceSink; the stock implementation is TraceRecorder, a bounded ring
 // buffer with drop-oldest overflow semantics and a label directory for
 // human-readable export (Perfetto, CSV).
@@ -48,8 +48,6 @@ enum class TraceKind : std::uint8_t {
   kControlPass,   // scheduler control() invocation (Simulator::reallocate)
   kAllocPass,     // RateAllocator pass (component count)
   kFaultFired,    // FaultPlan event applied (FaultInjector)
-  kHeuristicRun,  // Coordinator re-ran the scheduling heuristic
-  kReuseHit,      // Coordinator granted a cached (signature-keyed) decision
   kCompFill,      // RateAllocator water-filled one component (detail >= kFlow)
   kClassFill,     // equivalence-class count of that fill     (detail >= kFlow)
 };
@@ -88,8 +86,6 @@ enum class TraceDetail : std::uint8_t { kOff = 0, kCoarse = 1, kFlow = 2 };
 //   kControlPass  pass index    --         active flows     --
 //   kAllocPass    pass index    --         components seen  components filled
 //   kFaultFired   fault target  --         FaultKind        factor
-//   kHeuristicRun run index     --         active flows     --
-//   kReuseHit     flow id       job id     signature        granted rate B/s
 //   kCompFill     pass index    --         component id     member count
 //   kClassFill    pass index    --         component id     class count
 //

@@ -1,6 +1,8 @@
 #include "runtime/agent.hpp"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace echelon::runtime {
 
@@ -25,9 +27,18 @@ EchelonFlowId EchelonFlowAgent::register_echelonflow(
 FlowId EchelonFlowAgent::post_flow(EchelonFlowId ef, int index,
                                    netsim::Simulator::FlowCallback on_done) {
   const auto it = registrations_.find(ef.value());
-  assert(it != registrations_.end() && "post_flow before registration");
+  if (it == registrations_.end()) {
+    throw std::out_of_range("agent: post_flow for EchelonFlow " +
+                            std::to_string(ef.value()) +
+                            ", which this agent never registered");
+  }
   const EchelonFlowRequest& req = it->second.request;
-  assert(index >= 0 && index < static_cast<int>(req.flows.size()));
+  if (index < 0 || index >= static_cast<int>(req.flows.size())) {
+    throw std::out_of_range("agent: post_flow index " + std::to_string(index) +
+                            " outside EchelonFlow " +
+                            std::to_string(ef.value()) + "'s " +
+                            std::to_string(req.flows.size()) + " flows");
+  }
   const FlowInfo& info = req.flows[static_cast<std::size_t>(index)];
 
   netsim::FlowSpec spec{

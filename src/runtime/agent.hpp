@@ -37,7 +37,9 @@ class EchelonFlowAgent {
 
   // The framework calls this when member `index` of `ef` has data ready.
   // Returns the fabric-level flow id. `on_done` fires at completion (the
-  // agent's callback to the framework).
+  // agent's callback to the framework). Throws std::out_of_range, naming
+  // the id or index, for an EchelonFlow this agent did not register or an
+  // index outside its flows.
   FlowId post_flow(EchelonFlowId ef, int index,
                    netsim::Simulator::FlowCallback on_done = {});
 

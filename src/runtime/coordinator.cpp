@@ -8,7 +8,7 @@
 namespace echelon::runtime {
 
 Coordinator::Coordinator(netsim::Simulator* sim, CoordinatorConfig config)
-    : sim_(sim), config_(config), policy_(&registry_, config.policy) {
+    : sim_(sim), config_(config), policy_(&registry_) {
   assert(sim != nullptr);
   // A zero, negative or NaN interval would re-arm the boundary timer at
   // `now` forever.
@@ -22,9 +22,12 @@ Coordinator::Coordinator(netsim::Simulator* sim, CoordinatorConfig config)
 }
 
 EchelonFlowId Coordinator::accept_request(const EchelonFlowRequest& request) {
-  assert(static_cast<int>(request.flows.size()) ==
-             request.arrangement.size() &&
-         "per-flow info must match the arrangement cardinality");
+  if (static_cast<int>(request.flows.size()) != request.arrangement.size()) {
+    throw std::invalid_argument(
+        "coordinator: request '" + request.label + "' has " +
+        std::to_string(request.flows.size()) + " flows for an arrangement of " +
+        std::to_string(request.arrangement.size()));
+  }
   return registry_.create(request.job, request.arrangement, request.label,
                           request.weight);
 }
@@ -59,12 +62,6 @@ void Coordinator::control(netsim::Simulator& sim,
 
   if (config_.mode == SchedulingMode::kPerEvent || due) {
     policy_.control(sim, active);
-    if (trace_ != nullptr) {
-      trace_->record(obs::TraceEvent{.kind = obs::TraceKind::kHeuristicRun,
-                                     .t = sim.now(),
-                                     .id = heuristic_runs_,
-                                     .ctx = active.size()});
-    }
     ++heuristic_runs_;
     churn_ = false;
     seen_revision_ = revision;
@@ -93,15 +90,6 @@ void Coordinator::control(netsim::Simulator& sim,
           it != decision_cache_.end()) {
         f->rate_cap = it->second;
         ++reuse_hits_;
-        if (trace_ != nullptr) {
-          trace_->record(
-              obs::TraceEvent{.kind = obs::TraceKind::kReuseHit,
-                              .t = sim.now(),
-                              .id = f->id.value(),
-                              .job = f->spec.job.value(),
-                              .ctx = f->spec.signature,
-                              .value = it->second});
-        }
         continue;
       }
     }

@@ -28,7 +28,6 @@
 #include "echelon/registry.hpp"
 #include "netsim/scheduler.hpp"
 #include "netsim/simulator.hpp"
-#include "obs/trace.hpp"
 #include "runtime/api.hpp"
 
 namespace echelon::runtime {
@@ -39,7 +38,6 @@ struct CoordinatorConfig {
   SchedulingMode mode = SchedulingMode::kPerEvent;
   Duration interval = 10e-3;       // scheduling interval in kInterval mode
   bool iterative_reuse = false;    // signature-keyed decision cache
-  ef::EchelonMaddConfig policy;    // inner heuristic configuration
 };
 
 class Coordinator final : public netsim::NetworkScheduler {
@@ -56,15 +54,10 @@ class Coordinator final : public netsim::NetworkScheduler {
   }
 
   // Framework request path (used by agents): declares an EchelonFlow and
-  // returns its id for flow tagging.
+  // returns its id for flow tagging. Throws std::invalid_argument, naming
+  // both sizes, when request.flows does not hold one entry per member of
+  // the arrangement.
   EchelonFlowId accept_request(const EchelonFlowRequest& request);
-
-  // Observability (DESIGN.md §9): with a sink attached, every heuristic
-  // re-run emits kHeuristicRun (id = run index, ctx = active flows) and
-  // every signature-cache grant emits kReuseHit (id = flow, ctx = signature,
-  // value = granted rate). Read-only; nullptr (the default) detaches and
-  // costs one branch per site.
-  void set_trace(obs::TraceSink* sink) noexcept { trace_ = sink; }
 
   // --- NetworkScheduler -------------------------------------------------------
   void control(netsim::Simulator& sim,
@@ -110,7 +103,6 @@ class Coordinator final : public netsim::NetworkScheduler {
   CoordinatorConfig config_;
   ef::Registry registry_;
   ef::EchelonMaddScheduler policy_;
-  obs::TraceSink* trace_ = nullptr;  // null => zero-cost emission branches
 
   SimTime next_recompute_ = 0.0;
   bool timer_pending_ = false;

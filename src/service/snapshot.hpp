@@ -79,7 +79,9 @@ inline constexpr char kSnapshotMagic[8] = {'E', 'C', 'H', 'S', 'N', 'A', 'P',
 //      records the source (construction arguments, a trace file's digest)
 //      instead of its progress and pending arrival; kService keeps only the
 //      step counter; kVerify drops sched.scoped_passes and sched.pass_skips.
-inline constexpr std::uint32_t kSnapshotVersion = 10;
+// v11: kConfig's scheduler word stores kAalo as 5 (was 6): the coordinator
+//      scheduler kind is gone.
+inline constexpr std::uint32_t kSnapshotVersion = 11;
 
 // Thrown on any malformed, truncated, corrupt, or divergent snapshot. The
 // message always names what failed and where.

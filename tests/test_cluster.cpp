@@ -15,7 +15,6 @@
 #include "cluster/experiment.hpp"
 #include "cluster/stack.hpp"
 #include "cluster/trace.hpp"
-#include "faultsim/fault_plan.hpp"
 
 namespace echelon::cluster {
 namespace {
@@ -102,7 +101,7 @@ TEST(Experiment, AllJobsCompleteUnderEveryScheduler) {
   const auto jobs = small_trace();
   for (const SchedulerKind kind :
        {SchedulerKind::kFairSharing, SchedulerKind::kCoflowMadd,
-        SchedulerKind::kEchelonMadd, SchedulerKind::kCoordinator}) {
+        SchedulerKind::kEchelonMadd}) {
     ExperimentConfig cfg;
     cfg.scheduler = kind;
     cfg.hosts = 8;
@@ -166,22 +165,6 @@ TEST(Experiment, RejectsJobWiderThanFabric) {
   }
   jobs[2].ranks = 4;
   EXPECT_EQ(run_experiment(jobs, cfg).jobs.size(), jobs.size());
-}
-
-TEST(Experiment, CoordinatorIntervalModeReportsControlStats) {
-  const auto jobs = small_trace();
-  ExperimentConfig cfg;
-  cfg.scheduler = SchedulerKind::kCoordinator;
-  cfg.hosts = 8;
-  cfg.coordinator.mode = runtime::SchedulingMode::kInterval;
-  cfg.coordinator.interval = 1e-3;
-  cfg.coordinator.iterative_reuse = true;
-  const auto r = run_experiment(jobs, cfg);
-  EXPECT_EQ(r.jobs.size(), jobs.size());
-  EXPECT_GT(r.heuristic_runs, 0u);
-  // Interval mode must run the heuristic less often than the per-event
-  // control-invocation count.
-  EXPECT_LT(r.heuristic_runs, r.control_invocations);
 }
 
 TEST(Experiment, SrptSchedulerCompletesAllJobs) {
@@ -299,10 +282,9 @@ TEST(Experiment, RejectsFabricItCannotBuild) {
 
 // The one name table: every SchedulerKind comes back from its to_string()
 // name, every --scheduler name maps to its kind, and kAalo stays last so the
-// values v10 snapshots store do not move.
+// values v11 snapshots store do not move.
 TEST(SchedulerNames, FromStringRoundTripsEveryKind) {
-  EXPECT_EQ(static_cast<int>(SchedulerKind::kCoordinator), 5);
-  EXPECT_EQ(static_cast<int>(SchedulerKind::kAalo), 6);
+  EXPECT_EQ(static_cast<int>(SchedulerKind::kAalo), 5);
   for (int k = 0; k <= static_cast<int>(SchedulerKind::kAalo); ++k) {
     const auto kind = static_cast<SchedulerKind>(k);
     EXPECT_EQ(scheduler_from_string(to_string(kind)), kind) << k;
@@ -313,25 +295,21 @@ TEST(SchedulerNames, FromStringRoundTripsEveryKind) {
       {"aalo", SchedulerKind::kAalo},
       {"coflow", SchedulerKind::kCoflowMadd},
       {"sincronia", SchedulerKind::kSincronia},
-      {"echelonflow", SchedulerKind::kEchelonMadd},
-      {"coordinator", SchedulerKind::kCoordinator}};
+      {"echelonflow", SchedulerKind::kEchelonMadd}};
   for (const auto& [name, kind] : kFlagNames) {
     EXPECT_EQ(scheduler_from_string(name), kind) << name;
   }
-  for (const char* bad : {"", "Fair", "echelon", "all", "coflow "}) {
+  for (const char* bad :
+       {"", "Fair", "echelon", "all", "coflow ", "coordinator"}) {
     EXPECT_EQ(scheduler_from_string(bad), std::nullopt) << bad;
   }
 }
 
-TEST(SchedulerNames, MakePolicyBuildsEveryStandaloneKind) {
+TEST(SchedulerNames, MakePolicyBuildsEveryKind) {
   const ef::Registry registry;
   for (int k = 0; k <= static_cast<int>(SchedulerKind::kAalo); ++k) {
     const auto kind = static_cast<SchedulerKind>(k);
-    if (kind == SchedulerKind::kCoordinator) {
-      EXPECT_THROW((void)make_policy(kind, &registry), std::invalid_argument);
-    } else {
-      EXPECT_NE(make_policy(kind, &registry), nullptr) << to_string(kind);
-    }
+    EXPECT_NE(make_policy(kind, &registry), nullptr) << to_string(kind);
   }
 }
 
@@ -428,8 +406,10 @@ std::uint64_t result_digest(const ExperimentResult& r) {
   add_real(r.total_tardiness);
   add_real(r.weighted_total_tardiness);
   add(r.control_invocations);
-  add(r.heuristic_runs);
-  add(r.reuse_hits);
+  // Two zero words where the removed coordinator counters were, so the
+  // recorded digests keep their values.
+  add(0);
+  add(0);
   for (const JobMetrics& jm : r.jobs) {
     add(jm.job.value());
     for (const char c : jm.description) add(static_cast<unsigned char>(c));
@@ -457,70 +437,13 @@ TEST(Experiment, ArrivalsOutOfIndexOrderMatchRecordedDigest) {
   // arrival must keep EchelonFlowIds, WorkerIds and event order, so results
   // match to the bit even when arrivals are not sorted by job index.
   const auto jobs = reversed_arrival_trace();
-  const std::pair<SchedulerKind, std::uint64_t> cases[] = {
-      {SchedulerKind::kEchelonMadd, 0x4fc02f851ea036d7ull},
-      {SchedulerKind::kCoordinator, 0x3d18e71d0d45072aull},
-  };
-  for (const auto& [kind, expected] : cases) {
-    ExperimentConfig cfg;
-    cfg.scheduler = kind;
-    cfg.hosts = 8;
-    const ExperimentResult r = run_experiment(jobs, cfg);
-    EXPECT_EQ(result_digest(r), expected)
-        << to_string(kind) << " 0x" << std::hex << result_digest(r);
-    EXPECT_EQ(r.peak_live_workflows, jobs.size()) << to_string(kind);
-  }
-}
-
-// The interval Coordinator's heuristic-run and reuse-hit counts, pinned with
-// the rest of the result: its churn rule decides which boundaries re-run.
-TEST(Experiment, IntervalCoordinatorMatchesRecordedDigest) {
-  const auto jobs = small_trace();
-  const std::pair<bool, std::uint64_t> cases[] = {
-      {false, 0x315b385d989831f3ull},
-      {true, 0x0ffa0e4a708ce290ull},
-  };
-  for (const auto& [reuse, expected] : cases) {
-    ExperimentConfig cfg;
-    cfg.scheduler = SchedulerKind::kCoordinator;
-    cfg.hosts = 8;
-    cfg.coordinator.mode = runtime::SchedulingMode::kInterval;
-    cfg.coordinator.interval = 1e-3;
-    cfg.coordinator.iterative_reuse = reuse;
-    const ExperimentResult r = run_experiment(jobs, cfg);
-    EXPECT_EQ(result_digest(r), expected)
-        << "reuse " << reuse << " 0x" << std::hex << result_digest(r);
-  }
-}
-
-// small_trace()'s shape with 3- and 5-rank jobs: packed onto a 16-host
-// leaf-spine, some jobs straddle the two leaves and cross the spines.
-std::vector<JobSpec> straddling_trace() {
-  TraceConfig cfg = small_trace_config();
-  cfg.rank_choices = {3, 5};
-  return generate_trace(cfg);
-}
-
-// A leaf-spine uplink pair dies and returns mid-run: flows crossing it are
-// rerouted (or parked) and the interval Coordinator sees the churn.
-TEST(Experiment, IntervalCoordinatorUnderLinkFaultMatchesRecordedDigest) {
-  faultsim::FaultPlan plan;
-  // Links 0 and 1 are leaf0 <-> spine0 (make_leaf_spine adds uplinks first).
-  for (const std::uint64_t link : {0ull, 1ull}) {
-    plan.events.push_back({0.5, faultsim::FaultKind::kLinkDown, link, 1.0});
-    plan.events.push_back({0.7, faultsim::FaultKind::kLinkUp, link, 1.0});
-  }
   ExperimentConfig cfg;
-  cfg.scheduler = SchedulerKind::kCoordinator;
-  cfg.fabric = FabricKind::kLeafSpine;
-  cfg.hosts = 16;
-  cfg.coordinator.mode = runtime::SchedulingMode::kInterval;
-  cfg.coordinator.interval = 1e-3;
-  cfg.fault_plan = &plan;
-  const ExperimentResult r = run_experiment(straddling_trace(), cfg);
-  EXPECT_GT(r.flow_reroutes, 0u);
-  EXPECT_EQ(result_digest(r), 0x3ce78fa899240562ull)
+  cfg.scheduler = SchedulerKind::kEchelonMadd;
+  cfg.hosts = 8;
+  const ExperimentResult r = run_experiment(jobs, cfg);
+  EXPECT_EQ(result_digest(r), 0x4fc02f851ea036d7ull)
       << "0x" << std::hex << result_digest(r);
+  EXPECT_EQ(r.peak_live_workflows, jobs.size());
 }
 
 TEST(Experiment, SequentialJobsHoldOneWorkflow) {

@@ -93,26 +93,5 @@ TEST_F(CoflowFixture, DynamicArrivalRebalances) {
   EXPECT_NEAR(sim.flow(FlowId{1}).finish_time, 4.0, 1e-9);
 }
 
-TEST(CoflowMaddNonWorkConserving, LeavesSlackUnused) {
-  auto fabric = topology::make_big_switch(4, 10.0);
-  Simulator sim(&fabric.topo);
-  CoflowMaddScheduler sched({.work_conserving = false});
-  sim.set_scheduler(&sched);
-  // Single coflow bottlenecked on port 0->1 (40 bytes); the 2->3 member
-  // (10 bytes) is paced to the same Gamma even though its ports are idle.
-  const FlowId a = sim.submit_flow(FlowSpec{.src = fabric.hosts[0],
-                                            .dst = fabric.hosts[1],
-                                            .size = 40.0,
-                                            .group = EchelonFlowId{0}});
-  const FlowId b = sim.submit_flow(FlowSpec{.src = fabric.hosts[2],
-                                            .dst = fabric.hosts[3],
-                                            .size = 10.0,
-                                            .group = EchelonFlowId{0}});
-  sim.run();
-  EXPECT_NEAR(sim.flow(a).finish_time, 4.0, 1e-9);
-  EXPECT_NEAR(sim.flow(b).finish_time, 4.0, 1e-9);
-  EXPECT_NEAR(sim.flow(b).completion_time(), 4.0, 1e-9);
-}
-
 }  // namespace
 }  // namespace echelon::ef

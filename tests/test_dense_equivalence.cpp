@@ -322,8 +322,6 @@ class Srpt final : public netsim::NetworkScheduler {
 // --- seed Coflow-MADD (SEBF + MADD, std::map groups) ------------------------
 class CoflowMadd final : public netsim::NetworkScheduler {
  public:
-  explicit CoflowMadd(ef::CoflowMaddConfig config = {}) : config_(config) {}
-
   void control(Simulator& sim, std::span<Flow*> active) override {
     const topology::Topology& topo = sim.topology();
     struct Group {
@@ -394,48 +392,41 @@ class CoflowMadd final : public netsim::NetworkScheduler {
       }
     }
 
-    if (config_.work_conserving) {
-      for (auto it : order) {
-        Group& g = it->second;
-        std::unordered_map<std::uint64_t, double> load;
-        for (const Flow* f : g.flows) {
-          for (LinkId lid : f->path) load[lid.value()] += f->remaining;
-        }
-        double lambda = kInf;
-        for (const auto& [lid, bytes] : load) {
-          if (bytes <= 0.0) continue;
-          lambda = std::min(lambda, caps.residual(LinkId{lid}) / bytes);
-        }
-        if (!std::isfinite(lambda) || lambda < 0.0) lambda = 0.0;
-        for (Flow* f : g.flows) {
-          const double extra = f->remaining * lambda;
-          if (extra <= 0.0) continue;
-          f->rate_cap = *f->rate_cap + extra;
-          caps.consume(*f, extra);
-        }
+    for (auto it : order) {
+      Group& g = it->second;
+      std::unordered_map<std::uint64_t, double> load;
+      for (const Flow* f : g.flows) {
+        for (LinkId lid : f->path) load[lid.value()] += f->remaining;
       }
-      for (auto it : order) {
-        for (Flow* f : it->second.flows) {
-          const double extra = caps.path_residual(*f);
-          if (extra <= 0.0 || !std::isfinite(extra)) continue;
-          f->rate_cap = *f->rate_cap + extra;
-          caps.consume(*f, extra);
-        }
+      double lambda = kInf;
+      for (const auto& [lid, bytes] : load) {
+        if (bytes <= 0.0) continue;
+        lambda = std::min(lambda, caps.residual(LinkId{lid}) / bytes);
+      }
+      if (!std::isfinite(lambda) || lambda < 0.0) lambda = 0.0;
+      for (Flow* f : g.flows) {
+        const double extra = f->remaining * lambda;
+        if (extra <= 0.0) continue;
+        f->rate_cap = *f->rate_cap + extra;
+        caps.consume(*f, extra);
+      }
+    }
+    for (auto it : order) {
+      for (Flow* f : it->second.flows) {
+        const double extra = caps.path_residual(*f);
+        if (extra <= 0.0 || !std::isfinite(extra)) continue;
+        f->rate_cap = *f->rate_cap + extra;
+        caps.consume(*f, extra);
       }
     }
   }
   [[nodiscard]] std::string name() const override { return "ref-coflow"; }
-
- private:
-  ef::CoflowMaddConfig config_;
 };
 
 // --- seed EchelonFlow-MADD (std::map groups, per-pass sorts) ----------------
 class EchelonMadd final : public netsim::NetworkScheduler {
  public:
-  explicit EchelonMadd(const Registry* registry,
-                       ef::EchelonMaddConfig config = {})
-      : registry_(registry), config_(config) {}
+  explicit EchelonMadd(const Registry* registry) : registry_(registry) {}
 
   void control(Simulator& sim, std::span<Flow*> active) override {
     const topology::Topology& topo = sim.topology();
@@ -448,8 +439,6 @@ class EchelonMadd final : public netsim::NetworkScheduler {
     struct Group {
       std::vector<Member> members;
       double tardiness_standalone = 0.0;
-      double weight = 1.0;
-      double rank_key = 0.0;
     };
 
     auto min_uniform_tardiness = [&topo, now](const Group& g,
@@ -487,19 +476,15 @@ class EchelonMadd final : public netsim::NetworkScheduler {
       }
       std::uint64_t key = kSingletonBase | f->id.value();
       SimTime deadline = f->start_time;
-      double weight = 1.0;
       if (f->spec.group.valid() && registry_ != nullptr &&
           registry_->contains(f->spec.group)) {
         const ef::EchelonFlow& eflow = registry_->get(f->spec.group);
         if (const auto d = eflow.ideal_finish(f->spec.index_in_group)) {
           key = f->spec.group.value();
           deadline = *d;
-          weight = eflow.weight();
         }
       }
-      Group& g = groups[key];
-      g.members.push_back(Member{f, deadline});
-      g.weight = weight;
+      groups[key].members.push_back(Member{f, deadline});
     }
 
     std::vector<std::map<std::uint64_t, Group>::iterator> order;
@@ -511,19 +496,11 @@ class EchelonMadd final : public netsim::NetworkScheduler {
                          return a.deadline < b.deadline;
                        });
       g.tardiness_standalone = min_uniform_tardiness(g, nullptr);
-      g.rank_key = config_.use_weights && g.weight > 0.0
-                       ? g.tardiness_standalone / g.weight
-                       : g.tardiness_standalone;
       order.push_back(it);
     }
-    const bool smallest_first =
-        config_.ranking == ef::InterRanking::kSmallestTardinessFirst;
-    std::stable_sort(order.begin(), order.end(),
-                     [smallest_first](auto a, auto b) {
-                       const double ta = a->second.rank_key;
-                       const double tb = b->second.rank_key;
-                       return smallest_first ? ta < tb : ta > tb;
-                     });
+    std::stable_sort(order.begin(), order.end(), [](auto a, auto b) {
+      return a->second.tardiness_standalone < b->second.tardiness_standalone;
+    });
 
     ResidualCaps caps(&topo);
     for (auto it : order) {
@@ -548,39 +525,35 @@ class EchelonMadd final : public netsim::NetworkScheduler {
           f->rate_cap = rate;
           caps.consume(*f, rate);
         }
-        if (config_.work_conserving) {
-          std::unordered_map<std::uint64_t, double> load;
+        std::unordered_map<std::uint64_t, double> load;
+        for (std::size_t k = i; k < j; ++k) {
+          const Flow* f = g.members[k].flow;
+          for (LinkId lid : f->path) load[lid.value()] += f->remaining;
+        }
+        double lambda = kInf;
+        for (const auto& [lid, bytes] : load) {
+          if (bytes <= 0.0) continue;
+          lambda = std::min(lambda, caps.residual(LinkId{lid}) / bytes);
+        }
+        if (std::isfinite(lambda) && lambda > 0.0) {
           for (std::size_t k = i; k < j; ++k) {
-            const Flow* f = g.members[k].flow;
-            for (LinkId lid : f->path) load[lid.value()] += f->remaining;
-          }
-          double lambda = kInf;
-          for (const auto& [lid, bytes] : load) {
-            if (bytes <= 0.0) continue;
-            lambda = std::min(lambda, caps.residual(LinkId{lid}) / bytes);
-          }
-          if (std::isfinite(lambda) && lambda > 0.0) {
-            for (std::size_t k = i; k < j; ++k) {
-              Flow* f = g.members[k].flow;
-              const double extra = f->remaining * lambda;
-              if (extra <= 0.0) continue;
-              f->rate_cap = *f->rate_cap + extra;
-              caps.consume(*f, extra);
-            }
+            Flow* f = g.members[k].flow;
+            const double extra = f->remaining * lambda;
+            if (extra <= 0.0) continue;
+            f->rate_cap = *f->rate_cap + extra;
+            caps.consume(*f, extra);
           }
         }
         i = j;
       }
     }
 
-    if (config_.work_conserving) {
-      for (auto it : order) {
-        for (Member& m : it->second.members) {
-          const double extra = caps.path_residual(*m.flow);
-          if (extra <= 0.0 || !std::isfinite(extra)) continue;
-          m.flow->rate_cap = *m.flow->rate_cap + extra;
-          caps.consume(*m.flow, extra);
-        }
+    for (auto it : order) {
+      for (Member& m : it->second.members) {
+        const double extra = caps.path_residual(*m.flow);
+        if (extra <= 0.0 || !std::isfinite(extra)) continue;
+        m.flow->rate_cap = *m.flow->rate_cap + extra;
+        caps.consume(*m.flow, extra);
       }
     }
   }
@@ -588,7 +561,6 @@ class EchelonMadd final : public netsim::NetworkScheduler {
 
  private:
   const Registry* registry_;
-  ef::EchelonMaddConfig config_;
 };
 
 // --- seed Aalo (std::map groups, per-pass sort) -----------------------------
@@ -958,15 +930,6 @@ TEST(DenseEquivalence, SchedulersMatchSeedControlPasses) {
         ef::EchelonMaddScheduler s(sc.registry.get());
         ref::EchelonMadd r(sc.registry.get());
         compare_pass(fabric, sc, s, r, tag + " echelon");
-      }
-      {
-        // Alternate configuration knobs.
-        ef::EchelonMaddConfig cfg;
-        cfg.ranking = ef::InterRanking::kLargestTardinessFirst;
-        cfg.use_weights = true;
-        ef::EchelonMaddScheduler s(sc.registry.get(), cfg);
-        ref::EchelonMadd r(sc.registry.get(), cfg);
-        compare_pass(fabric, sc, s, r, tag + " echelon-alt");
       }
     }
   }

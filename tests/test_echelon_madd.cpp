@@ -108,20 +108,6 @@ TEST_F(EchelonFixture, SmallestTardinessFirstRanking) {
   EXPECT_NEAR(sim.flow(fb).finish_time, 9.0, 1e-9);
 }
 
-TEST_F(EchelonFixture, LargestTardinessFirstRankingInverts) {
-  EchelonMaddScheduler largest(
-      &registry, {.ranking = InterRanking::kLargestTardinessFirst});
-  sim.set_scheduler(&largest);
-  const EchelonFlowId big = registry.create(JobId{0}, Arrangement::coflow(1));
-  const EchelonFlowId small =
-      registry.create(JobId{1}, Arrangement::coflow(1));
-  const FlowId fb = submit(0, 1, 80.0, big, 0);
-  const FlowId fs = submit(0, 1, 10.0, small, 0);
-  sim.run();
-  EXPECT_NEAR(sim.flow(fb).finish_time, 8.0, 1e-9);
-  EXPECT_NEAR(sim.flow(fs).finish_time, 9.0, 1e-9);
-}
-
 TEST_F(EchelonFixture, WorkConservationAcrossEchelonFlows) {
   // EF A occupies ports 0->1; EF B on 2->3 must be unthrottled.
   const EchelonFlowId a = registry.create(JobId{0}, Arrangement::coflow(1));

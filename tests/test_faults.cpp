@@ -522,8 +522,7 @@ TEST(FaultProperties, EmptyPlanIsByteIdenticalToNoInjector) {
   const FaultPlan empty;
   for (const auto kind :
        {SchedulerKind::kFairSharing, SchedulerKind::kSrpt,
-        SchedulerKind::kCoflowMadd, SchedulerKind::kEchelonMadd,
-        SchedulerKind::kCoordinator}) {
+        SchedulerKind::kCoflowMadd, SchedulerKind::kEchelonMadd}) {
     for (const auto fabric : {FabricKind::kBigSwitch, FabricKind::kLeafSpine}) {
       SCOPED_TRACE(std::string(cluster::to_string(kind)) + " / " +
                    (fabric == FabricKind::kBigSwitch ? "bigswitch"
@@ -585,8 +584,7 @@ TEST(ChaosDifferential, CertifiedUnderChaos) {
   const auto fabric = eqh::run_cluster_fabric(FabricKind::kLeafSpine);
   const SchedulerKind kinds[] = {
       SchedulerKind::kFairSharing, SchedulerKind::kSrpt,
-      SchedulerKind::kCoflowMadd, SchedulerKind::kEchelonMadd,
-      SchedulerKind::kCoordinator};
+      SchedulerKind::kCoflowMadd, SchedulerKind::kEchelonMadd};
 
   certify::Report total;
   for (int s = 0; s < seeds; ++s) {
@@ -655,8 +653,8 @@ TEST(ChaosDifferential, CrossSpineJobsCertifiedUnderNodeFaults) {
   const FaultPlan plan = faultsim::from_chaos(p, fabric.topo, 0, jobs.size());
 
   // Fair sharing leaves flows below any cap; SRPT and EchelonFlow-MADD cap
-  // every flow (the MADD family and the Coordinator share that shape and
-  // run the chaos grid above).
+  // every flow (the MADD family shares that shape and runs the chaos grid
+  // above).
   certify::Report total;
   for (const auto kind : {SchedulerKind::kFairSharing, SchedulerKind::kSrpt,
                           SchedulerKind::kEchelonMadd}) {

@@ -234,7 +234,7 @@ TEST(TraceCountsTest, CoarseDetailOmitsFlowAndTaskEvents) {
 
 TEST(PerfettoTest, RoundTripCountsMatchRecorder) {
   const auto jobs = eqh::small_trace(/*seed=*/17);
-  eqh::RunSpec spec;  // echelonflow-madd: no coordinator events
+  eqh::RunSpec spec;  // echelonflow-madd
   obs::TraceRecorder rec;
   obs::MetricsRegistry metrics;
   (void)run_traced(jobs, spec, &rec, TraceDetail::kFlow, &metrics);

@@ -100,7 +100,7 @@ INSTANTIATE_TEST_SUITE_P(
                           SchedulerKind::kCoflowMadd,
                           SchedulerKind::kSincronia,
                           SchedulerKind::kEchelonMadd,
-                          SchedulerKind::kCoordinator, SchedulerKind::kAalo)));
+                          SchedulerKind::kAalo)));
 
 // ---------------------------------------------------------------------------
 // Single-bottleneck dominance: the simulated EchelonFlow scheduler realizes

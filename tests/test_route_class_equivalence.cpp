@@ -444,8 +444,7 @@ TEST(RouteClassChaos, HundredFlapHeavyPlansCertified) {
   const auto fabric = eqh::run_cluster_fabric(FabricKind::kLeafSpine);
   const SchedulerKind kinds[] = {
       SchedulerKind::kFairSharing, SchedulerKind::kSrpt,
-      SchedulerKind::kCoflowMadd, SchedulerKind::kEchelonMadd,
-      SchedulerKind::kCoordinator};
+      SchedulerKind::kCoflowMadd, SchedulerKind::kEchelonMadd};
 
   certify::Report total;
   for (int s = 0; s < seeds; ++s) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "netsim/simulator.hpp"
 #include "runtime/agent.hpp"
 #include "runtime/backend.hpp"
@@ -150,6 +153,93 @@ TEST_F(RuntimeFixture, IterativeReuseGrantsCachedRates) {
   // The cached decision was full rate -> finishes at 3.0 without waiting
   // for the t=5 recompute.
   EXPECT_NEAR(sim.flow(FlowId{1}).finish_time, 3.0, 1e-9);
+}
+
+TEST_F(RuntimeFixture, NameCarriesTheOperatingPoint) {
+  EXPECT_EQ(Coordinator(&sim).name(), "coordinator[echelonflow-madd]");
+  EXPECT_EQ(Coordinator(&sim, {.mode = SchedulingMode::kInterval}).name(),
+            "coordinator[echelonflow-madd,interval]");
+  EXPECT_EQ(Coordinator(&sim, {.mode = SchedulingMode::kInterval,
+                               .iterative_reuse = true})
+                .name(),
+            "coordinator[echelonflow-madd,interval+reuse]");
+}
+
+// A fault-driven topology change drops the signature cache: a later arrival
+// with a cached signature waits for the next boundary instead of replaying a
+// rate granted against the old capacities.
+TEST_F(RuntimeFixture, TopologyChangeDropsReuseCache) {
+  Coordinator coord(&sim, {.mode = SchedulingMode::kInterval,
+                           .interval = 5.0,
+                           .iterative_reuse = true});
+  sim.set_scheduler(&coord);
+  EchelonFlowAgent agent(&sim, &coord, JobId{0});
+  const EchelonFlowId ef1 = agent.register_echelonflow(
+      pipeline_request(fabric, 1, 0.5, 10.0, /*sig=*/100));
+  agent.post_flow(ef1, 0);  // cached by the t=0 recompute
+  sim.schedule_at(0.5, [](Simulator& s) { s.notify_topology_change(); });
+  sim.schedule_at(2.0, [&](Simulator&) {
+    const EchelonFlowId ef2 = agent.register_echelonflow(
+        pipeline_request(fabric, 1, 0.5, 10.0, /*sig=*/100));
+    agent.post_flow(ef2, 0);
+  });
+  sim.run();
+  EXPECT_EQ(coord.reuse_hits(), 0u);
+  EXPECT_EQ(coord.deferred_flows(), 1u);
+  // Parked from t=2 to the t=5 boundary, then one second at full rate.
+  EXPECT_NEAR(sim.flow(FlowId{1}).finish_time, 6.0, 1e-9);
+}
+
+// The framework API checks its arguments in every build: an unregistered
+// EchelonFlow or an index outside its flows throws naming it, and a request
+// whose flow list does not match its arrangement registers nothing.
+TEST_F(RuntimeFixture, AgentRejectsUnregisteredEchelonFlow) {
+  Coordinator coord(&sim);
+  EchelonFlowAgent agent(&sim, &coord, JobId{0});
+  try {
+    (void)agent.post_flow(EchelonFlowId{7}, 0);
+    ADD_FAILURE() << "posted a flow of an unregistered EchelonFlow";
+  } catch (const std::out_of_range& e) {
+    EXPECT_NE(std::string(e.what()).find("EchelonFlow 7"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(agent.posted_flows(), 0u);
+  EXPECT_EQ(sim.flow_count(), 0u);
+}
+
+TEST_F(RuntimeFixture, AgentRejectsIndexOutsideFlows) {
+  Coordinator coord(&sim);
+  EchelonFlowAgent agent(&sim, &coord, JobId{0});
+  const EchelonFlowId ef =
+      agent.register_echelonflow(pipeline_request(fabric, 2, 1.0, 20.0));
+  for (const int index : {2, -1}) {
+    try {
+      (void)agent.post_flow(ef, index);
+      ADD_FAILURE() << "posted index " << index;
+    } catch (const std::out_of_range& e) {
+      EXPECT_NE(std::string(e.what()).find("index " + std::to_string(index)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(agent.posted_flows(), 0u);
+  EXPECT_EQ(sim.flow_count(), 0u);
+}
+
+TEST_F(RuntimeFixture, CoordinatorRejectsFlowCountMismatch) {
+  Coordinator coord(&sim);
+  EchelonFlowRequest req = pipeline_request(fabric, 3, 1.0, 20.0);
+  req.flows.pop_back();
+  try {
+    (void)coord.accept_request(req);
+    ADD_FAILURE() << "registered 2 flows for a 3-flow arrangement";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "has 2 flows for an arrangement of 3"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(coord.registry().size(), 0u);
 }
 
 TEST_F(RuntimeFixture, PriorityQueueEnforcerQuantizesToWeights) {

@@ -39,6 +39,7 @@
 #include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -429,7 +430,7 @@ TEST(ServiceFuzz, CrashResumeManySeededRuns) {
   constexpr SchedulerKind kKinds[] = {
       SchedulerKind::kFairSharing, SchedulerKind::kSrpt,
       SchedulerKind::kCoflowMadd,  SchedulerKind::kSincronia,
-      SchedulerKind::kEchelonMadd, SchedulerKind::kCoordinator};
+      SchedulerKind::kEchelonMadd, SchedulerKind::kAalo};
   constexpr FabricKind kFabrics[] = {FabricKind::kBigSwitch,
                                      FabricKind::kLeafSpine};
 
@@ -439,8 +440,9 @@ TEST(ServiceFuzz, CrashResumeManySeededRuns) {
     const int burst = (s % 3 == 2) ? 2 : 0;
 
     ServiceSpec spec;
-    spec.scheduler = kKinds[s % 6];
-    spec.fabric = kFabrics[(s / 6) % 2];
+    spec.scheduler = kKinds[static_cast<std::size_t>(s) % std::size(kKinds)];
+    spec.fabric = kFabrics[(static_cast<std::size_t>(s) / std::size(kKinds)) %
+                           std::size(kFabrics)];
     switch (s % 4) {
       case 0:
         spec.admission.policy = AdmissionPolicy::kAcceptAll;
@@ -579,14 +581,14 @@ TEST_F(CorruptSnapshotTest, HeaderAndVersionMutationsFailTheirOwnChecks) {
               std::string::npos);
   }
   {
-    // v9 files carry a JobSpec per journal entry and the generator's
-    // progress that v10 dropped; v10 readers reject them up front, naming
-    // the version, instead of misreading every later section.
-    static_assert(service::kSnapshotVersion == 10);
+    // v10 files store kAalo as scheduler 6, which v11 renumbered to 5;
+    // v11 readers reject them up front, naming the version, instead of
+    // restoring the wrong scheduler.
+    static_assert(service::kSnapshotVersion == 11);
     std::string m = bytes_;
-    m[8] = 9;
+    m[8] = 10;
     EXPECT_NE(expect_snapshot_error(restamp(m))
-                  .find("unsupported version 9 (expected 10)"),
+                  .find("unsupported version 10 (expected 11)"),
               std::string::npos);
   }
   {

@@ -426,23 +426,27 @@ TEST(TelemetryChunks, TruncatedChunkStreamFailsLoudly) {
   std::istringstream garbage("ECHGARBAGE 1\n");
   EXPECT_THROW((void)obs::merge_trace_chunks(garbage, sink),
                std::runtime_error);
-  // Kind 16 (class_fill) is the last kind; 17 was the retired sched_pass.
-  std::istringstream last("ECHCHUNK 1\nE 16 0 0 0 0 0\n");
+  // The last kind merges; the first value past it (the retired sched_pass
+  // or anything later) does not.
+  const std::string last_kind = std::to_string(obs::kTraceKindCount - 1);
+  const std::string past_last = std::to_string(obs::kTraceKindCount);
+  std::istringstream last("ECHCHUNK 1\nE " + last_kind + " 0 0 0 0 0\n");
   EXPECT_EQ(obs::merge_trace_chunks(last, sink), 1u);
-  std::istringstream retired("ECHCHUNK 1\nE 17 0 0 0 0 0\n");
+  std::istringstream retired("ECHCHUNK 1\nE " + past_last + " 0 0 0 0 0\n");
   EXPECT_THROW((void)obs::merge_trace_chunks(retired, sink),
                std::runtime_error);
   // Every field is one whole token: partial numbers, signs, trailing
   // content and "0x" prefixes on the hex bit images all fail.
-  for (const char* bad : {
-           "ECHCHUNK 1x\nE 16 0 0 0 0 0\n",
-           "ECHCHUNK +1\nE 16 0 0 0 0 0\n",
-           "ECHCHUNK 1 trailing\nE 16 0 0 0 0 0\n",
-           "ECHCHUNK 1\nE 16 0 0 0 0 0 junk\n",
-           "ECHCHUNK 1\nE 16 0 -1 0 0 0\n",
-           "ECHCHUNK 1\nE 16 0 +1 0 0 0\n",
-           "ECHCHUNK 1\nE 16 0x0 0 0 0 0\n",
-           "ECHCHUNK 1\nE 16 0 0 0 0 0x\n",
+  const std::string e = "E " + last_kind;
+  for (const std::string& bad : {
+           "ECHCHUNK 1x\n" + e + " 0 0 0 0 0\n",
+           "ECHCHUNK +1\n" + e + " 0 0 0 0 0\n",
+           "ECHCHUNK 1 trailing\n" + e + " 0 0 0 0 0\n",
+           "ECHCHUNK 1\n" + e + " 0 0 0 0 0 junk\n",
+           "ECHCHUNK 1\n" + e + " 0 -1 0 0 0\n",
+           "ECHCHUNK 1\n" + e + " 0 +1 0 0 0\n",
+           "ECHCHUNK 1\n" + e + " 0x0 0 0 0 0\n",
+           "ECHCHUNK 1\n" + e + " 0 0 0 0 0x\n",
        }) {
     std::istringstream in(bad);
     EXPECT_THROW((void)obs::merge_trace_chunks(in, sink), std::runtime_error)

@@ -10,7 +10,7 @@
 // EchelonFlow's tardiness matches Eq. 2 rebuilt from raw start and finish
 // events (shared scaffolding lives in tests/equivalence_harness.hpp):
 //
-//   1. Randomized cluster-shaped runs across all six SchedulerKinds on both
+//   1. Randomized cluster-shaped runs across five SchedulerKinds on both
 //      big-switch and leaf-spine fabrics, driven through ServiceLoop.
 //   2. Randomized simulator-level scenarios (timers + staggered flow
 //      submissions), including run(deadline) stepping, which exercises the
@@ -156,8 +156,7 @@ std::vector<cluster::SweepPoint> make_sweep_points() {
   std::vector<cluster::SweepPoint> points;
   for (const auto kind :
        {SchedulerKind::kFairSharing, SchedulerKind::kSrpt,
-        SchedulerKind::kCoflowMadd, SchedulerKind::kEchelonMadd,
-        SchedulerKind::kCoordinator}) {
+        SchedulerKind::kCoflowMadd, SchedulerKind::kEchelonMadd}) {
     ExperimentConfig cfg;
     cfg.scheduler = kind;
     cfg.hosts = 16;

@@ -10,7 +10,7 @@
 //
 // Every subcommand runs its jobs on a cluster::Stack (DESIGN.md §13), which
 // owns the one scheduler table: --scheduler takes
-//   fair|srpt|aalo|coflow|sincronia|echelonflow|coordinator
+//   fair|srpt|aalo|coflow|sincronia|echelonflow
 // in `single`, `cluster` and `serve` alike. A job the Stack cannot place
 // (too few ranks, iterations, micro-batches or layers, buckets outside the
 // layers, more ranks than hosts) exits 2 naming the field.
@@ -154,7 +154,7 @@ using namespace echelon;
 
 // The names cluster::scheduler_from_string takes, for error messages.
 constexpr const char* kSchedulers =
-    "fair|srpt|aalo|coflow|sincronia|echelonflow|coordinator";
+    "fair|srpt|aalo|coflow|sincronia|echelonflow";
 
 // What a flag takes: nothing (a switch), free text, or a number that must
 // parse in full. A count is an integer that must also be >= 0.
