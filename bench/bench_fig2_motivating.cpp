@@ -63,13 +63,12 @@ PanelResult run_panel(const std::string& which) {
     const auto u = static_cast<std::size_t>(i);
     const auto p =
         wf.add_compute(w0, 1.0, "f.s0.mb" + std::to_string(i));
-    flows[u] = wf.add_flow(netsim::FlowSpec{
-        .src = fabric.hosts[0],
-        .dst = fabric.hosts[1],
-        .size = 2.0,
-        .group = ef,
-        .index_in_group = i,
-        .label = "act" + std::to_string(i)});
+    flows[u] = wf.add_flow(netsim::FlowSpec{.src = fabric.hosts[0],
+                                            .dst = fabric.hosts[1],
+                                            .size = 2.0,
+                                            .group = ef,
+                                            .index_in_group = i},
+                           "act" + std::to_string(i));
     consumer[u] = wf.add_compute(w1, 1.0, "f.s1.mb" + std::to_string(i));
     wf.add_dep(p, flows[u]);
     wf.add_dep(flows[u], consumer[u]);

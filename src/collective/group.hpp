@@ -7,6 +7,8 @@
 
 #pragma once
 
+#include <charconv>
+#include <string>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -53,5 +55,14 @@ struct FlowTag {
     ++next_index;
   }
 };
+
+// Appends the decimal form of `v` to `out`, as `out += std::to_string(v)`
+// would, without the temporary. Collective helpers format every flow label
+// in one reused buffer: truncate it to the collective's label, then append.
+inline void append_number(std::string& out, std::size_t v) {
+  char digits[20];
+  const auto end = std::to_chars(digits, digits + sizeof digits, v).ptr;
+  out.append(digits, end);
+}
 
 }  // namespace echelon::collective

@@ -24,18 +24,21 @@ CollectiveHandles hd_phase(netsim::Workflow& wf,
   h.done = wf.add_barrier(label + ".done");
 
   std::vector<netsim::WfNodeId> prev(m);
+  std::string name = label;
   for (int k = 0; k < rounds; ++k) {
     const std::size_t dist = distance(k);
     std::vector<netsim::WfNodeId> cur(m);
     for (std::size_t i = 0; i < m; ++i) {
       const std::size_t partner = i ^ dist;
-      netsim::FlowSpec spec{.src = hosts[i],
-                            .dst = hosts[partner],
-                            .size = bytes(k),
-                            .label = label + ".r" + std::to_string(k) +
-                                     ".n" + std::to_string(i)};
+      netsim::FlowSpec spec{
+          .src = hosts[i], .dst = hosts[partner], .size = bytes(k)};
       tag.stamp(spec);
-      cur[i] = wf.add_flow(std::move(spec));
+      name.resize(label.size());
+      name += ".r";
+      append_number(name, static_cast<std::size_t>(k));
+      name += ".n";
+      append_number(name, i);
+      cur[i] = wf.add_flow(spec, name);
       if (k == 0) {
         wf.add_dep(h.start, cur[i]);
       } else {

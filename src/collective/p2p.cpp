@@ -9,9 +9,9 @@ CollectiveHandles p2p(netsim::Workflow& wf, NodeId src, NodeId dst,
   CollectiveHandles h;
   h.start = wf.add_barrier(label + ".start");
   h.done = wf.add_barrier(label + ".done");
-  netsim::FlowSpec spec{.src = src, .dst = dst, .size = bytes, .label = label};
+  netsim::FlowSpec spec{.src = src, .dst = dst, .size = bytes};
   tag.stamp(spec);
-  const netsim::WfNodeId fn = wf.add_flow(std::move(spec));
+  const netsim::WfNodeId fn = wf.add_flow(spec, label);
   wf.add_dep(h.start, fn);
   wf.add_dep(fn, h.done);
   h.flow_nodes.push_back(fn);
@@ -26,16 +26,19 @@ CollectiveHandles all_to_all(netsim::Workflow& wf,
   CollectiveHandles h;
   h.start = wf.add_barrier(label + ".start");
   h.done = wf.add_barrier(label + ".done");
+  std::string name = label;
   for (std::size_t i = 0; i < hosts.size(); ++i) {
     for (std::size_t j = 0; j < hosts.size(); ++j) {
       if (i == j) continue;
       netsim::FlowSpec spec{
-          .src = hosts[i],
-          .dst = hosts[j],
-          .size = bytes_per_pair,
-          .label = label + "." + std::to_string(i) + ">" + std::to_string(j)};
+          .src = hosts[i], .dst = hosts[j], .size = bytes_per_pair};
       tag.stamp(spec);
-      const netsim::WfNodeId fn = wf.add_flow(std::move(spec));
+      name.resize(label.size());
+      name += '.';
+      append_number(name, i);
+      name += '>';
+      append_number(name, j);
+      const netsim::WfNodeId fn = wf.add_flow(spec, name);
       wf.add_dep(h.start, fn);
       wf.add_dep(fn, h.done);
       h.flow_nodes.push_back(fn);

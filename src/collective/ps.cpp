@@ -14,14 +14,16 @@ CollectiveHandles star(netsim::Workflow& wf,
   CollectiveHandles h;
   h.start = wf.add_barrier(label + ".start");
   h.done = wf.add_barrier(label + ".done");
+  std::string name = label;
   for (std::size_t i = 0; i < workers.size(); ++i) {
-    netsim::FlowSpec spec{
-        .src = to_hub ? workers[i] : hub,
-        .dst = to_hub ? hub : workers[i],
-        .size = bytes,
-        .label = label + ".n" + std::to_string(i)};
+    netsim::FlowSpec spec{.src = to_hub ? workers[i] : hub,
+                          .dst = to_hub ? hub : workers[i],
+                          .size = bytes};
     tag.stamp(spec);
-    const netsim::WfNodeId fn = wf.add_flow(std::move(spec));
+    name.resize(label.size());
+    name += ".n";
+    append_number(name, i);
+    const netsim::WfNodeId fn = wf.add_flow(spec, name);
     wf.add_dep(h.start, fn);
     wf.add_dep(fn, h.done);
     h.flow_nodes.push_back(fn);

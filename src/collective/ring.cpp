@@ -25,19 +25,19 @@ CollectiveHandles ring_phase(netsim::Workflow& wf,
   // step; host i's send in the next step waits on the chunk it received,
   // i.e. on the previous send of its ring predecessor.
   std::vector<netsim::WfNodeId> prev_step(m);
+  std::string name = label;
   for (std::size_t step = 0; step + 1 < m; ++step) {
     std::vector<netsim::WfNodeId> cur(m);
     for (std::size_t i = 0; i < m; ++i) {
-      const NodeId src = hosts[i];
-      const NodeId dst = hosts[(i + 1) % m];
       netsim::FlowSpec spec{
-          .src = src,
-          .dst = dst,
-          .size = chunk,
-          .label = label + ".s" + std::to_string(step) + ".n" +
-                   std::to_string(i)};
+          .src = hosts[i], .dst = hosts[(i + 1) % m], .size = chunk};
       tag.stamp(spec);
-      cur[i] = wf.add_flow(std::move(spec));
+      name.resize(label.size());
+      name += ".s";
+      append_number(name, step);
+      name += ".n";
+      append_number(name, i);
+      cur[i] = wf.add_flow(spec, name);
       if (step == 0) {
         wf.add_dep(h.start, cur[i]);
       } else {

@@ -25,16 +25,18 @@ CollectiveHandles tree_broadcast(netsim::Workflow& wf,
 
   // recv_node[i]: the flow that delivers the payload to rank i.
   std::vector<netsim::WfNodeId> recv_node(m);
+  std::string name = label + ".bc.n";
+  const std::size_t prefix = name.size();
   // Process ranks in increasing order: a rank's parent (i - lowbit(i)) is
   // always smaller, so its delivering flow exists by the time we need it.
   for (std::size_t i = 1; i < m; ++i) {
     const std::size_t parent = i - lowest_bit(i);
-    netsim::FlowSpec spec{.src = hosts[parent],
-                          .dst = hosts[i],
-                          .size = data_bytes,
-                          .label = label + ".bc.n" + std::to_string(i)};
+    netsim::FlowSpec spec{
+        .src = hosts[parent], .dst = hosts[i], .size = data_bytes};
     tag.stamp(spec);
-    recv_node[i] = wf.add_flow(std::move(spec));
+    name.resize(prefix);
+    append_number(name, i);
+    recv_node[i] = wf.add_flow(spec, name);
     if (parent == 0) {
       wf.add_dep(h.start, recv_node[i]);
     } else {
@@ -60,14 +62,16 @@ CollectiveHandles tree_reduce(netsim::Workflow& wf,
   // its parent, after receiving from all of its own children. Children of i
   // are i + 2^k for 2^k < lowbit(i) (or < m for the root).
   std::vector<netsim::WfNodeId> send_node(m);
+  std::string name = label + ".rd.n";
+  const std::size_t prefix = name.size();
   for (std::size_t i = m; i-- > 1;) {
     const std::size_t parent = i - lowest_bit(i);
-    netsim::FlowSpec spec{.src = hosts[i],
-                          .dst = hosts[parent],
-                          .size = data_bytes,
-                          .label = label + ".rd.n" + std::to_string(i)};
+    netsim::FlowSpec spec{
+        .src = hosts[i], .dst = hosts[parent], .size = data_bytes};
     tag.stamp(spec);
-    send_node[i] = wf.add_flow(std::move(spec));
+    name.resize(prefix);
+    append_number(name, i);
+    send_node[i] = wf.add_flow(spec, name);
     wf.add_dep(h.start, send_node[i]);
     wf.add_dep(send_node[i], h.done);
     h.flow_nodes.push_back(send_node[i]);

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <optional>
-#include <string>
 
 #include "common/ids.hpp"
 #include "common/time.hpp"
@@ -17,7 +16,9 @@ namespace echelon::netsim {
 // floating-point error.
 inline constexpr Bytes kBytesEpsilon = 1e-6;
 
-// Immutable description of a flow, provided at submission time.
+// Immutable description of a flow, provided at submission time. Trivially
+// copyable: the human-readable label is not part of the spec but an argument
+// of Simulator::submit_flow, used only for tracing.
 struct FlowSpec {
   NodeId src;
   NodeId dst;
@@ -27,7 +28,6 @@ struct FlowSpec {
   JobId job;                    // owning training job (optional)
   EchelonFlowId group;          // owning EchelonFlow (optional)
   int index_in_group = 0;       // position within the EchelonFlow
-  std::string label;            // human-readable tag for traces
 
   // Structural identity stable across training iterations (same position in
   // the workflow => same signature). Lets the coordinator reuse scheduling

@@ -240,15 +240,16 @@ void Simulator::finish_task(TaskId id) {
   tasks_.retire(id.value());
 }
 
-FlowId Simulator::submit_flow(FlowSpec spec, FlowCallback on_done) {
+FlowId Simulator::submit_flow(FlowSpec spec, FlowCallback on_done,
+                              std::string_view label) {
   const FlowId id{flows_.size()};
   Flow f;
   f.id = id;
-  f.spec = std::move(spec);
+  f.spec = spec;
   f.remaining = f.spec.size;
   f.start_time = now_;
   if (tracing(obs::TraceDetail::kFlow)) {
-    trace_flow(obs::TraceKind::kFlowSubmit, f, f.spec.size, f.spec.label);
+    trace_flow(obs::TraceKind::kFlowSubmit, f, f.spec.size, label);
   }
   if (f.spec.src != f.spec.dst) {
     // Route through the interned cache: the hint (when set) replaces the
@@ -267,6 +268,10 @@ FlowId Simulator::submit_flow(FlowSpec spec, FlowCallback on_done) {
         // notification, start_time is fixed on its first real entry.
         f.state = FlowState::kParked;
         store_flow(std::move(f), std::move(on_done));
+        // Its kFlowStart comes at entry, after the caller's label is gone.
+        if (tracing(obs::TraceDetail::kFlow)) {
+          parked_labels_.emplace(id, label);
+        }
         UnroutableHandler handler = unroutable_handler_;  // reentrancy-safe
         handler(*this, id);
         return id;
@@ -276,7 +281,7 @@ FlowId Simulator::submit_flow(FlowSpec spec, FlowCallback on_done) {
       // must not vanish in release builds the way the old assert did.
       ECHELON_LOG(kError) << "submit_flow: no route from node "
                           << f.spec.src.value() << " to node "
-                          << f.spec.dst.value() << " (flow '" << f.spec.label
+                          << f.spec.dst.value() << " (flow '" << label
                           << "')";
       throw std::invalid_argument(
           "Simulator::submit_flow: no route from node " +
@@ -291,7 +296,7 @@ FlowId Simulator::submit_flow(FlowSpec spec, FlowCallback on_done) {
   // valid across them.
   Flow& fr = store_flow(std::move(f), std::move(on_done));
   if (tracing(obs::TraceDetail::kFlow)) {
-    trace_flow(obs::TraceKind::kFlowStart, fr, fr.spec.size, fr.spec.label);
+    trace_flow(obs::TraceKind::kFlowStart, fr, fr.spec.size, label);
   }
 
   for (const FlowCallback& cb : flow_arrival_listeners_) cb(*this, fr);
@@ -486,7 +491,7 @@ void Simulator::complete_flow(FlowId id, bool notify_scheduler) {
     m_flow_completion_->observe(f.finish_time - f.start_time);
   }
 
-  ECHELON_LOG(kDebug) << "flow " << f.spec.label << " done at " << now_;
+  ECHELON_LOG(kDebug) << "flow " << id << " done at " << now_;
 
   // Canonical departure order: scheduler hook, then the per-flow callback,
   // then global listeners. Callbacks may submit flows; flows_ never moves a
@@ -590,8 +595,11 @@ void Simulator::resume_flow(FlowId id, const topology::Path& path) {
     // start time and fire the arrival listeners the submission path skipped.
     f.entered = true;
     f.start_time = now_;
+    const auto parked = parked_labels_.extract(id);
     if (tracing(obs::TraceDetail::kFlow)) {
-      trace_flow(obs::TraceKind::kFlowStart, f, f.remaining, f.spec.label);
+      trace_flow(obs::TraceKind::kFlowStart, f, f.remaining,
+                 parked.empty() ? std::string_view{}
+                                : std::string_view(parked.mapped()));
     }
     // Listeners may submit flows; `f` stays valid (flows_ never moves it).
     for (const FlowCallback& cb : flow_arrival_listeners_) cb(*this, f);
@@ -647,6 +655,7 @@ void Simulator::abandon_flow(FlowId id) {
     // never joins the active set and the scheduler is never notified.
     f.entered = true;
     f.start_time = now_;
+    parked_labels_.erase(id);
     // Listeners may submit flows; `f` stays valid (flows_ never moves it).
     for (const FlowCallback& cb : flow_arrival_listeners_) cb(*this, f);
   }

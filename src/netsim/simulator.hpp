@@ -35,6 +35,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/chunked_store.hpp"
@@ -153,8 +154,12 @@ class Simulator {
   // chunk finished too (DESIGN.md §6). So references returned by
   // flow()/task() -- and the records hooks receive -- stay valid until the
   // record finishes; after that, check flow_resident() first, or read
-  // finish_time(), which outlives the record.
-  FlowId submit_flow(FlowSpec spec, FlowCallback on_done = {});
+  // finish_time(), which outlives the record. `label` is a human-readable
+  // tag for the trace (kFlowSubmit/kFlowStart) and error messages only; the
+  // simulator keeps no copy of it, except for a flow parked at birth while
+  // tracing, until that flow enters the network.
+  FlowId submit_flow(FlowSpec spec, FlowCallback on_done = {},
+                     std::string_view label = {});
   [[nodiscard]] const Flow& flow(FlowId id) const {
     return flows_.at(id.value()).flow;
   }
@@ -432,6 +437,10 @@ class Simulator {
   std::vector<Worker> workers_;
   // Indexed by TaskId; retired at the end of finish_task, like flows_.
   ChunkedStore<TaskRecord> tasks_;
+
+  // Labels of flows parked at birth while tracing at kFlow, for the
+  // kFlowStart record of their later entry; erased on entry or abandonment.
+  std::unordered_map<FlowId, std::string> parked_labels_;
 
   std::vector<FlowCallback> flow_listeners_;
   std::vector<FlowCallback> flow_arrival_listeners_;

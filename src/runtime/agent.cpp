@@ -48,13 +48,13 @@ FlowId EchelonFlowAgent::post_flow(EchelonFlowId ef, int index,
       .job = job_,
       .group = ef,
       .index_in_group = index,
-      .label = req.label + "#" + std::to_string(index),
       .signature =
           req.signature_base == 0
               ? 0
               : req.signature_base + static_cast<std::uint64_t>(index)};
   ++posted_;
-  return sim_->submit_flow(std::move(spec), std::move(on_done));
+  return sim_->submit_flow(spec, std::move(on_done),
+                           req.label + "#" + std::to_string(index));
 }
 
 }  // namespace echelon::runtime

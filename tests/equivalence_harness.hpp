@@ -381,8 +381,7 @@ inline ScenarioOutcome run_sim_scenario(std::uint64_t seed,
       spec.src = src;
       spec.dst = dst;
       spec.size = size;
-      spec.label = "t" + std::to_string(i);
-      s.submit_flow(std::move(spec));
+      s.submit_flow(spec, {}, "t" + std::to_string(i));
     });
     // No-op timer at an unrelated instant: forces an event iteration with no
     // allocation change.

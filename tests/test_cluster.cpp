@@ -15,6 +15,7 @@
 #include "cluster/experiment.hpp"
 #include "cluster/stack.hpp"
 #include "cluster/trace.hpp"
+#include "obs/trace.hpp"
 
 namespace echelon::cluster {
 namespace {
@@ -386,6 +387,43 @@ TEST(Experiment, SingleParadigmTracesRunEachParadigm) {
     const auto r = run_experiment(jobs, cfg);
     EXPECT_EQ(r.jobs.size(), 2u)
         << workload::to_string(static_cast<workload::Paradigm>(p));
+  }
+}
+
+// A flow's label lives only in its workflow's label arena and reaches the
+// trace as a submit_flow argument: the label the recorder interned for each
+// flow is its node's label, for every paradigm.
+TEST(StackTrace, FlowLabelsMatchTheirWorkflowNodes) {
+  for (int p = 0; p < 6; ++p) {
+    SCOPED_TRACE(workload::to_string(static_cast<workload::Paradigm>(p)));
+    TraceConfig tcfg;
+    tcfg.num_jobs = 1;
+    tcfg.seed = 5;
+    tcfg.paradigm_weights = {0, 0, 0, 0, 0, 0};
+    tcfg.paradigm_weights[static_cast<std::size_t>(p)] = 1.0;
+    tcfg.rank_choices = {4};
+    tcfg.min_layers = 4;
+    tcfg.max_layers = 4;
+    const JobSpec spec = generate_trace(tcfg).front();
+    Stack stack(SchedulerKind::kEchelonMadd, FabricKind::kBigSwitch, 8,
+                gbps(25), 1.0);
+    obs::TraceRecorder rec(1u << 20);
+    stack.observe(&rec, obs::TraceDetail::kFlow, nullptr);
+    BuiltJob job;
+    stack.build(job, spec, stack.place(spec), JobId{0}, {});
+    job.engine->launch(0.0);
+    stack.sim().run();
+    ASSERT_TRUE(job.engine->finished());
+    const netsim::Workflow& wf = job.generated.workflow;
+    std::size_t flows = 0;
+    for (netsim::WfNodeId id = 0; id < wf.size(); ++id) {
+      if (wf.node(id).kind != netsim::WfKind::kFlow) continue;
+      ++flows;
+      EXPECT_FALSE(wf.label(id).empty());
+      EXPECT_EQ(rec.flow_label(job.engine->flow_of(id).value()), wf.label(id))
+          << "node " << id;
+    }
+    EXPECT_GT(flows, 0u);
   }
 }
 

@@ -43,7 +43,7 @@ TEST_F(CollectiveFixture, RingReduceScatterFlowCount) {
   EXPECT_EQ(tag.next_index, 12);
   // Every flow carries the group tag and a distinct index.
   for (std::size_t i = 0; i < h.flow_nodes.size(); ++i) {
-    const auto& spec = wf.node(h.flow_nodes[i]).flow;
+    const auto& spec = wf.flow(h.flow_nodes[i]);
     EXPECT_EQ(spec.group, EchelonFlowId{0});
     EXPECT_EQ(spec.index_in_group, static_cast<int>(i));
     EXPECT_DOUBLE_EQ(spec.size, 10.0);  // G/m
@@ -74,7 +74,9 @@ TEST_F(CollectiveFixture, RingStepsSerializePerNodeDependency) {
   const WfNodeId step1_n0 = h.flow_nodes[4 + 0];
   const WfNodeId step0_n3 = h.flow_nodes[3];
   bool found = false;
-  for (WfNodeId succ : wf.node(step0_n3).successors) found |= succ == step1_n0;
+  for (const netsim::WfEdge& e : wf.edges()) {
+    found |= e.pre == step0_n3 && e.succ == step1_n0;
+  }
   EXPECT_TRUE(found);
 }
 
@@ -109,7 +111,7 @@ TEST_F(CollectiveFixture, PsPullBottlenecksAtEgress) {
   EXPECT_NEAR(t, 6.0, 1e-9);
   // Directions: PS is the source.
   for (const WfNodeId n : h.flow_nodes) {
-    EXPECT_EQ(wf.node(n).flow.src, fabric.hosts[3]);
+    EXPECT_EQ(wf.flow(n).src, fabric.hosts[3]);
   }
 }
 
@@ -118,7 +120,7 @@ TEST_F(CollectiveFixture, P2pSingleFlow) {
   FlowTag tag{.job = JobId{3}, .group = EchelonFlowId{9}};
   const auto h = p2p(wf, fabric.hosts[0], fabric.hosts[1], 25.0, tag, "x");
   ASSERT_EQ(h.flow_nodes.size(), 1u);
-  EXPECT_EQ(wf.node(h.flow_nodes[0]).flow.job, JobId{3});
+  EXPECT_EQ(wf.flow(h.flow_nodes[0]).job, JobId{3});
   const SimTime t = run_to(wf, h.done);
   EXPECT_NEAR(t, 2.5, 1e-9);
 }
@@ -140,15 +142,15 @@ TEST_F(CollectiveFixture, SignatureBaseStampsDistinctSignatures) {
               .signature_base = 1000};
   const auto h = ps_push(wf, {fabric.hosts[0], fabric.hosts[1]},
                          fabric.hosts[2], 5.0, tag, "s");
-  EXPECT_EQ(wf.node(h.flow_nodes[0]).flow.signature, 1000u);
-  EXPECT_EQ(wf.node(h.flow_nodes[1]).flow.signature, 1001u);
+  EXPECT_EQ(wf.flow(h.flow_nodes[0]).signature, 1000u);
+  EXPECT_EQ(wf.flow(h.flow_nodes[1]).signature, 1001u);
 }
 
 TEST_F(CollectiveFixture, NoSignatureBaseMeansZero) {
   Workflow wf;
   FlowTag tag{.job = JobId{0}, .group = EchelonFlowId{0}};
   const auto h = p2p(wf, fabric.hosts[0], fabric.hosts[1], 5.0, tag, "s");
-  EXPECT_EQ(wf.node(h.flow_nodes[0]).flow.signature, 0u);
+  EXPECT_EQ(wf.flow(h.flow_nodes[0]).signature, 0u);
 }
 
 TEST_F(CollectiveFixture, ChainedCollectivesRespectBarriers) {

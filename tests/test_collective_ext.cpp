@@ -47,11 +47,11 @@ TEST_F(HdFixture, ReduceScatterStructure) {
   // log2(4) = 2 rounds x 4 ranks = 8 flows.
   EXPECT_EQ(h.flow_nodes.size(), 8u);
   // Round 0: half the data to the partner at distance 2.
-  EXPECT_DOUBLE_EQ(wf.node(h.flow_nodes[0]).flow.size, 20.0);
-  EXPECT_EQ(wf.node(h.flow_nodes[0]).flow.dst, fabric.hosts[2]);
+  EXPECT_DOUBLE_EQ(wf.flow(h.flow_nodes[0]).size, 20.0);
+  EXPECT_EQ(wf.flow(h.flow_nodes[0]).dst, fabric.hosts[2]);
   // Round 1: quarter of the data at distance 1.
-  EXPECT_DOUBLE_EQ(wf.node(h.flow_nodes[4]).flow.size, 10.0);
-  EXPECT_EQ(wf.node(h.flow_nodes[4]).flow.dst, fabric.hosts[1]);
+  EXPECT_DOUBLE_EQ(wf.flow(h.flow_nodes[4]).size, 10.0);
+  EXPECT_EQ(wf.flow(h.flow_nodes[4]).dst, fabric.hosts[1]);
   EXPECT_TRUE(wf.is_acyclic());
 }
 
@@ -76,7 +76,9 @@ TEST_F(HdFixture, RoundsSerializeOnReceivedData) {
   const netsim::WfNodeId r1_n0 = h.flow_nodes[4];
   const netsim::WfNodeId r0_n1 = h.flow_nodes[1];
   bool found = false;
-  for (auto succ : wf.node(r0_n1).successors) found |= succ == r1_n0;
+  for (const netsim::WfEdge& e : wf.edges()) {
+    found |= e.pre == r0_n1 && e.succ == r1_n0;
+  }
   EXPECT_TRUE(found);
 }
 
@@ -104,7 +106,7 @@ TEST_F(HdFixture, TreeReduceMirrorsBroadcast) {
   // All payloads end at the root.
   int to_root = 0;
   for (auto n : h.flow_nodes) {
-    to_root += wf.node(n).flow.dst == fabric.hosts[0];
+    to_root += wf.flow(n).dst == fabric.hosts[0];
   }
   EXPECT_EQ(to_root, 2);  // ranks 1 and 2 send to root; 3 sends to 2
 }

@@ -779,7 +779,6 @@ PassScenario make_pass_scenario(const topology::BuiltFabric& fabric,
     f.spec.src = fabric.hosts[src];
     f.spec.dst = fabric.hosts[dst];
     f.spec.size = rng.uniform(1e3, 200e6);
-    f.spec.label = "f" + std::to_string(i);
     // ~70% of flows belong to an EchelonFlow group (first one with room).
     if (rng.uniform() < 0.7) {
       const std::size_t start = rng.uniform_int(groups.size());

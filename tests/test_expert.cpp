@@ -84,8 +84,9 @@ TEST(Expert, RoutedFractionScalesFlowSizes) {
                                       .iterations = 1,
                                       .routed_fraction = fraction},
                                      placement, reg, JobId{0});
-    for (const auto& n : job.workflow.nodes()) {
-      if (n.kind == netsim::WfKind::kFlow) return n.flow.size;
+    const netsim::Workflow& wf = job.workflow;
+    for (netsim::WfNodeId id = 0; id < wf.size(); ++id) {
+      if (wf.node(id).kind == netsim::WfKind::kFlow) return wf.flow(id).size;
     }
     return 0.0;
   };

@@ -30,11 +30,13 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "faultsim/injector.hpp"
+#include "obs/stream.hpp"
 
 namespace echelon {
 namespace {
@@ -292,8 +294,7 @@ struct MicroRig {
     spec.dst = fabric.hosts[2];
     spec.size = 1e9;
     spec.job = JobId{job};
-    spec.label = "cross-leaf";
-    flow = sim.submit_flow(std::move(spec));
+    flow = sim.submit_flow(spec, {}, "cross-leaf");
   }
 
   // The leaf0 -> spine uplink the flow currently crosses.
@@ -510,6 +511,65 @@ TEST(InjectorMicro, DeferredAbortParkSkipsAReleasedRecord) {
   EXPECT_FALSE(sim.flow_resident(last));
   EXPECT_EQ(sim.finish_time(last), 0.2);
   EXPECT_EQ(inj.summary().parks, 0u);
+}
+
+// A flow parked at birth enters the network -- and gets its kFlowStart
+// record -- only on a later resume, long after submit_flow's label argument
+// is gone: the simulator keeps that label until then, so the chunk line
+// still carries it.
+TEST(InjectorMicro, ParkedAtBirthFlowStartKeepsItsLabel) {
+  auto fabric = topology::make_leaf_spine({.leaves = 2,
+                                           .spines = 2,
+                                           .hosts_per_leaf = 2,
+                                           .host_link = gbps(10),
+                                           .uplink = gbps(10)});
+  Simulator sim(&fabric.topo);
+  std::ostringstream chunks;
+  obs::TraceChunkWriter writer(chunks);
+  sim.set_trace(&writer, obs::TraceDetail::kFlow);
+  FaultPlan plan;
+  plan.max_retries = 5;
+  plan.retry_backoff = 0.05;
+  for (const std::uint64_t lid : {0, 2}) {  // both leaf0 -> spine uplinks
+    plan.events.push_back({0.0, FaultKind::kLinkDown, lid, 1.0});
+    plan.events.push_back({0.12, FaultKind::kLinkUp, lid, 1.0});
+  }
+  FaultInjector inj(&sim, &fabric.topo, &plan);
+  inj.arm();
+  std::vector<FlowId> born_parked;
+  sim.schedule_at(0.01, [&](Simulator& s) {
+    for (int i = 0; i < 2; ++i) {
+      const FlowSpec spec{
+          .src = fabric.hosts[0], .dst = fabric.hosts[2], .size = 1e6};
+      born_parked.push_back(
+          s.submit_flow(spec, {}, "born-parked." + std::to_string(i)));
+      EXPECT_TRUE(s.flow(born_parked.back()).parked());
+    }
+  });
+  sim.run();
+  writer.flush();
+  EXPECT_EQ(inj.summary().parks, 2u);
+  EXPECT_EQ(inj.summary().resumes, 2u);
+
+  // Chunk lines read "<E|L> kind t id job ctx value [label]".
+  std::vector<std::string> start_labels(born_parked.size());
+  std::istringstream in(chunks.str());
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    std::string tag, t, job, ctx, value, label;
+    unsigned kind = 0;
+    std::uint64_t id = 0;
+    if (!(fields >> tag >> kind >> t >> id >> job >> ctx >> value)) continue;
+    if (kind != static_cast<unsigned>(obs::TraceKind::kFlowStart)) continue;
+    fields >> label;
+    ASSERT_LT(id, start_labels.size());
+    EXPECT_TRUE(start_labels[id].empty()) << "two kFlowStart for flow " << id;
+    EXPECT_EQ(tag, "L");
+    start_labels[id] = label;
+  }
+  EXPECT_EQ(start_labels[0], "born-parked.0");
+  EXPECT_EQ(start_labels[1], "born-parked.1");
 }
 
 // ============================================================================

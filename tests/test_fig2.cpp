@@ -64,9 +64,8 @@ Fig2Run run_fig2(netsim::NetworkScheduler* scheduler, ef::Registry& registry) {
                                             .size = kActivation,
                                             .job = JobId{0},
                                             .group = ef,
-                                            .index_in_group = i,
-                                            .label = "act.mb" +
-                                                     std::to_string(i)});
+                                            .index_in_group = i},
+                           "act.mb" + std::to_string(i));
     consumer[u] =
         wf.add_compute(w1, kCompute, "f.s1.mb" + std::to_string(i));
     wf.add_dep(producer[u], flows[u]);

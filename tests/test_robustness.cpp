@@ -155,8 +155,11 @@ TEST(Jitter, DeterministicPerSeed) {
          .jitter_seed = seed},
         placement, reg, JobId{0});
     std::vector<double> durations;
-    for (const auto& n : job.workflow.nodes()) {
-      if (n.kind == netsim::WfKind::kCompute) durations.push_back(n.duration);
+    const netsim::Workflow& wf = job.workflow;
+    for (netsim::WfNodeId id = 0; id < wf.size(); ++id) {
+      if (wf.node(id).kind == netsim::WfKind::kCompute) {
+        durations.push_back(wf.compute(id).duration);
+      }
     }
     return durations;
   };

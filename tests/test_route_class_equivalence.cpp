@@ -251,8 +251,7 @@ TEST(RouteCacheRegression, FlapHeavyPlanComputesOncePerEpochNotPerFlow) {
     spec.dst = fabric.hosts[2];  // cross-leaf: host->leaf->spine->leaf->host
     spec.size = 1e9;
     spec.route_hint = 42;  // one shared ECMP key for the whole fleet
-    spec.label = "bulk" + std::to_string(i);
-    flows.push_back(sim.submit_flow(std::move(spec)));
+    flows.push_back(sim.submit_flow(spec, {}, "bulk" + std::to_string(i)));
   }
   // One BFS routed the whole fleet.
   EXPECT_EQ(sim.routes().stats().lookups, 8u);

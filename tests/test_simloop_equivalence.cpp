@@ -267,8 +267,7 @@ TEST(SimLoopAlloc, TimerIterationsAllocationFree) {
     spec.src = fabric.hosts[i % 4];
     spec.dst = fabric.hosts[(i + 1) % 4];
     spec.size = 1e15;  // never finishes within the test horizon
-    spec.label = "bg" + std::to_string(i);
-    sim.submit_flow(std::move(spec));
+    sim.submit_flow(spec, {}, "bg" + std::to_string(i));
   }
 
   // Self-rescheduling timers. The callback captures only a context pointer
@@ -318,27 +317,26 @@ TEST(ZeroByteFlow, InstantCompletionCanonicalOrder) {
 
   std::vector<std::string> order;
   sim.add_flow_listener([&order](Simulator&, const netsim::Flow& f) {
-    order.push_back("listener:" + f.spec.label);
+    order.push_back("listener:" + std::to_string(f.id.value()));
   });
 
   netsim::FlowSpec spec;
   spec.src = fabric.hosts[0];
   spec.dst = fabric.hosts[1];
   spec.size = 0.0;
-  spec.label = "ctl";
   const auto id = sim.submit_flow(
-      std::move(spec), [&order](Simulator&, const netsim::Flow& f) {
-        order.push_back("done:" + f.spec.label);
+      spec, [&order](Simulator&, const netsim::Flow& f) {
+        order.push_back("done:" + std::to_string(f.id.value()));
         EXPECT_EQ(f.state, netsim::FlowState::kFinished);
-      });
+      }, "ctl");
 
   // Completed synchronously, never entered the active set.
   EXPECT_EQ(sim.active_flow_count(), 0u);
   EXPECT_TRUE(sim.flow(id).finished());
   EXPECT_EQ(sim.flow(id).finish_time, 0.0);
   ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], "done:ctl");      // per-flow callback first
-  EXPECT_EQ(order[1], "listener:ctl");  // then global listeners
+  EXPECT_EQ(order[0], "done:0");      // per-flow callback first
+  EXPECT_EQ(order[1], "listener:0");  // then global listeners
 }
 
 // ============================================================================

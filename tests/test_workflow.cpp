@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <type_traits>
+#include <vector>
+
 #include "netsim/simulator.hpp"
 #include "netsim/workflow.hpp"
 #include "topology/builders.hpp"
@@ -203,11 +208,86 @@ TEST(Workflow, LaunchMatchesScheduledStart) {
   EXPECT_EQ(run(true), run(false));
 }
 
-TEST(Workflow, FlowLabelLivesInItsSpec) {
+TEST(Workflow, EveryKindReadsItsLabelFromTheArena) {
   Workflow wf;
-  const WfNodeId f = wf.add_flow(FlowSpec{.size = 1.0, .label = "g.s0"});
-  EXPECT_EQ(wf.node(f).flow.label, "g.s0");
-  EXPECT_TRUE(wf.node(f).label.empty());
+  const WfNodeId c = wf.add_compute(WorkerId{0}, 1.0, "it0.f.s1.mb0");
+  const WfNodeId f = wf.add_flow(FlowSpec{.size = 1.0}, "g.s0");
+  const WfNodeId b = wf.add_barrier("it0.end");
+  const WfNodeId unlabeled = wf.add_flow(FlowSpec{.size = 2.0});
+  EXPECT_EQ(wf.label(c), "it0.f.s1.mb0");
+  EXPECT_EQ(wf.label(f), "g.s0");
+  EXPECT_EQ(wf.label(b), "it0.end");
+  EXPECT_TRUE(wf.label(unlabeled).empty());
+  EXPECT_EQ(wf.node(c).kind, WfKind::kCompute);
+  EXPECT_EQ(wf.node(f).kind, WfKind::kFlow);
+  EXPECT_EQ(wf.node(b).kind, WfKind::kBarrier);
+  EXPECT_EQ(wf.compute(c).duration, 1.0);
+  EXPECT_EQ(wf.flow(unlabeled).size, 2.0);
+  // The payload accessors throw for a node of another kind.
+  EXPECT_THROW((void)wf.flow(c), std::invalid_argument);
+  EXPECT_THROW((void)wf.compute(b), std::invalid_argument);
+  EXPECT_THROW((void)wf.label(99), std::out_of_range);
+}
+
+// The layout the per-node cost rests on (DESIGN.md §5).
+static_assert(std::is_trivially_copyable_v<FlowSpec>);
+static_assert(sizeof(WfNode) <= 24);
+
+TEST(Workflow, AddDepRejectsMissingNodesAndSelfEdges) {
+  Workflow wf;
+  const WfNodeId a = wf.add_barrier("a");
+  const WfNodeId b = wf.add_barrier("b");
+  try {
+    wf.add_dep(a, 7);
+    ADD_FAILURE() << "edge to a missing node accepted";
+  } catch (const std::out_of_range& e) {
+    EXPECT_NE(std::string(e.what()).find("node 7"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(wf.add_dep(9, b), std::out_of_range);
+  // A self-edge would leave the node waiting on itself forever.
+  EXPECT_THROW(wf.add_dep(b, b), std::invalid_argument);
+  EXPECT_TRUE(wf.edges().empty());
+  EXPECT_EQ(wf.node(b).dependency_count, 0);
+  wf.add_dep(a, b);
+  EXPECT_EQ(wf.edges().size(), 1u);
+}
+
+TEST(Workflow, SuccessorsReleaseInAddDepOrder) {
+  // Zero-byte flows complete inside their release, so the order a listener
+  // sees them finish is the order the engine walks the fan-out: add_dep
+  // order, not node order.
+  auto fabric = topology::make_big_switch(2, 10.0);
+  Simulator sim(&fabric.topo);
+  Workflow wf;
+  const WfNodeId root = wf.add_barrier("root");
+  std::vector<WfNodeId> fan;
+  for (int i = 0; i < 5; ++i) {
+    fan.push_back(wf.add_flow(
+        FlowSpec{.src = fabric.hosts[0], .dst = fabric.hosts[1], .size = 0.0},
+        "z" + std::to_string(i)));
+  }
+  const std::vector<WfNodeId> order{fan[3], fan[0], fan[4], fan[1], fan[2]};
+  for (const WfNodeId f : order) wf.add_dep(root, f);
+  ASSERT_EQ(wf.edges().size(), order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(wf.edges()[i].pre, root);
+    EXPECT_EQ(wf.edges()[i].succ, order[i]);
+  }
+
+  std::vector<FlowId> finished;
+  sim.add_flow_listener(
+      [&finished](Simulator&, const Flow& fl) { finished.push_back(fl.id); });
+  WorkflowEngine eng(&sim, &wf);
+  eng.start();
+  EXPECT_TRUE(eng.finished());
+  std::vector<WfNodeId> finished_nodes;
+  for (const FlowId id : finished) {
+    for (const WfNodeId f : fan) {
+      if (eng.flow_of(f) == id) finished_nodes.push_back(f);
+    }
+  }
+  EXPECT_EQ(finished_nodes, order);
 }
 
 TEST(Workflow, CycleDetection) {
@@ -226,7 +306,7 @@ TEST(Workflow, JobStampsFlows) {
   Workflow wf;
   wf.set_job(JobId{7});
   const WfNodeId f = wf.add_flow(FlowSpec{.size = 1.0});
-  EXPECT_EQ(wf.node(f).flow.job, JobId{7});
+  EXPECT_EQ(wf.flow(f).job, JobId{7});
 }
 
 }  // namespace

@@ -307,10 +307,11 @@ TEST(Generators, SignaturesStableAcrossIterations) {
       placement, reg, JobId{0});
   // Collect signatures of flow nodes per iteration (by label prefix).
   std::vector<std::uint64_t> it0, it1;
-  for (const auto& n : job.workflow.nodes()) {
-    if (n.kind != netsim::WfKind::kFlow) continue;
-    if (n.flow.label.rfind("it0.", 0) == 0) it0.push_back(n.flow.signature);
-    if (n.flow.label.rfind("it1.", 0) == 0) it1.push_back(n.flow.signature);
+  const netsim::Workflow& wf = job.workflow;
+  for (netsim::WfNodeId id = 0; id < wf.size(); ++id) {
+    if (wf.node(id).kind != netsim::WfKind::kFlow) continue;
+    if (wf.label(id).starts_with("it0.")) it0.push_back(wf.flow(id).signature);
+    if (wf.label(id).starts_with("it1.")) it1.push_back(wf.flow(id).signature);
   }
   ASSERT_FALSE(it0.empty());
   EXPECT_EQ(it0, it1);

@@ -413,10 +413,11 @@ int cmd_fig2() {
     // Comp finish = last forward on stage 1; with zero-size grad flows and
     // zero-length bwd tasks the makespan matches Fig. 2's comp finish.
     double comp = 0.0;
-    for (const auto& n : job.generated.workflow.nodes()) {
-      if (n.kind == netsim::WfKind::kCompute &&
-          n.label.rfind("it0.f.s1", 0) == 0) {
-        comp = std::max(comp, job.engine->node_finish(n.id));
+    const netsim::Workflow& wf = job.generated.workflow;
+    for (netsim::WfNodeId id = 0; id < wf.size(); ++id) {
+      if (wf.node(id).kind == netsim::WfKind::kCompute &&
+          wf.label(id).starts_with("it0.f.s1")) {
+        comp = std::max(comp, job.engine->node_finish(id));
       }
     }
     t.add_row({which, Table::num(comp, 2)});
