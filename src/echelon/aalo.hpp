@@ -15,19 +15,16 @@
 //   .. Coflow-MADD (group, clairvoyant) .. EchelonFlow-MADD (+ application
 //   arrangement knowledge).
 //
-// Hot-path data layout: per-pass grouping uses the same two-pass counting
-// arena as Coflow-MADD (no std::map nodes per pass); residual port state is
-// the dense arena-backed ResidualCaps. Only the *persistent* arrival-stamp
-// table stays a hash map -- it mutates once per group lifetime, not per
-// pass.
+// Grouping, ranking and the strict-priority grant are the shared
+// group-scheduler skeleton (echelon/linkcaps.hpp), with Coflow-MADD's key.
+// Only the *persistent* arrival-stamp table is a hash map -- it mutates once
+// per group lifetime, not per pass.
 
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
-#include "common/scratch.hpp"
 #include "echelon/linkcaps.hpp"
 #include "netsim/scheduler.hpp"
 #include "netsim/simulator.hpp"
@@ -54,26 +51,13 @@ class AaloScheduler final : public netsim::NetworkScheduler {
   [[nodiscard]] std::string name() const override { return "aalo"; }
 
  private:
-  // A group as a [begin, end) range into the flat members_ arena.
-  struct Grp {
-    std::uint64_t key = 0;
-    std::uint32_t begin = 0;
-    std::uint32_t end = 0;
-    Bytes sent = 0.0;
-    std::uint64_t arrival = 0;
-    int queue = 0;
-  };
-
   AaloConfig config_;
   // group id -> arrival order stamp (FIFO within a queue level).
   std::unordered_map<std::uint64_t, std::uint64_t> group_arrival_;
   std::uint64_t arrival_counter_ = 0;
 
   // --- reusable per-pass arenas (allocation-free after warm-up) ---
-  KeySlotMap key_slots_;
-  std::vector<Grp> groups_;
-  std::vector<netsim::Flow*> members_;
-  std::vector<std::uint32_t> order_;
+  detail::GroupPass pass_;
   detail::ResidualCaps caps_;
 };
 

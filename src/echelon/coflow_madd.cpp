@@ -9,39 +9,23 @@ namespace echelon::ef {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr std::uint64_t kSingletonBase = 1ULL << 63;
-
-[[nodiscard]] std::uint64_t group_key(const netsim::Flow& f) {
-  return f.spec.group.valid() ? f.spec.group.value()
-                              : kSingletonBase | f.id.value();
-}
 
 }  // namespace
 
-// Standalone completion bound: served alone on an idle fabric, the coflow
-// cannot finish faster than its most loaded link allows. Per-link load
-// accumulates in the epoch-stamped load_ arena; gamma is a max-fold over the
-// touched links, so touch order does not affect the result.
-double CoflowMaddScheduler::standalone_gamma(const topology::Topology& topo,
-                                             const Grp& g) {
+// Per-link remaining bytes of `members`, into the epoch-stamped load_ arena.
+void CoflowMaddScheduler::accumulate_load(
+    const topology::Topology& topo, std::span<const detail::Member> members) {
   load_.begin_pass(topo);
-  for (std::uint32_t i = g.begin; i < g.end; ++i) {
-    const netsim::Flow* f = members_[i];
-    for (LinkId lid : f->path) load_.touch(lid) += f->remaining;
+  for (const detail::Member& m : members) {
+    for (LinkId lid : m.flow->path) load_.touch(lid) += m.flow->remaining;
   }
-  double gamma = 0.0;
-  for (const std::uint32_t li : load_.touched()) {
-    const double bytes = load_.at(LinkId{li});
-    const double cap = topo.link(LinkId{li}).capacity;
-    gamma = std::max(gamma, cap > 0.0 ? bytes / cap : kInf);
-  }
-  return gamma;
 }
 
-// Completion bound of the per-link load last accumulated in load_, against
-// the residual fabric left by higher-priority coflows. Infinite when some
-// needed link is exhausted.
-double CoflowMaddScheduler::residual_gamma() {
+// Completion bound of the load last accumulated, against the residual
+// fabric caps_ holds: the time its most loaded link needs. Infinite when
+// some needed link is exhausted. A max-fold over the touched links, so touch
+// order does not affect the result.
+double CoflowMaddScheduler::completion_bound() const {
   double gamma = 0.0;
   for (const std::uint32_t li : load_.touched()) {
     const double bytes = load_.at(LinkId{li});
@@ -58,80 +42,29 @@ void CoflowMaddScheduler::control(netsim::Simulator& sim,
   ++stats_.passes;
   ++stats_.full_passes;
 
-  // --- group by coflow id ----------------------------------------------------
-  // Two-pass counting into a flat member arena: pass 1 counts members per
-  // key (epoch-stamped open-addressing map, no node allocations), pass 2
-  // places flows in span order, so intra-coflow order matches the seed's
-  // std::map-of-vectors exactly.
-  groups_.clear();
-  key_slots_.begin_pass(active.size());
-  std::size_t routed = 0;
-  for (netsim::Flow* f : active) {
-    if (f->path.empty()) {  // loopback: never network-limited
-      f->weight = 1.0;
-      f->rate_cap.reset();
-      continue;
-    }
-    ++routed;
-    bool inserted = false;
-    std::uint32_t& slot = key_slots_.find_or_insert(group_key(*f), inserted);
-    if (inserted) {
-      slot = static_cast<std::uint32_t>(groups_.size());
-      groups_.push_back(Grp{group_key(*f), 0, 0, 0.0});
-    }
-    ++groups_[slot].end;  // member count; converted to offsets below
-  }
-  members_.resize(routed);
-  std::uint32_t running = 0;
-  for (Grp& g : groups_) {
-    const std::uint32_t count = g.end;
-    g.begin = running;
-    g.end = running;  // fill cursor; advances to begin + count below
-    running += count;
-  }
-  for (netsim::Flow* f : active) {
-    if (f->path.empty()) continue;
-    const std::uint32_t slot = *key_slots_.find(group_key(*f));
-    members_[groups_[slot].end++] = f;
-  }
+  pass_.build(active, [](const netsim::Flow& f) {
+    return detail::Keyed{.key = detail::coflow_key(f)};
+  });
 
-  // SEBF order: ascending standalone Gamma, key as deterministic tie-break
-  // (reproducing the seed's stable_sort over a key-ascending std::map, via
-  // allocation-free std::sort).
-  order_.clear();
-  for (std::uint32_t i = 0; i < groups_.size(); ++i) {
-    groups_[i].gamma_standalone = standalone_gamma(topo, groups_[i]);
-    order_.push_back(i);
+  // SEBF order: ascending standalone Gamma -- the coflow served alone on an
+  // idle fabric, which is what the freshly reset caps_ hold.
+  caps_.reset(&topo);
+  for (detail::Group& g : pass_.groups()) {
+    accumulate_load(topo, pass_.members(g));
+    g.rank = completion_bound();
   }
-  std::sort(order_.begin(), order_.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              if (groups_[a].gamma_standalone != groups_[b].gamma_standalone) {
-                return groups_[a].gamma_standalone < groups_[b].gamma_standalone;
-              }
-              return groups_[a].key < groups_[b].key;
-            });
+  pass_.rank();
 
   // MADD pass: pace every flow of the coflow to finish at the (residual)
   // bottleneck completion time.
-  caps_.reset(&topo);
-  for (const std::uint32_t gi : order_) {
-    const Grp& g = groups_[gi];
-    // Re-accumulate this group's per-link load (residual_gamma folds over
-    // the load_ arena the accumulation below leaves behind).
-    load_.begin_pass(topo);
-    for (std::uint32_t i = g.begin; i < g.end; ++i) {
-      const netsim::Flow* f = members_[i];
-      for (LinkId lid : f->path) load_.touch(lid) += f->remaining;
-    }
-    const double gamma = residual_gamma();
-    for (std::uint32_t i = g.begin; i < g.end; ++i) {
-      netsim::Flow* f = members_[i];
-      double rate = std::isinf(gamma) || gamma <= 0.0 ? 0.0
-                                                      : f->remaining / gamma;
-      rate = std::min(rate, caps_.path_residual(*f));  // numerical safety
-      f->weight = 1.0;
-      f->rate_cap = rate;
-      caps_.consume(*f, rate);
+  for (const std::uint32_t gi : pass_.order()) {
+    const std::span<detail::Member> members = pass_.members(pass_.groups()[gi]);
+    accumulate_load(topo, members);
+    const double gamma = completion_bound();
+    for (const detail::Member& m : members) {
+      caps_.pace(*m.flow, std::isinf(gamma) || gamma <= 0.0
+                              ? 0.0
+                              : m.flow->remaining / gamma);
     }
   }
 
@@ -141,36 +74,12 @@ void CoflowMaddScheduler::control(netsim::Simulator& sim,
   // then grant any capacity that proportional scaling could not use -- e.g.
   // when one member's port is taken by a higher-ranked coflow -- flow by
   // flow.
-  for (const std::uint32_t gi : order_) {
-    const Grp& g = groups_[gi];
-    load_.begin_pass(topo);
-    for (std::uint32_t i = g.begin; i < g.end; ++i) {
-      const netsim::Flow* f = members_[i];
-      for (LinkId lid : f->path) load_.touch(lid) += f->remaining;
-    }
-    double lambda = kInf;
-    for (const std::uint32_t li : load_.touched()) {
-      const double bytes = load_.at(LinkId{li});
-      if (bytes <= 0.0) continue;
-      lambda = std::min(lambda, caps_.residual(LinkId{li}) / bytes);
-    }
-    if (!std::isfinite(lambda) || lambda < 0.0) lambda = 0.0;
-    for (std::uint32_t i = g.begin; i < g.end; ++i) {
-      netsim::Flow* f = members_[i];
-      const double extra = f->remaining * lambda;
-      if (extra <= 0.0) continue;
-      f->rate_cap = *f->rate_cap + extra;
-      caps_.consume(*f, extra);
-    }
+  for (const std::uint32_t gi : pass_.order()) {
+    caps_.work_conserve(pass_.members(pass_.groups()[gi]));
   }
-  for (const std::uint32_t gi : order_) {
-    const Grp& g = groups_[gi];
-    for (std::uint32_t i = g.begin; i < g.end; ++i) {
-      netsim::Flow* f = members_[i];
-      const double extra = caps_.path_residual(*f);
-      if (extra <= 0.0 || !std::isfinite(extra)) continue;
-      f->rate_cap = *f->rate_cap + extra;
-      caps_.consume(*f, extra);
+  for (const std::uint32_t gi : pass_.order()) {
+    for (const detail::Member& m : pass_.members(pass_.groups()[gi])) {
+      caps_.backfill(*m.flow);
     }
   }
 }

@@ -17,19 +17,16 @@
 // EchelonFlow as if it were a Coflow -- which is precisely the strawman the
 // paper's Fig. 2 shows losing to fair sharing on pipeline parallelism.
 //
-// Hot-path data layout: grouping uses a two-pass counting scheme over an
-// epoch-stamped key map plus a flat member arena (no std::map nodes, no
-// per-pass allocations after warm-up); per-link load and residual capacity
-// live in dense LinkId-indexed scratch (see DESIGN.md, "Hot-path data
-// layout"). Every control() pass regroups, re-ranks and re-fills the whole
-// active set.
+// Grouping, ranking and the rate grants are the shared group-scheduler
+// skeleton (echelon/linkcaps.hpp); this class supplies the Coflow key and
+// the Gamma rank and pacing. Per-link load lives in dense LinkId-indexed
+// scratch (see DESIGN.md, "Hot-path data layout"). Every control() pass
+// regroups, re-ranks and re-fills the whole active set.
 
 #pragma once
 
-#include <cstdint>
-#include <vector>
+#include <span>
 
-#include "common/scratch.hpp"
 #include "echelon/linkcaps.hpp"
 #include "netsim/scheduler.hpp"
 #include "netsim/simulator.hpp"
@@ -45,23 +42,12 @@ class CoflowMaddScheduler final : public netsim::NetworkScheduler {
   [[nodiscard]] std::string name() const override { return "coflow-madd"; }
 
  private:
-  // A coflow as a [begin, end) range into the flat members_ arena.
-  struct Grp {
-    std::uint64_t key = 0;
-    std::uint32_t begin = 0;
-    std::uint32_t end = 0;
-    double gamma_standalone = 0.0;
-  };
-
-  [[nodiscard]] double standalone_gamma(const topology::Topology& topo,
-                                        const Grp& g);
-  [[nodiscard]] double residual_gamma();
+  void accumulate_load(const topology::Topology& topo,
+                       std::span<const detail::Member> members);
+  [[nodiscard]] double completion_bound() const;
 
   // --- reusable per-pass arenas (allocation-free after warm-up) ---
-  KeySlotMap key_slots_;
-  std::vector<Grp> groups_;
-  std::vector<netsim::Flow*> members_;  // flat, grouped by coflow
-  std::vector<std::uint32_t> order_;    // SEBF rank order over groups_
+  detail::GroupPass pass_;
   topology::LinkScratch<double> load_;
   detail::ResidualCaps caps_;
 };

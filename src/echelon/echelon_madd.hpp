@@ -32,30 +32,24 @@
 //
 // --- Hot-path data layout (see DESIGN.md, "Hot-path data layout") ---------
 // control() runs on every flow arrival/departure, so this scheduler is the
-// coordinator's scalability ceiling. Two mechanisms keep a steady-state pass
-// allocation-free:
-//
-//   1. *Per-pass grouping into a flat member arena*, the two-pass layout
-//      Coflow-MADD and Aalo use: pass 1 resolves each routed flow's
-//      (EchelonFlow, deadline) once and finds its group through an
-//      epoch-stamped EchelonFlowId-indexed table (a singleton key always
-//      opens a new group); pass 2 places members into contiguous per-group
-//      ranges, which a stable insertion sort puts in deadline order (members
-//      arrive nearly sorted, so this is close to linear). No state survives
-//      a pass, so the scheduler needs no membership hooks.
-//   2. *Epoch-stamped dense scratch* (common/scratch.hpp, topology/dense.hpp)
-//      for all per-link state: residual capacities, EDF prefix loads, and
-//      work-conservation level loads. Lazy reset via a generation counter --
-//      no hash maps, no O(L) clears, no per-pass allocations after warm-up.
+// coordinator's scalability ceiling. Grouping, ranking and the rate grants
+// are the shared group-scheduler skeleton (echelon/linkcaps.hpp), which
+// Coflow-MADD and Aalo use too: this class supplies the key (an EchelonFlow
+// whose member's deadline is known, else a singleton), each member's
+// deadline, and the tardiness rank and pacing. A stable insertion sort puts
+// each group's members in deadline order (they arrive nearly sorted, so
+// this is close to linear). Per-link state -- residual capacities, EDF
+// prefix loads, work-conservation loads -- lives in epoch-stamped dense
+// scratch (common/scratch.hpp, topology/dense.hpp). No state survives a
+// pass, so the scheduler needs no membership hooks, and a steady-state pass
+// is allocation-free.
 //
 // Every control() pass regroups, re-ranks and re-fills the whole active set.
 
 #pragma once
 
-#include <cstdint>
-#include <vector>
+#include <span>
 
-#include "common/scratch.hpp"
 #include "echelon/linkcaps.hpp"
 #include "echelon/registry.hpp"
 #include "netsim/scheduler.hpp"
@@ -77,44 +71,22 @@ class EchelonMaddScheduler final : public netsim::NetworkScheduler {
   [[nodiscard]] std::string name() const override { return "echelonflow-madd"; }
 
  private:
-  // An EchelonFlow (or singleton) as a [begin, end) range into members_.
-  struct Grp {
-    std::uint64_t key = 0;
-    std::uint32_t begin = 0;
-    std::uint32_t end = 0;
-    double tardiness = 0.0;  // standalone achievable tardiness: the rank
-  };
-  struct Member {
-    netsim::Flow* flow = nullptr;
-    SimTime deadline = 0.0;  // d_j
-  };
-  struct Resolved {
-    std::uint64_t key;
-    SimTime deadline;
-  };
   struct PerLink {  // EDF prefix state for min_uniform_tardiness
     double prefix_bytes = 0.0;
     double cap = 0.0;
   };
 
-  [[nodiscard]] Resolved resolve(const netsim::Flow& f) const;
+  [[nodiscard]] detail::Keyed resolve(const netsim::Flow& f) const;
   void build_groups(std::span<netsim::Flow*> active);
-  double min_uniform_tardiness(const Grp& g, SimTime now,
-                               const detail::ResidualCaps* residual,
-                               const topology::Topology& topo);
+  double min_uniform_tardiness(std::span<const detail::Member> members,
+                               SimTime now, const topology::Topology& topo);
 
   const Registry* registry_;
 
   // --- reusable per-pass arenas (allocation-free after warm-up) -------------
-  EpochScratch<std::uint32_t> group_of_ef_;  // EchelonFlowId -> groups_ index
-  std::vector<Grp> groups_;
-  std::vector<Member> routed_;               // routed flows in span order
-  std::vector<std::uint32_t> routed_group_;  // groups_ index per routed_ entry
-  std::vector<Member> members_;              // flat, grouped, deadline-sorted
-  std::vector<std::uint32_t> order_;         // per-pass group rank order
+  detail::GroupPass pass_;  // members deadline-sorted within each group
   detail::ResidualCaps caps_;
   topology::LinkScratch<PerLink> tard_scratch_;
-  topology::LinkScratch<double> load_scratch_;
 };
 
 }  // namespace echelon::ef

@@ -19,15 +19,8 @@ void SincroniaScheduler::control(netsim::Simulator& sim,
   };
   std::map<std::uint64_t, Group> groups;
   for (netsim::Flow* f : active) {
-    if (f->path.empty()) {
-      f->weight = 1.0;
-      f->rate_cap.reset();
-      continue;
-    }
-    const std::uint64_t key = f->spec.group.valid()
-                                  ? f->spec.group.value()
-                                  : (1ULL << 63) | f->id.value();
-    Group& g = groups[key];
+    if (detail::reset_loopback(*f)) continue;
+    Group& g = groups[detail::coflow_key(*f)];
     g.flows.push_back(f);
     for (LinkId lid : f->path) g.port_load[lid.value()] += f->remaining;
   }
@@ -77,12 +70,7 @@ void SincroniaScheduler::control(netsim::Simulator& sim,
   // --- greedy order-respecting water-fill -------------------------------------
   caps_.reset(&topo);
   for (auto it = reverse_order.rbegin(); it != reverse_order.rend(); ++it) {
-    for (netsim::Flow* f : (*it)->flows) {
-      const double rate = caps_.path_residual(*f);
-      f->weight = 1.0;
-      f->rate_cap = std::isfinite(rate) ? rate : 0.0;
-      caps_.consume(*f, *f->rate_cap);
-    }
+    for (netsim::Flow* f : (*it)->flows) caps_.grant_residual(*f);
   }
 }
 

@@ -1,7 +1,6 @@
 #include "echelon/srpt.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace echelon::ef {
 
@@ -11,12 +10,7 @@ void SrptScheduler::control(netsim::Simulator& sim,
   ++stats_.full_passes;
   order_.clear();
   for (netsim::Flow* f : active) {
-    if (f->path.empty()) {
-      f->weight = 1.0;
-      f->rate_cap.reset();
-      continue;
-    }
-    order_.push_back(f);
+    if (!detail::reset_loopback(*f)) order_.push_back(f);
   }
   // (remaining, id) is a total order, so plain std::sort suffices (and,
   // unlike stable_sort, allocates no merge buffer).
@@ -29,12 +23,7 @@ void SrptScheduler::control(netsim::Simulator& sim,
             });
 
   caps_.reset(&sim.topology());
-  for (netsim::Flow* f : order_) {
-    const double rate = caps_.path_residual(*f);
-    f->weight = 1.0;
-    f->rate_cap = std::isfinite(rate) ? rate : 0.0;
-    caps_.consume(*f, f->rate_cap.value());
-  }
+  for (netsim::Flow* f : order_) caps_.grant_residual(*f);
 }
 
 }  // namespace echelon::ef

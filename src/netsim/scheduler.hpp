@@ -10,11 +10,11 @@
 //   * SincroniaScheduler (echelon/)   -- order-first BSSI + greedy rates
 //   * EchelonMaddScheduler (echelon/) -- the paper's tardiness-minimizing
 //                                        adaptation (Property 4)
-//   * runtime::Coordinator (runtime/) -- EchelonFlow-MADD behind the
-//                                        paper's control plane (§5)
-// AaloScheduler (echelon/; `echelonflow_cli single --scheduler aalo`) and
-// the runtime::PriorityQueueEnforcer wrapper (bench_enforcement, tests) are
-// constructed directly by their callers.
+//   * AaloScheduler (echelon/)        -- non-clairvoyant Coflow queues
+// The group schedulers share one skeleton (echelon/linkcaps.hpp). The
+// runtime::Coordinator (the paper's §5 control plane) and the
+// runtime::PriorityQueueEnforcer wrapper are constructed directly by their
+// callers (bench_coordinator_scale, bench_enforcement, tests).
 //
 // Every control() call is one full pass: the policy recomputes every weight
 // and cap from the active span (DESIGN.md §12).

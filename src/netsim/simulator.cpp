@@ -511,12 +511,17 @@ void Simulator::finish_flow(FlowId id) {
   Flow& f = flows_.at(id.value()).flow;
   f.remaining = 0.0;
   f.rate = 0.0;
-  // O(1) swap-and-pop retirement (the seed did a linear std::erase). The
-  // swap perturbs ascending-FlowId order; restore_active_order() repairs it
-  // before anything order-sensitive runs.
+  remove_active(f);
+  complete_flow(id, /*notify_scheduler=*/true);
+}
+
+// O(1) swap-and-pop removal from the active set (the seed did a linear
+// std::erase). The swap perturbs ascending-FlowId order;
+// restore_active_order() repairs it before anything order-sensitive runs.
+void Simulator::remove_active(Flow& f) {
   const std::size_t idx = f.active_index;
   assert(idx != Flow::kNotActive && idx < active_flows_.size() &&
-         active_flows_[idx] == id && "finish_flow on inactive flow");
+         active_flows_[idx] == f.id && "removing an inactive flow");
   const std::size_t last = active_flows_.size() - 1;
   if (idx != last) {
     const FlowId moved = active_flows_[last];
@@ -527,8 +532,6 @@ void Simulator::finish_flow(FlowId id) {
   active_flows_.pop_back();
   f.active_index = Flow::kNotActive;
   allocation_dirty_ = true;
-
-  complete_flow(id, /*notify_scheduler=*/true);
 }
 
 void Simulator::park_flow(FlowId id) {
@@ -542,25 +545,13 @@ void Simulator::park_flow(FlowId id) {
   // zero-dt no-op.
   stamp_active_flows(now_);
 
-  // Swap-and-pop removal, mirroring finish_flow.
-  const std::size_t idx = f.active_index;
-  assert(idx < active_flows_.size() && active_flows_[idx] == id);
-  const std::size_t last = active_flows_.size() - 1;
-  if (idx != last) {
-    const FlowId moved = active_flows_[last];
-    active_flows_[idx] = moved;
-    flows_.at(moved.value()).flow.active_index = idx;
-    active_order_dirty_ = true;
-  }
-  active_flows_.pop_back();
-  f.active_index = Flow::kNotActive;
+  remove_active(f);
   f.rate = 0.0;
   f.state = FlowState::kParked;
   // Invalidate any completion-heap entry the flow may still own: after a
   // resume the flow is active again with a valid active_index, so a stale
   // entry from before the park would otherwise pass the validity check.
   f.completion_gen = ++heap_gen_;
-  allocation_dirty_ = true;
 
   if (tracing(obs::TraceDetail::kCoarse)) {
     trace_flow(obs::TraceKind::kFlowPark, f, f.remaining);

@@ -350,6 +350,9 @@ class Simulator {
   void start_next_task(WorkerId worker);
   void finish_task(TaskId id);
   void finish_flow(FlowId id);
+  // Swap-and-pop removal of an active flow from active_flows_ (finish and
+  // park share it).
+  void remove_active(Flow& f);
   // Shared completion tail: marks the flow finished and fires the departure
   // hooks in their canonical order (scheduler -> per-flow callback -> global
   // listeners). Both the zero-byte instant-completion path and finish_flow

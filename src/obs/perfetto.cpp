@@ -19,6 +19,9 @@ namespace echelon::obs {
 
 namespace {
 
+// Simulator seconds -> trace_event timestamp units (µs).
+constexpr double kScale = 1e6;
+
 // --- emission helpers -------------------------------------------------------
 
 void append_json_escaped(std::string& out, std::string_view s) {
@@ -148,7 +151,6 @@ std::size_t write_perfetto_trace(std::ostream& os, const TraceRecorder& rec,
                                  const MetricsSnapshot* metrics,
                                  const PerfettoOptions& options) {
   const std::vector<TraceEvent> events = rec.events();
-  const double scale = options.time_scale;
 
   // Pass 1: discover slice opens, track structure and the time horizon.
   std::unordered_map<std::uint64_t, OpenSlice> flow_open;
@@ -258,7 +260,7 @@ std::size_t write_perfetto_trace(std::ostream& os, const TraceRecorder& rec,
   const auto instant = [&](const TraceEvent& ev, std::uint64_t pid,
                            std::uint64_t tid, std::string_view cat,
                            const std::string& name) {
-    std::string f = common_fields(name, "i", cat, pid, tid, ev.t * scale);
+    std::string f = common_fields(name, "i", cat, pid, tid, ev.t * kScale);
     f += ",\"s\":\"t\",\"args\":{\"value\":";
     f += fmt_double(ev.value);
     f += '}';
@@ -280,9 +282,9 @@ std::size_t write_perfetto_trace(std::ostream& os, const TraceRecorder& rec,
                               : ev.t;
         std::string f = common_fields(flow_name(ev.id), "X", "flow",
                                       pid_for_job(ev.job), flow_tid(ev.ctx),
-                                      t0 * scale);
+                                      t0 * kScale);
         f += ",\"dur\":";
-        f += fmt_double(std::max(0.0, ev.t - t0) * scale);
+        f += fmt_double(std::max(0.0, ev.t - t0) * kScale);
         f += ",\"args\":{\"undelivered_bytes\":";
         f += fmt_double(ev.value);
         f += '}';
@@ -315,9 +317,9 @@ std::size_t write_perfetto_trace(std::ostream& os, const TraceRecorder& rec,
                               : std::max(0.0, ev.t - ev.value);
         std::string f = common_fields(task_name(ev.id), "X", "compute",
                                       pid_for_job(ev.job), worker_tid(ev.ctx),
-                                      t0 * scale);
+                                      t0 * kScale);
         f += ",\"dur\":";
-        f += fmt_double(std::max(0.0, ev.t - t0) * scale);
+        f += fmt_double(std::max(0.0, ev.t - t0) * kScale);
         w.emit(f);
         if (it != task_open.end()) it->second.open = false;
         break;
@@ -349,9 +351,9 @@ std::size_t write_perfetto_trace(std::ostream& os, const TraceRecorder& rec,
       std::string f = common_fields(
           is_flow ? flow_name(id) : task_name(id), "X",
           is_flow ? "flow" : "compute", pid_for_job(s.job),
-          is_flow ? flow_tid(s.ctx) : worker_tid(s.ctx), s.t * scale);
+          is_flow ? flow_tid(s.ctx) : worker_tid(s.ctx), s.t * kScale);
       f += ",\"dur\":";
-      f += fmt_double(std::max(0.0, horizon - s.t) * scale);
+      f += fmt_double(std::max(0.0, horizon - s.t) * kScale);
       f += ",\"args\":{\"unfinished\":1}";
       w.emit(f);
     }
@@ -370,7 +372,7 @@ std::size_t write_perfetto_trace(std::ostream& os, const TraceRecorder& rec,
                                     : kCountersPid;
       for (const auto& [t, v] : ser.points) {
         std::string f =
-            common_fields(display, "C", "counter", pid, tid, t * scale);
+            common_fields(display, "C", "counter", pid, tid, t * kScale);
         f += ",\"args\":{\"value\":";
         f += fmt_double(v);
         f += '}';

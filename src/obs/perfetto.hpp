@@ -55,8 +55,6 @@ inline constexpr std::uint64_t kCountersPid = 1'000'001;
 inline constexpr std::uint64_t kServicePid = 1'000'002;
 
 struct PerfettoOptions {
-  // Simulator seconds -> trace_event timestamp units (µs).
-  double time_scale = 1e6;
   // When supplied, link counter tracks are named "src->dst"; otherwise
   // "link.<id>".
   const topology::Topology* topology = nullptr;

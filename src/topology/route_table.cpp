@@ -4,8 +4,7 @@ namespace echelon::topology {
 
 namespace {
 
-// SplitMix64 finalizer (same mix as common/scratch.hpp's KeySlotMap): full
-// avalanche so sequential link ids spread across the hash space.
+// SplitMix64 finalizer: full avalanche so sequential link ids spread across the hash space.
 [[nodiscard]] std::uint64_t mix(std::uint64_t x) noexcept {
   x ^= x >> 30;
   x *= 0xbf58476d1ce4e5b9ULL;

@@ -31,6 +31,13 @@
 //         EchelonFlow::tardiness(), and their creation-order sum to
 //         Registry::total_tardiness(). A complete group that was never
 //         rebuilt fails.
+//       - after the run, certify_dependency_order(wf, engine) checks a
+//         job's workflow: every flow is submitted (kFlowSubmit) and every
+//         task starts (kTaskStart) after each predecessor on
+//         Workflow::edges() finished (kFlowFinish / kTaskFinish), in
+//         event order. A barrier finishes with its last predecessor. The
+//         engine names each flow node's FlowId; a task is found by its job
+//         and label.
 //     Byte conservation is the independent oracle for the lazy event loop:
 //     a flow retired early or late shows up as missing or extra bytes.
 //   * certified_service_run(jobs, spec) -- a cluster-shaped run through
@@ -51,12 +58,14 @@
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <optional>
 #include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "cluster/experiment.hpp"
@@ -68,6 +77,7 @@
 #include "netsim/allocator.hpp"
 #include "netsim/flow.hpp"
 #include "netsim/simulator.hpp"
+#include "netsim/workflow.hpp"
 #include "obs/trace.hpp"
 #include "service/arrivals.hpp"
 #include "service/service.hpp"
@@ -93,6 +103,7 @@ struct Report {
   std::uint64_t reroutes = 0;        // kFlowReroute events seen
   std::uint64_t echelonflows = 0;    // complete EchelonFlows rebuilt
   std::uint64_t retired = 0;         // of those, retired by the end
+  std::uint64_t dependencies = 0;    // workflow edges checked
   double worst_byte_error = 0.0;     // max |delivered - expected| / size
   std::uint64_t violation_count = 0;
   std::vector<std::string> violations;  // the first kKeep, verbatim
@@ -119,6 +130,7 @@ struct Report {
     reroutes += o.reroutes;
     echelonflows += o.echelonflows;
     retired += o.retired;
+    dependencies += o.dependencies;
     worst_byte_error = std::max(worst_byte_error, o.worst_byte_error);
     for (const std::string& v : o.violations) {
       if (violations.size() < kKeep) violations.push_back(v);
@@ -135,7 +147,8 @@ struct Report {
        << byte_checks << " byte checks (" << parks << " parks, " << finishes
        << " finishes, worst rel error " << worst_byte_error << "), "
        << faults << " faults, " << reroutes << " reroutes, " << echelonflows
-       << " EchelonFlows (" << retired << " retired); " << violation_count
+       << " EchelonFlows (" << retired << " retired), " << dependencies
+       << " dependencies; " << violation_count
        << " violations";
     for (const std::string& v : violations) os << "\n  " << v;
     return os.str();
@@ -272,14 +285,28 @@ class Certifier final : public obs::TraceSink {
   void watch(const ef::Registry& registry) noexcept { registry_ = &registry; }
 
   using obs::TraceSink::record;
-  void record(const obs::TraceEvent& ev, std::string_view) override {
+  void record(const obs::TraceEvent& ev, std::string_view label) override {
     ++seq_;
     switch (ev.kind) {
       case obs::TraceKind::kAllocPass:
         on_alloc_pass(ev.t);
         break;
+      case obs::TraceKind::kFlowSubmit:
+        if (life(ev.id).submit_seq == 0) life(ev.id).submit_seq = seq_;
+        break;
       case obs::TraceKind::kFlowStart:
         note_start(ev.id, ev.t);
+        break;
+      case obs::TraceKind::kTaskStart:
+        task(ev.id).start_seq = seq_;
+        // A second task of one job under one label makes both ambiguous.
+        if (!task_by_label_.try_emplace({ev.job, std::string(label)}, ev.id)
+                 .second) {
+          task_by_label_[{ev.job, std::string(label)}] = kAmbiguous;
+        }
+        break;
+      case obs::TraceKind::kTaskFinish:
+        task(ev.id).finish_seq = seq_;
         break;
       case obs::TraceKind::kFlowAbandon:
         // A flow abandoned while parked at birth never emitted kFlowStart:
@@ -295,6 +322,7 @@ class Certifier final : public obs::TraceSink {
         ++report_.finishes;
         conserve(ev, /*finished=*/true);
         life(ev.id).finish = ev.t;
+        life(ev.id).finish_seq = seq_;
         note_group_finish(ev.ctx);
         break;
       case obs::TraceKind::kFaultFired:
@@ -346,9 +374,80 @@ class Certifier final : public obs::TraceSink {
     }
   }
 
+  // Checks `wf`'s dependency order (see the header comment) from the events
+  // of the run `engine` drove; call after the run.
+  void certify_dependency_order(const netsim::Workflow& wf,
+                                const netsim::WorkflowEngine& engine) {
+    const std::size_t n = wf.size();
+    const auto name = [&wf](netsim::WfNodeId id) {
+      return "node " + std::to_string(id) + " '" + std::string(wf.label(id)) +
+             "'";
+    };
+    // Event sequence numbers of each node's start and finish.
+    std::vector<std::uint64_t> start(n, 0);
+    std::vector<std::uint64_t> finish(n, 0);
+    for (netsim::WfNodeId id = 0; id < n; ++id) {
+      const netsim::WfKind kind = wf.node(id).kind;
+      if (kind == netsim::WfKind::kFlow) {
+        const FlowId fid = engine.flow_of(id);
+        if (fid.valid() && fid.value() < lives_.size()) {
+          start[id] = lives_[fid.value()].submit_seq;
+          finish[id] = lives_[fid.value()].finish_seq;
+        }
+      } else if (kind == netsim::WfKind::kCompute) {
+        const auto it =
+            task_by_label_.find({wf.job().value(), std::string(wf.label(id))});
+        if (it != task_by_label_.end() && it->second == kAmbiguous) {
+          report_.fail(name(id) + ": more than one task of its job has its "
+                       "label");
+          continue;
+        }
+        if (it != task_by_label_.end()) {
+          start[id] = tasks_[it->second].start_seq;
+          finish[id] = tasks_[it->second].finish_seq;
+        }
+      } else {
+        continue;  // a barrier: finishes with its last predecessor, below
+      }
+      if (start[id] == 0 || finish[id] == 0) {
+        report_.fail(name(id) + ": no start or finish event");
+      }
+    }
+    // Walk the edges in Kahn order, so a barrier's finish is final before
+    // its own out-edges are read.
+    std::vector<std::vector<std::uint32_t>> succs(n);
+    std::vector<std::uint32_t> waiting(n, 0);
+    for (const netsim::WfEdge& e : wf.edges()) {
+      succs[e.pre].push_back(e.succ);
+      ++waiting[e.succ];
+    }
+    std::vector<std::uint32_t> ready;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (waiting[i] == 0) ready.push_back(i);
+    }
+    while (!ready.empty()) {
+      const std::uint32_t pre = ready.back();
+      ready.pop_back();
+      for (const std::uint32_t succ : succs[pre]) {
+        if (wf.node(succ).kind == netsim::WfKind::kBarrier) {
+          finish[succ] = std::max(finish[succ], finish[pre]);
+        } else {
+          ++report_.dependencies;
+          if (start[succ] != 0 && start[succ] < finish[pre]) {
+            report_.fail(name(succ) + " started before its predecessor " +
+                         name(pre) + " finished");
+          }
+        }
+        if (--waiting[succ] == 0) ready.push_back(succ);
+      }
+    }
+  }
+
   [[nodiscard]] const Report& report() const noexcept { return report_; }
 
  private:
+  static constexpr std::uint64_t kAmbiguous = ~0ULL;
+
   // Byte integration state of one flow: delivered up to `since`, at `rate`
   // from then on (the rate of the last pass that saw it active).
   struct Delivery {
@@ -361,6 +460,12 @@ class Certifier final : public obs::TraceSink {
     SimTime start = kTimeInfinity;
     SimTime finish = kTimeInfinity;
     std::uint64_t start_seq = 0;  // 0 = no start seen
+    std::uint64_t submit_seq = 0;  // 0 = no submit seen
+    std::uint64_t finish_seq = 0;  // 0 = no finish seen
+  };
+  struct TaskLife {
+    std::uint64_t start_seq = 0;   // 0 = no start seen
+    std::uint64_t finish_seq = 0;  // 0 = no finish seen
   };
 
   Delivery& delivery(std::uint64_t id) {
@@ -370,6 +475,10 @@ class Certifier final : public obs::TraceSink {
   Life& life(std::uint64_t id) {
     if (id >= lives_.size()) lives_.resize(id + 1);
     return lives_[id];
+  }
+  TaskLife& task(std::uint64_t id) {
+    if (id >= tasks_.size()) tasks_.resize(id + 1);
+    return tasks_[id];
   }
   void note_start(std::uint64_t id, SimTime t) {
     Life& l = life(id);
@@ -476,6 +585,10 @@ class Certifier final : public obs::TraceSink {
   std::uint64_t seq_ = 0;
   std::vector<Delivery> deliveries_;  // by flow id
   std::vector<Life> lives_;           // by flow id
+  std::vector<TaskLife> tasks_;       // by task id
+  // (job, label) -> task id, kAmbiguous when a label repeats in a job.
+  std::map<std::pair<std::uint64_t, std::string>, std::uint64_t>
+      task_by_label_;
   std::vector<int> group_finishes_;   // by EchelonFlow id
   std::vector<std::optional<Duration>> rebuilt_;  // t_H, by EchelonFlow id
   std::vector<const netsim::Flow*> active_;

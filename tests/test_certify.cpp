@@ -14,6 +14,10 @@
 //      and so does a complete group whose finishes were never seen. A
 //      certified service run retires its finished jobs' groups and still
 //      certifies each of them, and a shifted replay of it fails too.
+//   4. Dependency order: one job of every paradigm, run together through a
+//      cluster::Stack under every scheduler, starts no flow or task before
+//      its workflow predecessors finish; a replay that drops one kFlowFinish
+//      and re-records it after everything else fails.
 
 #include <gtest/gtest.h>
 
@@ -21,11 +25,13 @@
 #include <vector>
 
 #include "certify.hpp"
+#include "cluster/stack.hpp"
 #include "cluster/trace.hpp"
 #include "echelon/arrangement.hpp"
 #include "echelon/registry.hpp"
 #include "netsim/allocator.hpp"
 #include "netsim/simulator.hpp"
+#include "netsim/workflow.hpp"
 #include "obs/trace.hpp"
 #include "topology/builders.hpp"
 #include "topology/route_table.hpp"
@@ -339,6 +345,92 @@ TEST(CertifyTardiness, RetiredServiceGroupsAreCertifiedLive) {
   EXPECT_FALSE(shifted.report().ok());
   EXPECT_TRUE(mentions(shifted.report(), "t_H from events"))
       << shifted.report().summary();
+}
+
+// ============================================================================
+// 4. Dependency order
+// ============================================================================
+
+// One small job per paradigm, launched together on one Stack.
+std::vector<cluster::JobSpec> one_job_per_paradigm() {
+  std::vector<cluster::JobSpec> jobs;
+  for (int p = 0; p < 6; ++p) {
+    cluster::TraceConfig tcfg;
+    tcfg.num_jobs = 1;
+    tcfg.seed = 23;
+    tcfg.paradigm_weights = {0, 0, 0, 0, 0, 0};
+    tcfg.paradigm_weights[static_cast<std::size_t>(p)] = 1.0;
+    tcfg.rank_choices = {4};
+    tcfg.min_layers = 4;
+    tcfg.max_layers = 4;
+    tcfg.iterations = 2;
+    jobs.push_back(cluster::generate_trace(tcfg).front());
+    jobs.back().arrival = 0.01 * p;
+  }
+  return jobs;
+}
+
+TEST(CertifyDependencyOrder, EveryParadigmUnderEverySchedulerPasses) {
+  const std::vector<cluster::JobSpec> jobs = one_job_per_paradigm();
+  for (int k = 0; k <= static_cast<int>(cluster::SchedulerKind::kAalo); ++k) {
+    const auto kind = static_cast<cluster::SchedulerKind>(k);
+    SCOPED_TRACE(cluster::to_string(kind));
+    cluster::Stack stack(kind, cluster::FabricKind::kLeafSpine, 16, gbps(25),
+                         2.0);
+    certify::Certifier cert;
+    cert.watch(stack.sim());
+    stack.observe(&cert, obs::TraceDetail::kFlow, nullptr);
+    std::vector<cluster::BuiltJob> built(jobs.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      stack.build(built[j], jobs[j], stack.place(jobs[j]), JobId{j}, {});
+      built[j].engine->launch(jobs[j].arrival);
+    }
+    stack.sim().run();
+    std::uint64_t edges = 0;
+    for (const cluster::BuiltJob& job : built) {
+      ASSERT_TRUE(job.engine->finished());
+      cert.certify_dependency_order(job.generated.workflow, *job.engine);
+      edges += job.generated.workflow.edges().size();
+    }
+    const certify::Report& r = cert.report();
+    EXPECT_TRUE(r.ok()) << r.summary();
+    EXPECT_GT(r.dependencies, 0u);
+    EXPECT_LE(r.dependencies, edges);  // edges into barriers are folded
+  }
+}
+
+// A flow whose finish event arrives after every other event looks, to the
+// certifier, like one whose successors were released while it still ran.
+TEST(CertifyDependencyOrder, LateFinishEventFails) {
+  const std::vector<cluster::JobSpec> jobs = {one_job_per_paradigm().front()};
+  cluster::Stack stack(cluster::SchedulerKind::kEchelonMadd,
+                       cluster::FabricKind::kBigSwitch, 8, gbps(25), 1.0);
+  certify::Certifier cert;
+  cert.watch(stack.sim());
+  struct HoldOneFinish final : obs::TraceSink {
+    certify::Certifier* c;
+    std::optional<std::pair<obs::TraceEvent, std::string>> held;
+    explicit HoldOneFinish(certify::Certifier* x) : c(x) {}
+    void record(const obs::TraceEvent& ev, std::string_view label) override {
+      if (!held && ev.kind == obs::TraceKind::kFlowFinish) {
+        held.emplace(ev, std::string(label));
+        return;
+      }
+      c->record(ev, label);
+    }
+  } hold(&cert);
+  stack.observe(&hold, obs::TraceDetail::kFlow, nullptr);
+  cluster::BuiltJob job;
+  stack.build(job, jobs[0], stack.place(jobs[0]), JobId{0}, {});
+  job.engine->launch(0.0);
+  stack.sim().run();
+  ASSERT_TRUE(job.engine->finished());
+  ASSERT_TRUE(hold.held.has_value());
+  cert.record(hold.held->first, hold.held->second);
+  cert.certify_dependency_order(job.generated.workflow, *job.engine);
+  EXPECT_FALSE(cert.report().ok());
+  EXPECT_TRUE(mentions(cert.report(), "started before its predecessor"))
+      << cert.report().summary();
 }
 
 }  // namespace

@@ -314,6 +314,29 @@ TEST(SchedulerNames, MakePolicyBuildsEveryKind) {
   }
 }
 
+// Every scheduler counts each control pass it runs, and every pass is full,
+// so sched.passes and sched.full_passes both equal the Simulator's control
+// invocations.
+TEST(StackSchedStats, EveryKindCountsEachControlPass) {
+  const auto jobs = small_trace();
+  for (int k = 0; k <= static_cast<int>(SchedulerKind::kAalo); ++k) {
+    const auto kind = static_cast<SchedulerKind>(k);
+    SCOPED_TRACE(to_string(kind));
+    Stack stack(kind, FabricKind::kBigSwitch, 8, gbps(25), 1.0);
+    std::vector<BuiltJob> built(jobs.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      stack.build(built[j], jobs[j], stack.place(jobs[j]), JobId{j}, {});
+      built[j].engine->launch(jobs[j].arrival);
+    }
+    stack.sim().run();
+    const std::uint64_t invocations = stack.sim().control_invocations();
+    const netsim::SchedStats& stats = stack.scheduler().sched_stats();
+    EXPECT_GT(invocations, 0u);
+    EXPECT_EQ(stats.passes, invocations);
+    EXPECT_EQ(stats.full_passes, invocations);
+  }
+}
+
 // Stack::place refuses every job its paradigm's generator cannot take,
 // naming the field and placing nothing, and places the bounds themselves.
 TEST(StackPlace, RejectsJobsItsGeneratorCannotTake) {

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Line-coverage ratchet for the service, netsim, obs, cluster and runtime
-subsystems.
+"""Line-coverage ratchet for the service, netsim, obs, cluster, runtime and
+echelon subsystems.
 
 Walks a --coverage (gcc/gcov) build tree for .gcda counter files, runs gcov
 on each object's counters, aggregates "Lines executed" per tracked source
@@ -50,6 +50,13 @@ FLOORS = {
     # --coverage, gcc 12); without test_cluster driving it, 91.1%
     # (163/179).
     "src/runtime": 84.0,
+    # The schedulers (the paper's contribution) and their shared skeleton:
+    # driven by the scheduler suites (test_dense_equivalence,
+    # test_echelon_madd, test_coflow_madd, test_schedulers_ext,
+    # test_baselines, test_exhaustive, test_arrangement) and test_cluster.
+    # Measured on the CI test set at floor-setting time: 99.55% (666/669
+    # lines, Debug --coverage, gcc 12).
+    "src/echelon": 96.0,
 }
 
 FILE_RE = re.compile(r"^File '(?P<path>[^']+)'")
