@@ -75,18 +75,20 @@ std::vector<SimTime> run_instance(const Instance& inst, bool echelon) {
       &reg);
   sim.set_scheduler(sched.get());
 
-  std::vector<FlowId> ids;
-  for (const auto& f : inst.flows) {
-    ids.push_back(sim.submit_flow(netsim::FlowSpec{
-        .src = fabric.hosts[f.src],
-        .dst = fabric.hosts[f.dst],
-        .size = f.size,
-        .group = EchelonFlowId{f.group},
-        .index_in_group = f.index}));
+  std::vector<SimTime> finishes(inst.flows.size(), kTimeInfinity);
+  for (std::size_t k = 0; k < inst.flows.size(); ++k) {
+    const auto& f = inst.flows[k];
+    sim.submit_flow(
+        netsim::FlowSpec{.src = fabric.hosts[f.src],
+                         .dst = fabric.hosts[f.dst],
+                         .size = f.size,
+                         .group = EchelonFlowId{f.group},
+                         .index_in_group = f.index},
+        [&finishes, k](netsim::Simulator&, const netsim::Flow& done) {
+          finishes[k] = done.finish_time;
+        });
   }
   sim.run();
-  std::vector<SimTime> finishes;
-  for (const FlowId id : ids) finishes.push_back(sim.finish_time(id));
   return finishes;
 }
 

@@ -320,7 +320,6 @@ FlowId Simulator::submit_flow(FlowSpec spec, FlowCallback on_done,
 
 Flow& Simulator::store_flow(Flow&& f, FlowCallback&& on_done) {
   if (f.id.value() % kFlowChunk == 0) flow_chunk_digests_.push_back(kFnvOffset);
-  finish_times_.push_back(kTimeInfinity);
   return flows_.push_back(FlowRecord{std::move(f), std::move(on_done)}).flow;
 }
 
@@ -481,7 +480,6 @@ void Simulator::complete_flow(FlowId id, bool notify_scheduler) {
   Flow& f = rec.flow;
   f.state = FlowState::kFinished;
   f.finish_time = now_;
-  finish_times_.at(id.value()) = now_;
 
   // value = undelivered bytes: 0 for a clean finish, > 0 for an abandonment.
   if (tracing(obs::TraceDetail::kFlow)) {

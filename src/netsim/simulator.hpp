@@ -153,8 +153,10 @@ class Simulator {
   // finished, its hooks returned and every other record of its 4096-record
   // chunk finished too (DESIGN.md §6). So references returned by
   // flow()/task() -- and the records hooks receive -- stay valid until the
-  // record finishes; after that, check flow_resident() first, or read
-  // finish_time(), which outlives the record. `label` is a human-readable
+  // record finishes; after that, check flow_resident() first. The simulator
+  // keeps nothing of a released flow: a caller that needs finish times
+  // later records them from `on_done` or a flow listener (ServiceLoop does,
+  // DESIGN.md §13). `label` is a human-readable
   // tag for the trace (kFlowSubmit/kFlowStart) and error messages only; the
   // simulator keeps no copy of it, except for a flow parked at birth while
   // tracing, until that flow enters the network.
@@ -165,11 +167,6 @@ class Simulator {
   }
   [[nodiscard]] bool flow_resident(FlowId id) const noexcept {
     return flows_.resident(id.value());
-  }
-  // Completion instant of any flow ever submitted (kTimeInfinity while it
-  // has not finished), kept at 8 B per flow after its record is released.
-  [[nodiscard]] SimTime finish_time(FlowId id) const {
-    return finish_times_.at(id.value());
   }
   [[nodiscard]] std::size_t flow_count() const noexcept {
     return flows_.size();
@@ -412,7 +409,6 @@ class Simulator {
   // submit more flows; each flow is retired at the end of complete_flow,
   // which frees whole chunks of finished records.
   ChunkedStore<FlowRecord> flows_;
-  ChunkedStore<SimTime> finish_times_;  // parallel to flows_; never released
   std::vector<std::uint64_t> flow_chunk_digests_;  // see flow_chunk_digest
   std::vector<FlowId> active_flows_;
   // Reused by reallocate() so steady-state control passes are allocation-free

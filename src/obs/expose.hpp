@@ -20,6 +20,9 @@
 // first-seen ids) so repeated flushes of the same registry shape do no
 // per-flush label-string rebuilding.
 //
+// A series renders as a gauge of its latest sample, so a writer hands in
+// MetricsRegistry::latest(), which copies no series history.
+//
 // PromWriter owns a file target: each write() renders the snapshot,
 // optionally rotates previous expositions (path.1, path.2, ...) and
 // replaces `path` via a tmp-file + rename so readers never see a torn

@@ -98,7 +98,11 @@ void MetricsRegistry::set_series_budget(std::size_t budget) {
   for (auto& [name, ser] : series_) ser.set_point_budget(budget);
 }
 
-MetricsSnapshot MetricsRegistry::snapshot() const {
+MetricsSnapshot MetricsRegistry::snapshot() const { return copy(false); }
+
+MetricsSnapshot MetricsRegistry::latest() const { return copy(true); }
+
+MetricsSnapshot MetricsRegistry::copy(bool latest_only) const {
   MetricsSnapshot s;
   s.counters.reserve(counters_.size());
   for (const auto& [name, c] : counters_) s.counters.emplace_back(name, c.value());
@@ -118,7 +122,13 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   }
   s.series.reserve(series_.size());
   for (const auto& [name, ser] : series_) {
-    s.series.push_back(MetricsSnapshot::Ser{name, ser.points()});
+    MetricsSnapshot::Ser& out = s.series.emplace_back();
+    out.name = name;
+    if (!latest_only) {
+      out.points = ser.points();
+    } else if (!ser.points().empty()) {
+      out.points.push_back(ser.points().back());
+    }
   }
   return s;
 }

@@ -205,8 +205,14 @@ class MetricsRegistry {
   }
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
+  // snapshot() with each series cut to its latest sample: all the
+  // Prometheus exposition reads, at a cost that does not grow with the
+  // series' history.
+  [[nodiscard]] MetricsSnapshot latest() const;
 
  private:
+  [[nodiscard]] MetricsSnapshot copy(bool latest_only) const;
+
   // std::map: deterministic (name-sorted) iteration and stable node
   // addresses, so instrument references never move.
   std::map<std::string, Counter, std::less<>> counters_;

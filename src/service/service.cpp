@@ -42,6 +42,11 @@ ServiceLoop::ServiceLoop(const ServiceConfig& config,
         "ServiceLoop: SLO window must be finite and > 0");
   }
   if (owned_plan_.has_value()) config_.fault_plan = &*owned_plan_;
+  if (config_.record_flow_finish) {
+    sim().add_flow_listener([this](netsim::Simulator&, const netsim::Flow& f) {
+      flow_finish_.record(f.id.value(), f.finish_time);
+    });
+  }
   stack_.observe(config_.trace_sink, config_.trace_detail, config_.metrics);
   // Armed before any launch: fault-first same-instant tie-break, as in
   // run_experiment.
@@ -223,7 +228,7 @@ void ServiceLoop::flush_telemetry(SimTime now) {
   if (flightrec_ != nullptr) {
     flightrec_->record(obs::FlightKind::kFlush, now, flush_index_, steps_);
   }
-  if (outputs_.prom != nullptr) outputs_.prom->write(telemetry_.snapshot());
+  if (outputs_.prom != nullptr) outputs_.prom->write(telemetry_.latest());
   if (outputs_.chunk != nullptr) outputs_.chunk->flush();
 }
 
@@ -427,7 +432,9 @@ void ServiceLoop::retire_finished() {
 ServiceResult ServiceLoop::result() const {
   ServiceResult r;
   r.scheduler_name = scheduler().name();
-  r.end = sim().now();
+  for (const ServiceJobRecord& job : jobs_) {
+    if (job.finished) r.end = std::max(r.end, job.finish);
+  }
   r.total_tardiness = registry().total_tardiness();
   r.weighted_total_tardiness = registry().weighted_total_tardiness();
   r.control_invocations = sim().control_invocations();
@@ -442,9 +449,8 @@ ServiceResult ServiceLoop::result() const {
   r.deadline_at_risk = at_risk_;
   r.telemetry_flushes = flushes_;
   r.wall_ms = wall_ms_;
-  r.flow_finish.reserve(sim().flow_count());
-  for (std::size_t i = 0; i < sim().flow_count(); ++i) {
-    r.flow_finish.push_back(sim().finish_time(FlowId{i}));
+  if (config_.record_flow_finish) {
+    r.flow_finish = flow_finish_.view(sim().flow_count());
   }
   r.jobs = jobs_;
   return r;

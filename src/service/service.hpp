@@ -36,6 +36,7 @@
 #include "obs/trace.hpp"
 #include "service/admission.hpp"
 #include "service/arrivals.hpp"
+#include "service/flow_finish.hpp"
 #include "service/slo.hpp"
 
 namespace echelon::service {
@@ -102,6 +103,14 @@ struct ServiceConfig {
   // Service-plane telemetry (read-only over sim state; never affects
   // results -- pinned by tests/test_service_telemetry.cpp).
   TelemetryConfig telemetry;
+
+  // Record every flow's finish time for ServiceResult::flow_finish (8 B per
+  // flow, kept for the whole run). Off leaves flow_finish empty and changes
+  // nothing else, so it is not serialized: a restored loop records. On by
+  // default only because the frozen end-to-end benchmark driver (bench/e2e)
+  // digests flow_finish; the next refresh of that driver deletes this field
+  // together with the recording.
+  bool record_flow_finish = true;
 };
 
 struct ServiceJobRecord {
@@ -117,6 +126,8 @@ struct ServiceJobRecord {
 
 struct ServiceResult {
   std::string scheduler_name;
+  // Instant of the last job completion (0 when no job completed) -- the
+  // makespan, not where the loop stopped (ServiceLoop::drain() returns that).
   SimTime end = 0.0;
   Duration total_tardiness = 0.0;
   Duration weighted_total_tardiness = 0.0;
@@ -137,8 +148,11 @@ struct ServiceResult {
   double wall_ms = 0.0;
 
   // Bitwise-comparable behavioural signature: every flow's completion time
-  // in FlowId order, plus the per-job lifecycle records in launch order.
-  std::vector<SimTime> flow_finish;
+  // in FlowId order (kTimeInfinity while unfinished; empty when
+  // ServiceConfig::record_flow_finish is off), plus the per-job lifecycle
+  // records in launch order. flow_finish shares the loop's record and stays
+  // frozen while the loop runs on.
+  FlowFinishView flow_finish;
   std::vector<ServiceJobRecord> jobs;
 };
 
@@ -264,7 +278,7 @@ class ServiceLoop {
     return telemetry_.snapshot();
   }
   [[nodiscard]] std::string prom_exposition() const {
-    return obs::to_prom_text(telemetry_.snapshot());
+    return obs::to_prom_text(telemetry_.latest());
   }
   // Wall-clock self-profile (separate registry; empty unless
   // telemetry.profile is set).
@@ -364,6 +378,10 @@ class ServiceLoop {
   std::vector<RunningJob> running_jobs_;
   // Jobs finished during the current sim().run(), awaiting retirement.
   std::vector<std::unique_ptr<cluster::BuiltJob>> finished_jobs_;
+
+  // Every flow's finish time, written by a flow listener when
+  // config_.record_flow_finish is set.
+  FlowFinishRecord flow_finish_;
 
   std::uint64_t completed_ = 0;
   std::uint64_t admitted_ = 0;

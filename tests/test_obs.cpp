@@ -611,6 +611,30 @@ TEST(MetricsTest, SeriesBudgetDecimatesButAgreesOnKeptPoints) {
   }
 }
 
+// The exposition reads each series' latest sample only, so latest() -- which
+// copies no series history -- renders byte for byte as the full snapshot.
+TEST(ExportTest, LatestExposesLikeTheFullSnapshot) {
+  obs::MetricsRegistry reg;
+  reg.counter("service.steps").set(12);
+  reg.gauge("service.admission_rate").set(0.75);
+  reg.histogram("service.jct_s").observe(0.4);
+  for (int i = 0; i < 5000; ++i) {
+    reg.series("service.link.3.util").sample(0.01 * i, std::sin(0.1 * i));
+  }
+  reg.series("service.running").sample(1.0, 4.0);
+  (void)reg.series("service.queue_depth");  // no samples: not exposed
+  const obs::MetricsSnapshot latest = reg.latest();
+  ASSERT_EQ(latest.series.size(), 3u);
+  for (const obs::MetricsSnapshot::Ser& s : latest.series) {
+    EXPECT_LE(s.points.size(), 1u) << s.name;
+  }
+  EXPECT_EQ(latest.find_series("service.link.3.util")->points.back(),
+            reg.series("service.link.3.util").points().back());
+  const std::string text = obs::to_prom_text(reg.snapshot());
+  EXPECT_NE(text.find("service_link_util{link=\"3\"}"), std::string::npos);
+  EXPECT_EQ(obs::to_prom_text(latest), text);
+}
+
 TEST(MetricsTest, MergeSnapshotsThrowsOnMismatchedHistogramBounds) {
   obs::MetricsRegistry a;
   obs::MetricsRegistry b;

@@ -3,7 +3,7 @@
 // The ServiceLoop promises that streaming operation is *bit-identical* to
 // itself under interruption: a snapshot taken at any step boundary, restored
 // into a fresh process, and run to completion must produce exactly the
-// results and trace stream of the uninterrupted run. Seven sections:
+// results and trace stream of the uninterrupted run. Eight sections:
 //
 //   1. Snapshot/restore bit identity: every-boundary sweeps on a small
 //      configuration fed by a Poisson generator and by a trace file
@@ -29,6 +29,9 @@
 //   7. Retained state: only running jobs hold a workflow at any step
 //      boundary, a finished job keeps it until its run returns, and
 //      snapshot replay retires identically.
+//   8. Flow finish record: a mid-run result stays frozen, recording off
+//      changes nothing else, the record reads as the Simulator's did, and
+//      ServiceResult::end is the last job completion.
 //
 // Single translation unit: equivalence_harness.hpp defines the global
 // allocation hook (see its header comment).
@@ -36,6 +39,7 @@
 #include "equivalence_harness.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cstdio>
 #include <fstream>
@@ -46,6 +50,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/admission.hpp"
@@ -65,6 +70,7 @@ using service::AdmissionOutcome;
 using service::AdmissionPolicy;
 using service::Arrival;
 using service::ArrivalGenerator;
+using service::kFinishChunk;
 using service::PoissonArrivalGenerator;
 using service::restore_snapshot;
 using service::RestoreOptions;
@@ -1362,6 +1368,193 @@ TEST(RetainedState, SnapshotAfterChunkReleasesRestoresIdentically) {
               std::string::npos)
         << e.what();
   }
+}
+
+// ---------------------------------------------------------------------------
+// 8. Flow finish record and the reported end
+// ---------------------------------------------------------------------------
+
+// FNV-1a over the size and the bit image of every finish time.
+std::uint64_t finish_digest(const ServiceResult& r) {
+  std::uint64_t h = fnv1a_word(kFnvOffset, r.flow_finish.size());
+  for (const SimTime t : r.flow_finish) {
+    h = fnv1a_word(h, std::bit_cast<std::uint64_t>(t));
+  }
+  return h;
+}
+
+// Each flow's finish as its flow listeners saw it, kTimeInfinity before:
+// what ServiceResult::flow_finish must read. Attach before the loop steps.
+class FinishWatch {
+ public:
+  explicit FinishWatch(ServiceLoop& loop) {
+    loop.sim().add_flow_listener(
+        [this](netsim::Simulator&, const netsim::Flow& f) {
+          if (finish_.size() <= f.id.value()) {
+            finish_.resize(f.id.value() + 1, kTimeInfinity);
+          }
+          finish_[f.id.value()] = f.finish_time;
+        });
+  }
+  void expect_read_by(const ServiceResult& r, std::size_t flows) const {
+    ASSERT_EQ(r.flow_finish.size(), flows);
+    for (std::size_t i = 0; i < flows; ++i) {
+      const SimTime want = i < finish_.size() ? finish_[i] : kTimeInfinity;
+      ASSERT_EQ(r.flow_finish[i], want) << "flow " << i;
+    }
+  }
+
+ private:
+  std::vector<SimTime> finish_;
+};
+
+// True when some flow is parked at this boundary.
+bool has_parked_flow(const ServiceLoop& loop) {
+  for (std::size_t i = 0; i < loop.sim().flow_count(); ++i) {
+    const FlowId id{i};
+    if (loop.sim().flow_resident(id) && loop.sim().flow(id).parked()) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// A result shares the loop's finish-time chunks; the loop clones a shared
+// chunk before writing into it, so a result taken mid-run never changes.
+TEST(FlowFinish, MidRunResultStaysFrozenWhileTheLoopRunsOn) {
+  const ServiceSpec spec;
+  const auto trace = small_arrivals(23, /*jobs=*/12);
+  auto whole = make_loop(spec, trace);
+  whole->drain();
+  const ServiceResult reference = whole->result();
+
+  // Cut past the middle, at a boundary with flows in flight.
+  auto loop = make_loop(spec, trace);
+  while (loop->steps_executed() < reference.steps / 2 ||
+         loop->sim().active_flow_count() == 0) {
+    ASSERT_TRUE(loop->step());
+  }
+  const ServiceResult mid = loop->result();
+  ASSERT_EQ(mid.flow_finish.size(), loop->sim().flow_count());
+  const std::vector<SimTime> frozen(mid.flow_finish.begin(),
+                                    mid.flow_finish.end());
+  loop->drain();
+  const ServiceResult last = loop->result();
+
+  // Flows unfinished at the cut finished later, into the chunks `mid` holds.
+  std::size_t finished_later = 0;
+  for (std::size_t i = 0; i < frozen.size(); ++i) {
+    if (frozen[i] == kTimeInfinity && last.flow_finish[i] != kTimeInfinity) {
+      ++finished_later;
+    }
+  }
+  ASSERT_GT(finished_later, 0u);
+  for (std::size_t i = 0; i < frozen.size(); ++i) {
+    ASSERT_EQ(mid.flow_finish[i], frozen[i]) << "flow " << i;
+  }
+  expect_same_service_result(reference, last);
+}
+
+// record_flow_finish = false drops the record and nothing else.
+TEST(FlowFinish, RecordingOffLeavesEveryOtherFieldIdentical) {
+  const auto built = eqh::run_cluster_fabric(FabricKind::kBigSwitch);
+  const FaultPlan plan = service_chaos_plan(7, built.topo);
+  for (const FaultPlan* p : {static_cast<const FaultPlan*>(nullptr), &plan}) {
+    ServiceSpec spec;
+    spec.plan = p;
+    ServiceConfig off_config = make_config(spec);
+    off_config.record_flow_finish = false;
+    ServiceLoop off_loop(off_config);
+    off_loop.set_generator(
+        std::make_unique<PoissonArrivalGenerator>(small_arrivals(29, 6)));
+    off_loop.drain();
+    ServiceResult off = off_loop.result();
+
+    auto on_loop = make_loop(spec, small_arrivals(29, 6));
+    on_loop->drain();
+    const ServiceResult on = on_loop->result();
+
+    EXPECT_TRUE(off.flow_finish.empty());
+    ASSERT_EQ(on.flow_finish.size(), on_loop->sim().flow_count());
+    EXPECT_EQ(off.deadline_at_risk, on.deadline_at_risk);
+    EXPECT_EQ(off.telemetry_flushes, on.telemetry_flushes);
+    off.flow_finish = on.flow_finish;
+    expect_same_service_result(on, off);
+  }
+}
+
+// The record reads what Simulator::finish_time() read before the record
+// left the Simulator: the completion instant, kTimeInfinity until then.
+// Each digest was recorded from that Simulator-side store.
+TEST(FlowFinish, ReadsAsTheSimulatorRecordDid) {
+  const auto built = eqh::run_cluster_fabric(FabricKind::kBigSwitch);
+  const FaultPlan plan = service_chaos_plan(7, built.topo);
+
+  {  // Under one chunk of flows.
+    auto loop = make_loop(ServiceSpec{}, small_arrivals(17));
+    const FinishWatch watch(*loop);
+    loop->drain();
+    const ServiceResult r = loop->result();
+    ASSERT_LT(r.flow_finish.size(), kFinishChunk);
+    watch.expect_read_by(r, loop->sim().flow_count());
+    EXPECT_EQ(finish_digest(r), 0x6bb9fc7a29926eabULL);
+  }
+  {  // Link faults park flows: a parked flow reads kTimeInfinity.
+    ServiceSpec spec;
+    spec.plan = &plan;
+    auto loop = make_loop(spec, small_arrivals(41, 8));
+    const FinishWatch watch(*loop);
+    bool saw_parked = false;
+    while (loop->step()) {
+      if (saw_parked || !has_parked_flow(*loop)) continue;
+      saw_parked = true;
+      const ServiceResult mid = loop->result();
+      watch.expect_read_by(mid, loop->sim().flow_count());
+      for (std::size_t i = 0; i < mid.flow_finish.size(); ++i) {
+        const FlowId id{i};
+        if (loop->sim().flow_resident(id) && loop->sim().flow(id).parked()) {
+          EXPECT_EQ(mid.flow_finish[i], kTimeInfinity) << "flow " << i;
+        }
+      }
+    }
+    ASSERT_TRUE(saw_parked);
+    loop->drain();
+    const ServiceResult r = loop->result();
+    watch.expect_read_by(r, loop->sim().flow_count());
+    EXPECT_EQ(finish_digest(r), 0x5f0645aa28c9b1f7ULL);
+  }
+  {  // Restored from a mid-run snapshot: replay rebuilds the record.
+    ServiceSpec spec;
+    spec.plan = &plan;
+    auto whole = make_loop(spec, small_arrivals(41, 8));
+    whole->drain();
+    const ServiceResult reference = whole->result();
+    const ServiceResult resumed = run_with_snapshot_at(
+        spec, small_arrivals(41, 8), reference.steps / 2);
+    expect_same_service_result(reference, resumed);
+    EXPECT_EQ(finish_digest(resumed), 0x5f0645aa28c9b1f7ULL);
+  }
+}
+
+// ServiceResult::end is the last job completion, not where the last control
+// tick left the simulator.
+TEST(ServiceResultEnd, IsTheLastJobCompletion) {
+  ServiceSpec spec;
+  spec.control_period = 5.0;
+  auto loop = make_loop(spec, small_arrivals(17));
+  const SimTime stopped = loop->drain();
+  const ServiceResult r = loop->result();
+  ASSERT_GT(r.completed, 0u);
+  SimTime last = 0.0;
+  for (const service::ServiceJobRecord& job : r.jobs) {
+    last = std::max(last, job.finish);
+  }
+  EXPECT_BITEQ(r.end, last);
+  EXPECT_GE(stopped, r.end);
+
+  ServiceLoop idle(make_config(spec));
+  idle.drain();
+  EXPECT_EQ(idle.result().end, 0.0);
 }
 
 // A fabric build_fabric rejects fails the constructor. A zero or negative

@@ -302,23 +302,32 @@ TEST_F(SimFixture, CompletionHooksSeeTheStoredRecord) {
   const TaskId t = sim.enqueue_task(
       w, 1.0, "t", {},
       [&](Simulator&, const ComputeTask& task) { task_seen = &task; });
+  SimTime heard_finish = kTimeInfinity;
+  sim.add_flow_listener([&](Simulator&, const Flow& f) {
+    if (f.id == id) heard_finish = f.finish_time;
+  });
   sim.run();
   EXPECT_TRUE(still_valid);
   EXPECT_EQ(sim.flow_count(), burst + 1);
   // Every flow of the first chunk finished, so its records are gone; the
-  // finish time outlives them.
+  // callback and the listener saw the same finish time.
   EXPECT_FALSE(sim.flow_resident(id));
-  EXPECT_EQ(sim.finish_time(id), seen_finish);
+  EXPECT_EQ(seen_finish, 1.0);
+  EXPECT_EQ(heard_finish, seen_finish);
   EXPECT_EQ(task_seen, &sim.task(t));  // a lone task's chunk is never full
 }
 
 // More than two chunks of flows: the finished full chunks are released,
-// finish_time() keeps what every completion hook saw, and the partial tail
-// chunk stays resident.
+// the flow listeners see the finish time every completion callback saw,
+// and the partial tail chunk stays resident.
 TEST_F(SimFixture, FinishedChunksAreReleasedAndFinishTimesKept) {
   constexpr std::size_t kChunk = Simulator::kFlowChunk;
   constexpr std::size_t kFlows = 2 * kChunk + 100;
   std::vector<SimTime> seen(kFlows, -1.0);
+  std::vector<SimTime> heard(kFlows, -1.0);
+  sim.add_flow_listener([&heard](Simulator&, const Flow& f) {
+    heard[f.id.value()] = f.finish_time;
+  });
   for (std::size_t i = 0; i < kFlows; ++i) {
     // Four sizes on two disjoint host pairs: many distinct finish times.
     const std::size_t pair = i % 2;
@@ -332,20 +341,24 @@ TEST_F(SimFixture, FinishedChunksAreReleasedAndFinishTimesKept) {
   }
   sim.run();
   for (std::size_t i = 0; i < kFlows; ++i) {
-    ASSERT_EQ(sim.finish_time(FlowId{i}), seen[i]) << "flow " << i;
+    ASSERT_GT(seen[i], 0.0) << "flow " << i;
+    ASSERT_EQ(heard[i], seen[i]) << "flow " << i;
   }
   EXPECT_FALSE(sim.flow_resident(FlowId{0}));
   EXPECT_FALSE(sim.flow_resident(FlowId{2 * kChunk - 1}));
   EXPECT_THROW((void)sim.flow(FlowId{kChunk}), std::out_of_range);
   EXPECT_TRUE(sim.flow_resident(FlowId{2 * kChunk}));
   EXPECT_TRUE(sim.flow(FlowId{kFlows - 1}).finished());
-  EXPECT_EQ(sim.finish_time(FlowId{kFlows - 1}),
-            sim.flow(FlowId{kFlows - 1}).finish_time);
+  EXPECT_EQ(seen[kFlows - 1], sim.flow(FlowId{kFlows - 1}).finish_time);
 }
 
 TEST_F(SimFixture, ParkedFlowKeepsItsChunkResidentUntilAbandoned) {
   constexpr std::size_t kChunk = Simulator::kFlowChunk;
   constexpr std::size_t kParked = 5;
+  SimTime parked_finish = kTimeInfinity;
+  sim.add_flow_listener([&parked_finish](Simulator&, const Flow& f) {
+    if (f.id == FlowId{kParked}) parked_finish = f.finish_time;
+  });
   for (std::size_t i = 0; i < 2 * kChunk; ++i) {
     sim.submit_flow(FlowSpec{
         .src = fabric.hosts[0], .dst = fabric.hosts[1], .size = 1.0});
@@ -356,11 +369,11 @@ TEST_F(SimFixture, ParkedFlowKeepsItsChunkResidentUntilAbandoned) {
   EXPECT_TRUE(sim.flow(FlowId{kParked}).parked());
   EXPECT_TRUE(sim.flow(FlowId{kChunk - 1}).finished());
   EXPECT_FALSE(sim.flow_resident(FlowId{kChunk}));  // no parked member
-  EXPECT_EQ(sim.finish_time(FlowId{kParked}), kTimeInfinity);
+  EXPECT_EQ(parked_finish, kTimeInfinity);  // its listeners never fired
 
   sim.abandon_flow(FlowId{kParked});
   EXPECT_FALSE(sim.flow_resident(FlowId{0}));
-  EXPECT_EQ(sim.finish_time(FlowId{kParked}), sim.now());
+  EXPECT_EQ(parked_finish, sim.now());
 }
 
 TEST_F(SimFixture, FinishedTaskChunksAreReleased) {

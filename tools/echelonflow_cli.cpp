@@ -63,6 +63,8 @@
 //   --snapshot-in PATH  restore a snapshot and continue it to completion
 //                       (scheduler/admission/arrival flags come from the
 //                       snapshot; only observability flags apply)
+//   `serve` prints one result row; its `end (s)` is the instant of the last
+//   job completion (0 when none completed), not the last control tick.
 //
 // `serve` telemetry options (DESIGN.md §15; deterministic in sim time, and
 // results are bit-identical with all of these on or off):
@@ -727,6 +729,9 @@ int cmd_serve(const Args& args) {
     if (!fabric) return 2;
   }
   cfg.control_period = args.getd("control-period", 0.01);
+  // Nothing here prints per-flow finish times, so keep none (a restored run
+  // takes the default and records them).
+  cfg.record_flow_finish = false;
   try {
     cfg.admission.policy = service::admission_policy_from_string(
         args.get("admission", "accept-all"));
