@@ -7,8 +7,7 @@
 //
 //   1. BM_ServiceSteadyState/svc:J -- the whole online pipeline end to end:
 //      J Poisson arrivals streamed through admission (queue-with-cap),
-//      incremental placement/launch, periodic control ticks, completion
-//      backfill. The decisions/sec counter is the headline service-mode
+//      incremental placement/launch, completion backfill. The decisions/sec counter is the headline service-mode
 //      throughput number.
 //   2. BM_ServiceSnapshotSave/svc:J -- serializing a drained J-job loop
 //      (journal + generator + verification image). bytes_per_second tracks
@@ -51,7 +50,6 @@ cluster::TraceConfig service_trace(int jobs) {
 std::unique_ptr<service::ServiceLoop> make_loop(int jobs) {
   service::ServiceConfig cfg;
   cfg.hosts = 16;
-  cfg.control_period = 0.02;
   cfg.admission.policy = service::AdmissionPolicy::kQueueWithCap;
   cfg.admission.max_running = 8;
   cfg.admission.queue_cap = static_cast<std::uint64_t>(jobs);

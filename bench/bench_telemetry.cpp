@@ -74,7 +74,6 @@ service::TelemetryConfig full_telemetry() {
 std::unique_ptr<service::ServiceLoop> make_loop(int jobs, bool telemetry) {
   service::ServiceConfig cfg;
   cfg.hosts = 16;
-  cfg.control_period = 0.02;
   cfg.admission.policy = service::AdmissionPolicy::kQueueWithCap;
   cfg.admission.max_running = 8;
   cfg.admission.queue_cap = static_cast<std::uint64_t>(jobs);

@@ -2,121 +2,73 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
-#include "common/timer.hpp"
+#include "service/service.hpp"
 
 namespace echelon::cluster {
 
-namespace {
-
-// One job of the trace. Its workflow and engine are held only from the
-// job's build until it is retired after finishing.
-struct LiveJob {
-  JobSpec spec;
-  Seat seat;
-  JobMetrics metrics;
-  bool done = false;
-  BuiltJob built;
-};
-
-// Fills everything of lj.metrics the engine knows: iteration times from the
-// iteration_end barriers and the finish of the last one.
-void record_job_metrics(LiveJob& lj, JobId id) {
-  JobMetrics& jm = lj.metrics;
-  jm.job = id;
-  jm.paradigm = lj.spec.paradigm;
-  jm.description = lj.built.generated.description;
-  jm.arrival = lj.spec.arrival;
-  SimTime prev = lj.spec.arrival;
-  for (const netsim::WfNodeId node : lj.built.generated.iteration_end) {
-    const SimTime t = lj.built.engine->node_finish(node);
-    jm.iteration_times.push_back(t - prev);
-    prev = t;
-  }
-  jm.finish = prev;
-}
-
-}  // namespace
-
 ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
                                 const ExperimentConfig& config) {
-  Stack stack(config.scheduler, config.fabric, config.hosts,
-              config.port_capacity, config.oversubscription);
-  stack.observe(config.trace_sink, config.trace_detail, config.metrics);
-  netsim::Simulator& sim = stack.sim();
-
-  // Place every job, in index order, before the run, so every WorkerId is
-  // fixed here. Workflows are built later.
-  std::vector<LiveJob> live(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    live[j].spec = jobs[j];
-    live[j].seat = stack.place(jobs[j]);
-  }
-  stack.arm_faults(config.fault_plan);
-
-  // Workflow lifetime (DESIGN.md §13). Job j's workflow is built in its
-  // arrival event, or earlier: an arrival first builds every unbuilt job of
-  // lower index, so EchelonFlowIds keep index order whatever the arrival
-  // order. A finished job is only queued by on_complete, which fires inside
-  // its engine's node_done; the next arrival, or the end of the run, frees
-  // its workflow and engine and retires its EchelonFlows.
-  std::size_t next_build = 0;  // jobs [0, next_build) have been built
-  std::size_t held = 0;        // workflows built and not yet freed
-  std::vector<std::size_t> finished;
-  double build_ms = 0.0;
-  std::size_t peak_live = 0;
-
-  const auto build = [&](std::size_t j) {
-    LiveJob& lj = live[j];
-    stack.build(lj.built, lj.spec, lj.seat, JobId{j},
-                [&lj, &finished, j](netsim::Simulator&) {
-                  record_job_metrics(lj, JobId{j});
-                  lj.done = true;
-                  finished.push_back(j);
-                });
-    ++held;
-  };
-  const auto free_finished = [&] {
-    for (const std::size_t j : finished) {
-      stack.retire(live[j].built);
-      --held;
+  for (std::size_t j = 1; j < jobs.size(); ++j) {
+    if (jobs[j].arrival < jobs[j - 1].arrival) {
+      throw std::invalid_argument(
+          "run_experiment: job " + std::to_string(j) +
+          " arrives before job " + std::to_string(j - 1) +
+          "; arrivals must not decrease with job index");
     }
-    finished.clear();
-  };
-
-  // One arrival event per job, scheduled in index order after the fault
-  // plan's: same-instant ties resolve faults first, then jobs by index.
-  // Building a workflow schedules nothing, so event sequence numbers do not
-  // depend on when it happens. Building and freeing are timed and kept out
-  // of wall_ms.
-  for (std::size_t j = 0; j < live.size(); ++j) {
-    sim.schedule_at(live[j].spec.arrival, [&, j](netsim::Simulator&) {
-      const ScopedTimer build_timer;
-      free_finished();
-      for (; next_build <= j; ++next_build) build(next_build);
-      build_ms += build_timer.elapsed_ms();
-      peak_live = std::max(peak_live, held);
-      live[j].built.engine->start();
-    });
   }
 
-  const ScopedTimer wall_timer;
-  const SimTime end = sim.run();
-  const double wall_ms = wall_timer.elapsed_ms() - build_ms;
-  free_finished();
+  service::ServiceLoop loop({.scheduler = config.scheduler,
+                             .fabric = config.fabric,
+                             .hosts = config.hosts,
+                             .port_capacity = config.port_capacity,
+                             .oversubscription = config.oversubscription,
+                             .fault_plan = config.fault_plan,
+                             .trace_sink = config.trace_sink,
+                             .trace_detail = config.trace_detail,
+                             .metrics = config.metrics,
+                             .record_flow_finish = false});
 
-  // Collect metrics.
-  const ef::Registry& registry = stack.registry();
-  const faultsim::FaultInjector* injector = stack.injector();
+  // Launch order is job order (accept-all admission, sorted arrivals), so
+  // launch index j is job j. Its iteration times come from the engine's
+  // iteration_end barriers before the loop retires the job.
+  const std::vector<Seat>& seats = loop.seat_ahead(jobs);
   ExperimentResult result;
-  result.scheduler_name = stack.scheduler().name();
-  result.makespan = end;
-  result.total_tardiness = registry.total_tardiness();
-  result.weighted_total_tardiness = registry.weighted_total_tardiness();
-  result.control_invocations = sim.control_invocations();
-  result.wall_ms = wall_ms;
-  result.build_ms = build_ms;
-  result.peak_live_workflows = peak_live;
+  result.jobs.resize(jobs.size());
+  loop.set_finish_hook([&](std::size_t j, const BuiltJob& built) {
+    JobMetrics& jm = result.jobs[j];
+    jm.job = JobId{j};
+    jm.paradigm = jobs[j].paradigm;
+    jm.description = built.generated.description;
+    jm.arrival = jobs[j].arrival;
+    SimTime prev = jm.arrival;
+    for (const netsim::WfNodeId node : built.generated.iteration_end) {
+      const SimTime t = built.engine->node_finish(node);
+      jm.iteration_times.push_back(t - prev);
+      prev = t;
+    }
+    jm.finish = prev;
+  });
+  loop.set_generator(std::make_unique<service::ScheduleArrivalGenerator>(jobs));
+  while (loop.step()) {
+    result.peak_live_workflows =
+        std::max(result.peak_live_workflows, loop.running());
+  }
+  loop.drain();
+  assert(loop.completed() == jobs.size() && "job did not complete");
+
+  const netsim::Simulator& sim = loop.sim();
+  const faultsim::FaultInjector* injector = loop.injector();
+  const service::ServiceResult run = loop.result();
+  result.scheduler_name = run.scheduler_name;
+  result.makespan = run.end;
+  result.total_tardiness = run.total_tardiness;
+  result.weighted_total_tardiness = run.weighted_total_tardiness;
+  result.control_invocations = run.control_invocations;
+  result.build_ms = loop.build_ms();
+  result.wall_ms = run.wall_ms - result.build_ms;
   if (injector) {
     const faultsim::FaultSummary& fs = injector->summary();
     result.fault_events = fs.events_fired;
@@ -127,26 +79,19 @@ ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
     result.flow_downtime = fs.downtime;
   }
 
-  for (std::size_t j = 0; j < live.size(); ++j) {
-    LiveJob& lj = live[j];
-    if (!lj.done) {
-      // Never finished: its engine is still held, so read what it has.
-      assert(lj.built.engine->finished() && "job did not complete");
-      record_job_metrics(lj, JobId{j});
-    }
-    JobMetrics& jm = lj.metrics;
-    std::size_t workers = lj.seat.placement.workers.size();
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const Seat& seat = seats[j];
+    std::size_t workers = seat.placement.workers.size();
     double idle = 0.0;
-    for (const WorkerId w : lj.seat.placement.workers) {
+    for (const WorkerId w : seat.placement.workers) {
       idle += sim.worker(w).idle_fraction();
     }
-    if (lj.seat.ps_worker.valid()) {
-      idle += sim.worker(lj.seat.ps_worker).idle_fraction();
+    if (seat.ps_worker.valid()) {
+      idle += sim.worker(seat.ps_worker).idle_fraction();
       ++workers;
     }
-    jm.mean_gpu_idle_fraction =
+    result.jobs[j].mean_gpu_idle_fraction =
         workers == 0 ? 0.0 : idle / static_cast<double>(workers);
-    result.jobs.push_back(std::move(jm));
   }
 
   // Run-level metrics registry fill (DESIGN.md §9): counters, gauges and
@@ -155,12 +100,12 @@ ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
   // reads the registry.
   if (config.metrics != nullptr) {
     obs::MetricsRegistry& m = *config.metrics;
-    m.gauge("sim.makespan_s").set(end);
+    m.gauge("sim.makespan_s").set(result.makespan);
     m.gauge("run.wall_ms").set(result.wall_ms);
     m.gauge("echelon.total_tardiness_s").set(result.total_tardiness);
     m.gauge("echelon.weighted_total_tardiness_s")
         .set(result.weighted_total_tardiness);
-    m.counter("sim.control_invocations").set(sim.control_invocations());
+    m.counter("sim.control_invocations").set(result.control_invocations);
     m.counter("sim.flows").set(sim.flow_count());
 
     const netsim::RateAllocator::Stats& as = sim.alloc_stats();
@@ -180,7 +125,7 @@ ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
 
     // Control-plane pass counts. Observational only, so deliberately absent
     // from ExperimentResult.
-    const netsim::SchedStats& ss = stack.scheduler().sched_stats();
+    const netsim::SchedStats& ss = loop.scheduler().sched_stats();
     m.counter("sched.passes").set(ss.passes);
     m.counter("sched.full_passes").set(ss.full_passes);
     m.counter("sched.scoped_passes").set(ss.scoped_passes);
@@ -204,7 +149,7 @@ ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
     }
 
     obs::Histogram& tard = m.histogram("echelonflow.tardiness_s");
-    for (const ef::EchelonFlow* g : registry.all()) {
+    for (const ef::EchelonFlow* g : loop.registry().all()) {
       if (g->complete()) tard.observe(g->tardiness());
     }
     obs::Histogram& iter = m.histogram("job.iteration_s");

@@ -1,7 +1,8 @@
 // Cluster experiment runner: places jobs on a shared fabric, runs them under
 // a chosen network scheduler, and collects the metrics every bench reports.
-// The fabric, scheduler stack, placement and job lifecycle are the Stack's
-// (stack.hpp), shared with the online service.
+// A run is a service::ServiceLoop over the trace (DESIGN.md §13): the batch
+// and online drivers are one code path, so `cluster` and `serve` give the
+// same results on the same trace.
 
 #pragma once
 
@@ -55,17 +56,20 @@ struct ExperimentConfig {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-// Runs `jobs` to completion on one shared fabric. Every job is placed before
-// the run (throwing std::invalid_argument for a job wider than the fabric),
-// but its workflow is built in its arrival event (together with any
-// unbuilt job of lower index, so EchelonFlowIds follow job index) and freed,
-// with its EchelonFlows retired, at the first arrival after it finishes or
-// at the end of the run. Memory therefore follows live jobs, not the trace.
-// In the result:
-//   wall_ms             -- host time of the simulation, excluding build_ms;
-//   build_ms            -- host time the arrival events spent building and
-//                          freeing workflows;
-//   peak_live_workflows -- most workflows held after an arrival event
+// Runs `jobs` to completion on one shared fabric: a ServiceLoop with
+// accept-all admission fed job j at jobs[j].arrival. Arrivals must not
+// decrease with job index (std::invalid_argument names the first index that
+// does), so launch order is job order and EchelonFlowIds follow job index.
+// Every job is placed before the first step (throwing std::invalid_argument
+// for a job wider than the fabric), so every WorkerId exists from t = 0 and
+// fault plans can target workers. A job's workflow is built when it arrives
+// and freed, with its EchelonFlows retired, at the end of the step it
+// finished in, so memory follows live jobs, not the trace. In the result:
+//   makespan            -- the last job completion;
+//   wall_ms             -- host time of the run, excluding build_ms;
+//   build_ms            -- host time spent building arrived jobs'
+//                          workflows and freeing finished ones;
+//   peak_live_workflows -- most workflows held after a step
 //                          (deterministic).
 [[nodiscard]] ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
                                               const ExperimentConfig& config);

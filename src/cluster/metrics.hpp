@@ -39,15 +39,14 @@ struct ExperimentResult {
 
   // Control-plane cost.
   std::uint64_t control_invocations = 0;
-  // Host time of the simulation: sim.run() minus build_ms. Host timing,
-  // so never compared between runs.
+  // Host time of the run's steps minus build_ms. Host timing, so never
+  // compared between runs.
   double wall_ms = 0.0;
-  // Host time the run's arrival events spent building workflows and freeing
-  // finished ones (run_experiment builds each job's workflow when it
-  // arrives). Host timing, like wall_ms.
+  // Host time spent building arrived jobs' workflows and freeing finished
+  // ones. Host timing, like wall_ms.
   double build_ms = 0.0;
-  // Most workflows held at once, sampled after each arrival event: built
-  // and not yet freed. Deterministic.
+  // Most workflows held at once, sampled after each step: built and not yet
+  // freed. Deterministic.
   std::uint64_t peak_live_workflows = 0;
 
   // Fault-injection summary (all zero when no fault plan was attached).

@@ -1,7 +1,7 @@
 // The cluster control plane (DESIGN.md §13): fabric, Simulator, scheduler
 // stack and EchelonFlow registry, fault injector, placement rule and job
-// build/retire lifecycle. run_experiment runs one as a batch and
-// service::ServiceLoop runs one online, so a job runs identically in both.
+// build/retire lifecycle. service::ServiceLoop runs one, online or over a
+// batch trace (run_experiment).
 
 #pragma once
 
@@ -93,9 +93,9 @@ struct BuiltJob {
 };
 
 // Callers run the constructor (fabric, Simulator, scheduler, registry
-// attach), observe(), place() for jobs known up front, arm_faults(), then
-// place()/build()/retire() as jobs come and go, so plan events are queued
-// before any job's and same-instant ties resolve fault-first.
+// attach), observe(), arm_faults(), then place()/build()/retire() as jobs
+// come and go, so plan events are queued before any job's and same-instant
+// ties resolve fault-first. place() schedules nothing: seat jobs any time.
 class Stack {
  public:
   // Builds the fabric as build_fabric does, throwing what it throws.

@@ -3,7 +3,7 @@
 // ScopedTimer centralizes the steady_clock boilerplate that used to be
 // copy-pasted at every `wall_ms` call site: construct it where timing should
 // begin, read elapsed_ms() where it should end (or let the destructor write
-// the out-param). Used by cluster::run_experiment and by the observability
+// the out-param). Used by service::ServiceLoop and by the observability
 // layer's run-summary gauges.
 
 #pragma once

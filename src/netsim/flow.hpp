@@ -82,11 +82,11 @@ struct Flow {
 
   FlowState state = FlowState::kActive;
   // Bytes left to transmit *as of the simulator's accounting epoch* (the
-  // last reallocation boundary or deadline stamp), not necessarily as of
-  // `now()`. The Simulator materializes the up-to-date value on demand as
-  // `remaining - rate * (now - epoch)`; between epochs this field is not
-  // advanced per event. Outside of `Simulator::run` (at quiescence or at a
-  // run deadline) the value is always materialized and exact.
+  // last reallocation boundary, `Simulator::epoch_time()`), not necessarily
+  // as of `now()`: the up-to-date value is `remaining - rate * (now -
+  // epoch)`, and this field is not advanced per event. A run deadline does
+  // not stamp it either, so it is exact at quiescence and at a finish, not
+  // at the instant a `run(deadline)` stopped.
   Bytes remaining = 0.0;
   SimTime start_time = 0.0;     // when the flow entered the network
   SimTime finish_time = kTimeInfinity;

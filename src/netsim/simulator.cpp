@@ -707,9 +707,10 @@ SimTime Simulator::run(SimTime deadline) {
     const SimTime next_done = earliest_completion_heap();
     const SimTime next = std::min(next_event, next_done);
     if (next > deadline) {
-      // Materialize progress up to the deadline so a later run() resumes
-      // exactly where this one stopped.
-      if (deadline > now_) stamp_active_flows(deadline);
+      // Only the clock moves: the accounting epoch, every `remaining` and
+      // the completion heap stay as they were, so a later run() continues
+      // from the same operands and slicing a run at any deadlines gives the
+      // results of one run() bit for bit.
       now_ = std::max(now_, deadline);
       return now_;
     }

@@ -269,7 +269,9 @@ class Simulator {
   void invalidate_allocation() noexcept { allocation_dirty_ = true; }
 
   // Runs until the event queue is empty and no flows are active, or until
-  // `deadline`. Returns the simulation time reached.
+  // `deadline`. Returns the simulation time reached. A deadline stop moves
+  // only the clock, so run(t1); run(t2); ...; run() gives the results of one
+  // run() bit for bit (tests/test_simloop_equivalence.cpp).
   SimTime run(SimTime deadline = kTimeInfinity);
 
   // Count of scheduler control passes -- a measure of control-plane load.
@@ -362,8 +364,8 @@ class Simulator {
   // retirements (callback and scheduler tie-break order depend on it).
   void restore_active_order();
   // Materializes every active flow's `remaining` at time `to` and moves the
-  // accounting epoch there. O(active); called once per reallocation boundary
-  // and per run() deadline, never per event.
+  // accounting epoch there. O(active); called once per reallocation
+  // boundary, never per event.
   void stamp_active_flows(SimTime to);
   // Rebuilds the completion heap from the current epoch state (heapify,
   // O(active)).

@@ -1,6 +1,6 @@
 // Streaming job-arrival sources for the online service loop (DESIGN.md §13).
 //
-// Two concrete generators:
+// Three concrete generators:
 //   * PoissonArrivalGenerator -- draws each job with cluster::draw_job, the
 //     draw cluster::generate_trace uses (same Rng consumption order), so the
 //     stream it emits for a TraceConfig is element-for-element identical to
@@ -10,10 +10,14 @@
 //     (write_arrival_trace's format, the fault-plan round-trip idiom:
 //     precision-17 doubles, line-based parse, loud std::invalid_argument
 //     with a line number on any malformed input).
+//   * ScheduleArrivalGenerator -- replays a job list in order, each job at
+//     its JobSpec::arrival: run_experiment's trace as an arrival stream.
 //
-// Both are deterministic from their construction arguments, which is all a
-// snapshot records of them (snapshot.cpp): restore rebuilds the generator at
-// stream start and the replayed step loop pulls the same arrivals again.
+// All are deterministic from their construction arguments. A snapshot
+// records those of the first two (snapshot.cpp): restore rebuilds the
+// generator at stream start and the replayed step loop pulls the same
+// arrivals again. A job list is not recorded, so a loop fed one cannot be
+// snapshotted.
 
 #pragma once
 
@@ -21,6 +25,7 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -97,6 +102,27 @@ class TraceFileArrivalReader final : public ArrivalGenerator {
   std::uint64_t digest_ = 0;
   std::vector<Arrival> arrivals_;
   std::size_t index_ = 0;
+};
+
+// Replays `jobs` in order, job i arriving at jobs[i].arrival. Views the list,
+// which must outlive the generator.
+class ScheduleArrivalGenerator final : public ArrivalGenerator {
+ public:
+  explicit ScheduleArrivalGenerator(std::span<const cluster::JobSpec> jobs)
+      : jobs_(jobs) {}
+
+  [[nodiscard]] std::optional<Arrival> next() override {
+    if (next_ == jobs_.size()) return std::nullopt;
+    const cluster::JobSpec& job = jobs_[next_++];
+    return Arrival{job.arrival, job};
+  }
+  [[nodiscard]] const char* kind() const noexcept override {
+    return "schedule";
+  }
+
+ private:
+  std::span<const cluster::JobSpec> jobs_;
+  std::size_t next_ = 0;
 };
 
 // Text serialization for arrival streams (fault_plan.hpp round-trip idiom):

@@ -29,9 +29,6 @@ ServiceLoop::ServiceLoop(const ServiceConfig& config,
       owned_plan_(std::move(owned_plan)),
       stack_(config_.scheduler, config_.fabric, config_.hosts,
              config_.port_capacity, config_.oversubscription) {
-  if (config_.control_period <= 0.0) {
-    throw std::invalid_argument("ServiceLoop: control_period must be > 0");
-  }
   if (config_.telemetry.metrics_every < 0.0) {
     throw std::invalid_argument("ServiceLoop: metrics_every must be >= 0");
   }
@@ -48,8 +45,7 @@ ServiceLoop::ServiceLoop(const ServiceConfig& config,
     });
   }
   stack_.observe(config_.trace_sink, config_.trace_detail, config_.metrics);
-  // Armed before any launch: fault-first same-instant tie-break, as in
-  // run_experiment.
+  // Armed before any launch: fault-first same-instant tie-break.
   stack_.arm_faults(config_.fault_plan);
 
   // Telemetry state is config-driven (no output attachments yet), so a
@@ -85,6 +81,18 @@ void ServiceLoop::set_generator(std::unique_ptr<ArrivalGenerator> gen) {
   gen_ = std::move(gen);
 }
 
+const std::vector<cluster::Seat>& ServiceLoop::seat_ahead(
+    std::span<const cluster::JobSpec> jobs) {
+  if (steps_ > 0) {
+    throw std::logic_error("ServiceLoop: seat_ahead after the loop has stepped");
+  }
+  seats_ahead_.reserve(seats_ahead_.size() + jobs.size());
+  for (const cluster::JobSpec& job : jobs) {
+    seats_ahead_.push_back(stack_.place(job));
+  }
+  return seats_ahead_;
+}
+
 void ServiceLoop::refill_pending() {
   if (pending_.has_value() || gen_ == nullptr) return;
   pending_ = gen_->next();
@@ -116,11 +124,10 @@ bool ServiceLoop::step_impl() {
   if (!pending_.has_value() && !work_left) return false;
 
   const ScopedTimer wall;
-  // Control ticks sit at fixed multiples of the period (multiplication, not
+  // Ticks sit at fixed multiples of the period (multiplication, not
   // accumulation: k * p is one rounding, so the tick grid is identical in
   // every run regardless of where snapshots cut the sequence).
-  const SimTime tick_at =
-      config_.control_period * static_cast<double>(tick_index_ + 1);
+  const SimTime tick_at = kTickPeriod * static_cast<double>(tick_index_ + 1);
   const bool is_tick =
       !(pending_.has_value() && (!work_left || !(tick_at < pending_->at)));
   if (!is_tick) {
@@ -131,14 +138,13 @@ bool ServiceLoop::step_impl() {
       // The jump skipped an idle gap; realign the tick grid so the next
       // tick is the first multiple of the period not yet reached.
       const auto caught_up = static_cast<std::uint64_t>(
-          std::floor(sim().now() / config_.control_period));
+          std::floor(sim().now() / kTickPeriod));
       tick_index_ = std::max(tick_index_, caught_up);
     }
   } else {
     sim().run(tick_at);
     ++tick_index_;
     ++control_ticks_;
-    sim().invalidate_allocation();
   }
   retire_finished();
   ++steps_;
@@ -325,26 +331,15 @@ void ServiceLoop::launch_job(const cluster::JobSpec& spec, SimTime submitted,
   const std::size_t index = jobs_.size();
   const ScopedTimer launch_timer;
   auto built = std::make_unique<cluster::BuiltJob>();
-  const cluster::Seat seat = stack_.place(spec);
+  const cluster::Seat seat = index < seats_ahead_.size()
+                                 ? seats_ahead_[index]
+                                 : stack_.place(spec);
   stack_.build(*built, spec, seat, JobId{index},
                [this, index](netsim::Simulator&) { job_finished(index); });
 
-  // Same-instant ordering contract (ISSUE 9 satellite): a launch scheduled
-  // after another must land strictly later in the event queue's sequence
-  // space -- pop_due's tie-break then replays same-instant releases in
-  // submission order. A violation means something scheduled out of band.
-  const std::uint64_t seq_before = sim().events().scheduled_seq();
-  assert(seq_before >= last_launch_seq_ &&
-         "launch sequence floor moved backwards");
-  if (seq_before < last_launch_seq_) {
-    throw std::logic_error(
-        "ServiceLoop: launch would schedule below the previous launch's "
-        "sequence floor, breaking the same-instant submission-order "
-        "tie-break");
-  }
+  // Same-instant launches replay in launch order: the event queue breaks
+  // time ties by its ever-increasing submission sequence.
   built->engine->launch(start);
-  last_launch_seq_ =
-      std::max(last_launch_seq_, sim().events().scheduled_seq());
 
   jobs_.push_back(ServiceJobRecord{
       .paradigm = spec.paradigm, .submitted = submitted, .started = start});
@@ -352,9 +347,9 @@ void ServiceLoop::launch_job(const cluster::JobSpec& spec, SimTime submitted,
   if (flightrec_ != nullptr) {
     flightrec_->record(obs::FlightKind::kLaunch, start, index, running());
   }
-  if (config_.telemetry.profile) {
-    record_phase_ms("launch", launch_timer.elapsed_ms());
-  }
+  const double ms = launch_timer.elapsed_ms();
+  build_ms_ += ms;
+  if (config_.telemetry.profile) record_phase_ms("launch", ms);
 }
 
 void ServiceLoop::job_finished(std::size_t index) {
@@ -372,6 +367,7 @@ void ServiceLoop::job_finished(std::size_t index) {
       std::move(it->built));
   running_jobs_.erase(it);
   ++completed_;
+  if (finish_hook_) finish_hook_(index, built);
   if (config_.telemetry.enabled()) {
     const SimTime now = sim().now();
     const double jct = record.finish - record.submitted;
@@ -425,8 +421,11 @@ SimTime ServiceLoop::drain() {
 }
 
 void ServiceLoop::retire_finished() {
+  if (finished_jobs_.empty()) return;
+  const ScopedTimer t;
   for (const auto& built : finished_jobs_) stack_.retire(*built);
   finished_jobs_.clear();
+  build_ms_ += t.elapsed_ms();
 }
 
 ServiceResult ServiceLoop::result() const {

@@ -1,25 +1,29 @@
 // Long-running scheduler daemon over the batch simulator (DESIGN.md §13).
 //
-// ServiceLoop drives online the cluster::Stack that run_experiment drives in
-// batch: job arrivals are pulled from an ArrivalGenerator, pushed through
-// pluggable admission control (admission.hpp), placed and built by the
-// Stack in launch order, and interleaved with periodic control ticks that
-// force a scheduler pass. The loop is *pull-driven*: every run of the
-// simulator stops at a deterministic boundary -- the next arrival instant or
-// the next control tick t_k = k * control_period -- so two ServiceLoops fed
-// the same configuration and arrival stream execute the identical event
-// history and produce bit-identical results and trace streams. That is the
-// invariant the snapshot/restore layer (snapshot.hpp) is built on: a
-// restored loop rebuilds its arrival generator at stream start, replays the
-// same number of steps through this same step loop and must land on a
+// ServiceLoop drives one cluster::Stack: job arrivals are pulled from an
+// ArrivalGenerator, pushed through pluggable admission control
+// (admission.hpp), and placed and built by the Stack in launch order.
+// run_experiment (cluster/experiment.hpp) is a ServiceLoop over its trace.
+// The loop is *pull-driven*: every run of the simulator stops at a
+// deterministic boundary -- the next arrival instant or the next tick
+// t_k = k * kTickPeriod -- so two ServiceLoops fed the same configuration
+// and arrival stream execute the identical event history and produce
+// bit-identical results and trace streams. A boundary stops the Simulator's
+// clock and nothing else (no forced scheduler pass, no byte stamp), so where
+// boundaries fall changes no result: a served trace matches its batch run
+// bit for bit. The snapshot/restore layer (snapshot.hpp) is built on this:
+// a restored loop rebuilds its arrival generator at stream start, replays
+// the same number of steps through this same step loop and must land on a
 // bitwise-equal simulator state.
 
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -87,8 +91,6 @@ struct ServiceConfig {
   // it; the next refresh of that driver deletes it (ROADMAP item 3).
   unsigned threads = 1;
 
-  // Interval between forced control passes while work is outstanding.
-  Duration control_period = 0.01;
   AdmissionConfig admission;
 
   // Optional deterministic fault script; must outlive the loop (snapshot
@@ -112,6 +114,10 @@ struct ServiceConfig {
   // together with the recording.
   bool record_flow_finish = true;
 };
+
+// Interval between ticks, the boundaries where telemetry flushes and
+// snapshots happen between arrivals. A constant: ticks change no result.
+inline constexpr Duration kTickPeriod = 0.01;
 
 struct ServiceJobRecord {
   workload::Paradigm paradigm = workload::Paradigm::kDpAllReduce;
@@ -173,8 +179,22 @@ class ServiceLoop {
   // change mid-run.
   void set_generator(std::unique_ptr<ArrivalGenerator> gen);
 
-  // Advances to the next boundary (arrival instant or control tick) and
-  // processes it. Returns false -- without advancing -- once the arrival
+  // Places every job of `jobs` now, in order, so every WorkerId exists
+  // before the first step; the next jobs.size() launches take these seats
+  // in launch order instead of placing. Returns the seats. Throws what
+  // Stack::place throws, and std::logic_error once the loop has stepped.
+  const std::vector<cluster::Seat>& seat_ahead(
+      std::span<const cluster::JobSpec> jobs);
+
+  // Called when a launched job finishes, with its launch index and its
+  // built workflow and engine, which are retired when the step returns.
+  // Runs inside the simulator's event loop: it must only read.
+  using FinishHook =
+      std::function<void(std::size_t index, const cluster::BuiltJob&)>;
+  void set_finish_hook(FinishHook hook) { finish_hook_ = std::move(hook); }
+
+  // Advances to the next boundary (arrival instant or tick) and processes
+  // it. Returns false -- without advancing -- once the arrival
   // stream is exhausted and no admitted or queued work remains. Throws
   // std::logic_error if the generator emits a time-non-monotone arrival or
   // one in the simulator's past (the same-instant ordering contract).
@@ -254,11 +274,11 @@ class ServiceLoop {
   [[nodiscard]] std::uint64_t control_ticks() const noexcept {
     return control_ticks_;
   }
+  // Host time spent placing and building launched jobs and retiring
+  // finished ones; part of ServiceResult::wall_ms.
+  [[nodiscard]] double build_ms() const noexcept { return build_ms_; }
   [[nodiscard]] std::size_t next_host_cursor() const noexcept {
     return stack_.next_host();
-  }
-  [[nodiscard]] std::uint64_t last_launch_seq() const noexcept {
-    return last_launch_seq_;
   }
   [[nodiscard]] SimTime last_arrival_at() const noexcept {
     return last_arrival_at_;
@@ -378,6 +398,9 @@ class ServiceLoop {
   std::vector<RunningJob> running_jobs_;
   // Jobs finished during the current sim().run(), awaiting retirement.
   std::vector<std::unique_ptr<cluster::BuiltJob>> finished_jobs_;
+  // Seats placed by seat_ahead(); launch i takes seats_ahead_[i].
+  std::vector<cluster::Seat> seats_ahead_;
+  FinishHook finish_hook_;
 
   // Every flow's finish time, written by a flow listener when
   // config_.record_flow_finish is set.
@@ -390,12 +413,9 @@ class ServiceLoop {
   std::uint64_t steps_ = 0;
   std::uint64_t tick_index_ = 0;
   std::uint64_t control_ticks_ = 0;
-  // Same-instant submission-order guard (ISSUE 9 satellite): the event-queue
-  // sequence floor of the most recent launch; a later launch scheduling
-  // below it would break the pop_due tie-break contract.
-  std::uint64_t last_launch_seq_ = 0;
   SimTime last_arrival_at_ = -kTimeInfinity;
   double wall_ms_ = 0.0;
+  double build_ms_ = 0.0;
 
   // --- service-plane telemetry (DESIGN.md §15) ---
   // Deterministic telemetry state: prom-exported registry, SLO tracker,

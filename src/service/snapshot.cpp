@@ -280,7 +280,6 @@ void build_verify_image(const ServiceLoop& loop, ImageBuilder& img) {
   img.add("service.queue_depth", loop.queue_depth());
   img.add("service.launched", loop.launched());
   img.add("service.next_host", loop.next_host_cursor());
-  img.add("service.last_launch_seq", loop.last_launch_seq());
   img.addf("service.last_arrival_at", loop.last_arrival_at());
 
   constexpr std::size_t kChunk = netsim::Simulator::kFlowChunk;
@@ -563,7 +562,6 @@ std::string save_snapshot(const ServiceLoop& loop) {
     w.u32(static_cast<std::uint32_t>(c.hosts));
     w.f64(c.port_capacity);
     w.f64(c.oversubscription);
-    w.f64(c.control_period);
     w.u32(static_cast<std::uint32_t>(c.admission.policy));
     w.u64(c.admission.max_running);
     w.u64(c.admission.queue_cap);
@@ -715,7 +713,6 @@ std::unique_ptr<ServiceLoop> restore_snapshot(const std::string& bytes,
     config.hosts = static_cast<int>(c.u32("config.hosts"));
     config.port_capacity = c.f64("config.port_capacity");
     config.oversubscription = c.f64("config.oversubscription");
-    config.control_period = c.f64("config.control_period");
     const std::uint32_t policy = c.u32("config.admission.policy");
     if (policy >
         static_cast<std::uint32_t>(AdmissionPolicy::kTardinessAware)) {

@@ -81,7 +81,11 @@ inline constexpr char kSnapshotMagic[8] = {'E', 'C', 'H', 'S', 'N', 'A', 'P',
 //      step counter; kVerify drops sched.scoped_passes and sched.pass_skips.
 // v11: kConfig's scheduler word stores kAalo as 5 (was 6): the coordinator
 //      scheduler kind is gone.
-inline constexpr std::uint32_t kSnapshotVersion = 11;
+// v12: step boundaries are result-inert (a tick forces no scheduler pass and
+//      a run deadline stamps no bytes), so a v11 step count replays a
+//      different history; kConfig drops control_period (ticks are every
+//      kTickPeriod) and kVerify drops service.last_launch_seq.
+inline constexpr std::uint32_t kSnapshotVersion = 12;
 
 // Thrown on any malformed, truncated, corrupt, or divergent snapshot. The
 // message always names what failed and where.

@@ -40,8 +40,8 @@
 //         and label.
 //     Byte conservation is the independent oracle for the lazy event loop:
 //     a flow retired early or late shows up as missing or extra bytes.
-//   * certified_service_run(jobs, spec) -- a cluster-shaped run through
-//     ServiceLoop (run_experiment does not expose its Simulator) with the
+//   * certified_service_run(jobs, spec) -- the ServiceLoop run that
+//     run_experiment makes (which keeps its Simulator private), with the
 //     certifier attached, returning the full report.
 //
 // Tolerances. Rates and capacities compare with a relative 1e-9 plus an
@@ -600,32 +600,10 @@ class Certifier final : public obs::TraceSink {
 // Cluster-shaped certified runs
 // ============================================================================
 
-// Replays a fixed job schedule into a ServiceLoop (each job arrives at its
-// JobSpec::arrival).
-class ScheduleGenerator final : public service::ArrivalGenerator {
- public:
-  explicit ScheduleGenerator(std::vector<cluster::JobSpec> jobs)
-      : jobs_(std::move(jobs)) {}
-
-  [[nodiscard]] std::optional<service::Arrival> next() override {
-    if (next_ == jobs_.size()) return std::nullopt;
-    const cluster::JobSpec& job = jobs_[next_++];
-    return service::Arrival{job.arrival, job};
-  }
-  [[nodiscard]] const char* kind() const noexcept override {
-    return "schedule";
-  }
-
- private:
-  std::vector<cluster::JobSpec> jobs_;
-  std::size_t next_ = 0;
-};
-
 struct ServiceRunSpec {
   cluster::SchedulerKind scheduler = cluster::SchedulerKind::kEchelonMadd;
   cluster::FabricKind fabric = cluster::FabricKind::kBigSwitch;
-  // Service workers only exist after launch, so plans target links, nodes
-  // and jobs (no stragglers), as `serve --chaos` does.
+  // Every job is seated before the run, so plans may target workers too.
   const faultsim::FaultPlan* plan = nullptr;
 };
 
@@ -644,8 +622,10 @@ struct ServiceRunSpec {
   return cfg;
 }
 
-// Runs `jobs` through a ServiceLoop with the certifier attached and returns
-// the allocation, byte and tardiness report. Every job must complete.
+// Runs `jobs` (arrivals sorted by index) with the certifier attached, as
+// run_experiment runs them: a ServiceLoop fed each job at its arrival, with
+// every job seated ahead. Returns the allocation, byte and tardiness
+// report. Every job must complete.
 [[nodiscard]] inline Report certified_service_run(
     const std::vector<cluster::JobSpec>& jobs, const ServiceRunSpec& spec) {
   Certifier cert;
@@ -655,7 +635,9 @@ struct ServiceRunSpec {
   service::ServiceLoop loop(cfg);
   cert.watch(loop.sim());
   cert.watch(loop.registry());
-  loop.set_generator(std::make_unique<ScheduleGenerator>(jobs));
+  loop.seat_ahead(jobs);
+  loop.set_generator(
+      std::make_unique<service::ScheduleArrivalGenerator>(jobs));
   loop.drain();
   cert.certify_tardiness();
   Report r = cert.report();

@@ -266,7 +266,8 @@ inline auto all_sched_fabric_params() {
                         cluster::SchedulerKind::kSrpt,
                         cluster::SchedulerKind::kCoflowMadd,
                         cluster::SchedulerKind::kSincronia,
-                        cluster::SchedulerKind::kEchelonMadd),
+                        cluster::SchedulerKind::kEchelonMadd,
+                        cluster::SchedulerKind::kAalo),
       ::testing::Values(cluster::FabricKind::kBigSwitch,
                         cluster::FabricKind::kLeafSpine));
 }
@@ -283,7 +284,7 @@ inline std::string sched_fabric_name(
   return name;
 }
 
-// Instantiates a TEST_P suite over five schedulers x both fabrics.
+// Instantiates a TEST_P suite over all six schedulers x both fabrics.
 // `Suite` must be SchedFabricTest or an alias of it.
 #define ECHELON_INSTANTIATE_SCHED_FABRIC(Suite)                        \
   INSTANTIATE_TEST_SUITE_P(AllSchedulersBothFabrics, Suite,            \
@@ -327,9 +328,8 @@ struct TraceEvent {
 
 struct ScenarioOptions {
   int flows = 60;
-  // Uneven run(deadline) stepping: exercises the deadline-stamp path
-  // (progress must be materialized exactly so the resumed run continues
-  // bit-for-bit).
+  // Uneven run(deadline) stepping: a stop moves only the clock, so the
+  // resumed run continues from the same byte counts and heap.
   bool stepped = false;
   // Timers that degrade and restore random link capacities mid-run.
   bool capacity_churn = false;

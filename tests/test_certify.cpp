@@ -327,7 +327,8 @@ TEST(CertifyTardiness, RetiredServiceGroupsAreCertifiedLive) {
   cert.watch(loop.sim());
   cert.watch(loop.registry());
   shifted.watch(loop.registry());
-  loop.set_generator(std::make_unique<certify::ScheduleGenerator>(jobs));
+  loop.set_generator(
+      std::make_unique<service::ScheduleArrivalGenerator>(jobs));
   loop.drain();
   ASSERT_EQ(loop.completed(), jobs.size());
 

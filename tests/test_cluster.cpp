@@ -15,6 +15,7 @@
 #include "cluster/experiment.hpp"
 #include "cluster/stack.hpp"
 #include "cluster/trace.hpp"
+#include "faultsim/fault_plan.hpp"
 #include "obs/trace.hpp"
 
 namespace echelon::cluster {
@@ -283,7 +284,7 @@ TEST(Experiment, RejectsFabricItCannotBuild) {
 
 // The one name table: every SchedulerKind comes back from its to_string()
 // name, every --scheduler name maps to its kind, and kAalo stays last so the
-// values v11 snapshots store do not move.
+// values snapshots store do not move.
 TEST(SchedulerNames, FromStringRoundTripsEveryKind) {
   EXPECT_EQ(static_cast<int>(SchedulerKind::kAalo), 5);
   for (int k = 0; k <= static_cast<int>(SchedulerKind::kAalo); ++k) {
@@ -482,29 +483,79 @@ std::uint64_t result_digest(const ExperimentResult& r) {
   return h;
 }
 
-// small_trace() with its arrival times reversed: job 0 arrives last, so the
-// first arrival event builds every job's workflow at once.
-std::vector<JobSpec> reversed_arrival_trace() {
+// Digests recorded from the batch driver's own event loop, before
+// run_experiment became a ServiceLoop over its trace. One per scheduler,
+// folded over a big-switch and a leaf-spine run, each fault-free and under a
+// chaos plan that also slows workers and aborts a job. The makespan digested
+// is the last job completion: the plan's last recovery events fire after
+// it, and the old driver reported those instead.
+TEST(Experiment, BatchRunsMatchRecordedDigests) {
+  const auto jobs = small_trace();
+  std::size_t workers = 0;
+  for (const JobSpec& j : jobs) {
+    workers += static_cast<std::size_t>(j.ranks) +
+               (j.paradigm == workload::Paradigm::kDpPs ? 1 : 0);
+  }
+  const std::pair<SchedulerKind, std::uint64_t> kRecorded[] = {
+      {SchedulerKind::kFairSharing, 0xb0700584bfaeed6dull},
+      {SchedulerKind::kSrpt, 0x6e04ffcc85e6da8bull},
+      {SchedulerKind::kCoflowMadd, 0xafcf696466810710ull},
+      {SchedulerKind::kSincronia, 0x50825108b41a3abfull},
+      {SchedulerKind::kEchelonMadd, 0x59fa00819cd6a80dull},
+      {SchedulerKind::kAalo, 0x8d65fad08566fb87ull}};
+  for (const auto& [kind, recorded] : kRecorded) {
+    std::uint64_t h = 0;
+    for (const FabricKind fabric :
+         {FabricKind::kBigSwitch, FabricKind::kLeafSpine}) {
+      const double oversub = fabric == FabricKind::kLeafSpine ? 2.0 : 1.0;
+      const topology::BuiltFabric built =
+          build_fabric(fabric, 16, gbps(2), oversub);
+      faultsim::ChaosProfile p;
+      p.seed = 5;
+      p.horizon = 2.0;
+      p.link_faults = 2;
+      p.brownouts = 1;
+      p.stragglers = 2;
+      p.node_faults = 1;
+      p.job_aborts = 1;
+      const faultsim::FaultPlan plan =
+          faultsim::from_chaos(p, built.topo, workers, jobs.size());
+      for (const faultsim::FaultPlan* fault_plan :
+           {static_cast<const faultsim::FaultPlan*>(nullptr), &plan}) {
+        ExperimentConfig cfg;
+        cfg.scheduler = kind;
+        cfg.fabric = fabric;
+        cfg.hosts = 16;
+        cfg.port_capacity = gbps(2);
+        cfg.oversubscription = oversub;
+        cfg.fault_plan = fault_plan;
+        const ExperimentResult r = run_experiment(jobs, cfg);
+        h = h * 1099511628211ull ^ result_digest(r);
+      }
+    }
+    EXPECT_EQ(h, recorded) << to_string(kind) << " 0x" << std::hex << h;
+  }
+}
+
+// A trace runs in arrival order, which must be job order: small_trace() with
+// its arrival times reversed (job 0 arrives last) is refused, naming the
+// first job that arrives before its predecessor.
+TEST(Experiment, ArrivalsOutOfIndexOrderThrow) {
   auto jobs = small_trace();
   std::vector<SimTime> arrivals;
   for (const JobSpec& j : jobs) arrivals.push_back(j.arrival);
   std::reverse(arrivals.begin(), arrivals.end());
   for (std::size_t j = 0; j < jobs.size(); ++j) jobs[j].arrival = arrivals[j];
-  return jobs;
-}
-
-TEST(Experiment, ArrivalsOutOfIndexOrderMatchRecordedDigest) {
-  // Digests recorded with every workflow built before the run: building at
-  // arrival must keep EchelonFlowIds, WorkerIds and event order, so results
-  // match to the bit even when arrivals are not sorted by job index.
-  const auto jobs = reversed_arrival_trace();
   ExperimentConfig cfg;
-  cfg.scheduler = SchedulerKind::kEchelonMadd;
   cfg.hosts = 8;
-  const ExperimentResult r = run_experiment(jobs, cfg);
-  EXPECT_EQ(result_digest(r), 0x4fc02f851ea036d7ull)
-      << "0x" << std::hex << result_digest(r);
-  EXPECT_EQ(r.peak_live_workflows, jobs.size());
+  try {
+    (void)run_experiment(jobs, cfg);
+    ADD_FAILURE() << "unsorted arrivals were accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("job 1 arrives before job 0"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Experiment, SequentialJobsHoldOneWorkflow) {

@@ -657,14 +657,14 @@ TEST(ChaosDifferential, CertifiedUnderChaos) {
     std::size_t workers = 0;
     for (const auto& j : jobs) workers += static_cast<std::size_t>(j.ranks);
 
-    // No stragglers: the certified runs go through ServiceLoop, whose
-    // workers only exist after launch (as with `serve --chaos`).
+    // The certified run seats every job ahead, as run_experiment does, so
+    // plans slow workers too.
     ChaosProfile p;
     p.seed = seed;
     p.horizon = 1.5;
     p.link_faults = 1 + s % 3;
     p.brownouts = s % 3;
-    p.stragglers = 0;
+    p.stragglers = s % 2;
     p.node_faults = (s % 4 == 0) ? 1 : 0;
     p.job_aborts = (s % 5 == 0) ? 1 : 0;
     const FaultPlan plan =

@@ -456,8 +456,8 @@ TEST(RouteClassChaos, HundredFlapHeavyPlansCertified) {
     for (const SchedulerKind kind : kinds) {
       // One distinct plan per (seed, scheduler) grid point, link-flap
       // heavy: reroute storms are where route interning and class
-      // repartitioning earn their keep. No stragglers: service workers
-      // only exist after launch.
+      // repartitioning earn their keep. No stragglers: they move no
+      // flow.
       ChaosProfile p;
       p.seed = 3000 + static_cast<std::uint64_t>(s) * 16 +
                static_cast<std::uint64_t>(ki);

@@ -91,7 +91,6 @@ struct ServiceSpec {
   FabricKind fabric = FabricKind::kBigSwitch;
   const FaultPlan* plan = nullptr;
   AdmissionConfig admission;
-  double control_period = 0.02;
   obs::TraceSink* sink = nullptr;
 };
 
@@ -102,7 +101,6 @@ ServiceConfig make_config(const ServiceSpec& s) {
   c.hosts = 16;
   c.port_capacity = gbps(25);
   c.oversubscription = s.fabric == FabricKind::kLeafSpine ? 2.0 : 1.0;
-  c.control_period = s.control_period;
   c.admission = s.admission;
   c.fault_plan = s.plan;
   if (s.sink != nullptr) {
@@ -587,14 +585,14 @@ TEST_F(CorruptSnapshotTest, HeaderAndVersionMutationsFailTheirOwnChecks) {
               std::string::npos);
   }
   {
-    // v10 files store kAalo as scheduler 6, which v11 renumbered to 5;
-    // v11 readers reject them up front, naming the version, instead of
-    // restoring the wrong scheduler.
-    static_assert(service::kSnapshotVersion == 11);
+    // v11 step counts replay under forced-pass ticks and deadline stamps,
+    // which v12 boundaries no longer make; v12 readers reject them up
+    // front, naming the version, instead of replaying another history.
+    static_assert(service::kSnapshotVersion == 12);
     std::string m = bytes_;
-    m[8] = 10;
+    m[8] = 11;
     EXPECT_NE(expect_snapshot_error(restamp(m))
-                  .find("unsupported version 10 (expected 11)"),
+                  .find("unsupported version 11 (expected 12)"),
               std::string::npos);
   }
   {
@@ -1536,11 +1534,10 @@ TEST(FlowFinish, ReadsAsTheSimulatorRecordDid) {
   }
 }
 
-// ServiceResult::end is the last job completion, not where the last control
-// tick left the simulator.
+// ServiceResult::end is the last job completion, not where the last tick
+// left the simulator.
 TEST(ServiceResultEnd, IsTheLastJobCompletion) {
-  ServiceSpec spec;
-  spec.control_period = 5.0;
+  const ServiceSpec spec;
   auto loop = make_loop(spec, small_arrivals(17));
   const SimTime stopped = loop->drain();
   const ServiceResult r = loop->result();

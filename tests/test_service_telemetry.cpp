@@ -25,6 +25,7 @@
 
 #include "equivalence_harness.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <memory>
@@ -84,7 +85,6 @@ ServiceConfig make_config(const TelSpec& s) {
   c.hosts = 16;
   c.port_capacity = gbps(25);
   c.oversubscription = s.fabric == FabricKind::kLeafSpine ? 2.0 : 1.0;
-  c.control_period = 0.02;
   c.fault_plan = s.plan;
   c.telemetry = s.telemetry;
   if (s.sink != nullptr) {
@@ -316,6 +316,51 @@ TEST(TelemetrySnapshot, MidWindowRestoreMatchesUninterrupted) {
     EXPECT_EQ(ref_slo, restored->slo()->digest());
     EXPECT_EQ(ref_ring, restored->flight()->ring_digest());
   }
+}
+
+// A loop restored from a mid-run snapshot still has jobs to run, so its
+// control passes sample the run-level series again; the snapshot's series
+// budget caps them, and the telemetry series, as `serve --snapshot-in`
+// applies it. Without the budget the same restore samples past it.
+TEST(TelemetrySnapshot, MidRunRestoreKeepsTheSeriesBudget) {
+  constexpr std::size_t kBudget = 16;
+  const auto trace = small_arrivals(23, /*jobs=*/10);
+  TelSpec spec;
+  spec.telemetry.metrics_every = 0.01;
+  spec.telemetry.series_budget = kBudget;
+
+  // Cut at the first boundary past the run's midpoint with a job running.
+  auto whole = make_loop(spec, trace);
+  whole->drain();
+  const std::uint64_t half = whole->steps_executed() / 2;
+  auto prefix = make_loop(spec, trace);
+  while (prefix->steps_executed() < half || prefix->running() == 0) {
+    ASSERT_TRUE(prefix->step());
+  }
+  const std::string bytes = save_snapshot(*prefix);
+
+  // Longest run-level series a restore samples, with `budget` applied to
+  // its registry the way the CLI applies the snapshot's.
+  const auto longest_series = [&](std::size_t budget) {
+    obs::MetricsRegistry metrics;
+    auto restored = restore_snapshot(bytes, {.metrics = &metrics});
+    metrics.set_series_budget(budget);
+    restored->drain();
+    std::size_t longest = 0;
+    for (const auto& ser : metrics.snapshot().series) {
+      longest = std::max(longest, ser.points.size());
+    }
+    if (budget > 0) {
+      for (const auto& ser : restored->telemetry_snapshot().series) {
+        EXPECT_LE(ser.points.size(), budget) << ser.name;
+      }
+    }
+    return longest;
+  };
+  const std::size_t capped = longest_series(kBudget);
+  EXPECT_GT(capped, 0u);
+  EXPECT_LE(capped, kBudget);
+  EXPECT_GT(longest_series(0), kBudget);
 }
 
 // Periodic saves leave kSnapshot markers in the live ring; a later snapshot

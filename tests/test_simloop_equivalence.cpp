@@ -10,12 +10,13 @@
 // EchelonFlow's tardiness matches Eq. 2 rebuilt from raw start and finish
 // events (shared scaffolding lives in tests/equivalence_harness.hpp):
 //
-//   1. Randomized cluster-shaped runs across five SchedulerKinds on both
-//      big-switch and leaf-spine fabrics, driven through ServiceLoop.
+//   1. Randomized cluster-shaped runs across all six SchedulerKinds on both
+//      big-switch and leaf-spine fabrics, driven through ServiceLoop, and
+//      the same matrix sliced at run(deadline) stops: a stop moves only the
+//      clock, so a sliced run equals one run() bit for bit.
 //   2. Randomized simulator-level scenarios (timers + staggered flow
-//      submissions), including run(deadline) stepping, which exercises the
-//      deadline stamp + heap rebuild path, and runtime link-capacity
-//      degradation and recovery.
+//      submissions), including uneven run(deadline) stepping and runtime
+//      link-capacity degradation and recovery.
 //   3. run_sweep determinism: N-threaded sweeps produce results identical to
 //      the serial ordering, including with per-job compute jitter (per-job
 //      seeded RNG, so thread assignment cannot leak into results), plus the
@@ -36,6 +37,7 @@
 
 #include "equivalence_harness.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <stdexcept>
@@ -43,10 +45,12 @@
 #include <thread>
 #include <vector>
 
+#include "cluster/stack.hpp"
 #include "cluster/sweep.hpp"
 #include "common/chunked_store.hpp"
 #include "echelon/registry.hpp"
 #include "echelon/srpt.hpp"
+#include "service/service.hpp"
 
 namespace echelon {
 namespace {
@@ -93,6 +97,84 @@ TEST_P(CertifiedCluster, WithComputeJitter) {
       small_trace(7, /*jitter=*/0.05), {.scheduler = kind, .fabric = fabric});
   expect_certified(r, kind == SchedulerKind::kFairSharing);
   EXPECT_GT(r.echelonflows, 0u) << r.summary();
+}
+
+// Runs `jobs` on a Stack, every job built and launched at its arrival up
+// front, stopping Simulator::run at each of `deadlines` before running to
+// quiescence. Returns every flow's finish time, Σ tardiness and the last
+// finish as the makespan (the clock ends at the last deadline when that
+// comes later); `passes` receives the control invocations.
+eqh::SimResult sliced_stack_run(const std::vector<cluster::JobSpec>& jobs,
+                                SchedulerKind kind, cluster::FabricKind fabric,
+                                const faultsim::FaultPlan* plan,
+                                const std::vector<SimTime>& deadlines,
+                                std::uint64_t* passes) {
+  // 2 Gbps ports keep flows alive across many deadlines.
+  cluster::Stack stack(kind, fabric, 16, gbps(2),
+                       fabric == cluster::FabricKind::kLeafSpine ? 2.0 : 1.0);
+  Simulator& sim = stack.sim();
+  eqh::SimResult out;
+  sim.add_flow_listener([&out](Simulator&, const netsim::Flow& f) {
+    if (out.finish.size() <= f.id.value()) {
+      out.finish.resize(f.id.value() + 1, kTimeInfinity);
+    }
+    out.finish[f.id.value()] = f.finish_time;
+  });
+  std::vector<cluster::Seat> seats;
+  for (const cluster::JobSpec& job : jobs) seats.push_back(stack.place(job));
+  stack.arm_faults(plan);
+  std::vector<cluster::BuiltJob> built(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    stack.build(built[j], jobs[j], seats[j], JobId{j}, {});
+    built[j].engine->launch(jobs[j].arrival);
+  }
+  for (const SimTime t : deadlines) sim.run(t);
+  sim.run();
+  for (const SimTime t : out.finish) out.makespan = std::max(out.makespan, t);
+  out.tardiness = stack.registry().total_tardiness();
+  *passes = sim.control_invocations();
+  return out;
+}
+
+// A run(deadline) stop moves only the clock: slicing a run on the service's
+// 10 ms tick grid, or at uneven instants, gives the finish times, Σ
+// tardiness and control passes of one run() bit for bit, fault-free and
+// under link faults and brownouts.
+TEST_P(CertifiedCluster, SlicedRunMatchesOneRun) {
+  const auto [kind, fabric] = GetParam();
+  const auto jobs = small_trace(11);
+  const topology::BuiltFabric built = eqh::run_cluster_fabric(fabric);
+  faultsim::ChaosProfile p;
+  p.seed = 3;
+  p.horizon = 2.0;
+  p.link_faults = 2;
+  p.brownouts = 2;
+  const faultsim::FaultPlan plan =
+      faultsim::from_chaos(p, built.topo, 0, jobs.size());
+
+  std::vector<SimTime> grid;
+  for (int k = 1; k <= 300; ++k) grid.push_back(service::kTickPeriod * k);
+  std::vector<SimTime> uneven;
+  Rng rng(97);
+  for (SimTime t = 0.0; t < 3.0; t += 0.002 + 0.05 * rng.uniform()) {
+    uneven.push_back(t);
+  }
+  for (const faultsim::FaultPlan* fault_plan :
+       {static_cast<const faultsim::FaultPlan*>(nullptr), &plan}) {
+    SCOPED_TRACE(fault_plan != nullptr ? "link faults" : "fault-free");
+    std::uint64_t whole_passes = 0;
+    const eqh::SimResult whole =
+        sliced_stack_run(jobs, kind, fabric, fault_plan, {}, &whole_passes);
+    ASSERT_FALSE(whole.finish.empty());
+    for (const auto* deadlines : {&grid, &uneven}) {
+      std::uint64_t passes = 0;
+      const eqh::SimResult sliced = sliced_stack_run(
+          jobs, kind, fabric, fault_plan, *deadlines, &passes);
+      eqh::expect_same_result(whole, sliced,
+                              deadlines == &grid ? "tick grid" : "uneven");
+      EXPECT_EQ(whole_passes, passes);
+    }
+  }
 }
 
 ECHELON_INSTANTIATE_SCHED_FABRIC(CertifiedCluster);

@@ -53,7 +53,6 @@
 //   --admission accept-all|queue-with-cap|tardiness-aware (default accept-all)
 //   --max-running N (default 0 = unlimited)  --queue-cap N (default 16)
 //   --tardiness-limit X seconds (default 1; tardiness-aware load shedding)
-//   --control-period T seconds (default 0.01) forced control-pass interval
 //   --chaos N --chaos-seed S --chaos-horizon T   seeded link faults +
 //                       brownouts (stragglers stay 0: service workers are
 //                       created at launch time, after the plan is armed)
@@ -64,7 +63,10 @@
 //                       (scheduler/admission/arrival flags come from the
 //                       snapshot; only observability flags apply)
 //   `serve` prints one result row; its `end (s)` is the instant of the last
-//   job completion (0 when none completed), not the last control tick.
+//   job completion (0 when none completed), not where the loop stopped.
+//   The loop steps at every arrival and every 10 ms of simulated time
+//   (service::kTickPeriod); steps change no result, so `serve` and
+//   `cluster` give the same tardiness and control passes on one trace.
 //
 // `serve` telemetry options (DESIGN.md §15; deterministic in sim time, and
 // results are bit-identical with all of these on or off):
@@ -219,9 +221,9 @@ struct Args {
       {"burst-every", kCount},    {"arrivals-out", kText},
       {"admission", kText},       {"max-running", kCount},
       {"queue-cap", kCount},      {"tardiness-limit", kReal},
-      {"control-period", kReal},  {"chaos", kCount},
-      {"chaos-seed", kInt},       {"chaos-horizon", kReal},
-      {"snapshot-out", kText},    {"snapshot-every", kCount},
+      {"chaos", kCount},          {"chaos-seed", kInt},
+      {"chaos-horizon", kReal},   {"snapshot-out", kText},
+      {"snapshot-every", kCount},
       {"snapshot-in", kText},     {"prom-out", kText},
       {"prom-rotate", kCount},    {"metrics-every", kReal},
       {"slo", kText},             {"slo-window", kReal},
@@ -728,7 +730,6 @@ int cmd_serve(const Args& args) {
                                     cfg.oversubscription);
     if (!fabric) return 2;
   }
-  cfg.control_period = args.getd("control-period", 0.01);
   // Nothing here prints per-flow finish times, so keep none (a restored run
   // takes the default and records them).
   cfg.record_flow_finish = false;
