@@ -1,37 +1,23 @@
 // EXT-C: coordinator scalability (paper §5).
 //
-// Two parts:
-//   1. google-benchmark microbenchmarks of one scheduler control() pass as
-//      the active-flow population grows -- the latency every arrival or
-//      departure pays under per-event scheduling.
-//   2. a table comparing per-event vs interval vs interval+iterative-reuse
-//      coordination on a multi-iteration DP job: heuristic runs, reuse
-//      hits, and the tardiness cost of scheduling lag. This quantifies the
-//      paper's proposal to "maintain the scheduling decision throughout the
-//      DDLT lifetime leveraging the iterative nature of DDLT jobs".
+// google-benchmark microbenchmarks of one EchelonFlow-MADD control() pass as
+// the active-flow population grows -- the latency every arrival or departure
+// pays under per-event scheduling.
 
 #include <benchmark/benchmark.h>
 
-#include <iostream>
-#include <memory>
-#include <string_view>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
-#include "common/table.hpp"
 #include "echelon/echelon_madd.hpp"
 #include "echelon/registry.hpp"
 #include "netsim/simulator.hpp"
-#include "runtime/coordinator.hpp"
 #include "topology/builders.hpp"
-#include "workload/dp.hpp"
 
 namespace {
 
 using namespace echelon;
-
-// --- part 1: control-pass latency -------------------------------------------
 
 void BM_EchelonMaddControlPass(benchmark::State& state) {
   const int n_flows = static_cast<int>(state.range(0));
@@ -78,68 +64,9 @@ void BM_EchelonMaddControlPass(benchmark::State& state) {
 }
 BENCHMARK(BM_EchelonMaddControlPass)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
-// --- part 2: coordination-mode comparison -----------------------------------
-
-void coordination_mode_table() {
-  std::cout << "\n=== EXT-C(2): coordination modes on a 6-iteration DP job "
-               "===\n\n";
-  Table t({"mode", "heuristic runs", "reuse hits", "deferred flows",
-           "makespan (s)", "sum tardiness (s)"});
-
-  struct Mode {
-    std::string name;
-    runtime::CoordinatorConfig cfg;
-  };
-  const std::vector<Mode> modes = {
-      {"per-event", {}},
-      {"interval 5ms",
-       {.mode = runtime::SchedulingMode::kInterval, .interval = 5e-3}},
-      {"interval 5ms + reuse",
-       {.mode = runtime::SchedulingMode::kInterval,
-        .interval = 5e-3,
-        .iterative_reuse = true}},
-  };
-  for (const Mode& mode : modes) {
-    auto fabric = topology::make_big_switch(4, gbps(25));
-    netsim::Simulator sim(&fabric.topo);
-    runtime::Coordinator coord(&sim, mode.cfg);
-    sim.set_scheduler(&coord);
-    const auto placement = workload::make_placement(sim, fabric.hosts);
-    const auto job = workload::generate_dp_allreduce(
-        {.model = workload::make_transformer(6, 2048, 256, 16),
-         .gpu = workload::a100(),
-         .buckets = 4,
-         .iterations = 6},
-        placement, coord.registry(), JobId{0});
-    netsim::WorkflowEngine engine(&sim, &job.workflow);
-    engine.launch(0.0);
-    const SimTime makespan = sim.run();
-    t.add_row({mode.name, std::to_string(coord.heuristic_runs()),
-               std::to_string(coord.reuse_hits()),
-               std::to_string(coord.deferred_flows()),
-               Table::num(makespan, 4),
-               Table::num(coord.registry().total_tardiness(), 4)});
-  }
-  t.print(std::cout);
-  std::cout << "\nexpected shape: interval scheduling slashes heuristic runs "
-               "at some tardiness\ncost; iterative reuse recovers most of "
-               "the loss by serving repeat signatures\nfrom cache instead of "
-               "parking them.\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // When machine-readable output is requested (trajectory tracking, e.g.
-  // BENCH_hotpath.json), emit only the google-benchmark report: the
-  // coordination table would corrupt the JSON stream.
-  bool machine_readable = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg.rfind("--benchmark_format", 0) == 0 && arg != "--benchmark_format=console") {
-      machine_readable = true;
-    }
-  }
   // Non-Release numbers must never be mistaken for baselines: warn on
   // stderr and tag the (machine-readable) context so BENCH_hotpath.json
   // regeneration scripts can reject them.
@@ -164,6 +91,5 @@ int main(int argc, char** argv) {
                               echelon::benchutil::hotpath_metrics_context());
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  if (!machine_readable) coordination_mode_table();
   return 0;
 }

@@ -2,7 +2,7 @@
 //
 // Recreates the paper's Fig. 2 motivating example through the public runtime
 // API (agent + coordinator), the way a training framework would use it:
-//   1. build a fabric and a simulator,
+//   1. build a cluster stack whose scheduler is EchelonFlow-MADD,
 //   2. register an EchelonFlow (arrangement + per-flow info) via the agent,
 //   3. post flows as the "computation" produces data,
 //   4. read back finish times and tardiness.
@@ -10,25 +10,24 @@
 // Run: ./quickstart
 
 #include <iostream>
+#include <vector>
 
+#include "cluster/stack.hpp"
 #include "common/table.hpp"
-#include "netsim/simulator.hpp"
 #include "runtime/agent.hpp"
-#include "runtime/coordinator.hpp"
-#include "topology/builders.hpp"
 
 int main() {
   using namespace echelon;
 
-  // Two hosts behind a non-blocking switch; 1 byte/s ports so the numbers
-  // match the paper's abstract units (B = 1).
-  auto fabric = topology::make_big_switch(2, /*port_capacity=*/1.0);
-  netsim::Simulator sim(&fabric.topo);
-
-  // The coordinator runs EchelonFlow-MADD; the agent is the framework shim.
-  runtime::Coordinator coordinator(&sim);
-  sim.set_scheduler(&coordinator);
-  runtime::EchelonFlowAgent agent(&sim, &coordinator, JobId{0}, "demo");
+  // The coordinator: EchelonFlow-MADD over two hosts behind a non-blocking
+  // switch, with 1 byte/s ports so the numbers match the paper's abstract
+  // units (B = 1). The agent is the framework shim.
+  cluster::Stack stack(cluster::SchedulerKind::kEchelonMadd,
+                       cluster::FabricKind::kBigSwitch, /*hosts=*/2,
+                       /*port_capacity=*/1.0, /*oversubscription=*/1.0);
+  netsim::Simulator& sim = stack.sim();
+  const std::vector<NodeId> hosts = sim.topology().hosts();
+  runtime::EchelonFlowAgent agent(&stack, JobId{0}, "demo");
 
   // Three micro-batches, each producing 2 bytes of activations; the
   // consumer computes 1 s per micro-batch -> pipeline arrangement with
@@ -37,8 +36,7 @@ int main() {
   request.label = "activations";
   request.arrangement = ef::Arrangement::pipeline(3, /*T=*/1.0);
   for (int i = 0; i < 3; ++i) {
-    request.flows.push_back(
-        runtime::FlowInfo{2.0, fabric.hosts[0], fabric.hosts[1]});
+    request.flows.push_back(runtime::FlowInfo{2.0, hosts[0], hosts[1]});
   }
   const EchelonFlowId ef = agent.register_echelonflow(request);
 
@@ -51,7 +49,7 @@ int main() {
   sim.run();
 
   Table table({"flow", "start", "ideal finish", "actual finish", "tardiness"});
-  const ef::EchelonFlow& h = coordinator.registry().get(ef);
+  const ef::EchelonFlow& h = stack.registry().get(ef);
   for (const ef::MemberFlow& m : h.members()) {
     table.add_row({"f" + std::to_string(m.index),
                    Table::num(m.start_time, 1),

@@ -140,6 +140,9 @@ class Stack {
   [[nodiscard]] const ef::Registry& registry() const noexcept {
     return registry_;
   }
+  // For declaring EchelonFlows outside build(): the §5 agent registers its
+  // framework's requests here.
+  [[nodiscard]] ef::Registry& registry() noexcept { return registry_; }
   [[nodiscard]] const netsim::NetworkScheduler& scheduler() const noexcept {
     return *policy_;
   }

@@ -31,27 +31,25 @@ struct FlowTag {
   EchelonFlowId group;
   int next_index = 0;
 
-  // Base for FlowSpec::signature: flow j gets signature_base + j, giving a
-  // structural identity stable across training iterations (generators derive
-  // the base from job id and the EchelonFlow's ordinal *within* the
-  // iteration). 0 disables signatures.
-  std::uint64_t signature_base = 0;
+  // Base for FlowSpec::route_hint: flow j gets route_hint_base + j, a
+  // structural identity stable across training iterations (generators
+  // derive the base from job id and the EchelonFlow's ordinal *within* the
+  // iteration), so structurally identical flows across iterations get the
+  // same ECMP seed, intern to the same route and collapse into one
+  // allocator equivalence class. 0 keeps the historical per-flow-id
+  // seeding.
+  std::uint64_t route_hint_base = 0;
 
-  // Stamps job/group/index/signature onto a flow spec and advances the
-  // index. Collective helpers call this once per emitted flow. The signature
-  // doubles as the route hint: structurally identical flows across training
-  // iterations get the same ECMP seed, so they intern to the same route and
-  // collapse into one allocator equivalence class (signature 0 keeps the
-  // historical per-flow-id seeding).
+  // Stamps job/group/index/route hint onto a flow spec and advances the
+  // index. Collective helpers call this once per emitted flow.
   void stamp(netsim::FlowSpec& spec) noexcept {
     spec.job = job;
     spec.group = group;
     spec.index_in_group = next_index;
-    spec.signature =
-        signature_base == 0
+    spec.route_hint =
+        route_hint_base == 0
             ? 0
-            : signature_base + static_cast<std::uint64_t>(next_index);
-    spec.route_hint = spec.signature;
+            : route_hint_base + static_cast<std::uint64_t>(next_index);
     ++next_index;
   }
 };

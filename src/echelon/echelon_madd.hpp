@@ -32,7 +32,7 @@
 //
 // --- Hot-path data layout (see DESIGN.md, "Hot-path data layout") ---------
 // control() runs on every flow arrival/departure, so this scheduler is the
-// coordinator's scalability ceiling. Grouping, ranking and the rate grants
+// control plane's scalability ceiling. Grouping, ranking and the rate grants
 // are the shared group-scheduler skeleton (echelon/linkcaps.hpp), which
 // Coflow-MADD and Aalo use too: this class supplies the key (an EchelonFlow
 // whose member's deadline is known, else a singleton), each member's

@@ -6,21 +6,13 @@ EchelonFlowId Registry::create(JobId job, const Arrangement& arrangement,
                                std::string_view label, double weight) {
   const EchelonFlowId id{echelonflows_.size()};
   echelonflows_.push_back(EchelonFlow(id, job, arrangement, label, weight));
-  // Late registration can turn an active member's deadline from unknown into
-  // a real one.
-  ++revision_;
   return id;
 }
 
 void Registry::note_arrival(const netsim::Flow& flow, SimTime now) {
   const EchelonFlowId gid = flow.spec.group;
   if (!contains(gid)) return;
-  EchelonFlow& ef = get(gid);
-  const bool had_reference = ef.reference_known();
-  ef.note_start(flow.spec.index_in_group, flow.id, flow.spec.size, now);
-  // The first started member fixes r, turning every sibling's ideal finish
-  // d_j = r + offset_j from unknown to known.
-  if (!had_reference && ef.reference_known()) ++revision_;
+  get(gid).note_start(flow.spec.index_in_group, flow.id, flow.spec.size, now);
 }
 
 void Registry::note_departure(const netsim::Flow& flow, SimTime now) {

@@ -9,7 +9,6 @@
 
 #pragma once
 
-#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -43,12 +42,6 @@ class Registry {
   [[nodiscard]] std::size_t size() const noexcept {
     return echelonflows_.size();
   }
-
-  // Counts the mutations that can give an active flow a deadline it did not
-  // have: create() (a late EchelonFlow binds already-active members) and a
-  // first-started member fixing an EchelonFlow's reference time. The
-  // interval Coordinator reads a moved revision as churn.
-  [[nodiscard]] std::uint64_t revision() const noexcept { return revision_; }
 
   // --- runtime wiring ---------------------------------------------------------
 
@@ -87,7 +80,6 @@ class Registry {
   mutable std::size_t prefix_end_ = 0;
   mutable Duration prefix_tardiness_ = 0.0;
   mutable Duration prefix_weighted_tardiness_ = 0.0;
-  std::uint64_t revision_ = 0;
 };
 
 }  // namespace echelon::ef

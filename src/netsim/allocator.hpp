@@ -26,8 +26,8 @@
 // contended flow carries a cap and no link's sum exceeds its capacity by
 // more than kNoise, every flow gets exactly its cap and the pass skips the
 // partition and the fill below. Any uncapped contended flow (fair sharing,
-// PriorityQueueEnforcer weights) or overfull link (a capacity drop under
-// cached Coordinator caps) falls through to the fill.
+// PriorityQueueEnforcer weights) or overfull link (caps set before a
+// capacity cut) falls through to the fill.
 //
 // Equivalence-class fill (DESIGN.md §11): collectives emit thousands of
 // flows over a handful of distinct routed paths, so each component's

@@ -29,17 +29,13 @@ struct FlowSpec {
   EchelonFlowId group;          // owning EchelonFlow (optional)
   int index_in_group = 0;       // position within the EchelonFlow
 
-  // Structural identity stable across training iterations (same position in
-  // the workflow => same signature). Lets the coordinator reuse scheduling
-  // decisions over a job's lifetime (paper §5). 0 = no signature.
-  std::uint64_t signature = 0;
-
   // ECMP seed hint for route interning (DESIGN.md §11). When nonzero, the
   // Simulator routes this flow with `route_hint` as the ECMP seed instead of
-  // the flow id, so structurally identical flows across training iterations
-  // (same signature => same hint) land on the *same* interned route and
-  // collapse into one allocator equivalence class. 0 = no hint (per-flow-id
-  // seed, the historical behavior).
+  // the flow id. Workload generators stamp a structural identity stable
+  // across training iterations (same position in the workflow => same hint),
+  // so repeat flows land on the *same* interned route and collapse into one
+  // allocator equivalence class. 0 = no hint (per-flow-id seed, the
+  // historical behavior).
   std::uint64_t route_hint = 0;
 };
 

@@ -12,9 +12,9 @@
 //                                        adaptation (Property 4)
 //   * AaloScheduler (echelon/)        -- non-clairvoyant Coflow queues
 // The group schedulers share one skeleton (echelon/linkcaps.hpp). The
-// runtime::Coordinator (the paper's §5 control plane) and the
-// runtime::PriorityQueueEnforcer wrapper are constructed directly by their
-// callers (bench_coordinator_scale, bench_enforcement, tests).
+// paper's §5 coordinator is the Stack's EchelonMaddScheduler, fed by
+// runtime::EchelonFlowAgent; the runtime::PriorityQueueEnforcer wrapper is
+// constructed directly by its callers (bench_enforcement, tests).
 //
 // Every control() call is one full pass: the policy recomputes every weight
 // and cap from the active span (DESIGN.md §12).
@@ -58,10 +58,9 @@ class NetworkScheduler {
   }
   // Fired by Simulator::notify_topology_change after link capacities or
   // up/down state changed at runtime (fault injection, operator action).
-  // Schedulers holding decisions derived from path capacities -- e.g. the
-  // coordinator's signature-keyed rate cache -- must drop them here; the
-  // default is a no-op because most policies recompute from scratch every
-  // control pass.
+  // Schedulers holding decisions derived from path capacities must drop
+  // them here; the default is a no-op because every policy here recomputes
+  // from scratch every control pass.
   virtual void on_topology_change(Simulator& sim) { (void)sim; }
 
   // Never called. They remain only because bench/e2e/bench_e2e.cpp, which

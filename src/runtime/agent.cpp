@@ -3,24 +3,27 @@
 #include <cassert>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace echelon::runtime {
 
-EchelonFlowAgent::EchelonFlowAgent(netsim::Simulator* sim,
-                                   Coordinator* coordinator, JobId job,
+EchelonFlowAgent::EchelonFlowAgent(cluster::Stack* stack, JobId job,
                                    std::string framework_name)
-    : sim_(sim),
-      coordinator_(coordinator),
-      job_(job),
-      framework_name_(std::move(framework_name)) {
-  assert(sim != nullptr && coordinator != nullptr);
+    : stack_(stack), job_(job), framework_name_(std::move(framework_name)) {
+  assert(stack != nullptr);
 }
 
 EchelonFlowId EchelonFlowAgent::register_echelonflow(
     EchelonFlowRequest request) {
-  request.job = job_;
-  const EchelonFlowId id = coordinator_->accept_request(request);
-  registrations_.emplace(id.value(), Registration{std::move(request)});
+  if (static_cast<int>(request.flows.size()) != request.arrangement.size()) {
+    throw std::invalid_argument(
+        "agent: request '" + request.label + "' has " +
+        std::to_string(request.flows.size()) + " flows for an arrangement of " +
+        std::to_string(request.arrangement.size()));
+  }
+  const EchelonFlowId id = stack_->registry().create(
+      job_, request.arrangement, request.label, request.weight);
+  registrations_.emplace(id.value(), std::move(request));
   return id;
 }
 
@@ -32,7 +35,7 @@ FlowId EchelonFlowAgent::post_flow(EchelonFlowId ef, int index,
                             std::to_string(ef.value()) +
                             ", which this agent never registered");
   }
-  const EchelonFlowRequest& req = it->second.request;
+  const EchelonFlowRequest& req = it->second;
   if (index < 0 || index >= static_cast<int>(req.flows.size())) {
     throw std::out_of_range("agent: post_flow index " + std::to_string(index) +
                             " outside EchelonFlow " +
@@ -41,20 +44,15 @@ FlowId EchelonFlowAgent::post_flow(EchelonFlowId ef, int index,
   }
   const FlowInfo& info = req.flows[static_cast<std::size_t>(index)];
 
-  netsim::FlowSpec spec{
-      .src = info.src,
-      .dst = info.dst,
-      .size = info.size,
-      .job = job_,
-      .group = ef,
-      .index_in_group = index,
-      .signature =
-          req.signature_base == 0
-              ? 0
-              : req.signature_base + static_cast<std::uint64_t>(index)};
+  const netsim::FlowSpec spec{.src = info.src,
+                              .dst = info.dst,
+                              .size = info.size,
+                              .job = job_,
+                              .group = ef,
+                              .index_in_group = index};
   ++posted_;
-  return sim_->submit_flow(spec, std::move(on_done),
-                           req.label + "#" + std::to_string(index));
+  return stack_->sim().submit_flow(spec, std::move(on_done),
+                                   req.label + "#" + std::to_string(index));
 }
 
 }  // namespace echelon::runtime

@@ -4,35 +4,37 @@
 // framework registers EchelonFlows (arrangement + per-flow info) through the
 // agent; when a computation produces data, the framework posts the flow and
 // the agent issues the communication call to the backend -- here, submitting
-// the flow to the simulated fabric, tagged so the coordinator can schedule
-// it. One agent serves one framework instance (one job); all agents share
-// the coordinator.
+// the flow to the simulated fabric, tagged so the scheduler can place it in
+// its EchelonFlow. One agent serves one framework instance (one job); all
+// agents share one cluster::Stack, whose registry holds the EchelonFlows and
+// whose scheduler (EchelonFlow-MADD for the paper's coordinator) runs the
+// control plane.
 
 #pragma once
 
-#include <functional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
+#include "cluster/stack.hpp"
 #include "netsim/simulator.hpp"
 #include "runtime/api.hpp"
-#include "runtime/coordinator.hpp"
 
 namespace echelon::runtime {
 
 class EchelonFlowAgent {
  public:
-  EchelonFlowAgent(netsim::Simulator* sim, Coordinator* coordinator,
-                   JobId job, std::string framework_name = "framework");
+  EchelonFlowAgent(cluster::Stack* stack, JobId job,
+                   std::string framework_name = "framework");
 
   [[nodiscard]] JobId job() const noexcept { return job_; }
   [[nodiscard]] const std::string& framework_name() const noexcept {
     return framework_name_;
   }
 
-  // Forwards the request to the coordinator and remembers the per-flow info
-  // so post_flow can build the actual transfers.
+  // Declares the request's EchelonFlow in the Stack's registry and remembers
+  // the per-flow info so post_flow can build the actual transfers. Throws
+  // std::invalid_argument, naming both sizes and registering nothing, when
+  // request.flows does not hold one entry per member of the arrangement.
   EchelonFlowId register_echelonflow(EchelonFlowRequest request);
 
   // The framework calls this when member `index` of `ef` has data ready.
@@ -48,15 +50,10 @@ class EchelonFlowAgent {
   }
 
  private:
-  struct Registration {
-    EchelonFlowRequest request;
-  };
-
-  netsim::Simulator* sim_;
-  Coordinator* coordinator_;
+  cluster::Stack* stack_;
   JobId job_;
   std::string framework_name_;
-  std::unordered_map<std::uint64_t, Registration> registrations_;
+  std::unordered_map<std::uint64_t, EchelonFlowRequest> registrations_;
   std::uint64_t posted_ = 0;
 };
 

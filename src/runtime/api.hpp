@@ -21,8 +21,8 @@ struct FlowInfo {
   NodeId dst;
 };
 
+// The job is the registering agent's (EchelonFlowAgent::job()).
 struct EchelonFlowRequest {
-  JobId job;
   std::string label;
   // "Shape" and "distance" from head-flow profiling (§3.1).
   ef::Arrangement arrangement;
@@ -30,9 +30,6 @@ struct EchelonFlowRequest {
   // arrangement's cardinality.
   std::vector<FlowInfo> flows;
   double weight = 1.0;
-
-  // Structural signature base for iterative-reuse scheduling (0 = none).
-  std::uint64_t signature_base = 0;
 };
 
 }  // namespace echelon::runtime

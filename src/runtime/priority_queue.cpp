@@ -3,8 +3,22 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace echelon::runtime {
+
+PriorityQueueEnforcer::PriorityQueueEnforcer(netsim::NetworkScheduler* inner,
+                                             PriorityQueueConfig config)
+    : inner_(inner), config_(config) {
+  // With no queue the lowest queue's share floor 2^-(K-1) is >= 2, above
+  // the clamp's upper bound of 1.
+  if (config_.num_queues < 1) {
+    throw std::invalid_argument(
+        "priority queues: num_queues must be >= 1, got " +
+        std::to_string(config_.num_queues));
+  }
+}
 
 void PriorityQueueEnforcer::control(netsim::Simulator& sim,
                                     std::span<netsim::Flow*> active) {

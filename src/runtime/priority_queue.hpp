@@ -10,7 +10,7 @@
 //
 // Comparing a policy with and without this decorator measures the
 // enforcement gap between idealized rate control and practical K-queue
-// weighted sharing (bench EXT-C).
+// weighted sharing (bench_enforcement, EXT-E).
 
 #pragma once
 
@@ -25,21 +25,20 @@ struct PriorityQueueConfig {
 
 class PriorityQueueEnforcer final : public netsim::NetworkScheduler {
  public:
+  // Throws std::invalid_argument, naming the value, when
+  // config.num_queues < 1.
   PriorityQueueEnforcer(netsim::NetworkScheduler* inner,
-                        PriorityQueueConfig config = {})
-      : inner_(inner), config_(config) {}
+                        PriorityQueueConfig config = {});
 
   void control(netsim::Simulator& sim,
                std::span<netsim::Flow*> active) override;
 
-  // Topology changes must reach the inner policy (the coordinator drops its
-  // signature-keyed decision cache on this hook); the enforcer itself is
+  // Topology and membership hooks pass through so a stateful inner policy
+  // (Aalo's per-flow queue state) stays coherent; the enforcer itself is
   // stateless w.r.t. the fabric.
   void on_topology_change(netsim::Simulator& sim) override {
     inner_->on_topology_change(sim);
   }
-  // Membership hooks pass through so inner state (the interval
-  // coordinator's churn flag) stays coherent.
   void on_flow_arrival(netsim::Simulator& sim,
                        const netsim::Flow& flow) override {
     inner_->on_flow_arrival(sim, flow);

@@ -83,7 +83,7 @@ GeneratedJob generate_dp_allreduce(const DpAllReduceConfig& cfg,
       out.echelonflows.push_back(ef);
       collective::FlowTag tag{.job = job,
                               .group = ef,
-                              .signature_base = signature_base(job, b)};
+                              .route_hint_base = route_hint_base(job, b)};
       auto ar = collective::ring_all_reduce(
           wf, placement.hosts, buckets[b].grad_bytes, tag,
           itp + "ar.bk" + std::to_string(b));
@@ -160,7 +160,7 @@ GeneratedJob generate_dp_ps(const DpPsConfig& cfg, const Placement& placement,
       out.echelonflows.push_back(ef);
       collective::FlowTag tag{.job = job,
                               .group = ef,
-                              .signature_base = signature_base(job, b)};
+                              .route_hint_base = route_hint_base(job, b)};
       auto push = collective::ps_push(wf, placement.hosts, ps_host,
                                       buckets[b].grad_bytes, tag,
                                       itp + "bk" + std::to_string(b));
@@ -182,7 +182,7 @@ GeneratedJob generate_dp_ps(const DpPsConfig& cfg, const Placement& placement,
     collective::FlowTag pull_tag{
         .job = job,
         .group = pull_ef,
-        .signature_base = signature_base(job, buckets.size())};
+        .route_hint_base = route_hint_base(job, buckets.size())};
     auto pull =
         collective::ps_pull(wf, placement.hosts, ps_host,
                             cfg.model.total_param_bytes(), pull_tag, itp);

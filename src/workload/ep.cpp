@@ -35,9 +35,10 @@ GeneratedJob generate_expert(const ExpertConfig& cfg,
           job, ef::Arrangement::coflow(a2a_flows),
           "j" + std::to_string(job.value()) + "." + itp + name);
       out.echelonflows.push_back(ef);
-      collective::FlowTag tag{.job = job,
-                              .group = ef,
-                              .signature_base = signature_base(job, ef_ord++)};
+      collective::FlowTag tag{
+          .job = job,
+          .group = ef,
+          .route_hint_base = route_hint_base(job, ef_ord++)};
       // Tokens split evenly across experts: bytes per ordered pair.
       auto a2a = collective::all_to_all(
           wf, placement.hosts, total_bytes / static_cast<double>(m * m), tag,

@@ -58,7 +58,7 @@ GeneratedJob generate_fsdp(const FsdpConfig& cfg, const Placement& placement,
     out.echelonflows.push_back(ag_ef);
     collective::FlowTag ag_tag{.job = job,
                                .group = ag_ef,
-                               .signature_base = signature_base(job, 0)};
+                               .route_hint_base = route_hint_base(job, 0)};
 
     // Forward: all-gathers released at iteration start (stage i), each
     // gating its layer's compute.
@@ -115,7 +115,7 @@ GeneratedJob generate_fsdp(const FsdpConfig& cfg, const Placement& placement,
       collective::FlowTag rs_tag{
           .job = job,
           .group = rs_ef,
-          .signature_base = signature_base(job, 1 + li)};
+          .route_hint_base = route_hint_base(job, 1 + li)};
       auto rs = collective::ring_reduce_scatter(
           wf, placement.hosts, cfg.model.layer_param_bytes(li), rs_tag,
           itp + "rs.l" + std::to_string(li));

@@ -83,9 +83,10 @@ partition_layers(const ModelSpec& model, std::size_t parts);
   return nominal * factor;
 }
 
-// Signature base for the k-th EchelonFlow structure of a job: stable across
-// iterations (the iteration index deliberately does not participate).
-[[nodiscard]] constexpr std::uint64_t signature_base(
+// FlowTag::route_hint_base for the k-th EchelonFlow structure of a job:
+// stable across iterations (the iteration index deliberately does not
+// participate).
+[[nodiscard]] constexpr std::uint64_t route_hint_base(
     JobId job, std::uint64_t ef_ordinal_in_iteration) noexcept {
   return ((job.value() + 1) << 36) | (ef_ordinal_in_iteration << 18) | 1;
 }

@@ -112,10 +112,10 @@ GeneratedJob generate_pipeline(const PipelineConfig& cfg,
       out.echelonflows.push_back(bwd_ef[s]);
       fwd_tag[s] = collective::FlowTag{
           .job = job, .group = fwd_ef[s],
-          .signature_base = signature_base(job, 2 * s)};
+          .route_hint_base = route_hint_base(job, 2 * s)};
       bwd_tag[s] = collective::FlowTag{
           .job = job, .group = bwd_ef[s],
-          .signature_base = signature_base(job, 2 * s + 1)};
+          .route_hint_base = route_hint_base(job, 2 * s + 1)};
     }
 
     // --- nodes -------------------------------------------------------------

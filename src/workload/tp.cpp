@@ -38,9 +38,10 @@ GeneratedJob generate_tensor(const TensorConfig& cfg,
           "j" + std::to_string(job.value()) + "." + itp + "as.l" +
               std::to_string(l));
       out.echelonflows.push_back(ef);
-      collective::FlowTag tag{.job = job,
-                              .group = ef,
-                              .signature_base = signature_base(job, ef_ord++)};
+      collective::FlowTag tag{
+          .job = job,
+          .group = ef,
+          .route_hint_base = route_hint_base(job, ef_ord++)};
       auto ar = collective::ring_all_reduce(wf, placement.hosts,
                                             layer.activation_bytes, tag,
                                             itp + "as.l" + std::to_string(l));
@@ -63,9 +64,10 @@ GeneratedJob generate_tensor(const TensorConfig& cfg,
           "j" + std::to_string(job.value()) + "." + itp + "gs.l" +
               std::to_string(li));
       out.echelonflows.push_back(ef);
-      collective::FlowTag tag{.job = job,
-                              .group = ef,
-                              .signature_base = signature_base(job, ef_ord++)};
+      collective::FlowTag tag{
+          .job = job,
+          .group = ef,
+          .route_hint_base = route_hint_base(job, ef_ord++)};
       auto ar = collective::ring_all_reduce(wf, placement.hosts,
                                             layer.activation_bytes, tag,
                                             itp + "gs.l" + std::to_string(li));

@@ -434,8 +434,8 @@ TEST(AllocatorExplicitRate, UncappedFlowAmongCappedTakesTheFill) {
 }
 
 TEST(AllocatorExplicitRate, CapacityCutAfterControlTakesTheFill) {
-  // The caps fit when set; a runtime capacity cut before the next pass (a
-  // Coordinator reusing cached caps) makes them overcommit the port.
+  // The caps fit when set; a runtime capacity cut before the next pass makes
+  // them overcommit the port.
   auto f = topology::make_big_switch(2, 10.0);
   RateAllocator alloc(&f.topo);
   topology::RouteTable routes(&f.topo);

@@ -135,22 +135,22 @@ TEST_F(CollectiveFixture, AllToAllCountsAndTiming) {
   EXPECT_NEAR(t, 3.0, 1e-9);
 }
 
-TEST_F(CollectiveFixture, SignatureBaseStampsDistinctSignatures) {
+TEST_F(CollectiveFixture, RouteHintBaseStampsDistinctHints) {
   Workflow wf;
   FlowTag tag{.job = JobId{0},
               .group = EchelonFlowId{0},
-              .signature_base = 1000};
+              .route_hint_base = 1000};
   const auto h = ps_push(wf, {fabric.hosts[0], fabric.hosts[1]},
                          fabric.hosts[2], 5.0, tag, "s");
-  EXPECT_EQ(wf.flow(h.flow_nodes[0]).signature, 1000u);
-  EXPECT_EQ(wf.flow(h.flow_nodes[1]).signature, 1001u);
+  EXPECT_EQ(wf.flow(h.flow_nodes[0]).route_hint, 1000u);
+  EXPECT_EQ(wf.flow(h.flow_nodes[1]).route_hint, 1001u);
 }
 
-TEST_F(CollectiveFixture, NoSignatureBaseMeansZero) {
+TEST_F(CollectiveFixture, NoRouteHintBaseMeansZero) {
   Workflow wf;
   FlowTag tag{.job = JobId{0}, .group = EchelonFlowId{0}};
   const auto h = p2p(wf, fabric.hosts[0], fabric.hosts[1], 5.0, tag, "s");
-  EXPECT_EQ(wf.flow(h.flow_nodes[0]).signature, 0u);
+  EXPECT_EQ(wf.flow(h.flow_nodes[0]).route_hint, 0u);
 }
 
 TEST_F(CollectiveFixture, ChainedCollectivesRespectBarriers) {

@@ -1,16 +1,12 @@
 // Edge-case and boundary tests across modules: degenerate sizes, single
-// micro-batches/buckets, logging controls, quiescent coordinators.
+// micro-batches/buckets, logging controls.
 
 #include <gtest/gtest.h>
-
-#include <limits>
-#include <stdexcept>
 
 #include "common/log.hpp"
 #include "echelon/echelon_madd.hpp"
 #include "echelon/registry.hpp"
 #include "netsim/simulator.hpp"
-#include "runtime/coordinator.hpp"
 #include "topology/builders.hpp"
 #include "workload/dp.hpp"
 #include "workload/pp.hpp"
@@ -96,58 +92,6 @@ TEST(ProfilerEdge, FiniteProfilingCapacityShiftsOffsets) {
   // Slow-network gaps between releases are at least the fast-network gaps.
   EXPECT_GE(slow.offsets.at(ef_id)[1], fast.offsets.at(ef_id)[1] - 1e-9);
   EXPECT_GT(slow.makespan, fast.makespan);
-}
-
-TEST(CoordinatorEdge, QuiescentIntervalModeTerminates) {
-  // An interval coordinator with no flows must not keep the simulator alive
-  // with timer chains.
-  auto fabric = topology::make_big_switch(2, 10.0);
-  netsim::Simulator sim(&fabric.topo);
-  runtime::Coordinator coord(&sim, {.mode = runtime::SchedulingMode::kInterval,
-                                    .interval = 0.01});
-  sim.set_scheduler(&coord);
-  const WorkerId w = sim.add_worker(fabric.hosts[0]);
-  sim.enqueue_task(w, 1.0, "compute-only");
-  const SimTime end = sim.run();
-  EXPECT_NEAR(end, 1.0, 1e-9);
-}
-
-TEST(CoordinatorEdge, FlowAfterIdlePeriodIsScheduled) {
-  auto fabric = topology::make_big_switch(2, 10.0);
-  netsim::Simulator sim(&fabric.topo);
-  runtime::Coordinator coord(&sim, {.mode = runtime::SchedulingMode::kInterval,
-                                    .interval = 0.5});
-  sim.set_scheduler(&coord);
-  // First burst, full drain, long idle gap, second burst.
-  sim.submit_flow(netsim::FlowSpec{
-      .src = fabric.hosts[0], .dst = fabric.hosts[1], .size = 10.0});
-  sim.schedule_at(10.0, [&fabric](netsim::Simulator& s) {
-    s.submit_flow(netsim::FlowSpec{
-        .src = fabric.hosts[0], .dst = fabric.hosts[1], .size = 10.0});
-  });
-  const SimTime end = sim.run();
-  // The second flow must complete promptly (within one interval of grace).
-  EXPECT_LE(end, 12.0);
-  EXPECT_TRUE(sim.flow(FlowId{1}).finished());
-}
-
-TEST(CoordinatorEdge, RejectsNonPositiveInterval) {
-  // A zero, negative or NaN interval re-arms the boundary timer at `now`
-  // forever, so run() never returns; an infinite one never reaches a
-  // boundary.
-  auto fabric = topology::make_big_switch(2, 10.0);
-  netsim::Simulator sim(&fabric.topo);
-  for (const Duration bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
-                             std::numeric_limits<double>::infinity()}) {
-    EXPECT_THROW(
-        runtime::Coordinator(&sim, {.mode = runtime::SchedulingMode::kInterval,
-                                    .interval = bad}),
-        std::invalid_argument)
-        << bad;
-  }
-  // Per-event mode never reads the interval.
-  EXPECT_NO_THROW(runtime::Coordinator(
-      &sim, {.mode = runtime::SchedulingMode::kPerEvent, .interval = 0.0}));
 }
 
 TEST(EchelonMaddEdge, EmptyActiveSetIsNoOp) {

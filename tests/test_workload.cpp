@@ -296,7 +296,7 @@ TEST(Fsdp, InfiniteBandwidthMatchesLayerSerialCompute) {
   EXPECT_NEAR(r.makespan, expected, 1e-6);
 }
 
-TEST(Generators, SignaturesStableAcrossIterations) {
+TEST(Generators, RouteHintsStableAcrossIterations) {
   auto fabric = topology::make_big_switch(4, kFast);
   netsim::Simulator sim(&fabric.topo);
   ef::Registry reg;
@@ -305,13 +305,13 @@ TEST(Generators, SignaturesStableAcrossIterations) {
       {.model = make_mlp(4, 32, 2), .gpu = unit_gpu(), .buckets = 2,
        .iterations = 2},
       placement, reg, JobId{0});
-  // Collect signatures of flow nodes per iteration (by label prefix).
+  // Collect route hints of flow nodes per iteration (by label prefix).
   std::vector<std::uint64_t> it0, it1;
   const netsim::Workflow& wf = job.workflow;
   for (netsim::WfNodeId id = 0; id < wf.size(); ++id) {
     if (wf.node(id).kind != netsim::WfKind::kFlow) continue;
-    if (wf.label(id).starts_with("it0.")) it0.push_back(wf.flow(id).signature);
-    if (wf.label(id).starts_with("it1.")) it1.push_back(wf.flow(id).signature);
+    if (wf.label(id).starts_with("it0.")) it0.push_back(wf.flow(id).route_hint);
+    if (wf.label(id).starts_with("it1.")) it1.push_back(wf.flow(id).route_hint);
   }
   ASSERT_FALSE(it0.empty());
   EXPECT_EQ(it0, it1);
