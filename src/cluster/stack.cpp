@@ -261,7 +261,7 @@ void Stack::retire(BuiltJob& job) {
   job.engine.reset();
   job.generated = {};
   for (std::size_t g = job.group_begin; g < job.group_end; ++g) {
-    registry_.get(EchelonFlowId{g}).retire();
+    registry_.retire(EchelonFlowId{g});
   }
 }
 

@@ -131,8 +131,9 @@ class Stack {
              std::function<void(netsim::Simulator&)> on_complete);
 
   // Frees a finished job's engine and workflow and retires its EchelonFlows,
-  // whose tardiness is final (an abandoned flow finishes too). Not from the
-  // job's own on_complete, which fires inside the engine's node_done.
+  // whose tardiness is final (an abandoned flow finishes too); the registry
+  // releases each once every earlier one is released. Not from the job's
+  // own on_complete, which fires inside the engine's node_done.
   void retire(BuiltJob& job);
 
   [[nodiscard]] netsim::Simulator& sim() noexcept { return sim_; }

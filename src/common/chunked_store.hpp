@@ -3,6 +3,7 @@
 
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <stdexcept>
@@ -21,7 +22,13 @@ namespace echelon {
 template <typename T>
 class ChunkedStore {
  public:
-  static constexpr std::size_t kChunk = 4096;
+  // The most records a power-of-two chunk of at most 64 KiB holds: 256
+  // flows, 512 tasks or 512 EchelonFlows. A chunk sized in bytes stays
+  // under glibc's 128 KiB mmap threshold, and a freed chunk leaves at most
+  // a 64 KiB hole in the heap, which the next chunk of its store fills.
+  static constexpr std::size_t kChunk =
+      std::bit_floor(std::size_t{65536} / sizeof(T));
+  static_assert(kChunk > 0, "a record larger than a 64 KiB chunk");
 
   ChunkedStore() = default;
   // A copied chunk keeps no spare capacity, so appending to a copy could

@@ -1,6 +1,14 @@
 #include "echelon/registry.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace echelon::ef {
+
+void Registry::throw_released(EchelonFlowId id) {
+  throw std::out_of_range("Registry: EchelonFlow " +
+                          std::to_string(id.value()) + " was released");
+}
 
 EchelonFlowId Registry::create(JobId job, const Arrangement& arrangement,
                                std::string_view label, double weight) {
@@ -29,6 +37,19 @@ void Registry::attach(netsim::Simulator& sim) {
   sim.add_flow_listener([this](netsim::Simulator& s, const netsim::Flow& f) {
     note_departure(f, s.now());
   });
+}
+
+void Registry::retire(EchelonFlowId id) {
+  get(id).retire();
+  // The prefix sums must cover a record before it goes; every record the
+  // cursor can reach is complete, so one advance covers them all.
+  advance_complete_prefix();
+  while (released_ < echelonflows_.size()) {
+    const EchelonFlow& ef = echelonflows_.at(released_);
+    if (!ef.retired()) break;
+    for (const ReleaseListener& cb : release_listeners_) cb(ef);
+    echelonflows_.retire(released_++);
+  }
 }
 
 void Registry::advance_complete_prefix() const {
@@ -64,8 +85,8 @@ Duration Registry::weighted_total_tardiness() const {
 
 std::vector<const EchelonFlow*> Registry::all() const {
   std::vector<const EchelonFlow*> out;
-  out.reserve(echelonflows_.size());
-  for (std::size_t i = 0; i < echelonflows_.size(); ++i) {
+  out.reserve(echelonflows_.size() - released_);
+  for (std::size_t i = released_; i < echelonflows_.size(); ++i) {
     out.push_back(&echelonflows_.at(i));
   }
   return out;

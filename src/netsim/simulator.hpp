@@ -60,6 +60,21 @@ class Simulator {
   using TaskCallback = std::function<void(Simulator&, const ComputeTask&)>;
   using TimerCallback = std::function<void(Simulator&)>;
 
+ private:
+  // A record and its completion callback share one slot, so they are
+  // released together. Declared first: kFlowChunk is sized from FlowRecord.
+  struct FlowRecord {
+    Flow flow;
+    FlowCallback on_done;
+  };
+  struct TaskRecord {
+    ComputeTask task;
+    TaskCallback on_done;
+    // Next task in its worker's ready FIFO (Worker::queue_head).
+    TaskId next_ready = TaskId::invalid();
+  };
+
+ public:
   explicit Simulator(const topology::Topology* topo);
 
   // Non-copyable: owns callbacks holding references to itself.
@@ -150,9 +165,9 @@ class Simulator {
   // --- flows ---
   // Submits a flow that starts *now*. `on_done` fires at completion.
   // Flow and task records never move, and a record is freed only after it
-  // finished, its hooks returned and every other record of its 4096-record
-  // chunk finished too (DESIGN.md §6). So references returned by
-  // flow()/task() -- and the records hooks receive -- stay valid until the
+  // finished, its hooks returned and every other record of its chunk (256
+  // flows or 512 tasks) finished too (DESIGN.md §6). So references returned
+  // by flow()/task() -- and the records hooks receive -- stay valid until the
   // record finishes; after that, check flow_resident() first. The simulator
   // keeps nothing of a released flow: a caller that needs finish times
   // later records them from `on_done` or a flow listener (ServiceLoop does,
@@ -289,7 +304,9 @@ class Simulator {
   // the snapshot-image fields of each of its flows, folded in completion
   // order as each completes. Once the chunk is released (its first flow is
   // no longer resident) this stands in for its records.
-  static constexpr std::size_t kFlowChunk = ChunkedStore<Flow>::kChunk;
+  static constexpr std::size_t kFlowChunk = ChunkedStore<FlowRecord>::kChunk;
+  // Task records per chunk, for tests of task record release.
+  static constexpr std::size_t kTaskChunk = ChunkedStore<TaskRecord>::kChunk;
   [[nodiscard]] std::uint64_t flow_chunk_digest(std::size_t chunk) const {
     return flow_chunk_digests_.at(chunk);
   }
@@ -393,19 +410,6 @@ class Simulator {
   // is authoritative. Invariant: epoch_time_ <= now_.
   SimTime epoch_time_ = 0.0;
   EventQueue events_;
-
-  // A record and its completion callback share one slot, so they are
-  // released together.
-  struct FlowRecord {
-    Flow flow;
-    FlowCallback on_done;
-  };
-  struct TaskRecord {
-    ComputeTask task;
-    TaskCallback on_done;
-    // Next task in its worker's ready FIFO (Worker::queue_head).
-    TaskId next_ready = TaskId::invalid();
-  };
 
   // Indexed by FlowId. Chunked, so a Flow& stays valid while callbacks
   // submit more flows; each flow is retired at the end of complete_flow,

@@ -44,6 +44,10 @@ ServiceLoop::ServiceLoop(const ServiceConfig& config,
       flow_finish_.record(f.id.value(), f.finish_time);
     });
   }
+  // Released groups are complete: their tardiness is final.
+  registry().add_release_listener([this](const ef::EchelonFlow& g) {
+    released_tardiness_.observe(g.tardiness());
+  });
   stack_.observe(config_.trace_sink, config_.trace_detail, config_.metrics);
   // Armed before any launch: fault-first same-instant tie-break.
   stack_.arm_faults(config_.fault_plan);
@@ -467,10 +471,11 @@ void ServiceLoop::publish_metrics() const {
                            : static_cast<double>(sim().control_invocations()) /
                                  (wall_ms_ / 1e3));
   m.gauge("echelon.total_tardiness_s").set(registry().total_tardiness());
-  // Rebuilt from scratch on every call, so republishing never
-  // double-counts a group.
+  // Rebuilt on every call, so republishing never double-counts a group:
+  // the released groups, then the held complete ones, both in creation
+  // order -- the same observations as a scan over every group.
   obs::Histogram& tard = m.histogram("service.tardiness_s");
-  tard = obs::Histogram(tard.bounds());
+  tard = released_tardiness_;
   for (const ef::EchelonFlow* g : registry().all()) {
     if (g->complete()) tard.observe(g->tardiness());
   }

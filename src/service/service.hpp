@@ -211,7 +211,8 @@ class ServiceLoop {
   // construction (no-op without one): counters service.*, queue-depth
   // gauge, decisions/sec and admission-rate gauges, per-group tardiness
   // histogram. Callable at any boundary; idempotent (each call rebuilds the
-  // histogram from the complete groups instead of adding to it).
+  // histogram from the released groups' histogram and the held complete
+  // groups instead of adding to it).
   void publish_metrics() const;
 
   // --- snapshot surface (snapshot.cpp) ---
@@ -234,6 +235,9 @@ class ServiceLoop {
   [[nodiscard]] const ef::Registry& registry() const noexcept {
     return stack_.registry();
   }
+  // For adding release listeners (the certifier, run_experiment's
+  // tardiness histogram).
+  [[nodiscard]] ef::Registry& registry() noexcept { return stack_.registry(); }
   [[nodiscard]] const netsim::NetworkScheduler& scheduler() const noexcept {
     return stack_.scheduler();
   }
@@ -405,6 +409,9 @@ class ServiceLoop {
   // Every flow's finish time, written by a flow listener when
   // config_.record_flow_finish is set.
   FlowFinishRecord flow_finish_;
+  // Tardiness of every released EchelonFlow, observed by a release listener
+  // in creation order; publish_metrics() adds the held complete ones.
+  obs::Histogram released_tardiness_{obs::default_duration_bounds()};
 
   std::uint64_t completed_ = 0;
   std::uint64_t admitted_ = 0;

@@ -252,6 +252,7 @@ void build_verify_image(const ServiceLoop& loop, ImageBuilder& img) {
   img.add("routes.unreachable", rs.unreachable);
 
   img.add("registry.size", loop.registry().size());
+  img.add("registry.released", loop.registry().released());
   img.addf("registry.total_tardiness", loop.registry().total_tardiness());
   img.addf("registry.weighted_total_tardiness",
            loop.registry().weighted_total_tardiness());

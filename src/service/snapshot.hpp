@@ -69,7 +69,7 @@ inline constexpr char kSnapshotMagic[8] = {'E', 'C', 'H', 'S', 'N', 'A', 'P',
 // v5: kConfig drops the loop/alloc/fill mode words; kVerify drops
 //     alloc.components_reused.
 // v6: kVerify keeps per-flow records only for resident flows; each released
-//     4096-flow record chunk contributes one flow_chunk[c].digest instead.
+//     flow record chunk contributes one flow_chunk[c].digest instead.
 // v7: kVerify adds alloc.explicit_passes (allocator passes that returned the
 //     scheduler's caps without a fill).
 // v8: kConfig drops the threads word (runs are single-threaded).
@@ -85,7 +85,10 @@ inline constexpr char kSnapshotMagic[8] = {'E', 'C', 'H', 'S', 'N', 'A', 'P',
 //      a run deadline stamps no bytes), so a v11 step count replays a
 //      different history; kConfig drops control_period (ticks are every
 //      kTickPeriod) and kVerify drops service.last_launch_seq.
-inline constexpr std::uint32_t kSnapshotVersion = 12;
+// v13: record chunks are sized in bytes (256 flows), so kVerify has one
+//      flow_chunk[c].digest per released 256-flow chunk; kVerify adds
+//      registry.released (the registry's release cursor).
+inline constexpr std::uint32_t kSnapshotVersion = 13;
 
 // Thrown on any malformed, truncated, corrupt, or divergent snapshot. The
 // message always names what failed and where.

@@ -27,8 +27,12 @@
 //         kFlowFinish times and the group's members and offsets, which are
 //         still held -- a service retires a finished job's groups only after
 //         its run returns;
-//       - after the run, certify_tardiness() compares each rebuilt t_H to
-//         EchelonFlow::tardiness(), and their creation-order sum to
+//       - as the registry releases a group (its release listener), compare
+//         the rebuilt t_H to EchelonFlow::tardiness(); releases must come
+//         once each, in creation order;
+//       - after the run, certify_tardiness() does the same for every
+//         complete group still held, checks that every release was seen,
+//         and compares the creation-order sum of the rebuilt t_H to
 //         Registry::total_tardiness(). A complete group that was never
 //         rebuilt fails.
 //       - after the run, certify_dependency_order(wf, engine) checks a
@@ -282,7 +286,33 @@ template <typename Flows>
 class Certifier final : public obs::TraceSink {
  public:
   void watch(const netsim::Simulator& sim) noexcept { sim_ = &sim; }
-  void watch(const ef::Registry& registry) noexcept { registry_ = &registry; }
+  // Certifies tardiness against `registry`, subscribing note_release() as
+  // its release listener. The certifier must outlive the registry's
+  // releases.
+  void watch(ef::Registry& registry) {
+    watch_unsubscribed(registry);
+    registry.add_release_listener(
+        [this](const ef::EchelonFlow& h) { note_release(h); });
+  }
+  // The same without the subscription: releases reach the certifier only
+  // through the caller's own note_release() calls.
+  void watch_unsubscribed(const ef::Registry& registry) noexcept {
+    registry_ = &registry;
+  }
+
+  // Certifies EchelonFlow `h` as the registry releases it: the next id in
+  // creation order, with the t_H rebuilt from events.
+  void note_release(const ef::EchelonFlow& h) {
+    ++releases_seen_;
+    const std::uint64_t g = h.id().value();
+    if (g != next_release_) {
+      report_.fail("EchelonFlow " + std::to_string(g) +
+                   " released, but EchelonFlow " +
+                   std::to_string(next_release_) + " was next");
+    }
+    next_release_ = g + 1;
+    released_sum_ += certify_group(h);
+  }
 
   using obs::TraceSink::record;
   void record(const obs::TraceEvent& ev, std::string_view label) override {
@@ -336,35 +366,24 @@ class Certifier final : public obs::TraceSink {
     }
   }
 
-  // Compares every complete EchelonFlow of the watched registry with the
-  // t_H rebuilt when its last member finished, and the creation-order sum
-  // of those with Registry::total_tardiness(); call after the run.
+  // Compares every complete EchelonFlow the watched registry still holds
+  // with the t_H rebuilt when its last member finished, checks that every
+  // release was certified, and compares the creation-order sum of the
+  // rebuilt t_H, released groups first, with Registry::total_tardiness();
+  // call after the run.
   void certify_tardiness() {
     if (registry_ == nullptr) {
       report_.fail("tardiness certified with no registry watched");
       return;
     }
-    Duration sum = 0.0;
+    if (releases_seen_ != registry_->released()) {
+      report_.fail(std::to_string(registry_->released()) +
+                   " EchelonFlows released, but " +
+                   std::to_string(releases_seen_) + " release notifications");
+    }
+    Duration sum = released_sum_;
     for (const ef::EchelonFlow* h : registry_->all()) {
-      if (!h->complete()) continue;
-      ++report_.echelonflows;
-      if (h->retired()) ++report_.retired;
-      const std::size_t g = h->id().value();
-      if (g >= rebuilt_.size() || !rebuilt_[g]) {
-        report_.fail("EchelonFlow " + std::to_string(g) +
-                     ": complete, but its last member's finish was never "
-                     "seen");
-        continue;
-      }
-      const Duration t_h = *rebuilt_[g];
-      if (std::fabs(t_h - h->tardiness()) >
-          1e-9 * std::max(1.0, std::fabs(t_h))) {
-        std::ostringstream os;
-        os << "EchelonFlow " << g << ": t_H from events " << t_h
-           << " but tardiness() " << h->tardiness();
-        report_.fail(os.str());
-      }
-      sum += t_h;
+      if (h->complete()) sum += certify_group(*h);
     }
     const Duration total = registry_->total_tardiness();
     if (std::fabs(sum - total) > 1e-9 * std::max(1.0, std::fabs(sum))) {
@@ -487,6 +506,27 @@ class Certifier final : public obs::TraceSink {
     l.start_seq = seq_;
   }
 
+  // Compares complete group `h` with its rebuilt t_H; returns that t_H (0
+  // when none was rebuilt).
+  Duration certify_group(const ef::EchelonFlow& h) {
+    ++report_.echelonflows;
+    if (h.retired()) ++report_.retired;
+    const std::size_t g = h.id().value();
+    if (g >= rebuilt_.size() || !rebuilt_[g]) {
+      report_.fail("EchelonFlow " + std::to_string(g) +
+                   ": complete, but its last member's finish was never seen");
+      return 0.0;
+    }
+    const Duration t_h = *rebuilt_[g];
+    if (std::fabs(t_h - h.tardiness()) > 1e-9 * std::max(1.0, std::fabs(t_h))) {
+      std::ostringstream os;
+      os << "EchelonFlow " << g << ": t_H from events " << t_h
+         << " but tardiness() " << h.tardiness();
+      report_.fail(os.str());
+    }
+    return t_h;
+  }
+
   // Counts a finish towards group `ctx`; at its last member's finish,
   // rebuilds t_H (Eq. 2) while the group's members are still bound.
   void note_group_finish(std::uint64_t ctx) {
@@ -591,6 +631,9 @@ class Certifier final : public obs::TraceSink {
       task_by_label_;
   std::vector<int> group_finishes_;   // by EchelonFlow id
   std::vector<std::optional<Duration>> rebuilt_;  // t_H, by EchelonFlow id
+  std::uint64_t releases_seen_ = 0;  // note_release() calls
+  std::uint64_t next_release_ = 0;   // the id the next release should name
+  Duration released_sum_ = 0.0;      // rebuilt t_H of released groups
   std::vector<const netsim::Flow*> active_;
   detail::LinkScratch links_;
   Report report_;

@@ -263,7 +263,7 @@ TEST(CertifyTardiness, RebuildMatchesAndAShiftedFinishFails) {
   // moved 1 ms later raises each t_H by 1 ms and fails.
   const auto replay = [&](bool shift) {
     certify::Certifier c;
-    c.watch(registry);
+    c.watch_unsubscribed(registry);
     for (obs::TraceEvent ev : recorder.events()) {
       if (ev.kind != obs::TraceKind::kFlowStart &&
           ev.kind != obs::TraceKind::kFlowFinish) {
@@ -284,7 +284,7 @@ TEST(CertifyTardiness, RebuildMatchesAndAShiftedFinishFails) {
 
   // A certifier that saw no finishes has certified no group.
   certify::Certifier blind;
-  blind.watch(registry);
+  blind.watch_unsubscribed(registry);
   blind.certify_tardiness();
   EXPECT_FALSE(blind.report().ok());
   EXPECT_TRUE(mentions(blind.report(), "never seen"))
@@ -292,9 +292,11 @@ TEST(CertifyTardiness, RebuildMatchesAndAShiftedFinishFails) {
 }
 
 // A service retires a finished job's groups once its run returns, freeing
-// their members; the certifier rebuilt each t_H while they were live. A
+// their members, and the registry then releases them; the certifier rebuilt
+// each t_H while they were live and checks it as each is released. A
 // second, lifecycle-only certifier fed every finish 1 ms late (no simulator
-// watched, so it checks no bytes) must fail on the same retired groups.
+// watched, so it checks no bytes) must fail on the same groups, and a full
+// third one that misses one release notification must fail too.
 TEST(CertifyTardiness, RetiredServiceGroupsAreCertifiedLive) {
   cluster::TraceConfig tcfg;
   tcfg.num_jobs = 6;
@@ -318,7 +320,9 @@ TEST(CertifyTardiness, RetiredServiceGroupsAreCertifiedLive) {
       c->record(e, label);
     }
   } shift(&shifted);
-  Tee tee(&cert, &shift);
+  certify::Certifier dropping;
+  Tee lifecycle(&shift, &dropping);
+  Tee tee(&cert, &lifecycle);
 
   service::ServiceConfig cfg = certify::service_config({});
   cfg.trace_sink = &tee;
@@ -327,6 +331,12 @@ TEST(CertifyTardiness, RetiredServiceGroupsAreCertifiedLive) {
   cert.watch(loop.sim());
   cert.watch(loop.registry());
   shifted.watch(loop.registry());
+  constexpr std::uint64_t kDropped = 3;
+  dropping.watch(loop.sim());
+  dropping.watch_unsubscribed(loop.registry());
+  loop.registry().add_release_listener([&dropping](const ef::EchelonFlow& h) {
+    if (h.id() != EchelonFlowId{kDropped}) dropping.note_release(h);
+  });
   loop.set_generator(
       std::make_unique<service::ScheduleArrivalGenerator>(jobs));
   loop.drain();
@@ -338,14 +348,24 @@ TEST(CertifyTardiness, RetiredServiceGroupsAreCertifiedLive) {
   EXPECT_EQ(r.echelonflows, loop.registry().size());
   EXPECT_GT(r.retired, 0u);
   EXPECT_EQ(r.retired, r.echelonflows);  // every job finished
-  for (const ef::EchelonFlow* h : loop.registry().all()) {
-    EXPECT_TRUE(h->members().empty());
-  }
+  // Every job finished, so every group was released and checked then.
+  EXPECT_EQ(loop.registry().released(), loop.registry().size());
+  EXPECT_TRUE(loop.registry().all().empty());
 
   shifted.certify_tardiness();
   EXPECT_FALSE(shifted.report().ok());
   EXPECT_TRUE(mentions(shifted.report(), "t_H from events"))
       << shifted.report().summary();
+
+  dropping.certify_tardiness();
+  const certify::Report& d = dropping.report();
+  EXPECT_FALSE(d.ok());
+  EXPECT_TRUE(mentions(d, "EchelonFlow " + std::to_string(kDropped + 1) +
+                              " released, but EchelonFlow " +
+                              std::to_string(kDropped) + " was next"))
+      << d.summary();
+  EXPECT_TRUE(mentions(d, "release notifications")) << d.summary();
+  EXPECT_FALSE(mentions(d, "t_H from events")) << d.summary();
 }
 
 // ============================================================================

@@ -146,7 +146,16 @@ TEST_P(ObsEquivalence, FlowDetailTracingIsByteIdentical) {
 
   eqh::expect_same_result(baseline, traced);
   EXPECT_GT(rec.recorded(), 0u);
-  EXPECT_FALSE(metrics.snapshot().empty());
+  const obs::MetricsSnapshot snap = metrics.snapshot();
+  EXPECT_FALSE(snap.empty());
+  // The registry releases every group during the run; the tardiness
+  // histogram observed each one in creation order, the order in which
+  // Registry::total_tardiness() adds them, so the two sums agree bit for bit.
+  const obs::MetricsSnapshot::Hist* tard =
+      snap.find_histogram("echelonflow.tardiness_s");
+  ASSERT_NE(tard, nullptr);
+  EXPECT_GT(tard->count, 0u);
+  EXPECT_EQ(tard->sum, traced.total_tardiness);
 }
 
 TEST_P(ObsEquivalence, TracingUnderFaultsIsByteIdentical) {

@@ -48,8 +48,10 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/chunked_store.hpp"
 #include "common/hash.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -585,14 +587,14 @@ TEST_F(CorruptSnapshotTest, HeaderAndVersionMutationsFailTheirOwnChecks) {
               std::string::npos);
   }
   {
-    // v11 step counts replay under forced-pass ticks and deadline stamps,
-    // which v12 boundaries no longer make; v12 readers reject them up
-    // front, naming the version, instead of replaying another history.
-    static_assert(service::kSnapshotVersion == 12);
+    // v12 images digest released flows per 4096-flow chunk and carry no
+    // release cursor; v13 readers reject them up front, naming the
+    // version, instead of failing verification field by field.
+    static_assert(service::kSnapshotVersion == 13);
     std::string m = bytes_;
-    m[8] = 11;
+    m[8] = 12;
     EXPECT_NE(expect_snapshot_error(restamp(m))
-                  .find("unsupported version 11 (expected 12)"),
+                  .find("unsupported version 12 (expected 13)"),
               std::string::npos);
   }
   {
@@ -1093,7 +1095,8 @@ TEST(Admission, PublishMetricsExportsServiceCounters) {
   EXPECT_EQ(metrics.gauge("service.queue_depth").value(), 0.0);
   EXPECT_EQ(metrics.gauge("service.admission_rate").value(), 1.0);
   EXPECT_GT(metrics.gauge("service.decisions_per_sec").value(), 0.0);
-  std::uint64_t complete_groups = 0;
+  // Released groups are complete; held ones may be too.
+  std::uint64_t complete_groups = loop.registry().released();
   for (const ef::EchelonFlow* g : loop.registry().all()) {
     if (g->complete()) ++complete_groups;
   }
@@ -1185,12 +1188,24 @@ TEST(SameInstant, NonMonotoneArrivalStreamThrows) {
 // ---------------------------------------------------------------------------
 
 // Exactly the finished jobs' EchelonFlows are retired: every group of a
-// finished job is, and no group of a running job is. Returns how many are.
+// finished job is, and no group of a running job is. The registry holds
+// the groups from its release cursor on, and the cursor stands at the
+// first group not retired: every group before it was retired and released
+// (watch_releases checks that each belonged to a finished job). Returns how
+// many are retired, released ones included.
 std::size_t expect_groups_retired_with_jobs(const ServiceLoop& loop) {
   const ServiceResult r = loop.result();
-  std::size_t retired = 0;
+  const ef::Registry& reg = loop.registry();
+  const std::vector<const ef::EchelonFlow*> held = reg.all();
+  EXPECT_EQ(held.size(), reg.size() - reg.released());
+  if (!held.empty()) {
+    EXPECT_EQ(held.front()->id(), EchelonFlowId{reg.released()});
+    EXPECT_FALSE(held.front()->retired())
+        << "the release cursor stopped at a retired EchelonFlow";
+  }
+  std::size_t retired = reg.released();
   std::size_t wrong = 0;
-  for (const ef::EchelonFlow* h : loop.registry().all()) {
+  for (const ef::EchelonFlow* h : held) {
     const bool finished = r.jobs.at(h->job().value()).finished;
     if (h->retired() != finished) ++wrong;
     if (h->retired()) {
@@ -1203,30 +1218,50 @@ std::size_t expect_groups_retired_with_jobs(const ServiceLoop& loop) {
   return retired;
 }
 
+// Checks every release of `loop`'s registry from now on: it names the next
+// EchelonFlow in creation order, is retired, and belongs to a finished job.
+// Returns the count of releases seen, which the listener keeps updating.
+std::shared_ptr<std::size_t> watch_releases(ServiceLoop& loop) {
+  auto seen = std::make_shared<std::size_t>(loop.registry().released());
+  loop.registry().add_release_listener(
+      [&loop, seen](const ef::EchelonFlow& h) {
+        EXPECT_EQ(h.id(), EchelonFlowId{(*seen)++});
+        EXPECT_TRUE(h.retired());
+        EXPECT_TRUE(loop.result().jobs.at(h.job().value()).finished)
+            << "EchelonFlow " << h.id().value() << " released while its "
+            << "job runs";
+      });
+  return seen;
+}
+
 // Steps `loop` to completion (or `max_steps` boundaries), checking at every
 // boundary that exactly the running jobs hold a workflow and exactly the
-// finished jobs' EchelonFlows are retired. A flow and task listener also
-// watches *inside* each run: a job that finishes there must keep its
-// workflow until the run returns (its engine is still on the stack), so the
-// count briefly exceeds running(). Returns whether it did.
+// finished jobs' EchelonFlows are retired, and every release (see
+// watch_releases). A flow and task listener also watches *inside* each run:
+// a job that finishes there must keep its workflow until the run returns
+// (its engine is still on the stack), so the count briefly exceeds
+// running(). Returns whether it did.
 bool step_checking_retained(ServiceLoop& loop,
                             std::uint64_t max_steps = ~std::uint64_t{0}) {
-  bool deferred = false;
-  const auto watch = [&loop, &deferred] {
-    if (loop.workflows_held() > loop.running()) deferred = true;
+  // The listeners outlive this call, so their state lives on the heap.
+  auto deferred = std::make_shared<bool>(false);
+  const auto watch = [&loop, deferred] {
+    if (loop.workflows_held() > loop.running()) *deferred = true;
   };
   loop.sim().add_flow_listener(
       [watch](netsim::Simulator&, const netsim::Flow&) { watch(); });
   loop.sim().add_task_listener(
       [watch](netsim::Simulator&, const netsim::ComputeTask&) { watch(); });
+  const std::shared_ptr<const std::size_t> released = watch_releases(loop);
   EXPECT_EQ(loop.workflows_held(), loop.running());
   expect_groups_retired_with_jobs(loop);
   for (std::uint64_t k = 0; k < max_steps && loop.step(); ++k) {
     EXPECT_EQ(loop.workflows_held(), loop.running())
         << "boundary " << loop.steps_executed();
+    EXPECT_EQ(*released, loop.registry().released());
     expect_groups_retired_with_jobs(loop);
   }
-  return deferred;
+  return *deferred;
 }
 
 TEST(RetainedState, OnlyRunningJobsHoldWorkflows) {
@@ -1267,6 +1302,8 @@ TEST(RetainedState, OnlyRunningJobsHoldWorkflows) {
       EXPECT_GT(loop->registry().size(), 0u);
       EXPECT_EQ(expect_groups_retired_with_jobs(*loop),
                 loop->registry().size());
+      // Every job finished, so every group is released.
+      EXPECT_EQ(loop->registry().released(), loop->registry().size());
       if (p != nullptr) {
         // The plan exercised the retirement of groups with parked and
         // abandoned members.
@@ -1298,30 +1335,103 @@ TEST(RetainedState, SnapshotRestoreRetiresIdentically) {
   step_checking_retained(*prefix, cut);
   ASSERT_EQ(prefix->steps_executed(), cut);
   ASSERT_GT(prefix->completed(), 0u);  // the cut lands after a retirement
-  std::vector<bool> retired_at_cut;
+  const std::size_t released_at_cut = prefix->registry().released();
+  const std::size_t groups_at_cut = prefix->registry().size();
+  std::vector<bool> held_retired_at_cut;
   for (const ef::EchelonFlow* h : prefix->registry().all()) {
-    retired_at_cut.push_back(h->retired());
+    held_retired_at_cut.push_back(h->retired());
   }
-  ASSERT_GT(std::count(retired_at_cut.begin(), retired_at_cut.end(), true),
-            0);
+  ASSERT_GT(released_at_cut, 0u);
   const std::string bytes = save_snapshot(*prefix);
   const std::uint64_t running_at_cut = prefix->running();
   prefix.reset();
 
-  // Restore replays to the cut (kVerify passes) and retires the same
-  // EchelonFlows on the way.
+  // Restore replays to the cut (kVerify passes, registry.released
+  // included) and retires and releases the same EchelonFlows on the way.
   auto restored = restore_snapshot(bytes);
   EXPECT_EQ(restored->running(), running_at_cut);
-  ASSERT_EQ(restored->registry().size(), retired_at_cut.size());
-  for (std::size_t g = 0; g < retired_at_cut.size(); ++g) {
+  ASSERT_EQ(restored->registry().size(), groups_at_cut);
+  ASSERT_EQ(restored->registry().released(), released_at_cut);
+  for (std::size_t g = released_at_cut; g < groups_at_cut; ++g) {
     EXPECT_EQ(restored->registry().get(EchelonFlowId{g}).retired(),
-              retired_at_cut[g])
+              held_retired_at_cut[g - released_at_cut])
         << "EchelonFlow " << g;
   }
   step_checking_retained(*restored);
   restored->drain();
   EXPECT_EQ(restored->workflows_held(), 0u);
   expect_same_service_result(reference, restored->result());
+}
+
+// A served run over more than two chunks of EchelonFlows. At every boundary
+// the release cursor stands at the first group of a job still running: it
+// has released every finished job's group it can reach, and none of a
+// running job's. Here jobs finish close to launch order, so the records
+// still resident -- the held groups plus the released ones sharing the
+// cursor's chunk -- never exceed the running jobs' groups plus one chunk.
+// The release listener sees every group once, in creation order, and
+// service.tardiness_s matches the histogram recorded when publish_metrics()
+// still scanned every group of a registry that released none.
+TEST(RetainedState, RegistryReleasesFinishedGroupsInCreationOrder) {
+  constexpr std::size_t kChunk = ChunkedStore<ef::EchelonFlow>::kChunk;
+  obs::MetricsRegistry metrics;
+  ServiceConfig cfg = make_config(ServiceSpec{});
+  cfg.metrics = &metrics;
+  ServiceLoop loop(cfg);
+  loop.set_generator(std::make_unique<PoissonArrivalGenerator>(
+      small_arrivals(83, /*jobs=*/180)));
+  std::vector<bool> finished_group;  // by EchelonFlow id
+  loop.set_finish_hook([&finished_group](std::size_t,
+                                         const cluster::BuiltJob& built) {
+    if (finished_group.size() < built.group_end) {
+      finished_group.resize(built.group_end, false);
+    }
+    for (std::size_t g = built.group_begin; g < built.group_end; ++g) {
+      finished_group[g] = true;
+    }
+  });
+  std::vector<std::uint64_t> released_ids;
+  loop.registry().add_release_listener(
+      [&released_ids](const ef::EchelonFlow& h) {
+        released_ids.push_back(h.id().value());
+      });
+  const ef::Registry& reg = std::as_const(loop).registry();
+  std::size_t peak_resident = 0;
+  while (loop.step()) {
+    std::size_t first_running = 0;
+    while (first_running < finished_group.size() &&
+           finished_group[first_running]) {
+      ++first_running;
+    }
+    EXPECT_EQ(reg.released(), std::min(first_running, reg.size()))
+        << "boundary " << loop.steps_executed();
+    std::size_t running_groups = reg.size();
+    for (std::size_t g = 0; g < finished_group.size(); ++g) {
+      if (finished_group[g]) --running_groups;
+    }
+    const std::size_t resident =
+        reg.size() - reg.released() / kChunk * kChunk;
+    EXPECT_LE(resident, running_groups + kChunk)
+        << "boundary " << loop.steps_executed();
+    peak_resident = std::max(peak_resident, resident);
+  }
+  ASSERT_GT(reg.size(), 2 * kChunk);
+  EXPECT_LT(peak_resident, 2 * kChunk);
+  EXPECT_EQ(reg.released(), reg.size());
+  EXPECT_TRUE(reg.all().empty());
+  ASSERT_EQ(released_ids.size(), reg.size());
+  for (std::size_t g = 0; g < released_ids.size(); ++g) {
+    ASSERT_EQ(released_ids[g], g);
+  }
+
+  loop.publish_metrics();
+  const obs::Histogram& tard = metrics.histogram("service.tardiness_s");
+  EXPECT_EQ(tard.count(), 1137u);
+  EXPECT_EQ(tard.sum(), 0x1.ed2ad3b4babc6p+0);
+  const std::vector<std::uint64_t> buckets = {
+      0, 0, 0, 0, 224, 224, 64, 82, 80, 80, 94, 163, 89, 31, 6,
+      0, 0, 0, 0, 0,   0,   0,  0,  0,  0,  0,  0,   0,  0};
+  EXPECT_EQ(tard.counts(), buckets);
 }
 
 // Released flow record chunks: each contributes one digest to kVerify, so a

@@ -425,12 +425,14 @@ TEST(ZeroByteFlow, InstantCompletionCanonicalOrder) {
 // 6. Retained-state layouts
 // ============================================================================
 
-// Chunks a store of `n` records holds, plus the doublings of its chunk index:
-// the allocations a ChunkedStore may make while growing to `n` records.
-std::uint64_t chunk_allocations(std::size_t n) {
-  const std::size_t chunks = (n + ChunkedStore<int>::kChunk - 1) /
-                             ChunkedStore<int>::kChunk;
-  return chunks + static_cast<std::uint64_t>(std::bit_width(chunks));
+// Chunks a store of `n` > 0 records in chunks of `chunk` holds, plus the
+// buffers its doubling chunk index takes to hold them (capacities 1, 2, 4,
+// ... up to `chunks`): the allocations a ChunkedStore may make while growing
+// to `n` records. Chunks are sized in bytes, so each store passes its own
+// record type's chunk.
+std::uint64_t chunk_allocations(std::size_t n, std::size_t chunk) {
+  const std::size_t chunks = (n + chunk - 1) / chunk;
+  return chunks + static_cast<std::uint64_t>(std::bit_width(chunks - 1)) + 1;
 }
 
 TEST(RetainedLayout, AddWorkerAllocatesOnlyToGrowTheWorkerVector) {
@@ -467,7 +469,7 @@ TEST(RetainedLayout, QueuedTasksAllocateOnlyTheirRecords) {
   const std::uint64_t allocs = eqh::alloc_count_end();
   EXPECT_EQ(sim.worker(w).queued, kQueued);
 #if ECHELON_ALLOC_HOOK
-  EXPECT_LE(allocs, chunk_allocations(kQueued + 1))
+  EXPECT_LE(allocs, chunk_allocations(kQueued + 1, Simulator::kTaskChunk))
       << "a queued task must not allocate beyond its record";
 #else
   (void)allocs;
@@ -497,7 +499,8 @@ TEST(RetainedLayout, RegistryCreateAllocatesOnlyTheMemberBlocks) {
 #if ECHELON_ALLOC_HOOK
   // One block per EchelonFlow for its members, offsets and label; the
   // EchelonFlows themselves live in the registry's chunks.
-  EXPECT_LE(allocs, kCreated + chunk_allocations(kCreated))
+  constexpr std::size_t kChunk = ChunkedStore<ef::EchelonFlow>::kChunk;
+  EXPECT_LE(allocs, kCreated + chunk_allocations(kCreated, kChunk))
       << "an EchelonFlow must not be allocated on its own";
 #else
   (void)allocs;

@@ -284,7 +284,7 @@ TEST(ChunkedStore, PushesAfterAReleaseStillWork) {
 TEST_F(SimFixture, CompletionHooksSeeTheStoredRecord) {
   // The completion callback submits enough flows to open new record chunks;
   // the record it was handed must stay the simulator's own, unmoved.
-  const std::size_t burst = 2 * ChunkedStore<Flow>::kChunk;
+  const std::size_t burst = 2 * Simulator::kFlowChunk;
   bool still_valid = false;
   SimTime seen_finish = kTimeInfinity;
   const FlowId id = sim.submit_flow(
@@ -377,7 +377,7 @@ TEST_F(SimFixture, ParkedFlowKeepsItsChunkResidentUntilAbandoned) {
 }
 
 TEST_F(SimFixture, FinishedTaskChunksAreReleased) {
-  constexpr std::size_t kChunk = ChunkedStore<ComputeTask>::kChunk;
+  constexpr std::size_t kChunk = Simulator::kTaskChunk;
   const WorkerId w = sim.add_worker(fabric.hosts[0]);
   for (std::size_t i = 0; i <= kChunk; ++i) sim.enqueue_task(w, 1e-3, "t");
   sim.run();
