@@ -16,6 +16,10 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
+namespace echelon::service {
+class ServiceLoop;
+}  // namespace echelon::service
+
 namespace echelon::cluster {
 
 struct ExperimentConfig {
@@ -49,10 +53,9 @@ struct ExperimentConfig {
   obs::TraceDetail trace_detail = obs::TraceDetail::kOff;
   // Optional metrics registry: the run samples per-link utilization /
   // active-flow series and flow-completion / queue-depth histograms while it
-  // executes, and run_experiment fills run-level counters and gauges
-  // (allocator and control-pass counts, route cache, fault summary,
-  // per-group tardiness histogram) at the end. Same read-only contract as
-  // trace_sink.
+  // executes; at the end the loop publishes the run-level metrics
+  // (service::ServiceLoop::publish_metrics) and run_experiment adds the
+  // job.iteration_s histogram. Same read-only contract as trace_sink.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -73,5 +76,12 @@ struct ExperimentConfig {
 //                          (deterministic).
 [[nodiscard]] ExperimentResult run_experiment(const std::vector<JobSpec>& jobs,
                                               const ExperimentConfig& config);
+
+// The same run on a caller-built, accept-all loop that has not stepped, so a
+// caller can watch its Simulator and registry (the certifier does); the
+// loop's config takes ExperimentConfig's place. The form above builds the
+// loop from `config`, with finish-time recording off, and calls this one.
+[[nodiscard]] ExperimentResult run_experiment(service::ServiceLoop& loop,
+                                              const std::vector<JobSpec>& jobs);
 
 }  // namespace echelon::cluster

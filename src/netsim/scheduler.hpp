@@ -65,8 +65,8 @@ class NetworkScheduler {
 
   // Never called. They remain only because bench/e2e/bench_e2e.cpp, which
   // the benchmark keeps unchanged, declares overrides of them; they go with
-  // that file's next refresh (ROADMAP item 3), as ServiceConfig::threads
-  // does.
+  // that file's next refresh (ROADMAP, "Waiting on the bench/e2e
+  // refresh"), as ServiceConfig::threads does.
   virtual void mark_job_dirty(JobId job) { (void)job; }
   virtual void mark_all_jobs_dirty() {}
 

@@ -360,6 +360,7 @@ void ServiceLoop::job_finished(std::size_t index) {
   ServiceJobRecord& record = jobs_[index];
   record.finish = sim().now();
   record.finished = true;
+  last_finish_ = record.finish;  // the clock never goes back
   // The engine is still on the stack (on_complete fires inside its
   // node_done), so its workflow is freed by retire_finished once sim().run()
   // returns, not here.
@@ -435,9 +436,7 @@ void ServiceLoop::retire_finished() {
 ServiceResult ServiceLoop::result() const {
   ServiceResult r;
   r.scheduler_name = scheduler().name();
-  for (const ServiceJobRecord& job : jobs_) {
-    if (job.finished) r.end = std::max(r.end, job.finish);
-  }
+  r.end = last_finish_;
   r.total_tardiness = registry().total_tardiness();
   r.weighted_total_tardiness = registry().weighted_total_tardiness();
   r.control_invocations = sim().control_invocations();
@@ -462,19 +461,62 @@ ServiceResult ServiceLoop::result() const {
 void ServiceLoop::publish_metrics() const {
   if (config_.metrics == nullptr) return;
   obs::MetricsRegistry& m = *config_.metrics;
+  const netsim::Simulator& s = sim();
+  m.gauge("sim.makespan_s").set(last_finish_);
+  m.counter("sim.control_invocations").set(s.control_invocations());
+  m.counter("sim.flows").set(s.flow_count());
+  m.gauge("run.wall_ms").set(wall_ms_ - build_ms_);  // the one host time
+
+  const netsim::RateAllocator::Stats& as = s.alloc_stats();
+  m.counter("alloc.passes").set(as.passes);
+  m.counter("alloc.explicit_passes").set(as.explicit_passes);
+  m.counter("alloc.components").set(as.components);
+  m.counter("alloc.components_filled").set(as.components_filled);
+  m.counter("alloc.classes").set(as.classes);
+  m.counter("alloc.class_members").set(as.class_members);
+  // Fill-work compression from equivalence classing: mean flows per class
+  // over everything the fills touched (1.0 = no sharing; higher = fewer
+  // water-fill units than flows).
+  m.gauge("alloc.flows_per_class")
+      .set(as.classes == 0 ? 1.0
+                           : static_cast<double>(as.class_members) /
+                                 static_cast<double>(as.classes));
+
+  const netsim::SchedStats& ss = scheduler().sched_stats();
+  m.counter("sched.passes").set(ss.passes);
+  m.counter("sched.full_passes").set(ss.full_passes);
+  m.counter("sched.scoped_passes").set(ss.scoped_passes);
+  m.counter("sched.pass_skips").set(ss.pass_skips);
+
+  const topology::RouteTable::Stats& rs = s.routes().stats();
+  m.counter("routes.lookups").set(rs.lookups);
+  m.counter("routes.cache_hits").set(rs.hits);
+  m.counter("routes.computations").set(rs.computations);
+  m.counter("routes.distinct").set(s.routes().size());
+
+  if (injector() != nullptr) {
+    const faultsim::FaultSummary& fs = injector()->summary();
+    m.counter("fault.events_fired").set(fs.events_fired);
+    m.counter("fault.reroutes").set(fs.reroutes);
+    m.counter("fault.parks").set(fs.parks);
+    m.counter("fault.retries").set(fs.retries);
+    m.counter("fault.resumes").set(fs.resumes);
+    m.counter("fault.abandoned").set(fs.abandoned);
+    m.gauge("fault.downtime_s").set(fs.downtime);
+  }
+
+  m.gauge("echelon.total_tardiness_s").set(registry().total_tardiness());
+  m.gauge("echelon.weighted_total_tardiness_s")
+      .set(registry().weighted_total_tardiness());
   publish_counts(m);
   m.gauge("service.queue_depth").set(static_cast<double>(wait_queue_.size()));
   m.gauge("service.running").set(static_cast<double>(running()));
-  // Control decisions per host-side second of service-loop work.
-  m.gauge("service.decisions_per_sec")
-      .set(wall_ms_ <= 0.0 ? 0.0
-                           : static_cast<double>(sim().control_invocations()) /
-                                 (wall_ms_ / 1e3));
-  m.gauge("echelon.total_tardiness_s").set(registry().total_tardiness());
-  // Rebuilt on every call, so republishing never double-counts a group:
-  // the released groups, then the held complete ones, both in creation
-  // order -- the same observations as a scan over every group.
-  obs::Histogram& tard = m.histogram("service.tardiness_s");
+  // The per-EchelonFlow tardiness distribution the paper's objective (Eqs.
+  // 1-2) is written in terms of. Rebuilt on every call, so republishing
+  // never double-counts a group: the released groups, then the held
+  // complete ones, both in creation order -- the same observations as a
+  // scan over every group.
+  obs::Histogram& tard = m.histogram("echelonflow.tardiness_s");
   tard = released_tardiness_;
   for (const ef::EchelonFlow* g : registry().all()) {
     if (g->complete()) tard.observe(g->tardiness());

@@ -88,7 +88,8 @@ struct ServiceConfig {
   double oversubscription = 1.0;  // leaf-spine only
   // Read by nothing and not serialized: runs are single-threaded. It stays
   // only because the frozen end-to-end benchmark driver (bench/e2e) assigns
-  // it; the next refresh of that driver deletes it (ROADMAP item 3).
+  // it; the next refresh of that driver deletes it (ROADMAP, "Waiting on the
+  // bench/e2e refresh").
   unsigned threads = 1;
 
   AdmissionConfig admission;
@@ -108,10 +109,10 @@ struct ServiceConfig {
 
   // Record every flow's finish time for ServiceResult::flow_finish (8 B per
   // flow, kept for the whole run). Off leaves flow_finish empty and changes
-  // nothing else, so it is not serialized: a restored loop records. On by
-  // default only because the frozen end-to-end benchmark driver (bench/e2e)
-  // digests flow_finish; the next refresh of that driver deletes this field
-  // together with the recording.
+  // nothing else. A snapshot carries it, so a restored loop records exactly
+  // when the saved one did. On by default only because the frozen
+  // end-to-end benchmark driver (bench/e2e) digests flow_finish; the next
+  // refresh of that driver deletes this field together with the recording.
   bool record_flow_finish = true;
 };
 
@@ -207,12 +208,12 @@ class ServiceLoop {
 
   [[nodiscard]] ServiceResult result() const;
 
-  // Publishes steady-state service metrics into the registry configured at
-  // construction (no-op without one): counters service.*, queue-depth
-  // gauge, decisions/sec and admission-rate gauges, per-group tardiness
-  // histogram. Callable at any boundary; idempotent (each call rebuilds the
-  // histogram from the released groups' histogram and the held complete
-  // groups instead of adding to it).
+  // The one run-level metrics publisher of `serve` and `cluster` (DESIGN.md
+  // §9 lists its metrics: sim.*, run.wall_ms, alloc.*, sched.*, routes.*,
+  // fault.*, echelon.*, service.*, echelonflow.tardiness_s), into the
+  // registry configured at construction (no-op without one). Callable at any
+  // boundary; idempotent (each call rebuilds the tardiness histogram from
+  // the released groups' histogram and the held complete groups).
   void publish_metrics() const;
 
   // --- snapshot surface (snapshot.cpp) ---
@@ -235,8 +236,7 @@ class ServiceLoop {
   [[nodiscard]] const ef::Registry& registry() const noexcept {
     return stack_.registry();
   }
-  // For adding release listeners (the certifier, run_experiment's
-  // tardiness histogram).
+  // For adding release listeners (the certifier).
   [[nodiscard]] ef::Registry& registry() noexcept { return stack_.registry(); }
   [[nodiscard]] const netsim::NetworkScheduler& scheduler() const noexcept {
     return stack_.scheduler();
@@ -421,6 +421,7 @@ class ServiceLoop {
   std::uint64_t tick_index_ = 0;
   std::uint64_t control_ticks_ = 0;
   SimTime last_arrival_at_ = -kTimeInfinity;
+  SimTime last_finish_ = 0.0;  // the last job completion (0 before any)
   double wall_ms_ = 0.0;
   double build_ms_ = 0.0;
 

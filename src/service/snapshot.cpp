@@ -581,6 +581,7 @@ std::string save_snapshot(const ServiceLoop& loop) {
       w.f64(o.threshold);
       w.f64(o.budget);
     }
+    w.u8(c.record_flow_finish ? 1 : 0);
     put_section(out, kConfigTag, w.take());
   }
   {
@@ -746,6 +747,7 @@ std::unique_ptr<ServiceLoop> restore_snapshot(const std::string& bytes,
       o.budget = c.f64("config.telemetry.slo.budget");
       config.telemetry.slo.objectives.push_back(o);
     }
+    config.record_flow_finish = c.u8("config.record_flow_finish") != 0;
     c.expect_exhausted("config section");
     if (!plan_text.empty()) {
       try {

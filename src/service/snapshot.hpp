@@ -25,6 +25,7 @@
 //     1 kConfig     ServiceConfig incl. the fault plan's text serialization
 //                   and the TelemetryConfig (v2: metrics_every, series
 //                   budget, flight-recorder capacity, SLO objectives)
+//                   and (v14) record_flow_finish
 //     2 kArrivals   journal: count u64, then one outcome u8 per arrival
 //     3 kGenerator  generator kind u8 + construction arguments: none; the
 //                   TraceConfig and burst_every (Poisson); or the path and
@@ -88,7 +89,9 @@ inline constexpr char kSnapshotMagic[8] = {'E', 'C', 'H', 'S', 'N', 'A', 'P',
 // v13: record chunks are sized in bytes (256 flows), so kVerify has one
 //      flow_chunk[c].digest per released 256-flow chunk; kVerify adds
 //      registry.released (the registry's release cursor).
-inline constexpr std::uint32_t kSnapshotVersion = 13;
+// v14: kConfig ends with record_flow_finish, so a restored loop records
+//      flow finish times only if the saved one did.
+inline constexpr std::uint32_t kSnapshotVersion = 14;
 
 // Thrown on any malformed, truncated, corrupt, or divergent snapshot. The
 // message always names what failed and where.

@@ -44,9 +44,10 @@
 //         and label.
 //     Byte conservation is the independent oracle for the lazy event loop:
 //     a flow retired early or late shows up as missing or extra bytes.
-//   * certified_service_run(jobs, spec) -- the ServiceLoop run that
-//     run_experiment makes (which keeps its Simulator private), with the
-//     certifier attached, returning the full report.
+//   A cluster run is certified by building its ServiceLoop, watching the
+//   loop's Simulator and registry, and running it through
+//   cluster::run_experiment(loop, jobs): eqh::certified_run
+//   (tests/equivalence_harness.hpp) does that.
 //
 // Tolerances. Rates and capacities compare with a relative 1e-9 plus an
 // absolute kAbsRate (1e-6 B/s); rate/weight shares compare in rate units
@@ -63,7 +64,6 @@
 #include <cstdint>
 #include <iterator>
 #include <map>
-#include <memory>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -72,19 +72,14 @@
 #include <utility>
 #include <vector>
 
-#include "cluster/experiment.hpp"
-#include "cluster/job.hpp"
 #include "common/time.hpp"
 #include "common/units.hpp"
 #include "echelon/registry.hpp"
-#include "faultsim/fault_plan.hpp"
 #include "netsim/allocator.hpp"
 #include "netsim/flow.hpp"
 #include "netsim/simulator.hpp"
 #include "netsim/workflow.hpp"
 #include "obs/trace.hpp"
-#include "service/arrivals.hpp"
-#include "service/service.hpp"
 #include "topology/graph.hpp"
 
 namespace echelon::certify {
@@ -638,58 +633,5 @@ class Certifier final : public obs::TraceSink {
   detail::LinkScratch links_;
   Report report_;
 };
-
-// ============================================================================
-// Cluster-shaped certified runs
-// ============================================================================
-
-struct ServiceRunSpec {
-  cluster::SchedulerKind scheduler = cluster::SchedulerKind::kEchelonMadd;
-  cluster::FabricKind fabric = cluster::FabricKind::kBigSwitch;
-  // Every job is seated before the run, so plans may target workers too.
-  const faultsim::FaultPlan* plan = nullptr;
-};
-
-// The fabric shape of run_experiment and the equivalence harness: 16 hosts
-// at 25 Gbps, leaf-spine at 2:1 oversubscription.
-[[nodiscard]] inline service::ServiceConfig service_config(
-    const ServiceRunSpec& spec) {
-  service::ServiceConfig cfg;
-  cfg.scheduler = spec.scheduler;
-  cfg.fabric = spec.fabric;
-  cfg.hosts = 16;
-  cfg.port_capacity = gbps(25);
-  cfg.oversubscription =
-      spec.fabric == cluster::FabricKind::kLeafSpine ? 2.0 : 1.0;
-  cfg.fault_plan = spec.plan;
-  return cfg;
-}
-
-// Runs `jobs` (arrivals sorted by index) with the certifier attached, as
-// run_experiment runs them: a ServiceLoop fed each job at its arrival, with
-// every job seated ahead. Returns the allocation, byte and tardiness
-// report. Every job must complete.
-[[nodiscard]] inline Report certified_service_run(
-    const std::vector<cluster::JobSpec>& jobs, const ServiceRunSpec& spec) {
-  Certifier cert;
-  service::ServiceConfig cfg = service_config(spec);
-  cfg.trace_sink = &cert;
-  cfg.trace_detail = obs::TraceDetail::kFlow;
-  service::ServiceLoop loop(cfg);
-  cert.watch(loop.sim());
-  cert.watch(loop.registry());
-  loop.seat_ahead(jobs);
-  loop.set_generator(
-      std::make_unique<service::ScheduleArrivalGenerator>(jobs));
-  loop.drain();
-  cert.certify_tardiness();
-  Report r = cert.report();
-  const service::ServiceResult res = loop.result();
-  if (res.completed != jobs.size()) {
-    r.fail(std::to_string(res.completed) + " of " +
-           std::to_string(jobs.size()) + " jobs completed");
-  }
-  return r;
-}
 
 }  // namespace echelon::certify

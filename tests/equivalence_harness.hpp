@@ -11,7 +11,9 @@
 //   - an allocation-counting operator-new hook (off under ASan/TSan),
 //   - a bitwise ExperimentResult comparator,
 //   - the small randomized cluster trace + a run_cluster(jobs, RunSpec)
-//     entry point spanning the scheduler x fabric (x FaultPlan) matrix,
+//     entry point spanning the scheduler x fabric (x FaultPlan) matrix on
+//     one test fabric, and certified_run, the same run with the certifier
+//     watching its loop,
 //   - the scheduler x fabric gtest param fixture with its name generator,
 //   - the simulator-level randomized completion-trace scenario.
 //
@@ -46,6 +48,7 @@
 #include "faultsim/fault_plan.hpp"
 #include "netsim/allocator.hpp"
 #include "netsim/simulator.hpp"
+#include "service/service.hpp"
 #include "topology/builders.hpp"
 
 // --- allocation-counting hook -----------------------------------------------
@@ -135,13 +138,13 @@ struct RunSpec {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-inline cluster::ExperimentResult run_cluster(
-    const std::vector<cluster::JobSpec>& jobs, const RunSpec& spec) {
-  cluster::ExperimentConfig cfg;
+// The test fabric, written once: 16 hosts at 25 Gbps (ServiceConfig's
+// defaults), leaf-spine at 2:1 oversubscription. Finish-time recording is
+// off, as in run_experiment's own loop.
+inline service::ServiceConfig run_config(const RunSpec& spec) {
+  service::ServiceConfig cfg;
   cfg.scheduler = spec.scheduler;
   cfg.fabric = spec.fabric;
-  cfg.hosts = 16;
-  cfg.port_capacity = gbps(25);
   cfg.oversubscription =
       spec.fabric == cluster::FabricKind::kLeafSpine ? 2.0 : 1.0;
   cfg.fault_plan = spec.plan;
@@ -150,7 +153,36 @@ inline cluster::ExperimentResult run_cluster(
     cfg.trace_sink = spec.trace_sink;
     cfg.trace_detail = spec.trace_detail;
   }
-  return cluster::run_experiment(jobs, cfg);
+  cfg.record_flow_finish = false;
+  return cfg;
+}
+
+inline cluster::ExperimentResult run_cluster(
+    const std::vector<cluster::JobSpec>& jobs, const RunSpec& spec) {
+  service::ServiceLoop loop(run_config(spec));
+  return cluster::run_experiment(loop, jobs);
+}
+
+// The run_cluster run with the certifier watching its loop: allocations,
+// byte conservation and tardiness of the run that produces the result.
+// Every job must complete. The spec's trace sink is replaced by the
+// certifier.
+inline certify::Report certified_run(const std::vector<cluster::JobSpec>& jobs,
+                                     RunSpec spec) {
+  certify::Certifier cert;
+  spec.trace_sink = &cert;
+  spec.trace_detail = obs::TraceDetail::kFlow;
+  service::ServiceLoop loop(run_config(spec));
+  cert.watch(loop.sim());
+  cert.watch(loop.registry());
+  (void)cluster::run_experiment(loop, jobs);
+  cert.certify_tardiness();
+  certify::Report r = cert.report();
+  if (loop.completed() != jobs.size()) {
+    r.fail(std::to_string(loop.completed()) + " of " +
+           std::to_string(jobs.size()) + " jobs completed");
+  }
+  return r;
 }
 
 // Bitwise trace-stream comparator for differential suites: both recorders
@@ -181,9 +213,9 @@ inline void expect_same_trace(const obs::TraceRecorder& a,
 
 // The fabric run_cluster builds, for chaos-profile target selection.
 inline topology::BuiltFabric run_cluster_fabric(cluster::FabricKind fabric) {
-  return cluster::build_fabric(
-      fabric, 16, gbps(25),
-      fabric == cluster::FabricKind::kLeafSpine ? 2.0 : 1.0);
+  const service::ServiceConfig cfg = run_config({.fabric = fabric});
+  return cluster::build_fabric(cfg.fabric, cfg.hosts, cfg.port_capacity,
+                               cfg.oversubscription);
 }
 
 // The single bit-identical comparator: every deterministic ExperimentResult

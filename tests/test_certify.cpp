@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,8 @@
 #include "netsim/simulator.hpp"
 #include "netsim/workflow.hpp"
 #include "obs/trace.hpp"
+#include "service/arrivals.hpp"
+#include "service/service.hpp"
 #include "topology/builders.hpp"
 #include "topology/route_table.hpp"
 
@@ -324,7 +327,7 @@ TEST(CertifyTardiness, RetiredServiceGroupsAreCertifiedLive) {
   Tee lifecycle(&shift, &dropping);
   Tee tee(&cert, &lifecycle);
 
-  service::ServiceConfig cfg = certify::service_config({});
+  service::ServiceConfig cfg;  // 16 hosts at 25 Gbps on a big switch
   cfg.trace_sink = &tee;
   cfg.trace_detail = obs::TraceDetail::kFlow;
   service::ServiceLoop loop(cfg);

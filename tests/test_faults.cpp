@@ -657,8 +657,7 @@ TEST(ChaosDifferential, CertifiedUnderChaos) {
     std::size_t workers = 0;
     for (const auto& j : jobs) workers += static_cast<std::size_t>(j.ranks);
 
-    // The certified run seats every job ahead, as run_experiment does, so
-    // plans slow workers too.
+    // run_experiment seats every job ahead, so plans slow workers too.
     ChaosProfile p;
     p.seed = seed;
     p.horizon = 1.5;
@@ -674,7 +673,7 @@ TEST(ChaosDifferential, CertifiedUnderChaos) {
     for (const auto kind : kinds) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " " +
                    std::string(cluster::to_string(kind)));
-      const certify::Report r = certify::certified_service_run(
+      const certify::Report r = eqh::certified_run(
           jobs, {.scheduler = kind,
                  .fabric = FabricKind::kLeafSpine,
                  .plan = &plan});
@@ -723,7 +722,7 @@ TEST(ChaosDifferential, CrossSpineJobsCertifiedUnderNodeFaults) {
   for (const auto kind : {SchedulerKind::kFairSharing, SchedulerKind::kSrpt,
                           SchedulerKind::kEchelonMadd}) {
     SCOPED_TRACE(cluster::to_string(kind));
-    const certify::Report r = certify::certified_service_run(
+    const certify::Report r = eqh::certified_run(
         jobs, {.scheduler = kind,
                .fabric = FabricKind::kLeafSpine,
                .plan = &plan});

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -32,6 +33,8 @@
 #include "obs/metrics.hpp"
 #include "obs/perfetto.hpp"
 #include "obs/trace.hpp"
+#include "service/arrivals.hpp"
+#include "service/service.hpp"
 
 namespace {
 
@@ -113,20 +116,13 @@ TEST(TraceRecorderTest, LabelDirectoryInternsFirstSeen) {
 // ============================================================================
 
 cluster::ExperimentResult run_traced(const std::vector<cluster::JobSpec>& jobs,
-                                     const eqh::RunSpec& spec,
-                                     obs::TraceSink* sink, TraceDetail detail,
+                                     eqh::RunSpec spec, obs::TraceSink* sink,
+                                     TraceDetail detail,
                                      obs::MetricsRegistry* metrics) {
-  cluster::ExperimentConfig cfg;
-  cfg.scheduler = spec.scheduler;
-  cfg.fabric = spec.fabric;
-  cfg.hosts = 16;
-  cfg.port_capacity = gbps(25);
-  cfg.oversubscription = spec.fabric == FabricKind::kLeafSpine ? 2.0 : 1.0;
-  cfg.fault_plan = spec.plan;
-  cfg.trace_sink = sink;
-  cfg.trace_detail = detail;
-  cfg.metrics = metrics;
-  return cluster::run_experiment(jobs, cfg);
+  spec.trace_sink = sink;
+  spec.trace_detail = detail;
+  spec.metrics = metrics;
+  return eqh::run_cluster(jobs, spec);
 }
 
 using ObsEquivalence = eqh::SchedFabricTest;
@@ -475,6 +471,47 @@ TEST(SweepCaptureTest, DeterministicAcrossThreadCounts) {
   EXPECT_NE(serial.merged.find_counter("sim.flows"), nullptr);
   EXPECT_NE(serial.merged.find_gauge("sim.makespan_s"), nullptr);
 }
+
+// `serve` and `cluster` publish one registry: a trace served through a
+// ServiceLoop and published with publish_metrics() leaves the same
+// counters, gauges and histograms, to the bit, as run_experiment on the same
+// jobs. Only run_experiment's batch-only job.iteration_s and the host-time
+// run.wall_ms (skipped by expect_same_snapshot) differ.
+using PublishedRegistry = eqh::SchedFabricTest;
+
+TEST_P(PublishedRegistry, ServeAndClusterPublishTheSameRegistry) {
+  const auto [scheduler, fabric] = GetParam();
+  const auto jobs = eqh::small_trace(/*seed=*/13);
+
+  obs::MetricsRegistry served;
+  {
+    service::ServiceLoop loop(eqh::run_config(
+        {.scheduler = scheduler, .fabric = fabric, .metrics = &served}));
+    loop.seat_ahead(jobs);
+    loop.set_generator(
+        std::make_unique<service::ScheduleArrivalGenerator>(jobs));
+    loop.drain();
+    loop.publish_metrics();
+  }
+  obs::MetricsRegistry batch;
+  (void)eqh::run_cluster(
+      jobs, {.scheduler = scheduler, .fabric = fabric, .metrics = &batch});
+
+  const obs::MetricsSnapshot serve_snap = served.snapshot();
+  obs::MetricsSnapshot batch_snap = batch.snapshot();
+  EXPECT_EQ(std::erase_if(batch_snap.histograms,
+                          [](const obs::MetricsSnapshot::Hist& h) {
+                            return h.name == "job.iteration_s";
+                          }),
+            1u);
+  ASSERT_NE(serve_snap.find_counter("alloc.passes"), nullptr);
+  ASSERT_NE(serve_snap.find_counter("sched.passes"), nullptr);
+  ASSERT_NE(serve_snap.find_counter("routes.lookups"), nullptr);
+  ASSERT_NE(serve_snap.find_histogram("echelonflow.tardiness_s"), nullptr);
+  expect_same_snapshot(serve_snap, batch_snap);
+}
+
+ECHELON_INSTANTIATE_SCHED_FABRIC(PublishedRegistry);
 
 TEST(ExportTest, MetricsCsvHasOneRowPerScalarAndBucket) {
   obs::MetricsRegistry reg;

@@ -375,7 +375,7 @@ using RouteClassEquivalence = eqh::SchedFabricTest;
 TEST_P(RouteClassEquivalence, ClassFillCertified) {
   const auto [sched, fabric] = GetParam();
   const auto jobs = small_trace(11);
-  const certify::Report r = certify::certified_service_run(
+  const certify::Report r = eqh::certified_run(
       jobs, {.scheduler = sched, .fabric = fabric});
   EXPECT_TRUE(r.ok()) << r.summary();
   EXPECT_GT(r.passes, 0u);
@@ -473,7 +473,7 @@ TEST(RouteClassChaos, HundredFlapHeavyPlansCertified) {
 
       SCOPED_TRACE("seed " + std::to_string(seed) + " " +
                    std::string(cluster::to_string(kind)));
-      const certify::Report r = certify::certified_service_run(
+      const certify::Report r = eqh::certified_run(
           jobs, {.scheduler = kind,
                  .fabric = FabricKind::kLeafSpine,
                  .plan = &plan});
@@ -552,14 +552,9 @@ TEST(RouteClassTelemetry, ExperimentExportsRouteAndClassCounters) {
   // Fair sharing: its uncapped flows reach the class fill, so the class
   // counters below count something.
   obs::MetricsRegistry reg;
-  cluster::ExperimentConfig cfg;
-  cfg.scheduler = SchedulerKind::kFairSharing;
-  cfg.fabric = FabricKind::kLeafSpine;
-  cfg.hosts = 16;
-  cfg.port_capacity = gbps(25);
-  cfg.oversubscription = 2.0;
-  cfg.metrics = &reg;
-  (void)cluster::run_experiment(small_trace(5), cfg);
+  (void)run_cluster(small_trace(5), {.scheduler = SchedulerKind::kFairSharing,
+                                     .fabric = FabricKind::kLeafSpine,
+                                     .metrics = &reg});
   // Only its passes without a contended flow skip the fill.
   EXPECT_LT(reg.counter("alloc.explicit_passes").value(),
             reg.counter("alloc.passes").value());
@@ -582,9 +577,9 @@ TEST(RouteClassTelemetry, ExperimentExportsRouteAndClassCounters) {
   // EchelonFlow-MADD hands over caps that fit: its passes take the
   // explicit-rate return.
   obs::MetricsRegistry madd;
-  cfg.scheduler = SchedulerKind::kEchelonMadd;
-  cfg.metrics = &madd;
-  (void)cluster::run_experiment(small_trace(5), cfg);
+  (void)run_cluster(small_trace(5), {.scheduler = SchedulerKind::kEchelonMadd,
+                                     .fabric = FabricKind::kLeafSpine,
+                                     .metrics = &madd});
   EXPECT_GT(madd.counter("alloc.explicit_passes").value(), 0u);
   EXPECT_LE(madd.counter("alloc.explicit_passes").value(),
             madd.counter("alloc.passes").value());

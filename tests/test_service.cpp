@@ -97,18 +97,11 @@ struct ServiceSpec {
 };
 
 ServiceConfig make_config(const ServiceSpec& s) {
-  ServiceConfig c;
-  c.scheduler = s.scheduler;
-  c.fabric = s.fabric;
-  c.hosts = 16;
-  c.port_capacity = gbps(25);
-  c.oversubscription = s.fabric == FabricKind::kLeafSpine ? 2.0 : 1.0;
+  ServiceConfig c = eqh::run_config(
+      {.scheduler = s.scheduler, .fabric = s.fabric, .plan = s.plan,
+       .trace_sink = s.sink});
   c.admission = s.admission;
-  c.fault_plan = s.plan;
-  if (s.sink != nullptr) {
-    c.trace_sink = s.sink;
-    c.trace_detail = obs::TraceDetail::kFlow;
-  }
+  c.record_flow_finish = true;  // results compare every flow's finish time
   return c;
 }
 
@@ -587,14 +580,14 @@ TEST_F(CorruptSnapshotTest, HeaderAndVersionMutationsFailTheirOwnChecks) {
               std::string::npos);
   }
   {
-    // v12 images digest released flows per 4096-flow chunk and carry no
-    // release cursor; v13 readers reject them up front, naming the
-    // version, instead of failing verification field by field.
-    static_assert(service::kSnapshotVersion == 13);
+    // v13 images end kConfig without record_flow_finish; v14 readers
+    // reject them up front, naming the version, instead of failing to
+    // parse the config section.
+    static_assert(service::kSnapshotVersion == 14);
     std::string m = bytes_;
-    m[8] = 12;
+    m[8] = 13;
     EXPECT_NE(expect_snapshot_error(restamp(m))
-                  .find("unsupported version 12 (expected 13)"),
+                  .find("unsupported version 13 (expected 14)"),
               std::string::npos);
   }
   {
@@ -1094,14 +1087,17 @@ TEST(Admission, PublishMetricsExportsServiceCounters) {
             r.control_ticks);
   EXPECT_EQ(metrics.gauge("service.queue_depth").value(), 0.0);
   EXPECT_EQ(metrics.gauge("service.admission_rate").value(), 1.0);
-  EXPECT_GT(metrics.gauge("service.decisions_per_sec").value(), 0.0);
+  EXPECT_EQ(metrics.counter("sim.control_invocations").value(),
+            r.control_invocations);
+  EXPECT_GT(metrics.gauge("run.wall_ms").value(), 0.0);
   // Released groups are complete; held ones may be too.
   std::uint64_t complete_groups = loop.registry().released();
   for (const ef::EchelonFlow* g : loop.registry().all()) {
     if (g->complete()) ++complete_groups;
   }
   EXPECT_GT(complete_groups, 0u);
-  EXPECT_EQ(metrics.histogram("service.tardiness_s").count(), complete_groups);
+  EXPECT_EQ(metrics.histogram("echelonflow.tardiness_s").count(),
+            complete_groups);
 }
 
 // ---------------------------------------------------------------------------
@@ -1370,8 +1366,9 @@ TEST(RetainedState, SnapshotRestoreRetiresIdentically) {
 // still resident -- the held groups plus the released ones sharing the
 // cursor's chunk -- never exceed the running jobs' groups plus one chunk.
 // The release listener sees every group once, in creation order, and
-// service.tardiness_s matches the histogram recorded when publish_metrics()
-// still scanned every group of a registry that released none.
+// echelonflow.tardiness_s matches the histogram recorded when
+// publish_metrics() named it service.tardiness_s and still scanned every
+// group of a registry that released none.
 TEST(RetainedState, RegistryReleasesFinishedGroupsInCreationOrder) {
   constexpr std::size_t kChunk = ChunkedStore<ef::EchelonFlow>::kChunk;
   obs::MetricsRegistry metrics;
@@ -1425,7 +1422,7 @@ TEST(RetainedState, RegistryReleasesFinishedGroupsInCreationOrder) {
   }
 
   loop.publish_metrics();
-  const obs::Histogram& tard = metrics.histogram("service.tardiness_s");
+  const obs::Histogram& tard = metrics.histogram("echelonflow.tardiness_s");
   EXPECT_EQ(tard.count(), 1137u);
   EXPECT_EQ(tard.sum(), 0x1.ed2ad3b4babc6p+0);
   const std::vector<std::uint64_t> buckets = {
@@ -1589,6 +1586,35 @@ TEST(FlowFinish, RecordingOffLeavesEveryOtherFieldIdentical) {
     off.flow_finish = on.flow_finish;
     expect_same_service_result(on, off);
   }
+}
+
+// A snapshot carries record_flow_finish: a loop saved with recording off
+// restores with it off, keeps no finish times and continues bit-identically
+// to the uninterrupted run. (The resume tests above record.)
+TEST(FlowFinish, RestoredLoopRecordsOnlyIfTheSavedOneDid) {
+  ServiceConfig config = make_config(ServiceSpec{});
+  config.record_flow_finish = false;
+  const auto make = [&config] {
+    auto loop = std::make_unique<ServiceLoop>(config);
+    loop->set_generator(
+        std::make_unique<PoissonArrivalGenerator>(small_arrivals(31, 8)));
+    return loop;
+  };
+  auto whole = make();
+  whole->drain();
+  const ServiceResult reference = whole->result();
+  ASSERT_TRUE(reference.flow_finish.empty());
+
+  auto prefix = make();
+  while (prefix->steps_executed() < reference.steps / 2) {
+    ASSERT_TRUE(prefix->step());
+  }
+  auto restored = restore_snapshot(save_snapshot(*prefix));
+  EXPECT_FALSE(restored->config().record_flow_finish);
+  restored->drain();
+  const ServiceResult resumed = restored->result();
+  EXPECT_TRUE(resumed.flow_finish.empty());
+  expect_same_service_result(reference, resumed);
 }
 
 // The record reads what Simulator::finish_time() read before the record

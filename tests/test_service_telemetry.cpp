@@ -79,18 +79,11 @@ struct TelSpec {
 };
 
 ServiceConfig make_config(const TelSpec& s) {
-  ServiceConfig c;
-  c.scheduler = s.scheduler;
-  c.fabric = s.fabric;
-  c.hosts = 16;
-  c.port_capacity = gbps(25);
-  c.oversubscription = s.fabric == FabricKind::kLeafSpine ? 2.0 : 1.0;
-  c.fault_plan = s.plan;
+  ServiceConfig c = eqh::run_config(
+      {.scheduler = s.scheduler, .fabric = s.fabric, .plan = s.plan,
+       .trace_sink = s.sink});
   c.telemetry = s.telemetry;
-  if (s.sink != nullptr) {
-    c.trace_sink = s.sink;
-    c.trace_detail = obs::TraceDetail::kFlow;
-  }
+  c.record_flow_finish = true;  // results compare every flow's finish time
   return c;
 }
 

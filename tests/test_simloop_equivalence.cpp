@@ -84,7 +84,7 @@ TEST_P(CertifiedCluster, AllocationsBytesAndTardiness) {
   const auto [kind, fabric] = GetParam();
   for (const std::uint64_t seed : {11u, 23u, 47u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const certify::Report r = certify::certified_service_run(
+    const certify::Report r = eqh::certified_run(
         small_trace(seed), {.scheduler = kind, .fabric = fabric});
     expect_certified(r, kind == SchedulerKind::kFairSharing);
     EXPECT_GT(r.echelonflows, 0u) << r.summary();
@@ -93,7 +93,7 @@ TEST_P(CertifiedCluster, AllocationsBytesAndTardiness) {
 
 TEST_P(CertifiedCluster, WithComputeJitter) {
   const auto [kind, fabric] = GetParam();
-  const certify::Report r = certify::certified_service_run(
+  const certify::Report r = eqh::certified_run(
       small_trace(7, /*jitter=*/0.05), {.scheduler = kind, .fabric = fabric});
   expect_certified(r, kind == SchedulerKind::kFairSharing);
   EXPECT_GT(r.echelonflows, 0u) << r.summary();

@@ -108,7 +108,14 @@
 //                       coarse = control-plane + fault events only.
 //   --metrics-out PATH  write the metrics-registry snapshot as CSV
 //                       (merged across sweep points for `cluster`) and
-//                       print a summary table to stdout.
+//                       print a summary table to stdout. `cluster` and
+//                       `serve` write the same run-level rows
+//                       (service::ServiceLoop::publish_metrics: sim.*,
+//                       alloc.*, sched.*, routes.*, fault.* under a fault
+//                       plan, echelon.*, service.* and the
+//                       echelonflow.tardiness_s histogram; run.wall_ms is
+//                       the one host-time value); `cluster` adds the
+//                       job.iteration_s histogram.
 //     Observability is read-only: results are byte-identical with these
 //     flags on or off (tests/test_obs.cpp pins this).
 //
@@ -730,8 +737,7 @@ int cmd_serve(const Args& args) {
                                     cfg.oversubscription);
     if (!fabric) return 2;
   }
-  // Nothing here prints per-flow finish times, so keep none (a restored run
-  // takes the default and records them).
+  // Nothing here prints per-flow finish times, so keep none.
   cfg.record_flow_finish = false;
   try {
     cfg.admission.policy = service::admission_policy_from_string(
