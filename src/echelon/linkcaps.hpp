@@ -3,9 +3,9 @@
 // active flows, rank the groups, pace each flow against the residual
 // capacity, then work-conserve and backfill (Property 4 adapts Coflow-MADD,
 // and Property 2 makes a Coflow the special case of an EchelonFlow); SRPT
-// and Sincronia rank flows or groups their own way and grant the residual in
-// strict priority. Only the group key, the rank metric and the pacing
-// deadline differ, so the steps live here once:
+// ranks flows its own way, Sincronia orders GroupPass's groups by BSSI, and
+// both grant the residual in strict priority. Only the group key, the rank
+// metric and the pacing deadline differ, so the steps live here once:
 //
 //   * GroupPass -- the grouping pass and the group ranking;
 //   * ResidualCaps -- residual link capacity and the rate grants against it.

@@ -7,6 +7,7 @@ NodeId Topology::add_node(NodeKind kind, std::string name, int tier) {
   nodes_.push_back(Node{id, kind, std::move(name), tier});
   adjacency_.emplace_back();
   in_adjacency_.emplace_back();
+  ++capacity_epoch_;
   return id;
 }
 
@@ -24,6 +25,7 @@ LinkId Topology::add_link(NodeId src, NodeId dst, BytesPerSec capacity) {
   adjacency_.at(src.value()).push_back(id);
   in_adjacency_.at(dst.value()).push_back(id);
   link_up_.push_back(1);
+  ++capacity_epoch_;
   return id;
 }
 

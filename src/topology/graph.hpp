@@ -48,22 +48,26 @@ class Topology {
   NodeId add_host(std::string name);
   NodeId add_switch(std::string name, int tier = 0);
 
-  // Adds a single directed link. Returns its id.
+  // Adds a single directed link. Returns its id. Bumps the capacity epoch:
+  // a new link can shorten routes, so cached hop distances and memoised
+  // routes must not survive it (add_host / add_switch bump it too).
   LinkId add_link(NodeId src, NodeId dst, BytesPerSec capacity);
 
   // Changes a link's capacity at runtime -- models failures, degradation
   // (flaky optics, congestion from external tenants) and recovery. Callers
   // driving a live simulation must invalidate its allocation afterwards so
   // rates are recomputed against the new capacity. Bumps the capacity
-  // epoch, which invalidates every RouteTable hop-distance array.
+  // epoch, which invalidates every RouteTable hop-distance array and
+  // memoised route.
   void set_link_capacity(LinkId id, BytesPerSec capacity) {
     links_.at(id.value()).capacity = capacity;
     ++capacity_epoch_;
   }
 
-  // Monotonic counter incremented by every runtime capacity change. Cached
-  // state derived from links (RouteTable hop distances) is valid only while
-  // this value is unchanged.
+  // Monotonic counter incremented by every topology change: a node or link
+  // added, a link's capacity or up/down state changed. Cached state derived
+  // from links (RouteTable hop distances and memoised routes) is valid only
+  // while this value is unchanged.
   [[nodiscard]] std::uint64_t capacity_epoch() const noexcept {
     return capacity_epoch_;
   }

@@ -42,10 +42,20 @@ RouteId RouteTable::intern(const Path& path) {
 std::optional<RouteId> RouteTable::route(NodeId src, NodeId dst,
                                          std::uint64_t ecmp_seed) {
   ++stats_.lookups;
+  const std::uint64_t epoch = topo_->capacity_epoch();
+  if (memo_.empty()) memo_.resize(kMemoSlots);
+  const std::uint64_t ends = src.value() << 32 | dst.value();
+  MemoEntry& memo = memo_[mix(ecmp_seed ^ mix(ends)) & (kMemoSlots - 1)];
+  if (memo.route.valid() && memo.epoch == epoch && memo.seed == ecmp_seed &&
+      memo.src == src.value() && memo.dst == dst.value()) {
+    // Routed in this epoch, so dst's distance array is valid as well.
+    ++stats_.hits;
+    return memo.route;
+  }
+
   const std::size_t nodes = topo_->node_count();
   if (to_dst_.size() < nodes) to_dst_.resize(nodes);
   Distances& d = to_dst_.at(dst.value());
-  const std::uint64_t epoch = topo_->capacity_epoch();
   if (d.dist.size() == nodes && d.epoch == epoch) {
     ++stats_.hits;
   } else {
@@ -57,7 +67,13 @@ std::optional<RouteId> RouteTable::route(NodeId src, NodeId dst,
     ++stats_.unreachable;
     return std::nullopt;
   }
-  return intern(walked_);
+  const RouteId id = intern(walked_);
+  memo = MemoEntry{.seed = ecmp_seed,
+                   .epoch = epoch,
+                   .src = static_cast<std::uint32_t>(src.value()),
+                   .dst = static_cast<std::uint32_t>(dst.value()),
+                   .route = id};
+  return id;
 }
 
 }  // namespace echelon::topology

@@ -937,48 +937,115 @@ TEST(DenseEquivalence, SchedulersMatchSeedControlPasses) {
 // One scheduler instance must agree with seed decisions across *repeated*
 // passes with churn in between (members finishing between passes, no
 // membership hooks): its reused per-pass arenas carry no stale state.
+void compare_repeated_passes(const topology::BuiltFabric& fabric,
+                             const PassScenario& sc,
+                             netsim::NetworkScheduler& s,
+                             netsim::NetworkScheduler& r, std::uint64_t seed) {
+  std::vector<Flow> a = sc.flows;
+  std::vector<Flow> b = sc.flows;
+  Simulator sim(&fabric.topo);
+  Rng rng(seed);
+  // 6 passes; between passes, retire a random suffix of flows and shrink
+  // the remainders (as progress would).
+  std::vector<std::size_t> alive(a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) alive[i] = i;
+  for (int pass = 0; pass < 6 && !alive.empty(); ++pass) {
+    std::vector<Flow*> pa, pb;
+    for (std::size_t i : alive) {
+      pa.push_back(&a[i]);
+      pb.push_back(&b[i]);
+    }
+    s.control(sim, pa);
+    r.control(sim, pb);
+    for (std::size_t i : alive) {
+      SCOPED_TRACE(s.name() + " seed " + std::to_string(seed) + " pass " +
+                   std::to_string(pass) + " flow " + std::to_string(i));
+      ASSERT_EQ(a[i].rate_cap.has_value(), b[i].rate_cap.has_value());
+      if (a[i].rate_cap.has_value()) {
+        EXPECT_EQ(*a[i].rate_cap, *b[i].rate_cap);
+      }
+    }
+    // Churn: drop ~1/4 of the survivors, drain the rest a little.
+    std::vector<std::size_t> next;
+    for (std::size_t i : alive) {
+      if (rng.uniform() < 0.25) continue;
+      const double frac = rng.uniform(0.5, 1.0);
+      a[i].remaining *= frac;
+      b[i].remaining = a[i].remaining;
+      next.push_back(i);
+    }
+    alive.swap(next);
+  }
+}
+
 TEST(DenseEquivalence, EchelonRepeatedPassesMatchSeed) {
   const topology::BuiltFabric fabric = make_fabric(0);
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    PassScenario sc = make_pass_scenario(fabric, seed * 31 + 7);
-    std::vector<Flow> a = sc.flows;
-    std::vector<Flow> b = sc.flows;
+    const PassScenario sc = make_pass_scenario(fabric, seed * 31 + 7);
     ef::EchelonMaddScheduler s(sc.registry.get());
     ref::EchelonMadd r(sc.registry.get());
-    Simulator sim(&fabric.topo);
-    Rng rng(seed);
-    // 6 passes; between passes, retire a random suffix of flows and shrink
-    // the remainders (as progress would).
-    std::vector<std::size_t> alive(a.size());
-    for (std::size_t i = 0; i < a.size(); ++i) alive[i] = i;
-    for (int pass = 0; pass < 6 && !alive.empty(); ++pass) {
-      std::vector<Flow*> pa, pb;
-      for (std::size_t i : alive) {
-        pa.push_back(&a[i]);
-        pb.push_back(&b[i]);
-      }
-      s.control(sim, pa);
-      r.control(sim, pb);
-      for (std::size_t i : alive) {
-        SCOPED_TRACE("seed " + std::to_string(seed) + " pass " +
-                     std::to_string(pass) + " flow " + std::to_string(i));
-        ASSERT_EQ(a[i].rate_cap.has_value(), b[i].rate_cap.has_value());
-        if (a[i].rate_cap.has_value()) {
-          EXPECT_EQ(*a[i].rate_cap, *b[i].rate_cap);
-        }
-      }
-      // Churn: drop ~1/4 of the survivors, drain the rest a little.
-      std::vector<std::size_t> next;
-      for (std::size_t i : alive) {
-        if (rng.uniform() < 0.25) continue;
-        const double frac = rng.uniform(0.5, 1.0);
-        a[i].remaining *= frac;
-        b[i].remaining = a[i].remaining;
-        next.push_back(i);
-      }
-      alive.swap(next);
+    compare_repeated_passes(fabric, sc, s, r, seed);
+  }
+}
+
+// Sincronia keeps its port numbering and contributor lists in arenas that
+// outlive a pass; both fabrics, so ports are numbered over different link
+// sets in turn.
+TEST(DenseEquivalence, SincroniaRepeatedPassesMatchSeed) {
+  ef::SincroniaScheduler s;
+  for (int topo_kind = 0; topo_kind < 2; ++topo_kind) {
+    const topology::BuiltFabric fabric = make_fabric(topo_kind);
+    for (std::uint64_t seed = 0; seed < 10; ++seed) {
+      const PassScenario sc = make_pass_scenario(fabric, seed * 31 + 7);
+      ref::Sincronia r;
+      compare_repeated_passes(fabric, sc, s, r, seed);
     }
   }
+}
+
+// When no unplaced group has positive bytes on the bottleneck, a group off
+// that port (0 bytes) can still come first in key order and go last. Groups
+// 0 and 1 have nothing left; group 2 is placed first, after which every port
+// reads 0 and the lowest, egress 0, carries only group 1. The seed places
+// group 0 next (first in key order among equal 0s), so group 1 is granted
+// before it and takes ingress 1.
+TEST(DenseEquivalence, SincroniaBottleneckWithoutPositiveBytesMatchesSeed) {
+  const topology::BuiltFabric fabric = make_fabric(0);
+  topology::RouteTable routes(&fabric.topo);
+  struct Spec {
+    int src, dst, group;
+    Bytes remaining;
+  };
+  const Spec specs[] = {{4, 1, 0, 0.0}, {0, 1, 1, 0.0}, {0, 3, 2, 5e6}};
+  std::vector<Flow> a;
+  for (const Spec& sp : specs) {
+    Flow f;
+    f.id = FlowId{a.size()};
+    f.spec.src = fabric.hosts[sp.src];
+    f.spec.dst = fabric.hosts[sp.dst];
+    f.spec.size = 5e6;
+    f.spec.group = EchelonFlowId{static_cast<std::uint64_t>(sp.group)};
+    f.remaining = sp.remaining;
+    f.path = routes.path(*routes.route(f.spec.src, f.spec.dst, f.id.value()));
+    a.push_back(std::move(f));
+  }
+  std::vector<Flow> b = a;
+  std::vector<Flow*> pa, pb;
+  for (Flow& f : a) pa.push_back(&f);
+  for (Flow& f : b) pb.push_back(&f);
+  Simulator sim(&fabric.topo);
+  ef::SincroniaScheduler s;
+  ref::Sincronia r;
+  s.control(sim, pa);
+  r.control(sim, pb);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE("flow " + std::to_string(i));
+    ASSERT_TRUE(a[i].rate_cap.has_value());
+    EXPECT_EQ(*a[i].rate_cap, *b[i].rate_cap);
+  }
+  EXPECT_EQ(*a[1].rate_cap, 10e9);  // group 1 first: all of ingress 1
+  EXPECT_EQ(*a[0].rate_cap, 0.0);
+  EXPECT_EQ(*a[2].rate_cap, 0.0);  // egress 0 went to group 1
 }
 
 // ============================================================================
@@ -1201,10 +1268,9 @@ TEST(ZeroAlloc, ControlAndAllocateSteadyState) {
   ef::CoflowMaddScheduler coflow;
   ef::AaloScheduler aalo;
   ef::SrptScheduler srpt;
-  // Sincronia intentionally excluded: its BSSI ordering keeps per-pass hash
-  // maps (bottleneck-argmax ties depend on map iteration order; see
-  // sincronia.hpp).
-  netsim::NetworkScheduler* scheds[] = {&echelon, &coflow, &aalo, &srpt};
+  ef::SincroniaScheduler sincronia;
+  netsim::NetworkScheduler* scheds[] = {&echelon, &coflow, &aalo, &srpt,
+                                        &sincronia};
 
   for (netsim::NetworkScheduler* sched : scheds) {
     std::vector<Flow> flows = sc.flows;

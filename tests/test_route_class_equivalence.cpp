@@ -157,8 +157,10 @@ TEST(RouteTable, UnreachableVerdictsAreCachedPerEpoch) {
 // Every host pair of every canned fabric, several seeds per pair: the cached
 // route must be link-for-link the uncached Topology::route(), before and
 // after each step of a seeded sequence of link downs, ups and capacity
-// changes -- including steps that leave pairs unreachable. Each epoch costs
-// exactly one BFS per destination looked up.
+// changes -- including steps that leave pairs unreachable. Each key is
+// looked up twice per epoch, so the second lookup of a reachable pair comes
+// from the route memo; both must match. Each epoch costs exactly one BFS per
+// destination looked up.
 TEST(RouteTable, MatchesUncachedRouteThroughSeededLinkMutations) {
   std::vector<std::pair<std::string, topology::BuiltFabric>> fabrics;
   fabrics.emplace_back("big-switch", topology::make_big_switch(6, gbps(10)));
@@ -200,16 +202,20 @@ TEST(RouteTable, MatchesUncachedRouteThroughSeededLinkMutations) {
         for (const NodeId src : fabric.hosts) {
           for (const std::uint64_t seed : kSeeds) {
             const auto expected = topo.route(src, dst, seed);
-            const auto got = table.route(src, dst, seed);
-            ASSERT_EQ(got.has_value(), expected.has_value())
-                << src.value() << " -> " << dst.value() << " seed " << seed;
-            if (!got.has_value()) {
-              ++unreachable;
-              continue;
+            for (int lookup = 0; lookup < 2; ++lookup) {
+              const auto got = table.route(src, dst, seed);
+              ASSERT_EQ(got.has_value(), expected.has_value())
+                  << src.value() << " -> " << dst.value() << " seed " << seed
+                  << " lookup " << lookup;
+              if (!got.has_value()) {
+                ++unreachable;
+                continue;
+              }
+              ++routed;
+              ASSERT_EQ(table.path(*got), *expected)
+                  << src.value() << " -> " << dst.value() << " seed " << seed
+                  << " lookup " << lookup;
             }
-            ++routed;
-            ASSERT_EQ(table.path(*got), *expected)
-                << src.value() << " -> " << dst.value() << " seed " << seed;
           }
         }
       }
@@ -226,6 +232,35 @@ TEST(RouteTable, MatchesUncachedRouteThroughSeededLinkMutations) {
     EXPECT_EQ(table.stats().hits + table.stats().computations,
               table.stats().lookups);
   }
+}
+
+// The route memo is fixed-size: 100k distinct (src, dst, seed) keys
+// overwrite slots rather than add them, and every answer is still the
+// uncached route.
+TEST(RouteTable, MemoFootprintIsFixedAcrossDistinctKeys) {
+  auto fabric = topology::make_fat_tree(4, gbps(10));
+  topology::RouteTable table(&fabric.topo);
+  const std::size_t hosts = fabric.hosts.size();
+  ASSERT_TRUE(table.route(fabric.hosts[0], fabric.hosts[1], 0).has_value());
+  const std::size_t footprint = table.memo_bytes();
+  EXPECT_GT(footprint, 0u);
+  constexpr std::uint64_t kKeys = 100000;
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    const NodeId src = fabric.hosts[k % hosts];
+    const NodeId dst = fabric.hosts[(k / hosts + 1 + k) % hosts];
+    const std::uint64_t seed = k / hosts;
+    const auto got = table.route(src, dst, seed);
+    ASSERT_TRUE(got.has_value());
+    if (k % 997 == 0) {
+      ASSERT_EQ(table.path(*got), *fabric.topo.route(src, dst, seed)) << k;
+    }
+  }
+  EXPECT_EQ(table.memo_bytes(), footprint);
+  EXPECT_EQ(table.stats().lookups, kKeys + 1);
+  EXPECT_EQ(table.stats().hits + table.stats().computations,
+            table.stats().lookups);
+  // The intern table grows with distinct paths, which the fabric bounds.
+  EXPECT_LE(table.size(), hosts * hosts * 4);
 }
 
 // ============================================================================

@@ -114,6 +114,23 @@ TEST_F(SincroniaFixture, SingleCoflowUsesFullFabric) {
   EXPECT_NEAR(sim.flow(b).finish_time, 2.0, 1e-9);
 }
 
+TEST_F(SincroniaFixture, LowestLinkIdWinsABottleneckTie) {
+  // Host h's egress port is link 2h and its ingress 2h + 1. Egress 0 and
+  // ingress 3 both carry 40 bytes; coflow 0 is the bigger contributor on
+  // egress 0 and coflow 1 on ingress 3. The lower LinkId (egress 0) wins
+  // the tie, so coflow 0 goes last and coflow 1 takes both shared ports
+  // first; were ingress 3 the bottleneck, the order would flip.
+  const FlowId a_shared = submit(0, 3, 10.0, 0);
+  const FlowId a_side = submit(0, 4, 20.0, 0);
+  const FlowId b_shared = submit(1, 3, 30.0, 1);
+  const FlowId b_side = submit(0, 5, 10.0, 1);
+  sim.run();
+  EXPECT_NEAR(sim.flow(b_side).finish_time, 1.0, 1e-9);
+  EXPECT_NEAR(sim.flow(b_shared).finish_time, 3.0, 1e-9);
+  EXPECT_NEAR(sim.flow(a_side).finish_time, 3.0, 1e-9);
+  EXPECT_NEAR(sim.flow(a_shared).finish_time, 4.0, 1e-9);
+}
+
 TEST_F(SincroniaFixture, MeanCctBeatsFairOnContendedMix) {
   auto mean_cct = [](bool sincronia) {
     auto fabric = topology::make_big_switch(4, 10.0);

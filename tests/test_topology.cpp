@@ -1,10 +1,12 @@
-// Unit tests for src/topology: graph construction, routing, builders.
+// Unit tests for src/topology: graph construction, routing, route table,
+// builders.
 
 #include <gtest/gtest.h>
 
 #include "common/units.hpp"
 #include "topology/builders.hpp"
 #include "topology/graph.hpp"
+#include "topology/route_table.hpp"
 
 namespace echelon::topology {
 namespace {
@@ -116,6 +118,44 @@ TEST(Graph, CloneWithCapacityPreservesStructure) {
   EXPECT_EQ(fast.link_count(), t.link_count());
   EXPECT_DOUBLE_EQ(fast.link(LinkId{0}).capacity, 1e30);
   EXPECT_DOUBLE_EQ(t.link(LinkId{0}).capacity, 7.0);  // original untouched
+}
+
+// Adding a node or link changes what routes exist, so it bumps the capacity
+// epoch like any runtime change: a RouteTable that routed a -> b over three
+// hops must route the new direct link afterwards, as Topology::route does,
+// whether the old answer came from its distance array or its memo.
+TEST(RouteTable, AddedLinkReplacesCachedLongerRoute) {
+  Topology t;
+  const NodeId a = t.add_host("a");
+  const NodeId x = t.add_switch("x");
+  const NodeId y = t.add_switch("y");
+  const NodeId b = t.add_host("b");
+  t.add_link(a, x, 1.0);
+  t.add_link(x, y, 1.0);
+  t.add_link(y, b, 1.0);
+  RouteTable table(&t);
+  const auto before = table.route(a, b, 0);
+  ASSERT_TRUE(before.has_value());
+  EXPECT_EQ(table.path(*before).size(), 3u);
+  EXPECT_EQ(table.route(a, b, 0), before);  // a memo hit
+
+  std::uint64_t epoch = t.capacity_epoch();
+  const LinkId direct = t.add_link(a, b, 1.0);
+  EXPECT_GT(t.capacity_epoch(), epoch);
+  const auto after = table.route(a, b, 0);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(table.path(*after), Path{direct});
+  EXPECT_EQ(table.path(*after), *t.route(a, b, 0));
+  EXPECT_EQ(table.stats().computations, 2u);
+
+  epoch = t.capacity_epoch();
+  (void)t.add_host("c");
+  (void)t.add_switch("z");
+  EXPECT_EQ(t.capacity_epoch(), epoch + 2);
+  EXPECT_EQ(table.route(a, b, 0), after);
+  EXPECT_EQ(table.stats().computations, 3u);
+  EXPECT_EQ(table.stats().hits + table.stats().computations,
+            table.stats().lookups);
 }
 
 TEST(Builders, BigSwitchShape) {
