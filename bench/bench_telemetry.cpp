@@ -60,7 +60,6 @@ cluster::TraceConfig telemetry_trace(int jobs) {
 service::TelemetryConfig full_telemetry() {
   service::TelemetryConfig tel;
   tel.metrics_every = 0.1;  // the CLI default when a prom target is given
-  tel.series_budget = 64;
   tel.flightrec_capacity = 256;
   tel.slo.window = 1.0;
   tel.slo.objectives = {
@@ -139,8 +138,8 @@ BENCHMARK(BM_ServiceTelemetryOverhead)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-// Pure flush cost: one registry refresh (counters, gauges, per-link series
-// samples, flight marker) at a fixed sim time, no output attachments.
+// Pure flush cost: one registry refresh (counters, gauges, per-link gauges,
+// flight marker) at a fixed sim time, no output attachments.
 void BM_TelemetryFlushOnly(benchmark::State& state) {
   const int jobs = static_cast<int>(state.range(0));
   auto loop = make_loop(jobs, /*telemetry=*/true);

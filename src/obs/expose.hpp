@@ -20,8 +20,9 @@
 // first-seen ids) so repeated flushes of the same registry shape do no
 // per-flush label-string rebuilding.
 //
-// A series renders as a gauge of its latest sample, so a writer hands in
-// MetricsRegistry::latest(), which copies no series history.
+// A series renders as a gauge of its latest sample, exactly as a gauge set
+// to that value would. The service plane publishes its flush-time values as
+// gauges, so the registry it exposes keeps no history to copy.
 //
 // PromWriter owns a file target: each write() renders the snapshot,
 // optionally rotates previous expositions (path.1, path.2, ...) and

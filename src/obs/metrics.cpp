@@ -98,11 +98,7 @@ void MetricsRegistry::set_series_budget(std::size_t budget) {
   for (auto& [name, ser] : series_) ser.set_point_budget(budget);
 }
 
-MetricsSnapshot MetricsRegistry::snapshot() const { return copy(false); }
-
-MetricsSnapshot MetricsRegistry::latest() const { return copy(true); }
-
-MetricsSnapshot MetricsRegistry::copy(bool latest_only) const {
+MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot s;
   s.counters.reserve(counters_.size());
   for (const auto& [name, c] : counters_) s.counters.emplace_back(name, c.value());
@@ -122,13 +118,7 @@ MetricsSnapshot MetricsRegistry::copy(bool latest_only) const {
   }
   s.series.reserve(series_.size());
   for (const auto& [name, ser] : series_) {
-    MetricsSnapshot::Ser& out = s.series.emplace_back();
-    out.name = name;
-    if (!latest_only) {
-      out.points = ser.points();
-    } else if (!ser.points().empty()) {
-      out.points.push_back(ser.points().back());
-    }
+    s.series.push_back({name, ser.points()});
   }
   return s;
 }

@@ -126,7 +126,6 @@ class Series {
     budget_ = budget == 0 ? 0 : std::max<std::size_t>(budget, 2);
     while (budget_ != 0 && points_.size() >= budget_) decimate();
   }
-  [[nodiscard]] std::size_t point_budget() const noexcept { return budget_; }
   // Current keep-stride in offered samples (1 until the budget first trips).
   [[nodiscard]] std::uint64_t stride() const noexcept { return stride_; }
   // Samples offered over the series' lifetime (>= points().size()).
@@ -200,19 +199,10 @@ class MetricsRegistry {
   // Retention cap applied to every existing and future series in this
   // registry (see Series::set_point_budget; 0 = unbounded).
   void set_series_budget(std::size_t budget);
-  [[nodiscard]] std::size_t series_budget() const noexcept {
-    return series_budget_;
-  }
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
-  // snapshot() with each series cut to its latest sample: all the
-  // Prometheus exposition reads, at a cost that does not grow with the
-  // series' history.
-  [[nodiscard]] MetricsSnapshot latest() const;
 
  private:
-  [[nodiscard]] MetricsSnapshot copy(bool latest_only) const;
-
   // std::map: deterministic (name-sorted) iteration and stable node
   // addresses, so instrument references never move.
   std::map<std::string, Counter, std::less<>> counters_;

@@ -49,9 +49,11 @@ namespace echelon::obs {
 // 0-based), so reserve a distant range to avoid collisions.
 inline constexpr std::uint64_t kControlPid = 1'000'000;
 inline constexpr std::uint64_t kCountersPid = 1'000'001;
-// Service-plane counter tracks ("service.*" series: SLO gauges, queue
-// depth, control-plane self-profile) render as their own process so live
-// service telemetry is visually separate from simulation counters.
+// Series named "service.*" -- in practice the `--profile` wall-clock
+// self-profile, service.profile.*_ms -- render as counter tracks of their
+// own "service control" process, apart from the simulation counters. The
+// service telemetry registry (queue depth, SLO gauges) holds current values
+// only and does not reach the trace.
 inline constexpr std::uint64_t kServicePid = 1'000'002;
 
 struct PerfettoOptions {

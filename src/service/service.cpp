@@ -61,9 +61,6 @@ ServiceLoop::ServiceLoop(const ServiceConfig& config,
     flightrec_ = std::make_unique<obs::FlightRecorder>(
         config_.telemetry.flightrec_capacity);
   }
-  if (config_.telemetry.series_budget > 0) {
-    telemetry_.set_series_budget(config_.telemetry.series_budget);
-  }
 }
 
 ServiceLoop::~ServiceLoop() = default;
@@ -218,27 +215,26 @@ void ServiceLoop::flush_telemetry(SimTime now) {
   publish_counts(m);
   m.counter("service.flushes").set(flushes_);
   m.gauge("service.total_tardiness_s").set(registry().total_tardiness());
-  m.series("service.queue_depth")
-      .sample(now, static_cast<double>(wait_queue_.size()));
-  m.series("service.running").sample(now, static_cast<double>(running()));
-  m.series("service.active_flows")
-      .sample(now, static_cast<double>(sim().active_flow_count()));
+  m.gauge("service.queue_depth").set(static_cast<double>(wait_queue_.size()));
+  m.gauge("service.running").set(static_cast<double>(running()));
+  m.gauge("service.active_flows")
+      .set(static_cast<double>(sim().active_flow_count()));
   sim().link_utilization(link_util_scratch_);
-  if (link_series_.size() != link_util_scratch_.size()) {
-    link_series_.clear();
-    link_series_.reserve(link_util_scratch_.size());
+  if (link_gauges_.size() != link_util_scratch_.size()) {
+    link_gauges_.clear();
+    link_gauges_.reserve(link_util_scratch_.size());
     for (std::size_t i = 0; i < link_util_scratch_.size(); ++i) {
-      link_series_.push_back(
-          &m.series("service.link." + std::to_string(i) + ".util"));
+      link_gauges_.push_back(
+          &m.gauge("service.link." + std::to_string(i) + ".util"));
     }
   }
   for (std::size_t i = 0; i < link_util_scratch_.size(); ++i) {
-    link_series_[i]->sample(now, link_util_scratch_[i]);
+    link_gauges_[i]->set(link_util_scratch_[i]);
   }
   if (flightrec_ != nullptr) {
     flightrec_->record(obs::FlightKind::kFlush, now, flush_index_, steps_);
   }
-  if (outputs_.prom != nullptr) outputs_.prom->write(telemetry_.latest());
+  if (outputs_.prom != nullptr) outputs_.prom->write(telemetry_.snapshot());
   if (outputs_.chunk != nullptr) outputs_.chunk->flush();
 }
 

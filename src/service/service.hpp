@@ -52,12 +52,12 @@ namespace echelon::service {
 // are per-process and live in TelemetryOutputs instead.
 struct TelemetryConfig {
   // Interval between telemetry flushes in simulated seconds (0 = never).
-  // A flush renders service.* counters/gauges/series into the internal
-  // telemetry registry and, when outputs are attached, writes the
-  // Prometheus exposition and appends one trace chunk.
+  // A flush sets the service.* counters and gauges of the internal
+  // telemetry registry to their current values and, when outputs are
+  // attached, writes the Prometheus exposition and appends one trace chunk.
+  // The registry keeps no series: its size is O(links + objectives),
+  // however long the run.
   Duration metrics_every = 0.0;
-  // Retention cap per telemetry series (obs::Series decimation; 0 = off).
-  std::size_t series_budget = 0;
   // Flight-recorder ring capacity (0 = recorder off).
   std::size_t flightrec_capacity = 0;
   SloConfig slo;  // no objectives = SLO tracking off
@@ -302,7 +302,7 @@ class ServiceLoop {
     return telemetry_.snapshot();
   }
   [[nodiscard]] std::string prom_exposition() const {
-    return obs::to_prom_text(telemetry_.latest());
+    return obs::to_prom_text(telemetry_.snapshot());
   }
   // Wall-clock self-profile (separate registry; empty unless
   // telemetry.profile is set).
@@ -441,9 +441,9 @@ class ServiceLoop {
   std::uint64_t abandons_seen_ = 0;   // injector abandons already noted
   std::uint64_t at_risk_ = 0;         // jobs latched deadline-at-risk
   std::vector<double> link_util_scratch_;
-  // Cached per-link series handles (stable registry node addresses),
+  // Cached per-link gauge handles (stable registry node addresses),
   // resolved on the first flush so later flushes skip the name building.
-  std::vector<obs::Series*> link_series_;
+  std::vector<obs::Gauge*> link_gauges_;
 
   const std::vector<AdmissionOutcome>* replay_expected_ = nullptr;
 };

@@ -71,6 +71,13 @@ std::optional<std::vector<SloObjective>> parse_slo_spec(std::string_view spec,
         return fail("bad threshold in SLO objective '" + std::string(item) +
                     "'");
       }
+      if (*threshold < 0.0) {
+        // JCT, queue wait and tardiness are never negative: every
+        // completion would violate the objective.
+        return fail("negative threshold in SLO objective '" +
+                    std::string(item) + "' (" +
+                    std::string(to_string(obj.kind)) + " is never negative)");
+      }
       obj.threshold = *threshold;
       const auto budget = parse_number<double>(item.substr(at + 1));
       if (!budget || *budget < 0.0 || *budget > 1.0) {

@@ -571,7 +571,6 @@ std::string save_snapshot(const ServiceLoop& loop) {
                                   : std::string{});
     const TelemetryConfig& tc = c.telemetry;
     w.f64(tc.metrics_every);
-    w.u64(tc.series_budget);
     w.u64(tc.flightrec_capacity);
     w.u8(tc.profile ? 1 : 0);
     w.f64(tc.slo.window);
@@ -728,7 +727,6 @@ std::unique_ptr<ServiceLoop> restore_snapshot(const std::string& bytes,
         c.f64("config.admission.tardiness_limit");
     const std::string plan_text = c.str("config.fault_plan");
     config.telemetry.metrics_every = c.f64("config.telemetry.metrics_every");
-    config.telemetry.series_budget = c.u64("config.telemetry.series_budget");
     config.telemetry.flightrec_capacity =
         c.u64("config.telemetry.flightrec_capacity");
     config.telemetry.profile = c.u8("config.telemetry.profile") != 0;

@@ -23,9 +23,9 @@
 //   version u32      kSnapshotVersion (readers reject anything else)
 //   sections, each {tag u32, length u64, payload}:
 //     1 kConfig     ServiceConfig incl. the fault plan's text serialization
-//                   and the TelemetryConfig (v2: metrics_every, series
-//                   budget, flight-recorder capacity, SLO objectives)
-//                   and (v14) record_flow_finish
+//                   and the TelemetryConfig (metrics_every, flight-
+//                   recorder capacity, profile, SLO objectives) and
+//                   (v14) record_flow_finish
 //     2 kArrivals   journal: count u64, then one outcome u8 per arrival
 //     3 kGenerator  generator kind u8 + construction arguments: none; the
 //                   TraceConfig and burst_every (Poisson); or the path and
@@ -91,7 +91,9 @@ inline constexpr char kSnapshotMagic[8] = {'E', 'C', 'H', 'S', 'N', 'A', 'P',
 //      registry.released (the registry's release cursor).
 // v14: kConfig ends with record_flow_finish, so a restored loop records
 //      flow finish times only if the saved one did.
-inline constexpr std::uint32_t kSnapshotVersion = 14;
+// v15: kConfig drops the telemetry series-budget word: flush-time values
+//      are gauges, so the telemetry registry has no series to cap.
+inline constexpr std::uint32_t kSnapshotVersion = 15;
 
 // Thrown on any malformed, truncated, corrupt, or divergent snapshot. The
 // message always names what failed and where.

@@ -657,28 +657,32 @@ TEST(MetricsTest, SeriesBudgetDecimatesButAgreesOnKeptPoints) {
   }
 }
 
-// The exposition reads each series' latest sample only, so latest() -- which
-// copies no series history -- renders byte for byte as the full snapshot.
-TEST(ExportTest, LatestExposesLikeTheFullSnapshot) {
-  obs::MetricsRegistry reg;
-  reg.counter("service.steps").set(12);
-  reg.gauge("service.admission_rate").set(0.75);
-  reg.histogram("service.jct_s").observe(0.4);
-  for (int i = 0; i < 5000; ++i) {
-    reg.series("service.link.3.util").sample(0.01 * i, std::sin(0.1 * i));
+// A series exposes as a gauge of its last sample, so a registry holding `x`
+// as a series whose last sample is v and one holding `x` as a gauge set to v
+// render the same bytes: the service plane can publish its flush-time
+// values as gauges without moving the exposition.
+TEST(ExportTest, SeriesExposesLikeAGaugeOfItsLastSample) {
+  obs::MetricsRegistry as_series;
+  obs::MetricsRegistry as_gauge;
+  for (obs::MetricsRegistry* reg : {&as_series, &as_gauge}) {
+    reg->counter("service.steps").set(12);
+    reg->gauge("service.admission_rate").set(0.75);
+    reg->histogram("service.jct_s").observe(0.4);
   }
-  reg.series("service.running").sample(1.0, 4.0);
-  (void)reg.series("service.queue_depth");  // no samples: not exposed
-  const obs::MetricsSnapshot latest = reg.latest();
-  ASSERT_EQ(latest.series.size(), 3u);
-  for (const obs::MetricsSnapshot::Ser& s : latest.series) {
-    EXPECT_LE(s.points.size(), 1u) << s.name;
+  double last = 0.0;
+  for (int i = 0; i < 500; ++i) {
+    last = std::sin(0.1 * i);
+    as_series.series("service.link.3.util").sample(0.01 * i, last);
   }
-  EXPECT_EQ(latest.find_series("service.link.3.util")->points.back(),
-            reg.series("service.link.3.util").points().back());
-  const std::string text = obs::to_prom_text(reg.snapshot());
-  EXPECT_NE(text.find("service_link_util{link=\"3\"}"), std::string::npos);
-  EXPECT_EQ(obs::to_prom_text(latest), text);
+  as_gauge.gauge("service.link.3.util").set(last);
+  as_series.series("service.running").sample(1.0, 0.1 + 0.2);
+  as_gauge.gauge("service.running").set(0.1 + 0.2);
+
+  const std::string text = obs::to_prom_text(as_series.snapshot());
+  EXPECT_NE(text.find("# TYPE service_link_util gauge\n"
+                      "service_link_util{link=\"3\"} "),
+            std::string::npos);
+  EXPECT_EQ(obs::to_prom_text(as_gauge.snapshot()), text);
 }
 
 TEST(MetricsTest, MergeSnapshotsThrowsOnMismatchedHistogramBounds) {

@@ -580,14 +580,14 @@ TEST_F(CorruptSnapshotTest, HeaderAndVersionMutationsFailTheirOwnChecks) {
               std::string::npos);
   }
   {
-    // v13 images end kConfig without record_flow_finish; v14 readers
-    // reject them up front, naming the version, instead of failing to
-    // parse the config section.
-    static_assert(service::kSnapshotVersion == 14);
+    // v14 images carry a telemetry series-budget word in kConfig; v15
+    // readers reject them up front, naming the version, instead of failing
+    // to parse the config section.
+    static_assert(service::kSnapshotVersion == 15);
     std::string m = bytes_;
-    m[8] = 13;
+    m[8] = 14;
     EXPECT_NE(expect_snapshot_error(restamp(m))
-                  .find("unsupported version 13 (expected 14)"),
+                  .find("unsupported version 14 (expected 15)"),
               std::string::npos);
   }
   {

@@ -4,8 +4,10 @@
 //
 //   1. Telemetry-on vs telemetry-off bit identity: every deterministic
 //      ServiceResult field and the whole trace stream are unchanged by any
-//      combination of flusher / SLO tracker / flight recorder / series
-//      budget, across the scheduler x fabric x chaos matrix.
+//      combination of flusher / SLO tracker / flight recorder / run-level
+//      series budget, across the scheduler x fabric x chaos matrix. The
+//      telemetry registry keeps current values only: no series, and the
+//      same instruments however many flushes have run.
 //   2. Snapshot/restore mid-flush-window: the restored loop resumes the
 //      flusher, SLO window, and flight ring exactly -- the Prometheus
 //      exposition, SLO digest, and ring digest of a restored-then-drained
@@ -75,13 +77,14 @@ struct TelSpec {
   FabricKind fabric = FabricKind::kBigSwitch;
   const FaultPlan* plan = nullptr;
   obs::TraceSink* sink = nullptr;
+  obs::MetricsRegistry* metrics = nullptr;  // run-level registry
   TelemetryConfig telemetry;
 };
 
 ServiceConfig make_config(const TelSpec& s) {
   ServiceConfig c = eqh::run_config(
       {.scheduler = s.scheduler, .fabric = s.fabric, .plan = s.plan,
-       .trace_sink = s.sink});
+       .trace_sink = s.sink, .metrics = s.metrics});
   c.telemetry = s.telemetry;
   c.record_flow_finish = true;  // results compare every flow's finish time
   return c;
@@ -108,11 +111,10 @@ std::unique_ptr<ServiceLoop> make_loop(const TelSpec& spec,
   return loop;
 }
 
-// Everything on: periodic flusher, SLO tracker, flight ring, series budget.
+// Everything on: periodic flusher, SLO tracker, flight ring.
 TelemetryConfig full_telemetry() {
   TelemetryConfig t;
   t.metrics_every = 0.05;
-  t.series_budget = 32;
   t.flightrec_capacity = 128;
   t.slo.window = 0.5;
   t.slo.objectives = {
@@ -235,19 +237,66 @@ TEST(TelemetryIdentity, EachKnobAloneIsInert) {
   for (int knob = 0; knob < 4; ++knob) {
     SCOPED_TRACE(::testing::Message() << "knob " << knob);
     TelSpec on;
+    // Knob 3 decimates the run-level series under telemetry: a budget of 4
+    // on the registry the Simulator samples at every control pass.
+    obs::MetricsRegistry capped;
+    capped.set_series_budget(4);
     switch (knob) {
       case 0: on.telemetry.metrics_every = 0.02; break;
       case 1: on.telemetry.slo = full_telemetry().slo; break;
       case 2: on.telemetry.flightrec_capacity = 16; break;
       case 3:
         on.telemetry.metrics_every = 0.02;
-        on.telemetry.series_budget = 4;
+        on.metrics = &capped;
         break;
     }
     auto loop = make_loop(on, trace);
     loop->drain();
     expect_same_outcome(ref, loop->result());
+    if (knob == 3) {
+      EXPECT_GT(capped.series("sim.active_flows").total_samples(), 4u);
+      for (const auto& ser : capped.snapshot().series) {
+        EXPECT_LE(ser.points.size(), 4u) << ser.name;
+      }
+    }
   }
+}
+
+// Flush-time values are gauges: the telemetry registry holds no series, and
+// after 2N flushes it has exactly the instruments it had after N, so its
+// size follows the fabric and the SLO objectives, not the run's length.
+TEST(TelemetryState, RegistryKeepsCurrentValuesNotHistory) {
+  const auto trace = small_arrivals(29, /*jobs=*/20);
+  TelSpec spec;
+  spec.telemetry = full_telemetry();
+  spec.telemetry.metrics_every = 0.01;  // at most one flush per step
+  auto loop = make_loop(spec, trace);
+  const auto names = [](const obs::MetricsSnapshot& s) {
+    std::vector<std::string> out;
+    for (const auto& [name, v] : s.counters) out.push_back(name);
+    for (const auto& [name, v] : s.gauges) out.push_back(name);
+    for (const auto& h : s.histograms) out.push_back(h.name);
+    for (const auto& ser : s.series) out.push_back(ser.name);
+    return out;
+  };
+  // Count from the first completion, which registers the per-job
+  // histograms.
+  while (loop->completed() == 0) ASSERT_TRUE(loop->step());
+  constexpr std::uint64_t kN = 8;
+  const std::uint64_t base = loop->telemetry_flushes();
+  while (loop->telemetry_flushes() < base + kN) ASSERT_TRUE(loop->step());
+  const obs::MetricsSnapshot at_n = loop->telemetry_snapshot();
+  while (loop->telemetry_flushes() < base + 2 * kN) {
+    ASSERT_TRUE(loop->step());
+  }
+  const obs::MetricsSnapshot at_2n = loop->telemetry_snapshot();
+
+  EXPECT_TRUE(at_n.series.empty());
+  EXPECT_TRUE(at_2n.series.empty());
+  EXPECT_EQ(names(at_n), names(at_2n));
+  EXPECT_NE(at_2n.find_gauge("service.queue_depth"), nullptr);
+  EXPECT_NE(at_2n.find_gauge("service.link.0.util"), nullptr);
+  EXPECT_NE(at_2n.find_histogram("service.jct_s"), nullptr);
 }
 
 // Attaching output writers (the only wall-world side effects) must not
@@ -312,15 +361,15 @@ TEST(TelemetrySnapshot, MidWindowRestoreMatchesUninterrupted) {
 }
 
 // A loop restored from a mid-run snapshot still has jobs to run, so its
-// control passes sample the run-level series again; the snapshot's series
-// budget caps them, and the telemetry series, as `serve --snapshot-in`
-// applies it. Without the budget the same restore samples past it.
-TEST(TelemetrySnapshot, MidRunRestoreKeepsTheSeriesBudget) {
+// control passes sample the run-level series again. A budget on the
+// restore's registry caps them, as `serve --snapshot-in --series-budget`
+// applies it; without one the same restore samples past it. The telemetry
+// registry has no series to cap.
+TEST(TelemetrySnapshot, MidRunRestoreCapsTheRunLevelSeries) {
   constexpr std::size_t kBudget = 16;
   const auto trace = small_arrivals(23, /*jobs=*/10);
   TelSpec spec;
   spec.telemetry.metrics_every = 0.01;
-  spec.telemetry.series_budget = kBudget;
 
   // Cut at the first boundary past the run's midpoint with a job running.
   auto whole = make_loop(spec, trace);
@@ -333,20 +382,16 @@ TEST(TelemetrySnapshot, MidRunRestoreKeepsTheSeriesBudget) {
   const std::string bytes = save_snapshot(*prefix);
 
   // Longest run-level series a restore samples, with `budget` applied to
-  // its registry the way the CLI applies the snapshot's.
+  // its registry the way the CLI applies --series-budget.
   const auto longest_series = [&](std::size_t budget) {
     obs::MetricsRegistry metrics;
-    auto restored = restore_snapshot(bytes, {.metrics = &metrics});
     metrics.set_series_budget(budget);
+    auto restored = restore_snapshot(bytes, {.metrics = &metrics});
     restored->drain();
+    EXPECT_TRUE(restored->telemetry_snapshot().series.empty());
     std::size_t longest = 0;
     for (const auto& ser : metrics.snapshot().series) {
       longest = std::max(longest, ser.points.size());
-    }
-    if (budget > 0) {
-      for (const auto& ser : restored->telemetry_snapshot().series) {
-        EXPECT_LE(ser.points.size(), budget) << ser.name;
-      }
     }
     return longest;
   };
@@ -524,6 +569,22 @@ TEST(Slo, SpecParsing) {
     EXPECT_FALSE(parse_slo_spec(bad, &err).has_value());
     EXPECT_FALSE(err.empty());
   }
+
+  // JCT, queue wait and tardiness are never negative, so a negative
+  // threshold would flag every completion; the message names the objective.
+  for (const char* negative :
+       {"jct<=-1@0.1", "queue_wait<=-0.5@0.2", "jct<=1@0.1,tardiness<=-2@0"}) {
+    SCOPED_TRACE(negative);
+    err.clear();
+    EXPECT_FALSE(parse_slo_spec(negative, &err).has_value());
+    EXPECT_NE(err.find("negative threshold"), std::string::npos) << err;
+  }
+  err.clear();
+  EXPECT_FALSE(parse_slo_spec("tardiness<=-2@0", &err).has_value());
+  EXPECT_NE(err.find("'tardiness<=-2@0'"), std::string::npos) << err;
+  const auto zero = parse_slo_spec("queue_wait<=0@0.1", &err);
+  ASSERT_TRUE(zero.has_value()) << err;
+  EXPECT_BITEQ((*zero)[0].threshold, 0.0);
 }
 
 TEST(Slo, BurnRateArithmetic) {
@@ -754,7 +815,6 @@ TEST(TelemetryFuzz, SeededSloConfigsSurviveSnapshotCuts) {
     spec.telemetry.metrics_every = 0.01 * (1 + seed % 7);
     spec.telemetry.flightrec_capacity =
         static_cast<std::size_t>(4 << (seed % 4));
-    spec.telemetry.series_budget = (seed % 3 == 0) ? 8 : 0;
     spec.telemetry.slo.window = 0.1 * (1 + seed % 10);
     spec.telemetry.slo.objectives = {
         SloObjective{static_cast<SloKind>(seed % service::kSloKindCount),

@@ -86,9 +86,10 @@
 //                       events (admit/launch/complete/fault/flush/...)
 //   --flightrec-out PATH dump the ring on error and at exit (ECHFLIGHT text,
 //                       round-trips through obs::parse_flight_dump)
-//   --series-budget N   cap every time series at N points, --metrics-out
-//                       ones included (decimation by stride doubling;
-//                       oldest points thin out first)
+//   --series-budget N   cap every --metrics-out time series at N points
+//                       (decimation by stride doubling; oldest points thin
+//                       out first), on a fresh or a restored run. The
+//                       telemetry above keeps current values, not series.
 //   --trace-chunk-out PATH  stream trace events as incremental ECHCHUNK
 //                       chunks flushed at every telemetry boundary; memory
 //                       stays O(chunk), and obs::merge_trace_chunks rebuilds
@@ -762,6 +763,10 @@ int cmd_serve(const Args& args) {
     cfg.trace_detail = obs_args.detail;
   }
   if (obs_args.metrics()) cfg.metrics = &metrics;
+  // --series-budget caps the --metrics-out series, on a fresh run and a
+  // restored one alike (the service telemetry keeps no series).
+  metrics.set_series_budget(
+      static_cast<std::size_t>(args.geti("series-budget", 0)));
 
   // Telemetry (DESIGN.md §15). All of it is derived from simulated time and
   // journaled state, so any combination of these flags leaves the service
@@ -770,8 +775,6 @@ int cmd_serve(const Args& args) {
   const std::string chunk_out = args.get("trace-chunk-out", "");
   const std::string flightrec_out = args.get("flightrec-out", "");
   cfg.telemetry.metrics_every = args.getd("metrics-every", 0.0);
-  cfg.telemetry.series_budget =
-      static_cast<std::size_t>(args.geti("series-budget", 0));
   cfg.telemetry.flightrec_capacity =
       static_cast<std::size_t>(args.geti("flightrec", 0));
   cfg.telemetry.profile = args.has("profile");
@@ -895,14 +898,6 @@ int cmd_serve(const Args& args) {
             std::make_unique<service::PoissonArrivalGenerator>(tc, burst));
       }
     }
-
-    // --series-budget caps the Simulator's --metrics-out series as well as
-    // the service telemetry ones. A restored run keeps its snapshot's budget
-    // unless the flag is given again.
-    const std::size_t budget = args.has("series-budget")
-                                   ? cfg.telemetry.series_budget
-                                   : loop->config().telemetry.series_budget;
-    if (budget > 0) metrics.set_series_budget(budget);
 
     // Snapshots are only valid at step boundaries (drain's final run() to
     // quiescence executes past the last boundary), so the terminal snapshot
